@@ -4,9 +4,8 @@ Geometry-of-Interaction path checks."""
 from .algebra import (ONE, ZERO, LevelledWeight, Weight, WAtom, bang, compose,
                       format_weight, involute, lw, normal_form,
                       weight_equal)
-from .calculus import (LCA, LCF, Configuration, RedexSite, beta_lca, beta_lcf,
-                       find_redexes, normalize_sigma, reduce, reduction_graph,
-                       sigma_step, step)
+from .calculus import (LCA, LCF, Configuration, RedexSite, find_redexes,
+                       normalize_sigma, reduce, reduction_graph, step)
 from .corpus import corpus, prepare
 from .labelled import bullet, initialize, label_of, var_label
 from .labels import (Atomic, Label, Marker, Over, Under, concat,

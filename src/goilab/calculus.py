@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .labels import LEFT, RIGHT, concat, mark, over, reverse, under
-from .labelled import bullet, label_of
-from .terms import (Abs, App, Copy, Erase, Subst, Term, Var, check_linear,
+from .labels import LEFT, RIGHT, concat, format_label, mark, over, reverse, under
+from .labelled import UnlabelledTermError, bullet, has_labels, label_of
+from .terms import (Abs, App, Copy, Erase, Subst, Term, Var, format_term,
                     free_vars, replace_at, subterm_at, subterms, term_size)
 
 LCF = "lcf"
@@ -113,7 +113,7 @@ def _apply_rule(node: Term, rule: str, calculus: str):
         if calculus == LCF:
             if free_vars(arg):
                 raise SideConditionViolatedError("Lam needs a closed argument")
-            marked = _pre(mark(RIGHT, "?") if _is_labelled(arg) else None, arg)
+            marked = _pre(mark(RIGHT, "?") if has_labels(arg) else None, arg)
         else:
             marked = arg
         return Abs(body.binder, Subst(body.body, marked, x), body.label), None
@@ -130,7 +130,7 @@ def _apply_rule(node: Term, rule: str, calculus: str):
             raise SideConditionViolatedError(f"{x} not free in argument part")
         marked = arg
         if calculus == LCA:
-            marked = _pre(mark(RIGHT, "?") if _is_labelled(arg) else None, arg)
+            marked = _pre(mark(RIGHT, "?") if has_labels(arg) else None, arg)
         return App(body.fun, Subst(body.arg, marked, x), body.label), None
 
     if rule in ("Cpy1", "Cpy2"):
@@ -141,7 +141,7 @@ def _apply_rule(node: Term, rule: str, calculus: str):
                 raise PatternMismatchError("Cpy1 needs the substituted source")
             if calculus == LCF and free_vars(arg):
                 raise SideConditionViolatedError("Cpy1 needs a closed argument")
-            labelled = _is_labelled(arg)
+            labelled = has_labels(arg)
             left_arg = _pre(mark(RIGHT, "R") if labelled else None, arg)
             right_arg = _pre(mark(RIGHT, "S") if labelled else None, arg)
             inner = Subst(body.body, left_arg, body.left)
@@ -158,7 +158,7 @@ def _apply_rule(node: Term, rule: str, calculus: str):
                 raise PatternMismatchError("Ers1 needs the substituted binder")
             if calculus == LCF and free_vars(arg):
                 raise SideConditionViolatedError("Ers1 needs a closed argument")
-            erased = _pre(mark(RIGHT, "W") if _is_labelled(arg) else None, arg)
+            erased = _pre(mark(RIGHT, "W") if has_labels(arg) else None, arg)
             return body.body, erased
         if body.binder == x:
             raise PatternMismatchError("Ers2 needs an independent substitution")
@@ -184,15 +184,6 @@ def _apply_rule(node: Term, rule: str, calculus: str):
     raise AssertionError(rule)
 
 
-def _is_labelled(term: Term) -> bool:
-    match term:
-        case Var(_, label) | Abs(_, _, label) | App(_, _, label):
-            if label is not None:
-                return True
-    from .terms import children
-    return any(_is_labelled(c) for c in children(term))
-
-
 def _matches(node: Term, rule: str, calculus: str) -> bool:
     try:
         _apply_rule(node, rule, calculus)
@@ -201,14 +192,28 @@ def _matches(node: Term, rule: str, calculus: str) -> bool:
         return False
 
 
+# rules whose left-hand side fits a substitution, by the kind of its body
+_SUBST_RULES = {Abs: ("Lam",), App: ("App1", "App2"), Copy: ("Cpy1", "Cpy2"),
+                Erase: ("Ers1", "Ers2"), Var: ("Var",), Subst: ("Cmp",)}
+
+
+def _candidate_rules(node: Term) -> tuple:
+    """The rules, alphabetically, whose left-hand side fits ``node``'s kind."""
+    if isinstance(node, Subst):
+        return _SUBST_RULES[type(node.body)]
+    if isinstance(node, App) and isinstance(node.fun, Abs):
+        return ("Beta",)
+    return ()
+
+
 def find_redexes(config: Configuration, calculus: str,
                  rules: Optional[tuple] = None) -> list:
     """All redex sites, position-lexicographic then rule-alphabetical."""
     rules = rules or RULES[calculus]
     sites = []
     for pos, node in subterms(config.term):
-        for rule in rules:
-            if _matches(node, rule, calculus):
+        for rule in _candidate_rules(node):
+            if rule in rules and _matches(node, rule, calculus):
                 sites.append(RedexSite(pos, rule))
     return sites
 
@@ -219,24 +224,6 @@ def step(config: Configuration, site: RedexSite, calculus: str) -> Configuration
     term = replace_at(config.term, site.position, new_node)
     bag = config.erased | {erased} if erased is not None else config.erased
     return Configuration(term, bag)
-
-
-def beta_lcf(config: Configuration, site: RedexSite) -> Configuration:
-    if site.rule != "Beta":
-        raise PatternMismatchError("site does not name the Beta rule")
-    return step(config, site, LCF)
-
-
-def beta_lca(config: Configuration, site: RedexSite) -> Configuration:
-    if site.rule != "Beta":
-        raise PatternMismatchError("site does not name the Beta rule")
-    return step(config, site, LCA)
-
-
-def sigma_step(config: Configuration, site: RedexSite, calculus: str = LCF) -> Configuration:
-    if site.rule == "Beta":
-        raise PatternMismatchError("Beta is not a sigma rule")
-    return step(config, site, calculus)
 
 
 def default_sigma_fuel(term: Term) -> int:
@@ -258,22 +245,17 @@ def normalize_sigma(config: Configuration, calculus: str,
         fuel -= 1
 
 
-def reduce(config: Configuration, calculus: str,
-           strategy: str = "leftmost-outermost", fuel: int = 10_000):
-    """Leftmost-outermost trace, or the exhaustive reduction graph."""
-    if strategy == "leftmost-outermost":
-        trace = []
-        while fuel > 0:
-            sites = find_redexes(config, calculus)
-            if not sites:
-                return trace
-            config = step(config, sites[0], calculus)
-            trace.append(TraceStep(sites[0], config))
-            fuel -= 1
-        raise FuelExhaustedError("reduction exceeded fuel")
-    if strategy == "exhaustive":
-        return reduction_graph(config, calculus, max_configs=fuel)
-    raise ValueError(f"unknown strategy {strategy!r}")
+def reduce(config: Configuration, calculus: str, fuel: int = 10_000) -> list:
+    """The leftmost-outermost trace to a normal form, as ``TraceStep``s."""
+    trace = []
+    while fuel > 0:
+        sites = find_redexes(config, calculus)
+        if not sites:
+            return trace
+        config = step(config, sites[0], calculus)
+        trace.append(TraceStep(sites[0], config))
+        fuel -= 1
+    raise FuelExhaustedError("reduction exceeded fuel")
 
 
 @dataclass
@@ -324,15 +306,8 @@ def reduction_graph(config: Configuration, calculus: str,
     return graph
 
 
-def assert_subject_reduction(config: Configuration) -> None:
-    violations = check_linear(config.term)
-    if violations:
-        raise AssertionError(f"linearity broken: {violations}")
-
-
-def trace_records(initial: Configuration, trace, calculus: str) -> list:
+def trace_records(trace, calculus: str) -> list:
     """JSON-ready trace records: one per step."""
-    from .terms import format_term
     records = []
     for i, ts in enumerate(trace):
         entry = {
@@ -350,8 +325,7 @@ def trace_records(initial: Configuration, trace, calculus: str) -> list:
 
 
 def _erased_label_text(term: Term) -> str:
-    from .labels import format_label
     try:
         return format_label(label_of(term))
-    except Exception:
+    except UnlabelledTermError:
         return "(unlabelled)"

@@ -10,9 +10,9 @@ import random
 from typing import Iterable, Optional
 
 from .algebra import ONE, ZERO, compose, involute, lw, watom, weight_equal
-from .calculus import (LCA, LCF, Configuration, FuelExhaustedError,
+from .calculus import (LCA, LCF, Configuration, FuelExhaustedError, TraceStep,
                        normalize_sigma, reduce, reduction_graph)
-from .corpus import CorpusEntry, corpus
+from .corpus import CorpusEntry
 from .labelled import label_of
 from .labels import (Atomic, Marker, Over, RIGHT, Under, concat, format_label,
                      mark, reverse)
@@ -25,8 +25,14 @@ from .terms import (Subst, check_linear, compile_term, format_term, free_vars,
 IDENTITY_RULES = ("App1", "Lam", "Cpy2", "Ers2")
 
 
-def default_corpus(max_size: int = 7, classics: bool = True, skip=()) -> list:
-    return corpus(max_size, classics, skip)
+def _trace(entry: CorpusEntry, calculus: str, fuel: int) -> Optional[list]:
+    """The leftmost-outermost configurations of ``entry`` as ``TraceStep``s,
+    the initial one first with no site, or None when ``fuel`` runs out."""
+    config = Configuration(entry.initial)
+    try:
+        return [TraceStep(None, config), *reduce(config, calculus, fuel=fuel)]
+    except FuelExhaustedError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +71,11 @@ def check_sigma_termination(entries: Iterable[CorpusEntry],
     checked = 0
     for entry in entries:
         for calculus in (LCF, LCA):
-            configs = [Configuration(entry.initial)]
-            try:
-                trace = reduce(configs[0], calculus, fuel=trace_fuel)
-                configs.extend(ts.config for ts in trace)
-            except FuelExhaustedError:
+            trace = _trace(entry, calculus, trace_fuel)
+            if trace is None:
                 failures.append(f"{entry.name}/{calculus}: trace fuel exhausted")
                 continue
-            for config in configs:
+            for config in (ts.config for ts in trace):
                 checked += 1
                 try:
                     normalize_sigma(config, calculus)
@@ -88,14 +91,8 @@ def check_propagation(entries: Iterable[CorpusEntry],
     failures = []
     for entry in entries:
         for calculus in (LCF, LCA):
-            config = Configuration(entry.initial)
-            try:
-                trace = reduce(config, calculus, fuel=trace_fuel)
-            except FuelExhaustedError:
-                continue
-            for ts in [None, *trace]:
-                c = config if ts is None else ts.config
-                nf = normalize_sigma(c, calculus)
+            for ts in _trace(entry, calculus, trace_fuel) or ():
+                nf = normalize_sigma(ts.config, calculus)
                 for pos, t in subterms(nf.term):
                     if isinstance(t, Subst) and not free_vars(t.arg):
                         failures.append(
@@ -168,13 +165,8 @@ def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
                        trace_fuel: int = 10_000) -> dict:
     failures = []
     for entry in entries:
-        config = Configuration(entry.initial)
-        try:
-            trace = reduce(config, calculus, fuel=trace_fuel)
-        except FuelExhaustedError:
-            continue
-        for ts in [None, *trace]:
-            c = config if ts is None else ts.config
+        for ts in _trace(entry, calculus, trace_fuel) or ():
+            c = ts.config
             where = f"{entry.name}/{calculus}"
             if check_linear(c.term):
                 failures.append(f"{where}: linearity broken")
@@ -234,24 +226,19 @@ def _step_edges(entry: CorpusEntry, calculus: str, graph_budget: int,
     """Reduction steps to check: the exhaustive graph up to a budget, plus
     the leftmost-outermost trace."""
     seen = set()
-    config = Configuration(entry.initial)
-    graph = reduction_graph(config, calculus, max_configs=graph_budget)
+    graph = reduction_graph(Configuration(entry.initial), calculus,
+                            max_configs=graph_budget)
     for src, site, dst in graph.steps():
         key = (src.term, site, dst.term)
         if key not in seen:
             seen.add(key)
-            yield src.term, site, dst.term
-    try:
-        trace = reduce(config, calculus, fuel=trace_fuel)
-    except FuelExhaustedError:
-        return
-    current = config
-    for ts in trace:
-        key = (current.term, ts.site, ts.config.term)
+            yield key
+    trace = _trace(entry, calculus, trace_fuel) or ()
+    for before, ts in zip(trace, trace[1:]):
+        key = (before.config.term, ts.site, ts.config.term)
         if key not in seen:
             seen.add(key)
-            yield current.term, ts.site, ts.config.term
-        current = ts.config
+            yield key
 
 
 def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
@@ -279,7 +266,7 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
         return net_cache[term]
 
     for entry in entries:
-        for src, site, dst in _step_edges(entry, calculus, graph_budget, 10_000):
+        for src, site, dst in _step_edges(entry, calculus, graph_budget, trace_fuel):
             checked += 1
             where = {"term": entry.name, "rule": site.rule,
                      "position": list(site.position)}
@@ -359,14 +346,11 @@ def check_goi_end_to_end(entries: Iterable[CorpusEntry],
     checked = 0
     for entry in entries:
         for calculus, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
-            config = Configuration(entry.initial)
-            try:
-                trace = reduce(config, calculus, fuel=trace_fuel)
-            except FuelExhaustedError:
+            trace = _trace(entry, calculus, trace_fuel)
+            if trace is None:
                 skipped.append(f"{entry.name}/{calculus}")
                 continue
-            final = trace[-1].config if trace else config
-            label = label_of(final.term)
+            label = label_of(trace[-1].config.term)
             levelled = lw(label, 0)
             if levelled.weight.is_zero:
                 failures.append(f"{entry.name}/{calculus}: final label has zero weight")

@@ -2,8 +2,9 @@
 
 Subcommands: ``compile``, ``reduce``, ``net``, ``check``.  Flags may be
 overridden by ``GOI_``-prefixed environment variables (GOI_CALCULUS,
-GOI_TRANSLATION, GOI_FUEL, GOI_MAX_STEPS, GOI_CORPUS_MAX_SIZE, GOI_SEED,
-GOI_OUT).  Identical configuration and inputs produce byte-identical
+GOI_TRANSLATION, GOI_FUEL, GOI_CORPUS_MAX_SIZE, GOI_SEED, GOI_OUT).
+``--fuel`` bounds the leftmost-outermost traces and the reduction graphs the
+suites explore.  Identical configuration and inputs produce byte-identical
 outputs.
 """
 
@@ -32,7 +33,6 @@ class RunConfig:
     calculus: str = LCF
     translation: str = "cbv"
     fuel: int = 10_000
-    max_steps: int = 64
     corpus_max_size: int = 7
     seed: int = 0
     output_dir: Optional[str] = None
@@ -50,7 +50,6 @@ def _config_from(args) -> RunConfig:
         calculus=args.calculus,
         translation=args.translation,
         fuel=args.fuel,
-        max_steps=args.max_steps,
         corpus_max_size=getattr(args, "corpus_max_size", 7),
         seed=args.seed,
         output_dir=args.out,
@@ -76,7 +75,7 @@ def cmd_reduce(term_text: str, config: RunConfig) -> int:
     term = initialize(compile_term(parse_lambda(term_text)))
     start = Configuration(term)
     trace = reduce(start, config.calculus, fuel=config.fuel)
-    records = trace_records(start, trace, config.calculus)
+    records = trace_records(trace, config.calculus)
     lines = [json.dumps(r, sort_keys=True) for r in records]
     final = trace[-1].config.term if trace else term
     lines.append(json.dumps({"final": format_term(final, labels=True)},
@@ -124,12 +123,15 @@ def cmd_check(suite: str, config: RunConfig, extra_term: Optional[str]) -> int:
         ok = report[LCF]["ok"] and report[LCA]["ok"]
     elif suite == "invariance":
         report = {
-            "lcf_cbv": checks.check_weight_invariance(entries, LCF),
-            "lca_cbn": checks.check_weight_invariance(entries, LCA),
+            "lcf_cbv": checks.check_weight_invariance(
+                entries, LCF, graph_budget=config.fuel, trace_fuel=config.fuel),
+            "lca_cbn": checks.check_weight_invariance(
+                entries, LCA, graph_budget=config.fuel, trace_fuel=config.fuel),
         }
         ok = report["lcf_cbv"]["ok"] and report["lca_cbn"]["ok"]
     elif suite == "net-simulation":
-        report = {"lca_cbn": checks.check_net_simulation(entries)}
+        report = {"lca_cbn": checks.check_net_simulation(
+            entries, graph_budget=config.fuel)}
         ok = report["lca_cbn"]["ok"]
     elif suite == "label-path":
         report = {"end_to_end": checks.check_goi_end_to_end(entries, config.fuel)}
@@ -157,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--translation", choices=("cbv", "cbn"),
                        default=_env_default("TRANSLATION", "cbv", str))
         p.add_argument("--fuel", type=int, default=_env_default("FUEL", 10_000))
-        p.add_argument("--max-steps", type=int,
-                       default=_env_default("MAX_STEPS", 64))
         p.add_argument("--seed", type=int, default=_env_default("SEED", 0))
         p.add_argument("--out", default=_env_default("OUT", None, str))
 

@@ -7,7 +7,7 @@ from typing import Optional
 
 from .labels import Label, atomic, concat
 from .terms import (Abs, App, Copy, Erase, FreshSupply, Subst, Term, Var,
-                    free_vars)
+                    children, free_vars)
 
 
 class VariableNotFreeError(Exception):
@@ -105,7 +105,6 @@ def has_labels(term: Term) -> bool:
         case Var(_, label) | Abs(_, _, label) | App(_, _, label):
             if label is not None:
                 return True
-    from .terms import children
     return any(has_labels(c) for c in children(term))
 
 

@@ -216,11 +216,3 @@ def atoms_flat(label: Label):
         yield a
         if isinstance(a, (Over, Under)):
             yield from atoms_flat(a.inner)
-
-
-def first_top_atom(label: Label) -> Atom:
-    return label[0]
-
-
-def last_top_atom(label: Label) -> Atom:
-    return label[-1]

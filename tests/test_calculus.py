@@ -1,17 +1,18 @@
 import pytest
 
-from goilab.calculus import (LCA, LCF, Configuration, FuelExhaustedError,
-                             PatternMismatchError, RedexSite,
-                             SideConditionViolatedError, beta_lca, beta_lcf,
+from goilab import calculus
+from goilab.calculus import (LCA, LCF, RULES, SIGMA_RULES, Configuration,
+                             FuelExhaustedError, PatternMismatchError,
+                             RedexSite, SideConditionViolatedError,
                              default_sigma_fuel, find_redexes,
-                             normalize_sigma, reduce, reduction_graph,
-                             sigma_step, step, trace_records)
-from goilab.corpus import closed_terms, prepare
+                             normalize_sigma, reduce, reduction_graph, step,
+                             trace_records)
+from goilab.corpus import closed_terms, corpus, prepare
 from goilab.labelled import initialize, label_of
 from goilab.labels import LEFT, RIGHT, Marker, atomic, format_label
 from goilab.terms import (Abs, App, Copy, Erase, Subst, Var, check_linear,
                           compile_term, format_term, free_vars, parse_lambda,
-                          subterms)
+                          strip_labels, subterms)
 
 
 def identity_application():
@@ -29,7 +30,7 @@ def printed(config):
 def test_beta_lcf_identity_markers():
     config = Configuration(identity_application())
     site = RedexSite((), "Beta")
-    out = beta_lcf(config, site)
+    out = step(config, site, LCF)
     assert printed(out) == "x^{c.<(D>.a.<!)>.d}[(\\y.y^{e})^{_(!>.a.<D).b}/x]"
     out = step(out, RedexSite((), "Var"), LCF)
     assert printed(out) == "(\\y.y^{e})^{c.<(D>.a.<!)>.d._(!>.a.<D).b}"
@@ -37,7 +38,7 @@ def test_beta_lcf_identity_markers():
 
 def test_beta_lca_identity_markers():
     config = Configuration(identity_application())
-    out = beta_lca(config, RedexSite((), "Beta"))
+    out = step(config, RedexSite((), "Beta"), LCA)
     assert printed(out) == "x^{c.<(a)>.d}[(\\y.y^{e})^{_(a).<!.b}/x]"
     out = step(out, RedexSite((), "Var"), LCA)
     assert printed(out) == "(\\y.y^{e})^{c.<(a)>.d.D>._(a).<!.b}"
@@ -49,14 +50,14 @@ def test_beta_lcf_requires_closed_function():
                    Abs("y", Var("y", atomic("e")), atomic("b")),
                    atomic("c"))
     with pytest.raises(SideConditionViolatedError):
-        beta_lcf(Configuration(open_fun), RedexSite((), "Beta"))
+        step(Configuration(open_fun), RedexSite((), "Beta"), LCF)
     # the closed-argument system fires happily on the same redex
-    assert beta_lca(Configuration(open_fun), RedexSite((), "Beta"))
+    assert step(Configuration(open_fun), RedexSite((), "Beta"), LCA)
 
 
 def test_beta_pattern_mismatch():
     with pytest.raises(PatternMismatchError):
-        beta_lcf(Configuration(Var("x", atomic("a"))), RedexSite((), "Beta"))
+        step(Configuration(Var("x", atomic("a"))), RedexSite((), "Beta"), LCF)
 
 
 # --- sigma rules -----------------------------------------------------------
@@ -67,7 +68,7 @@ def closed_value(tag="v"):
 
 def test_sigma_lam_lcf_adds_auxiliary_marker():
     t = Subst(Abs("y", Var("x", atomic("a")), atomic("b")), closed_value(), "x")
-    out = sigma_step(Configuration(t), RedexSite((), "Lam"), LCF)
+    out = step(Configuration(t), RedexSite((), "Lam"), LCF)
     inner = out.term.body
     assert isinstance(inner, Subst)
     assert label_of(inner.arg)[0] == Marker(RIGHT, "?")
@@ -77,34 +78,34 @@ def test_sigma_lam_lca_no_marker_no_condition():
     open_arg = Var("z", atomic("z0"))
     t = Subst(Abs("y", Var("x", atomic("a")), atomic("b")), open_arg, "x")
     with pytest.raises(SideConditionViolatedError):
-        sigma_step(Configuration(t), RedexSite((), "Lam"), LCF)
-    out = sigma_step(Configuration(t), RedexSite((), "Lam"), LCA)
+        step(Configuration(t), RedexSite((), "Lam"), LCF)
+    out = step(Configuration(t), RedexSite((), "Lam"), LCA)
     assert label_of(out.term.body.arg) == atomic("z0")
 
 
 def test_sigma_app_routing():
     t = Subst(App(Var("x", atomic("a")), Var("y", atomic("b")), atomic("c")),
               closed_value(), "x")
-    out = sigma_step(Configuration(t), RedexSite((), "App1"), LCF)
+    out = step(Configuration(t), RedexSite((), "App1"), LCF)
     assert isinstance(out.term.fun, Subst)
     with pytest.raises(SideConditionViolatedError):
-        sigma_step(Configuration(t), RedexSite((), "App2"), LCF)
+        step(Configuration(t), RedexSite((), "App2"), LCF)
 
 
 def test_sigma_app2_lca_marks_argument():
     t = Subst(App(Var("y", atomic("b")), Var("x", atomic("a")), atomic("c")),
               closed_value(), "x")
-    out = sigma_step(Configuration(t), RedexSite((), "App2"), LCA)
+    out = step(Configuration(t), RedexSite((), "App2"), LCA)
     assert label_of(out.term.arg.arg)[0] == Marker(RIGHT, "?")
     # the closed-function system adds no marker on App2
-    out = sigma_step(Configuration(t), RedexSite((), "App2"), LCF)
+    out = step(Configuration(t), RedexSite((), "App2"), LCF)
     assert label_of(out.term.arg.arg)[0] == atomic("v0")[0]
 
 
 def test_sigma_cpy1_duplicates_with_r_and_s():
     body = App(Var("y", atomic("a")), Var("z", atomic("b")), atomic("c"))
     t = Subst(Copy("x", "y", "z", body), closed_value(), "x")
-    out = sigma_step(Configuration(t), RedexSite((), "Cpy1"), LCF)
+    out = step(Configuration(t), RedexSite((), "Cpy1"), LCF)
     outer = out.term
     assert isinstance(outer, Subst) and outer.target == "z"
     assert label_of(outer.arg)[0] == Marker(RIGHT, "S")
@@ -118,14 +119,14 @@ def test_sigma_cpy2_passes_through():
     body = App(App(Var("y", atomic("a")), Var("z", atomic("b")), atomic("c")),
                Var("w", atomic("d")), atomic("e"))
     t = Subst(Copy("x", "y", "z", body), closed_value(), "w")
-    out = sigma_step(Configuration(t), RedexSite((), "Cpy2"), LCF)
+    out = step(Configuration(t), RedexSite((), "Cpy2"), LCF)
     assert isinstance(out.term, Copy)
     assert isinstance(out.term.body, Subst)
 
 
 def test_sigma_ers1_records_erased_label():
     t = Subst(Erase("x", Var("y", atomic("a"))), closed_value(), "x")
-    out = sigma_step(Configuration(t), RedexSite((), "Ers1"), LCF)
+    out = step(Configuration(t), RedexSite((), "Ers1"), LCF)
     assert out.term == Var("y", atomic("a"))
     assert len(out.erased) == 1
     erased = next(iter(out.erased))
@@ -134,16 +135,16 @@ def test_sigma_ers1_records_erased_label():
 
 def test_sigma_var_rules_differ_between_calculi():
     t = Subst(Var("x", atomic("a")), closed_value(), "x")
-    out = sigma_step(Configuration(t), RedexSite((), "Var"), LCF)
+    out = step(Configuration(t), RedexSite((), "Var"), LCF)
     assert format_label(label_of(out.term)) == "a.v0"
-    out = sigma_step(Configuration(t), RedexSite((), "Var"), LCA)
+    out = step(Configuration(t), RedexSite((), "Var"), LCA)
     assert format_label(label_of(out.term)) == "a.D>.v0"
 
 
 def test_cmp_needs_inner_free_variable():
     inner = Subst(Var("y", atomic("a")), Var("x", atomic("b")), "y")
     t = Subst(inner, closed_value(), "x")
-    out = sigma_step(Configuration(t), RedexSite((), "Cmp"), LCF)
+    out = step(Configuration(t), RedexSite((), "Cmp"), LCF)
     assert isinstance(out.term, Subst) and isinstance(out.term.arg, Subst)
     # no composition rule in the closed-argument system
     assert all(site.rule != "Cmp" for site in find_redexes(Configuration(t), LCA))
@@ -159,6 +160,35 @@ def test_find_redexes_normal_form_empty():
 def test_find_redexes_identity_application_single_beta():
     config = Configuration(initialize(compile_term(parse_lambda("(\\x.x) (\\y.y)"))))
     assert find_redexes(config, LCF) == [RedexSite((), "Beta")]
+
+
+def _every_matching_site(config, calculus):
+    """Redex sites by brute force: every rule at every position, kept when
+    ``step`` accepts it."""
+    sites = []
+    for pos, _ in subterms(config.term):
+        for rule in RULES[calculus]:
+            site = RedexSite(pos, rule)
+            try:
+                step(config, site, calculus)
+            except (PatternMismatchError, SideConditionViolatedError):
+                continue
+            sites.append(site)
+    return sites
+
+
+def test_find_redexes_agrees_with_trying_every_rule():
+    checked = 0
+    for entry in corpus(6):
+        for calc in (LCF, LCA):
+            for term in (entry.initial, strip_labels(entry.initial)):
+                for config in reduction_graph(Configuration(term), calc).configs:
+                    expected = _every_matching_site(config, calc)
+                    assert find_redexes(config, calc) == expected
+                    assert find_redexes(config, calc, SIGMA_RULES[calc]) == \
+                        [site for site in expected if site.rule != "Beta"]
+                    checked += 1
+    assert checked == 708
 
 
 def test_closed_substitution_is_never_normal():
@@ -226,10 +256,35 @@ def test_exhaustive_graph_single_sink():
 def test_trace_record_format():
     config = Configuration(initialize(compile_term(parse_lambda("(\\x.x) (\\y.y)"))))
     trace = reduce(config, LCF)
-    records = trace_records(config, trace, LCF)
+    records = trace_records(trace, LCF)
     assert records[0]["step"] == 1
     assert set(records[0]) == {"step", "rule", "position", "term_printed",
                                "erased_labels", "calculus"}
+
+
+def erasing_trace(labelled):
+    term = compile_term(parse_lambda("(\\x.\\y.y) (\\z.z)"))
+    config = Configuration(initialize(term) if labelled else term)
+    trace = reduce(config, LCF)
+    assert [ts.site.rule for ts in trace] == ["Beta", "Ers1"]
+    return trace
+
+
+def test_trace_record_of_an_unlabelled_erasure():
+    records = trace_records(erasing_trace(labelled=False), LCF)
+    assert records[-1]["erased_labels"] == ["(unlabelled)"]
+
+
+def test_trace_record_does_not_hide_other_faults(monkeypatch):
+    trace = erasing_trace(labelled=True)
+    assert trace_records(trace, LCF)[-1]["erased_labels"][0].startswith("W>")
+
+    def broken(term):
+        raise RuntimeError("label lookup failed")
+
+    monkeypatch.setattr(calculus, "label_of", broken)
+    with pytest.raises(RuntimeError):
+        trace_records(trace, LCF)
 
 
 def test_default_sigma_fuel_quadratic():

@@ -1,5 +1,6 @@
 import json
 
+from goilab import checks
 from goilab.cli import main
 
 
@@ -55,6 +56,25 @@ def test_check_confluence_small_corpus(tmp_path):
 def test_check_net_simulation_small_corpus(tmp_path):
     assert main(["check", "net-simulation", "--corpus-max-size", "4",
                  "--out", str(tmp_path)]) == 0
+
+
+def test_fuel_reaches_the_graph_budgets(tmp_path, monkeypatch):
+    calls = []
+
+    def recorder(suite):
+        def record(entries, *args, **kwargs):
+            calls.append((suite, kwargs))
+            return {"ok": True}
+        return record
+
+    monkeypatch.setattr(checks, "check_weight_invariance", recorder("invariance"))
+    monkeypatch.setattr(checks, "check_net_simulation", recorder("net-simulation"))
+    for suite in ("invariance", "net-simulation"):
+        assert main(["check", suite, "--corpus-max-size", "2", "--fuel", "7",
+                     "--out", str(tmp_path)]) == 0
+    budget = {"graph_budget": 7, "trace_fuel": 7}
+    assert calls == [("invariance", budget), ("invariance", budget),
+                     ("net-simulation", {"graph_budget": 7})]
 
 
 def test_env_override(tmp_path, monkeypatch):
