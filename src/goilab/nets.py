@@ -897,7 +897,52 @@ def _explore(net: Net, pm: dict, seeds, edge_ids: dict, node_ids: dict,
         first = False
 
 
-def _signature_part(net: Net, edge_ids: dict, node_ids: dict):
+class _Islands:
+    """The interface-free islands of a net, each signed once, when first
+    asked for."""
+
+    def __init__(self, net: Net, pm: dict, leftovers: set):
+        self.net, self.pm = net, pm
+        self.extents = []  # the edges of each island
+        self.island_of = {}  # node -> its island
+        while leftovers:
+            probe_e: dict = {}
+            probe_n: dict = {}
+            _explore(net, pm, [next(iter(leftovers))], probe_e, probe_n)
+            self.island_of.update(dict.fromkeys(probe_n, len(self.extents)))
+            self.extents.append(set(probe_e))
+            leftovers -= self.extents[-1]
+        self.signatures: dict = {}
+
+    def signature(self, k: int):
+        """Canonical signature of island ``k``: the least over its possible
+        anchor edges."""
+        if k not in self.signatures:
+            best = None
+            for eid in self.extents[k]:
+                for first_end in (0, 1):
+                    ce: dict = {}
+                    cn: dict = {}
+                    _explore(self.net, self.pm, [eid], ce, cn, first_end=first_end)
+                    sig = _signature_part(self.net, ce, cn, self)
+                    if best is None or sig < best:
+                        best = sig
+            self.signatures[k] = best
+        return self.signatures[k]
+
+    def holding(self, nodes) -> tuple:
+        """Sorted signatures of the islands that hold ``nodes``."""
+        try:
+            held = {self.island_of[nid] for nid in nodes}
+        except KeyError:
+            raise NetError("box contents outside every component") from None
+        return tuple(sorted(self.signature(k) for k in held))
+
+
+def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
+                    islands: _Islands):
+    """Signature of the component numbered by ``edge_ids`` and ``node_ids``;
+    box contents outside it are described by the islands that hold them."""
     def end_repr(end) -> str:
         if end[0] == "root":
             return "root"
@@ -921,9 +966,12 @@ def _signature_part(net: Net, edge_ids: dict, node_ids: dict):
     boxes = []
     for b in net.boxes.values():
         if b.principal in node_ids:
+            inside = [node_ids[n] for n in b.contents if n in node_ids]
             boxes.append((node_ids[b.principal],
                           tuple(sorted(node_ids[a] for a in b.auxiliaries)),
-                          tuple(sorted(node_ids[n] for n in b.contents))))
+                          tuple(sorted(inside)),
+                          islands.holding(n for n in b.contents if n not in node_ids)
+                          if len(inside) < len(b.contents) else ()))
     return (nodes, tuple(sorted(edges)), tuple(sorted(boxes)))
 
 
@@ -932,7 +980,8 @@ def canonical_signature(net: Net):
 
     The interface-reachable part is numbered from the root and the free
     edges; interface-free islands (erased substitutions produce them) are
-    canonicalised by minimising over their possible anchor edges.
+    canonicalised by minimising over their possible anchor edges.  A box
+    that holds an island describes it by the island's signature.
     """
     pm = net.port_map()
     anchors = []
@@ -942,29 +991,10 @@ def canonical_signature(net: Net):
     edge_ids: dict[int, int] = {}
     node_ids: dict[int, int] = {}
     _explore(net, pm, anchors, edge_ids, node_ids)
-    main = _signature_part(net, edge_ids, node_ids)
-    leftovers = set(net.edges) - set(edge_ids)
-    islands = []
-    while leftovers:
-        seed = next(iter(leftovers))
-        component_edges = None
-        best = None
-        # discover the component once to know its extent
-        probe_e: dict = {}
-        probe_n: dict = {}
-        _explore(net, pm, [seed], probe_e, probe_n)
-        component_edges = set(probe_e)
-        for eid in sorted(component_edges):
-            for first_end in (0, 1):
-                ce: dict = {}
-                cn: dict = {}
-                _explore(net, pm, [eid], ce, cn, first_end=first_end)
-                sig = _signature_part(net, ce, cn)
-                if best is None or sig < best:
-                    best = sig
-        islands.append(best)
-        leftovers -= component_edges
-    return (main, tuple(sorted(islands)))
+    islands = _Islands(net, pm, set(net.edges) - set(edge_ids))
+    main = _signature_part(net, edge_ids, node_ids, islands)
+    return (main, tuple(sorted(islands.signature(k)
+                               for k in range(len(islands.extents)))))
 
 
 def iso_check(a: Net, b: Net) -> bool:

@@ -8,15 +8,22 @@ admits a premise-to-premise crossing.  Paths start at interface edges; the
 observable weight set keeps those that also end at the interface.  Its live
 part keeps the words that are not null in the dynamic algebra: only those
 are observed, and only those must survive a reduction step.
+
+All three searches read one per-net table of directed edges
+(``DirectedEdges``).  ``weight_set`` searches it breadth-first over
+deduplicated states, a directed edge and the word read so far, under the
+same step bound and length cap as an enumeration of every path, and finds
+the same set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from .algebra import (ONE, WAtom, Weight, compose, format_weight, involute,
-                      normal_word)
+from .algebra import (CONSTANTS, WAtom, Weight, compose, format_weight,
+                      involute, normal_word)
 from .nets import Net, PREMISE_LIKE, TRANSITIONS
 
 
@@ -60,57 +67,93 @@ def path_weight(path: Path, net: Net) -> Weight:
     return compose(*(step_weight(net, s) for s in path.steps))
 
 
-def _interface_starts(net: Net) -> list:
-    starts = []
-    for eid, e in net.edges.items():
-        for i, end in enumerate(e.ends):
-            if end is not None and end[0] in ("root", "free"):
-                starts.append((eid, 1 - i))  # traverse away from the interface
-    return starts
+def _encode(atoms: tuple) -> str:
+    """A word as a string of one character per atom.  Injective, and within
+    latin-1 up to level 20; the star is the lowest bit, so ``ord(c) ^ 1``
+    encodes the involution of an atom."""
+    return "".join(chr(12 * a.level + 2 * CONSTANTS.index(a.base) + a.star)
+                   for a in atoms)
 
 
-def _continuations(net: Net, pm: dict, eid: int, to_end: int) -> list:
-    """Steps that may follow arriving at ``ends[to_end]`` of ``eid``."""
-    end = net.edges[eid].ends[to_end]
-    if end is None or end[0] != "node":
-        return []
-    nid, port = end[1], end[2]
-    out = []
-    for a, b in TRANSITIONS[net.nodes[nid]]:
-        nxt = b if port == a else a if port == b else None
-        if nxt is None:
-            continue
-        e2, idx = pm[(nid, nxt)]
-        out.append(Step(e2, 1 - idx))
-    return out
+@lru_cache(maxsize=None)
+def _decode_atom(char: str) -> tuple:
+    level, rest = divmod(ord(char), 12)
+    return (CONSTANTS[rest >> 1], bool(rest & 1), level)
+
+
+def _decode(word: str) -> tuple:
+    """The ``(base, star, level)`` triples of an encoded word."""
+    return tuple(map(_decode_atom, word))
+
+
+class DirectedEdges:
+    """The straight-path transition table of a net, built once per search.
+
+    Its states are the directed edges: ``Step(edge, to_end)`` is state
+    ``2 * k + to_end`` when ``edge`` is the ``k``-th edge of the net.  Per
+    state it keeps the encoded word read along the step (None for the zero
+    of a weakening), whether the step arrives at the interface, and the
+    states a straight path may move to next.  ``starts`` are the states
+    leaving the interface.
+    """
+
+    def __init__(self, net: Net):
+        self.edge_ids = tuple(net.edges)
+        self.words = []
+        self.interface = []
+        self.starts = []
+        arriving = {}  # (node, port) -> state arriving there
+        for k, eid in enumerate(self.edge_ids):
+            edge = net.edges[eid]
+            if edge.weight.is_zero:
+                self.words += [None, None]
+            else:
+                forward = _encode(edge.weight.atoms)
+                self.words += ["".join(chr(ord(c) ^ 1) for c in reversed(forward)),
+                               forward]
+            for to_end, end in enumerate(edge.ends):
+                at_interface = end is not None and end[0] in ("root", "free")
+                self.interface.append(at_interface)
+                if at_interface:
+                    self.starts.append(2 * k + 1 - to_end)
+                elif end is not None:
+                    arriving[(end[1], end[2])] = 2 * k + to_end
+        self.succ = [()] * len(self.words)
+        for (nid, port), state in arriving.items():
+            # leaving through a port is arriving there reversed
+            self.succ[state] = tuple(
+                arriving[(nid, b if port == a else a)] ^ 1
+                for a, b in TRANSITIONS[net.nodes[nid]] if port in (a, b))
+
+    def state(self, eid: int, to_end: int) -> int:
+        return 2 * self.edge_ids.index(eid) + to_end
+
+    def step(self, state: int) -> Step:
+        return Step(self.edge_ids[state >> 1], state & 1)
 
 
 def enumerate_straight(net: Net, max_steps: int,
                        max_expansions: int = 2_000_000) -> list:
     """All straight paths of at most ``max_steps`` steps between interface
     edges, both orientations included."""
-    pm = net.port_map()
+    table = DirectedEdges(net)
     found = []
     budget = [max_expansions]
 
-    def is_interface(eid: int, end_index: int) -> bool:
-        end = net.edges[eid].ends[end_index]
-        return end is not None and end[0] in ("root", "free")
-
-    def walk(prefix: list, eid: int, to_end: int):
+    def walk(prefix: list, state: int):
         if budget[0] <= 0:
             raise SearchBudgetError("straight-path enumeration budget exceeded")
         budget[0] -= 1
-        prefix.append(Step(eid, to_end))
-        if is_interface(eid, to_end):
+        prefix.append(table.step(state))
+        if table.interface[state]:
             found.append(Path(tuple(prefix)))
         if len(prefix) < max_steps:
-            for step in _continuations(net, pm, eid, to_end):
-                walk(prefix, step.edge, step.to_end)
+            for nxt in table.succ[state]:
+                walk(prefix, nxt)
         prefix.pop()
 
-    for eid, to_end in _interface_starts(net):
-        walk([], eid, to_end)
+    for state in table.starts:
+        walk([], state)
     return found
 
 
@@ -123,43 +166,59 @@ def weight_key(w: Weight):
 def weight_set(net: Net, max_steps: int,
                max_expansions: int = 2_000_000,
                length_cap: Optional[int] = None) -> set:
-    """Static words of interface-to-interface straight paths, zero excluded.
+    """Static words of interface-to-interface straight paths of at most
+    ``max_steps`` steps, zero excluded, as tuples of ``(base, star, level)``.
 
-    Computed by a depth-first traversal that folds weights on the fly, so
-    only the set of words is accumulated.  With ``length_cap`` the search is
-    pruned once a word exceeds that many atoms; words only ever grow, so
-    the capped set is exact.  The walk stops only at the absorbing zero of a
-    weakening; words that are null in the dynamic algebra stay in the set
+    A breadth-first search over states (directed edge, word read up to and
+    along it) that visits each state once.  The future of a path depends
+    only on its state, and breadth-first order reaches each state first at
+    its smallest depth, where the remaining steps reach every word a later
+    visit could; so skipping later visits gives the set of the plain
+    enumeration of every path, step bound included.  With ``length_cap`` a
+    word is dropped once it exceeds that many atoms; words only ever grow,
+    so the capped set is exact.  A path stops only at the absorbing zero of
+    a weakening; words that are null in the dynamic algebra stay in the set
     and ``live_words`` removes them.  A null prefix makes every extension
     null, so filtering the finished words gives the same live set as
-    stopping each walk at its first dead prefix.
+    stopping each path at its first dead prefix.
+
+    ``max_expansions`` bounds the successor visits, starts included, new
+    states or not; past it ``SearchBudgetError`` is raised.
     """
-    pm = net.port_map()
-    out = set()
-    budget = [max_expansions]
-
-    def is_interface(eid: int, end_index: int) -> bool:
-        end = net.edges[eid].ends[end_index]
-        return end is not None and end[0] in ("root", "free")
-
-    def walk(depth: int, weight: Weight, eid: int, to_end: int):
-        if budget[0] <= 0:
-            raise SearchBudgetError("weight-set enumeration budget exceeded")
-        budget[0] -= 1
-        weight = compose(weight, step_weight(net, Step(eid, to_end)))
-        if weight.is_zero:
-            return  # killed paths are tracked through the erased set instead
-        if length_cap is not None and len(weight.atoms) > length_cap:
-            return
-        if is_interface(eid, to_end):
-            out.add(weight_key(weight))
-        if depth < max_steps:
-            for step in _continuations(net, pm, eid, to_end):
-                walk(depth + 1, weight, step.edge, step.to_end)
-
-    for eid, to_end in _interface_starts(net):
-        walk(1, ONE, eid, to_end)
-    return out
+    table = DirectedEdges(net)
+    words, interface, succ = table.words, table.interface, table.succ
+    cap = float("inf") if length_cap is None else length_cap
+    seen = [set() for _ in words]  # per state: the words it was reached with
+    budget = max_expansions - len(table.starts)
+    if budget < 0:
+        raise SearchBudgetError("weight-set search budget exceeded")
+    frontier = [(state, words[state]) for state in table.starts
+                if words[state] is not None and len(words[state]) <= cap]
+    for state, word in frontier:
+        seen[state].add(word)
+    found = set()
+    depth = 1
+    while frontier:
+        found.update(word for state, word in frontier if interface[state])
+        if depth >= max_steps:
+            break
+        depth += 1
+        following = []
+        for state, word in frontier:
+            nexts = succ[state]
+            budget -= len(nexts)
+            if budget < 0:
+                raise SearchBudgetError("weight-set search budget exceeded")
+            for nxt in nexts:
+                step = words[nxt]
+                if step is None:
+                    continue  # killed paths are tracked through the erased set
+                longer = word + step
+                if len(longer) <= cap and longer not in seen[nxt]:
+                    seen[nxt].add(longer)
+                    following.append((nxt, longer))
+        frontier = following
+    return {_decode(word) for word in found}
 
 
 def weight_member(net: Net, target: Weight, max_steps: Optional[int] = None,
@@ -172,41 +231,37 @@ def weight_member(net: Net, target: Weight, max_steps: Optional[int] = None,
     """
     if target.is_zero:
         return False
-    goal = target.atoms
+    goal = _encode(target.atoms)
     if max_steps is None:
         max_steps = 4 * len(goal) + 16
-    pm = net.port_map()
     budget = [max_expansions]
 
     root_end = None
-    e = net.edges[net.root]
-    for i, end in enumerate(e.ends):
+    for i, end in enumerate(net.edges[net.root].ends):
         if end is not None and end[0] == "root":
             root_end = (net.root, 1 - i)
     if root_end is None:
         return False
+    if not goal:
+        return True  # the empty path has weight 1
+    table = DirectedEdges(net)
+    words, succ = table.words, table.succ
 
-    def walk(depth: int, matched: int, eid: int, to_end: int) -> bool:
+    def walk(depth: int, matched: int, state: int) -> bool:
         if budget[0] <= 0:
             raise SearchBudgetError("membership search budget exceeded")
         budget[0] -= 1
-        w = step_weight(net, Step(eid, to_end))
-        if w.is_zero:
+        word = words[state]
+        if word is None or not goal.startswith(word, matched):
             return False
-        atoms = w.atoms
-        if goal[matched:matched + len(atoms)] != atoms:
-            return False
-        matched += len(atoms)
+        matched += len(word)
         if matched == len(goal):
             return True
         if depth >= max_steps:
             return False
-        return any(walk(depth + 1, matched, s.edge, s.to_end)
-                   for s in _continuations(net, pm, eid, to_end))
+        return any(walk(depth + 1, matched, nxt) for nxt in succ[state])
 
-    if not goal:
-        return True  # the empty path has weight 1
-    return walk(1, 0, *root_end)
+    return walk(1, 0, table.state(*root_end))
 
 
 def format_weight_key(key) -> str:
@@ -232,7 +287,8 @@ def check_invariance(net_left: Net, net_right: Net,
     other, so by default words are additionally capped at the larger edge
     count: within the step bound both nets realise every word up to that
     length, which makes the bounded approximation stable across a reduction
-    step.
+    step.  Each set comes from the breadth-first search of ``weight_set``
+    over deduplicated states, which keeps this bound and cap.
 
     ``equal``, ``left_only`` and ``right_only`` compare all words;
     ``live_equal``, ``live_left_only`` and ``live_right_only`` compare the

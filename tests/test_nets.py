@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
 from goilab.algebra import ONE, ZERO, compose, format_weight, watom
-from goilab.calculus import LCA, Configuration, find_redexes, step
+from goilab.calculus import (LCA, Configuration, find_redexes, reduction_graph,
+                             step)
+from goilab.checks import check_net_simulation
 from goilab.corpus import prepare
 from goilab.labelled import initialize
 from goilab.labels import atomic
-from goilab.nets import (Box, Net, NotClosedError, TranslationError,
+from goilab.nets import (Box, Edge, Net, NotClosedError, TranslationError,
                          canonical_signature, closed_cut_step, contracted,
                          eligible_cuts, from_json, iso_check, to_dot, to_json,
                          translate_cbn, translate_cbv, validate)
@@ -154,6 +158,67 @@ def test_iso_check_distinguishes_node_kinds():
     b.free = {"x": r2 + 1, "y": r2 + 2}
     assert not iso_check(a, b)
     assert iso_check(a, a)
+
+
+def renumbered(net, seed=0):
+    """A copy of ``net`` with its node, edge and box ids permuted and its
+    edges in another order."""
+    rng = random.Random(seed)
+    ids = sorted({*net.nodes, *net.edges, *net.boxes})
+    fresh = [i + 1000 for i in range(len(ids))]
+    rng.shuffle(fresh)
+    new = dict(zip(ids, fresh))
+
+    def end(e):
+        return ("node", new[e[1]], e[2]) if e is not None and e[0] == "node" else e
+
+    out = Net()
+    out.nodes = {new[n]: kind for n, kind in net.nodes.items()}
+    out.edges = {new[eid]: Edge([end(x) for x in net.edges[eid].ends],
+                                net.edges[eid].weight)
+                 for eid in rng.sample(list(net.edges), len(net.edges))}
+    out.boxes = {new[b]: Box(new[bx.principal],
+                             tuple(new[a] for a in bx.auxiliaries),
+                             {new[n] for n in bx.contents})
+                 for b, bx in net.boxes.items()}
+    out.root = None if net.root is None else new[net.root]
+    out.free = {name: new[eid] for name, eid in net.free.items()}
+    return out
+
+
+def test_box_holding_an_island_is_iso_and_simulated():
+    # the Beta reduct's net has an interface-free island inside a box
+    entry = prepare("closed_08_356", parse_lambda("\\x0.x0 ((\\x1.x0) (\\x1.x1))"))
+    report = check_net_simulation([entry])
+    assert report["ok"], report
+    assert report["steps_checked"] == 2
+    graph = reduction_graph(Configuration(strip_labels(entry.initial)), LCA)
+    for src, _, dst in graph.steps():
+        for term in (src.term, dst.term):
+            net = unlabelled_cbn(term)
+            for seed in range(3):
+                assert iso_check(net, renumbered(net, seed))
+
+
+def test_iso_check_sees_whether_a_box_holds_an_island():
+    # root -> bang P, boxed alone or together with the island W -> Q <- W2
+    def net_with(island_boxed):
+        net = Net()
+        principal, q = net.new_node("bang"), net.new_node("bang")
+        w, w2 = net.new_node("weaken"), net.new_node("weaken")
+        net.root = net.new_edge(("root",), ("node", principal, "out"))
+        net.new_edge(("node", principal, "in"), ("free", "x"))
+        net.free = {"x": net.root + 1}
+        net.new_edge(("node", w, "out"), ("node", q, "out"))
+        net.new_edge(("node", q, "in"), ("node", w2, "out"))
+        contents = {principal, w, q, w2} if island_boxed else {principal}
+        net.boxes[net.new_id()] = Box(principal, (), contents)
+        return net
+
+    boxed, apart = net_with(True), net_with(False)
+    assert iso_check(boxed, renumbered(boxed))
+    assert iso_check(apart, renumbered(apart))
+    assert not iso_check(boxed, apart)
 
 
 def test_json_round_trip_is_iso():

@@ -1,13 +1,17 @@
-from goilab.algebra import (ZERO, compose, format_weight, involute, lw,
+import pytest
+
+from goilab.algebra import (ONE, ZERO, compose, format_weight, involute, lw,
                             normal_form, normal_word, parse_weight, watom)
 from goilab.calculus import LCA, LCF, Configuration, reduce
-from goilab.corpus import corpus, prepare
+from goilab.checks import _step_edges, check_weight_invariance
+from goilab.corpus import CLASSICS, corpus, prepare
 from goilab.labelled import initialize, label_of
 from goilab.labels import atomic
-from goilab.nets import translate_cbn, translate_cbv
-from goilab.paths import (Path, Step, check_invariance, enumerate_straight,
+from goilab.nets import TRANSITIONS, translate_cbn, translate_cbv
+from goilab.paths import (DirectedEdges, Path, SearchBudgetError, Step,
+                          check_invariance, enumerate_straight,
                           format_weight_key, live_words, path_weight,
-                          weight_key, weight_member, weight_set)
+                          step_weight, weight_key, weight_member, weight_set)
 from goilab.terms import Abs, App, Var, compile_term, parse_lambda
 
 
@@ -34,10 +38,10 @@ def test_empty_path_weight_is_one():
 def test_no_twisting_between_premises():
     net = translate_cbv(identity_application())
     pm = net.port_map()
-    from goilab.paths import _continuations
+    table = DirectedEdges(net)
     tensor = next(n for n, k in net.nodes.items() if k == "tensor")
     eid, idx = pm[(tensor, "left")]
-    conts = _continuations(net, pm, eid, idx)
+    conts = [table.step(s) for s in table.succ[table.state(eid, idx)]]
     # from the left premise the only way on is through the conclusion
     assert len(conts) == 1
     target = net.edges[conts[0].edge].ends[conts[0].to_end]
@@ -74,6 +78,68 @@ def test_weakening_kills_path_weight():
 def test_weight_set_of_wire():
     net = translate_cbv(Var("x", atomic("a")))
     assert weight_set(net, 8) == {()}
+
+
+def depth_first_weight_set(net, max_steps, length_cap=None):
+    """The reference: enumerate every straight path depth-first, folding its
+    weight, with no sharing between paths."""
+    pm = net.port_map()
+    out = set()
+
+    def walk(depth, weight, eid, to_end):
+        weight = compose(weight, step_weight(net, Step(eid, to_end)))
+        if weight.is_zero or (length_cap is not None
+                              and len(weight.atoms) > length_cap):
+            return
+        end = net.edges[eid].ends[to_end]
+        if end is not None and end[0] in ("root", "free"):
+            out.add(weight_key(weight))
+        if depth < max_steps and end is not None and end[0] == "node":
+            nid, port = end[1], end[2]
+            for a, b in TRANSITIONS[net.nodes[nid]]:
+                if port in (a, b):
+                    e2, idx = pm[(nid, b if port == a else a)]
+                    walk(depth + 1, weight, e2, 1 - idx)
+
+    for eid, e in net.edges.items():
+        for i, end in enumerate(e.ends):
+            if end is not None and end[0] in ("root", "free"):
+                walk(1, ONE, eid, 1 - i)
+    return out
+
+
+def test_weight_set_equals_the_depth_first_enumeration():
+    # every net the weight-invariance criteria compare on corpus(6), at their
+    # bound and cap, and uncapped at bounds that cut paths short
+    compared = 0
+    for calculus, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
+        terms = {}
+        for entry in corpus(6):
+            for src, _, dst in _step_edges(entry, calculus, 10_000, 10_000):
+                terms[src] = terms[dst] = None
+        for term in terms:
+            net = translate(term)
+            edges = len(net.edges)
+            assert (weight_set(net, 4 * edges, length_cap=edges)
+                    == depth_first_weight_set(net, 4 * edges, edges)), term
+            for bound in (3, 7, 12):
+                assert weight_set(net, bound) == depth_first_weight_set(net, bound)
+            compared += 1
+    assert compared > 200
+
+
+def test_weight_set_budget_is_a_step_error():
+    entry = prepare("church_two_twice",
+                    parse_lambda(dict(CLASSICS)["church_two_twice"]))
+    net = translate_cbv(entry.initial)
+    edges = len(net.edges)
+    with pytest.raises(SearchBudgetError):
+        weight_set(net, 4 * edges, max_expansions=50, length_cap=edges)
+    report = check_weight_invariance([entry], LCF, max_expansions=50)
+    assert not report["ok"]
+    assert report["failures"]
+    assert all(f["error"].startswith("SearchBudgetError")
+               for f in report["failures"])
 
 
 def test_weight_set_monotone_in_bound():

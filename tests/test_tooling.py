@@ -5,6 +5,12 @@ break without any other test noticing."""
 import importlib
 from pathlib import Path
 
+from goilab.algebra import CONSTANTS
+from goilab.corpus import CLASSICS, prepare
+from goilab.nets import translate_cbn
+from goilab.paths import weight_set
+from goilab.terms import parse_lambda
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # names bench/run.py imports or calls directly
@@ -33,3 +39,23 @@ def test_traced_layers_resolve(monkeypatch):
 def test_names_the_benchmark_calls_resolve():
     for name in RUN_NAMES:
         assert callable(resolve(name)), name
+
+
+def test_weight_set_returns_the_word_format_the_benchmark_reads():
+    # bench/reference.py and algebra.normal_word read words as tuples of
+    # (base, star, level); no internal encoding may leak out of weight_set
+    entry = prepare("apply_to_identity",
+                    parse_lambda(dict(CLASSICS)["apply_to_identity"]))
+    net = translate_cbn(entry.initial)
+    edges = len(net.edges)
+    words = weight_set(net, 4 * edges, length_cap=edges)
+    assert type(words) is set and words
+    levels = set()
+    for word in words:
+        assert type(word) is tuple
+        for atom in word:
+            assert type(atom) is tuple
+            base, star, level = atom
+            assert base in CONSTANTS and type(star) is bool and type(level) is int
+            levels.add(level)
+    assert len(levels) > 1
