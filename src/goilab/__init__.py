@@ -13,8 +13,8 @@ from .labels import (Atomic, Label, Marker, Over, Under, concat,
 from .levy import levy_normalize, levy_step
 from .nets import (Net, closed_cut_step, eligible_cuts, iso_check, to_dot,
                    to_json, translate_cbn, translate_cbv, validate)
-from .paths import (Path, Step, check_invariance, enumerate_straight,
-                    live_words, path_weight, weight_member, weight_set)
+from .paths import (Step, check_invariance, live_words, weight_member,
+                    weight_set)
 from .terms import (Abs, App, Copy, Erase, FreshSupply, Subst, Term, Var,
                     check_linear, compile_term, format_term, free_vars, parse,
                     parse_lambda)

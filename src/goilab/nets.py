@@ -64,16 +64,6 @@ TRANSITIONS = {
     "weaken": (),
 }
 
-# arriving at one of these ports counts as moving towards a premise;
-# direction changes are legal only at axiom and cut nodes
-PREMISE_LIKE = {
-    ("tensor", "left"), ("tensor", "right"), ("par", "left"), ("par", "right"),
-    ("fan", "left"), ("fan", "right"), ("bang", "in"), ("whynot", "in"),
-    ("derelict", "in"), ("cut", "a"), ("cut", "b"),
-}
-
-TURN_NODES = ("ax", "cut")
-
 
 class NetError(Exception):
     pass

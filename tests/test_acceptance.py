@@ -2,10 +2,11 @@
 
 Each test prints a single ``criterion NN ... PASS/FAIL`` line (visible with
 ``pytest -s``; the -v test names mirror them).  Criteria 6 and 7 compare,
-step by step, the static words of the live interface-to-interface straight
-paths: a reduction step removes paths whose weight is null in the dynamic
-algebra (they bounce off a removed multiplicative pair or box), and only the
-non-null words are observed (README, Weight invariance).
+step by step, the complete sets of live words of the two nets: the static
+words of interface-to-interface straight paths that are not null in the
+dynamic algebra.  A reduction step removes paths whose weight is null (they
+bounce off a removed multiplicative pair or box), and only the non-null
+words are observed (README, Weight invariance).
 """
 
 import time
@@ -95,8 +96,7 @@ def _failing_steps(r):
 
 
 def _invariance_detail(r, elapsed):
-    dropped = sum(n["left"] + n["right"] for n in r["null_words"])
-    return (f"{r['steps_checked']} steps, {dropped} null words dropped, "
+    return (f"{r['steps_checked']} steps, "
             f"failing rules {r['failing_rules']}, {elapsed:.1f}s")
 
 
@@ -108,7 +108,7 @@ def test_criterion_06_weight_invariance_lcf_cbv():
                 _invariance_detail(r, elapsed))
     assert elapsed <= 600.0
     assert r["ok"], (
-        f"live bounded weight sets differ on {len(r['failures'])} steps "
+        f"live weight sets differ on {len(r['failures'])} steps "
         f"(rules {r['failing_rules']}): {_failing_steps(r)}")
 
 
@@ -120,7 +120,7 @@ def test_criterion_07_weight_invariance_lca_cbn():
                 _invariance_detail(r, elapsed))
     assert elapsed <= 600.0
     assert r["ok"], (
-        f"live bounded weight sets differ on {len(r['failures'])} steps "
+        f"live weight sets differ on {len(r['failures'])} steps "
         f"(rules {r['failing_rules']}): {_failing_steps(r)}")
 
 

@@ -5,7 +5,7 @@ import pytest
 from goilab.algebra import (ONE, ZERO, ForeignMarkerError, LevelUnderflowError,
                             WAtom, Weight, bang, compose, entry_level_needed,
                             format_weight, involute, lw, normal_form,
-                            parse_weight, watom, weight_equal)
+                            normal_word, parse_weight, watom, weight_equal)
 from goilab.checks import random_label
 from goilab.labels import (LEFT, RIGHT, atomic, concat, mark, over, reverse,
                            under)
@@ -240,6 +240,23 @@ def test_null_prefix_nullifies_every_extension():
                 assert null(compose(random_word(rng), prefix))
     assert dead > 100
 
+
+
+def test_normal_form_of_a_prefix_can_stand_for_it():
+    # the weight-set search extends the normal form of a path's word, not
+    # the word itself
+    rng = random.Random(11)
+    live = 0
+    for _ in range(2000):
+        prefix = tuple((a.base, a.star, a.level)
+                       for a in random_word(rng, max_length=6).atoms)
+        rest = tuple((a.base, a.star, a.level)
+                     for a in random_word(rng, max_length=4).atoms)
+        if normal_word(prefix) is not None:
+            live += 1
+            assert normal_word(normal_word(prefix) + rest) == \
+                normal_word(prefix + rest)
+    assert live > 500
 
 def _rewrites(atoms):
     """Every one-step rewrite of a word of atoms by one law; None is 0."""

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from goilab import checks
 from goilab.algebra import ONE, ZERO, compose, format_weight, watom
 from goilab.calculus import (LCA, Configuration, find_redexes, reduction_graph,
                              step)
@@ -9,7 +10,8 @@ from goilab.checks import check_net_simulation
 from goilab.corpus import prepare
 from goilab.labelled import initialize
 from goilab.labels import atomic
-from goilab.nets import (Box, Edge, Net, NotClosedError, TranslationError,
+from goilab.nets import (Box, Edge, Net, NetError, NotClosedError,
+                         TranslationError,
                          canonical_signature, closed_cut_step, contracted,
                          eligible_cuts, from_json, iso_check, to_dot, to_json,
                          translate_cbn, translate_cbv, validate)
@@ -185,6 +187,32 @@ def renumbered(net, seed=0):
     out.free = {name: new[eid] for name, eid in net.free.items()}
     return out
 
+
+
+def test_simulation_stops_on_a_term_without_normal_form():
+    omega = prepare("omega", parse_lambda("(\\x.x x) (\\x.x x)"))
+    report = check_net_simulation([omega], graph_budget=50)
+    assert report["fuel_exhausted"] == ["omega"]
+    assert report["steps_checked"] == 0
+    assert report["ok"]  # nine source nodes: beyond desk size
+    identity = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
+    report = check_net_simulation([identity], graph_budget=1)
+    assert report["fuel_exhausted"] == ["id"]
+    assert report["failures"] == [{"term": "id",
+                                   "problem": "fuel exhausted at desk size"}]
+
+
+def test_simulation_reports_an_eligible_cut_that_does_not_step(monkeypatch):
+    def broken(net, cut):
+        raise NetError("no rewrite")
+
+    monkeypatch.setattr(checks, "closed_cut_step", broken)
+    identity = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
+    report = check_net_simulation([identity])
+    assert not report["ok"]
+    assert {"term": "id", "rule": "Beta",
+            "problem": "eligible cut does not step",
+            "error": "NetError: no rewrite"} in report["failures"]
 
 def test_box_holding_an_island_is_iso_and_simulated():
     # the Beta reduct's net has an interface-free island inside a box

@@ -1,17 +1,17 @@
 import pytest
 
-from goilab.algebra import (ONE, ZERO, compose, format_weight, involute, lw,
-                            normal_form, normal_word, parse_weight, watom)
+from goilab.algebra import (ONE, ZERO, WAtom, Weight, compose, format_weight,
+                            involute, lw, normal_form, normal_word,
+                            parse_weight, watom)
 from goilab.calculus import LCA, LCF, Configuration, reduce
 from goilab.checks import _step_edges, check_weight_invariance
 from goilab.corpus import CLASSICS, corpus, prepare
 from goilab.labelled import initialize, label_of
 from goilab.labels import atomic
 from goilab.nets import TRANSITIONS, translate_cbn, translate_cbv
-from goilab.paths import (DirectedEdges, Path, SearchBudgetError, Step,
-                          check_invariance, enumerate_straight,
-                          format_weight_key, live_words, path_weight,
-                          step_weight, weight_key, weight_member, weight_set)
+from goilab.paths import (DirectedEdges, SearchBudgetError, check_invariance,
+                          format_weight_key, live_words, weight_member,
+                          weight_set)
 from goilab.terms import Abs, App, Var, compile_term, parse_lambda
 
 
@@ -23,16 +23,12 @@ def identity_application():
 
 def test_wire_paths_both_orientations():
     net = translate_cbv(Var("x", atomic("a")))
-    paths = enumerate_straight(net, 8)
-    ends = {(p.steps[0].edge, p.steps[0].to_end) for p in paths}
+    table = DirectedEdges(net)
+    # one path from each end of the wire, each the other read backwards
+    paths = [(start, *table.succ[start]) for start in table.starts]
     assert len(paths) == 2
-    assert all(path_weight(p, net).is_one for p in paths)
-    assert paths[0].reversed() in paths or paths[1].reversed() in paths
-
-
-def test_empty_path_weight_is_one():
-    net = translate_cbv(Var("x", atomic("a")))
-    assert path_weight(Path(()), net).is_one
+    assert tuple(state ^ 1 for state in reversed(paths[0])) == paths[1]
+    assert all(table.interface[path[-1]] for path in paths)
 
 
 def test_no_twisting_between_premises():
@@ -49,68 +45,97 @@ def test_no_twisting_between_premises():
 
 
 def test_root_to_root_path_exists_through_cut():
-    net = translate_cbv(identity_application())
-    paths = enumerate_straight(net, 40)
-    root_root = [p for p in paths
-                 if net.edges[p.steps[0].edge].ends[1 - p.steps[0].to_end][0] == "root"
-                 and net.edges[p.steps[-1].edge].ends[p.steps[-1].to_end][0] == "root"]
-    assert root_root
+    # the only interface of a closed term's net is its root, so every word
+    # of the identity application's weight set is read by a root-to-root
+    # path through the redex's cut
+    t = identity_application()
+    for translate, words in (
+            (translate_cbv, {"q.d.!(q*).!(p).d*.p*.!(p*).!(q).p.d.!(p*).!(q).d*.q*",
+                             "q.d.!(q*).!(p).d*.p*.!(q*).!(p).p.d.!(p*).!(q).d*.q*"}),
+            (translate_cbn, {"q.q*.d.p.p*.!(p*).!(d*).!(q).p.p*.d*.q.q*",
+                             "q.q*.d.p.p*.!(q*).!(d).!(p).p.p*.d*.q.q*"})):
+        net = translate(t)
+        assert {end[0] for e in net.edges.values() for end in e.ends
+                if end is not None and end[0] != "node"} == {"root"}
+        assert {format_weight_key(w) for w in weight_set(net)} == words
+
+
+def involution(word):
+    return tuple((a.base, a.star, a.level) for a in
+                 involute(Weight(tuple(WAtom(*atom) for atom in word))).atoms)
 
 
 def test_reversal_closure_with_involuted_weights():
-    net = translate_cbv(identity_application())
-    paths = enumerate_straight(net, 24)
-    keys = {tuple(p.steps) for p in paths}
-    for p in paths:
-        assert tuple(p.reversed().steps) in keys
-        w = path_weight(p, net)
-        assert weight_key(path_weight(p.reversed(), net)) == weight_key(involute(w))
+    # a straight path read backwards is straight, and reads the involution
+    # of its word, which is live exactly when the word is
+    for entry in corpus(max_size=5, classics=False):
+        for translate in (translate_cbv, translate_cbn):
+            words = weight_set(translate(entry.initial))
+            assert words
+            assert {involution(w) for w in words} == words
 
 
 def test_weakening_kills_path_weight():
     entry = prepare("k", parse_lambda("\\x.\\y.x"))
     net = translate_cbv(entry.initial)
-    weaken_edges = [eid for eid, e in net.edges.items() if e.weight.is_zero]
-    assert weaken_edges
-    assert path_weight(Path((Step(weaken_edges[0], 1),)), net).is_zero
+    table = DirectedEdges(net)
+    weakened = [k for k, eid in enumerate(table.edge_ids)
+                if net.edges[eid].weight.is_zero]
+    assert weakened
+    assert all(table.words[2 * k + end] is None
+               for k in weakened for end in (0, 1))
+    # a wire through the absorbing zero has no word left
+    wire = translate_cbv(Var("x", atomic("a")))
+    assert weight_set(wire) == {()}
+    for edge in wire.edges.values():
+        edge.weight = ZERO
+    assert weight_set(wire) == set()
 
 
 def test_weight_set_of_wire():
     net = translate_cbv(Var("x", atomic("a")))
-    assert weight_set(net, 8) == {()}
+    # the empty word, 1, read in both orientations
+    assert weight_set(net) == {()}
+    assert normal_word(()) == ()
 
 
-def depth_first_weight_set(net, max_steps, length_cap=None):
-    """The reference: enumerate every straight path depth-first, folding its
-    weight, with no sharing between paths."""
+def depth_first_weight_set(net, max_paths=200_000):
+    """The reference: enumerate straight paths depth-first, folding each
+    path's weight and null-testing it from scratch, with no sharing between
+    paths; a path ends at its first null prefix."""
     pm = net.port_map()
     out = set()
+    paths = 0
 
-    def walk(depth, weight, eid, to_end):
-        weight = compose(weight, step_weight(net, Step(eid, to_end)))
-        if weight.is_zero or (length_cap is not None
-                              and len(weight.atoms) > length_cap):
+    def walk(weight, eid, to_end):
+        nonlocal paths
+        paths += 1
+        assert paths <= max_paths, "reference search did not end"
+        edge = net.edges[eid]
+        weight = compose(weight, edge.weight if to_end == 1
+                         else involute(edge.weight))
+        if normal_form(weight).is_zero:
             return
-        end = net.edges[eid].ends[to_end]
+        end = edge.ends[to_end]
         if end is not None and end[0] in ("root", "free"):
-            out.add(weight_key(weight))
-        if depth < max_steps and end is not None and end[0] == "node":
+            out.add(tuple((a.base, a.star, a.level) for a in weight.atoms))
+        if end is not None and end[0] == "node":
             nid, port = end[1], end[2]
             for a, b in TRANSITIONS[net.nodes[nid]]:
                 if port in (a, b):
                     e2, idx = pm[(nid, b if port == a else a)]
-                    walk(depth + 1, weight, e2, 1 - idx)
+                    walk(weight, e2, 1 - idx)
 
     for eid, e in net.edges.items():
         for i, end in enumerate(e.ends):
             if end is not None and end[0] in ("root", "free"):
-                walk(1, ONE, eid, 1 - i)
+                walk(ONE, eid, 1 - i)
     return out
 
 
 def test_weight_set_equals_the_depth_first_enumeration():
-    # every net the weight-invariance criteria compare on corpus(6), at their
-    # bound and cap, and uncapped at bounds that cut paths short
+    # every net the weight-invariance criteria compare on corpus(6); each
+    # has a live word, so no comparison is between two empty sets
     compared = 0
     for calculus, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
         terms = {}
@@ -119,11 +144,9 @@ def test_weight_set_equals_the_depth_first_enumeration():
                 terms[src] = terms[dst] = None
         for term in terms:
             net = translate(term)
-            edges = len(net.edges)
-            assert (weight_set(net, 4 * edges, length_cap=edges)
-                    == depth_first_weight_set(net, 4 * edges, edges)), term
-            for bound in (3, 7, 12):
-                assert weight_set(net, bound) == depth_first_weight_set(net, bound)
+            words = weight_set(net)
+            assert words == depth_first_weight_set(net), term
+            assert words
             compared += 1
     assert compared > 200
 
@@ -132,9 +155,8 @@ def test_weight_set_budget_is_a_step_error():
     entry = prepare("church_two_twice",
                     parse_lambda(dict(CLASSICS)["church_two_twice"]))
     net = translate_cbv(entry.initial)
-    edges = len(net.edges)
     with pytest.raises(SearchBudgetError):
-        weight_set(net, 4 * edges, max_expansions=50, length_cap=edges)
+        weight_set(net, max_expansions=50)
     report = check_weight_invariance([entry], LCF, max_expansions=50)
     assert not report["ok"]
     assert report["failures"]
@@ -142,24 +164,24 @@ def test_weight_set_budget_is_a_step_error():
                for f in report["failures"])
 
 
-def test_weight_set_monotone_in_bound():
-    net = translate_cbv(identity_application())
-    small = weight_set(net, 12)
-    large = weight_set(net, 24)
-    assert small <= large
-
-
-def test_direction_labels():
-    net = translate_cbv(Var("x", atomic("a")))
-    paths = enumerate_straight(net, 4)
-    dirs = {tuple(s.direction(net) for s in p.steps) for p in paths}
-    assert dirs  # both paths end at the interface: backward arrivals
-    assert all(d[-1] == "backward" for d in dirs)
+def test_term_without_normal_form_exhausts_the_budget():
+    # the live words of a net whose term does not normalise never run out;
+    # the default budget stops each search, and each step is an error
+    omega = prepare("omega", parse_lambda("(\\x.x x) (\\x.x x)"))
+    for calculus, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
+        with pytest.raises(SearchBudgetError):
+            weight_set(translate(omega.initial))
+        report = check_weight_invariance([omega], calculus, graph_budget=3,
+                                         trace_fuel=3)
+        assert not report["ok"]
+        assert report["steps_checked"] == len(report["failures"]) > 0
+        assert all(f["error"].startswith("SearchBudgetError")
+                   for f in report["failures"])
 
 
 def test_invariance_sigma_step_exact():
-    # the Var step of the identity application preserves the bounded
-    # observable weight set exactly, in both calculi
+    # the Var step of the identity application preserves the live weight
+    # set exactly, in both calculi
     t = identity_application()
     for calc, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
         trace = reduce(Configuration(t), calc)
@@ -167,37 +189,34 @@ def test_invariance_sigma_step_exact():
         before = trace[0].config.term
         after = trace[1].config.term
         report = check_invariance(translate(before), translate(after))
-        assert report["equal"], report
+        assert report["live_equal"], report
 
 
 def test_invariance_beta_shows_the_static_gap():
     # Beta consumes the multiplicative pair; paths that bounce on the bound
     # variable's axiom and leave through the root premise have no
-    # counterpart once the pair is gone.  These are exactly the words the
-    # dynamic algebra would kill; as static words the left set is strictly
-    # larger.  The acceptance suite reports this as the expected failure of
-    # the step-invariance criteria on Beta steps.
+    # counterpart once the pair is gone.  Their words are null, so the
+    # search drops them and the live sets of the step agree.
     t = identity_application()
     for calc, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
         after = reduce(Configuration(t), calc)[0].config.term
         report = check_invariance(translate(t), translate(after))
-        assert not report["equal"]
-        assert report["right_only"] == []  # reduction never invents weights
-        assert report["left_only"]
-        # ... and every lost word is null: the live sets agree
-        assert all(normal_form(parse_weight(word)).is_zero
-                   for word in report["left_only"])
         assert report["live_equal"], report
+        assert report["live_left_only"] == report["live_right_only"] == []
+        assert weight_set(translate(after))
 
 
 def test_lcf_beta_wanderer_word_is_the_counterexample():
+    # a static word of the redex net that the Beta step loses: it is null,
+    # so it is no live word of either net
     t = identity_application()
     after = reduce(Configuration(t), LCF)[0].config.term
-    report = check_invariance(translate_cbv(t), translate_cbv(after))
-    assert "q.d.!(q*).!(p).d*.q*" in report["left_only"]
-    assert all(normal_form(parse_weight(word)).is_zero
-               for word in report["left_only"])
-    assert report["live_equal"], report
+    wanderer = parse_weight("q.d.!(q*).!(p).d*.q*")
+    assert normal_form(wanderer).is_zero
+    key = tuple((a.base, a.star, a.level) for a in wanderer.atoms)
+    assert key not in weight_set(translate_cbv(t))
+    assert key not in weight_set(translate_cbv(after))
+    assert check_invariance(translate_cbv(t), translate_cbv(after))["live_equal"]
 
 
 def test_live_words_have_the_stable_form():
@@ -210,8 +229,7 @@ def test_live_words_have_the_stable_form():
     for entry in corpus(max_size=5, classics=False) + [church]:
         for translate in (translate_cbv, translate_cbn):
             net = translate(entry.initial)
-            edges = len(net.edges)
-            live = live_words(weight_set(net, 4 * edges, length_cap=edges))
+            live = live_words(weight_set(net))
             live_nets += bool(live)
             for key in live:
                 generators = [star == (base == "t")
@@ -252,3 +270,16 @@ def test_erased_terms_carry_zero_weight():
     assert erased
     for term in erased:
         assert lw(label_of(term), 5).weight.is_zero
+
+
+# known faults of the call-by-value translation of open substitutions: an
+# lcf Beta reduct cannot be translated, or its net gains live words
+@pytest.mark.xfail(strict=True, reason="lcf/cbv translation of an open argument")
+@pytest.mark.parametrize("name, source", [
+    ("closed_08_358", "\\x0.x0 ((\\x1.\\x2.x2) x0)"),
+    ("closed_08_460", "\\x0.(\\x1.\\x2.x2) x0 x0"),
+    ("closed_08_389", "\\x0.(\\x1.\\x2.x2) (x0 x0)"),
+])
+def test_lcf_open_argument_beta_keeps_the_live_words(name, source):
+    entry = prepare(name, parse_lambda(source))
+    assert check_weight_invariance([entry], LCF)["ok"]

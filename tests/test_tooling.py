@@ -6,6 +6,8 @@ import importlib
 from pathlib import Path
 
 from goilab.algebra import CONSTANTS
+from goilab.calculus import LCA, LCF
+from goilab.checks import check_weight_invariance
 from goilab.corpus import CLASSICS, prepare
 from goilab.nets import translate_cbn
 from goilab.paths import weight_set
@@ -46,9 +48,7 @@ def test_weight_set_returns_the_word_format_the_benchmark_reads():
     # (base, star, level); no internal encoding may leak out of weight_set
     entry = prepare("apply_to_identity",
                     parse_lambda(dict(CLASSICS)["apply_to_identity"]))
-    net = translate_cbn(entry.initial)
-    edges = len(net.edges)
-    words = weight_set(net, 4 * edges, length_cap=edges)
+    words = weight_set(translate_cbn(entry.initial))
     assert type(words) is set and words
     levels = set()
     for word in words:
@@ -59,3 +59,28 @@ def test_weight_set_returns_the_word_format_the_benchmark_reads():
             assert base in CONSTANTS and type(star) is bool and type(level) is int
             levels.add(level)
     assert len(levels) > 1
+
+
+def test_every_compared_set_passes_through_live_words(monkeypatch):
+    # bench/run.py wraps paths.live_words the way tracer.patched does and
+    # null-tests each word it is given against its own reference; a set
+    # compared without passing through it would go unchecked
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    entry = prepare("apply_to_identity",
+                    parse_lambda(dict(CLASSICS)["apply_to_identity"]))
+    given = []
+
+    def recorder(_, fn):
+        def recorded(words):
+            given.append(words)
+            return fn(words)
+        return recorded
+
+    for calculus in (LCF, LCA):
+        given.clear()
+        with tracer.patched(["paths.live_words"], recorder):
+            report = check_weight_invariance([entry], calculus)
+        assert report["ok"]
+        assert len(given) == 2 * report["steps_checked"] > 0
+        assert all(given)
