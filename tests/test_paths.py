@@ -31,6 +31,14 @@ def test_wire_paths_both_orientations():
     assert all(table.interface[path[-1]] for path in paths)
 
 
+def test_empty_path_weight_is_one():
+    net = translate_cbv(Var("x", atomic("a")))
+    # the wire's only word is the empty one, whose weight is 1
+    assert Weight(()).is_one
+    assert weight_member(net, ONE)
+    assert not weight_member(net, ZERO)
+
+
 def test_no_twisting_between_premises():
     net = translate_cbv(identity_application())
     pm = net.port_map()
