@@ -16,8 +16,8 @@ from .corpus import CorpusEntry
 from .labelled import label_of
 from .labels import (Atomic, Marker, Over, RIGHT, Under, concat, format_label,
                      mark, reverse)
-from .nets import (closed_cut_step, eligible_cuts, iso_check, translate_cbn,
-                   translate_cbv, validate)
+from .nets import (NetError, closed_cut_step, eligible_cuts, iso_check,
+                   translate_cbn, translate_cbv, validate)
 from .paths import MAX_EXPANSIONS, check_invariance, weight_member
 from .terms import (Subst, check_linear, compile_term, format_term, free_vars,
                     parse_lambda, strip_labels, subterms, term_size)
@@ -297,7 +297,8 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
     """Closed cut elimination on call-by-name nets simulates every
     unlabelled ``lca`` step.  An entry whose reduction graph outgrows
     ``graph_budget`` is listed under ``fuel_exhausted`` and its steps are
-    not checked; at desk size that is a failure, as in criterion 4."""
+    not checked; at desk size that is a failure, as in criterion 4.  A pair
+    of nets that ``iso_check`` cannot compare is a failure too."""
     failures = []
     exhausted = []
     checked = 0
@@ -307,6 +308,16 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
         if term not in net_cache:
             net_cache[term] = translate_cbn(term, weighted=False)
         return net_cache[term]
+
+    def same_net(a, b, where) -> Optional[bool]:
+        """``iso_check``, or None once a ``NetError`` is reported under
+        ``where``."""
+        try:
+            return iso_check(a, b)
+        except NetError as exc:
+            failures.append({**where, "problem": "nets cannot be compared",
+                             "error": f"{type(exc).__name__}: {exc}"})
+            return None
 
     for entry in entries:
         config = Configuration(strip_labels(entry.initial))
@@ -320,27 +331,27 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
         for src, site, dst in graph.steps():
             checked += 1
             left, right = net_of(src.term), net_of(dst.term)
+            where = {"term": entry.name, "rule": site.rule}
             if site.rule in IDENTITY_RULES:
-                if not iso_check(left, right):
-                    failures.append({"term": entry.name, "rule": site.rule,
-                                     "problem": "expected identical nets"})
+                if same_net(left, right, where) is False:
+                    failures.append({**where, "problem": "expected identical nets"})
                 continue
             hits = 0
             for cut in eligible_cuts(left):
                 try:
                     rewritten = closed_cut_step(left, cut)
                 except Exception as exc:  # an eligible cut must step
-                    failures.append({"term": entry.name, "rule": site.rule,
+                    failures.append({**where,
                                      "problem": "eligible cut does not step",
                                      "error": f"{type(exc).__name__}: {exc}"})
                     continue
-                if iso_check(rewritten, right):
+                if same_net(rewritten, right, where):
                     if validate(rewritten):
-                        failures.append({"term": entry.name, "rule": site.rule,
+                        failures.append({**where,
                                          "problem": "rewritten net is malformed"})
                     hits += 1
             if hits == 0:
-                failures.append({"term": entry.name, "rule": site.rule,
+                failures.append({**where,
                                  "problem": "no single closed cut step reaches the reduct"})
     return {"ok": not failures, "failures": failures[:40], "steps_checked": checked,
             "fuel_exhausted": exhausted}

@@ -145,9 +145,6 @@ class Net:
                     ports[(end[1], end[2])] = (eid, i)
         return ports
 
-    def node_depth(self, nid: int) -> int:
-        return sum(1 for b in self.boxes.values() if nid in b.contents)
-
     def edge_depth(self, eid: int) -> int:
         ends = self.edges[eid].ends
         count = 0
@@ -552,7 +549,13 @@ def remove_binary_node(net: Net, nid: int, port_a: str, port_b: str) -> int:
     The fused edge reads (edge at port_a towards the node) then (edge at
     port_b away from the node).
     """
-    pm = net.port_map()
+    return _splice(net, net.port_map(), nid, port_a, port_b)
+
+
+def _splice(net: Net, pm: dict, nid: int, port_a: str, port_b: str) -> int:
+    """``remove_binary_node`` on a port map ``pm`` of ``net``, which is kept
+    current: the node's ports leave it and the outer ends point at the fused
+    edge.  A self-loop raises before anything changes."""
     ea, ia = pm[(nid, port_a)]
     eb, ib = pm[(nid, port_b)]
     if ea == eb:
@@ -562,6 +565,10 @@ def remove_binary_node(net: Net, nid: int, port_a: str, port_b: str) -> int:
     outer_b = edge_b.ends[1 - ib]
     weight = compose(edge_a.weight_from(1 - ia), edge_b.weight_from(ib))
     fused = net.new_edge(outer_a, outer_b, weight)
+    del pm[(nid, port_a)], pm[(nid, port_b)]
+    for i, end in enumerate((outer_a, outer_b)):
+        if end is not None and end[0] == "node":
+            pm[(end[1], end[2])] = (fused, i)
     for old in (ea, eb):
         net.edges.pop(old)
         if net.root == old:
@@ -833,21 +840,17 @@ def _commute_step(net: Net, cut: int, bang: int, whynot: int,
 # isomorphism
 
 def contracted(net: Net) -> Net:
-    """Copy with axiom and cut nodes spliced out (they only carry linking)."""
+    """Copy with axiom and cut nodes spliced out (they only carry linking).
+
+    One pass in node order: splicing never turns a self-loop back into two
+    edges, so restarting after each splice would make the same splices.
+    A node whose two ports share one edge closes a loop and is kept.
+    """
     out = net.copy()
-    changed = True
-    while changed:
-        changed = False
-        for nid, kind in list(out.nodes.items()):
-            if kind in ("ax", "cut"):
-                pm = out.port_map()
-                ea, _ = pm[(nid, "a")]
-                eb, _ = pm[(nid, "b")]
-                if ea == eb:
-                    continue  # closed loop: keep, nothing to compare against
-                remove_binary_node(out, nid, "a", "b")
-                changed = True
-                break
+    pm = out.port_map()
+    for nid, kind in list(out.nodes.items()):
+        if kind in ("ax", "cut") and pm[(nid, "a")][0] != pm[(nid, "b")][0]:
+            _splice(out, pm, nid, "a", "b")
     return out
 
 
@@ -989,11 +992,10 @@ def canonical_signature(net: Net):
 
 def iso_check(a: Net, b: Net) -> bool:
     """Kind-, port-, box- and weight-preserving isomorphism, after splicing
-    out axiom/cut linking nodes on both sides."""
-    try:
-        return canonical_signature(contracted(a)) == canonical_signature(contracted(b))
-    except NetError:
-        return False
+    out axiom/cut linking nodes on both sides.  Raises ``NetError`` when a
+    net cannot be signed, for example when a box holds a node outside every
+    component."""
+    return canonical_signature(contracted(a)) == canonical_signature(contracted(b))
 
 
 # ---------------------------------------------------------------------------

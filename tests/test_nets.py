@@ -1,19 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goilab import checks
 from goilab.algebra import ONE, ZERO, compose, format_weight, watom
 from goilab.calculus import (LCA, Configuration, find_redexes, reduction_graph,
                              step)
 from goilab.checks import check_net_simulation
-from goilab.corpus import prepare
+from goilab.corpus import corpus, prepare
 from goilab.labelled import initialize
 from goilab.labels import atomic
 from goilab.nets import (Box, Edge, Net, NetError, NotClosedError,
-                         TranslationError,
+                         TranslationError, _splice,
                          canonical_signature, closed_cut_step, contracted,
-                         eligible_cuts, from_json, iso_check, to_dot, to_json,
+                         eligible_cuts, from_json, iso_check,
+                         remove_binary_node, to_dot, to_json,
                          translate_cbn, translate_cbv, validate)
 from goilab.terms import (Abs, App, Subst, Var, compile_term, parse_lambda,
                           strip_labels)
@@ -188,6 +190,100 @@ def renumbered(net, seed=0):
     return out
 
 
+# --- splicing linking nodes --------------------------------------------------
+
+def contracted_by_restarts(net):
+    """``contracted`` as a restart loop: rebuild the port map, splice the
+    first axiom or cut whose two ports sit on different edges, start over."""
+    out = net.copy()
+    while True:
+        pm = out.port_map()
+        for nid, kind in out.nodes.items():
+            if kind in ("ax", "cut") and pm[(nid, "a")][0] != pm[(nid, "b")][0]:
+                break
+        else:
+            return out
+        remove_binary_node(out, nid, "a", "b")
+
+
+def test_contracted_makes_the_splices_of_the_restart_loop():
+    # compared by to_json, so the fused edges' ids must agree too
+    compared = 0
+    for entry in corpus(6):
+        for weighted, start in ((False, strip_labels(entry.initial)),
+                                (True, entry.initial)):
+            graph = reduction_graph(Configuration(start), LCA)
+            terms = [start]
+            for src, _, dst in graph.steps():
+                terms += [src.term, dst.term]
+            for term in dict.fromkeys(terms):
+                net = translate_cbn(term, weighted=weighted)
+                assert to_json(contracted(net)) == \
+                    to_json(contracted_by_restarts(net)), (entry.name, weighted)
+                compared += 1
+    assert compared > 300
+
+
+def test_splicing_a_self_loop_raises_and_changes_nothing():
+    net = Net()
+    cut, der = net.new_node("cut"), net.new_node("derelict")
+    net.new_edge(("node", cut, "a"), ("node", cut, "b"))
+    net.root = net.new_edge(("root",), ("node", der, "out"))
+    net.free = {"x": net.new_edge(("node", der, "in"), ("free", "x"))}
+    pm = net.port_map()
+    before, before_pm = to_json(net), dict(pm)
+    with pytest.raises(NetError):
+        _splice(net, pm, cut, "a", "b")
+    assert to_json(net) == before
+    assert pm == before_pm
+
+
+def test_axiom_and_cut_in_a_cycle_contract_to_one_kept_loop():
+    net = Net()
+    ax, cut = net.new_node("ax"), net.new_node("cut")
+    net.new_edge(("node", ax, "a"), ("node", cut, "a"))
+    net.new_edge(("node", cut, "b"), ("node", ax, "b"))
+    spliced = net.copy()
+    pm = spliced.port_map()
+    fused = _splice(spliced, pm, ax, "a", "b")
+    assert pm == spliced.port_map() == {(cut, "a"): (fused, 0),
+                                        (cut, "b"): (fused, 1)}
+    out = contracted(net)
+    assert to_json(out) == to_json(spliced)
+    assert out.nodes == {cut: "cut"}
+    assert net.nodes == {ax: "ax", cut: "cut"}
+    assert iso_check(net, renumbered(net))
+
+
+@st.composite
+def closed_lambda_terms(draw, max_size=10):
+    """Closed plain lambda terms of 2 to ``max_size`` nodes, their binders
+    named by depth as in the corpus."""
+    def build(size, depth):
+        if size == 1:
+            return Var(f"x{draw(st.integers(0, depth - 1))}")
+        splits = [left for left in range(1, size - 1)
+                  if depth > 0 or min(left, size - 1 - left) > 1]
+        if splits and draw(st.booleans()):
+            left = draw(st.sampled_from(splits))
+            return App(build(left, depth), build(size - 1 - left, depth))
+        return Abs(f"x{depth}", build(size - 1, depth + 1))
+    return build(draw(st.integers(2, max_size)), 0)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(closed_lambda_terms(), st.integers(0, 99))
+def test_cbn_nets_of_random_terms_are_iso_to_renumbered_copies(term, seed):
+    entry = prepare("random", term)
+    for weighted in (False, True):
+        net = translate_cbn(entry.initial, weighted=weighted)
+        assert iso_check(net, renumbered(net, seed))
+        out = contracted(net)
+        pm = out.port_map()
+        for nid, kind in out.nodes.items():
+            if kind in ("ax", "cut"):
+                assert pm[(nid, "a")][0] == pm[(nid, "b")][0], kind
+
 
 def test_simulation_stops_on_a_term_without_normal_form():
     omega = prepare("omega", parse_lambda("(\\x.x x) (\\x.x x)"))
@@ -213,6 +309,24 @@ def test_simulation_reports_an_eligible_cut_that_does_not_step(monkeypatch):
     assert {"term": "id", "rule": "Beta",
             "problem": "eligible cut does not step",
             "error": "NetError: no rewrite"} in report["failures"]
+
+
+def test_simulation_reports_nets_it_cannot_compare(monkeypatch):
+    def broken(a, b):
+        raise NetError("no signature")
+
+    monkeypatch.setattr(checks, "iso_check", broken)
+    entry = prepare("apply", parse_lambda("(\\x.\\y.x y) (\\z.z)"))
+    report = check_net_simulation([entry])
+    assert not report["ok"]
+    rules = {f["rule"] for f in report["failures"]
+             if f["problem"] == "nets cannot be compared"}
+    assert {"Beta", "Lam"} <= rules
+    assert all(f["error"] == "NetError: no signature" for f in report["failures"]
+               if f["problem"] == "nets cannot be compared")
+    assert not any(f["problem"] == "expected identical nets"
+                   for f in report["failures"])
+
 
 def test_box_holding_an_island_is_iso_and_simulated():
     # the Beta reduct's net has an interface-free island inside a box
@@ -379,7 +493,6 @@ def test_commutative_step_moves_box_inside():
 
 def test_initialized_translations_have_strict_levels_corpus():
     # weight levels equal box depths everywhere on freshly initialised nets
-    from goilab.corpus import corpus
     for entry in corpus(5, classics=False):
         for translate in (translate_cbv, translate_cbn):
             net = translate(entry.initial)

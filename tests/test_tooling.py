@@ -7,7 +7,7 @@ from pathlib import Path
 
 from goilab.algebra import CONSTANTS
 from goilab.calculus import LCA, LCF
-from goilab.checks import check_weight_invariance
+from goilab.checks import check_net_simulation, check_weight_invariance
 from goilab.corpus import CLASSICS, prepare
 from goilab.nets import translate_cbn
 from goilab.paths import weight_set
@@ -84,3 +84,24 @@ def test_every_compared_set_passes_through_live_words(monkeypatch):
         assert report["ok"]
         assert len(given) == 2 * report["steps_checked"] > 0
         assert all(given)
+
+
+def test_every_net_comparison_passes_through_iso_check(monkeypatch):
+    # bench/run.py wraps nets.iso_check the way tracer.patched does and
+    # checks each pair it accepts against its own reference; a comparison
+    # made without passing through it would go unchecked
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    entry = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
+    verdicts = []
+
+    def recorder(_, fn):
+        def recorded(a, b):
+            verdicts.append(fn(a, b))
+            return verdicts[-1]
+        return recorded
+
+    with tracer.patched(["nets.iso_check"], recorder):
+        report = check_net_simulation([entry])
+    assert report["ok"] and report["steps_checked"] > 0
+    assert verdicts and any(verdicts)
