@@ -18,7 +18,8 @@ from .labels import (Atomic, Marker, Over, RIGHT, Under, concat, format_label,
                      mark, reverse)
 from .nets import (NetError, closed_cut_step, eligible_cuts, iso_check,
                    translate_cbn, translate_cbv, validate)
-from .paths import MAX_EXPANSIONS, check_invariance, weight_member
+from .paths import (MAX_EXPANSIONS, check_invariance, weight_member,
+                    weight_set)
 from .terms import (Subst, check_linear, compile_term, format_term, free_vars,
                     parse_lambda, strip_labels, subterms, term_size)
 
@@ -224,8 +225,9 @@ def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
 
 def _step_edges(entry: CorpusEntry, calculus: str, graph_budget: int,
                 trace_fuel: int):
-    """Reduction steps to check: the exhaustive graph up to a budget, plus
-    the leftmost-outermost trace."""
+    """Reduction steps to check: the exhaustive graph up to a budget, and
+    when the budget cuts it short, the leftmost-outermost trace too.  A
+    complete graph holds every step of the trace already."""
     seen = set()
     graph = reduction_graph(Configuration(entry.initial), calculus,
                             max_configs=graph_budget)
@@ -234,6 +236,8 @@ def _step_edges(entry: CorpusEntry, calculus: str, graph_budget: int,
         if key not in seen:
             seen.add(key)
             yield key
+    if graph.complete:
+        return
     trace = _trace(entry, calculus, trace_fuel) or ()
     for before, ts in zip(trace, trace[1:]):
         key = (before.config.term, ts.site, ts.config.term)
@@ -249,20 +253,21 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
 
     For every checked step the live words of interface-to-interface
     straight paths, those not null in the dynamic algebra, are found on
-    both nets and must be equal.  A failure names the term, rule and
-    position of the step and the live words found on one side only, or the
-    error that stopped the step: a search that runs out of
-    ``max_expansions`` is one.
+    both nets and must be equal.  Each term's net is translated and
+    searched once per call, however many steps touch it.  A failure names
+    the term, rule and position of the step and the live words found on
+    one side only, or the error that stopped the step: a search that runs
+    out of ``max_expansions`` is one.
     """
     translate = translate_cbv if calculus == LCF else translate_cbn
     failures = []
-    net_cache = {}
+    words_cache = {}  # term -> weight set of its net; a raising term is absent
     checked = 0
 
-    def net_of(term):
-        if term not in net_cache:
-            net_cache[term] = translate(term)
-        return net_cache[term]
+    def words_of(term):
+        if term not in words_cache:
+            words_cache[term] = weight_set(translate(term), max_expansions)
+        return words_cache[term]
 
     for entry in entries:
         for src, site, dst in _step_edges(entry, calculus, graph_budget, trace_fuel):
@@ -270,8 +275,7 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
             where = {"term": entry.name, "rule": site.rule,
                      "position": list(site.position)}
             try:
-                report = check_invariance(net_of(src), net_of(dst),
-                                          max_expansions)
+                report = check_invariance(words_of(src), words_of(dst))
             except Exception as exc:  # budget or translation trouble is a failure
                 failures.append({**where,
                                  "error": f"{type(exc).__name__}: {exc}"})

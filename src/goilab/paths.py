@@ -210,17 +210,17 @@ def live_words(words: set) -> set:
     return {w for w in words if normal_word(w) is not None}
 
 
-def check_invariance(net_left: Net, net_right: Net,
-                     max_expansions: int = MAX_EXPANSIONS) -> dict:
-    """Compare the live weight sets of two nets.
+def check_invariance(left_words: set, right_words: set) -> dict:
+    """Compare the live words of two weight sets, as ``weight_set`` gives
+    them.
 
     ``live_equal`` says whether they are equal; ``live_left_only`` and
     ``live_right_only`` print the words found on one side only.  Each set
     passes through ``live_words``: it drops nothing from a weight set, and
     a wrapper of it sees every word compared.
     """
-    left = live_words(weight_set(net_left, max_expansions))
-    right = live_words(weight_set(net_right, max_expansions))
+    left = live_words(left_words)
+    right = live_words(right_words)
     return {
         "live_left_only": sorted(format_weight_key(k) for k in left - right),
         "live_right_only": sorted(format_weight_key(k) for k in right - left),

@@ -1,0 +1,21 @@
+"""Shared test helpers."""
+
+from hypothesis import strategies as st
+
+from goilab.terms import Abs, App, Var
+
+
+@st.composite
+def closed_lambda_terms(draw, max_size=10):
+    """Closed plain lambda terms of 2 to ``max_size`` nodes, their binders
+    named by depth as in the corpus."""
+    def build(size, depth):
+        if size == 1:
+            return Var(f"x{draw(st.integers(0, depth - 1))}")
+        splits = [left for left in range(1, size - 1)
+                  if depth > 0 or min(left, size - 1 - left) > 1]
+        if splits and draw(st.booleans()):
+            left = draw(st.sampled_from(splits))
+            return App(build(left, depth), build(size - 1 - left, depth))
+        return Abs(f"x{depth}", build(size - 1, depth + 1))
+    return build(draw(st.integers(2, max_size)), 0)

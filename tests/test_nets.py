@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import closed_lambda_terms
 from hypothesis import given, settings, strategies as st
 
 from goilab import checks
@@ -253,22 +254,6 @@ def test_axiom_and_cut_in_a_cycle_contract_to_one_kept_loop():
     assert out.nodes == {cut: "cut"}
     assert net.nodes == {ax: "ax", cut: "cut"}
     assert iso_check(net, renumbered(net))
-
-
-@st.composite
-def closed_lambda_terms(draw, max_size=10):
-    """Closed plain lambda terms of 2 to ``max_size`` nodes, their binders
-    named by depth as in the corpus."""
-    def build(size, depth):
-        if size == 1:
-            return Var(f"x{draw(st.integers(0, depth - 1))}")
-        splits = [left for left in range(1, size - 1)
-                  if depth > 0 or min(left, size - 1 - left) > 1]
-        if splits and draw(st.booleans()):
-            left = draw(st.sampled_from(splits))
-            return App(build(left, depth), build(size - 1 - left, depth))
-        return Abs(f"x{depth}", build(size - 1, depth + 1))
-    return build(draw(st.integers(2, max_size)), 0)
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)

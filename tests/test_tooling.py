@@ -5,9 +5,10 @@ break without any other test noticing."""
 import importlib
 from pathlib import Path
 
-from goilab.algebra import CONSTANTS
+from goilab.algebra import CONSTANTS, normal_word
 from goilab.calculus import LCA, LCF
-from goilab.checks import check_net_simulation, check_weight_invariance
+from goilab.checks import (_step_edges, check_net_simulation,
+                           check_weight_invariance)
 from goilab.corpus import CLASSICS, prepare
 from goilab.nets import translate_cbn
 from goilab.paths import weight_set
@@ -85,6 +86,27 @@ def test_every_compared_set_passes_through_live_words(monkeypatch):
         assert len(given) == 2 * report["steps_checked"] > 0
         assert all(given)
 
+
+
+def test_traced_counters_count_steps_and_distinct_nets(monkeypatch):
+    # --trace 1 reports live_steps per compared step and one weight-set
+    # search per distinct term of the steps checked
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    entry = prepare("apply_to_identity",
+                    parse_lambda(dict(CLASSICS)["apply_to_identity"]))
+    for calculus in (LCF, LCA):
+        terms = {term for src, _, dst in _step_edges(entry, calculus, 10_000,
+                                                     10_000)
+                 for term in (src, dst)}
+        tr = tracer.Tracer()
+        tr.new_window()
+        with tr.active(normal_word):
+            report = check_weight_invariance([entry], calculus)
+        metrics = tr.metrics()
+        assert metrics["paths.check_invariance.live_steps"] \
+            == report["steps_checked"] > 0
+        assert metrics["paths.weight_set.calls"] == len(terms)
 
 def test_every_net_comparison_passes_through_iso_check(monkeypatch):
     # bench/run.py wraps nets.iso_check the way tracer.patched does and
