@@ -2,7 +2,10 @@
 
 Both systems rewrite pairs (term, B) where B collects erased, W-marked
 arguments.  Rules fire under any context; sites are ordered position-first
-(preorder) and rule-name-alphabetical for reproducible traces.
+(preorder) and rule-name-alphabetical for reproducible traces.  One lazy
+generator, ``_redexes``, contracts each redex in that order with one
+``_apply_rule`` call; the reduction graph and the leftmost-outermost walk
+of ``reduce`` and ``normalize_sigma`` read it.
 """
 
 from __future__ import annotations
@@ -184,14 +187,6 @@ def _apply_rule(node: Term, rule: str, calculus: str):
     raise AssertionError(rule)
 
 
-def _matches(node: Term, rule: str, calculus: str) -> bool:
-    try:
-        _apply_rule(node, rule, calculus)
-        return True
-    except (PatternMismatchError, SideConditionViolatedError):
-        return False
-
-
 # rules whose left-hand side fits a substitution, by the kind of its body
 _SUBST_RULES = {Abs: ("Lam",), App: ("App1", "App2"), Copy: ("Cpy1", "Cpy2"),
                 Erase: ("Ers1", "Ers2"), Var: ("Var",), Subst: ("Cmp",)}
@@ -206,28 +201,54 @@ def _candidate_rules(node: Term) -> tuple:
     return ()
 
 
-def find_redexes(config: Configuration, calculus: str,
-                 rules: Optional[tuple] = None) -> list:
-    """All redex sites, position-lexicographic then rule-alphabetical."""
-    rules = rules or RULES[calculus]
-    sites = []
-    for pos, node in subterms(config.term):
-        for rule in _candidate_rules(node):
-            if rule in rules and _matches(node, rule, calculus):
-                sites.append(RedexSite(pos, rule))
-    return sites
-
-
-def step(config: Configuration, site: RedexSite, calculus: str) -> Configuration:
-    node = subterm_at(config.term, site.position)
-    new_node, erased = _apply_rule(node, site.rule, calculus)
-    term = replace_at(config.term, site.position, new_node)
+def _rebuild(config: Configuration, position: tuple, new_node: Term,
+             erased: Optional[Term]) -> Configuration:
+    """``config`` after an ``_apply_rule`` at ``position`` gave these."""
+    term = replace_at(config.term, position, new_node)
     bag = config.erased | {erased} if erased is not None else config.erased
     return Configuration(term, bag)
 
 
+def _redexes(config: Configuration, calculus: str, rules: tuple) -> Iterator[TraceStep]:
+    """Each redex of ``config`` under ``rules`` with its contracted
+    configuration, position-lexicographic then rule-alphabetical.  Lazy:
+    the first item contracts the leftmost-outermost redex only."""
+    for pos, node in subterms(config.term):
+        for rule in _candidate_rules(node):
+            if rule not in rules:
+                continue
+            try:
+                contracted = _apply_rule(node, rule, calculus)
+            except (PatternMismatchError, SideConditionViolatedError):
+                continue
+            yield TraceStep(RedexSite(pos, rule), _rebuild(config, pos, *contracted))
+
+
+def find_redexes(config: Configuration, calculus: str,
+                 rules: Optional[tuple] = None) -> list:
+    """All redex sites, position-lexicographic then rule-alphabetical."""
+    return [ts.site for ts in _redexes(config, calculus, rules or RULES[calculus])]
+
+
+def step(config: Configuration, site: RedexSite, calculus: str) -> Configuration:
+    node = subterm_at(config.term, site.position)
+    return _rebuild(config, site.position, *_apply_rule(node, site.rule, calculus))
+
+
 def default_sigma_fuel(term: Term) -> int:
     return 10 * term_size(term) ** 2
+
+
+def _leftmost_outermost(config: Configuration, calculus: str, rules: tuple,
+                        fuel: int) -> Iterator[TraceStep]:
+    """The leftmost-outermost steps under ``rules`` to a normal form.
+    Raises FuelExhaustedError when a redex remains after ``fuel`` steps."""
+    while (ts := next(_redexes(config, calculus, rules), None)) is not None:
+        if fuel <= 0:
+            raise FuelExhaustedError("a redex remains when the fuel runs out")
+        fuel -= 1
+        yield ts
+        config = ts.config
 
 
 def normalize_sigma(config: Configuration, calculus: str,
@@ -235,27 +256,14 @@ def normalize_sigma(config: Configuration, calculus: str,
     """Apply sigma rules leftmost-outermost to a sigma-normal form."""
     if fuel is None:
         fuel = default_sigma_fuel(config.term)
-    while True:
-        sites = find_redexes(config, calculus, SIGMA_RULES[calculus])
-        if not sites:
-            return config
-        if fuel <= 0:
-            raise FuelExhaustedError("sigma normalisation exceeded fuel")
-        config = step(config, sites[0], calculus)
-        fuel -= 1
+    for ts in _leftmost_outermost(config, calculus, SIGMA_RULES[calculus], fuel):
+        config = ts.config
+    return config
 
 
 def reduce(config: Configuration, calculus: str, fuel: int = 10_000) -> list:
     """The leftmost-outermost trace to a normal form, as ``TraceStep``s."""
-    trace = []
-    while fuel > 0:
-        sites = find_redexes(config, calculus)
-        if not sites:
-            return trace
-        config = step(config, sites[0], calculus)
-        trace.append(TraceStep(sites[0], config))
-        fuel -= 1
-    raise FuelExhaustedError("reduction exceeded fuel")
+    return list(_leftmost_outermost(config, calculus, RULES[calculus], fuel))
 
 
 @dataclass
@@ -286,22 +294,19 @@ def reduction_graph(config: Configuration, calculus: str,
     graph = ReductionGraph(config)
     frontier = [config]
     seen = {config}
-    graph.edges = {}
     while frontier:
         nxt = []
         for c in frontier:
-            sites = find_redexes(c, calculus)
-            succ = []
-            for site in sites:
-                d = step(c, site, calculus)
-                succ.append((site, d))
+            succ = tuple((ts.site, ts.config)
+                         for ts in _redexes(c, calculus, RULES[calculus]))
+            for _, d in succ:
                 if d not in seen:
                     if len(seen) >= max_configs:
                         graph.complete = False
                         continue
                     seen.add(d)
                     nxt.append(d)
-            graph.edges[c] = tuple(succ)
+            graph.edges[c] = succ
         frontier = nxt
     return graph
 

@@ -18,8 +18,7 @@ from .labels import (Atomic, Marker, Over, RIGHT, Under, concat, format_label,
                      mark, reverse)
 from .nets import (NetError, closed_cut_step, eligible_cuts, iso_check,
                    translate_cbn, translate_cbv, validate)
-from .paths import (MAX_EXPANSIONS, check_invariance, weight_member,
-                    weight_set)
+from .paths import check_invariance, weight_member, weight_set
 from .terms import (Subst, check_linear, compile_term, format_term, free_vars,
                     parse_lambda, strip_labels, subterms, term_size)
 
@@ -68,39 +67,41 @@ def check_compile_fidelity(entries: Iterable[CorpusEntry]) -> dict:
 # ---------------------------------------------------------------------------
 # criterion 2 and 3: sigma termination and propagation
 
+def _sigma_normal_forms(entries: Iterable[CorpusEntry], trace_fuel: int,
+                        failures: list):
+    """(entry, calculus, sigma-normal form) for each configuration of each
+    trace.  A trace that runs out of fuel yields nothing and a normalisation
+    that does yields None; both are reported in ``failures``."""
+    for entry in entries:
+        for calculus in (LCF, LCA):
+            if (trace := _trace(entry, calculus, trace_fuel)) is None:
+                failures.append(f"{entry.name}/{calculus}: trace fuel exhausted")
+                continue
+            for ts in trace:
+                try:
+                    nf = normalize_sigma(ts.config, calculus)
+                except FuelExhaustedError:
+                    nf = None
+                    failures.append(f"{entry.name}/{calculus}: sigma fuel exhausted "
+                                    f"on {format_term(ts.config.term, labels=True)}")
+                yield entry, calculus, nf
+
+
 def check_sigma_termination(entries: Iterable[CorpusEntry],
                             trace_fuel: int = 10_000) -> dict:
     failures = []
-    checked = 0
-    for entry in entries:
-        for calculus in (LCF, LCA):
-            trace = _trace(entry, calculus, trace_fuel)
-            if trace is None:
-                failures.append(f"{entry.name}/{calculus}: trace fuel exhausted")
-                continue
-            for config in (ts.config for ts in trace):
-                checked += 1
-                try:
-                    normalize_sigma(config, calculus)
-                except FuelExhaustedError:
-                    failures.append(
-                        f"{entry.name}/{calculus}: sigma fuel exhausted on "
-                        f"{format_term(config.term, labels=True)}")
+    checked = sum(1 for _ in _sigma_normal_forms(entries, trace_fuel, failures))
     return {"ok": not failures, "failures": failures, "configurations": checked}
 
 
 def check_propagation(entries: Iterable[CorpusEntry],
                       trace_fuel: int = 10_000) -> dict:
     failures = []
-    for entry in entries:
-        for calculus in (LCF, LCA):
-            for ts in _trace(entry, calculus, trace_fuel) or ():
-                nf = normalize_sigma(ts.config, calculus)
-                for pos, t in subterms(nf.term):
-                    if isinstance(t, Subst) and not free_vars(t.arg):
-                        failures.append(
-                            f"{entry.name}/{calculus}: closed substitution "
-                            f"survives sigma normalisation at {pos}")
+    for entry, calculus, nf in _sigma_normal_forms(entries, trace_fuel, failures):
+        for pos, t in subterms(nf.term) if nf else ():
+            if isinstance(t, Subst) and not free_vars(t.arg):
+                failures.append(f"{entry.name}/{calculus}: closed substitution "
+                                f"survives sigma normalisation at {pos}")
     return {"ok": not failures, "failures": failures}
 
 
@@ -167,9 +168,12 @@ def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
                        trace_fuel: int = 10_000) -> dict:
     failures = []
     for entry in entries:
-        for ts in _trace(entry, calculus, trace_fuel) or ():
+        where = f"{entry.name}/{calculus}"
+        if (trace := _trace(entry, calculus, trace_fuel)) is None:
+            failures.append(f"{where}: trace fuel exhausted")
+            continue
+        for ts in trace:
             c = ts.config
-            where = f"{entry.name}/{calculus}"
             if check_linear(c.term):
                 failures.append(f"{where}: linearity broken")
             root = label_of(c.term)
@@ -247,8 +251,8 @@ def _step_edges(entry: CorpusEntry, calculus: str, graph_budget: int,
 
 
 def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
-                            graph_budget: int = 10_000, trace_fuel: int = 10_000,
-                            max_expansions: int = MAX_EXPANSIONS) -> dict:
+                            graph_budget: int = 10_000,
+                            trace_fuel: int = 10_000) -> dict:
     """Per-step equality of the live weight sets.
 
     For every checked step the live words of interface-to-interface
@@ -257,7 +261,7 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
     searched once per call, however many steps touch it.  A failure names
     the term, rule and position of the step and the live words found on
     one side only, or the error that stopped the step: a search that runs
-    out of ``max_expansions`` is one.
+    out of ``paths.MAX_EXPANSIONS`` is one.
     """
     translate = translate_cbv if calculus == LCF else translate_cbn
     failures = []
@@ -266,7 +270,7 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
 
     def words_of(term):
         if term not in words_cache:
-            words_cache[term] = weight_set(translate(term), max_expansions)
+            words_cache[term] = weight_set(translate(term))
         return words_cache[term]
 
     for entry in entries:

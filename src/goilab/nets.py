@@ -517,10 +517,10 @@ def split_argument_label(label: Label) -> tuple[Label, Label]:
     return label[:i], label[i:]
 
 
-def _translate(term: Term, level: int, cbn: bool, weighted: bool) -> Net:
+def _translate(term: Term, cbn: bool, weighted: bool) -> Net:
     net = Net()
     tr = _Translator(net, cbn, weighted)
-    sub = tr.go(term, level)
+    sub = tr.go(term, 0)
     net.attach(sub.root, 0, ("root",))
     net.root = sub.root
     for name in sorted(sub.free):
@@ -532,12 +532,12 @@ def _translate(term: Term, level: int, cbn: bool, weighted: bool) -> Net:
     return net
 
 
-def translate_cbv(term: Term, level: int = 0, weighted: bool = True) -> Net:
-    return _translate(term, level, cbn=False, weighted=weighted)
+def translate_cbv(term: Term, weighted: bool = True) -> Net:
+    return _translate(term, cbn=False, weighted=weighted)
 
 
-def translate_cbn(term: Term, level: int = 0, weighted: bool = True) -> Net:
-    return _translate(term, level, cbn=True, weighted=weighted)
+def translate_cbn(term: Term, weighted: bool = True) -> Net:
+    return _translate(term, cbn=True, weighted=weighted)
 
 
 # ---------------------------------------------------------------------------

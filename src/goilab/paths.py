@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .algebra import CONSTANTS, WAtom, Weight, format_weight, normal_word
 from .nets import Net, TRANSITIONS
@@ -156,20 +155,19 @@ def weight_set(net: Net, max_expansions: int = MAX_EXPANSIONS) -> set:
     return {_decode(word) for word in found}
 
 
-def weight_member(net: Net, target: Weight, max_steps: Optional[int] = None,
-                  max_expansions: int = 2_000_000) -> bool:
+def weight_member(net: Net, target: Weight) -> bool:
     """Is ``target`` the weight of some straight path from the root?
 
     The path may end anywhere in the net (the label of a normal form leads
     from the root to the subnet of the result, not to an interface).  The
-    search is pruned by prefix matching against the target word.
+    search is pruned by prefix matching against the target word, and
+    bounded by a path length and by 2,000,000 visits.
     """
     if target.is_zero:
         return False
     goal = _encode(target.atoms)
-    if max_steps is None:
-        max_steps = 4 * len(goal) + 16
-    budget = [max_expansions]
+    max_steps = 4 * len(goal) + 16
+    budget = [2_000_000]
 
     root_end = None
     for i, end in enumerate(net.edges[net.root].ends):

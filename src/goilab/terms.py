@@ -227,16 +227,6 @@ class FreshSupply:
                 self.used.add(name)
                 return name
 
-    def next_numbered(self, base: Optional[str] = None) -> str:
-        """Fresh name from the global counter (used for label atoms)."""
-        base = base or self.prefix
-        while True:
-            self.counter += 1
-            name = f"{base}{self.counter}"
-            if name not in self.used:
-                self.used.add(name)
-                return name
-
 
 # ---------------------------------------------------------------------------
 # parsing

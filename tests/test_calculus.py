@@ -1,12 +1,14 @@
 import pytest
 
-from goilab import calculus
+from goilab import calculus, checks
 from goilab.calculus import (LCA, LCF, RULES, SIGMA_RULES, Configuration,
                              FuelExhaustedError, PatternMismatchError,
-                             RedexSite, SideConditionViolatedError,
+                             RedexSite, SideConditionViolatedError, TraceStep,
                              default_sigma_fuel, find_redexes,
                              normalize_sigma, reduce, reduction_graph, step,
                              trace_records)
+from goilab.checks import (check_label_lemmas, check_propagation,
+                           check_sigma_termination)
 from goilab.corpus import closed_terms, corpus, prepare
 from goilab.labelled import initialize, label_of
 from goilab.labels import LEFT, RIGHT, Marker, atomic, format_label
@@ -177,16 +179,33 @@ def _every_matching_site(config, calculus):
     return sites
 
 
+def _first_site_trace(config, calculus, rules=None):
+    """The leftmost-outermost trace by ``find_redexes`` and ``step``."""
+    trace = []
+    while sites := find_redexes(config, calculus, rules):
+        config = step(config, sites[0], calculus)
+        trace.append(TraceStep(sites[0], config))
+    return trace
+
+
 def test_find_redexes_agrees_with_trying_every_rule():
+    # and the graph, reduce and normalize_sigma contract as step does
     checked = 0
     for entry in corpus(6):
         for calc in (LCF, LCA):
             for term in (entry.initial, strip_labels(entry.initial)):
-                for config in reduction_graph(Configuration(term), calc).configs:
+                graph = reduction_graph(Configuration(term), calc)
+                for config, succ in graph.edges.items():
                     expected = _every_matching_site(config, calc)
                     assert find_redexes(config, calc) == expected
                     assert find_redexes(config, calc, SIGMA_RULES[calc]) == \
                         [site for site in expected if site.rule != "Beta"]
+                    assert list(succ) == [(site, step(config, site, calc))
+                                          for site in expected]
+                    assert reduce(config, calc) == _first_site_trace(config, calc)
+                    sigma = _first_site_trace(config, calc, SIGMA_RULES[calc])
+                    assert normalize_sigma(config, calc) == \
+                        (sigma[-1].config if sigma else config)
                     checked += 1
     assert checked == 708
 
@@ -226,6 +245,48 @@ def test_reduce_fuel_exhaustion_reported():
     omega = initialize(compile_term(parse_lambda("(\\x.x x) (\\x.x x)")))
     with pytest.raises(FuelExhaustedError):
         reduce(Configuration(omega), LCF, fuel=25)
+
+
+def test_fuel_equal_to_the_trace_length_is_enough():
+    config = Configuration(initialize(compile_term(parse_lambda("(\\x.x) (\\y.y)"))))
+    for calc in (LCF, LCA):
+        trace = reduce(config, calc)
+        assert [ts.site.rule for ts in trace] == ["Beta", "Var"]
+        assert reduce(config, calc, fuel=2) == trace
+        with pytest.raises(FuelExhaustedError):
+            reduce(config, calc, fuel=1)
+        assert reduce(trace[-1].config, calc, fuel=0) == []
+        # one sigma step from the substitution Beta leaves
+        assert normalize_sigma(trace[0].config, calc, fuel=1) == trace[1].config
+        with pytest.raises(FuelExhaustedError):
+            normalize_sigma(trace[0].config, calc, fuel=0)
+
+
+def test_suites_report_an_exhausted_trace():
+    entry = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
+    expected = ["id/lcf: trace fuel exhausted", "id/lca: trace fuel exhausted"]
+    assert check_sigma_termination([entry], trace_fuel=1)["failures"] == expected
+    assert check_propagation([entry], trace_fuel=1)["failures"] == expected
+    for calc, line in zip((LCF, LCA), expected):
+        assert check_label_lemmas([entry], calc, trace_fuel=1)["failures"] == [line]
+        assert check_label_lemmas([entry], calc, trace_fuel=2)["ok"]
+    assert check_propagation([entry], trace_fuel=2)["ok"]
+
+
+def test_propagation_reports_sigma_fuel_exhaustion(monkeypatch):
+    entry = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
+
+    def exhausted(config, calculus):
+        raise FuelExhaustedError("sigma normalisation exceeded fuel")
+
+    monkeypatch.setattr(checks, "normalize_sigma", exhausted)
+    report = check_propagation([entry])
+    assert not report["ok"]
+    # one failure per configuration of each two-step trace, worded as in
+    # the sigma-termination suite
+    assert len(report["failures"]) == 6
+    assert report["failures"][0].startswith("id/lcf: sigma fuel exhausted on ")
+    assert report["failures"] == check_sigma_termination([entry])["failures"]
 
 
 def test_subject_reduction_along_traces():
