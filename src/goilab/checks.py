@@ -14,8 +14,8 @@ from .calculus import (LCA, LCF, Configuration, FuelExhaustedError, TraceStep,
                        normalize_sigma, reduce, reduction_graph)
 from .corpus import CorpusEntry
 from .labelled import label_of
-from .labels import (Atomic, Marker, Over, RIGHT, Under, concat, format_label,
-                     mark, reverse)
+from .labels import (Atomic, Marker, Over, RIGHT, Under, atoms_flat, concat,
+                     format_label, mark, reverse)
 from .nets import (NetError, closed_cut_step, eligible_cuts, iso_check,
                    translate_cbn, translate_cbv, validate)
 from .paths import check_invariance, weight_member, weight_set
@@ -415,7 +415,6 @@ def random_label(rng: random.Random, depth: int = 2, length: int = 4):
 
 
 def _safe_level(label) -> int:
-    from .labels import atoms_flat
     return 2 * sum(1 for _ in atoms_flat(label)) + 2
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .labelled import initialize
+from .labelled import initialize, label_of
 from .labels import Atomic
 from .terms import Abs, App, Term, Var, compile_term, parse_lambda, subterms
 
@@ -74,7 +74,6 @@ def prepare(name: str, source: Term) -> CorpusEntry:
     compiled = compile_term(source)
     initial = initialize(compiled)
     classes = _classes(initial)
-    from .labelled import label_of
     root_atom = label_of(initial)[0].name
     return CorpusEntry(name, source, compiled, initial, root_atom, classes)
 

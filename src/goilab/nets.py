@@ -582,177 +582,170 @@ def _splice(net: Net, pm: dict, nid: int, port_a: str, port_b: str) -> int:
     return fused
 
 
-def _box_closed(box: Box) -> bool:
-    return len(box.auxiliaries) == 0
+@dataclass(frozen=True)
+class _CutRedex:
+    """A cut classified for closed elimination.
+
+    ``nodes`` are the cut's two neighbours, the one the rule is named after
+    first: the axiom; tensor, par; dereliction, contraction or weakening,
+    then the box's principal door; for commutation the principal door,
+    then the auxiliary door it enters.  ``box`` is the closed box the step
+    opens, erases, copies or moves, and ``crossing`` the weight read across
+    the cut from ``nodes[0]``.
+    """
+
+    cut: int
+    rule: str
+    nodes: tuple
+    box: Optional[int]
+    crossing: Weight
 
 
-def _classify_cut(net: Net, cut: int):
+def _classify_cut(net: Net, pm: dict, cut: int) -> _CutRedex:
+    """The closed elimination step at ``cut``, or ``NetError`` when there is
+    none; ``NotClosedError`` when its box has auxiliary doors."""
     if net.nodes.get(cut) != "cut":
         raise NotACutError(f"node {cut} is not a cut")
-    pm = net.port_map()
-    fars = []
+    fars, edges = [], []
     for port in ("a", "b"):
         eid, idx = pm[(cut, port)]
         far = net.edges[eid].ends[1 - idx]
         if far is None or far[0] != "node":
             raise NetError("cut against the interface cannot fire")
         fars.append(far)
-    far_a, far_b = fars
-    ka, kb = net.nodes[far_a[1]], net.nodes[far_b[1]]
-    if ka == "ax":
-        return ("ax", far_a[1])
-    if kb == "ax":
-        return ("ax", far_b[1])
-    if {ka, kb} == {"tensor", "par"}:
-        if far_a[2] != "out" or far_b[2] != "out":
-            raise NetError("multiplicative cut away from conclusions")
-        tensor = far_a[1] if ka == "tensor" else far_b[1]
-        par = far_a[1] if ka == "par" else far_b[1]
-        return ("mult", tensor, par)
-
-    def principal_box(far):
-        if net.nodes[far[1]] == "bang" and far[2] == "out":
-            return net.box_of_principal(far[1])
-        return None
-
-    box_a, box_b = principal_box(far_a), principal_box(far_b)
-    for kind, name in (("derelict", "derelict"), ("fan", "fan"), ("weaken", "weaken")):
-        if ka == kind and box_b is not None:
-            if kind != "weaken" and far_a[2] != "out":
-                raise NetError(f"{kind} cut away from its conclusion")
-            return (name, far_a[1], far_b[1], box_b)
-        if kb == kind and box_a is not None:
-            if kind != "weaken" and far_b[2] != "out":
-                raise NetError(f"{kind} cut away from its conclusion")
-            return (name, far_b[1], far_a[1], box_a)
-
-    def aux_box(far):
-        if net.nodes[far[1]] == "whynot" and far[2] == "out":
-            return net.box_of_auxiliary(far[1])
-        return None
-
-    if box_a is not None and aux_box(far_b) is not None:
-        return ("commute", far_a[1], far_b[1], box_a, aux_box(far_b))
-    if box_b is not None and aux_box(far_a) is not None:
-        return ("commute", far_b[1], far_a[1], box_b, aux_box(far_a))
-    raise NetError("cut is not reducible by closed elimination")
+        edges.append((net.edges[eid], idx))
+    kinds = [net.nodes[far[1]] for far in fars]
+    rule = box = None
+    if "ax" in kinds:
+        rule, first = "ax", kinds.index("ax")
+    elif sorted(kinds) == ["par", "tensor"] and fars[0][2] == fars[1][2] == "out":
+        rule, first = "mult", kinds.index("tensor")
+    elif "bang" in kinds:
+        door = kinds.index("bang")
+        other = 1 - door
+        box = net.box_of_principal(fars[door][1])
+        if box is not None and fars[door][2] == fars[other][2] == "out":
+            if kinds[other] in ("derelict", "fan", "weaken"):
+                rule, first = kinds[other], other
+            elif kinds[other] == "whynot" and \
+                    net.box_of_auxiliary(fars[other][1]) is not None:
+                rule, first = "commute", door
+    if rule is None:
+        raise NetError("cut is not reducible by closed elimination")
+    if box is not None and net.boxes[box].auxiliaries:
+        raise NotClosedError(f"{rule} cut needs a box with no auxiliary doors")
+    (edge_near, i_near), (edge_far, i_far) = edges[first], edges[1 - first]
+    crossing = compose(edge_near.weight_from(1 - i_near), edge_far.weight_from(i_far))
+    return _CutRedex(cut, rule, (fars[first][1], fars[1 - first][1]), box, crossing)
 
 
 def eligible_cuts(net: Net) -> list:
     """Cut nodes where a closed elimination step applies, in id order."""
+    pm = net.port_map()
     out = []
-    for nid, kind in net.nodes.items():
-        if kind != "cut":
-            continue
-        try:
-            info = _classify_cut(net, nid)
-        except NetError:
-            continue
-        if info[0] in ("derelict", "fan", "weaken"):
-            if not _box_closed(net.boxes[info[3]]):
+    for nid in sorted(net.nodes):
+        if net.nodes[nid] == "cut":
+            try:
+                _classify_cut(net, pm, nid)
+            except NetError:
                 continue
-        if info[0] == "commute" and not _box_closed(net.boxes[info[3]]):
-            continue
-        out.append(nid)
-    return sorted(out)
+            out.append(nid)
+    return out
 
 
 def closed_cut_step(net: Net, cut: int) -> Net:
     """One step of closed cut elimination at the given cut node."""
-    info = _classify_cut(net, cut)
     net = net.copy()
-    rule = info[0]
-    if rule == "ax":
-        ax = info[1]
-        remove_binary_node(net, cut, "a", "b")
-        remove_binary_node(net, ax, "a", "b")
-        return net
-    if rule == "mult":
-        return _mult_step(net, cut, info[1], info[2])
-    if rule == "derelict":
-        return _derelict_step(net, cut, info[1], info[2], info[3])
-    if rule == "fan":
-        return _fan_step(net, cut, info[1], info[2], info[3])
-    if rule == "weaken":
-        return _weaken_step(net, cut, info[1], info[2], info[3])
-    if rule == "commute":
-        return _commute_step(net, cut, info[1], info[2], info[3], info[4])
-    raise AssertionError(rule)
-
-
-def _cut_edges(net: Net, cut: int):
     pm = net.port_map()
-    return pm[(cut, "a")], pm[(cut, "b")]
+    redex = _classify_cut(net, pm, cut)
+    _STEPS[redex.rule](net, pm, redex)
+    return net
 
 
-def _crossing_weight(net: Net, cut: int, from_node: int) -> Weight:
-    """Weight read crossing the cut starting on ``from_node``'s side."""
-    (ea, ia), (eb, ib) = _cut_edges(net, cut)
-    edge_a, edge_b = net.edges[ea], net.edges[eb]
-    far_a = edge_a.ends[1 - ia]
-    if far_a is not None and far_a[0] == "node" and far_a[1] == from_node:
-        return compose(edge_a.weight_from(1 - ia), edge_b.weight_from(ib))
-    return compose(edge_b.weight_from(1 - ib), edge_a.weight_from(ia))
+def _axiom_step(net: Net, pm: dict, redex: _CutRedex) -> None:
+    _splice(net, pm, redex.cut, "a", "b")
+    _splice(net, pm, redex.nodes[0], "a", "b")
 
 
-def _boxes_of_node(net: Net, nid: int) -> list:
-    return [bid for bid, b in net.boxes.items() if nid in b.contents]
-
-
-def _mult_step(net: Net, cut: int, tensor: int, par: int) -> Net:
-    u = _crossing_weight(net, cut, tensor)
-    pm = net.port_map()
-    enclosing = _boxes_of_node(net, cut)
-    (ea, _), (eb, _) = _cut_edges(net, cut)
-    net.edges.pop(ea)
-    net.edges.pop(eb)
+def _mult_step(net: Net, pm: dict, redex: _CutRedex) -> None:
+    tensor, par = redex.nodes
     for side in ("left", "right"):
-        te, ti = pm[(tensor, side)]
+        c = _new_cut(net, redex.cut)
+        net.attach(*pm[(tensor, side)], ("node", c, "a"))
         pe, pi = pm[(par, side)]
-        c = net.new_node("cut")
-        for bid in enclosing:
-            net.boxes[bid].contents.add(c)
-        net.edges[te].ends[ti] = ("node", c, "a")
-        net.edges[pe].ends[pi] = ("node", c, "b")
-        net.edges[pe].compose_incoming(pi, u)
-    for nid in (tensor, par, cut):
-        net.nodes.pop(nid)
-        for b in net.boxes.values():
-            b.contents.discard(nid)
-    return net
+        net.attach(pe, pi, ("node", c, "b"))
+        net.edges[pe].compose_incoming(pi, redex.crossing)
+    _delete_nodes(net, {tensor, par, redex.cut})
 
 
-def _derelict_step(net: Net, cut: int, der: int, bang: int, bid: int) -> Net:
-    if not _box_closed(net.boxes[bid]):
-        raise NotClosedError("dereliction cut needs a box with no auxiliary doors")
-    remove_binary_node(net, cut, "a", "b")
-    remove_binary_node(net, der, "in", "out")
-    remove_binary_node(net, bang, "in", "out")
-    net.boxes.pop(bid)
-    return net
+def _derelict_step(net: Net, pm: dict, redex: _CutRedex) -> None:
+    _splice(net, pm, redex.cut, "a", "b")
+    _splice(net, pm, redex.nodes[0], "in", "out")
+    _splice(net, pm, redex.nodes[1], "in", "out")
+    del net.boxes[redex.box]
 
 
-def _weaken_step(net: Net, cut: int, weaken: int, bang: int, bid: int) -> Net:
-    box = net.boxes[bid]
-    if not _box_closed(box):
-        raise NotClosedError("weakening cut needs a box with no auxiliary doors")
-    doomed = set(box.contents) | {weaken, cut}
+def _weaken_step(net: Net, pm: dict, redex: _CutRedex) -> None:
+    _drop_box(net, redex.box, {redex.cut, redex.nodes[0]})
+
+
+def _fan_step(net: Net, pm: dict, redex: _CutRedex) -> None:
+    fan = redex.nodes[0]
+    new_bangs = [_copy_closed_box(net, redex.box, redex.cut) for _ in range(2)]
+    for side, new_bang in zip(("left", "right"), new_bangs):
+        c = _new_cut(net, redex.cut)
+        net.attach(*pm[(fan, side)], ("node", c, "a"))
+        # traversal premise -> cut -> new box reads the old crossing weight
+        net.new_edge(("node", new_bang, "out"), ("node", c, "b"),
+                     involute(redex.crossing))
+    _drop_box(net, redex.box, {redex.cut, fan})
+
+
+def _commute_step(net: Net, pm: dict, redex: _CutRedex) -> None:
+    whynot = redex.nodes[1]
+    target = net.boxes[net.box_of_auxiliary(whynot)]
+    _splice(net, pm, whynot, "in", "out")
+    target.auxiliaries = tuple(a for a in target.auxiliaries if a != whynot)
+    target.contents |= net.boxes[redex.box].contents | {redex.cut}
+
+
+_STEPS = {"ax": _axiom_step, "mult": _mult_step, "derelict": _derelict_step,
+          "weaken": _weaken_step, "fan": _fan_step, "commute": _commute_step}
+
+
+def _new_cut(net: Net, beside: int) -> int:
+    """A new cut node in every box that holds node ``beside``."""
+    c = net.new_node("cut")
+    for b in net.boxes.values():
+        if beside in b.contents:
+            b.contents.add(c)
+    return c
+
+
+def _delete_nodes(net: Net, doomed: set) -> None:
+    """Delete the ``doomed`` nodes and every edge at one of them."""
     for eid, e in list(net.edges.items()):
         if any(end is not None and end[0] == "node" and end[1] in doomed
                for end in e.ends):
-            net.edges.pop(eid)
+            del net.edges[eid]
     for nid in doomed:
-        net.nodes.pop(nid, None)
-    for b2, bx in list(net.boxes.items()):
-        if bx.contents <= box.contents:
-            net.boxes.pop(b2, None)
+        del net.nodes[nid]
     for b in net.boxes.values():
         b.contents -= doomed
-    return net
 
 
-def _copy_closed_box(net: Net, bid: int, enclosing: list) -> int:
-    """Duplicate a closed box in place; returns the new principal node."""
+def _drop_box(net: Net, bid: int, extra: set) -> None:
+    """Delete box ``bid`` with the boxes inside it and their contents, and
+    the nodes ``extra``, together with every edge at a deleted node."""
+    contents = net.boxes[bid].contents
+    for inner in [b2 for b2, bx in net.boxes.items() if bx.contents <= contents]:
+        del net.boxes[inner]
+    _delete_nodes(net, contents | extra)
+
+
+def _copy_closed_box(net: Net, bid: int, beside: int) -> int:
+    """Duplicate a closed box into every box that holds node ``beside``;
+    returns the new principal node."""
     box = net.boxes[bid]
     mapping = {}
     for nid in sorted(box.contents):
@@ -771,69 +764,10 @@ def _copy_closed_box(net: Net, bid: int, enclosing: list) -> int:
                 tuple(mapping[a] for a in bx.auxiliaries),
                 {mapping[n] for n in bx.contents})
     new_nodes = set(mapping.values())
-    for bid2 in enclosing:
-        if bid2 in net.boxes:
-            net.boxes[bid2].contents |= new_nodes
-    return mapping[box.principal]
-
-
-def _fan_step(net: Net, cut: int, fan: int, bang: int, bid: int) -> Net:
-    box = net.boxes[bid]
-    if not _box_closed(box):
-        raise NotClosedError("contraction cut needs a box with no auxiliary doors")
-    pm = net.port_map()
-    (ea, ia), (eb, ib) = _cut_edges(net, cut)
-    if net.edges[ea].ends[1 - ia][1] == fan:
-        fan_edge, ext_edge = ea, eb
-    else:
-        fan_edge, ext_edge = eb, ea
-    u = _crossing_weight(net, cut, fan)
-    enclosing = _boxes_of_node(net, cut)
-    new_bangs = [_copy_closed_box(net, bid, enclosing) for _ in range(2)]
-    # drop the original box, its contents, interior edges, and the cut pair
-    doomed = set(box.contents)
-    for eid, e in list(net.edges.items()):
-        if eid in (fan_edge, ext_edge):
-            continue
-        if any(end is not None and end[0] == "node" and end[1] in doomed
-               for end in e.ends):
-            net.edges.pop(eid)
-    for nid in doomed:
-        net.nodes.pop(nid, None)
-    for b2, bx in list(net.boxes.items()):
-        if bx.contents and bx.contents <= doomed:
-            net.boxes.pop(b2, None)
-    net.boxes.pop(bid, None)
     for b in net.boxes.values():
-        b.contents -= doomed
-    net.edges.pop(fan_edge)
-    net.edges.pop(ext_edge)
-    for side, new_bang in zip(("left", "right"), new_bangs):
-        pe, pi = pm[(fan, side)]
-        c = net.new_node("cut")
-        for bid2 in enclosing:
-            if bid2 in net.boxes:
-                net.boxes[bid2].contents.add(c)
-        net.edges[pe].ends[pi] = ("node", c, "a")
-        # traversal premise -> cut -> new box reads the old crossing weight
-        net.new_edge(("node", new_bang, "out"), ("node", c, "b"), involute(u))
-    for nid in (fan, cut):
-        net.nodes.pop(nid)
-        for b in net.boxes.values():
-            b.contents.discard(nid)
-    return net
-
-
-def _commute_step(net: Net, cut: int, bang: int, whynot: int,
-                  moving_bid: int, target_bid: int) -> Net:
-    box1 = net.boxes[moving_bid]
-    if not _box_closed(box1):
-        raise NotClosedError("commutative cut needs a closed moving box")
-    box2 = net.boxes[target_bid]
-    remove_binary_node(net, whynot, "in", "out")
-    box2.auxiliaries = tuple(a for a in box2.auxiliaries if a != whynot)
-    box2.contents |= set(box1.contents) | {cut}
-    return net
+        if beside in b.contents:
+            b.contents |= new_nodes
+    return mapping[box.principal]
 
 
 # ---------------------------------------------------------------------------
@@ -846,12 +780,17 @@ def contracted(net: Net) -> Net:
     edges, so restarting after each splice would make the same splices.
     A node whose two ports share one edge closes a loop and is kept.
     """
+    return _contract(net)[0]
+
+
+def _contract(net: Net) -> tuple[Net, dict]:
+    """``contracted`` with the port map its splices keep current."""
     out = net.copy()
     pm = out.port_map()
     for nid, kind in list(out.nodes.items()):
         if kind in ("ax", "cut") and pm[(nid, "a")][0] != pm[(nid, "b")][0]:
             _splice(out, pm, nid, "a", "b")
-    return out
+    return out, pm
 
 
 def _explore(net: Net, pm: dict, seeds, edge_ids: dict, node_ids: dict,
@@ -976,7 +915,11 @@ def canonical_signature(net: Net):
     canonicalised by minimising over their possible anchor edges.  A box
     that holds an island describes it by the island's signature.
     """
-    pm = net.port_map()
+    return _signature(net, net.port_map())
+
+
+def _signature(net: Net, pm: dict):
+    """``canonical_signature`` of ``net`` read through its port map ``pm``."""
     anchors = []
     if net.root is not None:
         anchors.append(net.root)
@@ -995,7 +938,7 @@ def iso_check(a: Net, b: Net) -> bool:
     out axiom/cut linking nodes on both sides.  Raises ``NetError`` when a
     net cannot be signed, for example when a box holds a node outside every
     component."""
-    return canonical_signature(contracted(a)) == canonical_signature(contracted(b))
+    return _signature(*_contract(a)) == _signature(*_contract(b))
 
 
 # ---------------------------------------------------------------------------

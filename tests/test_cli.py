@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from goilab import checks
 from goilab.cli import main
 
@@ -81,3 +83,24 @@ def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("GOI_OUT", str(tmp_path))
     assert main(["compile", "\\x.\\y.x"]) == 0
     assert (tmp_path / "compiled.txt").read_text().strip() == "\\x.\\y.eps[y].x"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "x", "--calculus", "lca"],
+    ["compile", "x", "--translation", "cbn"],
+    ["compile", "x", "--fuel", "5"],
+    ["compile", "x", "--seed", "1"],
+    ["reduce", "x", "--translation", "cbn"],
+    ["reduce", "x", "--seed", "1"],
+    ["net", "x", "--calculus", "lca"],
+    ["net", "x", "--fuel", "5"],
+    ["net", "x", "--seed", "1"],
+    ["check", "invariance", "--calculus", "lca"],
+    ["check", "invariance", "--translation", "cbn"],
+], ids=" ".join)
+def test_commands_reject_flags_they_do_not_read(argv, capsys):
+    # check runs both calculi and both translations, whatever it is told
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

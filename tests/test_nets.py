@@ -9,11 +9,11 @@ from goilab.algebra import ONE, ZERO, compose, format_weight, watom
 from goilab.calculus import (LCA, Configuration, find_redexes, reduction_graph,
                              step)
 from goilab.checks import check_net_simulation
-from goilab.corpus import corpus, prepare
+from goilab.corpus import CLASSICS, corpus, prepare
 from goilab.labelled import initialize
 from goilab.labels import atomic
-from goilab.nets import (Box, Edge, Net, NetError, NotClosedError,
-                         TranslationError, _splice,
+from goilab.nets import (Box, Edge, Net, NetError, NotACutError, NotClosedError,
+                         TranslationError, _contract, _splice,
                          canonical_signature, closed_cut_step, contracted,
                          eligible_cuts, from_json, iso_check,
                          remove_binary_node, to_dot, to_json,
@@ -219,7 +219,10 @@ def test_contracted_makes_the_splices_of_the_restart_loop():
                 terms += [src.term, dst.term]
             for term in dict.fromkeys(terms):
                 net = translate_cbn(term, weighted=weighted)
-                assert to_json(contracted(net)) == \
+                out, pm = _contract(net)
+                # iso_check signs the contracted net through this map
+                assert pm == out.port_map(), (entry.name, weighted)
+                assert to_json(out) == \
                     to_json(contracted_by_restarts(net)), (entry.name, weighted)
                 compared += 1
     assert compared > 300
@@ -434,6 +437,53 @@ def test_dereliction_against_open_box_is_not_closed():
     assert cut not in eligible_cuts(net)
     with pytest.raises(NotClosedError):
         closed_cut_step(net, cut)
+
+
+def test_classification_rejects_a_non_cut_and_a_cut_against_the_interface():
+    net = unlabelled_cbn(Var("x"))
+    ax = next(nid for nid, kind in net.nodes.items() if kind == "ax")
+    with pytest.raises(NotACutError):
+        closed_cut_step(net, ax)
+    # the cut's other side is an axiom, so only the interface stops it
+    net = Net()
+    cut, ax = net.new_node("cut"), net.new_node("ax")
+    net.root = net.new_edge(("root",), ("node", cut, "a"))
+    net.new_edge(("node", cut, "b"), ("node", ax, "a"))
+    net.free = {"x": net.new_edge(("node", ax, "b"), ("free", "x"))}
+    assert validate(net) == []
+    with pytest.raises(NetError, match="interface"):
+        closed_cut_step(net, cut)
+    assert eligible_cuts(net) == []
+
+
+def test_cut_elimination_builds_one_port_map_per_operation(monkeypatch):
+    built = []
+    port_map = Net.port_map
+
+    def counted(net):
+        built.append(net)
+        return port_map(net)
+
+    def maps_built(fn, *args):
+        built.clear()
+        result = fn(*args)
+        return result, len(built)
+
+    monkeypatch.setattr(Net, "port_map", counted)
+    stepped = 0
+    for text in ("(\\x.x x) (\\y.y)", dict(CLASSICS)["church_two_twice"]):
+        config = Configuration(strip_labels(prepare("t", parse_lambda(text)).initial))
+        for src, _, dst in reduction_graph(config, LCA).steps():
+            left, right = unlabelled_cbn(src.term), unlabelled_cbn(dst.term)
+            cuts, maps = maps_built(eligible_cuts, left)
+            assert maps == 1
+            assert maps_built(iso_check, left, right)[1] <= 2
+            for cut in cuts:
+                out, maps = maps_built(closed_cut_step, left, cut)
+                assert maps == 1
+                assert maps_built(iso_check, out, right)[1] <= 2
+                stepped += 1
+    assert stepped > 50
 
 
 def test_contraction_step_duplicates_box():
