@@ -128,6 +128,68 @@ def test_validate_strict_levels_flags_mismatch():
     assert any("box depth" in p for p in validate(net, strict_levels=True))
 
 
+def boxed_axiom(door: bool):
+    """root -> bang P; P.in -> axiom A -> free x, with P and A in one box;
+    with ``door`` the free wire leaves through an auxiliary door Q."""
+    net = Net()
+    principal, ax = net.new_node("bang"), net.new_node("ax")
+    net.root = net.new_edge(("root",), ("node", principal, "out"))
+    net.new_edge(("node", principal, "in"), ("node", ax, "a"))
+    contents = {principal, ax}
+    if door:
+        why = net.new_node("whynot")
+        net.new_edge(("node", ax, "b"), ("node", why, "in"))
+        net.free = {"x": net.new_edge(("node", why, "out"), ("free", "x"))}
+        auxiliaries = (why,)
+        contents.add(why)
+    else:
+        net.free = {"x": net.new_edge(("node", ax, "b"), ("free", "x"))}
+        auxiliaries = ()
+    bid = net.new_id()
+    net.boxes[bid] = Box(principal, auxiliaries, contents)
+    return net, bid
+
+
+def test_validate_flags_an_edge_that_crosses_a_box_away_from_a_door():
+    net, bid = boxed_axiom(door=False)
+    assert validate(net) == [f"edge {net.free['x']} crosses box {bid} away from a door"]
+
+
+def test_validate_accepts_edges_that_leave_through_a_door():
+    net, _ = boxed_axiom(door=True)
+    assert validate(net) == []
+
+
+def test_validate_accepts_nested_boxes():
+    # root -> P1; P1.in -> P2.out; P2.in -> weakening W; P2's box in P1's
+    net = Net()
+    p1, p2, w = net.new_node("bang"), net.new_node("bang"), net.new_node("weaken")
+    net.root = net.new_edge(("root",), ("node", p1, "out"))
+    net.new_edge(("node", p1, "in"), ("node", p2, "out"))
+    net.new_edge(("node", p2, "in"), ("node", w, "out"))
+    net.boxes[net.new_id()] = Box(p2, (), {p2, w})
+    net.boxes[net.new_id()] = Box(p1, (), {p1, p2, w})
+    assert validate(net) == []
+
+
+def test_validate_flags_overlapping_boxes_by_box_then_by_edge():
+    # root -> tensor T; T.left -> P1; T.right -> P2; P1.in and P2.in meet at
+    # axiom A, which both boxes hold
+    net = Net()
+    t, p1, p2, ax = (net.new_node(k) for k in ("tensor", "bang", "bang", "ax"))
+    net.root = net.new_edge(("root",), ("node", t, "out"))
+    net.new_edge(("node", t, "left"), ("node", p1, "out"))
+    net.new_edge(("node", t, "right"), ("node", p2, "out"))
+    e1 = net.new_edge(("node", p1, "in"), ("node", ax, "a"))
+    e2 = net.new_edge(("node", ax, "b"), ("node", p2, "in"))
+    b1, b2 = net.new_id(), net.new_id()
+    net.boxes[b2] = Box(p2, (), {p2, ax})
+    net.boxes[b1] = Box(p1, (), {p1, ax})
+    assert validate(net) == [f"boxes {b1},{b2} overlap without nesting",
+                             f"edge {e1} crosses box {b2} away from a door",
+                             f"edge {e2} crosses box {b1} away from a door"]
+
+
 # --- isomorphism -------------------------------------------------------------
 
 def test_iso_check_reflexive_and_rename_invariant():
