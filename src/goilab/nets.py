@@ -112,6 +112,11 @@ class Box:
 
 
 class Net:
+    """A proof-net.  A net is a value once built: every operation here that
+    changes one (``closed_cut_step``, ``contracted``) works on a copy, so
+    ``iso_check`` signs each net at most once and keeps the signature on it.
+    """
+
     def __init__(self):
         self.nodes: dict[int, str] = {}
         self.edges: dict[int, Edge] = {}
@@ -119,6 +124,7 @@ class Net:
         self.root: Optional[int] = None
         self.free: dict[str, int] = {}
         self._next = 0
+        self._signature = None  # set by the first iso_check that compares it
 
     def new_id(self) -> int:
         self._next += 1
@@ -238,16 +244,24 @@ def validate(net: Net, strict_levels: bool = False) -> list:
                 if inter and not (box1.contents <= box2.contents
                                   or box2.contents <= box1.contents):
                     problems.append(f"boxes {b1},{b2} overlap without nesting")
+    # an edge crosses the boxes that hold one of its ends but not the other
+    boxes_of: dict = {}
     for bid, b in net.boxes.items():
-        for eid, e in net.edges.items():
-            if len(e.ends) != 2 or any(end is None for end in e.ends):
-                continue
-            sides = [end[0] == "node" and end[1] in b.contents for end in e.ends]
-            if sides[0] != sides[1]:
-                inside = e.ends[0] if sides[0] else e.ends[1]
-                _, nid, port = inside
-                if not (nid in (b.principal, *b.auxiliaries) and port == "out"):
-                    problems.append(f"edge {eid} crosses box {bid} away from a door")
+        for nid in b.contents:
+            boxes_of.setdefault(nid, set()).add(bid)
+    crossings = {bid: [] for bid in net.boxes}
+    for eid, e in net.edges.items():
+        if len(e.ends) != 2 or any(end is None for end in e.ends):
+            continue
+        held = [boxes_of.get(end[1], set()) if end[0] == "node" else set()
+                for end in e.ends]
+        for bid in held[0] ^ held[1]:
+            _, nid, port = e.ends[0] if bid in held[0] else e.ends[1]
+            b = net.boxes[bid]
+            if not (nid in (b.principal, *b.auxiliaries) and port == "out"):
+                crossings[bid].append(f"edge {eid} crosses box {bid} away from a door")
+    for found in crossings.values():
+        problems.extend(found)
     for eid, e in net.edges.items():
         if not e.weight.is_zero:
             for a in e.weight.atoms:
@@ -935,10 +949,17 @@ def _signature(net: Net, pm: dict):
 
 def iso_check(a: Net, b: Net) -> bool:
     """Kind-, port-, box- and weight-preserving isomorphism, after splicing
-    out axiom/cut linking nodes on both sides.  Raises ``NetError`` when a
-    net cannot be signed, for example when a box holds a node outside every
-    component."""
-    return _signature(*_contract(a)) == _signature(*_contract(b))
+    out axiom/cut linking nodes on both sides.  Each net is signed the first
+    time it is compared.  Raises ``NetError`` when a net cannot be signed,
+    for example when a box holds a node outside every component."""
+    return _signed(a) == _signed(b)
+
+
+def _signed(net: Net):
+    """The signature of ``net`` contracted, computed once per net."""
+    if net._signature is None:
+        net._signature = _signature(*_contract(net))
+    return net._signature
 
 
 # ---------------------------------------------------------------------------

@@ -376,7 +376,7 @@ def format_term(term: Term, labels: bool = False) -> str:
                 return f"copy[{source}->{left},{right}].{fmt(body)}"
             case Subst(body, arg, target):
                 b = fmt(body)
-                if isinstance(body, (Abs, Erase, Copy)) and not printed_self_contained(body):
+                if isinstance(body, (App, Abs, Erase, Copy)) and not printed_self_contained(body):
                     b = f"({b})"
                 return f"{b}[{fmt(arg)}/{target}]"
         raise AssertionError

@@ -4,7 +4,7 @@ import pytest
 from conftest import closed_lambda_terms
 from hypothesis import given, settings, strategies as st
 
-from goilab import checks
+from goilab import checks, nets
 from goilab.algebra import ONE, ZERO, compose, format_weight, watom
 from goilab.calculus import (LCA, Configuration, find_redexes, reduction_graph,
                              step)
@@ -333,6 +333,54 @@ def test_cbn_nets_of_random_terms_are_iso_to_renumbered_copies(term, seed):
         for nid, kind in out.nodes.items():
             if kind in ("ax", "cut"):
                 assert pm[(nid, "a")][0] == pm[(nid, "b")][0], kind
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(closed_lambda_terms(), st.integers(0, 99))
+def test_cbv_nets_of_random_terms_are_iso_to_renumbered_copies(term, seed):
+    entry = prepare("random", term)
+    for weighted in (False, True):
+        net = translate_cbv(entry.initial, weighted=weighted)
+        assert iso_check(net, renumbered(net, seed))
+
+
+def test_criterion_8_signs_each_net_it_compares_once(monkeypatch):
+    compared, signed = [], []
+    real_iso_check, real_signature = checks.iso_check, nets._signature
+
+    def recorded(a, b):
+        compared.extend((a, b))
+        return real_iso_check(a, b)
+
+    def counted(net, pm):
+        signed.append(net)
+        return real_signature(net, pm)
+
+    monkeypatch.setattr(checks, "iso_check", recorded)
+    monkeypatch.setattr(nets, "_signature", counted)
+    assert check_net_simulation(corpus(7))["ok"]
+    distinct = {id(net): net for net in compared}
+    assert len(signed) == len(distinct) < len(compared)
+    monkeypatch.undo()
+    for net in distinct.values():
+        again = contracted(from_json(to_json(net)))
+        assert net._signature == canonical_signature(again)
+
+
+def test_net_operations_leave_their_input_unchanged():
+    operations = 0
+    for entry in corpus(5):
+        config = Configuration(strip_labels(entry.initial))
+        for src, _, dst in reduction_graph(config, LCA).steps():
+            left, right = unlabelled_cbn(src.term), unlabelled_cbn(dst.term)
+            before = to_json(left)
+            for cut in eligible_cuts(left):
+                closed_cut_step(left, cut)
+                operations += 1
+            iso_check(left, right)
+            validate(left)
+            assert to_json(left) == before, entry.name
+    assert operations > 100
 
 
 def test_simulation_stops_on_a_term_without_normal_form():

@@ -1,10 +1,14 @@
 import pytest
+from conftest import closed_lambda_terms
+from hypothesis import given, settings
 
-from goilab.corpus import closed_terms
+from goilab.calculus import LCA, LCF
+from goilab.checks import _trace
+from goilab.corpus import closed_terms, prepare
 from goilab.terms import (Abs, App, Copy, Erase, FreshSupply, ParseError,
                           Subst, Var, alpha_equal, check_linear, compile_term,
                           erase_annotations, format_term, free_vars, parse,
-                          parse_lambda, term_size)
+                          parse_lambda, strip_labels, term_size)
 
 
 def test_parse_identity():
@@ -43,6 +47,23 @@ def test_print_parse_round_trip():
              "x[y/z] w", "x (y z)"]
     for text in texts:
         assert format_term(parse(text)) == text
+
+
+def test_application_under_a_substitution_keeps_its_parentheses():
+    t = Subst(App(Var("x01"), Var("x02")), Var("m"), "x01")
+    assert format_term(t) == "(x01 x02)[m/x01]"
+    assert parse(format_term(t)) == t
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(closed_lambda_terms(max_size=12))
+def test_unlabelled_trace_terms_of_random_terms_round_trip(term):
+    # the parser reads no labels, so only unlabelled printing is covered
+    entry = prepare("random", term)
+    for calculus in (LCF, LCA):
+        for ts in _trace(entry, calculus, 100) or ():
+            t = strip_labels(ts.config.term)
+            assert parse(format_term(t)) == t
 
 
 def test_free_vars_table():
