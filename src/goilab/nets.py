@@ -151,14 +151,6 @@ class Net:
                     ports[(end[1], end[2])] = (eid, i)
         return ports
 
-    def edge_depth(self, eid: int) -> int:
-        ends = self.edges[eid].ends
-        count = 0
-        for b in self.boxes.values():
-            if all(e is not None and e[0] == "node" and e[1] in b.contents for e in ends):
-                count += 1
-        return count
-
     def box_of_principal(self, nid: int) -> Optional[int]:
         for bid, b in self.boxes.items():
             if b.principal == nid:
@@ -244,17 +236,20 @@ def validate(net: Net, strict_levels: bool = False) -> list:
                 if inter and not (box1.contents <= box2.contents
                                   or box2.contents <= box1.contents):
                     problems.append(f"boxes {b1},{b2} overlap without nesting")
-    # an edge crosses the boxes that hold one of its ends but not the other
+    # an edge crosses the boxes that hold one of its ends but not the other,
+    # and lies as deep as the number of boxes that hold both
     boxes_of: dict = {}
     for bid, b in net.boxes.items():
         for nid in b.contents:
             boxes_of.setdefault(nid, set()).add(bid)
     crossings = {bid: [] for bid in net.boxes}
+    depth = {}
     for eid, e in net.edges.items():
         if len(e.ends) != 2 or any(end is None for end in e.ends):
             continue
         held = [boxes_of.get(end[1], set()) if end[0] == "node" else set()
                 for end in e.ends]
+        depth[eid] = len(held[0] & held[1])
         for bid in held[0] ^ held[1]:
             _, nid, port = e.ends[0] if bid in held[0] else e.ends[1]
             b = net.boxes[bid]
@@ -267,9 +262,9 @@ def validate(net: Net, strict_levels: bool = False) -> list:
             for a in e.weight.atoms:
                 if a.level < 0:
                     problems.append(f"edge {eid} carries a negative level")
-                elif strict_levels and a.level != net.edge_depth(eid):
+                elif strict_levels and a.level != depth.get(eid, 0):
                     problems.append(
-                        f"edge {eid} atom level {a.level} != box depth {net.edge_depth(eid)}")
+                        f"edge {eid} atom level {a.level} != box depth {depth.get(eid, 0)}")
     return problems
 
 
@@ -557,17 +552,10 @@ def translate_cbn(term: Term, weighted: bool = True) -> Net:
 # ---------------------------------------------------------------------------
 # closed cut elimination
 
-def remove_binary_node(net: Net, nid: int, port_a: str, port_b: str) -> int:
-    """Delete a two-port node, fusing its edges into one oriented edge.
-
-    The fused edge reads (edge at port_a towards the node) then (edge at
-    port_b away from the node).
-    """
-    return _splice(net, net.port_map(), nid, port_a, port_b)
-
-
 def _splice(net: Net, pm: dict, nid: int, port_a: str, port_b: str) -> int:
-    """``remove_binary_node`` on a port map ``pm`` of ``net``, which is kept
+    """Delete a two-port node of ``net`` in place, fusing its edges into one
+    oriented edge that reads (edge at port_a towards the node) then (edge at
+    port_b away from the node).  The port map ``pm`` of ``net`` is kept
     current: the node's ports leave it and the outer ends point at the fused
     edge.  A self-loop raises before anything changes."""
     ea, ia = pm[(nid, port_a)]

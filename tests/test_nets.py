@@ -16,7 +16,7 @@ from goilab.nets import (Box, Edge, Net, NetError, NotACutError, NotClosedError,
                          TranslationError, _contract, _splice,
                          canonical_signature, closed_cut_step, contracted,
                          eligible_cuts, from_json, iso_check,
-                         remove_binary_node, to_dot, to_json,
+                         to_dot, to_json,
                          translate_cbn, translate_cbv, validate)
 from goilab.terms import (Abs, App, Subst, Var, compile_term, parse_lambda,
                           strip_labels)
@@ -266,7 +266,7 @@ def contracted_by_restarts(net):
                 break
         else:
             return out
-        remove_binary_node(out, nid, "a", "b")
+        _splice(out, out.port_map(), nid, "a", "b")
 
 
 def test_contracted_makes_the_splices_of_the_restart_loop():
