@@ -242,13 +242,16 @@ def validate(net: Net, strict_levels: bool = False) -> list:
     for bid, b in net.boxes.items():
         for nid in b.contents:
             boxes_of.setdefault(nid, set()).add(bid)
+    outside: frozenset = frozenset()
     crossings = {bid: [] for bid in net.boxes}
     depth = {}
     for eid, e in net.edges.items():
-        if len(e.ends) != 2 or any(end is None for end in e.ends):
+        if len(e.ends) != 2 or None in e.ends:
             continue
-        held = [boxes_of.get(end[1], set()) if end[0] == "node" else set()
+        held = [boxes_of.get(end[1], outside) if end[0] == "node" else outside
                 for end in e.ends]
+        if not (held[0] or held[1]):
+            continue
         depth[eid] = len(held[0] & held[1])
         for bid in held[0] ^ held[1]:
             _, nid, port = e.ends[0] if bid in held[0] else e.ends[1]
