@@ -15,8 +15,7 @@ from goilab.labels import atomic
 from goilab.nets import (Box, Edge, Net, NetError, NotACutError, NotClosedError,
                          TranslationError, _contract, _splice,
                          canonical_signature, closed_cut_step, contracted,
-                         eligible_cuts, from_json, iso_check,
-                         to_dot, to_json,
+                         eligible_cuts, from_json, iso_check, to_dot, to_json,
                          translate_cbn, translate_cbv, validate)
 from goilab.terms import (Abs, App, Subst, Var, compile_term, parse_lambda,
                           strip_labels)

@@ -44,15 +44,9 @@ def test_parse_error_position():
 
 def test_print_parse_round_trip():
     texts = ["\\x.\\y.eps[y].x", "(\\x.copy[x->x1,x2].x1 x2) (\\x.x z)",
-             "x[y/z] w", "x (y z)"]
+             "x[y/z] w", "x (y z)", "(x01 x02)[m/x01]"]
     for text in texts:
         assert format_term(parse(text)) == text
-
-
-def test_application_under_a_substitution_keeps_its_parentheses():
-    t = Subst(App(Var("x01"), Var("x02")), Var("m"), "x01")
-    assert format_term(t) == "(x01 x02)[m/x01]"
-    assert parse(format_term(t)) == t
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
