@@ -36,7 +36,7 @@ from .algebra import (ONE, ZERO, LevelledWeight, LevelUnderflowError, WAtom,
                       Weight, compose, entry_level_needed, involute,
                       format_weight, lw, watom)
 from .labels import LEFT, RIGHT, Label, Marker, Under
-from .labelled import label_of
+from .labelled import UnlabelledTermError, label_of
 from .terms import Abs, App, Copy, Erase, Subst, Term, Var
 
 PORTS = {
@@ -274,14 +274,11 @@ def validate(net: Net, strict_levels: bool = False) -> list:
 # ---------------------------------------------------------------------------
 # translation
 
-@dataclass
-class _Sub:
-    root: int
-    free: dict
-    levels: dict
-
-
 class _Translator:
+    """Builds one net.  ``go`` returns a term's root edge and a map from
+    each free variable to its dangling edge and the box level it sits at;
+    in an unweighted net every level is 0."""
+
     def __init__(self, net: Net, cbn: bool, weighted: bool):
         self.net = net
         self.cbn = cbn
@@ -301,12 +298,20 @@ class _Translator:
             return LevelledWeight(ONE, level)
         return lw(label, level)
 
+    def entry_level(self, label: Optional[Label], level: int) -> int:
+        """The lowest level from ``level`` up at which ``label`` reads
+        without underflow; like ``lw_here``, an absent label reads nothing."""
+        if not self.weighted or label is None:
+            return level
+        return max(level, entry_level_needed(label))
+
     def const(self, base: str, level: int, star: bool = False) -> Weight:
         if not self.weighted:
             return ONE
         return watom(base, level, star)
 
-    def go(self, term: Term, level: int, override: Optional[Label] = None) -> _Sub:
+    def go(self, term: Term, level: int,
+           override: Optional[Label] = None) -> tuple[int, dict]:
         net = self.net
         match term:
             case Var(name, label):
@@ -314,161 +319,130 @@ class _Translator:
                 ax = self.node("ax")
                 e_body = net.new_edge(None, ("node", ax, "a"), r.weight)
                 e_var = net.new_edge(("node", ax, "b"), None, ONE)
-                out_level = r.out_level
                 if self.cbn:
                     d = self.node("derelict")
                     net.attach(e_var, 1, ("node", d, "in"))
-                    e_d = net.new_edge(("node", d, "out"), None,
-                                       self.const("d", out_level))
-                    free_edge = e_d
-                else:
-                    free_edge = e_var
-                return _Sub(e_body, {name: free_edge}, {name: out_level})
+                    e_var = net.new_edge(("node", d, "out"), None,
+                                         self.const("d", r.out_level))
+                return e_body, {name: (e_var, r.out_level)}
 
             case Abs(binder, body, label):
                 r = self.lw_here(override if override is not None else label, level)
                 o = r.out_level
                 if self.cbn:
-                    sub = self.go(body, o)
-                    par = self.node("par")
-                    self._bind(sub, binder, par, o)
-                    e_root = net.new_edge(None, ("node", par, "out"), r.weight)
-                    return _Sub(e_root, sub.free, sub.levels)
-                contents: set = set()
-                self.box_stack.append(contents)
-                sub = self.go(body, o + 1)
-                par = self.node("par")
-                self._bind(sub, binder, par, o + 1)
+                    root, free = self.go(body, o)
+                    par = self._bind(root, free, binder, o)
+                    return net.new_edge(None, ("node", par, "out"), r.weight), free
+                self.box_stack.append(set())
+                root, free = self.go(body, o + 1)
+                par = self._bind(root, free, binder, o + 1)
                 bang = self.node("bang")
                 net.new_edge(("node", par, "out"), ("node", bang, "in"), ONE)
-                free, levels, auxiliaries = self._aux_doors(sub)
-                self.box_stack.pop()
-                net.boxes[net.new_id()] = Box(bang, tuple(auxiliaries), contents)
-                e_root = net.new_edge(None, ("node", bang, "out"), r.weight)
-                return _Sub(e_root, free, levels)
+                free = self._close_box(bang, free)
+                return net.new_edge(None, ("node", bang, "out"), r.weight), free
 
             case App(fun, arg, label):
                 r = self.lw_here(override if override is not None else label, level)
                 o = r.out_level
-                fsub = self.go(fun, o)
+                froot, ffree = self.go(fun, o)
                 tensor = self.node("tensor")
                 cut = self.node("cut")
                 e_root = net.new_edge(None, ("node", tensor, "right"),
                                       compose(r.weight, self.const("q", o)))
+                net.attach(froot, 0, ("node", cut, "b"))
                 if self.cbn:
                     net.new_edge(("node", tensor, "out"), ("node", cut, "a"), ONE)
-                    net.attach(fsub.root, 0, ("node", cut, "b"))
-                    ext, afree, alevels = self._arg_box(
+                    aroot, afree = self._arg_box(
                         arg, o, self.const("p", o, star=True), split=False)
-                    net.attach(ext, 0, ("node", tensor, "left"))
                 else:
                     der = self.node("derelict")
                     net.new_edge(("node", tensor, "out"), ("node", der, "in"), ONE)
                     net.new_edge(("node", der, "out"), ("node", cut, "a"),
                                  self.const("d", o))
-                    net.attach(fsub.root, 0, ("node", cut, "b"))
-                    asub = self.go(arg, o)
-                    net.edges[asub.root].compose_incoming(
+                    aroot, afree = self.go(arg, o)
+                    net.edges[aroot].compose_incoming(
                         0, self.const("p", o, star=True))
-                    net.attach(asub.root, 0, ("node", tensor, "left"))
-                    ext, afree, alevels = asub.root, asub.free, asub.levels
-                self._merge_check(fsub.free, afree)
-                return _Sub(e_root, {**fsub.free, **afree},
-                            {**fsub.levels, **alevels})
+                net.attach(aroot, 0, ("node", tensor, "left"))
+                return e_root, self._merged(ffree, afree)
 
             case Erase(binder, body):
-                sub = self.go(body, level, override)
+                root, free = self.go(body, level, override)
                 weaken = self.node("weaken")
                 e_x = net.new_edge(("node", weaken, "out"), None,
                                    ZERO if self.weighted else ONE)
-                free = {**sub.free, binder: e_x}
-                levels = {**sub.levels, binder: level if self.weighted else 0}
-                return _Sub(sub.root, free, levels)
+                return root, {**free, binder: (e_x, level if self.weighted else 0)}
 
             case Copy(source, left, right, body):
-                sub = self.go(body, level, override)
+                root, free = self.go(body, level, override)
                 fan = self.node("fan")
-                ly, lz = sub.levels[left], sub.levels[right]
+                (ey, ly), (ez, lz) = free.pop(left), free.pop(right)
                 if self.weighted and ly != lz:
                     raise TranslationError(
                         f"copy targets at different levels ({ly} vs {lz})")
-                net.edges[sub.free[left]].compose_outgoing(1, self.const("r", ly))
-                net.attach(sub.free[left], 1, ("node", fan, "left"))
-                net.edges[sub.free[right]].compose_outgoing(1, self.const("s", lz))
-                net.attach(sub.free[right], 1, ("node", fan, "right"))
-                e_x = net.new_edge(("node", fan, "out"), None, ONE)
-                free = {k: v for k, v in sub.free.items() if k not in (left, right)}
-                levels = {k: v for k, v in sub.levels.items() if k not in (left, right)}
-                free[source] = e_x
-                levels[source] = ly
-                return _Sub(sub.root, free, levels)
+                net.edges[ey].compose_outgoing(1, self.const("r", ly))
+                net.attach(ey, 1, ("node", fan, "left"))
+                net.edges[ez].compose_outgoing(1, self.const("s", lz))
+                net.attach(ez, 1, ("node", fan, "right"))
+                free[source] = (net.new_edge(("node", fan, "out"), None, ONE), ly)
+                return root, free
 
             case Subst(body, arg, target):
-                sub = self.go(body, level, override)
-                lx = sub.levels[target]
+                root, free = self.go(body, level, override)
+                ex, lx = free.pop(target)
                 cut = self.node("cut")
+                net.attach(ex, 1, ("node", cut, "a"))
                 if self.cbn:
-                    net.attach(sub.free[target], 1, ("node", cut, "a"))
-                    ext, afree, alevels = self._arg_box(arg, lx, ONE, split=True)
-                    net.attach(ext, 0, ("node", cut, "b"))
+                    aroot, afree = self._arg_box(arg, lx, ONE, split=True)
                 else:
-                    net.attach(sub.free[target], 1, ("node", cut, "a"))
-                    asub = self.go(arg, self._arg_level(arg, lx))
-                    net.attach(asub.root, 0, ("node", cut, "b"))
-                    afree, alevels = asub.free, asub.levels
-                free = {k: v for k, v in sub.free.items() if k != target}
-                levels = {k: v for k, v in sub.levels.items() if k != target}
-                self._merge_check(free, afree)
-                return _Sub(sub.root, {**free, **afree}, {**levels, **alevels})
+                    aroot, afree = self.go(
+                        arg, self.entry_level(self._label(arg), lx))
+                net.attach(aroot, 0, ("node", cut, "b"))
+                return root, self._merged(free, afree)
 
         raise AssertionError
 
-    def _bind(self, sub: _Sub, binder: str, par: int, inner_level: int) -> None:
+    @staticmethod
+    def _label(term: Term) -> Optional[Label]:
+        try:
+            return label_of(term)
+        except UnlabelledTermError:
+            return None
+
+    def _bind(self, root: int, free: dict, binder: str, inner_level: int) -> int:
+        """The par node that binds ``binder`` (taken out of ``free``) on its
+        left and the body ``root`` on its right."""
         net = self.net
-        if binder not in sub.free:
+        par = self.node("par")
+        if binder not in free:
             raise TranslationError(f"binder {binder} unused (term not linear)")
-        e_x = sub.free.pop(binder)
-        sub.levels.pop(binder)
+        e_x, _ = free.pop(binder)
         net.edges[e_x].compose_outgoing(1, self.const("p", inner_level))
         net.attach(e_x, 1, ("node", par, "left"))
-        net.edges[sub.root].compose_incoming(
+        net.edges[root].compose_incoming(
             0, self.const("q", inner_level, star=True))
-        net.attach(sub.root, 0, ("node", par, "right"))
+        net.attach(root, 0, ("node", par, "right"))
+        return par
 
-    def _aux_doors(self, sub: _Sub):
+    def _close_box(self, bang: int, free: dict) -> dict:
+        """Close the innermost open box behind ``bang`` with one auxiliary
+        door per free variable, and return the free map outside it."""
         # free edges dangle at ends[1]; leaving through the door reads t*,
         # so entering the box reads t at the outer level
         net = self.net
         auxiliaries = []
-        free = {}
-        levels = {}
-        for name in sorted(sub.free):
+        outside = {}
+        for name in sorted(free):
+            edge, ly = free[name]
             why = self.node("whynot")
-            net.attach(sub.free[name], 1, ("node", why, "in"))
-            ly = sub.levels[name]
+            net.attach(edge, 1, ("node", why, "in"))
             if self.weighted and ly < 1:
                 raise LevelUnderflowError(f"auxiliary door for {name} at level 0")
             e_aux = net.new_edge(("node", why, "out"), None,
-                                 self.const("t", max(ly - 1, 0), star=True))
+                                 self.const("t", ly - 1, star=True))
             auxiliaries.append(why)
-            free[name] = e_aux
-            levels[name] = ly - 1 if self.weighted else 0
-        return free, levels, auxiliaries
-
-    def _arg_level(self, arg: Term, entry: int) -> int:
-        """Entry level for a substitution argument.
-
-        A substitution onto an erased binder loses the level its variable
-        occupied; the argument's own label still records the descent, so
-        raise the entry just enough for its translation to stay above zero.
-        """
-        if not self.weighted:
-            return entry
-        try:
-            need = entry_level_needed(label_of(arg))
-        except Exception:
-            return entry
-        return max(entry, need)
+            outside[name] = (e_aux, ly - 1 if self.weighted else 0)
+        net.boxes[net.new_id()] = Box(bang, tuple(auxiliaries), self.box_stack.pop())
+        return outside
 
     def _arg_box(self, arg: Term, entry: int, prefix: Weight, split: bool):
         """Box the translation of an argument.
@@ -483,30 +457,25 @@ class _Translator:
         override = None
         ext_weight = prefix
         if split and self.weighted:
-            outside, inside = split_argument_label(label_of(arg))
-            entry = max(entry, entry_level_needed(outside))
-            r = lw(outside, entry)
+            outside, override = split_argument_label(label_of(arg))
+            r = lw(outside, self.entry_level(outside, entry))
             ext_weight = compose(prefix, r.weight)
             interior_entry = r.out_level
-            override = inside
         else:
             interior_entry = entry + 1 if self.weighted else 0
-        contents: set = set()
-        self.box_stack.append(contents)
-        sub = self.go(arg, interior_entry, override)
+        self.box_stack.append(set())
+        root, free = self.go(arg, interior_entry, override)
         bang = self.node("bang")
-        net.attach(sub.root, 0, ("node", bang, "in"))
-        free, levels, auxiliaries = self._aux_doors(sub)
-        self.box_stack.pop()
-        net.boxes[net.new_id()] = Box(bang, tuple(auxiliaries), contents)
-        e_ext = net.new_edge(None, ("node", bang, "out"), ext_weight)
-        return e_ext, free, levels
+        net.attach(root, 0, ("node", bang, "in"))
+        free = self._close_box(bang, free)
+        return net.new_edge(None, ("node", bang, "out"), ext_weight), free
 
     @staticmethod
-    def _merge_check(a: dict, b: dict) -> None:
-        shared = set(a) & set(b)
+    def _merged(a: dict, b: dict) -> dict:
+        shared = a.keys() & b.keys()
         if shared:
             raise TranslationError(f"free variables not linear: {sorted(shared)}")
+        return {**a, **b}
 
 
 def split_argument_label(label: Label) -> tuple[Label, Label]:
@@ -531,13 +500,13 @@ def split_argument_label(label: Label) -> tuple[Label, Label]:
 
 def _translate(term: Term, cbn: bool, weighted: bool) -> Net:
     net = Net()
-    tr = _Translator(net, cbn, weighted)
-    sub = tr.go(term, 0)
-    net.attach(sub.root, 0, ("root",))
-    net.root = sub.root
-    for name in sorted(sub.free):
-        net.attach(sub.free[name], 1, ("free", name))
-        net.free[name] = sub.free[name]
+    root, free = _Translator(net, cbn, weighted).go(term, 0)
+    net.attach(root, 0, ("root",))
+    net.root = root
+    for name in sorted(free):
+        edge, _ = free[name]
+        net.attach(edge, 1, ("free", name))
+        net.free[name] = edge
     problems = validate(net)
     if problems:
         raise TranslationError("; ".join(problems))
