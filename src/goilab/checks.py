@@ -14,8 +14,9 @@ from .calculus import (LCA, LCF, Configuration, FuelExhaustedError, TraceStep,
                        normalize_sigma, reduce, reduction_graph)
 from .corpus import CorpusEntry
 from .labelled import label_of
-from .labels import (Atomic, Marker, Over, RIGHT, Under, atoms_flat, concat,
-                     format_label, mark, reverse)
+from .labels import (ArgumentLabelError, Atomic, Marker, Over, RIGHT, Under,
+                     atoms_flat, concat, format_label, mark, reverse,
+                     split_argument_label)
 from .nets import (NetError, closed_cut_step, eligible_cuts, iso_check,
                    translate_cbn, translate_cbv, validate)
 from .paths import check_invariance, weight_member, weight_set
@@ -133,22 +134,11 @@ def _source_size(entry: CorpusEntry) -> int:
 # ---------------------------------------------------------------------------
 # criterion 5: label-shape lemmas
 
-def _is_right_marker(atom) -> bool:
-    return isinstance(atom, Marker) and atom.direction == RIGHT
-
-
-def _decompose_argument(label, forbid_d: bool, need_box_marker: bool) -> Optional[str]:
-    i = 0
-    while i < len(label) and _is_right_marker(label[i]):
-        if forbid_d and label[i].kind == "D":
-            return "dereliction marker in the exponential prefix"
-        i += 1
-    if i >= len(label) or not isinstance(label[i], Under):
-        return "no underlined block after the exponential prefix"
-    if need_box_marker:
-        i += 1
-        if i >= len(label) or label[i] != Marker("left", "!"):
-            return "no box marker after the underlined block"
+def _argument_problem(label, boxed: bool) -> Optional[str]:
+    try:
+        split_argument_label(label, boxed)
+    except ArgumentLabelError as exc:
+        return str(exc)
     return None
 
 
@@ -196,9 +186,7 @@ def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
                     if calculus == LCA and free_vars(t.arg):
                         failures.append(f"{where}: open substitution at {pos}")
                     arg_label = label_of(t.arg)
-                    problem = _decompose_argument(
-                        arg_label, forbid_d=(calculus == LCA),
-                        need_box_marker=(calculus == LCA))
+                    problem = _argument_problem(arg_label, boxed=(calculus == LCA))
                     if problem:
                         failures.append(
                             f"{where}: argument label {format_label(arg_label)}"
@@ -214,8 +202,7 @@ def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
                                     and entry.atom_classes.get(atom.name) == "var"
                                     and i + 1 < len(seq)):
                                 suffix = seq[i + 1:]
-                                problem = _decompose_argument(
-                                    suffix, forbid_d=False, need_box_marker=False)
+                                problem = _argument_problem(suffix, boxed=False)
                                 if problem:
                                     failures.append(
                                         f"{entry.name}/lcf: variable atom "

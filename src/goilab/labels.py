@@ -210,6 +210,34 @@ def parse_label(text: str) -> Label:
     return label
 
 
+class ArgumentLabelError(ValueError):
+    pass
+
+
+def split_argument_label(label: Label, boxed: bool = True) -> tuple[Label, Label]:
+    """Split the label of a substitution argument after its prefix: right
+    markers, one underlined block and, when ``boxed``, the ``<!`` that
+    enters the argument's box.  A boxed label has no ``D>`` in its prefix
+    and goes on after it.  Returns (prefix, rest); raises
+    ``ArgumentLabelError`` at the first part that is wrong or missing.
+    """
+    i = 0
+    while i < len(label) and isinstance(label[i], Marker) and label[i].direction == RIGHT:
+        if boxed and label[i].kind == "D":
+            raise ArgumentLabelError("dereliction marker in the exponential prefix")
+        i += 1
+    if i >= len(label) or not isinstance(label[i], Under):
+        raise ArgumentLabelError("no underlined block after the exponential prefix")
+    i += 1
+    if boxed:
+        if i >= len(label) or label[i] != Marker(LEFT, "!"):
+            raise ArgumentLabelError("no box marker after the underlined block")
+        i += 1
+        if i >= len(label):
+            raise ArgumentLabelError("nothing after the box marker")
+    return label[:i], label[i:]
+
+
 def atoms_flat(label: Label):
     """All atoms, recursing under over/underlines, in reading order."""
     for a in label:

@@ -35,7 +35,7 @@ from typing import Optional
 from .algebra import (ONE, ZERO, LevelledWeight, LevelUnderflowError, WAtom,
                       Weight, compose, entry_level_needed, involute,
                       format_weight, lw, watom)
-from .labels import LEFT, RIGHT, Label, Marker, Under
+from .labels import ArgumentLabelError, Label, split_argument_label
 from .labelled import UnlabelledTermError, label_of
 from .terms import Abs, App, Copy, Erase, Subst, Term, Var
 
@@ -457,7 +457,10 @@ class _Translator:
         override = None
         ext_weight = prefix
         if split and self.weighted:
-            outside, override = split_argument_label(label_of(arg))
+            try:
+                outside, override = split_argument_label(label_of(arg))
+            except ArgumentLabelError as exc:
+                raise TranslationError(f"argument label: {exc}") from exc
             r = lw(outside, self.entry_level(outside, entry))
             ext_weight = compose(prefix, r.weight)
             interior_entry = r.out_level
@@ -476,26 +479,6 @@ class _Translator:
         if shared:
             raise TranslationError(f"free variables not linear: {sorted(shared)}")
         return {**a, **b}
-
-
-def split_argument_label(label: Label) -> tuple[Label, Label]:
-    """Split an argument label into (markers + underline + box marker, rest).
-
-    Reachable substitution arguments have labels of this shape; anything
-    else is rejected.
-    """
-    i = 0
-    while i < len(label) and isinstance(label[i], Marker) and label[i].direction == RIGHT:
-        i += 1
-    if i >= len(label) or not isinstance(label[i], Under):
-        raise TranslationError("argument label lacks an underlined block")
-    i += 1
-    if i >= len(label) or label[i] != Marker(LEFT, "!"):
-        raise TranslationError("argument label lacks its box marker")
-    i += 1
-    if i >= len(label):
-        raise TranslationError("argument label ends at its box marker")
-    return label[:i], label[i:]
 
 
 def _translate(term: Term, cbn: bool, weighted: bool) -> Net:

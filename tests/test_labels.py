@@ -1,8 +1,11 @@
 import random
 
-from goilab.labels import (LEFT, RIGHT, Atomic, Marker, Over, Under, atomic,
-                           concat, f_multiplicative, format_label, mark, over,
-                           parse_label, reverse, strip_lines, strip_pq, under)
+import pytest
+
+from goilab.labels import (LEFT, RIGHT, ArgumentLabelError, Atomic, Marker,
+                           Over, Under, atomic, concat, f_multiplicative,
+                           format_label, mark, over, parse_label, reverse,
+                           split_argument_label, strip_lines, strip_pq, under)
 from goilab.checks import random_label
 
 
@@ -71,3 +74,26 @@ def test_parse_rejects_garbage():
         except ValueError:
             continue
         raise AssertionError(f"{text!r} should not parse")
+
+
+def test_split_argument_label_after_its_prefix():
+    boxed = parse_label("!>.R>._(a.<D).<!.b")
+    assert split_argument_label(boxed) == (parse_label("!>.R>._(a.<D).<!"),
+                                           parse_label("b"))
+    unboxed = parse_label("D>._(a).b.<!")
+    assert split_argument_label(unboxed, boxed=False) == (
+        parse_label("D>._(a)"), parse_label("b.<!"))
+
+
+@pytest.mark.parametrize("text, boxed, message", [
+    ("D>._(a).<!.b", True, "dereliction marker in the exponential prefix"),
+    ("!>.a._(b)", False, "no underlined block after the exponential prefix"),
+    ("!>", False, "no underlined block after the exponential prefix"),
+    ("!>._(a).b", True, "no box marker after the underlined block"),
+    ("_(a)", True, "no box marker after the underlined block"),
+    ("_(a).<!", True, "nothing after the box marker"),
+])
+def test_split_argument_label_names_what_is_wrong(text, boxed, message):
+    with pytest.raises(ArgumentLabelError) as caught:
+        split_argument_label(parse_label(text), boxed)
+    assert str(caught.value) == message
