@@ -252,12 +252,15 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
     """
     translate = translate_cbv if calculus == LCF else translate_cbn
     failures = []
-    words_cache = {}  # term -> weight set of its net; a raising term is absent
+    words_cache = {}  # term -> weight set of its net, or the error it raised
     checked = 0
 
     def words_of(term):
         if term not in words_cache:
-            words_cache[term] = weight_set(translate(term))
+            try:
+                words_cache[term] = weight_set(translate(term))
+            except Exception as exc:  # budget or translation trouble is a failure
+                words_cache[term] = f"{type(exc).__name__}: {exc}"
         return words_cache[term]
 
     for entry in entries:
@@ -265,12 +268,12 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
             checked += 1
             where = {"term": entry.name, "rule": site.rule,
                      "position": list(site.position)}
-            try:
-                report = check_invariance(words_of(src), words_of(dst))
-            except Exception as exc:  # budget or translation trouble is a failure
-                failures.append({**where,
-                                 "error": f"{type(exc).__name__}: {exc}"})
+            left, right = words_of(src), words_of(dst)
+            if isinstance(left, str) or isinstance(right, str):
+                failures.append({**where, "error": left if isinstance(left, str)
+                                 else right})
                 continue
+            report = check_invariance(left, right)
             if not report["live_equal"]:
                 failures.append({
                     **where,

@@ -370,7 +370,10 @@ class _Translator:
                 weaken = self.node("weaken")
                 e_x = net.new_edge(("node", weaken, "out"), None,
                                    ZERO if self.weighted else ONE)
-                return root, {**free, binder: (e_x, level if self.weighted else 0)}
+                # the binder sits where the body's label ends: after an lcf
+                # Beta that label enters the function's box, where it lived
+                label = override if override is not None else self._label(body)
+                return root, {**free, binder: (e_x, self.lw_here(label, level).out_level)}
 
             case Copy(source, left, right, body):
                 root, free = self.go(body, level, override)
