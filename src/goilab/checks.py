@@ -218,7 +218,9 @@ def _step_edges(entry: CorpusEntry, calculus: str, graph_budget: int,
                 trace_fuel: int):
     """Reduction steps to check: the exhaustive graph up to a budget, and
     when the budget cuts it short, the leftmost-outermost trace too.  A
-    complete graph holds every step of the trace already."""
+    complete graph holds every step of the trace already.  When the trace
+    runs out of fuel as well, ``FuelExhaustedError`` follows the graph's
+    steps."""
     seen = set()
     graph = reduction_graph(Configuration(entry.initial), calculus,
                             max_configs=graph_budget)
@@ -229,7 +231,8 @@ def _step_edges(entry: CorpusEntry, calculus: str, graph_budget: int,
             yield key
     if graph.complete:
         return
-    trace = _trace(entry, calculus, trace_fuel) or ()
+    if (trace := _trace(entry, calculus, trace_fuel)) is None:
+        raise FuelExhaustedError("trace fuel exhausted")
     for before, ts in zip(trace, trace[1:]):
         key = (before.config.term, ts.site, ts.config.term)
         if key not in seen:
@@ -248,7 +251,8 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
     searched once per call, however many steps touch it.  A failure names
     the term, rule and position of the step and the live words found on
     one side only, or the error that stopped the step: a search that runs
-    out of ``paths.MAX_EXPANSIONS`` is one.
+    out of ``paths.MAX_EXPANSIONS`` is one, and so is a trace that runs out
+    of ``trace_fuel`` when ``graph_budget`` cuts the graph short.
     """
     translate = translate_cbv if calculus == LCF else translate_cbn
     failures = []
@@ -264,22 +268,26 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
         return words_cache[term]
 
     for entry in entries:
-        for src, site, dst in _step_edges(entry, calculus, graph_budget, trace_fuel):
-            checked += 1
-            where = {"term": entry.name, "rule": site.rule,
-                     "position": list(site.position)}
-            left, right = words_of(src), words_of(dst)
-            if isinstance(left, str) or isinstance(right, str):
-                failures.append({**where, "error": left if isinstance(left, str)
-                                 else right})
-                continue
-            report = check_invariance(left, right)
-            if not report["live_equal"]:
-                failures.append({
-                    **where,
-                    "left_only": report["live_left_only"][:4],
-                    "right_only": report["live_right_only"][:4],
-                })
+        steps = _step_edges(entry, calculus, graph_budget, trace_fuel)
+        try:
+            for src, site, dst in steps:
+                checked += 1
+                where = {"term": entry.name, "rule": site.rule,
+                         "position": list(site.position)}
+                left, right = words_of(src), words_of(dst)
+                if isinstance(left, str) or isinstance(right, str):
+                    failures.append({**where, "error": left
+                                     if isinstance(left, str) else right})
+                    continue
+                report = check_invariance(left, right)
+                if not report["live_equal"]:
+                    failures.append({
+                        **where,
+                        "left_only": report["live_left_only"][:4],
+                        "right_only": report["live_right_only"][:4],
+                    })
+        except FuelExhaustedError as exc:
+            failures.append({"term": entry.name, "error": str(exc)})
     # reduction may lose live weights but never invents them
     containment = all(not f.get("right_only") for f in failures)
     return {"ok": not failures, "failures": failures[:40], "steps_checked": checked,

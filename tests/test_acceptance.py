@@ -91,7 +91,8 @@ def _failing_steps(r):
             what = f"gained {f['right_only'][0]}"
         else:
             what = f["error"]
-        lines.append(f"{f['term']} {f['rule']} at {f['position']}: {what}")
+        step = f" {f['rule']} at {f['position']}" if "rule" in f else ""
+        lines.append(f"{f['term']}{step}: {what}")
     return "; ".join(lines)
 
 

@@ -8,7 +8,7 @@ from goilab.calculus import (LCA, LCF, RULES, SIGMA_RULES, Configuration,
                              normalize_sigma, reduce, reduction_graph, step,
                              trace_records)
 from goilab.checks import (check_label_lemmas, check_propagation,
-                           check_sigma_termination)
+                           check_sigma_termination, check_weight_invariance)
 from goilab.corpus import closed_terms, corpus, prepare
 from goilab.labelled import initialize, label_of
 from goilab.labels import LEFT, RIGHT, Marker, atomic, format_label
@@ -270,6 +270,12 @@ def test_suites_report_an_exhausted_trace():
     for calc, line in zip((LCF, LCA), expected):
         assert check_label_lemmas([entry], calc, trace_fuel=1)["failures"] == [line]
         assert check_label_lemmas([entry], calc, trace_fuel=2)["ok"]
+        # criteria 6 and 7 read the trace when the graph budget cuts it short
+        assert check_weight_invariance([entry], calc, graph_budget=1,
+                                       trace_fuel=1)["failures"] == [
+            {"term": "id", "error": "trace fuel exhausted"}]
+        assert check_weight_invariance([entry], calc, graph_budget=1,
+                                       trace_fuel=2)["ok"]
     assert check_propagation([entry], trace_fuel=2)["ok"]
 
 

@@ -179,7 +179,8 @@ def test_weight_set_budget_is_a_step_error(monkeypatch):
 
 def test_term_without_normal_form_exhausts_the_budget():
     # the live words of a net whose term does not normalise never run out;
-    # the default budget stops each search, and each step is an error
+    # the default budget stops each search, and each step is an error.  Its
+    # trace runs out of fuel too, and that is one more failure
     omega = prepare("omega", parse_lambda("(\\x.x x) (\\x.x x)"))
     for calculus, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
         with pytest.raises(SearchBudgetError):
@@ -187,9 +188,10 @@ def test_term_without_normal_form_exhausts_the_budget():
         report = check_weight_invariance([omega], calculus, graph_budget=3,
                                          trace_fuel=3)
         assert not report["ok"]
-        assert report["steps_checked"] == len(report["failures"]) > 0
-        assert all(f["error"].startswith("SearchBudgetError")
-                   for f in report["failures"])
+        *steps, last = report["failures"]
+        assert report["steps_checked"] == len(steps) > 0
+        assert all(f["error"].startswith("SearchBudgetError") for f in steps)
+        assert last == {"term": "omega", "error": "trace fuel exhausted"}
 
 
 def test_invariance_sigma_step_exact():
