@@ -515,7 +515,8 @@ def _splice(net: Net, pm: dict, nid: int, port_a: str, port_b: str) -> int:
     oriented edge that reads (edge at port_a towards the node) then (edge at
     port_b away from the node).  The port map ``pm`` of ``net`` is kept
     current: the node's ports leave it and the outer ends point at the fused
-    edge.  A self-loop raises before anything changes."""
+    edge, as does the interface an outer end is.  A self-loop raises before
+    anything changes."""
     ea, ia = pm[(nid, port_a)]
     eb, ib = pm[(nid, port_b)]
     if ea == eb:
@@ -527,15 +528,15 @@ def _splice(net: Net, pm: dict, nid: int, port_a: str, port_b: str) -> int:
     fused = net.new_edge(outer_a, outer_b, weight)
     del pm[(nid, port_a)], pm[(nid, port_b)]
     for i, end in enumerate((outer_a, outer_b)):
-        if end is not None and end[0] == "node":
+        if end is None:
+            continue
+        if end[0] == "node":
             pm[(end[1], end[2])] = (fused, i)
-    for old in (ea, eb):
-        net.edges.pop(old)
-        if net.root == old:
+        elif end[0] == "root":
             net.root = fused
-        for name, fe in list(net.free.items()):
-            if fe == old:
-                net.free[name] = fused
+        else:
+            net.free[end[1]] = fused
+    del net.edges[ea], net.edges[eb]
     net.nodes.pop(nid)
     for b in net.boxes.values():
         b.contents.discard(nid)
