@@ -35,7 +35,7 @@ from typing import Optional
 from .algebra import (ONE, ZERO, LevelledWeight, LevelUnderflowError, WAtom,
                       Weight, compose, entry_level_needed, involute,
                       format_weight, lw, watom)
-from .labels import ArgumentLabelError, Label, split_argument_label
+from .labels import ArgumentLabelError, Label, Over, split_argument_label
 from .labelled import UnlabelledTermError, label_of
 from .terms import Abs, App, Copy, Erase, Subst, Term, Var
 
@@ -370,10 +370,8 @@ class _Translator:
                 weaken = self.node("weaken")
                 e_x = net.new_edge(("node", weaken, "out"), None,
                                    ZERO if self.weighted else ONE)
-                # the binder sits where the body's label ends: after an lcf
-                # Beta that label enters the function's box, where it lived
-                label = override if override is not None else self._label(body)
-                return root, {**free, binder: (e_x, self.lw_here(label, level).out_level)}
+                return root, {**free, binder: (e_x, self._erased_level(
+                    override if override is not None else self._label(body), level))}
 
             case Copy(source, left, right, body):
                 root, free = self.go(body, level, override)
@@ -410,6 +408,21 @@ class _Translator:
             return label_of(term)
         except UnlabelledTermError:
             return None
+
+    def _erased_level(self, label: Optional[Label], level: int) -> int:
+        """The level of a binder erased above a body labelled ``label``.
+
+        The Beta step that takes the binder's abstraction away prefixes the
+        body's label with ``β.<(D>.α.<!)>`` (``lcf``) or ``β.<(α)>``
+        (``lca``); the overline ends where the binder lived, inside the
+        function's box in call-by-value.  Later steps add to the label in
+        front of that overline (an enclosing Beta) or after it (a Var step
+        appends the argument's label), so the binder sits where the label's
+        last overline ends.  With no overline, or no label, it sits at the
+        erase node's level.
+        """
+        ends = [i + 1 for i, a in enumerate(label or ()) if isinstance(a, Over)]
+        return self.lw_here(label[:ends[-1]] if ends else None, level).out_level
 
     def _bind(self, root: int, free: dict, binder: str, inner_level: int) -> int:
         """The par node that binds ``binder`` (taken out of ``free``) on its

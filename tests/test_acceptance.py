@@ -125,6 +125,21 @@ def test_criterion_07_weight_invariance_lca_cbn():
         f"(rules {r['failing_rules']}): {_failing_steps(r)}")
 
 
+def test_criteria_06_07_weight_invariance_on_the_size_8_corpus():
+    # beyond the desk corpus: no step of either calculus loses or invents a
+    # live weight (README, Weight invariance)
+    size_8 = corpus(max_size=8)
+    for number, calculus, name in ((6, LCF, "lcf/cbv"), (7, LCA, "lca/cbn")):
+        start = time.time()
+        r = check_weight_invariance(size_8, calculus)
+        elapsed = time.time() - start
+        report_line(number, f"step invariance on corpus(8) ({name})", r["ok"],
+                    _invariance_detail(r, elapsed))
+        assert r["ok"], (
+            f"live weight sets differ on {len(r['failures'])} steps "
+            f"(rules {r['failing_rules']}): {_failing_steps(r)}")
+
+
 def test_criterion_08_closed_cut_elimination_simulation():
     start = time.time()
     r = check_net_simulation(entries())

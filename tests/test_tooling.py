@@ -15,6 +15,7 @@ from goilab.paths import weight_set
 from goilab.terms import parse_lambda
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "goilab"
 
 # names bench/run.py imports or calls directly
 RUN_NAMES = ("calculus.reduce", "calculus.Configuration",
@@ -127,3 +128,11 @@ def test_every_net_comparison_passes_through_iso_check(monkeypatch):
         report = check_net_simulation([entry])
     assert report["ok"] and report["steps_checked"] > 0
     assert verdicts and any(verdicts)
+
+
+def test_only_the_suites_catch_every_exception():
+    # a suite turns any exception into a reported failure; anywhere else a
+    # bare except Exception would hide a fault
+    catching = sorted(path.name for path in SRC.glob("*.py")
+                      if "except Exception" in path.read_text())
+    assert catching == ["checks.py"]
