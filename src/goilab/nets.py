@@ -370,8 +370,8 @@ class _Translator:
                 weaken = self.node("weaken")
                 e_x = net.new_edge(("node", weaken, "out"), None,
                                    ZERO if self.weighted else ONE)
-                return root, {**free, binder: (e_x, self._erased_level(
-                    override if override is not None else self._label(body), level))}
+                label = override if override is not None else self._label(body)
+                return root, {**free, binder: (e_x, self._erased_level(label, level))}
 
             case Copy(source, left, right, body):
                 root, free = self.go(body, level, override)

@@ -409,10 +409,11 @@ def test_lcf_steps_of_random_terms_keep_the_live_words(term):
     assume(graph.complete)
     assert check_weight_invariance([entry], LCF, graph_budget=300)["ok"]
 
-# lcf Beta steps that substitute an open argument.  Each of the first three
-# once gained live words or could not be translated, with its erased binder
-# at the erase node's level; the last two underflow a level when the binder
-# sits where its body's whole label ends, rather than its last overline
+
+# lcf Beta steps that substitute an open argument.  With the erased binder
+# at the erase node's level, each but closed_09_1898 gained live words or
+# could not be translated; with it where its body's whole label ends rather
+# than its last overline, the last two underflow a level
 @pytest.mark.parametrize("name, source", [
     ("closed_08_358", "\\x0.x0 ((\\x1.\\x2.x2) x0)"),
     ("closed_08_460", "\\x0.(\\x1.\\x2.x2) x0 x0"),
