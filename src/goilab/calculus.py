@@ -5,7 +5,7 @@ arguments.  Rules fire under any context; sites are ordered position-first
 (preorder) and rule-name-alphabetical for reproducible traces.  One lazy
 generator, ``_redexes``, contracts each redex in that order with one
 ``_apply_rule`` call; the reduction graph and the leftmost-outermost walk
-of ``reduce`` and ``normalize_sigma`` read it.
+of ``reduce`` and ``sigma_walk`` read it.
 """
 
 from __future__ import annotations
@@ -251,14 +251,23 @@ def _leftmost_outermost(config: Configuration, calculus: str, rules: tuple,
         config = ts.config
 
 
+def sigma_walk(config: Configuration, calculus: str,
+               fuel: Optional[int] = None) -> tuple[Configuration, int]:
+    """The sigma-normal form of ``config`` and the number of leftmost-outermost
+    sigma steps to it.  ``fuel`` defaults to ``default_sigma_fuel``."""
+    if fuel is None:
+        fuel = default_sigma_fuel(config.term)
+    steps = 0
+    for ts in _leftmost_outermost(config, calculus, SIGMA_RULES[calculus], fuel):
+        config = ts.config
+        steps += 1
+    return config, steps
+
+
 def normalize_sigma(config: Configuration, calculus: str,
                     fuel: Optional[int] = None) -> Configuration:
     """Apply sigma rules leftmost-outermost to a sigma-normal form."""
-    if fuel is None:
-        fuel = default_sigma_fuel(config.term)
-    for ts in _leftmost_outermost(config, calculus, SIGMA_RULES[calculus], fuel):
-        config = ts.config
-    return config
+    return sigma_walk(config, calculus, fuel)[0]
 
 
 def reduce(config: Configuration, calculus: str, fuel: int = 10_000) -> list:

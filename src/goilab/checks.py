@@ -11,7 +11,7 @@ from typing import Iterable, Optional
 
 from .algebra import ONE, ZERO, compose, involute, lw, watom, weight_equal
 from .calculus import (LCA, LCF, Configuration, FuelExhaustedError, TraceStep,
-                       normalize_sigma, reduce, reduction_graph)
+                       default_sigma_fuel, reduce, reduction_graph, sigma_walk)
 from .corpus import CorpusEntry
 from .labelled import label_of
 from .labels import (ArgumentLabelError, Atomic, Marker, Over, RIGHT, Under,
@@ -78,14 +78,38 @@ def _sigma_normal_forms(entries: Iterable[CorpusEntry], trace_fuel: int,
             if (trace := _trace(entry, calculus, trace_fuel)) is None:
                 failures.append(f"{entry.name}/{calculus}: trace fuel exhausted")
                 continue
-            for ts in trace:
-                try:
-                    nf = normalize_sigma(ts.config, calculus)
-                except FuelExhaustedError:
-                    nf = None
+            for ts, nf in zip(trace, _trace_sigma_normal_forms(trace, calculus)):
+                if nf is None:
                     failures.append(f"{entry.name}/{calculus}: sigma fuel exhausted "
                                     f"on {format_term(ts.config.term, labels=True)}")
                 yield entry, calculus, nf
+
+
+def _trace_sigma_normal_forms(trace: list, calculus: str) -> list:
+    """The sigma-normal form of each configuration of a leftmost-outermost
+    ``trace``, or None where ``default_sigma_fuel`` runs out, as
+    ``normalize_sigma`` finds them.
+
+    The trace is walked backwards.  A step that is not ``Beta`` is also
+    the first step of the sigma walk of the configuration it leaves, so
+    that configuration has the normal form of the next one, one step
+    further away.  It is reused when that many steps fit the
+    configuration's own fuel; otherwise the walk starts afresh."""
+    forms = [None] * len(trace)
+    nf = steps = None
+    for i in reversed(range(len(trace))):
+        config = trace[i].config
+        if (nf is not None and i + 1 < len(trace)
+                and trace[i + 1].site.rule != "Beta"
+                and steps < default_sigma_fuel(config.term)):
+            steps += 1
+        else:
+            try:
+                nf, steps = sigma_walk(config, calculus)
+            except FuelExhaustedError:
+                nf = steps = None
+        forms[i] = nf
+    return forms
 
 
 def check_sigma_termination(entries: Iterable[CorpusEntry],

@@ -24,45 +24,81 @@ from typing import Iterator, Optional
 from .labels import Label, format_label
 
 
-@dataclass(frozen=True)
+def _hash_once(cls):
+    """Keep the hash of a term class's fields in its ``_hash`` slot, computed
+    on the first ``hash``: terms are immutable, so the fields' hash never
+    changes, and each dict or set lookup then costs one slot read instead of
+    a walk of the whole term.  Pickling and copying rebuild a node from its
+    fields alone, since a ``str`` hash differs between processes."""
+    field_hash = cls.__hash__  # the dataclass's hash of the compared fields
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            value = field_hash(self)
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, name) for name in cls.__match_args__)
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
+    return cls
+
+
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     label: Optional[Label] = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Abs:
     binder: str
     body: "Term"
     label: Optional[Label] = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class App:
     fun: "Term"
     arg: "Term"
     label: Optional[Label] = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Erase:
     binder: str
     body: "Term"
+    _hash: int = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Copy:
     source: str
     left: str
     right: str
     body: "Term"
+    _hash: int = field(init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@_hash_once
+@dataclass(frozen=True, slots=True)
 class Subst:
     body: "Term"
     arg: "Term"
     target: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
 
 Term = Var | Abs | App | Erase | Copy | Subst
@@ -157,37 +193,56 @@ def free_vars(term: Term) -> frozenset:
 
 
 def check_linear(term: Term) -> list:
-    """Variable-constraint violations as (position, message); empty means ok."""
+    """Variable-constraint violations as (position, message) in preorder;
+    empty means ok.  Free variables are computed bottom-up in one pass."""
     violations = []
-    for pos, t in subterms(term):
+
+    def fv(t: Term, pos: tuple) -> frozenset:
+        """Free variables of ``t``; its violations go before those found
+        below it."""
+        mark = len(violations)
+        found = []
         match t:
-            case Var():
-                pass
+            case Var(name):
+                return frozenset((name,))
             case Abs(binder, body):
-                if binder not in free_vars(body):
-                    violations.append((pos, f"abstraction binder {binder} unused in body"))
+                inner = fv(body, pos + (0,))
+                if binder not in inner:
+                    found.append(f"abstraction binder {binder} unused in body")
+                free = inner - {binder}
             case App(fun, arg):
-                shared = free_vars(fun) & free_vars(arg)
-                if shared:
-                    violations.append((pos, f"application shares free variables {sorted(shared)}"))
+                left, right = fv(fun, pos + (0,)), fv(arg, pos + (1,))
+                if shared := left & right:
+                    found.append(f"application shares free variables {sorted(shared)}")
+                free = left | right
             case Erase(binder, body):
-                if binder in free_vars(body):
-                    violations.append((pos, f"erased variable {binder} occurs in body"))
+                inner = fv(body, pos + (0,))
+                if binder in inner:
+                    found.append(f"erased variable {binder} occurs in body")
+                free = inner | {binder}
             case Copy(source, left, right, body):
-                fv = free_vars(body)
+                inner = fv(body, pos + (0,))
                 if left == right:
-                    violations.append((pos, f"copy targets must differ, got {left} twice"))
-                if source in fv:
-                    violations.append((pos, f"copy source {source} already free in body"))
-                if not {left, right} <= fv:
-                    violations.append((pos, f"copy targets {left},{right} must be free in body"))
+                    found.append(f"copy targets must differ, got {left} twice")
+                if source in inner:
+                    found.append(f"copy source {source} already free in body")
+                if not {left, right} <= inner:
+                    found.append(f"copy targets {left},{right} must be free in body")
+                free = (inner - {left, right}) | {source}
             case Subst(body, arg, target):
-                fvb = free_vars(body)
-                if target not in fvb:
-                    violations.append((pos, f"substitution target {target} not free in body"))
-                shared = (fvb - {target}) & free_vars(arg)
-                if shared:
-                    violations.append((pos, f"substitution shares free variables {sorted(shared)}"))
+                inner, outer = fv(body, pos + (0,)), fv(arg, pos + (1,))
+                if target not in inner:
+                    found.append(f"substitution target {target} not free in body")
+                rest = inner - {target}
+                if shared := rest & outer:
+                    found.append(f"substitution shares free variables {sorted(shared)}")
+                free = rest | outer
+            case _:
+                raise AssertionError
+        violations[mark:mark] = [(pos, message) for message in found]
+        return free
+
+    fv(term, ())
     return violations
 
 

@@ -1,4 +1,6 @@
 import pytest
+from conftest import closed_lambda_terms
+from hypothesis import given, settings
 
 from goilab import calculus, checks
 from goilab.calculus import (LCA, LCF, RULES, SIGMA_RULES, Configuration,
@@ -7,14 +9,15 @@ from goilab.calculus import (LCA, LCF, RULES, SIGMA_RULES, Configuration,
                              default_sigma_fuel, find_redexes,
                              normalize_sigma, reduce, reduction_graph, step,
                              trace_records)
-from goilab.checks import (check_label_lemmas, check_propagation,
+from goilab.checks import (_trace, _trace_sigma_normal_forms,
+                           check_label_lemmas, check_propagation,
                            check_sigma_termination, check_weight_invariance)
 from goilab.corpus import closed_terms, corpus, prepare
 from goilab.labelled import initialize, label_of
 from goilab.labels import LEFT, RIGHT, Marker, atomic, format_label
 from goilab.terms import (Abs, App, Copy, Erase, Subst, Var, check_linear,
                           compile_term, format_term, free_vars, parse_lambda,
-                          strip_labels, subterms)
+                          strip_labels, subterms, term_size)
 
 
 def identity_application():
@@ -285,7 +288,7 @@ def test_propagation_reports_sigma_fuel_exhaustion(monkeypatch):
     def exhausted(config, calculus):
         raise FuelExhaustedError("sigma normalisation exceeded fuel")
 
-    monkeypatch.setattr(checks, "normalize_sigma", exhausted)
+    monkeypatch.setattr(checks, "sigma_walk", exhausted)
     report = check_propagation([entry])
     assert not report["ok"]
     # one failure per configuration of each two-step trace, worded as in
@@ -293,6 +296,63 @@ def test_propagation_reports_sigma_fuel_exhaustion(monkeypatch):
     assert len(report["failures"]) == 6
     assert report["failures"][0].startswith("id/lcf: sigma fuel exhausted on ")
     assert report["failures"] == check_sigma_termination([entry])["failures"]
+
+
+def _from_scratch(config, calc):
+    try:
+        return normalize_sigma(config, calc)
+    except FuelExhaustedError:
+        return None
+
+
+def _shared_and_scratch_forms():
+    """(shared, from-scratch) sigma-normal forms of every trace
+    configuration of ``corpus(7)`` under both calculi, and for each
+    configuration one sigma step before a normalised one, whether its own
+    fuel ran out."""
+    shared, scratch, boundary = [], [], []
+    for entry in corpus(7):
+        for calc in (LCF, LCA):
+            trace = _trace(entry, calc, 10_000)
+            forms = _trace_sigma_normal_forms(trace, calc)
+            shared += forms
+            scratch += [_from_scratch(ts.config, calc) for ts in trace]
+            boundary += [forms[i] is None for i in range(len(trace) - 1)
+                         if trace[i + 1].site.rule != "Beta"
+                         and forms[i + 1] is not None]
+    return shared, scratch, boundary
+
+
+def test_shared_sigma_normal_forms_equal_from_scratch_ones():
+    shared, scratch, boundary = _shared_and_scratch_forms()
+    assert shared == scratch
+    assert None not in shared and boundary and not any(boundary)
+
+
+def test_shared_sigma_normal_forms_run_out_of_fuel_where_scratch_ones_do(
+        monkeypatch):
+    # a fuel small enough that some walks run out, some of them one step
+    # before a configuration whose walk does not
+    def small(term):
+        return term_size(term) % 7
+
+    monkeypatch.setattr(calculus, "default_sigma_fuel", small)
+    monkeypatch.setattr(checks, "default_sigma_fuel", small)
+    shared, scratch, boundary = _shared_and_scratch_forms()
+    assert shared == scratch
+    assert None in scratch and True in boundary and False in boundary
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(closed_lambda_terms(max_size=12))
+def test_linearity_survives_each_step(term):
+    initial = prepare("random", term).initial
+    for calc in (LCF, LCA):
+        graph = reduction_graph(Configuration(initial), calc, max_configs=300)
+        for config in graph.configs:
+            assert check_linear(config.term) == [], printed(config)
+            for erased in config.erased:
+                assert check_linear(erased) == [], printed(config)
 
 
 def test_subject_reduction_along_traces():

@@ -1,3 +1,10 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from conftest import closed_lambda_terms
 from hypothesis import given, settings
@@ -5,10 +12,11 @@ from hypothesis import given, settings
 from goilab.calculus import LCA, LCF
 from goilab.checks import _trace
 from goilab.corpus import closed_terms, prepare
+from goilab.labels import atomic
 from goilab.terms import (Abs, App, Copy, Erase, FreshSupply, ParseError,
                           Subst, Var, alpha_equal, check_linear, compile_term,
                           erase_annotations, format_term, free_vars, parse,
-                          parse_lambda, strip_labels, term_size)
+                          parse_lambda, strip_labels, subterms, term_size)
 
 
 def test_parse_identity():
@@ -122,3 +130,133 @@ def test_fresh_supply_avoids_used_names():
 
 def test_term_size():
     assert term_size(parse_lambda("(\\x.x x) (\\x.x z)")) == 9
+
+
+# --- check_linear, one pass ------------------------------------------------
+
+def _check_linear_by_free_vars(term):
+    """check_linear as it was first written: ``free_vars`` at every node."""
+    violations = []
+    for pos, t in subterms(term):
+        match t:
+            case Var():
+                pass
+            case Abs(binder, body):
+                if binder not in free_vars(body):
+                    violations.append((pos, f"abstraction binder {binder} unused in body"))
+            case App(fun, arg):
+                shared = free_vars(fun) & free_vars(arg)
+                if shared:
+                    violations.append((pos, f"application shares free variables {sorted(shared)}"))
+            case Erase(binder, body):
+                if binder in free_vars(body):
+                    violations.append((pos, f"erased variable {binder} occurs in body"))
+            case Copy(source, left, right, body):
+                fv = free_vars(body)
+                if left == right:
+                    violations.append((pos, f"copy targets must differ, got {left} twice"))
+                if source in fv:
+                    violations.append((pos, f"copy source {source} already free in body"))
+                if not {left, right} <= fv:
+                    violations.append((pos, f"copy targets {left},{right} must be free in body"))
+            case Subst(body, arg, target):
+                fvb = free_vars(body)
+                if target not in fvb:
+                    violations.append((pos, f"substitution target {target} not free in body"))
+                shared = (fvb - {target}) & free_vars(arg)
+                if shared:
+                    violations.append((pos, f"substitution shares free variables {sorted(shared)}"))
+    return violations
+
+
+BROKEN = [
+    "\\x.(x x) (\\y.y)",                     # a shared variable
+    "\\x.\\y.x",                              # an unused binder
+    "copy[a->y,y].y y",                         # equal copy targets
+    "copy[a->u,v].u",                           # a copy target unused
+    "copy[u->u,v].u v",                         # a copy source free in body
+    "x[y/z]",                                   # a missing substitution target
+    "(x y)[x/y]",                               # a substitution sharing a variable
+    "eps[x].\\y.x y",                          # an erased variable in the body
+    "\\x.eps[x].(x[x/z] (\\x.x x)) (eps[q].q)",
+]
+
+
+def test_check_linear_reports_hand_broken_terms_as_before():
+    for text in BROKEN:
+        term = parse(text)
+        assert check_linear(term) == _check_linear_by_free_vars(term) != [], text
+    messages = {m for text in BROKEN for _, m in check_linear(parse(text))}
+    for part in ("shares", "unused in body", "must differ", "must be free",
+                 "already free", "not free in body", "occurs in body"):
+        assert any(part in m for m in messages), part
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(closed_lambda_terms(max_size=12))
+def test_check_linear_agrees_with_free_vars_at_every_node(term):
+    entry = prepare("random", term)
+    configs = [ts.config.term for calculus in (LCF, LCA)
+               for ts in _trace(entry, calculus, 50) or ()]
+    for t in (term, entry.compiled, entry.initial, *configs):
+        assert check_linear(t) == _check_linear_by_free_vars(t)
+
+
+# --- term nodes: hashed once, slotted --------------------------------------
+
+NODE_TEXT = "\\a.eps[x].copy[y->u,v].(u v)[w/z]"
+
+
+def _labelled_node():
+    return App(Abs("x", Var("x", atomic("d")), atomic("a")),
+               Subst(Var("y", atomic("e")), Var("z"), "y"), atomic("c"))
+
+
+def test_equal_nodes_built_apart_hash_equal():
+    for build in (lambda: parse(NODE_TEXT), _labelled_node):
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        for (_, x), (_, y) in zip(subterms(a), subterms(b)):
+            assert hash(x) == hash(y)
+
+
+def test_hashing_changes_neither_equality_nor_repr():
+    fresh, hashed = _labelled_node(), _labelled_node()
+    before = repr(hashed)
+    hash(hashed)
+    assert repr(hashed) == before == repr(fresh)
+    assert hashed == fresh and fresh == hashed
+    assert hashed != parse(NODE_TEXT)
+
+
+def test_copies_and_pickles_compare_equal_without_the_cached_hash():
+    for node in (parse(NODE_TEXT), _labelled_node()):
+        hash(node)
+        for again in (copy.copy(node), copy.deepcopy(node),
+                      pickle.loads(pickle.dumps(node))):
+            assert again == node and repr(again) == repr(node)
+            assert not hasattr(again, "_hash")  # rebuilt from its fields
+            assert hash(again) == hash(node)
+
+
+def test_a_pickle_hashes_like_a_node_built_in_another_process(tmp_path):
+    # str hashes differ between processes, so a pickled node must not bring
+    # along the hash it was given where it was made
+    path = str(tmp_path / "node.pickle")
+    build = ("import pickle\n"
+             "from goilab.labels import atomic\n"
+             "from goilab.terms import Abs, App, Var\n"
+             "node = App(Abs('x', Var('x', atomic('d')), atomic('a')),"
+             " Var('y', atomic('e')), atomic('c'))\n")
+
+    def run(seed, code):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        return subprocess.run([sys.executable, "-c", build + code], env=env,
+                              check=True, capture_output=True, text=True).stdout
+
+    made = run("1", f"print(hash(node)); open({path!r}, 'wb').write(pickle.dumps(node))")
+    loaded = run("2", f"loaded = pickle.loads(open({path!r}, 'rb').read())\n"
+                      "assert loaded == node and hash(loaded) == hash(node)\n"
+                      "print(hash(loaded))")
+    assert loaded != made  # the two processes hash str differently

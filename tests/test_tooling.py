@@ -12,7 +12,7 @@ from goilab.checks import (_step_edges, check_net_simulation,
 from goilab.corpus import CLASSICS, prepare
 from goilab.nets import translate_cbn
 from goilab.paths import weight_set
-from goilab.terms import parse_lambda
+from goilab.terms import parse, parse_lambda, subterms
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "goilab"
@@ -136,3 +136,13 @@ def test_only_the_suites_catch_every_exception():
     catching = sorted(path.name for path in SRC.glob("*.py")
                       if "except Exception" in path.read_text())
     assert catching == ["checks.py"]
+
+
+def test_no_term_class_has_a_dict():
+    # term nodes are slotted: a fact cached on a node would need a declared
+    # slot, and could not quietly grow every node of a corpus
+    nodes = [t for _, t in subterms(parse("\\a.eps[x].copy[y->u,v].(u v)[w/z]"))]
+    assert {type(t).__name__ for t in nodes} == {
+        "Abs", "App", "Copy", "Erase", "Subst", "Var"}
+    for t in nodes:
+        assert not hasattr(t, "__dict__"), type(t).__name__
