@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .labels import LEFT, RIGHT, concat, format_label, mark, over, reverse, under
-from .labelled import UnlabelledTermError, bullet, has_labels, label_of
+from .labelled import UnlabelledTermError, bullet, label_of
 from .terms import (Abs, App, Copy, Erase, Subst, Term, Var, format_term,
                     free_vars, replace_at, subterm_at, subterms, term_size)
 
@@ -62,13 +62,6 @@ class TraceStep:
     config: Configuration
 
 
-def _pre(prefix, term: Term) -> Term:
-    """Label prefixing that degrades to identity on unlabelled redexes."""
-    if prefix is None:
-        return term
-    return bullet(prefix, term)
-
-
 def _apply_rule(node: Term, rule: str, calculus: str):
     """Apply ``rule`` at ``node``.  Returns (new_node, erased_term | None).
 
@@ -85,26 +78,21 @@ def _apply_rule(node: Term, rule: str, calculus: str):
             raise PatternMismatchError("Beta needs an applied abstraction")
         fun, arg, beta = node.fun, node.arg, node.label
         alpha = fun.label
-        labelled = alpha is not None and beta is not None
         if calculus == LCF:
             if free_vars(fun):
                 raise SideConditionViolatedError("function part is not closed")
-            if labelled:
-                block = concat(mark(RIGHT, "D"), alpha, mark(LEFT, "!"))
-                outer = concat(beta, over(block))
-                inner = concat(under(reverse(block)))
-            else:
-                outer = inner = None
+        elif free_vars(arg):
+            raise SideConditionViolatedError("argument part is not closed")
+        if alpha is None or beta is None:
+            return Subst(fun.body, arg, fun.binder), None
+        if calculus == LCF:
+            block = concat(mark(RIGHT, "D"), alpha, mark(LEFT, "!"))
+            outer = concat(beta, over(block))
+            inner = under(reverse(block))
         else:
-            if free_vars(arg):
-                raise SideConditionViolatedError("argument part is not closed")
-            if labelled:
-                outer = concat(beta, over(alpha))
-                inner = concat(under(reverse(alpha)), mark(LEFT, "!"))
-            else:
-                outer = inner = None
-        result = Subst(fun.body, _pre(inner, arg), fun.binder)
-        return _pre(outer, result), None
+            outer = concat(beta, over(alpha))
+            inner = concat(under(reverse(alpha)), mark(LEFT, "!"))
+        return bullet(outer, Subst(fun.body, bullet(inner, arg), fun.binder)), None
 
     if not isinstance(node, Subst):
         raise PatternMismatchError(f"{rule} rewrites a substitution")
@@ -116,7 +104,7 @@ def _apply_rule(node: Term, rule: str, calculus: str):
         if calculus == LCF:
             if free_vars(arg):
                 raise SideConditionViolatedError("Lam needs a closed argument")
-            marked = _pre(mark(RIGHT, "?") if has_labels(arg) else None, arg)
+            marked = bullet(mark(RIGHT, "?"), arg)
         else:
             marked = arg
         return Abs(body.binder, Subst(body.body, marked, x), body.label), None
@@ -131,9 +119,7 @@ def _apply_rule(node: Term, rule: str, calculus: str):
             return App(Subst(body.fun, arg, x), body.arg, body.label), None
         if in_fun or x not in free_vars(body.arg):
             raise SideConditionViolatedError(f"{x} not free in argument part")
-        marked = arg
-        if calculus == LCA:
-            marked = _pre(mark(RIGHT, "?") if has_labels(arg) else None, arg)
+        marked = bullet(mark(RIGHT, "?"), arg) if calculus == LCA else arg
         return App(body.fun, Subst(body.arg, marked, x), body.label), None
 
     if rule in ("Cpy1", "Cpy2"):
@@ -144,11 +130,8 @@ def _apply_rule(node: Term, rule: str, calculus: str):
                 raise PatternMismatchError("Cpy1 needs the substituted source")
             if calculus == LCF and free_vars(arg):
                 raise SideConditionViolatedError("Cpy1 needs a closed argument")
-            labelled = has_labels(arg)
-            left_arg = _pre(mark(RIGHT, "R") if labelled else None, arg)
-            right_arg = _pre(mark(RIGHT, "S") if labelled else None, arg)
-            inner = Subst(body.body, left_arg, body.left)
-            return Subst(inner, right_arg, body.right), None
+            inner = Subst(body.body, bullet(mark(RIGHT, "R"), arg), body.left)
+            return Subst(inner, bullet(mark(RIGHT, "S"), arg), body.right), None
         if body.source == x:
             raise PatternMismatchError("Cpy2 needs an independent substitution")
         return Copy(body.source, body.left, body.right, Subst(body.body, arg, x)), None
@@ -161,8 +144,7 @@ def _apply_rule(node: Term, rule: str, calculus: str):
                 raise PatternMismatchError("Ers1 needs the substituted binder")
             if calculus == LCF and free_vars(arg):
                 raise SideConditionViolatedError("Ers1 needs a closed argument")
-            erased = _pre(mark(RIGHT, "W") if has_labels(arg) else None, arg)
-            return body.body, erased
+            return body.body, bullet(mark(RIGHT, "W"), arg)
         if body.binder == x:
             raise PatternMismatchError("Ers2 needs an independent substitution")
         return Erase(body.binder, Subst(body.body, arg, x)), None
@@ -175,7 +157,7 @@ def _apply_rule(node: Term, rule: str, calculus: str):
         prefix = body.label
         if calculus == LCA:
             prefix = concat(prefix, mark(RIGHT, "D"))
-        return _pre(prefix, arg), None
+        return bullet(prefix, arg), None
 
     if rule == "Cmp":
         if not isinstance(body, Subst):

@@ -3,11 +3,12 @@ and free-variable label lookup."""
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Optional
 
 from .labels import Label, atomic, concat
 from .terms import (Abs, App, Copy, Erase, FreshSupply, Subst, Term, Var,
-                    children, free_vars)
+                    free_vars, relabel)
 
 
 class VariableNotFreeError(Exception):
@@ -31,34 +32,10 @@ def initialize(term: Term, supply: Optional[FreshSupply] = None) -> Term:
     """Attach a fresh, pairwise-distinct atomic label to every variable,
     abstraction and application node, in preorder.  Copy, erase and
     substitution nodes stay unlabelled; no markers are placed."""
-    counter = [supply.counter if supply else 0]
-
-    def next_label() -> Label:
-        name = _label_name(counter[0])
-        counter[0] += 1
-        return atomic(name)
-
-    def go(t: Term) -> Term:
-        match t:
-            case Var(name, _):
-                return Var(name, next_label())
-            case Abs(binder, body, _):
-                lab = next_label()
-                return Abs(binder, go(body), lab)
-            case App(fun, arg, _):
-                lab = next_label()
-                return App(go(fun), go(arg), lab)
-            case Erase(binder, body):
-                return Erase(binder, go(body))
-            case Copy(source, left, right, body):
-                return Copy(source, left, right, go(body))
-            case Subst(body, arg, target):
-                return Subst(go(body), go(arg), target)
-        raise AssertionError
-
-    out = go(term)
+    indices = count(supply.counter if supply else 0)
+    out = relabel(term, lambda: atomic(_label_name(next(indices))))
     if supply:
-        supply.counter = counter[0]
+        supply.counter = next(indices)  # the first index left unused
     return out
 
 
@@ -98,14 +75,6 @@ def label_of(term: Term) -> Label:
         case Erase(_, body) | Copy(_, _, _, body) | Subst(body, _, _):
             return label_of(body)
     raise AssertionError
-
-
-def has_labels(term: Term) -> bool:
-    match term:
-        case Var(_, label) | Abs(_, _, label) | App(_, _, label):
-            if label is not None:
-                return True
-    return any(has_labels(c) for c in children(term))
 
 
 def var_label(term: Term, x: str) -> Label:

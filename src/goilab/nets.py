@@ -276,8 +276,10 @@ def validate(net: Net, strict_levels: bool = False) -> list:
 
 class _Translator:
     """Builds one net.  ``go`` returns a term's root edge and a map from
-    each free variable to its dangling edge and the box level it sits at;
-    in an unweighted net every level is 0."""
+    each free variable to its dangling edge and the box level it sits at.
+    ``weighted`` decides the weights only: an unweighted net reads every
+    label as absent, so its levels are box depths, as for an unlabelled
+    term."""
 
     def __init__(self, net: Net, cbn: bool, weighted: bool):
         self.net = net
@@ -292,9 +294,7 @@ class _Translator:
         return nid
 
     def lw_here(self, label: Optional[Label], level: int) -> LevelledWeight:
-        if not self.weighted:
-            return LevelledWeight(ONE, 0)
-        if label is None:
+        if label is None or not self.weighted:
             return LevelledWeight(ONE, level)
         return lw(label, level)
 
@@ -377,7 +377,7 @@ class _Translator:
                 root, free = self.go(body, level, override)
                 fan = self.node("fan")
                 (ey, ly), (ez, lz) = free.pop(left), free.pop(right)
-                if self.weighted and ly != lz:
+                if ly != lz:
                     raise TranslationError(
                         f"copy targets at different levels ({ly} vs {lz})")
                 net.edges[ey].compose_outgoing(1, self.const("r", ly))
@@ -451,12 +451,12 @@ class _Translator:
             edge, ly = free[name]
             why = self.node("whynot")
             net.attach(edge, 1, ("node", why, "in"))
-            if self.weighted and ly < 1:
+            if ly < 1:
                 raise LevelUnderflowError(f"auxiliary door for {name} at level 0")
             e_aux = net.new_edge(("node", why, "out"), None,
                                  self.const("t", ly - 1, star=True))
             auxiliaries.append(why)
-            outside[name] = (e_aux, ly - 1 if self.weighted else 0)
+            outside[name] = (e_aux, ly - 1)
         net.boxes[net.new_id()] = Box(bang, tuple(auxiliaries), self.box_stack.pop())
         return outside
 
@@ -481,7 +481,7 @@ class _Translator:
             ext_weight = compose(prefix, r.weight)
             interior_entry = r.out_level
         else:
-            interior_entry = entry + 1 if self.weighted else 0
+            interior_entry = entry + 1
         self.box_stack.append(set())
         root, free = self.go(arg, interior_entry, override)
         bang = self.node("bang")

@@ -19,7 +19,7 @@ Labelled nodes print with a ``^{...}`` superscript and surrounding parens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .labels import Label, format_label
 
@@ -622,18 +622,27 @@ def alpha_equal(a: Term, b: Term) -> bool:
     return _debruijn(a) == _debruijn(b)
 
 
-def strip_labels(term: Term) -> Term:
+def relabel(term: Term, label_for: Callable[[], Optional[Label]]) -> Term:
+    """``term`` with each variable, abstraction and application labelled
+    ``label_for()``, called once per node in preorder.  Copy, erase and
+    substitution nodes carry no label."""
     match term:
         case Var(name, _):
-            return Var(name)
+            return Var(name, label_for())
         case Abs(binder, body, _):
-            return Abs(binder, strip_labels(body))
+            label = label_for()
+            return Abs(binder, relabel(body, label_for), label)
         case App(fun, arg, _):
-            return App(strip_labels(fun), strip_labels(arg))
+            label = label_for()
+            return App(relabel(fun, label_for), relabel(arg, label_for), label)
         case Erase(binder, body):
-            return Erase(binder, strip_labels(body))
+            return Erase(binder, relabel(body, label_for))
         case Copy(source, left, right, body):
-            return Copy(source, left, right, strip_labels(body))
+            return Copy(source, left, right, relabel(body, label_for))
         case Subst(body, arg, target):
-            return Subst(strip_labels(body), strip_labels(arg), target)
+            return Subst(relabel(body, label_for), relabel(arg, label_for), target)
     raise AssertionError
+
+
+def strip_labels(term: Term) -> Term:
+    return relabel(term, lambda: None)
