@@ -371,12 +371,14 @@ class _Translator:
                 e_x = net.new_edge(("node", weaken, "out"), None,
                                    ZERO if self.weighted else ONE)
                 label = override if override is not None else self._label(body)
-                return root, {**free, binder: (e_x, self._erased_level(label, level))}
+                erased = {binder: (e_x, self._erased_level(label, level))}
+                return root, self._merged(free, erased)
 
             case Copy(source, left, right, body):
                 root, free = self.go(body, level, override)
                 fan = self.node("fan")
-                (ey, ly), (ez, lz) = free.pop(left), free.pop(right)
+                ey, ly = self._taken(free, left, "copy target")
+                ez, lz = self._taken(free, right, "copy target")
                 if ly != lz:
                     raise TranslationError(
                         f"copy targets at different levels ({ly} vs {lz})")
@@ -384,12 +386,12 @@ class _Translator:
                 net.attach(ey, 1, ("node", fan, "left"))
                 net.edges[ez].compose_outgoing(1, self.const("s", lz))
                 net.attach(ez, 1, ("node", fan, "right"))
-                free[source] = (net.new_edge(("node", fan, "out"), None, ONE), ly)
-                return root, free
+                e_source = net.new_edge(("node", fan, "out"), None, ONE)
+                return root, self._merged(free, {source: (e_source, ly)})
 
             case Subst(body, arg, target):
                 root, free = self.go(body, level, override)
-                ex, lx = free.pop(target)
+                ex, lx = self._taken(free, target, "substitution target")
                 cut = self.node("cut")
                 net.attach(ex, 1, ("node", cut, "a"))
                 if self.cbn:
@@ -429,9 +431,7 @@ class _Translator:
         left and the body ``root`` on its right."""
         net = self.net
         par = self.node("par")
-        if binder not in free:
-            raise TranslationError(f"binder {binder} unused (term not linear)")
-        e_x, _ = free.pop(binder)
+        e_x, _ = self._taken(free, binder, "binder")
         net.edges[e_x].compose_outgoing(1, self.const("p", inner_level))
         net.attach(e_x, 1, ("node", par, "left"))
         net.edges[root].compose_incoming(
@@ -488,6 +488,13 @@ class _Translator:
         net.attach(root, 0, ("node", bang, "in"))
         free = self._close_box(bang, free)
         return net.new_edge(None, ("node", bang, "out"), ext_weight), free
+
+    @staticmethod
+    def _taken(free: dict, name: str, role: str) -> tuple:
+        """The wire and level of ``name``, taken out of ``free``."""
+        if name not in free:
+            raise TranslationError(f"{role} {name} unused (term not linear)")
+        return free.pop(name)
 
     @staticmethod
     def _merged(a: dict, b: dict) -> dict:
@@ -768,27 +775,19 @@ def _contract(net: Net) -> tuple[Net, dict]:
 
 
 def _explore(net: Net, pm: dict, seeds, edge_ids: dict, node_ids: dict,
-             first_end: Optional[int] = None) -> None:
-    """Deterministic breadth-first numbering of edges and nodes from seeds."""
+             flipped: Optional[int] = None) -> None:
+    """Deterministic breadth-first numbering of edges and nodes from seeds,
+    visiting each edge's ends in order; ``flipped`` names an edge whose ends
+    are visited last first."""
     queue = deque()
     for eid in seeds:
         if eid not in edge_ids:
             edge_ids[eid] = len(edge_ids)
             queue.append(eid)
-    first = True
     while queue:
         eid = queue.popleft()
         ends = net.edges[eid].ends
-
-        def rank(item):
-            i, end = item
-            if end is None or end[0] != "node":
-                return (0, 0)
-            if first and first_end is not None:
-                return (1, 0 if i == first_end else 1)
-            return (1, 0) if end[1] in node_ids else (2, 0)
-
-        for _, end in sorted(enumerate(ends), key=rank):
+        for end in reversed(ends) if eid == flipped else ends:
             if end is None or end[0] != "node":
                 continue
             nid = end[1]
@@ -800,7 +799,6 @@ def _explore(net: Net, pm: dict, seeds, edge_ids: dict, node_ids: dict,
                 if e2 not in edge_ids:
                     edge_ids[e2] = len(edge_ids)
                     queue.append(e2)
-        first = False
 
 
 class _Islands:
@@ -826,10 +824,10 @@ class _Islands:
         if k not in self.signatures:
             best = None
             for eid in self.extents[k]:
-                for first_end in (0, 1):
+                for flipped in (None, eid):
                     ce: dict = {}
                     cn: dict = {}
-                    _explore(self.net, self.pm, [eid], ce, cn, first_end=first_end)
+                    _explore(self.net, self.pm, [eid], ce, cn, flipped)
                     sig = _signature_part(self.net, ce, cn, self)
                     if best is None or sig < best:
                         best = sig
@@ -848,7 +846,8 @@ class _Islands:
 def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
                     islands: _Islands):
     """Signature of the component numbered by ``edge_ids`` and ``node_ids``;
-    box contents outside it are described by the islands that hold them."""
+    box contents outside it, doors included, are described by the islands
+    that hold them."""
     def end_repr(end) -> str:
         if end[0] == "root":
             return "root"
@@ -874,7 +873,8 @@ def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
         if b.principal in node_ids:
             inside = [node_ids[n] for n in b.contents if n in node_ids]
             boxes.append((node_ids[b.principal],
-                          tuple(sorted(node_ids[a] for a in b.auxiliaries)),
+                          tuple(sorted(node_ids[a] for a in b.auxiliaries
+                                       if a in node_ids)),
                           tuple(sorted(inside)),
                           islands.holding(n for n in b.contents if n not in node_ids)
                           if len(inside) < len(b.contents) else ()))

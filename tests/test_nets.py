@@ -5,9 +5,10 @@ from conftest import closed_lambda_terms
 from hypothesis import given, settings, strategies as st
 
 from goilab import checks, nets
-from goilab.algebra import ONE, ZERO, compose, format_weight, watom
-from goilab.calculus import (LCA, Configuration, find_redexes, reduction_graph,
-                             step)
+from goilab.algebra import (ONE, ZERO, LevelUnderflowError, compose,
+                            format_weight, watom)
+from goilab.calculus import (LCA, LCF, Configuration, find_redexes,
+                             reduction_graph, step)
 from goilab.checks import check_net_simulation
 from goilab.corpus import CLASSICS, corpus, prepare
 from goilab.labelled import initialize
@@ -17,8 +18,8 @@ from goilab.nets import (Box, Edge, Net, NetError, NotACutError, NotClosedError,
                          canonical_signature, closed_cut_step, contracted,
                          eligible_cuts, from_json, iso_check, to_dot, to_json,
                          translate_cbn, translate_cbv, validate)
-from goilab.terms import (Abs, App, Subst, Var, compile_term, parse_lambda,
-                          strip_labels)
+from goilab.terms import (Abs, App, Subst, Var, compile_term, parse,
+                          parse_lambda, strip_labels)
 
 
 def identity_application():
@@ -106,6 +107,38 @@ def test_cbn_substitution_requires_reachable_label_shape():
     t = Subst(Var("x", atomic("a")), Abs("y", Var("y", atomic("b")), atomic("c")), "x")
     with pytest.raises(TranslationError):
         translate_cbn(t)
+
+
+@pytest.mark.parametrize("translate", (translate_cbv, translate_cbn))
+@pytest.mark.parametrize("text", ("copy[y->u,v].u", "(x)[y/z]", "eps[x].x"))
+def test_translation_names_a_non_linear_copy_substitution_or_erasure(
+        translate, text):
+    with pytest.raises(TranslationError, match="linear"):
+        translate(parse(text))
+
+
+def test_unweighted_nets_ignore_labels_and_equal_weighted_ones_made_plain():
+    # an unweighted net reads box depths as levels, as an unlabelled term does
+    def plain(net):
+        for e in net.edges.values():
+            e.weight = ONE
+        return to_json(net)
+
+    compared = 0
+    for entry in corpus(7):
+        for calc in (LCF, LCA):
+            for config in reduction_graph(Configuration(entry.initial), calc).configs:
+                for translate in (translate_cbv, translate_cbn):
+                    net = to_json(translate(config.term, weighted=False))
+                    assert net == to_json(translate(strip_labels(config.term),
+                                                    weighted=False))
+                    try:
+                        weighted = translate(config.term)
+                    except (NetError, LevelUnderflowError):
+                        continue
+                    assert net == plain(weighted), (entry.name, calc)
+                    compared += 1
+    assert compared > 1000
 
 
 def test_validate_flags_dangling_port():
@@ -341,6 +374,35 @@ def test_cbv_nets_of_random_terms_are_iso_to_renumbered_copies(term, seed):
     for weighted in (False, True):
         net = translate_cbv(entry.initial, weighted=weighted)
         assert iso_check(net, renumbered(net, seed))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(closed_lambda_terms(max_size=12))
+def test_nets_of_random_configurations_are_iso_to_renumbered_copies(term):
+    # each calculus translates weighted as criteria 6 and 7 pair them; an
+    # unweighted net ignores labels, so it is signed once per stripped term
+    initial = prepare("random", term).initial
+    stripped = set()
+    for calc, paired in ((LCF, translate_cbv), (LCA, translate_cbn)):
+        graph = reduction_graph(Configuration(initial), calc, max_configs=300)
+        for config in graph.configs:
+            paired(config.term)
+            stripped.add(strip_labels(config.term))
+    for bare in stripped:
+        for translate in (translate_cbv, translate_cbn):
+            net = translate(bare, weighted=False)
+            assert iso_check(net, renumbered(net))
+
+
+def test_a_door_in_an_erased_arguments_island_is_signed():
+    # x02 leaves the \x1 box through a door into the island of the erased
+    # argument; signing the box once looked that door up in the component
+    term = parse("(\\x1.eps[x1].\\x2.eps[x2].(eps[x3].x01)[\\x0.x0/x01]"
+                 "[\\x3.eps[x3].\\x4.eps[x4].x02/x3])[\\x0.x0/x02]")
+    for translate in (translate_cbv, translate_cbn):
+        net = translate(term, weighted=False)
+        for seed in range(5):
+            assert iso_check(net, renumbered(net, seed))
 
 
 def test_criterion_8_signs_each_net_it_compares_once(monkeypatch):
