@@ -114,22 +114,19 @@ def weight_set(net: Net, max_expansions: int = MAX_EXPANSIONS) -> set:
     """The live words of the net's interface-to-interface straight paths,
     as tuples of ``(base, star, level)``.
 
-    A search over states (directed edge, static word read up to and along
-    it) that visits each state once; a state's future depends on nothing
-    else, so any visiting order gives the same set.  Each state carries the
-    normal form of its word, and a step extends it by the step's atoms
-    through ``normal_word``, the one null test; a state whose word is null
-    is dropped with every path through it.  A path stops at the absorbing
-    zero of a weakening too.
+    A depth-first search over straight paths from the interface.  Each
+    path carries the normal form of its word, and a step extends it by the
+    step's atoms through ``normal_word``, the one null test; a path whose
+    word is null is dropped with every extension of it.  A path stops at
+    the absorbing zero of a weakening too.
 
-    ``max_expansions`` bounds the successor visits, starts included, new
-    states or not; past it ``SearchBudgetError`` is raised.  Only a net
+    ``max_expansions`` bounds the successor visits, starts included; past
+    it ``SearchBudgetError`` is raised.  Only a net
     whose term does not normalise should get there.
     """
     table = DirectedEdges(net)
     words, atoms, interface, succ = (table.words, table.atoms,
                                      table.interface, table.succ)
-    seen = [set() for _ in words]  # per state: the words it was reached with
     budget = max_expansions
     found = set()
     pending = [(table.starts, "", ())]  # (next states, word, its normal form)
@@ -143,9 +140,6 @@ def weight_set(net: Net, max_expansions: int = MAX_EXPANSIONS) -> set:
             if step is None:
                 continue
             longer = word + step
-            if longer in seen[nxt]:
-                continue
-            seen[nxt].add(longer)
             longer_nf = normal_word(nf + atoms[nxt]) if step else nf
             if longer_nf is None:
                 continue  # a null prefix: every extension is null

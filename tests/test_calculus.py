@@ -355,6 +355,27 @@ def test_linearity_survives_each_step(term):
                 assert check_linear(erased) == [], printed(config)
 
 
+def stripped(config):
+    return Configuration(strip_labels(config.term),
+                         frozenset(strip_labels(t) for t in config.erased))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(closed_lambda_terms(max_size=12))
+def test_stripping_labels_commutes_with_each_step(term):
+    # unlabelled reduction is labelled reduction with the labels erased
+    initial = prepare("random", term).initial
+    for calc in (LCF, LCA):
+        graph = reduction_graph(Configuration(initial), calc, max_configs=300)
+        for config in graph.configs:
+            bare = stripped(config)
+            sites = find_redexes(config, calc)
+            assert find_redexes(bare, calc) == sites, printed(config)
+            for site in sites:
+                assert stripped(step(config, site, calc)) == \
+                    step(bare, site, calc), (printed(config), site)
+
+
 def test_subject_reduction_along_traces():
     entry = prepare("dup", parse_lambda("(\\x.x x) (\\y.y)"))
     for calculus in (LCF, LCA):

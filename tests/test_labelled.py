@@ -1,11 +1,12 @@
 import pytest
 
-from goilab.corpus import closed_terms
+from goilab.corpus import closed_terms, corpus
 from goilab.labelled import (VariableNotFreeError, bullet, initialize,
                              label_of, var_label)
 from goilab.labels import Atomic, atomic, concat, format_label
 from goilab.terms import (Abs, App, Copy, Erase, Subst, Var, compile_term,
-                          format_term, parse_lambda, subterms)
+                          format_term, parse_lambda, relabel, strip_labels,
+                          subterms)
 
 
 def test_initialize_identity():
@@ -29,6 +30,21 @@ def test_initialize_atoms_match_labelled_node_count():
     for _, s in subterms(t):
         if isinstance(s, (Var, Abs, App)):
             assert len(s.label) == 1 and isinstance(s.label[0], Atomic)
+
+
+def test_stripping_an_initialised_term_gives_it_back():
+    for entry in corpus():
+        assert strip_labels(entry.initial) == entry.compiled, entry.name
+        assert strip_labels(initialize(entry.compiled)) == entry.compiled
+
+
+def test_relabel_calls_its_labeller_once_per_construct_in_preorder():
+    term = Subst(App(Var("f"), Erase("y", Var("x"))), Abs("z", Var("z")), "f")
+    calls = iter(range(10))
+    labelled = relabel(term, lambda: atomic(str(next(calls))))
+    assert [format_label(t.label) for _, t in subterms(labelled)
+            if isinstance(t, (Var, Abs, App))] == ["0", "1", "2", "3", "4"]
+    assert next(calls) == 5
 
 
 def test_bullet_prefixes_nearest_label():
