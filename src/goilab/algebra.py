@@ -165,11 +165,19 @@ def normal_word(word: tuple) -> Optional[tuple]:
     return tuple(out)
 
 
+def word_of(w: Weight) -> Optional[tuple]:
+    """The word of ``w`` as ``(base, star, level)`` triples, the form
+    ``normal_word`` reads; None for the zero."""
+    if w.is_zero:
+        return None
+    return tuple((a.base, a.star, a.level) for a in w.atoms)
+
+
 def normal_form(w: Weight) -> Weight:
     """The dynamic-algebra normal form of ``w``; ZERO when ``w`` is null."""
     if w.is_zero:
         return ZERO
-    word = normal_word(tuple((a.base, a.star, a.level) for a in w.atoms))
+    word = normal_word(word_of(w))
     if word is None:
         return ZERO
     return Weight(tuple(WAtom(*atom) for atom in word))

@@ -78,14 +78,8 @@ def prepare(name: str, source: Term) -> CorpusEntry:
     return CorpusEntry(name, source, compiled, initial, root_atom, classes)
 
 
-def corpus(max_size: int = 7, classics: bool = True,
-           skip: tuple = ()) -> list:
-    entries = []
-    for name, term in closed_terms(max_size):
-        if name not in skip:
-            entries.append(prepare(name, term))
+def corpus(max_size: int = 7, classics: bool = True) -> list:
+    entries = [prepare(name, term) for name, term in closed_terms(max_size)]
     if classics:
-        for name, text in CLASSICS:
-            if name not in skip:
-                entries.append(prepare(name, parse_lambda(text)))
+        entries += [prepare(name, parse_lambda(text)) for name, text in CLASSICS]
     return entries

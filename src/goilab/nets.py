@@ -34,7 +34,7 @@ from typing import Optional
 
 from .algebra import (ONE, ZERO, LevelledWeight, LevelUnderflowError, WAtom,
                       Weight, compose, entry_level_needed, involute,
-                      format_weight, lw, watom)
+                      format_weight, lw, watom, word_of)
 from .labels import ArgumentLabelError, Label, Over, split_argument_label
 from .labelled import UnlabelledTermError, label_of
 from .terms import Abs, App, Copy, Erase, Subst, Term, Var
@@ -466,15 +466,17 @@ class _Translator:
         With ``split`` (substitution arguments) the label prefix up to and
         including its trailing box marker is read on the external edge and
         the remainder stays on the interior root; otherwise (application
-        arguments) the label is read inside and the door itself raises the
-        level.
+        arguments, and any argument an unweighted net or an absent label
+        leaves unsplit) the label is read inside and the door itself raises
+        the level.
         """
         net = self.net
         override = None
         ext_weight = prefix
-        if split and self.weighted:
+        label = self._label(arg) if split and self.weighted else None
+        if label is not None:
             try:
-                outside, override = split_argument_label(label_of(arg))
+                outside, override = split_argument_label(label)
             except ArgumentLabelError as exc:
                 raise TranslationError(f"argument label: {exc}") from exc
             r = lw(outside, self.entry_level(outside, entry))
@@ -935,8 +937,7 @@ def to_json(net: Net) -> str:
             {
                 "id": eid,
                 "ends": [end_json(e.ends[0]), end_json(e.ends[1])],
-                "weight": None if e.weight.is_zero else [
-                    [a.base, a.star, a.level] for a in e.weight.atoms],
+                "weight": word_of(e.weight),
             }
             for eid, e in sorted(net.edges.items())
         ],

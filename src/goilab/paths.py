@@ -16,15 +16,16 @@ weight (Girard, *Geometry of Interaction I*, 1989; Danos & Regnier,
 extension null, so a search that drops a path at its first null prefix
 loses no live word, and it ends.
 
-Both searches read one per-net table of directed edges (``DirectedEdges``).
+Both searches read one per-net table of directed edges (``DirectedEdges``),
+and every word here, from an edge's step to a reported weight set, is a
+tuple of ``(base, star, level)`` triples, as ``algebra.word_of`` gives it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .algebra import CONSTANTS, WAtom, Weight, format_weight, normal_word
+from .algebra import WAtom, Weight, format_weight, normal_word, word_of
 from .nets import Net, TRANSITIONS
 
 # successor visits a weight-set search may make: no net of the size-9
@@ -43,34 +44,16 @@ class Step:
     to_end: int  # endpoint index the traversal moves towards
 
 
-def _encode(atoms: tuple) -> str:
-    """A word as a string of one character per atom.  Injective, and within
-    latin-1 up to level 20; the star is the lowest bit, so ``ord(c) ^ 1``
-    encodes the involution of an atom."""
-    return "".join(chr(12 * a.level + 2 * CONSTANTS.index(a.base) + a.star)
-                   for a in atoms)
-
-
-@lru_cache(maxsize=None)
-def _decode_atom(char: str) -> tuple:
-    level, rest = divmod(ord(char), 12)
-    return (CONSTANTS[rest >> 1], bool(rest & 1), level)
-
-
-def _decode(word: str) -> tuple:
-    """The ``(base, star, level)`` triples of an encoded word."""
-    return tuple(map(_decode_atom, word))
-
-
 class DirectedEdges:
     """The straight-path transition table of a net, built once per search.
 
     Its states are the directed edges: ``Step(edge, to_end)`` is state
     ``2 * k + to_end`` when ``edge`` is the ``k``-th edge of the net.  Per
-    state it keeps the encoded word read along the step (None for the zero
-    of a weakening) and the same word as ``(base, star, level)`` triples,
-    whether the step arrives at the interface, and the states a straight
-    path may move to next.  ``starts`` are the states leaving the interface.
+    state it keeps the word read along the step (the edge's weight towards
+    ``ends[1]``, its involution towards ``ends[0]``, None for the zero of a
+    weakening), whether the step arrives at the interface, and the states a
+    straight path may move to next.  ``starts`` are the states leaving the
+    interface.
     """
 
     def __init__(self, net: Net):
@@ -81,12 +64,11 @@ class DirectedEdges:
         arriving = {}  # (node, port) -> state arriving there
         for k, eid in enumerate(self.edge_ids):
             edge = net.edges[eid]
-            if edge.weight.is_zero:
-                self.words += [None, None]
-            else:
-                forward = _encode(edge.weight.atoms)
-                self.words += ["".join(chr(ord(c) ^ 1) for c in reversed(forward)),
-                               forward]
+            forward = word_of(edge.weight)
+            # read backwards: the involution, without building its atoms
+            backward = None if forward is None else tuple(
+                (base, not star, level) for base, star, level in reversed(forward))
+            self.words += [backward, forward]
             for to_end, end in enumerate(edge.ends):
                 at_interface = end is not None and end[0] in ("root", "free")
                 self.interface.append(at_interface)
@@ -94,8 +76,6 @@ class DirectedEdges:
                     self.starts.append(2 * k + 1 - to_end)
                 elif end is not None:
                     arriving[(end[1], end[2])] = 2 * k + to_end
-        self.atoms = [None if word is None else _decode(word)
-                      for word in self.words]
         self.succ = [()] * len(self.words)
         for (nid, port), state in arriving.items():
             # leaving through a port is arriving there reversed
@@ -116,7 +96,7 @@ def weight_set(net: Net, max_expansions: int = MAX_EXPANSIONS) -> set:
 
     A depth-first search over straight paths from the interface.  Each
     path carries the normal form of its word, and a step extends it by the
-    step's atoms through ``normal_word``, the one null test; a path whose
+    step's word through ``normal_word``, the one null test; a path whose
     word is null is dropped with every extension of it.  A path stops at
     the absorbing zero of a weakening too.
 
@@ -125,11 +105,10 @@ def weight_set(net: Net, max_expansions: int = MAX_EXPANSIONS) -> set:
     whose term does not normalise should get there.
     """
     table = DirectedEdges(net)
-    words, atoms, interface, succ = (table.words, table.atoms,
-                                     table.interface, table.succ)
+    words, interface, succ = table.words, table.interface, table.succ
     budget = max_expansions
     found = set()
-    pending = [(table.starts, "", ())]  # (next states, word, its normal form)
+    pending = [(table.starts, (), ())]  # (next states, word, its normal form)
     while pending:
         nexts, word, nf = pending.pop()
         budget -= len(nexts)
@@ -140,13 +119,13 @@ def weight_set(net: Net, max_expansions: int = MAX_EXPANSIONS) -> set:
             if step is None:
                 continue
             longer = word + step
-            longer_nf = normal_word(nf + atoms[nxt]) if step else nf
+            longer_nf = normal_word(nf + step) if step else nf
             if longer_nf is None:
                 continue  # a null prefix: every extension is null
             if interface[nxt]:
                 found.add(longer)
             pending.append((succ[nxt], longer, longer_nf))
-    return {_decode(word) for word in found}
+    return found
 
 
 def weight_member(net: Net, target: Weight) -> bool:
@@ -159,7 +138,7 @@ def weight_member(net: Net, target: Weight) -> bool:
     """
     if target.is_zero:
         return False
-    goal = _encode(target.atoms)
+    goal = word_of(target)
     max_steps = 4 * len(goal) + 16
     budget = [2_000_000]
 
@@ -179,7 +158,7 @@ def weight_member(net: Net, target: Weight) -> bool:
             raise SearchBudgetError("membership search budget exceeded")
         budget[0] -= 1
         word = words[state]
-        if word is None or not goal.startswith(word, matched):
+        if word is None or goal[matched:matched + len(word)] != word:
             return False
         matched += len(word)
         if matched == len(goal):

@@ -130,8 +130,10 @@ def test_unweighted_nets_ignore_labels_and_equal_weighted_ones_made_plain():
             for config in reduction_graph(Configuration(entry.initial), calc).configs:
                 for translate in (translate_cbv, translate_cbn):
                     net = to_json(translate(config.term, weighted=False))
-                    assert net == to_json(translate(strip_labels(config.term),
-                                                    weighted=False))
+                    stripped = strip_labels(config.term)
+                    assert net == to_json(translate(stripped, weighted=False))
+                    # an absent label reads as 1, and splits no argument
+                    assert net == plain(translate(stripped))
                     try:
                         weighted = translate(config.term)
                     except (NetError, LevelUnderflowError):

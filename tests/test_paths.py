@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from goilab import checks
 from goilab.algebra import (ONE, ZERO, WAtom, Weight, compose, format_weight,
                             involute, lw, normal_form, normal_word,
-                            parse_weight, watom)
+                            parse_weight, watom, word_of)
 from goilab.calculus import LCA, LCF, Configuration, reduce, reduction_graph
 from goilab.checks import _step_edges, _trace, check_weight_invariance
 from goilab.corpus import CLASSICS, corpus, prepare
@@ -95,6 +95,15 @@ def test_weakening_kills_path_weight():
     assert weakened
     assert all(table.words[2 * k + end] is None
                for k in weakened for end in (0, 1))
+    # one word per state: the edge's weight forwards, its involution back
+    for entry in corpus(5):
+        for translate in (translate_cbv, translate_cbn):
+            net = translate(entry.initial)
+            table = DirectedEdges(net)
+            for k, eid in enumerate(table.edge_ids):
+                weight = net.edges[eid].weight
+                assert table.words[2 * k + 1] == word_of(weight)
+                assert table.words[2 * k] == word_of(involute(weight))
     # a wire through the absorbing zero has no word left
     wire = translate_cbv(Var("x", atomic("a")))
     assert weight_set(wire) == {()}

@@ -3,6 +3,7 @@ every name it uses must resolve, or ``--trace 1`` and its output checks
 break without any other test noticing."""
 
 import importlib
+import re
 from pathlib import Path
 
 from goilab.algebra import CONSTANTS, normal_word
@@ -136,6 +137,18 @@ def test_only_the_suites_catch_every_exception():
     catching = sorted(path.name for path in SRC.glob("*.py")
                       if "except Exception" in path.read_text())
     assert catching == ["checks.py"]
+
+
+def test_normal_word_is_the_only_memo():
+    # the benchmark clears normal_word's memo before each pass, so that a
+    # pass does the work of a fresh process; any other module-level memo
+    # would carry work over from one pass to the next
+    memos = [(path.name, line.strip())
+             for path in sorted(SRC.glob("*.py"))
+             for line in path.read_text().splitlines()
+             if re.search(r"\b(lru_)?cache\b", line)
+             and not line.startswith("from functools import")]
+    assert memos == [("algebra.py", "@lru_cache(maxsize=1 << 16)")]
 
 
 def test_no_term_class_has_a_dict():
