@@ -8,13 +8,12 @@ from .calculus import (LCA, LCF, Configuration, RedexSite, find_redexes,
                        normalize_sigma, reduce, reduction_graph, step)
 from .corpus import corpus, prepare
 from .labelled import bullet, initialize, label_of, var_label
-from .labels import (Atomic, Label, Marker, Over, Under, concat,
-                     f_multiplicative, format_label, parse_label, reverse)
+from .labels import (Atomic, Label, Marker, Over, Under, concat, format_label,
+                     parse_label, reverse)
 from .levy import levy_normalize, levy_step
 from .nets import (Net, closed_cut_step, eligible_cuts, iso_check, to_dot,
                    to_json, translate_cbn, translate_cbv, validate)
-from .paths import (Step, check_invariance, live_words, weight_member,
-                    weight_set)
+from .paths import check_invariance, live_words, weight_member, weight_set
 from .terms import (Abs, App, Copy, Erase, FreshSupply, Subst, Term, Var,
                     check_linear, compile_term, format_term, free_vars, parse,
                     parse_lambda)

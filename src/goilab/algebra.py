@@ -50,10 +50,6 @@ class LevelUnderflowError(Exception):
     """A label marker asked for a box level below zero."""
 
 
-class ForeignMarkerError(Exception):
-    """P/Q markers are only legal in the output of the bracketing map."""
-
-
 @dataclass(frozen=True)
 class WAtom:
     base: str
@@ -214,8 +210,6 @@ def lw(label: Label, in_level: int) -> LevelledWeight:
             level = inner.out_level
             continue
         kind, right = a.kind, a.direction == "right"
-        if kind in ("P", "Q"):
-            raise ForeignMarkerError(f"marker {kind} is not translatable")
         if kind == "W":
             zero = True
             continue

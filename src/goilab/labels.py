@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from typing import Union
 
 MARKER_KINDS = ("D", "!", "?", "R", "S", "W")
-# P and Q exist only in the output of the bracketing function f; the
-# label-to-weight translation rejects them.
-EXTENDED_KINDS = MARKER_KINDS + ("P", "Q")
 
 RIGHT = "right"
 LEFT = "left"
@@ -44,7 +41,7 @@ class Marker:
     def __post_init__(self):
         if self.direction not in (RIGHT, LEFT):
             raise ValueError(f"bad marker direction {self.direction!r}")
-        if self.kind not in EXTENDED_KINDS:
+        if self.kind not in MARKER_KINDS:
             raise ValueError(f"bad marker kind {self.kind!r}")
 
 
@@ -94,39 +91,6 @@ def reverse(label: Label) -> Label:
     return tuple(out)
 
 
-def f_multiplicative(label: Label) -> Label:
-    """Expose the multiplicative bracketing: overlines become Q-marker pairs,
-    underlines P-marker pairs; everything else is unchanged."""
-    out = []
-    for a in label:
-        if isinstance(a, Over):
-            out.append(Marker(RIGHT, "Q"))
-            out.extend(f_multiplicative(a.inner))
-            out.append(Marker(LEFT, "Q"))
-        elif isinstance(a, Under):
-            out.append(Marker(RIGHT, "P"))
-            out.extend(f_multiplicative(a.inner))
-            out.append(Marker(LEFT, "P"))
-        else:
-            out.append(a)
-    return tuple(out)
-
-
-def strip_lines(label: Label) -> tuple:
-    """Atom sequence with all over/underlines erased (keeps nesting order)."""
-    out = []
-    for a in label:
-        if isinstance(a, (Over, Under)):
-            out.extend(strip_lines(a.inner))
-        else:
-            out.append(a)
-    return tuple(out)
-
-
-def strip_pq(label: Label) -> tuple:
-    return tuple(a for a in label if not (isinstance(a, Marker) and a.kind in ("P", "Q")))
-
-
 def format_atom(a: Atom) -> str:
     if isinstance(a, Atomic):
         return a.name
@@ -166,7 +130,7 @@ def parse_label(text: str) -> Label:
             name = text[pos:end]
             pos = end
             return Atomic(name)
-        if c in EXTENDED_KINDS:
+        if c in MARKER_KINDS:
             if pos + 1 >= n or text[pos + 1] != ">":
                 error("expected '>' after marker kind")
             pos += 2
@@ -179,7 +143,7 @@ def parse_label(text: str) -> Label:
                     error("expected ')>'")
                 pos += 2
                 return Over(inner)
-            if pos + 1 < n and text[pos + 1] in EXTENDED_KINDS:
+            if pos + 1 < n and text[pos + 1] in MARKER_KINDS:
                 kind = text[pos + 1]
                 pos += 2
                 return Marker(LEFT, kind)

@@ -9,8 +9,8 @@ from __future__ import annotations
 from .labels import concat, over, under
 from .labelled import bullet
 from .terms import (Abs, App, FreshSupply, Term, Var, all_var_names,
-                    free_vars, is_lambda_term, subterm_at, subterms,
-                    replace_at)
+                    free_vars, is_lambda_term, rename_free, replace_at,
+                    subterm_at, subterms)
 
 
 class NoRedexAtPositionError(Exception):
@@ -29,7 +29,7 @@ def meta_substitute(term: Term, x: str, value: Term, supply: FreshSupply) -> Ter
                 return term
             if binder in free_vars(value) and x in free_vars(body):
                 new = supply.fresh(binder)
-                body = _rename_bound(body, binder, new)
+                body = rename_free(body, binder, new)
                 binder = new
             if x not in free_vars(body):
                 return Abs(binder, body, label)
@@ -37,19 +37,6 @@ def meta_substitute(term: Term, x: str, value: Term, supply: FreshSupply) -> Ter
         case App(fun, arg, label):
             return App(meta_substitute(fun, x, value, supply),
                        meta_substitute(arg, x, value, supply), label)
-    raise AssertionError
-
-
-def _rename_bound(term: Term, old: str, new: str) -> Term:
-    match term:
-        case Var(name, label):
-            return Var(new, label) if name == old else term
-        case Abs(binder, body, label):
-            if binder == old:
-                return term
-            return Abs(binder, _rename_bound(body, old, new), label)
-        case App(fun, arg, label):
-            return App(_rename_bound(fun, old, new), _rename_bound(arg, old, new), label)
     raise AssertionError
 
 

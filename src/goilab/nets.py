@@ -114,7 +114,8 @@ class Box:
 class Net:
     """A proof-net.  A net is a value once built: every operation here that
     changes one (``closed_cut_step``, ``contracted``) works on a copy, so
-    ``iso_check`` signs each net at most once and keeps the signature on it.
+    ``iso_check`` signs each net at most once and keeps the signature on it,
+    and the net builds its port map at most once and keeps it too.
     """
 
     def __init__(self):
@@ -124,6 +125,7 @@ class Net:
         self.root: Optional[int] = None
         self.free: dict[str, int] = {}
         self._next = 0
+        self._ports = None  # set by the first read of ports
         self._signature = None  # set by the first iso_check that compares it
 
     def new_id(self) -> int:
@@ -143,13 +145,24 @@ class Net:
     def attach(self, eid: int, end_index: int, end) -> None:
         self.edges[eid].ends[end_index] = end
 
-    def port_map(self) -> dict:
-        ports = {}
-        for eid, e in self.edges.items():
-            for i, end in enumerate(e.ends):
-                if end is not None and end[0] == "node":
-                    ports[(end[1], end[2])] = (eid, i)
-        return ports
+    @property
+    def ports(self) -> dict:
+        """``(node, port) -> (edge, end index)`` for every edge end at a node.
+
+        Built from the edges on first read and kept.  An operation that
+        edits the edges afterwards keeps it current (``_splice``) or drops
+        it (``_delete_nodes``), so a net whose fields are assigned directly,
+        as ``from_json`` does, reads a map of its own edges.  Of two ends at
+        one port the first holds it, and ``validate`` reports the other.
+        """
+        if self._ports is None:
+            self._ports = {}
+            for eid, e in self.edges.items():
+                if len(e.ends) == 2:
+                    for i, end in enumerate(e.ends):
+                        if end is not None and end[0] == "node":
+                            self._ports.setdefault((end[1], end[2]), (eid, i))
+        return self._ports
 
     def box_of_principal(self, nid: int) -> Optional[int]:
         for bid, b in self.boxes.items():
@@ -172,6 +185,7 @@ class Net:
         out.root = self.root
         out.free = dict(self.free)
         out._next = self._next
+        out._ports = dict(self.ports)
         return out
 
 
@@ -181,7 +195,7 @@ class Net:
 def validate(net: Net, strict_levels: bool = False) -> list:
     """Structural violations as strings; empty means well-formed."""
     problems = []
-    ports = {}
+    ports = net.ports
     for eid, e in net.edges.items():
         if len(e.ends) != 2:
             problems.append(f"edge {eid} lacks two endpoints")
@@ -195,11 +209,8 @@ def validate(net: Net, strict_levels: bool = False) -> list:
                     problems.append(f"edge {eid} references missing node {nid}")
                 elif port not in PORTS[net.nodes[nid]]:
                     problems.append(f"edge {eid} uses bad port {port} on {net.nodes[nid]}")
-                else:
-                    key = (nid, port)
-                    if key in ports:
-                        problems.append(f"port {key} attached twice")
-                    ports[key] = (eid, i)
+                elif ports[(nid, port)] != (eid, i):
+                    problems.append(f"port {(nid, port)} attached twice")
             elif end[0] == "root":
                 if net.root != eid:
                     problems.append(f"edge {eid} claims the root interface")
@@ -532,15 +543,16 @@ def translate_cbn(term: Term, weighted: bool = True) -> Net:
 # ---------------------------------------------------------------------------
 # closed cut elimination
 
-def _splice(net: Net, pm: dict, nid: int, port_a: str, port_b: str) -> int:
+def _splice(net: Net, nid: int, port_a: str, port_b: str) -> int:
     """Delete a two-port node of ``net`` in place, fusing its edges into one
     oriented edge that reads (edge at port_a towards the node) then (edge at
-    port_b away from the node).  The port map ``pm`` of ``net`` is kept
-    current: the node's ports leave it and the outer ends point at the fused
-    edge, as does the interface an outer end is.  A self-loop raises before
-    anything changes."""
-    ea, ia = pm[(nid, port_a)]
-    eb, ib = pm[(nid, port_b)]
+    port_b away from the node).  The net's port map is kept current: the
+    node's ports leave it and the outer ends point at the fused edge, as
+    does the interface an outer end is.  A self-loop raises before anything
+    changes."""
+    ports = net.ports
+    ea, ia = ports[(nid, port_a)]
+    eb, ib = ports[(nid, port_b)]
     if ea == eb:
         raise NetError("cannot fuse a self-loop")
     edge_a, edge_b = net.edges[ea], net.edges[eb]
@@ -548,12 +560,12 @@ def _splice(net: Net, pm: dict, nid: int, port_a: str, port_b: str) -> int:
     outer_b = edge_b.ends[1 - ib]
     weight = compose(edge_a.weight_from(1 - ia), edge_b.weight_from(ib))
     fused = net.new_edge(outer_a, outer_b, weight)
-    del pm[(nid, port_a)], pm[(nid, port_b)]
+    del ports[(nid, port_a)], ports[(nid, port_b)]
     for i, end in enumerate((outer_a, outer_b)):
         if end is None:
             continue
         if end[0] == "node":
-            pm[(end[1], end[2])] = (fused, i)
+            ports[(end[1], end[2])] = (fused, i)
         elif end[0] == "root":
             net.root = fused
         else:
@@ -584,14 +596,14 @@ class _CutRedex:
     crossing: Weight
 
 
-def _classify_cut(net: Net, pm: dict, cut: int) -> _CutRedex:
+def _classify_cut(net: Net, cut: int) -> _CutRedex:
     """The closed elimination step at ``cut``, or ``NetError`` when there is
     none; ``NotClosedError`` when its box has auxiliary doors."""
     if net.nodes.get(cut) != "cut":
         raise NotACutError(f"node {cut} is not a cut")
     fars, edges = [], []
     for port in ("a", "b"):
-        eid, idx = pm[(cut, port)]
+        eid, idx = net.ports[(cut, port)]
         far = net.edges[eid].ends[1 - idx]
         if far is None or far[0] != "node":
             raise NetError("cut against the interface cannot fire")
@@ -624,12 +636,11 @@ def _classify_cut(net: Net, pm: dict, cut: int) -> _CutRedex:
 
 def eligible_cuts(net: Net) -> list:
     """Cut nodes where a closed elimination step applies, in id order."""
-    pm = net.port_map()
     out = []
     for nid in sorted(net.nodes):
         if net.nodes[nid] == "cut":
             try:
-                _classify_cut(net, pm, nid)
+                _classify_cut(net, nid)
             except NetError:
                 continue
             out.append(nid)
@@ -637,57 +648,59 @@ def eligible_cuts(net: Net) -> list:
 
 
 def closed_cut_step(net: Net, cut: int) -> Net:
-    """One step of closed cut elimination at the given cut node."""
+    """One step of closed cut elimination at the given cut node.  The copy
+    stepped carries the port map of ``net``; a step that splices keeps it
+    current, and one that deletes nodes drops it."""
     net = net.copy()
-    pm = net.port_map()
-    redex = _classify_cut(net, pm, cut)
-    _STEPS[redex.rule](net, pm, redex)
+    redex = _classify_cut(net, cut)
+    _STEPS[redex.rule](net, redex)
     return net
 
 
-def _axiom_step(net: Net, pm: dict, redex: _CutRedex) -> None:
-    _splice(net, pm, redex.cut, "a", "b")
-    _splice(net, pm, redex.nodes[0], "a", "b")
+def _axiom_step(net: Net, redex: _CutRedex) -> None:
+    _splice(net, redex.cut, "a", "b")
+    _splice(net, redex.nodes[0], "a", "b")
 
 
-def _mult_step(net: Net, pm: dict, redex: _CutRedex) -> None:
+def _mult_step(net: Net, redex: _CutRedex) -> None:
     tensor, par = redex.nodes
+    ports = net.ports
     for side in ("left", "right"):
         c = _new_cut(net, redex.cut)
-        net.attach(*pm[(tensor, side)], ("node", c, "a"))
-        pe, pi = pm[(par, side)]
+        net.attach(*ports[(tensor, side)], ("node", c, "a"))
+        pe, pi = ports[(par, side)]
         net.attach(pe, pi, ("node", c, "b"))
         net.edges[pe].compose_incoming(pi, redex.crossing)
     _delete_nodes(net, {tensor, par, redex.cut})
 
 
-def _derelict_step(net: Net, pm: dict, redex: _CutRedex) -> None:
-    _splice(net, pm, redex.cut, "a", "b")
-    _splice(net, pm, redex.nodes[0], "in", "out")
-    _splice(net, pm, redex.nodes[1], "in", "out")
+def _derelict_step(net: Net, redex: _CutRedex) -> None:
+    _splice(net, redex.cut, "a", "b")
+    _splice(net, redex.nodes[0], "in", "out")
+    _splice(net, redex.nodes[1], "in", "out")
     del net.boxes[redex.box]
 
 
-def _weaken_step(net: Net, pm: dict, redex: _CutRedex) -> None:
+def _weaken_step(net: Net, redex: _CutRedex) -> None:
     _drop_box(net, redex.box, {redex.cut, redex.nodes[0]})
 
 
-def _fan_step(net: Net, pm: dict, redex: _CutRedex) -> None:
+def _fan_step(net: Net, redex: _CutRedex) -> None:
     fan = redex.nodes[0]
     new_bangs = [_copy_closed_box(net, redex.box, redex.cut) for _ in range(2)]
     for side, new_bang in zip(("left", "right"), new_bangs):
         c = _new_cut(net, redex.cut)
-        net.attach(*pm[(fan, side)], ("node", c, "a"))
+        net.attach(*net.ports[(fan, side)], ("node", c, "a"))
         # traversal premise -> cut -> new box reads the old crossing weight
         net.new_edge(("node", new_bang, "out"), ("node", c, "b"),
                      involute(redex.crossing))
     _drop_box(net, redex.box, {redex.cut, fan})
 
 
-def _commute_step(net: Net, pm: dict, redex: _CutRedex) -> None:
+def _commute_step(net: Net, redex: _CutRedex) -> None:
     whynot = redex.nodes[1]
     target = net.boxes[net.box_of_auxiliary(whynot)]
-    _splice(net, pm, whynot, "in", "out")
+    _splice(net, whynot, "in", "out")
     target.auxiliaries = tuple(a for a in target.auxiliaries if a != whynot)
     target.contents |= net.boxes[redex.box].contents | {redex.cut}
 
@@ -706,7 +719,9 @@ def _new_cut(net: Net, beside: int) -> int:
 
 
 def _delete_nodes(net: Net, doomed: set) -> None:
-    """Delete the ``doomed`` nodes and every edge at one of them."""
+    """Delete the ``doomed`` nodes and every edge at one of them, and drop
+    the port map, which neither this nor the step calling it keeps."""
+    net._ports = None
     for eid, e in list(net.edges.items()):
         if any(end is not None and end[0] == "node" and end[1] in doomed
                for end in e.ends):
@@ -762,25 +777,22 @@ def contracted(net: Net) -> Net:
     One pass in node order: splicing never turns a self-loop back into two
     edges, so restarting after each splice would make the same splices.
     A node whose two ports share one edge closes a loop and is kept.
+    The splices keep the copy's port map current.
     """
-    return _contract(net)[0]
-
-
-def _contract(net: Net) -> tuple[Net, dict]:
-    """``contracted`` with the port map its splices keep current."""
     out = net.copy()
-    pm = out.port_map()
+    ports = out.ports
     for nid, kind in list(out.nodes.items()):
-        if kind in ("ax", "cut") and pm[(nid, "a")][0] != pm[(nid, "b")][0]:
-            _splice(out, pm, nid, "a", "b")
-    return out, pm
+        if kind in ("ax", "cut") and ports[(nid, "a")][0] != ports[(nid, "b")][0]:
+            _splice(out, nid, "a", "b")
+    return out
 
 
-def _explore(net: Net, pm: dict, seeds, edge_ids: dict, node_ids: dict,
+def _explore(net: Net, seeds, edge_ids: dict, node_ids: dict,
              flipped: Optional[int] = None) -> None:
     """Deterministic breadth-first numbering of edges and nodes from seeds,
     visiting each edge's ends in order; ``flipped`` names an edge whose ends
     are visited last first."""
+    ports = net.ports
     queue = deque()
     for eid in seeds:
         if eid not in edge_ids:
@@ -797,7 +809,7 @@ def _explore(net: Net, pm: dict, seeds, edge_ids: dict, node_ids: dict,
                 continue
             node_ids[nid] = len(node_ids)
             for port in PORTS[net.nodes[nid]]:
-                e2, _ = pm[(nid, port)]
+                e2, _ = ports[(nid, port)]
                 if e2 not in edge_ids:
                     edge_ids[e2] = len(edge_ids)
                     queue.append(e2)
@@ -807,14 +819,14 @@ class _Islands:
     """The interface-free islands of a net, each signed once, when first
     asked for."""
 
-    def __init__(self, net: Net, pm: dict, leftovers: set):
-        self.net, self.pm = net, pm
+    def __init__(self, net: Net, leftovers: set):
+        self.net = net
         self.extents = []  # the edges of each island
         self.island_of = {}  # node -> its island
         while leftovers:
             probe_e: dict = {}
             probe_n: dict = {}
-            _explore(net, pm, [next(iter(leftovers))], probe_e, probe_n)
+            _explore(net, [next(iter(leftovers))], probe_e, probe_n)
             self.island_of.update(dict.fromkeys(probe_n, len(self.extents)))
             self.extents.append(set(probe_e))
             leftovers -= self.extents[-1]
@@ -829,7 +841,7 @@ class _Islands:
                 for flipped in (None, eid):
                     ce: dict = {}
                     cn: dict = {}
-                    _explore(self.net, self.pm, [eid], ce, cn, flipped)
+                    _explore(self.net, [eid], ce, cn, flipped)
                     sig = _signature_part(self.net, ce, cn, self)
                     if best is None or sig < best:
                         best = sig
@@ -891,19 +903,14 @@ def canonical_signature(net: Net):
     canonicalised by minimising over their possible anchor edges.  A box
     that holds an island describes it by the island's signature.
     """
-    return _signature(net, net.port_map())
-
-
-def _signature(net: Net, pm: dict):
-    """``canonical_signature`` of ``net`` read through its port map ``pm``."""
     anchors = []
     if net.root is not None:
         anchors.append(net.root)
     anchors.extend(net.free[name] for name in sorted(net.free))
     edge_ids: dict[int, int] = {}
     node_ids: dict[int, int] = {}
-    _explore(net, pm, anchors, edge_ids, node_ids)
-    islands = _Islands(net, pm, set(net.edges) - set(edge_ids))
+    _explore(net, anchors, edge_ids, node_ids)
+    islands = _Islands(net, set(net.edges) - set(edge_ids))
     main = _signature_part(net, edge_ids, node_ids, islands)
     return (main, tuple(sorted(islands.signature(k)
                                for k in range(len(islands.extents)))))
@@ -920,7 +927,7 @@ def iso_check(a: Net, b: Net) -> bool:
 def _signed(net: Net):
     """The signature of ``net`` contracted, computed once per net."""
     if net._signature is None:
-        net._signature = _signature(*_contract(net))
+        net._signature = canonical_signature(contracted(net))
     return net._signature
 
 

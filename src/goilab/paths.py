@@ -23,14 +23,13 @@ tuple of ``(base, star, level)`` triples, as ``algebra.word_of`` gives it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import WAtom, Weight, format_weight, normal_word, word_of
-from .nets import Net, TRANSITIONS
+from .nets import PORTS, TRANSITIONS, Net
 
 # successor visits a weight-set search may make: no net of the size-9
-# corpus but Omega's needs more than 555, and a net whose term does not
-# normalise exhausts 10,000 in about a tenth of a second
+# corpus but Omega's needs more than 555.  Each visit normalises the whole
+# word read so far, so exhausting the budget takes longer as words grow:
+# one search whose words reached 4,709 atoms took 6.7 s
 MAX_EXPANSIONS = 10_000
 
 
@@ -38,22 +37,22 @@ class SearchBudgetError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Step:
-    edge: int
-    to_end: int  # endpoint index the traversal moves towards
+# per node kind and port, the ports a straight path arriving there leaves by
+LEAVING = {kind: {port: tuple(b if port == a else a for a, b in pairs if port in (a, b))
+                  for port in PORTS[kind]}
+           for kind, pairs in TRANSITIONS.items()}
 
 
 class DirectedEdges:
     """The straight-path transition table of a net, built once per search.
 
-    Its states are the directed edges: ``Step(edge, to_end)`` is state
-    ``2 * k + to_end`` when ``edge`` is the ``k``-th edge of the net.  Per
-    state it keeps the word read along the step (the edge's weight towards
+    Its states are the directed edges: traversing the ``k``-th edge of the
+    net towards ``ends[to_end]`` is state ``2 * k + to_end``.  Per state it
+    keeps the word read along the step (the edge's weight towards
     ``ends[1]``, its involution towards ``ends[0]``, None for the zero of a
     weakening), whether the step arrives at the interface, and the states a
-    straight path may move to next.  ``starts`` are the states leaving the
-    interface.
+    straight path may move to next, read through the net's port map.
+    ``starts`` are the states leaving the interface.
     """
 
     def __init__(self, net: Net):
@@ -61,7 +60,6 @@ class DirectedEdges:
         self.words = []
         self.interface = []
         self.starts = []
-        arriving = {}  # (node, port) -> state arriving there
         for k, eid in enumerate(self.edge_ids):
             edge = net.edges[eid]
             forward = word_of(edge.weight)
@@ -74,20 +72,18 @@ class DirectedEdges:
                 self.interface.append(at_interface)
                 if at_interface:
                     self.starts.append(2 * k + 1 - to_end)
-                elif end is not None:
-                    arriving[(end[1], end[2])] = 2 * k + to_end
+        first = {eid: 2 * k for k, eid in enumerate(self.edge_ids)}
+        ports = net.ports
         self.succ = [()] * len(self.words)
-        for (nid, port), state in arriving.items():
-            # leaving through a port is arriving there reversed
-            self.succ[state] = tuple(
-                arriving[(nid, b if port == a else a)] ^ 1
-                for a, b in TRANSITIONS[net.nodes[nid]] if port in (a, b))
+        for (nid, port), (eid, i) in ports.items():
+            nexts = self.succ[first[eid] + i] = []
+            for other in LEAVING[net.nodes[nid]][port]:
+                # leaving through a port is arriving there reversed
+                e2, i2 = ports[(nid, other)]
+                nexts.append((first[e2] + i2) ^ 1)
 
     def state(self, eid: int, to_end: int) -> int:
         return 2 * self.edge_ids.index(eid) + to_end
-
-    def step(self, state: int) -> Step:
-        return Step(self.edge_ids[state >> 1], state & 1)
 
 
 def weight_set(net: Net, max_expansions: int = MAX_EXPANSIONS) -> set:

@@ -578,20 +578,22 @@ def erase_annotations(term: Term) -> Term:
             return erase_annotations(body)
         case Copy(source, left, right, body):
             body2 = erase_annotations(body)
-            return _rename_all(_rename_all(body2, left, source), right, source)
+            return rename_free(rename_free(body2, left, source), right, source)
         case Subst(body, arg, target):
             return _substitute(erase_annotations(body), target, erase_annotations(arg))
     raise AssertionError
 
 
-def _rename_all(t: Term, old: str, new: str) -> Term:
+def rename_free(t: Term, old: str, new: str) -> Term:
+    """The lambda term ``t`` with its free occurrences of ``old`` renamed
+    ``new``; labels are kept."""
     match t:
         case Var(name, lab):
             return Var(new, lab) if name == old else t
         case Abs(binder, body, lab):
-            return t if binder == old else Abs(binder, _rename_all(body, old, new), lab)
+            return t if binder == old else Abs(binder, rename_free(body, old, new), lab)
         case App(fun, arg, lab):
-            return App(_rename_all(fun, old, new), _rename_all(arg, old, new), lab)
+            return App(rename_free(fun, old, new), rename_free(arg, old, new), lab)
     raise AssertionError
 
 

@@ -19,3 +19,11 @@ def closed_lambda_terms(draw, max_size=10):
             return App(build(left, depth), build(size - 1 - left, depth))
         return Abs(f"x{depth}", build(size - 1, depth + 1))
     return build(draw(st.integers(2, max_size)), 0)
+
+
+def port_scan(net):
+    """``(node, port) -> (edge, end index)`` read from the edges afresh,
+    independent of the map a net keeps."""
+    return {(end[1], end[2]): (eid, i) for eid, e in net.edges.items()
+            for i, end in enumerate(e.ends)
+            if end is not None and end[0] == "node"}

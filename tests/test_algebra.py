@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from goilab.algebra import (ONE, ZERO, ForeignMarkerError, LevelUnderflowError,
-                            WAtom, Weight, bang, compose, entry_level_needed,
-                            format_weight, involute, lw, normal_form,
-                            normal_word, parse_weight, watom, weight_equal)
+from goilab.algebra import (ONE, ZERO, LevelUnderflowError, WAtom, Weight,
+                            bang, compose, entry_level_needed, format_weight,
+                            involute, lw, normal_form, normal_word,
+                            parse_weight, watom, weight_equal)
 from goilab.checks import random_label
-from goilab.labels import (LEFT, RIGHT, atomic, concat, mark, over, reverse,
-                           under)
+from goilab.labels import (LEFT, RIGHT, atomic, concat, mark, over,
+                           parse_label, reverse, under)
 
 
 def test_compose_unit_and_absorption():
@@ -88,9 +88,14 @@ def test_lw_weakening_is_zero():
     assert lw(concat(atomic("a"), mark(LEFT, "W")), 4).weight.is_zero
 
 
-def test_lw_rejects_bracket_markers():
-    with pytest.raises(ForeignMarkerError):
-        lw(mark(RIGHT, "Q"), 3)
+def test_bracket_markers_cannot_reach_lw():
+    # a label holds only the markers the rules emit: neither the label type
+    # nor its parser builds the P and Q of the paper's bracketing map
+    for kind in ("P", "Q"):
+        with pytest.raises(ValueError):
+            mark(RIGHT, kind)
+        with pytest.raises(ValueError):
+            parse_label(f"a.{kind}>")
 
 
 def test_lw_underflow():

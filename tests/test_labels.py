@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from goilab.labels import (LEFT, RIGHT, ArgumentLabelError, Atomic, Marker,
-                           Over, Under, atomic, concat, f_multiplicative,
+from goilab.labels import (LEFT, RIGHT, ArgumentLabelError, atomic, concat,
                            format_label, mark, over, parse_label, reverse,
-                           split_argument_label, strip_lines, strip_pq, under)
+                           split_argument_label, under)
 from goilab.checks import random_label
 
 
@@ -31,27 +30,6 @@ def test_reverse_involution_and_antihomomorphism():
         b = random_label(rng)
         assert reverse(reverse(a)) == a
         assert reverse(concat(a, b)) == concat(reverse(b), reverse(a))
-
-
-def test_f_identity_on_atoms_and_markers():
-    lab = concat(atomic("a"), mark(RIGHT, "D"))
-    assert f_multiplicative(lab) == lab
-
-
-def test_f_bracketing():
-    assert f_multiplicative(over(atomic("a"))) == concat(
-        mark(RIGHT, "Q"), atomic("a"), mark(LEFT, "Q"))
-    assert f_multiplicative(under(atomic("a"))) == concat(
-        mark(RIGHT, "P"), atomic("a"), mark(LEFT, "P"))
-
-
-def test_f_erasure_property():
-    rng = random.Random(11)
-    for _ in range(200):
-        lab = random_label(rng, depth=3)
-        f = f_multiplicative(lab)
-        assert not any(isinstance(a, (Over, Under)) for a in f)
-        assert strip_pq(f) == strip_lines(lab)
 
 
 def test_format_examples():

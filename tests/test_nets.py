@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from conftest import closed_lambda_terms
+from conftest import closed_lambda_terms, port_scan
 from hypothesis import given, settings, strategies as st
 
 from goilab import checks, nets
-from goilab.algebra import (ONE, ZERO, LevelUnderflowError, compose,
-                            format_weight, watom)
+from goilab.algebra import (ONE, ZERO, LevelUnderflowError, WAtom, Weight,
+                            compose, format_weight, watom)
 from goilab.calculus import (LCA, LCF, Configuration, find_redexes,
                              reduction_graph, step)
 from goilab.checks import check_net_simulation
@@ -14,7 +14,7 @@ from goilab.corpus import CLASSICS, corpus, prepare
 from goilab.labelled import initialize
 from goilab.labels import atomic
 from goilab.nets import (Box, Edge, Net, NetError, NotACutError, NotClosedError,
-                         TranslationError, _contract, _splice,
+                         TranslationError, _splice,
                          canonical_signature, closed_cut_step, contracted,
                          eligible_cuts, from_json, iso_check, to_dot, to_json,
                          translate_cbn, translate_cbv, validate)
@@ -87,10 +87,9 @@ def test_copy_premises_carry_r_and_s():
     entry = prepare("dup", parse_lambda("(\\x.x x) (\\y.y)"))
     for translate in (translate_cbv, translate_cbn):
         net = translate(entry.initial)
-        pm = net.port_map()
         fan = next(n for n, k in net.nodes.items() if k == "fan")
-        left_edge = net.edges[pm[(fan, "left")][0]]
-        right_edge = net.edges[pm[(fan, "right")][0]]
+        left_edge = net.edges[net.ports[(fan, "left")][0]]
+        right_edge = net.edges[net.ports[(fan, "right")][0]]
         assert left_edge.weight.atoms[-1].base == "r"
         assert right_edge.weight.atoms[-1].base == "s"
 
@@ -98,9 +97,8 @@ def test_copy_premises_carry_r_and_s():
 def test_erase_maps_to_absorbing_weakening():
     entry = prepare("k", parse_lambda("\\x.\\y.x"))
     net = translate_cbv(entry.initial)
-    pm = net.port_map()
     weaken = next(n for n, k in net.nodes.items() if k == "weaken")
-    assert net.edges[pm[(weaken, "out")][0]].weight.is_zero
+    assert net.edges[net.ports[(weaken, "out")][0]].weight.is_zero
 
 
 def test_cbn_substitution_requires_reachable_label_shape():
@@ -224,6 +222,74 @@ def test_validate_flags_overlapping_boxes_by_box_then_by_edge():
                              f"edge {e2} crosses box {b1} away from a door"]
 
 
+def negative_level():
+    """A weight whose one atom lies below level 0, which ``WAtom`` refuses."""
+    atom = WAtom("q")
+    object.__setattr__(atom, "level", -1)
+    return Weight((atom,))
+
+
+def end_at(eid, i, end):
+    return lambda net: net.edges[eid].ends.__setitem__(i, end)
+
+
+# one edit of boxed_axiom(door=True) per problem validate reports, with the
+# exact list it reports; the net numbers the bang P 1, the axiom A 2, the
+# root edge 3, P.in-A.a 4, the why-not Q 5, A.b-Q.in 6, Q.out-x 7, its box 8
+BROKEN = [
+    (lambda net: net.edges[4].ends.append(None),
+     ["edge 4 lacks two endpoints", "bang node 1 has empty port in",
+      "ax node 2 has empty port a"]),
+    (end_at(4, 1, None),
+     ["edge 4 has a dangling endpoint", "ax node 2 has empty port a"]),
+    (end_at(4, 1, ("node", 99, "a")),
+     ["edge 4 references missing node 99", "ax node 2 has empty port a",
+      "edge 4 crosses box 8 away from a door"]),
+    (end_at(4, 1, ("node", 2, "out")),
+     ["edge 4 uses bad port out on ax", "ax node 2 has empty port a"]),
+    # the second edge at a port is reported, after the edges between them
+    (lambda net: (end_at(3, 1, ("node", 2, "b"))(net), end_at(4, 1, None)(net)),
+     ["edge 4 has a dangling endpoint", "port (2, 'b') attached twice",
+      "bang node 1 has empty port out", "ax node 2 has empty port a",
+      "edge 3 crosses box 8 away from a door"]),
+    (end_at(7, 1, ("root",)), ["edge 7 claims the root interface"]),
+    (end_at(7, 1, ("free", "y")), ["edge 7 claims free variable y"]),
+    (end_at(7, 1, ("elsewhere",)),
+     ["edge 7 has unknown endpoint ('elsewhere',)"]),
+    (lambda net: net.new_node("weaken"), ["weaken node 9 has empty port out"]),
+    (lambda net: net.free.__setitem__("y", 99), ["free edge for y missing"]),
+    (lambda net: setattr(net, "root", 99),
+     ["edge 3 claims the root interface", "root edge missing"]),
+    (lambda net: setattr(net.boxes[8], "principal", 2),
+     ["box 8 principal is not an of-course node",
+      "edge 3 crosses box 8 away from a door"]),
+    (lambda net: setattr(net.boxes[8], "auxiliaries", (5, 2)),
+     ["box 8 auxiliary 2 is not a why-not node"]),
+    (lambda net: net.boxes[8].contents.discard(5),
+     ["box 8 doors must belong to the box",
+      "edge 6 crosses box 8 away from a door"]),
+    (lambda net: net.boxes[8].contents.add(99),
+     ["box 8 contains missing node 99"]),
+    (lambda net: net.boxes.__setitem__(9, Box(1, (), {1, net.new_node("weaken")})),
+     ["weaken node 9 has empty port out", "boxes 8,9 overlap without nesting",
+      "edge 4 crosses box 9 away from a door"]),
+    (lambda net: setattr(net.boxes[8], "auxiliaries", ()),
+     ["edge 7 crosses box 8 away from a door"]),
+    (lambda net: setattr(net.edges[4], "weight", negative_level()),
+     ["edge 4 carries a negative level"]),
+    (lambda net: setattr(net.edges[3], "weight", watom("q", 1)),
+     ["edge 3 atom level 1 != box depth 0"]),
+]
+
+
+def test_validate_reports_each_problem_of_a_hand_broken_net():
+    assert validate(boxed_axiom(door=True)[0], strict_levels=True) == []
+    for row, (edit, expected) in enumerate(BROKEN):
+        net, _ = boxed_axiom(door=True)
+        edit(net)
+        assert validate(net, strict_levels=True) == expected, row
+
+
 # --- isomorphism -------------------------------------------------------------
 
 def test_iso_check_reflexive_and_rename_invariant():
@@ -290,17 +356,17 @@ def renumbered(net, seed=0):
 # --- splicing linking nodes --------------------------------------------------
 
 def contracted_by_restarts(net):
-    """``contracted`` as a restart loop: rebuild the port map, splice the
+    """``contracted`` as a restart loop: scan the ports afresh, splice the
     first axiom or cut whose two ports sit on different edges, start over."""
     out = net.copy()
     while True:
-        pm = out.port_map()
+        pm = port_scan(out)
         for nid, kind in out.nodes.items():
             if kind in ("ax", "cut") and pm[(nid, "a")][0] != pm[(nid, "b")][0]:
                 break
         else:
             return out
-        _splice(out, out.port_map(), nid, "a", "b")
+        _splice(out, nid, "a", "b")
 
 
 def test_contracted_makes_the_splices_of_the_restart_loop():
@@ -315,9 +381,9 @@ def test_contracted_makes_the_splices_of_the_restart_loop():
                 terms += [src.term, dst.term]
             for term in dict.fromkeys(terms):
                 net = translate_cbn(term, weighted=weighted)
-                out, pm = _contract(net)
-                # iso_check signs the contracted net through this map
-                assert pm == out.port_map(), (entry.name, weighted)
+                out = contracted(net)
+                # iso_check signs the contracted net through the map it keeps
+                assert out.ports == port_scan(out), (entry.name, weighted)
                 assert to_json(out) == \
                     to_json(contracted_by_restarts(net)), (entry.name, weighted)
                 compared += 1
@@ -330,12 +396,11 @@ def test_splicing_a_self_loop_raises_and_changes_nothing():
     net.new_edge(("node", cut, "a"), ("node", cut, "b"))
     net.root = net.new_edge(("root",), ("node", der, "out"))
     net.free = {"x": net.new_edge(("node", der, "in"), ("free", "x"))}
-    pm = net.port_map()
-    before, before_pm = to_json(net), dict(pm)
+    before, before_ports = to_json(net), dict(net.ports)
     with pytest.raises(NetError):
-        _splice(net, pm, cut, "a", "b")
+        _splice(net, cut, "a", "b")
     assert to_json(net) == before
-    assert pm == before_pm
+    assert net.ports == before_ports
 
 
 def test_axiom_and_cut_in_a_cycle_contract_to_one_kept_loop():
@@ -344,10 +409,9 @@ def test_axiom_and_cut_in_a_cycle_contract_to_one_kept_loop():
     net.new_edge(("node", ax, "a"), ("node", cut, "a"))
     net.new_edge(("node", cut, "b"), ("node", ax, "b"))
     spliced = net.copy()
-    pm = spliced.port_map()
-    fused = _splice(spliced, pm, ax, "a", "b")
-    assert pm == spliced.port_map() == {(cut, "a"): (fused, 0),
-                                        (cut, "b"): (fused, 1)}
+    fused = _splice(spliced, ax, "a", "b")
+    assert spliced.ports == port_scan(spliced) == {(cut, "a"): (fused, 0),
+                                                   (cut, "b"): (fused, 1)}
     out = contracted(net)
     assert to_json(out) == to_json(spliced)
     assert out.nodes == {cut: "cut"}
@@ -363,10 +427,9 @@ def test_cbn_nets_of_random_terms_are_iso_to_renumbered_copies(term, seed):
         net = translate_cbn(entry.initial, weighted=weighted)
         assert iso_check(net, renumbered(net, seed))
         out = contracted(net)
-        pm = out.port_map()
         for nid, kind in out.nodes.items():
             if kind in ("ax", "cut"):
-                assert pm[(nid, "a")][0] == pm[(nid, "b")][0], kind
+                assert out.ports[(nid, "a")][0] == out.ports[(nid, "b")][0], kind
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -409,18 +472,19 @@ def test_a_door_in_an_erased_arguments_island_is_signed():
 
 def test_criterion_8_signs_each_net_it_compares_once(monkeypatch):
     compared, signed = [], []
-    real_iso_check, real_signature = checks.iso_check, nets._signature
+    real_iso_check = checks.iso_check
+    real_signature = nets.canonical_signature
 
     def recorded(a, b):
         compared.extend((a, b))
         return real_iso_check(a, b)
 
-    def counted(net, pm):
+    def counted(net):
         signed.append(net)
-        return real_signature(net, pm)
+        return real_signature(net)
 
     monkeypatch.setattr(checks, "iso_check", recorded)
-    monkeypatch.setattr(nets, "_signature", counted)
+    monkeypatch.setattr(nets, "canonical_signature", counted)
     assert check_net_simulation(corpus(7))["ok"]
     distinct = {id(net): net for net in compared}
     assert len(signed) == len(distinct) < len(compared)
@@ -597,12 +661,11 @@ def test_dereliction_against_open_box_is_not_closed():
     t = Subst(Var("x"), App(Var("y"), Var("z")), "x")
     net = unlabelled_cbn(t)
     # the substitution cut faces a box with two auxiliary doors
-    pm = net.port_map()
     cut = None
     for bid, box in net.boxes.items():
         if not box.auxiliaries:
             continue
-        ext_edge, idx = pm[(box.principal, "out")]
+        ext_edge, idx = net.ports[(box.principal, "out")]
         far = net.edges[ext_edge].ends[1 - idx]
         if far[0] == "node" and net.nodes[far[1]] == "cut":
             cut = far[1]
@@ -629,32 +692,35 @@ def test_classification_rejects_a_non_cut_and_a_cut_against_the_interface():
     assert eligible_cuts(net) == []
 
 
-def test_cut_elimination_builds_one_port_map_per_operation(monkeypatch):
+def test_no_net_operation_rescans_a_translated_net(monkeypatch):
+    # translation builds the port map once, to validate the net, and keeps
+    # it; a step carries it over, and only a step that deletes nodes drops it
     built = []
-    port_map = Net.port_map
+    ports = Net.ports
 
     def counted(net):
-        built.append(net)
-        return port_map(net)
+        if net._ports is None:
+            built.append(net)
+        return ports.fget(net)
 
     def maps_built(fn, *args):
         built.clear()
         result = fn(*args)
         return result, len(built)
 
-    monkeypatch.setattr(Net, "port_map", counted)
+    monkeypatch.setattr(Net, "ports", property(counted))
     stepped = 0
     for text in ("(\\x.x x) (\\y.y)", dict(CLASSICS)["church_two_twice"]):
         config = Configuration(strip_labels(prepare("t", parse_lambda(text)).initial))
         for src, _, dst in reduction_graph(config, LCA).steps():
             left, right = unlabelled_cbn(src.term), unlabelled_cbn(dst.term)
             cuts, maps = maps_built(eligible_cuts, left)
-            assert maps == 1
-            assert maps_built(iso_check, left, right)[1] <= 2
+            assert maps == 0
+            assert maps_built(iso_check, left, right)[1] == 0
             for cut in cuts:
                 out, maps = maps_built(closed_cut_step, left, cut)
-                assert maps == 1
-                assert maps_built(iso_check, out, right)[1] <= 2
+                assert maps == 0
+                assert maps_built(iso_check, out, right)[1] <= 1
                 stepped += 1
     assert stepped > 50
 

@@ -1,5 +1,5 @@
 import pytest
-from conftest import closed_lambda_terms
+from conftest import closed_lambda_terms, port_scan
 from hypothesis import assume, given, settings
 
 from goilab import checks
@@ -44,15 +44,14 @@ def test_empty_path_weight_is_one():
 
 def test_no_twisting_between_premises():
     net = translate_cbv(identity_application())
-    pm = net.port_map()
     table = DirectedEdges(net)
     tensor = next(n for n, k in net.nodes.items() if k == "tensor")
-    eid, idx = pm[(tensor, "left")]
-    conts = [table.step(s) for s in table.succ[table.state(eid, idx)]]
+    eid, idx = net.ports[(tensor, "left")]
+    conts = table.succ[table.state(eid, idx)]
     # from the left premise the only way on is through the conclusion
     assert len(conts) == 1
-    target = net.edges[conts[0].edge].ends[conts[0].to_end]
-    assert pm[(tensor, "out")][0] == conts[0].edge or target[2] == "out"
+    edge, to_end = table.edge_ids[conts[0] >> 1], conts[0] & 1
+    assert net.ports[(tensor, "out")] == (edge, 1 - to_end)
 
 
 def test_root_to_root_path_exists_through_cut():
@@ -123,7 +122,7 @@ def depth_first_weight_set(net, max_paths=200_000):
     """The reference: enumerate straight paths depth-first, folding each
     path's weight and null-testing it from scratch, with no sharing between
     paths; a path ends at its first null prefix."""
-    pm = net.port_map()
+    pm = port_scan(net)
     out = set()
     paths = 0
 

@@ -3,15 +3,20 @@ every name it uses must resolve, or ``--trace 1`` and its output checks
 break without any other test noticing."""
 
 import importlib
+import random
 import re
 from pathlib import Path
+
+from conftest import port_scan
 
 from goilab.algebra import CONSTANTS, normal_word
 from goilab.calculus import LCA, LCF
 from goilab.checks import (_step_edges, check_net_simulation,
                            check_weight_invariance)
-from goilab.corpus import CLASSICS, prepare
-from goilab.nets import translate_cbn
+from goilab.corpus import CLASSICS, corpus, prepare
+from goilab.nets import (closed_cut_step, contracted, eligible_cuts, from_json,
+                         iso_check, to_json, translate_cbn, translate_cbv,
+                         validate)
 from goilab.paths import weight_set
 from goilab.terms import parse, parse_lambda, subterms
 
@@ -129,6 +134,29 @@ def test_every_net_comparison_passes_through_iso_check(monkeypatch):
         report = check_net_simulation([entry])
     assert report["ok"] and report["steps_checked"] > 0
     assert verdicts and any(verdicts)
+
+
+def test_nets_renumbered_by_the_benchmark_validate_sign_and_search_alike(
+        monkeypatch):
+    # bench/reference.py renumbers a net by assigning its fields directly,
+    # and the simulation workload fails unless each net is iso to its copy;
+    # every net, however made, must read a port map of its own edges
+    monkeypatch.syspath_prepend(str(BENCH))
+    reference = importlib.import_module("reference")
+    rng = random.Random(0)
+    translated = [translate(entry.initial) for entry in corpus(5)[::7]
+                  for translate in (translate_cbv, translate_cbn)]
+    stepped = [closed_cut_step(net, cut) for net in translated
+               for cut in eligible_cuts(net)]
+    assert stepped
+    for net in translated + stepped[:1]:
+        copy = reference.renumbered(net, rng)
+        assert validate(copy) == []
+        assert iso_check(copy, net)
+        assert weight_set(copy) == weight_set(net)
+    for net in translated + stepped:
+        for made in (net, contracted(net), from_json(to_json(net))):
+            assert made.ports == port_scan(made)
 
 
 def test_only_the_suites_catch_every_exception():
