@@ -1,9 +1,8 @@
 """Labelled explicit-substitution calculi, weighted proof-nets, and
 Geometry-of-Interaction path checks."""
 
-from .algebra import (ONE, ZERO, LevelledWeight, Weight, WAtom, bang, compose,
-                      format_weight, involute, lw, normal_form,
-                      weight_equal)
+from .algebra import (ONE, ZERO, LevelledWeight, Weight, bang, compose,
+                      format_weight, involute, lw, normal_word)
 from .calculus import (LCA, LCF, Configuration, RedexSite, find_redexes,
                        normalize_sigma, reduce, reduction_graph, step)
 from .corpus import corpus, prepare

@@ -1,13 +1,14 @@
 """Dynamic-algebra weights, their null test, and the level-tracking
 label-to-weight map.
 
-Weights are free words over levelled constants.  ``weight_equal`` is plain
-word equality after unit elision and zero normalisation: the static words
-that path weight sets are made of.  ``normal_form`` applies the equational
-theory of the dynamic algebra (Danos & Regnier, *Proof-nets and the Hilbert
-space*, 1995; Asperti, Danos, Laneve & Regnier, *Paths in the
-lambda-calculus*, 1994).  ``compose`` reads atoms in the order a path
-traverses them, so the laws are the usual ones mirrored.
+A weight is its word over levelled constants: None for the absorbing
+zero, otherwise a tuple of ``(base, star, level)`` triples, ``()`` being the
+unit.  Two weights are equal as static words, the words that path weight
+sets are made of, exactly when they are equal tuples.  ``normal_word``
+applies the equational theory of the dynamic algebra (Danos & Regnier,
+*Proof-nets and the Hilbert space*, 1995; Asperti, Danos, Laneve & Regnier,
+*Paths in the lambda-calculus*, 1994).  ``compose`` reads atoms in the order
+a path traverses them, so the laws are the usual ones mirrored.
 
 A path going down through a node (from a premise towards the conclusion)
 reads ``p``/``q`` at a tensor or par, ``r``/``s`` at a contraction, ``d`` at a
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Optional
 
 from .labels import Atomic, Label, Marker, Over, Under
@@ -50,73 +52,38 @@ class LevelUnderflowError(Exception):
     """A label marker asked for a box level below zero."""
 
 
-@dataclass(frozen=True)
-class WAtom:
-    base: str
-    star: bool = False
-    level: int = 0
+# a word of (base, star, level) triples; None is the absorbing zero
+Weight = Optional[tuple]
 
-    def __post_init__(self):
-        if self.base not in CONSTANTS:
-            raise ValueError(f"unknown constant {self.base!r}")
-        if self.level < 0:
-            raise ValueError("negative level")
-
-    def inv(self) -> "WAtom":
-        return WAtom(self.base, not self.star, self.level)
-
-    def bumped(self, k: int = 1) -> "WAtom":
-        return WAtom(self.base, self.star, self.level + k)
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A word of atoms; ``atoms is None`` encodes the absorbing zero."""
-
-    atoms: Optional[tuple] = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.atoms is None
-
-    @property
-    def is_one(self) -> bool:
-        return self.atoms == ()
-
-
-ZERO = Weight(None)
-ONE = Weight(())
+ZERO: Weight = None
+ONE: Weight = ()
 
 
 def watom(base: str, level: int = 0, star: bool = False) -> Weight:
-    return Weight((WAtom(base, star, level),))
+    """The one-atom word of the constant ``base`` at ``level``."""
+    if base not in CONSTANTS:
+        raise ValueError(f"unknown constant {base!r}")
+    if level < 0:
+        raise ValueError("negative level")
+    return ((base, star, level),)
 
 
 def compose(*ws: Weight) -> Weight:
-    out = []
-    for w in ws:
-        if w.is_zero:
-            return ZERO
-        out.extend(w.atoms)
-    return Weight(tuple(out))
+    if None in ws:
+        return ZERO
+    return tuple(chain.from_iterable(ws))
 
 
 def involute(w: Weight) -> Weight:
-    if w.is_zero:
+    if w is None:
         return ZERO
-    return Weight(tuple(a.inv() for a in reversed(w.atoms)))
+    return tuple((base, not star, level) for base, star, level in reversed(w))
 
 
 def bang(w: Weight, k: int = 1) -> Weight:
-    if w.is_zero:
+    if w is None:
         return ZERO
-    return Weight(tuple(a.bumped(k) for a in w.atoms))
-
-
-def weight_equal(a: Weight, b: Weight) -> bool:
-    if a.is_zero or b.is_zero:
-        return a.is_zero and b.is_zero
-    return a.atoms == b.atoms
+    return tuple((base, star, level + k) for base, star, level in w)
 
 
 # how an exponential changes the level of the atoms it moves past
@@ -124,14 +91,16 @@ _SHIFT = {"d": -1, "t": 1, "r": 0, "s": 0}
 
 
 @lru_cache(maxsize=1 << 16)
-def normal_word(word: tuple) -> Optional[tuple]:
-    """Normal form of a word of ``(base, star, level)`` triples, or None if
-    it is null.  Memoised per word, for the most recent 65536 words.
+def normal_word(word: Weight) -> Weight:
+    """Normal form of a word, or None if it is null (the zero included).
+    Memoised per word, for the most recent 65536 words.
 
     The word is read left to right onto a stack that is kept in normal form:
     a new atom only ever forms a redex with the top of the stack, and an
     atom that has to move past the top is put back in front of the input.
     """
+    if word is None:
+        return None
     out = []
     pending = list(reversed(word))
     while pending:
@@ -161,24 +130,6 @@ def normal_word(word: tuple) -> Optional[tuple]:
     return tuple(out)
 
 
-def word_of(w: Weight) -> Optional[tuple]:
-    """The word of ``w`` as ``(base, star, level)`` triples, the form
-    ``normal_word`` reads; None for the zero."""
-    if w.is_zero:
-        return None
-    return tuple((a.base, a.star, a.level) for a in w.atoms)
-
-
-def normal_form(w: Weight) -> Weight:
-    """The dynamic-algebra normal form of ``w``; ZERO when ``w`` is null."""
-    if w.is_zero:
-        return ZERO
-    word = normal_word(word_of(w))
-    if word is None:
-        return ZERO
-    return Weight(tuple(WAtom(*atom) for atom in word))
-
-
 @dataclass(frozen=True)
 class LevelledWeight:
     weight: Weight
@@ -205,7 +156,7 @@ def lw(label: Label, in_level: int) -> LevelledWeight:
             parts.append(watom(base, level))
             parts.append(inner.weight)
             parts.append(watom(base, inner.out_level, star=True))
-            if inner.weight.is_zero:
+            if inner.weight is None:
                 zero = True
             level = inner.out_level
             continue
@@ -262,21 +213,22 @@ def entry_level_needed(label: Label) -> int:
     return -lowest
 
 
-def format_watom(a: WAtom) -> str:
-    core = a.base + ("*" if a.star else "")
-    if a.level == 0:
+def format_watom(atom: tuple) -> str:
+    base, star, level = atom
+    core = base + ("*" if star else "")
+    if level == 0:
         return core
-    if a.level == 1:
+    if level == 1:
         return f"!({core})"
-    return f"!^{a.level}({core})"
+    return f"!^{level}({core})"
 
 
 def format_weight(w: Weight) -> str:
-    if w.is_zero:
+    if w is None:
         return "0"
-    if w.is_one:
+    if not w:
         return "1"
-    return ".".join(format_watom(a) for a in w.atoms)
+    return ".".join(format_watom(a) for a in w)
 
 
 def parse_weight(text: str) -> Weight:
@@ -285,7 +237,7 @@ def parse_weight(text: str) -> Weight:
         return ZERO
     if text == "1":
         return ONE
-    atoms = []
+    word = ONE
     for token in text.split("."):
         level = 0
         if token.startswith("!^"):
@@ -293,5 +245,5 @@ def parse_weight(text: str) -> Weight:
             level, token = int(head[2:]), token[:-1]
         elif token.startswith("!("):
             level, token = 1, token[2:-1]
-        atoms.append(WAtom(token.rstrip("*"), token.endswith("*"), level))
-    return Weight(tuple(atoms))
+        word += watom(token.rstrip("*"), level, token.endswith("*"))
+    return word

@@ -267,11 +267,8 @@ class ReductionGraph:
     def configs(self):
         return self.edges.keys()
 
-    def normal_forms(self) -> list:
-        return [c for c, succ in self.edges.items() if not succ]
-
     def sink_terms(self) -> set:
-        return {c.term for c in self.normal_forms()}
+        return {c.term for c, succ in self.edges.items() if not succ}
 
     def steps(self) -> Iterator[tuple]:
         for src, succ in self.edges.items():

@@ -32,9 +32,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import (ONE, ZERO, LevelledWeight, LevelUnderflowError, WAtom,
-                      Weight, compose, entry_level_needed, involute,
-                      format_weight, lw, watom, word_of)
+from .algebra import (ONE, ZERO, LevelledWeight, LevelUnderflowError, Weight,
+                      compose, entry_level_needed, involute, format_weight, lw,
+                      watom)
 from .labels import ArgumentLabelError, Label, Over, split_argument_label
 from .labelled import UnlabelledTermError, label_of
 from .terms import Abs, App, Copy, Erase, Subst, Term, Var
@@ -272,13 +272,12 @@ def validate(net: Net, strict_levels: bool = False) -> list:
     for found in crossings.values():
         problems.extend(found)
     for eid, e in net.edges.items():
-        if not e.weight.is_zero:
-            for a in e.weight.atoms:
-                if a.level < 0:
-                    problems.append(f"edge {eid} carries a negative level")
-                elif strict_levels and a.level != depth.get(eid, 0):
-                    problems.append(
-                        f"edge {eid} atom level {a.level} != box depth {depth.get(eid, 0)}")
+        for _, _, level in e.weight or ():
+            if level < 0:
+                problems.append(f"edge {eid} carries a negative level")
+            elif strict_levels and level != depth.get(eid, 0):
+                problems.append(
+                    f"edge {eid} atom level {level} != box depth {depth.get(eid, 0)}")
     return problems
 
 
@@ -944,7 +943,7 @@ def to_json(net: Net) -> str:
             {
                 "id": eid,
                 "ends": [end_json(e.ends[0]), end_json(e.ends[1])],
-                "weight": word_of(e.weight),
+                "weight": e.weight,
             }
             for eid, e in sorted(net.edges.items())
         ],
@@ -969,8 +968,8 @@ def from_json(text: str) -> Net:
     for nd in data["nodes"]:
         net.nodes[nd["id"]] = nd["kind"]
     for ed in data["edges"]:
-        weight = ZERO if ed["weight"] is None else Weight(
-            tuple(WAtom(base, star, level) for base, star, level in ed["weight"]))
+        weight = ZERO if ed["weight"] is None else compose(
+            *(watom(base, level, star) for base, star, level in ed["weight"]))
         net.edges[ed["id"]] = Edge([tuple(ed["ends"][0]), tuple(ed["ends"][1])], weight)
     for bd in data["boxes"]:
         net.boxes[bd["id"]] = Box(bd["principal"], tuple(bd["auxiliaries"]),

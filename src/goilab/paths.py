@@ -17,13 +17,13 @@ extension null, so a search that drops a path at its first null prefix
 loses no live word, and it ends.
 
 Both searches read one per-net table of directed edges (``DirectedEdges``),
-and every word here, from an edge's step to a reported weight set, is a
-tuple of ``(base, star, level)`` triples, as ``algebra.word_of`` gives it.
+and every word here, from an edge's weight to a reported weight set, is a
+tuple of ``(base, star, level)`` triples: a weight is its word.
 """
 
 from __future__ import annotations
 
-from .algebra import WAtom, Weight, format_weight, normal_word, word_of
+from .algebra import Weight, format_weight, involute, normal_word
 from .nets import PORTS, TRANSITIONS, Net
 
 # successor visits a weight-set search may make: no net of the size-9
@@ -62,11 +62,7 @@ class DirectedEdges:
         self.starts = []
         for k, eid in enumerate(self.edge_ids):
             edge = net.edges[eid]
-            forward = word_of(edge.weight)
-            # read backwards: the involution, without building its atoms
-            backward = None if forward is None else tuple(
-                (base, not star, level) for base, star, level in reversed(forward))
-            self.words += [backward, forward]
+            self.words += [involute(edge.weight), edge.weight]
             for to_end, end in enumerate(edge.ends):
                 at_interface = end is not None and end[0] in ("root", "free")
                 self.interface.append(at_interface)
@@ -132,10 +128,9 @@ def weight_member(net: Net, target: Weight) -> bool:
     search is pruned by prefix matching against the target word, and
     bounded by a path length and by 2,000,000 visits.
     """
-    if target.is_zero:
+    if target is None:
         return False
-    goal = word_of(target)
-    max_steps = 4 * len(goal) + 16
+    max_steps = 4 * len(target) + 16
     budget = [2_000_000]
 
     root_end = None
@@ -144,7 +139,7 @@ def weight_member(net: Net, target: Weight) -> bool:
             root_end = (net.root, 1 - i)
     if root_end is None:
         return False
-    if not goal:
+    if not target:
         return True  # the empty path has weight 1
     table = DirectedEdges(net)
     words, succ = table.words, table.succ
@@ -154,22 +149,16 @@ def weight_member(net: Net, target: Weight) -> bool:
             raise SearchBudgetError("membership search budget exceeded")
         budget[0] -= 1
         word = words[state]
-        if word is None or goal[matched:matched + len(word)] != word:
+        if word is None or target[matched:matched + len(word)] != word:
             return False
         matched += len(word)
-        if matched == len(goal):
+        if matched == len(target):
             return True
         if depth >= max_steps:
             return False
         return any(walk(depth + 1, matched, nxt) for nxt in succ[state])
 
     return walk(1, 0, table.state(*root_end))
-
-
-def format_weight_key(key) -> str:
-    """Print a word of ``(base, star, level)`` triples as ``format_weight``
-    does."""
-    return format_weight(Weight(tuple(WAtom(b, s, l) for b, s, l in key)))
 
 
 def live_words(words: set) -> set:
@@ -189,7 +178,7 @@ def check_invariance(left_words: set, right_words: set) -> dict:
     left = live_words(left_words)
     right = live_words(right_words)
     return {
-        "live_left_only": sorted(format_weight_key(k) for k in left - right),
-        "live_right_only": sorted(format_weight_key(k) for k in right - left),
+        "live_left_only": sorted(format_weight(k) for k in left - right),
+        "live_right_only": sorted(format_weight(k) for k in right - left),
         "live_equal": left == right,
     }

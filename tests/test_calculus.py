@@ -9,7 +9,7 @@ from goilab.calculus import (LCA, LCF, RULES, SIGMA_RULES, Configuration,
                              default_sigma_fuel, find_redexes,
                              normalize_sigma, reduce, reduction_graph, step,
                              trace_records)
-from goilab.checks import (_trace, _trace_sigma_normal_forms,
+from goilab.checks import (_trace, _trace_sigma_nfs,
                            check_label_lemmas, check_propagation,
                            check_sigma_termination, check_weight_invariance)
 from goilab.corpus import closed_terms, corpus, prepare
@@ -314,7 +314,7 @@ def _shared_and_scratch_forms():
     for entry in corpus(7):
         for calc in (LCF, LCA):
             trace = _trace(entry, calc, 10_000)
-            forms = _trace_sigma_normal_forms(trace, calc)
+            forms = _trace_sigma_nfs(trace, calc)
             shared += forms
             scratch += [_from_scratch(ts.config, calc) for ts in trace]
             boundary += [forms[i] is None for i in range(len(trace) - 1)

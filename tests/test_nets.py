@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,8 +6,7 @@ from conftest import closed_lambda_terms, port_scan
 from hypothesis import given, settings, strategies as st
 
 from goilab import checks, nets
-from goilab.algebra import (ONE, ZERO, LevelUnderflowError, WAtom, Weight,
-                            compose, format_weight, watom)
+from goilab.algebra import ONE, LevelUnderflowError, format_weight, watom
 from goilab.calculus import (LCA, LCF, Configuration, find_redexes,
                              reduction_graph, step)
 from goilab.checks import check_net_simulation
@@ -38,14 +38,14 @@ def test_cbv_variable_is_an_axiom_wire():
     net = translate_cbv(Var("x", atomic("a")))
     assert kinds(net) == ["ax"]
     assert len(net.edges) == 2
-    assert all(e.weight.is_one for e in net.edges.values())
+    assert all(e.weight == () for e in net.edges.values())
     assert set(net.free) == {"x"}
 
 
 def test_cbn_variable_carries_a_dereliction():
     net = translate_cbn(Var("x", atomic("a")))
     assert kinds(net) == ["ax", "derelict"]
-    d_edges = [e for e in net.edges.values() if not e.weight.is_one]
+    d_edges = [e for e in net.edges.values() if e.weight != ()]
     assert len(d_edges) == 1
     assert format_weight(d_edges[0].weight) == "d"
 
@@ -90,15 +90,15 @@ def test_copy_premises_carry_r_and_s():
         fan = next(n for n, k in net.nodes.items() if k == "fan")
         left_edge = net.edges[net.ports[(fan, "left")][0]]
         right_edge = net.edges[net.ports[(fan, "right")][0]]
-        assert left_edge.weight.atoms[-1].base == "r"
-        assert right_edge.weight.atoms[-1].base == "s"
+        assert left_edge.weight[-1][0] == "r"
+        assert right_edge.weight[-1][0] == "s"
 
 
 def test_erase_maps_to_absorbing_weakening():
     entry = prepare("k", parse_lambda("\\x.\\y.x"))
     net = translate_cbv(entry.initial)
     weaken = next(n for n, k in net.nodes.items() if k == "weaken")
-    assert net.edges[net.ports[(weaken, "out")][0]].weight.is_zero
+    assert net.edges[net.ports[(weaken, "out")][0]].weight is None
 
 
 def test_cbn_substitution_requires_reachable_label_shape():
@@ -223,10 +223,8 @@ def test_validate_flags_overlapping_boxes_by_box_then_by_edge():
 
 
 def negative_level():
-    """A weight whose one atom lies below level 0, which ``WAtom`` refuses."""
-    atom = WAtom("q")
-    object.__setattr__(atom, "level", -1)
-    return Weight((atom,))
+    """A weight whose one atom lies below level 0, which ``watom`` refuses."""
+    return (("q", False, -1),)
 
 
 def end_at(eid, i, end):
@@ -594,6 +592,15 @@ def test_json_round_trip_is_iso():
         again = from_json(to_json(net))
         assert validate(again) == []
         assert iso_check(net, again)
+
+
+@pytest.mark.parametrize("atom", (["x", False, 0], ["q", False, -1]))
+def test_from_json_refuses_an_unknown_constant_or_a_negative_level(atom):
+    # a JSON net comes from outside the program: its weights are checked
+    data = json.loads(to_json(translate_cbv(identity_application())))
+    data["edges"][0]["weight"] = [["d", False, 0], atom]
+    with pytest.raises(ValueError):
+        from_json(json.dumps(data))
 
 
 def test_dot_export_has_box_clusters():

@@ -3,9 +3,9 @@ from conftest import closed_lambda_terms, port_scan
 from hypothesis import assume, given, settings
 
 from goilab import checks
-from goilab.algebra import (ONE, ZERO, WAtom, Weight, compose, format_weight,
-                            involute, lw, normal_form, normal_word,
-                            parse_weight, watom, word_of)
+from goilab.algebra import (ONE, ZERO, LevelUnderflowError, compose,
+                            format_weight, involute, lw, normal_word,
+                            parse_weight, watom)
 from goilab.calculus import LCA, LCF, Configuration, reduce, reduction_graph
 from goilab.checks import _step_edges, _trace, check_weight_invariance
 from goilab.corpus import CLASSICS, corpus, prepare
@@ -13,8 +13,7 @@ from goilab.labelled import initialize, label_of
 from goilab.labels import atomic
 from goilab.nets import TRANSITIONS, translate_cbn, translate_cbv
 from goilab.paths import (DirectedEdges, SearchBudgetError, check_invariance,
-                          format_weight_key, live_words, weight_member,
-                          weight_set)
+                          live_words, weight_member, weight_set)
 from goilab.terms import Abs, App, Var, compile_term, parse_lambda
 
 
@@ -37,7 +36,7 @@ def test_wire_paths_both_orientations():
 def test_empty_path_weight_is_one():
     net = translate_cbv(Var("x", atomic("a")))
     # the wire's only word is the empty one, whose weight is 1
-    assert Weight(()).is_one
+    assert ONE == ()
     assert weight_member(net, ONE)
     assert not weight_member(net, ZERO)
 
@@ -67,12 +66,7 @@ def test_root_to_root_path_exists_through_cut():
         net = translate(t)
         assert {end[0] for e in net.edges.values() for end in e.ends
                 if end is not None and end[0] != "node"} == {"root"}
-        assert {format_weight_key(w) for w in weight_set(net)} == words
-
-
-def involution(word):
-    return tuple((a.base, a.star, a.level) for a in
-                 involute(Weight(tuple(WAtom(*atom) for atom in word))).atoms)
+        assert {format_weight(w) for w in weight_set(net)} == words
 
 
 def test_reversal_closure_with_involuted_weights():
@@ -82,7 +76,7 @@ def test_reversal_closure_with_involuted_weights():
         for translate in (translate_cbv, translate_cbn):
             words = weight_set(translate(entry.initial))
             assert words
-            assert {involution(w) for w in words} == words
+            assert {involute(w) for w in words} == words
 
 
 def test_weakening_kills_path_weight():
@@ -90,7 +84,7 @@ def test_weakening_kills_path_weight():
     net = translate_cbv(entry.initial)
     table = DirectedEdges(net)
     weakened = [k for k, eid in enumerate(table.edge_ids)
-                if net.edges[eid].weight.is_zero]
+                if net.edges[eid].weight is None]
     assert weakened
     assert all(table.words[2 * k + end] is None
                for k in weakened for end in (0, 1))
@@ -101,8 +95,8 @@ def test_weakening_kills_path_weight():
             table = DirectedEdges(net)
             for k, eid in enumerate(table.edge_ids):
                 weight = net.edges[eid].weight
-                assert table.words[2 * k + 1] == word_of(weight)
-                assert table.words[2 * k] == word_of(involute(weight))
+                assert table.words[2 * k + 1] == weight
+                assert table.words[2 * k] == involute(weight)
     # a wire through the absorbing zero has no word left
     wire = translate_cbv(Var("x", atomic("a")))
     assert weight_set(wire) == {()}
@@ -133,11 +127,11 @@ def depth_first_weight_set(net, max_paths=200_000):
         edge = net.edges[eid]
         weight = compose(weight, edge.weight if to_end == 1
                          else involute(edge.weight))
-        if normal_form(weight).is_zero:
+        if normal_word(weight) is None:
             return
         end = edge.ends[to_end]
         if end is not None and end[0] in ("root", "free"):
-            out.add(tuple((a.base, a.star, a.level) for a in weight.atoms))
+            out.add(weight)
         if end is not None and end[0] == "node":
             nid, port = end[1], end[2]
             for a, b in TRANSITIONS[net.nodes[nid]]:
@@ -237,10 +231,9 @@ def test_lcf_beta_wanderer_word_is_the_counterexample():
     t = identity_application()
     after = reduce(Configuration(t), LCF)[0].config.term
     wanderer = parse_weight("q.d.!(q*).!(p).d*.q*")
-    assert normal_form(wanderer).is_zero
-    key = tuple((a.base, a.star, a.level) for a in wanderer.atoms)
-    assert key not in weight_set(translate_cbv(t))
-    assert key not in weight_set(translate_cbv(after))
+    assert normal_word(wanderer) is None
+    assert wanderer not in weight_set(translate_cbv(t))
+    assert wanderer not in weight_set(translate_cbv(after))
     assert check_invariance(weight_set(translate_cbv(t)),
                             weight_set(translate_cbv(after)))["live_equal"]
 
@@ -260,7 +253,7 @@ def test_live_words_have_the_stable_form():
             for key in live:
                 generators = [star == (base == "t")
                               for base, star, _ in normal_word(key)]
-                assert generators == sorted(generators), format_weight_key(key)
+                assert generators == sorted(generators), format_weight(key)
     assert live_nets >= 40
 
 
@@ -286,6 +279,25 @@ def test_weight_member_rejects_absent_word():
     assert not weight_member(net, compose(watom("r"), watom("s")))
 
 
+def test_an_error_in_one_pair_fails_criterion_9_without_aborting_it(
+        monkeypatch):
+    # each entry reads its lcf final label, then its lca one: the lca read
+    # raises, and the lcf pair is still checked
+    reads = []
+
+    def lw_raising_for_lca(label, level):
+        reads.append(label)
+        if len(reads) % 2 == 0:
+            raise LevelUnderflowError("injected")
+        return lw(label, level)
+
+    monkeypatch.setattr(checks, "lw", lw_raising_for_lca)
+    report = checks.check_goi_end_to_end([prepare("id", parse_lambda("\\x.x"))])
+    assert not report["ok"]
+    assert report["failures"] == ["id/lca: LevelUnderflowError: injected"]
+    assert report["checked"] == 1
+
+
 def test_erased_terms_carry_zero_weight():
     entry = prepare("k", parse_lambda("(\\x.\\y.y) (\\z.z)"))
     config = Configuration(entry.initial)
@@ -295,7 +307,7 @@ def test_erased_terms_carry_zero_weight():
         erased |= ts.config.erased
     assert erased
     for term in erased:
-        assert lw(label_of(term), 5).weight.is_zero
+        assert lw(label_of(term), 5).weight is None
 
 
 

@@ -51,6 +51,14 @@ def test_names_the_benchmark_calls_resolve():
         assert callable(resolve(name)), name
 
 
+def is_word(word) -> bool:
+    """Is ``word`` a tuple of (constant, bool, level >= 0) triples?"""
+    return type(word) is tuple and all(
+        type(atom) is tuple and len(atom) == 3 and atom[0] in CONSTANTS
+        and type(atom[1]) is bool and type(atom[2]) is int and atom[2] >= 0
+        for atom in word)
+
+
 def test_weight_set_returns_the_word_format_the_benchmark_reads():
     # bench/reference.py and algebra.normal_word read words as tuples of
     # (base, star, level); no internal encoding may leak out of weight_set
@@ -58,15 +66,18 @@ def test_weight_set_returns_the_word_format_the_benchmark_reads():
                     parse_lambda(dict(CLASSICS)["apply_to_identity"]))
     words = weight_set(translate_cbn(entry.initial))
     assert type(words) is set and words
-    levels = set()
-    for word in words:
-        assert type(word) is tuple
-        for atom in word:
-            assert type(atom) is tuple
-            base, star, level = atom
-            assert base in CONSTANTS and type(star) is bool and type(level) is int
-            levels.add(level)
-    assert len(levels) > 1
+    assert all(is_word(word) for word in words)
+    assert len({level for word in words for _, _, level in word}) > 1
+    # and a weight is its word, on every net however made: translated,
+    # stepped or read back from JSON
+    translated = [translate(entry.initial) for entry in corpus(5)[::9]
+                  for translate in (translate_cbv, translate_cbn)]
+    stepped = next(closed_cut_step(net, cuts[0]) for net in translated
+                   if (cuts := eligible_cuts(net)))
+    nets = translated + [stepped, from_json(to_json(stepped))]
+    weights = [e.weight for net in nets for e in net.edges.values()]
+    assert None in weights and () in weights
+    assert all(w is None or is_word(w) for w in weights)
 
 
 def test_every_compared_set_passes_through_live_words(monkeypatch):
