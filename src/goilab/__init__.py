@@ -6,7 +6,7 @@ from .algebra import (ONE, ZERO, LevelledWeight, Weight, bang, compose,
 from .calculus import (LCA, LCF, Configuration, RedexSite, find_redexes,
                        normalize_sigma, reduce, reduction_graph, step)
 from .corpus import corpus, prepare
-from .labelled import bullet, initialize, label_of, var_label
+from .labelled import bullet, initialize, label_of
 from .labels import (Atomic, Label, Marker, Over, Under, concat, format_label,
                      parse_label, reverse)
 from .levy import levy_normalize, levy_step

@@ -28,6 +28,8 @@ from .terms import (Subst, check_linear, compile_term, format_term, free_vars,
 IDENTITY_RULES = ("App1", "Lam", "Cpy2", "Ers2")
 # source nodes of the largest terms whose reduction graphs must complete
 DESK_SIZE = 7
+# random samples of the algebra laws, criterion 10
+ALGEBRA_SAMPLES = 1000
 
 
 def _trace(entry: CorpusEntry, calculus: str, fuel: int) -> Optional[list]:
@@ -38,6 +40,19 @@ def _trace(entry: CorpusEntry, calculus: str, fuel: int) -> Optional[list]:
         return [TraceStep(None, config), *reduce(config, calculus, fuel=fuel)]
     except FuelExhaustedError:
         return None
+
+
+def _traces(entries: Iterable[CorpusEntry], calculi: Iterable[str], fuel: int,
+            failures: list):
+    """(entry, calculus, trace) for each entry and calculus in turn.  A trace
+    that runs out of ``fuel`` is not yielded; it is a failure, appended to
+    ``failures``."""
+    for entry in entries:
+        for calculus in calculi:
+            if (trace := _trace(entry, calculus, fuel)) is None:
+                failures.append(f"{entry.name}/{calculus}: trace fuel exhausted")
+            else:
+                yield entry, calculus, trace
 
 
 # ---------------------------------------------------------------------------
@@ -70,21 +85,16 @@ def check_compile_fidelity(entries: Iterable[CorpusEntry]) -> dict:
 # ---------------------------------------------------------------------------
 # criterion 2 and 3: sigma termination and propagation
 
-def _sigma_nfs(entries: Iterable[CorpusEntry], trace_fuel: int,
-               failures: list):
+def _sigma_nfs(entries: Iterable[CorpusEntry], fuel: int, failures: list):
     """(entry, calculus, sigma-normal form) for each configuration of each
     trace.  A trace that runs out of fuel yields nothing and a normalisation
     that does yields None; both are reported in ``failures``."""
-    for entry in entries:
-        for calculus in (LCF, LCA):
-            if (trace := _trace(entry, calculus, trace_fuel)) is None:
-                failures.append(f"{entry.name}/{calculus}: trace fuel exhausted")
-                continue
-            for ts, nf in zip(trace, _trace_sigma_nfs(trace, calculus)):
-                if nf is None:
-                    failures.append(f"{entry.name}/{calculus}: sigma fuel exhausted "
-                                    f"on {format_term(ts.config.term, labels=True)}")
-                yield entry, calculus, nf
+    for entry, calculus, trace in _traces(entries, (LCF, LCA), fuel, failures):
+        for ts, nf in zip(trace, _trace_sigma_nfs(trace, calculus)):
+            if nf is None:
+                failures.append(f"{entry.name}/{calculus}: sigma fuel exhausted "
+                                f"on {format_term(ts.config.term, labels=True)}")
+            yield entry, calculus, nf
 
 
 def _trace_sigma_nfs(trace: list, calculus: str) -> list:
@@ -115,16 +125,16 @@ def _trace_sigma_nfs(trace: list, calculus: str) -> list:
 
 
 def check_sigma_termination(entries: Iterable[CorpusEntry],
-                            trace_fuel: int = 10_000) -> dict:
+                            fuel: int = 10_000) -> dict:
     failures = []
-    checked = sum(1 for _ in _sigma_nfs(entries, trace_fuel, failures))
+    checked = sum(1 for _ in _sigma_nfs(entries, fuel, failures))
     return {"ok": not failures, "failures": failures, "configurations": checked}
 
 
 def check_propagation(entries: Iterable[CorpusEntry],
-                      trace_fuel: int = 10_000) -> dict:
+                      fuel: int = 10_000) -> dict:
     failures = []
-    for entry, calculus, nf in _sigma_nfs(entries, trace_fuel, failures):
+    for entry, calculus, nf in _sigma_nfs(entries, fuel, failures):
         for pos, t in subterms(nf.term) if nf else ():
             if isinstance(t, Subst) and not free_vars(t.arg):
                 failures.append(f"{entry.name}/{calculus}: closed substitution "
@@ -181,13 +191,10 @@ def _forward_sequences(label):
 
 
 def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
-                       trace_fuel: int = 10_000) -> dict:
+                       fuel: int = 10_000) -> dict:
     failures = []
-    for entry in entries:
+    for entry, _, trace in _traces(entries, (calculus,), fuel, failures):
         where = f"{entry.name}/{calculus}"
-        if (trace := _trace(entry, calculus, trace_fuel)) is None:
-            failures.append(f"{where}: trace fuel exhausted")
-            continue
         for ts in trace:
             c = ts.config
             if check_linear(c.term):
@@ -240,16 +247,15 @@ def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
 # ---------------------------------------------------------------------------
 # criteria 6 and 7: weight-set invariance per reduction step
 
-def _step_edges(entry: CorpusEntry, calculus: str, graph_budget: int,
-                trace_fuel: int):
-    """Reduction steps to check: the exhaustive graph up to a budget, and
-    when the budget cuts it short, the leftmost-outermost trace too.  A
-    complete graph holds every step of the trace already.  When the trace
-    runs out of fuel as well, ``FuelExhaustedError`` follows the graph's
-    steps."""
+def _step_edges(entry: CorpusEntry, calculus: str, fuel: int):
+    """Reduction steps to check: the exhaustive graph up to ``fuel``
+    configurations, and when that cuts it short, the leftmost-outermost
+    trace of up to ``fuel`` steps too.  A complete graph holds every step
+    of the trace already.  When the trace runs out of fuel as well,
+    ``FuelExhaustedError`` follows the graph's steps."""
     seen = set()
     graph = reduction_graph(Configuration(entry.initial), calculus,
-                            max_configs=graph_budget)
+                            max_configs=fuel)
     for src, site, dst in graph.steps():
         key = (src.term, site, dst.term)
         if key not in seen:
@@ -257,7 +263,7 @@ def _step_edges(entry: CorpusEntry, calculus: str, graph_budget: int,
             yield key
     if graph.complete:
         return
-    if (trace := _trace(entry, calculus, trace_fuel)) is None:
+    if (trace := _trace(entry, calculus, fuel)) is None:
         raise FuelExhaustedError("trace fuel exhausted")
     for before, ts in zip(trace, trace[1:]):
         key = (before.config.term, ts.site, ts.config.term)
@@ -267,8 +273,7 @@ def _step_edges(entry: CorpusEntry, calculus: str, graph_budget: int,
 
 
 def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
-                            graph_budget: int = 10_000,
-                            trace_fuel: int = 10_000) -> dict:
+                            fuel: int = 10_000) -> dict:
     """Per-step equality of the live weight sets.
 
     For every checked step the live words of interface-to-interface
@@ -278,7 +283,7 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
     the term, rule and position of the step and the live words found on
     one side only, or the error that stopped the step: a search that runs
     out of ``paths.MAX_EXPANSIONS`` is one, and so is a trace that runs out
-    of ``trace_fuel`` when ``graph_budget`` cuts the graph short.
+    of ``fuel`` when ``fuel`` configurations cut the graph short.
     """
     translate = translate_cbv if calculus == LCF else translate_cbn
     failures = []
@@ -294,7 +299,7 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
         return words_cache[term]
 
     for entry in entries:
-        steps = _step_edges(entry, calculus, graph_budget, trace_fuel)
+        steps = _step_edges(entry, calculus, fuel)
         try:
             for src, site, dst in steps:
                 checked += 1
@@ -325,12 +330,12 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
 # criterion 8: closed cut elimination simulates unlabelled reduction
 
 def check_net_simulation(entries: Iterable[CorpusEntry],
-                         graph_budget: int = 10_000) -> dict:
+                         fuel: int = 10_000) -> dict:
     """Closed cut elimination on call-by-name nets simulates every
     unlabelled ``lca`` step.  An entry whose reduction graph outgrows
-    ``graph_budget`` is listed under ``fuel_exhausted`` and its steps are
-    not checked; at desk size that is a failure, as in criterion 4.  A pair
-    of nets that ``iso_check`` cannot compare is a failure too."""
+    ``fuel`` configurations is listed under ``fuel_exhausted`` and its
+    steps are not checked; at desk size that is a failure, as in criterion
+    4.  A pair of nets that ``iso_check`` cannot compare is a failure too."""
     failures = []
     exhausted = []
     checked = 0
@@ -353,7 +358,7 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
 
     for entry in entries:
         config = Configuration(strip_labels(entry.initial))
-        graph = reduction_graph(config, LCA, max_configs=graph_budget)
+        graph = reduction_graph(config, LCA, max_configs=fuel)
         if not graph.complete:
             exhausted.append(entry.name)
             if _source_size(entry) <= DESK_SIZE:
@@ -393,32 +398,26 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
 # criterion 9: end-to-end label/path agreement
 
 def check_goi_end_to_end(entries: Iterable[CorpusEntry],
-                         trace_fuel: int = 10_000) -> dict:
+                         fuel: int = 10_000) -> dict:
     failures = []
-    skipped = []
     checked = 0
-    for entry in entries:
-        for calculus, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
-            trace = _trace(entry, calculus, trace_fuel)
-            if trace is None:
-                skipped.append(f"{entry.name}/{calculus}")
+    for entry, calculus, trace in _traces(entries, (LCF, LCA), fuel, failures):
+        translate = translate_cbv if calculus == LCF else translate_cbn
+        try:
+            levelled = lw(label_of(trace[-1].config.term), 0)
+            if levelled.weight is None:
+                failures.append(
+                    f"{entry.name}/{calculus}: final label has zero weight")
                 continue
-            try:
-                levelled = lw(label_of(trace[-1].config.term), 0)
-                if levelled.weight is None:
-                    failures.append(
-                        f"{entry.name}/{calculus}: final label has zero weight")
-                    continue
-                net = translate(entry.initial)
-                checked += 1
-                if not weight_member(net, levelled.weight):
-                    failures.append(
-                        f"{entry.name}/{calculus}: lw of final label "
-                        f"not realised by a straight path from the root")
-            except (LevelUnderflowError, NetError, SearchBudgetError) as exc:
-                failures.append(f"{entry.name}/{calculus}: {type(exc).__name__}: {exc}")
-    return {"ok": not failures, "failures": failures[:40],
-            "checked": checked, "skipped": skipped}
+            net = translate(entry.initial)
+            checked += 1
+            if not weight_member(net, levelled.weight):
+                failures.append(
+                    f"{entry.name}/{calculus}: lw of final label "
+                    f"not realised by a straight path from the root")
+        except (LevelUnderflowError, NetError, SearchBudgetError) as exc:
+            failures.append(f"{entry.name}/{calculus}: {type(exc).__name__}: {exc}")
+    return {"ok": not failures, "failures": failures[:40], "checked": checked}
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +444,7 @@ def _safe_level(label) -> int:
     return 2 * sum(1 for _ in atoms_flat(label)) + 2
 
 
-def check_algebra_laws(samples: int = 1000, seed: int = 0) -> dict:
+def check_algebra_laws(seed: int = 0) -> dict:
     rng = random.Random(seed)
     failures = []
 
@@ -457,7 +456,7 @@ def check_algebra_laws(samples: int = 1000, seed: int = 0) -> dict:
             return ZERO
         return compose(*parts) if parts else ONE
 
-    for i in range(samples):
+    for i in range(ALGEBRA_SAMPLES):
         a, b, c = random_weight(), random_weight(), random_weight()
         if compose(compose(a, b), c) != compose(a, compose(b, c)):
             failures.append(f"sample {i}: composition not associative")
@@ -487,4 +486,5 @@ def check_algebra_laws(samples: int = 1000, seed: int = 0) -> dict:
             failures.append(f"sample {i}: reversal symmetry broken")
         if lw(concat(mark(RIGHT, "W"), label), level).weight is not None:
             failures.append(f"sample {i}: W marker did not absorb")
-    return {"ok": not failures, "failures": failures[:20], "samples": samples}
+    return {"ok": not failures, "failures": failures[:20],
+            "samples": ALGEBRA_SAMPLES}

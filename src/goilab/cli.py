@@ -3,20 +3,18 @@
 Subcommands: ``compile``, ``reduce``, ``net``, ``check``.  Each takes only the
 flags it reads: ``reduce`` takes ``--calculus`` and ``--fuel``, ``net``
 ``--translation`` and ``--format``, ``check`` ``--fuel``, ``--seed``,
-``--corpus-max-size`` and ``--term``, and all four ``--out``.  Flags may be
-overridden by ``GOI_``-prefixed environment variables (GOI_CALCULUS,
-GOI_TRANSLATION, GOI_FUEL, GOI_CORPUS_MAX_SIZE, GOI_SEED, GOI_OUT).
-``--fuel`` bounds the leftmost-outermost traces and the reduction graphs the
-suites explore.  Identical configuration and inputs produce byte-identical
-outputs.
+``--corpus-max-size`` and ``--term``, and all four ``--out``.  ``--fuel``
+is every suite's one budget: it bounds the leftmost-outermost traces and the
+reduction graphs the suites explore.  Identical configuration and inputs
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -24,15 +22,8 @@ from . import checks
 from .calculus import Configuration, LCA, LCF, reduce, trace_records
 from .corpus import corpus, prepare
 from .labelled import initialize
-from .nets import to_dot, to_json, translate_cbn, translate_cbv, validate
+from .nets import to_dot, to_json, translate_cbn, translate_cbv
 from .terms import compile_term, format_term, parse_lambda
-
-
-def _env_default(name: str, fallback, cast=int):
-    value = os.environ.get(f"GOI_{name}")
-    if value is None:
-        return fallback
-    return cast(value)
 
 
 def _write(out_dir: Optional[str], name: str, text: str) -> None:
@@ -67,10 +58,6 @@ def cmd_net(args) -> int:
     term = initialize(compile_term(parse_lambda(args.term)))
     translate = translate_cbv if args.translation == "cbv" else translate_cbn
     net = translate(term)
-    problems = validate(net)
-    if problems:
-        _write(args.out, "net.err", "\n".join(problems))
-        return 1
     if args.format == "dot":
         _write(args.out, "net.dot", to_dot(net))
     else:
@@ -79,51 +66,32 @@ def cmd_net(args) -> int:
 
 
 def cmd_check(args) -> int:
-    suite, fuel = args.suite, args.fuel
     entries = corpus(args.corpus_max_size)
     if args.term:
         entries = entries + [prepare("user", parse_lambda(args.term))]
-    if suite == "sigma-termination":
-        report = {
-            "termination": checks.check_sigma_termination(entries, fuel),
-            "propagation": checks.check_propagation(entries, fuel),
-        }
-        ok = report["termination"]["ok"] and report["propagation"]["ok"]
-    elif suite == "confluence":
-        report = {
-            LCF: checks.check_confluence(entries, LCF, fuel),
-            LCA: checks.check_confluence(entries, LCA, fuel),
-        }
-        ok = report[LCF]["ok"] and report[LCA]["ok"]
-    elif suite == "label-lemmas":
-        report = {
-            LCF: checks.check_label_lemmas(entries, LCF, fuel),
-            LCA: checks.check_label_lemmas(entries, LCA, fuel),
-        }
-        ok = report[LCF]["ok"] and report[LCA]["ok"]
-    elif suite == "invariance":
-        report = {
-            "lcf_cbv": checks.check_weight_invariance(
-                entries, LCF, graph_budget=fuel, trace_fuel=fuel),
-            "lca_cbn": checks.check_weight_invariance(
-                entries, LCA, graph_budget=fuel, trace_fuel=fuel),
-        }
-        ok = report["lcf_cbv"]["ok"] and report["lca_cbn"]["ok"]
-    elif suite == "net-simulation":
-        report = {"lca_cbn": checks.check_net_simulation(
-            entries, graph_budget=fuel)}
-        ok = report["lca_cbn"]["ok"]
-    elif suite == "label-path":
-        report = {"end_to_end": checks.check_goi_end_to_end(entries, fuel)}
-        ok = report["end_to_end"]["ok"]
-    elif suite == "algebra":
-        report = {"laws": checks.check_algebra_laws(seed=args.seed)}
-        ok = report["laws"]["ok"]
-    else:
-        raise SystemExit(f"unknown suite {suite!r}")
-    text = json.dumps({"suite": suite, "ok": ok, "report": report},
+
+    def fuelled(check, *calculus):
+        return partial(check, entries, *calculus, fuel=args.fuel)
+
+    # suite -> report key -> call; built here, so a patched check is the one run
+    suites = {
+        "invariance": {"lcf_cbv": fuelled(checks.check_weight_invariance, LCF),
+                       "lca_cbn": fuelled(checks.check_weight_invariance, LCA)},
+        "confluence": {c: fuelled(checks.check_confluence, c) for c in (LCF, LCA)},
+        "sigma-termination": {
+            "termination": fuelled(checks.check_sigma_termination),
+            "propagation": fuelled(checks.check_propagation)},
+        "label-lemmas": {c: fuelled(checks.check_label_lemmas, c)
+                         for c in (LCF, LCA)},
+        "net-simulation": {"lca_cbn": fuelled(checks.check_net_simulation)},
+        "label-path": {"end_to_end": fuelled(checks.check_goi_end_to_end)},
+        "algebra": {"laws": partial(checks.check_algebra_laws, seed=args.seed)},
+    }
+    report = {key: call() for key, call in suites[args.suite].items()}
+    ok = all(r["ok"] for r in report.values())
+    text = json.dumps({"suite": args.suite, "ok": ok, "report": report},
                       indent=2, sort_keys=True)
-    _write(args.out, f"check_{suite}.json", text)
+    _write(args.out, f"check_{args.suite}.json", text)
     return 0 if ok else 1
 
 
@@ -138,14 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="trace a labelled reduction to normal form")
     p.add_argument("term")
-    p.add_argument("--calculus", choices=(LCF, LCA),
-                   default=_env_default("CALCULUS", LCF, str))
+    p.add_argument("--calculus", choices=(LCF, LCA), default=LCF)
 
     p = sub.add_parser("net", help="translate a term into a weighted proof-net")
     p.add_argument("term")
     p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.add_argument("--translation", choices=("cbv", "cbn"),
-                   default=_env_default("TRANSLATION", "cbv", str))
+    p.add_argument("--translation", choices=("cbv", "cbn"), default="cbv")
 
     p = sub.add_parser("check", help="run a verification suite over the corpus")
     p.add_argument("suite", choices=("invariance", "confluence",
@@ -153,15 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      "net-simulation", "label-path", "algebra"))
     p.add_argument("--term", default=None,
                    help="additional lambda term to include in the corpus")
-    p.add_argument("--corpus-max-size", type=int,
-                   default=_env_default("CORPUS_MAX_SIZE", 7))
-    p.add_argument("--seed", type=int, default=_env_default("SEED", 0))
+    p.add_argument("--corpus-max-size", type=int, default=7)
+    p.add_argument("--seed", type=int, default=0)
 
     for name in ("reduce", "check"):
-        sub.choices[name].add_argument(
-            "--fuel", type=int, default=_env_default("FUEL", 10_000))
+        sub.choices[name].add_argument("--fuel", type=int, default=10_000)
     for p in sub.choices.values():
-        p.add_argument("--out", default=_env_default("OUT", None, str))
+        p.add_argument("--out", default=None)
     return parser
 
 

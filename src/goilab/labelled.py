@@ -1,5 +1,5 @@
-"""Operations on labelled terms: initialisation, label prefixing, external
-and free-variable label lookup."""
+"""Operations on labelled terms: initialisation, label prefixing and
+external label lookup."""
 
 from __future__ import annotations
 
@@ -8,11 +8,7 @@ from typing import Optional
 
 from .labels import Label, atomic, concat
 from .terms import (Abs, App, Copy, Erase, FreshSupply, Subst, Term, Var,
-                    free_vars, relabel)
-
-
-class VariableNotFreeError(Exception):
-    pass
+                    relabel)
 
 
 class UnlabelledTermError(Exception):
@@ -76,36 +72,3 @@ def label_of(term: Term) -> Label:
             return label_of(body)
     raise AssertionError
 
-
-def var_label(term: Term, x: str) -> Label:
-    """Label on the unique free occurrence of ``x`` (terms are linear)."""
-
-    def search(t: Term) -> Optional[Label]:
-        match t:
-            case Var(name, label):
-                if name == x:
-                    if label is None:
-                        raise UnlabelledTermError(f"occurrence of {x} is unlabelled")
-                    return label
-                return None
-            case Abs(binder, body):
-                return None if binder == x else search(body)
-            case Erase(binder, body):
-                return None if binder == x else search(body)
-            case Copy(source, left, right, body):
-                if x in (left, right):
-                    return None
-                return search(body)
-            case App(fun, arg):
-                return search(fun) or search(arg)
-            case Subst(body, arg, target):
-                hit = None if target == x else search(body)
-                return hit or search(arg)
-        raise AssertionError
-
-    if x not in free_vars(term):
-        raise VariableNotFreeError(x)
-    found = search(term)
-    if found is None:
-        raise VariableNotFreeError(x)
-    return found

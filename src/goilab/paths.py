@@ -82,7 +82,7 @@ class DirectedEdges:
         return 2 * self.edge_ids.index(eid) + to_end
 
 
-def weight_set(net: Net, max_expansions: int = MAX_EXPANSIONS) -> set:
+def weight_set(net: Net) -> set:
     """The live words of the net's interface-to-interface straight paths,
     as tuples of ``(base, star, level)``.
 
@@ -92,13 +92,13 @@ def weight_set(net: Net, max_expansions: int = MAX_EXPANSIONS) -> set:
     word is null is dropped with every extension of it.  A path stops at
     the absorbing zero of a weakening too.
 
-    ``max_expansions`` bounds the successor visits, starts included; past
-    it ``SearchBudgetError`` is raised.  Only a net
+    ``MAX_EXPANSIONS``, read at each call, bounds the successor visits,
+    starts included; past it ``SearchBudgetError`` is raised.  Only a net
     whose term does not normalise should get there.
     """
     table = DirectedEdges(net)
     words, interface, succ = table.words, table.interface, table.succ
-    budget = max_expansions
+    budget = MAX_EXPANSIONS
     found = set()
     pending = [(table.starts, (), ())]  # (next states, word, its normal form)
     while pending:

@@ -9,7 +9,7 @@ from goilab.calculus import (LCA, LCF, RULES, SIGMA_RULES, Configuration,
                              default_sigma_fuel, find_redexes,
                              normalize_sigma, reduce, reduction_graph, step,
                              trace_records)
-from goilab.checks import (_trace, _trace_sigma_nfs,
+from goilab.checks import (_trace, _trace_sigma_nfs, check_goi_end_to_end,
                            check_label_lemmas, check_propagation,
                            check_sigma_termination, check_weight_invariance)
 from goilab.corpus import closed_terms, corpus, prepare
@@ -268,18 +268,18 @@ def test_fuel_equal_to_the_trace_length_is_enough():
 def test_suites_report_an_exhausted_trace():
     entry = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
     expected = ["id/lcf: trace fuel exhausted", "id/lca: trace fuel exhausted"]
-    assert check_sigma_termination([entry], trace_fuel=1)["failures"] == expected
-    assert check_propagation([entry], trace_fuel=1)["failures"] == expected
+    assert check_sigma_termination([entry], fuel=1)["failures"] == expected
+    assert check_propagation([entry], fuel=1)["failures"] == expected
+    assert check_goi_end_to_end([entry], fuel=1)["failures"] == expected
     for calc, line in zip((LCF, LCA), expected):
-        assert check_label_lemmas([entry], calc, trace_fuel=1)["failures"] == [line]
-        assert check_label_lemmas([entry], calc, trace_fuel=2)["ok"]
-        # criteria 6 and 7 read the trace when the graph budget cuts it short
-        assert check_weight_invariance([entry], calc, graph_budget=1,
-                                       trace_fuel=1)["failures"] == [
+        assert check_label_lemmas([entry], calc, fuel=1)["failures"] == [line]
+        assert check_label_lemmas([entry], calc, fuel=2)["ok"]
+        # criteria 6 and 7 read the trace when the fuel cuts the graph short
+        assert check_weight_invariance([entry], calc, fuel=1)["failures"] == [
             {"term": "id", "error": "trace fuel exhausted"}]
-        assert check_weight_invariance([entry], calc, graph_budget=1,
-                                       trace_fuel=2)["ok"]
-    assert check_propagation([entry], trace_fuel=2)["ok"]
+        assert check_weight_invariance([entry], calc, fuel=2)["ok"]
+    assert check_propagation([entry], fuel=2)["ok"]
+    assert check_goi_end_to_end([entry], fuel=2)["ok"]
 
 
 def test_propagation_reports_sigma_fuel_exhaustion(monkeypatch):

@@ -60,29 +60,38 @@ def test_check_net_simulation_small_corpus(tmp_path):
                  "--out", str(tmp_path)]) == 0
 
 
+# each suite that takes a budget, and the checks it calls in turn
+FUELLED = {"invariance": ["check_weight_invariance"] * 2,
+           "confluence": ["check_confluence"] * 2,
+           "sigma-termination": ["check_sigma_termination", "check_propagation"],
+           "label-lemmas": ["check_label_lemmas"] * 2,
+           "net-simulation": ["check_net_simulation"],
+           "label-path": ["check_goi_end_to_end"]}
+
+
 def test_fuel_reaches_the_graph_budgets(tmp_path, monkeypatch):
+    # and every other budget: --fuel is each suite's one budget
     calls = []
 
-    def recorder(suite):
+    def recorder(check):
         def record(entries, *args, **kwargs):
-            calls.append((suite, kwargs))
+            calls.append((check, kwargs))
             return {"ok": True}
         return record
 
-    monkeypatch.setattr(checks, "check_weight_invariance", recorder("invariance"))
-    monkeypatch.setattr(checks, "check_net_simulation", recorder("net-simulation"))
-    for suite in ("invariance", "net-simulation"):
+    for check in {check for names in FUELLED.values() for check in names}:
+        monkeypatch.setattr(checks, check, recorder(check))
+    for suite, names in FUELLED.items():
+        calls.clear()
         assert main(["check", suite, "--corpus-max-size", "2", "--fuel", "7",
                      "--out", str(tmp_path)]) == 0
-    budget = {"graph_budget": 7, "trace_fuel": 7}
-    assert calls == [("invariance", budget), ("invariance", budget),
-                     ("net-simulation", {"graph_budget": 7})]
+        assert calls == [(check, {"fuel": 7}) for check in names]
 
 
-def test_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("GOI_OUT", str(tmp_path))
-    assert main(["compile", "\\x.\\y.x"]) == 0
-    assert (tmp_path / "compiled.txt").read_text().strip() == "\\x.\\y.eps[y].x"
+@pytest.mark.parametrize("suite", FUELLED)
+def test_an_exhausted_budget_fails_the_suite(suite, tmp_path):
+    assert main(["check", suite, "--corpus-max-size", "6", "--fuel", "1",
+                 "--out", str(tmp_path)]) == 1
 
 
 @pytest.mark.parametrize("argv", [

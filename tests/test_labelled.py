@@ -1,8 +1,6 @@
-import pytest
 
 from goilab.corpus import closed_terms, corpus
-from goilab.labelled import (VariableNotFreeError, bullet, initialize,
-                             label_of, var_label)
+from goilab.labelled import bullet, initialize, label_of
 from goilab.labels import Atomic, atomic, concat, format_label
 from goilab.terms import (Abs, App, Copy, Erase, Subst, Var, compile_term,
                           format_term, parse_lambda, relabel, strip_labels,
@@ -76,16 +74,6 @@ def test_label_of_display_rows():
     assert label_of(Erase("y", Var("x", atomic("a")))) == atomic("a")
     assert label_of(Subst(Var("x", atomic("a")), Var("y", atomic("b")), "x")) \
         == atomic("a")
-
-
-def test_var_label_rows():
-    assert var_label(Var("x", atomic("a")), "x") == atomic("a")
-    t = App(Var("x", atomic("a")), Var("y", atomic("b")), atomic("c"))
-    assert var_label(t, "y") == atomic("b")
-    t = Subst(Var("z", atomic("a")), Var("x", atomic("b")), "z")
-    assert var_label(t, "x") == atomic("b")
-    with pytest.raises(VariableNotFreeError):
-        var_label(Abs("x", Var("x", atomic("a")), atomic("b")), "x")
 
 
 def test_initialized_corpus_prints_deterministically():

@@ -510,12 +510,12 @@ def test_net_operations_leave_their_input_unchanged():
 
 def test_simulation_stops_on_a_term_without_normal_form():
     omega = prepare("omega", parse_lambda("(\\x.x x) (\\x.x x)"))
-    report = check_net_simulation([omega], graph_budget=50)
+    report = check_net_simulation([omega], fuel=50)
     assert report["fuel_exhausted"] == ["omega"]
     assert report["steps_checked"] == 0
     assert report["ok"]  # nine source nodes: beyond desk size
     identity = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
-    report = check_net_simulation([identity], graph_budget=1)
+    report = check_net_simulation([identity], fuel=1)
     assert report["fuel_exhausted"] == ["id"]
     assert report["failures"] == [{"term": "id",
                                    "problem": "fuel exhausted at desk size"}]

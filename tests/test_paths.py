@@ -2,7 +2,7 @@ import pytest
 from conftest import closed_lambda_terms, port_scan
 from hypothesis import assume, given, settings
 
-from goilab import checks
+from goilab import checks, paths
 from goilab.algebra import (ONE, ZERO, LevelUnderflowError, compose,
                             format_weight, involute, lw, normal_word,
                             parse_weight, watom)
@@ -153,7 +153,7 @@ def test_weight_set_equals_the_depth_first_enumeration():
     for calculus, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
         terms = {}
         for entry in corpus(6):
-            for src, _, dst in _step_edges(entry, calculus, 10_000, 10_000):
+            for src, _, dst in _step_edges(entry, calculus, 10_000):
                 terms[src] = terms[dst] = None
         for term in terms:
             net = translate(term)
@@ -168,10 +168,9 @@ def test_weight_set_budget_is_a_step_error(monkeypatch):
     entry = prepare("church_two_twice",
                     parse_lambda(dict(CLASSICS)["church_two_twice"]))
     net = translate_cbv(entry.initial)
+    monkeypatch.setattr(paths, "MAX_EXPANSIONS", 50)
     with pytest.raises(SearchBudgetError):
-        weight_set(net, max_expansions=50)
-    monkeypatch.setattr(checks, "weight_set",
-                        lambda net: weight_set(net, max_expansions=50))
+        weight_set(net)
     report = check_weight_invariance([entry], LCF)
     assert not report["ok"]
     assert report["failures"]
@@ -187,8 +186,7 @@ def test_term_without_normal_form_exhausts_the_budget():
     for calculus, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
         with pytest.raises(SearchBudgetError):
             weight_set(translate(omega.initial))
-        report = check_weight_invariance([omega], calculus, graph_budget=3,
-                                         trace_fuel=3)
+        report = check_weight_invariance([omega], calculus, fuel=3)
         assert not report["ok"]
         *steps, last = report["failures"]
         assert report["steps_checked"] == len(steps) > 0
@@ -320,7 +318,7 @@ def rechecked(entry, calculus, search):
     and searching both nets of every step afresh."""
     translate = translate_cbv if calculus == LCF else translate_cbn
     failures = []
-    steps = list(_step_edges(entry, calculus, 10_000, 10_000))
+    steps = list(_step_edges(entry, calculus, 10_000))
     for src, site, dst in steps:
         where = {"term": entry.name, "rule": site.rule,
                  "position": list(site.position)}
@@ -345,15 +343,13 @@ def test_each_term_is_translated_and_searched_once_per_call(monkeypatch):
     # A search budget of 300 expansions stops the search of 14 of
     # church_two_twice's 23 lcf nets, some shared by two steps, so failing
     # reports are compared too, and a search that raises is made once
-    def search(net):
-        return weight_set(net, max_expansions=300)
-
+    monkeypatch.setattr(paths, "MAX_EXPANSIONS", 300)
     entries = (classic("church_two_twice"), classic("apply_to_identity"))
     reports, repeats = [], 0
     for calculus, name, translate in ((LCF, "translate_cbv", translate_cbv),
                                       (LCA, "translate_cbn", translate_cbn)):
         for entry in entries:
-            steps = list(_step_edges(entry, calculus, 10_000, 10_000))
+            steps = list(_step_edges(entry, calculus, 10_000))
             terms = {term for src, _, dst in steps for term in (src, dst)}
             translated, built, searched = [], [], []
 
@@ -364,7 +360,7 @@ def test_each_term_is_translated_and_searched_once_per_call(monkeypatch):
 
             def counted_search(net):
                 searched.append(net)
-                return search(net)
+                return weight_set(net)
 
             with monkeypatch.context() as patch:
                 patch.setattr(checks, name, counted_translate)
@@ -373,7 +369,7 @@ def test_each_term_is_translated_and_searched_once_per_call(monkeypatch):
             assert len(translated) == len(set(translated)) == len(terms)
             assert set(translated) == terms
             assert searched == built
-            assert report == rechecked(entry, calculus, search)
+            assert report == rechecked(entry, calculus, weight_set)
             reports.append(report)
             repeats += 2 * len(steps) - len(terms)
     assert repeats > 0  # a search per step side would repeat some
@@ -398,14 +394,17 @@ def test_a_complete_graph_holds_every_trace_step():
 
 
 def test_an_incomplete_graph_still_checks_the_trace():
+    # church_two_twice has 23 (lcf) and 15 (lca) configurations but traces
+    # of 11 and 9 steps: a fuel of 12 cuts each graph short, not the trace
     entry = classic("church_two_twice")
     for calculus in (LCF, LCA):
+        assert _trace(entry, calculus, 12) is not None
         graph = reduction_graph(Configuration(entry.initial), calculus,
-                                max_configs=2)
+                                max_configs=12)
         assert not graph.complete
         graph_steps = {(src.term, site, dst.term)
                        for src, site, dst in graph.steps()}
-        report = check_weight_invariance([entry], calculus, graph_budget=2)
+        report = check_weight_invariance([entry], calculus, fuel=12)
         assert report["ok"]
         assert report["steps_checked"] > len(graph_steps)
 
@@ -417,7 +416,7 @@ def test_lca_steps_of_random_terms_keep_the_live_words(term):
     entry = prepare("random", term)
     graph = reduction_graph(Configuration(entry.initial), LCA, max_configs=300)
     assume(graph.complete)
-    assert check_weight_invariance([entry], LCA, graph_budget=300)["ok"]
+    assert check_weight_invariance([entry], LCA, fuel=300)["ok"]
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -427,7 +426,7 @@ def test_lcf_steps_of_random_terms_keep_the_live_words(term):
     entry = prepare("random", term)
     graph = reduction_graph(Configuration(entry.initial), LCF, max_configs=300)
     assume(graph.complete)
-    assert check_weight_invariance([entry], LCF, graph_budget=300)["ok"]
+    assert check_weight_invariance([entry], LCF, fuel=300)["ok"]
 
 
 # lcf Beta steps that substitute an open argument.  With the erased binder

@@ -3,12 +3,14 @@ every name it uses must resolve, or ``--trace 1`` and its output checks
 break without any other test noticing."""
 
 import importlib
+import inspect
 import random
 import re
 from pathlib import Path
 
 from conftest import port_scan
 
+from goilab import checks
 from goilab.algebra import CONSTANTS, normal_word
 from goilab.calculus import LCA, LCF
 from goilab.checks import (_step_edges, check_net_simulation,
@@ -114,8 +116,7 @@ def test_traced_counters_count_steps_and_distinct_nets(monkeypatch):
     entry = prepare("apply_to_identity",
                     parse_lambda(dict(CLASSICS)["apply_to_identity"]))
     for calculus in (LCF, LCA):
-        terms = {term for src, _, dst in _step_edges(entry, calculus, 10_000,
-                                                     10_000)
+        terms = {term for src, _, dst in _step_edges(entry, calculus, 10_000)
                  for term in (src, dst)}
         tr = tracer.Tracer()
         tr.new_window()
@@ -198,3 +199,25 @@ def test_no_term_class_has_a_dict():
         "Abs", "App", "Copy", "Erase", "Subst", "Var"}
     for t in nodes:
         assert not hasattr(t, "__dict__"), type(t).__name__
+
+
+def test_no_module_reads_the_environment():
+    # each flag has one source, the command line
+    readers = [path.name for path in sorted(SRC.glob("*.py"))
+               if re.search(r"\bos\.(environ|getenv)\b", path.read_text())]
+    assert readers == []
+
+
+def test_every_suite_has_one_budget_named_fuel():
+    # --fuel reaches every suite as one parameter; a second budget would
+    # need a second flag or a value the command line cannot set
+    suites = [fn for name, fn in vars(checks).items()
+              if name.startswith("check_") and fn.__module__ == checks.__name__]
+    assert len(suites) == 9
+    for fn in suites:
+        if fn.__name__ in ("check_compile_fidelity", "check_algebra_laws"):
+            continue
+        params = inspect.signature(fn).parameters
+        budgets = [p for p in params.values()
+                   if p.name not in ("entries", "calculus")]
+        assert [(p.name, p.default) for p in budgets] == [("fuel", 10_000)], fn.__name__
