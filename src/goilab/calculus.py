@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .labels import LEFT, RIGHT, concat, format_label, mark, over, reverse, under
-from .labelled import UnlabelledTermError, bullet, label_of
+from .labelled import bullet, label_of
 from .terms import (Abs, App, Copy, Erase, Subst, Term, Var, format_term,
                     free_vars, replace_at, subterm_at, subterms, term_size)
 
@@ -318,7 +318,5 @@ def trace_records(trace, calculus: str) -> list:
 
 
 def _erased_label_text(term: Term) -> str:
-    try:
-        return format_label(label_of(term))
-    except UnlabelledTermError:
-        return "(unlabelled)"
+    label = label_of(term)
+    return "(unlabelled)" if label is None else format_label(label)

@@ -32,12 +32,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import (ONE, ZERO, LevelledWeight, LevelUnderflowError, Weight,
-                      compose, entry_level_needed, involute, format_weight, lw,
-                      watom)
+from .algebra import (ONE, ZERO, LevelUnderflowError, Weight, compose,
+                      entry_level_needed, involute, format_weight, lw, watom)
 from .labels import ArgumentLabelError, Label, Over, split_argument_label
-from .labelled import UnlabelledTermError, label_of
-from .terms import Abs, App, Copy, Erase, Subst, Term, Var
+from .labelled import label_of, with_label
+from .terms import Abs, App, Copy, Erase, Subst, Term, Var, strip_labels
 
 PORTS = {
     "ax": ("a", "b"),
@@ -287,14 +286,12 @@ def validate(net: Net, strict_levels: bool = False) -> list:
 class _Translator:
     """Builds one net.  ``go`` returns a term's root edge and a map from
     each free variable to its dangling edge and the box level it sits at.
-    ``weighted`` decides the weights only: an unweighted net reads every
-    label as absent, so its levels are box depths, as for an unlabelled
-    term."""
+    Every construct reads its label through ``lw``, an absent label as the
+    empty one, so an unlabelled term's levels are box depths."""
 
-    def __init__(self, net: Net, cbn: bool, weighted: bool):
+    def __init__(self, net: Net, cbn: bool):
         self.net = net
         self.cbn = cbn
-        self.weighted = weighted
         self.box_stack: list[set] = []
 
     def node(self, kind: str) -> int:
@@ -303,29 +300,11 @@ class _Translator:
             contents.add(nid)
         return nid
 
-    def lw_here(self, label: Optional[Label], level: int) -> LevelledWeight:
-        if label is None or not self.weighted:
-            return LevelledWeight(ONE, level)
-        return lw(label, level)
-
-    def entry_level(self, label: Optional[Label], level: int) -> int:
-        """The lowest level from ``level`` up at which ``label`` reads
-        without underflow; like ``lw_here``, an absent label reads nothing."""
-        if not self.weighted or label is None:
-            return level
-        return max(level, entry_level_needed(label))
-
-    def const(self, base: str, level: int, star: bool = False) -> Weight:
-        if not self.weighted:
-            return ONE
-        return watom(base, level, star)
-
-    def go(self, term: Term, level: int,
-           override: Optional[Label] = None) -> tuple[int, dict]:
+    def go(self, term: Term, level: int) -> tuple[int, dict]:
         net = self.net
         match term:
             case Var(name, label):
-                r = self.lw_here(override if override is not None else label, level)
+                r = lw(label or (), level)
                 ax = self.node("ax")
                 e_body = net.new_edge(None, ("node", ax, "a"), r.weight)
                 e_var = net.new_edge(("node", ax, "b"), None, ONE)
@@ -333,11 +312,11 @@ class _Translator:
                     d = self.node("derelict")
                     net.attach(e_var, 1, ("node", d, "in"))
                     e_var = net.new_edge(("node", d, "out"), None,
-                                         self.const("d", r.out_level))
+                                         watom("d", r.out_level))
                 return e_body, {name: (e_var, r.out_level)}
 
             case Abs(binder, body, label):
-                r = self.lw_here(override if override is not None else label, level)
+                r = lw(label or (), level)
                 o = r.out_level
                 if self.cbn:
                     root, free = self.go(body, o)
@@ -352,76 +331,67 @@ class _Translator:
                 return net.new_edge(None, ("node", bang, "out"), r.weight), free
 
             case App(fun, arg, label):
-                r = self.lw_here(override if override is not None else label, level)
+                r = lw(label or (), level)
                 o = r.out_level
                 froot, ffree = self.go(fun, o)
                 tensor = self.node("tensor")
                 cut = self.node("cut")
                 e_root = net.new_edge(None, ("node", tensor, "right"),
-                                      compose(r.weight, self.const("q", o)))
+                                      compose(r.weight, watom("q", o)))
                 net.attach(froot, 0, ("node", cut, "b"))
                 if self.cbn:
                     net.new_edge(("node", tensor, "out"), ("node", cut, "a"), ONE)
                     aroot, afree = self._arg_box(
-                        arg, o, self.const("p", o, star=True), split=False)
+                        arg, o, watom("p", o, star=True), split=False)
                 else:
                     der = self.node("derelict")
                     net.new_edge(("node", tensor, "out"), ("node", der, "in"), ONE)
                     net.new_edge(("node", der, "out"), ("node", cut, "a"),
-                                 self.const("d", o))
+                                 watom("d", o))
                     aroot, afree = self.go(arg, o)
-                    net.edges[aroot].compose_incoming(
-                        0, self.const("p", o, star=True))
+                    net.edges[aroot].compose_incoming(0, watom("p", o, star=True))
                 net.attach(aroot, 0, ("node", tensor, "left"))
                 return e_root, self._merged(ffree, afree)
 
             case Erase(binder, body):
-                root, free = self.go(body, level, override)
+                root, free = self.go(body, level)
                 weaken = self.node("weaken")
-                e_x = net.new_edge(("node", weaken, "out"), None,
-                                   ZERO if self.weighted else ONE)
-                label = override if override is not None else self._label(body)
-                erased = {binder: (e_x, self._erased_level(label, level))}
+                e_x = net.new_edge(("node", weaken, "out"), None, ZERO)
+                erased = {binder: (e_x, self._erased_level(label_of(body), level))}
                 return root, self._merged(free, erased)
 
             case Copy(source, left, right, body):
-                root, free = self.go(body, level, override)
+                root, free = self.go(body, level)
                 fan = self.node("fan")
                 ey, ly = self._taken(free, left, "copy target")
                 ez, lz = self._taken(free, right, "copy target")
                 if ly != lz:
                     raise TranslationError(
                         f"copy targets at different levels ({ly} vs {lz})")
-                net.edges[ey].compose_outgoing(1, self.const("r", ly))
+                net.edges[ey].compose_outgoing(1, watom("r", ly))
                 net.attach(ey, 1, ("node", fan, "left"))
-                net.edges[ez].compose_outgoing(1, self.const("s", lz))
+                net.edges[ez].compose_outgoing(1, watom("s", lz))
                 net.attach(ez, 1, ("node", fan, "right"))
                 e_source = net.new_edge(("node", fan, "out"), None, ONE)
                 return root, self._merged(free, {source: (e_source, ly)})
 
             case Subst(body, arg, target):
-                root, free = self.go(body, level, override)
+                root, free = self.go(body, level)
                 ex, lx = self._taken(free, target, "substitution target")
                 cut = self.node("cut")
                 net.attach(ex, 1, ("node", cut, "a"))
                 if self.cbn:
                     aroot, afree = self._arg_box(arg, lx, ONE, split=True)
                 else:
-                    aroot, afree = self.go(
-                        arg, self.entry_level(self._label(arg), lx))
+                    entry = entry_level_needed(label_of(arg) or ())
+                    aroot, afree = self.go(arg, max(lx, entry))
                 net.attach(aroot, 0, ("node", cut, "b"))
                 return root, self._merged(free, afree)
 
         raise AssertionError
 
     @staticmethod
-    def _label(term: Term) -> Optional[Label]:
-        try:
-            return label_of(term)
-        except UnlabelledTermError:
-            return None
-
-    def _erased_level(self, label: Optional[Label], level: int) -> int:
+    def _erased_level(label: Optional[Label], level: int) -> int:
         """The level of a binder erased above a body labelled ``label``.
 
         The Beta step that takes the binder's abstraction away prefixes the
@@ -434,7 +404,7 @@ class _Translator:
         erase node's level.
         """
         ends = [i + 1 for i, a in enumerate(label or ()) if isinstance(a, Over)]
-        return self.lw_here(label[:ends[-1]] if ends else None, level).out_level
+        return lw(label[:ends[-1]] if ends else (), level).out_level
 
     def _bind(self, root: int, free: dict, binder: str, inner_level: int) -> int:
         """The par node that binds ``binder`` (taken out of ``free``) on its
@@ -442,10 +412,9 @@ class _Translator:
         net = self.net
         par = self.node("par")
         e_x, _ = self._taken(free, binder, "binder")
-        net.edges[e_x].compose_outgoing(1, self.const("p", inner_level))
+        net.edges[e_x].compose_outgoing(1, watom("p", inner_level))
         net.attach(e_x, 1, ("node", par, "left"))
-        net.edges[root].compose_incoming(
-            0, self.const("q", inner_level, star=True))
+        net.edges[root].compose_incoming(0, watom("q", inner_level, star=True))
         net.attach(root, 0, ("node", par, "right"))
         return par
 
@@ -464,7 +433,7 @@ class _Translator:
             if ly < 1:
                 raise LevelUnderflowError(f"auxiliary door for {name} at level 0")
             e_aux = net.new_edge(("node", why, "out"), None,
-                                 self.const("t", ly - 1, star=True))
+                                 watom("t", ly - 1, star=True))
             auxiliaries.append(why)
             outside[name] = (e_aux, ly - 1)
         net.boxes[net.new_id()] = Box(bang, tuple(auxiliaries), self.box_stack.pop())
@@ -475,27 +444,25 @@ class _Translator:
 
         With ``split`` (substitution arguments) the label prefix up to and
         including its trailing box marker is read on the external edge and
-        the remainder stays on the interior root; otherwise (application
-        arguments, and any argument an unweighted net or an absent label
-        leaves unsplit) the label is read inside and the door itself raises
-        the level.
+        the argument is translated inside with the remainder as its label;
+        otherwise (application arguments, and any unlabelled argument) the
+        label is read inside and the door itself raises the level.
         """
         net = self.net
-        override = None
         ext_weight = prefix
-        label = self._label(arg) if split and self.weighted else None
+        interior_entry = entry + 1
+        label = label_of(arg) if split else None
         if label is not None:
             try:
-                outside, override = split_argument_label(label)
+                outside, rest = split_argument_label(label)
             except ArgumentLabelError as exc:
                 raise TranslationError(f"argument label: {exc}") from exc
-            r = lw(outside, self.entry_level(outside, entry))
+            r = lw(outside, max(entry, entry_level_needed(outside)))
             ext_weight = compose(prefix, r.weight)
             interior_entry = r.out_level
-        else:
-            interior_entry = entry + 1
+            arg = with_label(arg, rest)
         self.box_stack.append(set())
-        root, free = self.go(arg, interior_entry, override)
+        root, free = self.go(arg, interior_entry)
         bang = self.node("bang")
         net.attach(root, 0, ("node", bang, "in"))
         free = self._close_box(bang, free)
@@ -517,8 +484,15 @@ class _Translator:
 
 
 def _translate(term: Term, cbn: bool, weighted: bool) -> Net:
+    """The net of ``term``.  An unweighted net is the net of the term with
+    its labels stripped, every weight then set to ``ONE``: its levels are
+    box depths."""
     net = Net()
-    root, free = _Translator(net, cbn, weighted).go(term, 0)
+    root, free = _Translator(net, cbn).go(
+        term if weighted else strip_labels(term), 0)
+    if not weighted:
+        for edge in net.edges.values():
+            edge.weight = ONE
     net.attach(root, 0, ("root",))
     net.root = root
     for name in sorted(free):

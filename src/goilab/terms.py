@@ -265,15 +265,12 @@ def all_var_names(term: Term) -> frozenset:
 class FreshSupply:
     """Deterministic fresh-name source; never emits a name in ``used``."""
 
-    prefix: str = "v"
-    counter: int = 0
     used: set = field(default_factory=set)
 
     def reserve(self, names) -> None:
         self.used.update(names)
 
-    def fresh(self, base: Optional[str] = None) -> str:
-        base = base or self.prefix
+    def fresh(self, base: str) -> str:
         i = 0
         while True:
             i += 1
@@ -566,7 +563,9 @@ def compile_term(term: Term, supply: Optional[FreshSupply] = None) -> Term:
 
 
 def erase_annotations(term: Term) -> Term:
-    """Forget copy/erase/substitutions and labels, recovering a lambda term."""
+    """Forget copy and erase nodes and labels, recovering a lambda term.
+    A substitution raises ``ValueError``: undoing it would substitute
+    under binders, which may capture."""
     match term:
         case Var(name, _):
             return Var(name)
@@ -579,8 +578,8 @@ def erase_annotations(term: Term) -> Term:
         case Copy(source, left, right, body):
             body2 = erase_annotations(body)
             return rename_free(rename_free(body2, left, source), right, source)
-        case Subst(body, arg, target):
-            return _substitute(erase_annotations(body), target, erase_annotations(arg))
+        case Subst():
+            raise ValueError("erase_annotations expects a term without substitutions")
     raise AssertionError
 
 
@@ -594,17 +593,6 @@ def rename_free(t: Term, old: str, new: str) -> Term:
             return t if binder == old else Abs(binder, rename_free(body, old, new), lab)
         case App(fun, arg, lab):
             return App(rename_free(fun, old, new), rename_free(arg, old, new), lab)
-    raise AssertionError
-
-
-def _substitute(t: Term, name: str, value: Term) -> Term:
-    match t:
-        case Var(n):
-            return value if n == name else t
-        case Abs(binder, body, lab):
-            return t if binder == name else Abs(binder, _substitute(body, name, value), lab)
-        case App(fun, arg, lab):
-            return App(_substitute(fun, name, value), _substitute(arg, name, value), lab)
     raise AssertionError
 
 

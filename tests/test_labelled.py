@@ -1,6 +1,6 @@
 
 from goilab.corpus import closed_terms, corpus
-from goilab.labelled import bullet, initialize, label_of
+from goilab.labelled import bullet, initialize, label_of, with_label
 from goilab.labels import Atomic, atomic, concat, format_label
 from goilab.terms import (Abs, App, Copy, Erase, Subst, Var, compile_term,
                           format_term, parse_lambda, relabel, strip_labels,
@@ -74,6 +74,24 @@ def test_label_of_display_rows():
     assert label_of(Erase("y", Var("x", atomic("a")))) == atomic("a")
     assert label_of(Subst(Var("x", atomic("a")), Var("y", atomic("b")), "x")) \
         == atomic("a")
+
+
+def test_label_of_an_unlabelled_construct_is_none():
+    for t in (Var("x"), Erase("y", Var("x")), Copy("s", "u", "v", Abs("x", Var("x"))),
+              Subst(App(Var("x"), Var("z")), Var("y", atomic("b")), "x")):
+        assert label_of(t) is None, t
+    assert bullet(atomic("b"), Erase("y", Var("x"))) == Erase("y", Var("x"))
+
+
+def test_with_label_rows():
+    a, b = atomic("a"), atomic("b")
+    assert with_label(Var("x"), a) == Var("x", a)
+    assert with_label(Abs("x", Var("x", b), a), b) == Abs("x", Var("x", b), b)
+    assert with_label(App(Var("f"), Var("x"), a), None) == App(Var("f"), Var("x"))
+    assert with_label(Erase("y", Var("x", a)), b) == Erase("y", Var("x", b))
+    t = Copy("s", "u", "v", Subst(Var("x"), Var("y", a), "x"))
+    assert with_label(t, b) == Copy("s", "u", "v", Subst(Var("x", b), Var("y", a), "x"))
+    assert label_of(with_label(t, b)) == b
 
 
 def test_initialized_corpus_prints_deterministically():

@@ -12,7 +12,7 @@ from goilab.calculus import (LCA, LCF, Configuration, find_redexes,
 from goilab.checks import check_net_simulation
 from goilab.corpus import CLASSICS, corpus, prepare
 from goilab.labelled import initialize
-from goilab.labels import atomic
+from goilab.labels import RIGHT, atomic, concat, mark
 from goilab.nets import (Box, Edge, Net, NetError, NotACutError, NotClosedError,
                          TranslationError, _splice,
                          canonical_signature, closed_cut_step, contracted,
@@ -139,6 +139,16 @@ def test_unweighted_nets_ignore_labels_and_equal_weighted_ones_made_plain():
                     assert net == plain(weighted), (entry.name, calc)
                     compared += 1
     assert compared > 1000
+
+
+def test_an_unweighted_net_reads_no_label_a_weighted_one_cannot():
+    # !> at level 0 underflows; the unweighted net never reads the label
+    term = Abs("x", Var("x", concat(mark(RIGHT, "!"), atomic("a"))), atomic("b"))
+    net = translate_cbn(term, weighted=False)
+    assert len(net.edges) == 4
+    assert all(e.weight == ONE for e in net.edges.values())
+    with pytest.raises(LevelUnderflowError):
+        translate_cbn(term)
 
 
 def test_validate_flags_dangling_port():

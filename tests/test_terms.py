@@ -122,6 +122,12 @@ def test_compile_deterministic_and_preserves_meaning():
         assert alpha_equal(erase_annotations(compiled), term), name
 
 
+def test_erase_annotations_refuses_a_substitution():
+    # undoing (\y.x)[y/x] by substitution would capture y: \y.y
+    with pytest.raises(ValueError, match="substitution"):
+        erase_annotations(parse("(\\y.x)[y/x]"))
+
+
 def test_fresh_supply_avoids_used_names():
     supply = FreshSupply()
     supply.reserve({"x1"})
