@@ -2,10 +2,16 @@
 
 Both systems rewrite pairs (term, B) where B collects erased, W-marked
 arguments.  Rules fire under any context; sites are ordered position-first
-(preorder) and rule-name-alphabetical for reproducible traces.  One lazy
-generator, ``_redexes``, contracts each redex in that order with one
-``_apply_rule`` call; the reduction graph and the leftmost-outermost walk
-of ``reduce`` and ``sigma_walk`` read it.
+(preorder) and rule-name-alphabetical for reproducible traces.
+
+Each rule is a left-hand side, a side condition and a labelled contractum.
+``_contractions`` is one match whose cases are the left-hand sides: it
+returns, for one node, the rules that match it with their contracta, and
+None for a rule whose side condition fails.  One lazy generator,
+``_redexes``, reads it at each node in that order; the reduction graph and
+the leftmost-outermost walk of ``reduce`` and ``sigma_walk`` read that.
+Only ``step``, which is given a site, raises ``PatternMismatchError`` or
+``SideConditionViolatedError``.
 """
 
 from __future__ import annotations
@@ -62,130 +68,90 @@ class TraceStep:
     config: Configuration
 
 
-def _apply_rule(node: Term, rule: str, calculus: str):
-    """Apply ``rule`` at ``node``.  Returns (new_node, erased_term | None).
+def _contractions(node: Term, calculus: str, rules: tuple) -> tuple:
+    """``((rule, contracted), ...)`` for the rules of ``rules`` whose
+    left-hand side matches ``node``, alphabetically; ``()`` when none does.
+    ``contracted`` is ``(new node, erased term or None)``, or None when the
+    rule's side condition fails.
 
-    Raises PatternMismatchError when the left-hand side does not match and
-    SideConditionViolatedError when it matches but the condition fails.
+    Each case is one left-hand side; a substitution's are cases on its
+    body, so that a node's kind is tested once (a class pattern that fails
+    costs an ``isinstance`` check, and a flat match would make one per
+    substitution rule at every node).  The rules that share a left-hand
+    side exclude each other, so at most one contractum is built.
     """
-    if calculus not in RULES:
-        raise ValueError(f"unknown calculus {calculus!r}")
-    if rule not in RULES[calculus]:
-        raise PatternMismatchError(f"rule {rule} not in {calculus}")
-
-    if rule == "Beta":
-        if not (isinstance(node, App) and isinstance(node.fun, Abs)):
-            raise PatternMismatchError("Beta needs an applied abstraction")
-        fun, arg, beta = node.fun, node.arg, node.label
-        alpha = fun.label
-        if calculus == LCF:
-            if free_vars(fun):
-                raise SideConditionViolatedError("function part is not closed")
-        elif free_vars(arg):
-            raise SideConditionViolatedError("argument part is not closed")
-        if alpha is None or beta is None:
-            return Subst(fun.body, arg, fun.binder), None
-        if calculus == LCF:
-            block = concat(mark(RIGHT, "D"), alpha, mark(LEFT, "!"))
-            outer = concat(beta, over(block))
-            inner = under(reverse(block))
-        else:
-            outer = concat(beta, over(alpha))
-            inner = concat(under(reverse(alpha)), mark(LEFT, "!"))
-        return bullet(outer, Subst(fun.body, bullet(inner, arg), fun.binder)), None
-
-    if not isinstance(node, Subst):
-        raise PatternMismatchError(f"{rule} rewrites a substitution")
-    body, arg, x = node.body, node.arg, node.target
-
-    if rule == "Lam":
-        if not isinstance(body, Abs):
-            raise PatternMismatchError("Lam needs an abstraction body")
-        if calculus == LCF:
-            if free_vars(arg):
-                raise SideConditionViolatedError("Lam needs a closed argument")
-            marked = bullet(mark(RIGHT, "?"), arg)
-        else:
-            marked = arg
-        return Abs(body.binder, Subst(body.body, marked, x), body.label), None
-
-    if rule in ("App1", "App2"):
-        if not isinstance(body, App):
-            raise PatternMismatchError("App1/App2 need an application body")
-        in_fun = x in free_vars(body.fun)
-        if rule == "App1":
-            if not in_fun:
-                raise SideConditionViolatedError(f"{x} not free in function part")
-            return App(Subst(body.fun, arg, x), body.arg, body.label), None
-        if in_fun or x not in free_vars(body.arg):
-            raise SideConditionViolatedError(f"{x} not free in argument part")
-        marked = bullet(mark(RIGHT, "?"), arg) if calculus == LCA else arg
-        return App(body.fun, Subst(body.arg, marked, x), body.label), None
-
-    if rule in ("Cpy1", "Cpy2"):
-        if not isinstance(body, Copy):
-            raise PatternMismatchError("Cpy1/Cpy2 need a copy body")
-        if rule == "Cpy1":
-            if body.source != x:
-                raise PatternMismatchError("Cpy1 needs the substituted source")
-            if calculus == LCF and free_vars(arg):
-                raise SideConditionViolatedError("Cpy1 needs a closed argument")
-            inner = Subst(body.body, bullet(mark(RIGHT, "R"), arg), body.left)
-            return Subst(inner, bullet(mark(RIGHT, "S"), arg), body.right), None
-        if body.source == x:
-            raise PatternMismatchError("Cpy2 needs an independent substitution")
-        return Copy(body.source, body.left, body.right, Subst(body.body, arg, x)), None
-
-    if rule in ("Ers1", "Ers2"):
-        if not isinstance(body, Erase):
-            raise PatternMismatchError("Ers1/Ers2 need an erase body")
-        if rule == "Ers1":
-            if body.binder != x:
-                raise PatternMismatchError("Ers1 needs the substituted binder")
-            if calculus == LCF and free_vars(arg):
-                raise SideConditionViolatedError("Ers1 needs a closed argument")
-            return body.body, bullet(mark(RIGHT, "W"), arg)
-        if body.binder == x:
-            raise PatternMismatchError("Ers2 needs an independent substitution")
-        return Erase(body.binder, Subst(body.body, arg, x)), None
-
-    if rule == "Var":
-        if not (isinstance(body, Var) and body.name == x):
-            raise PatternMismatchError("Var needs the substituted variable")
-        if body.label is None:
-            return arg, None
-        prefix = body.label
-        if calculus == LCA:
-            prefix = concat(prefix, mark(RIGHT, "D"))
-        return bullet(prefix, arg), None
-
-    if rule == "Cmp":
-        if not isinstance(body, Subst):
-            raise PatternMismatchError("Cmp needs a nested substitution")
-        if x not in free_vars(body.arg):
-            raise SideConditionViolatedError(f"{x} not free in inner argument")
-        return Subst(body.body, Subst(body.arg, arg, x), body.target), None
-
-    raise AssertionError(rule)
-
-
-# rules whose left-hand side fits a substitution, by the kind of its body
-_SUBST_RULES = {Abs: ("Lam",), App: ("App1", "App2"), Copy: ("Cpy1", "Cpy2"),
-                Erase: ("Ers1", "Ers2"), Var: ("Var",), Subst: ("Cmp",)}
-
-
-def _candidate_rules(node: Term) -> tuple:
-    """The rules, alphabetically, whose left-hand side fits ``node``'s kind."""
-    if isinstance(node, Subst):
-        return _SUBST_RULES[type(node.body)]
-    if isinstance(node, App) and isinstance(node.fun, Abs):
-        return ("Beta",)
+    match node:
+        case Subst(body=body, arg=arg, target=x):
+            match body:
+                case Abs():
+                    if calculus == LCA:
+                        marked = arg
+                    elif free_vars(arg):
+                        return (("Lam", None),)
+                    else:
+                        marked = bullet(mark(RIGHT, "?"), arg)
+                    return (("Lam", (Abs(body.binder, Subst(body.body, marked, x),
+                                         body.label), None)),)
+                case App():
+                    if x in free_vars(body.fun):
+                        return (("App1", (App(Subst(body.fun, arg, x), body.arg,
+                                              body.label), None)),
+                                ("App2", None))
+                    if x not in free_vars(body.arg):
+                        return (("App1", None), ("App2", None))
+                    marked = bullet(mark(RIGHT, "?"), arg) if calculus == LCA else arg
+                    return (("App1", None),
+                            ("App2", (App(body.fun, Subst(body.arg, marked, x),
+                                          body.label), None)))
+                case Copy() if body.source == x:
+                    if calculus == LCF and free_vars(arg):
+                        return (("Cpy1", None),)
+                    inner = Subst(body.body, bullet(mark(RIGHT, "R"), arg), body.left)
+                    return (("Cpy1", (Subst(inner, bullet(mark(RIGHT, "S"), arg),
+                                            body.right), None)),)
+                case Copy():
+                    return (("Cpy2", (Copy(body.source, body.left, body.right,
+                                           Subst(body.body, arg, x)), None)),)
+                case Erase() if body.binder == x:
+                    if calculus == LCF and free_vars(arg):
+                        return (("Ers1", None),)
+                    return (("Ers1", (body.body, bullet(mark(RIGHT, "W"), arg))),)
+                case Erase():
+                    return (("Ers2", (Erase(body.binder, Subst(body.body, arg, x)),
+                                      None)),)
+                case Var() if body.name == x:
+                    if body.label is None:
+                        return (("Var", (arg, None)),)
+                    prefix = body.label
+                    if calculus == LCA:
+                        prefix = concat(prefix, mark(RIGHT, "D"))
+                    return (("Var", (bullet(prefix, arg), None)),)
+                case Subst() if "Cmp" in rules:
+                    if x not in free_vars(body.arg):
+                        return (("Cmp", None),)
+                    return (("Cmp", (Subst(body.body, Subst(body.arg, arg, x),
+                                           body.target), None)),)
+        case App(fun=Abs() as fun) if "Beta" in rules:
+            arg, beta, alpha = node.arg, node.label, fun.label
+            if free_vars(fun if calculus == LCF else arg):
+                return (("Beta", None),)
+            if alpha is None or beta is None:
+                return (("Beta", (Subst(fun.body, arg, fun.binder), None)),)
+            if calculus == LCF:
+                block = concat(mark(RIGHT, "D"), alpha, mark(LEFT, "!"))
+                outer = concat(beta, over(block))
+                inner = under(reverse(block))
+            else:
+                outer = concat(beta, over(alpha))
+                inner = concat(under(reverse(alpha)), mark(LEFT, "!"))
+            contractum = Subst(fun.body, bullet(inner, arg), fun.binder)
+            return (("Beta", (bullet(outer, contractum), None)),)
     return ()
 
 
 def _rebuild(config: Configuration, position: tuple, new_node: Term,
              erased: Optional[Term]) -> Configuration:
-    """``config`` after an ``_apply_rule`` at ``position`` gave these."""
+    """``config`` with the node at ``position`` contracted to these."""
     term = replace_at(config.term, position, new_node)
     bag = config.erased | {erased} if erased is not None else config.erased
     return Configuration(term, bag)
@@ -196,25 +162,35 @@ def _redexes(config: Configuration, calculus: str, rules: tuple) -> Iterator[Tra
     configuration, position-lexicographic then rule-alphabetical.  Lazy:
     the first item contracts the leftmost-outermost redex only."""
     for pos, node in subterms(config.term):
-        for rule in _candidate_rules(node):
-            if rule not in rules:
-                continue
-            try:
-                contracted = _apply_rule(node, rule, calculus)
-            except (PatternMismatchError, SideConditionViolatedError):
-                continue
-            yield TraceStep(RedexSite(pos, rule), _rebuild(config, pos, *contracted))
+        for rule, contracted in _contractions(node, calculus, rules):
+            if contracted is not None:
+                yield TraceStep(RedexSite(pos, rule), _rebuild(config, pos, *contracted))
 
 
-def find_redexes(config: Configuration, calculus: str,
-                 rules: Optional[tuple] = None) -> list:
+def find_redexes(config: Configuration, calculus: str) -> list:
     """All redex sites, position-lexicographic then rule-alphabetical."""
-    return [ts.site for ts in _redexes(config, calculus, rules or RULES[calculus])]
+    return [ts.site for ts in _redexes(config, calculus, RULES[calculus])]
 
 
 def step(config: Configuration, site: RedexSite, calculus: str) -> Configuration:
+    """``config`` with the redex at ``site`` contracted.
+
+    Raises ValueError for an unknown calculus, PatternMismatchError when
+    the rule's left-hand side does not match there and
+    SideConditionViolatedError when it matches but its condition fails.
+    """
     node = subterm_at(config.term, site.position)
-    return _rebuild(config, site.position, *_apply_rule(node, site.rule, calculus))
+    if calculus not in RULES:
+        raise ValueError(f"unknown calculus {calculus!r}")
+    contractions = dict(_contractions(node, calculus, RULES[calculus]))
+    if site.rule not in contractions:
+        raise PatternMismatchError(f"{site.rule} of {calculus} does not match "
+                                   f"at {site.position}")
+    contracted = contractions[site.rule]
+    if contracted is None:
+        raise SideConditionViolatedError(f"{site.rule} side condition fails "
+                                         f"at {site.position}")
+    return _rebuild(config, site.position, *contracted)
 
 
 def default_sigma_fuel(term: Term) -> int:
@@ -233,12 +209,10 @@ def _leftmost_outermost(config: Configuration, calculus: str, rules: tuple,
         config = ts.config
 
 
-def sigma_walk(config: Configuration, calculus: str,
-               fuel: Optional[int] = None) -> tuple[Configuration, int]:
+def sigma_walk(config: Configuration, calculus: str) -> tuple[Configuration, int]:
     """The sigma-normal form of ``config`` and the number of leftmost-outermost
-    sigma steps to it.  ``fuel`` defaults to ``default_sigma_fuel``."""
-    if fuel is None:
-        fuel = default_sigma_fuel(config.term)
+    sigma steps to it, within ``default_sigma_fuel`` steps."""
+    fuel = default_sigma_fuel(config.term)
     steps = 0
     for ts in _leftmost_outermost(config, calculus, SIGMA_RULES[calculus], fuel):
         config = ts.config
@@ -246,10 +220,9 @@ def sigma_walk(config: Configuration, calculus: str,
     return config, steps
 
 
-def normalize_sigma(config: Configuration, calculus: str,
-                    fuel: Optional[int] = None) -> Configuration:
+def normalize_sigma(config: Configuration, calculus: str) -> Configuration:
     """Apply sigma rules leftmost-outermost to a sigma-normal form."""
-    return sigma_walk(config, calculus, fuel)[0]
+    return sigma_walk(config, calculus)[0]
 
 
 def reduce(config: Configuration, calculus: str, fuel: int = 10_000) -> list:

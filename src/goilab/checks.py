@@ -23,7 +23,7 @@ from .nets import (NetError, closed_cut_step, eligible_cuts, iso_check,
 from .paths import (SearchBudgetError, check_invariance, weight_member,
                     weight_set)
 from .terms import (Subst, check_linear, compile_term, format_term, free_vars,
-                    parse_lambda, strip_labels, subterms, term_size)
+                    parse_lambda, subterms, term_size)
 
 IDENTITY_RULES = ("App1", "Lam", "Cpy2", "Ers2")
 # source nodes of the largest terms whose reduction graphs must complete
@@ -357,7 +357,7 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
             return None
 
     for entry in entries:
-        config = Configuration(strip_labels(entry.initial))
+        config = Configuration(entry.compiled)
         graph = reduction_graph(config, LCA, max_configs=fuel)
         if not graph.complete:
             exhausted.append(entry.name)

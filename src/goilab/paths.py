@@ -125,14 +125,13 @@ def weight_member(net: Net, target: Weight) -> bool:
 
     The path may end anywhere in the net (the label of a normal form leads
     from the root to the subnet of the result, not to an interface).  The
-    search is pruned by prefix matching against the target word, and
-    bounded by a path length and by 2,000,000 visits.
+    search is depth-first on an explicit stack, as ``weight_set``'s is, so a
+    long target cannot exhaust Python's recursion limit.  It is pruned by
+    prefix matching against the target word, and bounded by a path length
+    and by 2,000,000 visits.
     """
     if target is None:
         return False
-    max_steps = 4 * len(target) + 16
-    budget = [2_000_000]
-
     root_end = None
     for i, end in enumerate(net.edges[net.root].ends):
         if end is not None and end[0] == "root":
@@ -143,22 +142,25 @@ def weight_member(net: Net, target: Weight) -> bool:
         return True  # the empty path has weight 1
     table = DirectedEdges(net)
     words, succ = table.words, table.succ
-
-    def walk(depth: int, matched: int, state: int) -> bool:
-        if budget[0] <= 0:
+    max_steps = 4 * len(target) + 16
+    budget = 2_000_000
+    # (path length, target atoms matched before the step, step's state)
+    pending = [(1, 0, table.state(*root_end))]
+    while pending:
+        depth, matched, state = pending.pop()
+        if budget <= 0:
             raise SearchBudgetError("membership search budget exceeded")
-        budget[0] -= 1
+        budget -= 1
         word = words[state]
         if word is None or target[matched:matched + len(word)] != word:
-            return False
+            continue
         matched += len(word)
         if matched == len(target):
             return True
-        if depth >= max_steps:
-            return False
-        return any(walk(depth + 1, matched, nxt) for nxt in succ[state])
-
-    return walk(1, 0, table.state(*root_end))
+        if depth < max_steps:
+            # reversed, so that the first successor is searched first
+            pending += [(depth + 1, matched, nxt) for nxt in reversed(succ[state])]
+    return False
 
 
 def live_words(words: set) -> set:

@@ -532,7 +532,7 @@ def _share(body: Term, name: str, supply: FreshSupply) -> Term:
     return chain
 
 
-def compile_term(term: Term, supply: Optional[FreshSupply] = None) -> Term:
+def compile_term(term: Term) -> Term:
     """Compile a plain lambda term into a linear term with copy/erase.
 
     Bottom-up: at each abstraction, an unused binder is erased, and a binder
@@ -542,8 +542,7 @@ def compile_term(term: Term, supply: Optional[FreshSupply] = None) -> Term:
     """
     if not is_lambda_term(term):
         raise ValueError("compile expects a plain lambda term")
-    if supply is None:
-        supply = FreshSupply()
+    supply = FreshSupply()
     supply.reserve(all_var_names(term))
 
     def go(t: Term) -> Term:

@@ -155,6 +155,33 @@ def test_cmp_needs_inner_free_variable():
     assert all(site.rule != "Cmp" for site in find_redexes(Configuration(t), LCA))
 
 
+def test_cmp_is_not_a_rule_of_lca():
+    inner = Subst(Var("y", atomic("a")), Var("x", atomic("b")), "y")
+    t = Subst(inner, closed_value(), "x")
+    with pytest.raises(PatternMismatchError):
+        step(Configuration(t), RedexSite((), "Cmp"), LCA)
+
+
+def test_var_needs_the_substituted_variable():
+    t = Subst(Var("y", atomic("a")), closed_value(), "x")
+    with pytest.raises(PatternMismatchError):
+        step(Configuration(t), RedexSite((), "Var"), LCF)
+
+
+def test_app1_needs_the_target_in_the_function_part():
+    t = Subst(App(Var("y", atomic("b")), Var("x", atomic("a")), atomic("c")),
+              closed_value(), "x")
+    with pytest.raises(SideConditionViolatedError):
+        step(Configuration(t), RedexSite((), "App1"), LCF)
+    assert step(Configuration(t), RedexSite((), "App2"), LCF)
+
+
+def test_step_rejects_an_unknown_calculus():
+    t = Subst(Var("x", atomic("a")), closed_value(), "x")
+    with pytest.raises(ValueError):
+        step(Configuration(t), RedexSite((), "Var"), "lcx")
+
+
 # --- redex search, strategies ----------------------------------------------
 
 def test_find_redexes_normal_form_empty():
@@ -182,35 +209,75 @@ def _every_matching_site(config, calculus):
     return sites
 
 
-def _first_site_trace(config, calculus, rules=None):
-    """The leftmost-outermost trace by ``find_redexes`` and ``step``."""
+def _first_site_trace(config, calculus, sigma=False):
+    """The leftmost-outermost trace by ``find_redexes`` and ``step``, of
+    the sigma rules alone when ``sigma``."""
     trace = []
-    while sites := find_redexes(config, calculus, rules):
+    while sites := [site for site in find_redexes(config, calculus)
+                    if not (sigma and site.rule == "Beta")]:
         config = step(config, sites[0], calculus)
         trace.append(TraceStep(sites[0], config))
     return trace
 
 
-def test_find_redexes_agrees_with_trying_every_rule():
-    # and the graph, reduce and normalize_sigma contract as step does
-    checked = 0
+def _corpus_6_graphs():
+    """(calculus, reduction graph) of every ``corpus(6)`` entry under both
+    calculi, labelled and label-stripped."""
     for entry in corpus(6):
         for calc in (LCF, LCA):
             for term in (entry.initial, strip_labels(entry.initial)):
-                graph = reduction_graph(Configuration(term), calc)
-                for config, succ in graph.edges.items():
-                    expected = _every_matching_site(config, calc)
-                    assert find_redexes(config, calc) == expected
-                    assert find_redexes(config, calc, SIGMA_RULES[calc]) == \
-                        [site for site in expected if site.rule != "Beta"]
-                    assert list(succ) == [(site, step(config, site, calc))
-                                          for site in expected]
-                    assert reduce(config, calc) == _first_site_trace(config, calc)
-                    sigma = _first_site_trace(config, calc, SIGMA_RULES[calc])
-                    assert normalize_sigma(config, calc) == \
-                        (sigma[-1].config if sigma else config)
-                    checked += 1
+                yield calc, reduction_graph(Configuration(term), calc)
+
+
+def test_find_redexes_agrees_with_trying_every_rule():
+    # and the graph, reduce and normalize_sigma contract as step does
+    checked = 0
+    for calc, graph in _corpus_6_graphs():
+        for config, succ in graph.edges.items():
+            expected = _every_matching_site(config, calc)
+            assert find_redexes(config, calc) == expected
+            assert [ts.site for ts in calculus._redexes(
+                config, calc, SIGMA_RULES[calc])] == \
+                [site for site in expected if site.rule != "Beta"]
+            assert list(succ) == [(site, step(config, site, calc))
+                                  for site in expected]
+            assert reduce(config, calc) == _first_site_trace(config, calc)
+            sigma = _first_site_trace(config, calc, sigma=True)
+            assert normalize_sigma(config, calc) == \
+                (sigma[-1].config if sigma else config)
+            checked += 1
     assert checked == 708
+
+
+def test_the_redex_search_constructs_no_rule_error(monkeypatch):
+    # a left-hand side that does not match, or a side condition that fails,
+    # is data in the search: only ``step``, given a site, raises on them
+    made = []
+    for error in (PatternMismatchError, SideConditionViolatedError):
+        def counting(self, *args, error=error):
+            made.append(error)
+            Exception.__init__(self, *args)
+
+        monkeypatch.setattr(error, "__init__", counting)
+    with pytest.raises(PatternMismatchError):
+        step(Configuration(Var("x", atomic("a"))), RedexSite((), "Beta"), LCF)
+    assert made == [PatternMismatchError]  # the counter sees a construction
+    made.clear()
+    configs = 0
+    for calc, graph in _corpus_6_graphs():
+        for config in graph.configs:
+            reduce(config, calc)
+            normalize_sigma(config, calc)
+            configs += 1
+    assert configs == 708 and made == []
+
+
+def test_every_rule_contracts_a_step_of_the_small_corpus():
+    # a case of the rules' match that never fires would show here
+    fired = {LCF: set(), LCA: set()}
+    for calc, graph in _corpus_6_graphs():
+        fired[calc] |= {site.rule for _, site, _ in graph.steps()}
+    assert fired == {calc: set(RULES[calc]) for calc in (LCF, LCA)}
 
 
 def test_closed_substitution_is_never_normal():
@@ -250,7 +317,7 @@ def test_reduce_fuel_exhaustion_reported():
         reduce(Configuration(omega), LCF, fuel=25)
 
 
-def test_fuel_equal_to_the_trace_length_is_enough():
+def test_fuel_equal_to_the_trace_length_is_enough(monkeypatch):
     config = Configuration(initialize(compile_term(parse_lambda("(\\x.x) (\\y.y)"))))
     for calc in (LCF, LCA):
         trace = reduce(config, calc)
@@ -260,9 +327,11 @@ def test_fuel_equal_to_the_trace_length_is_enough():
             reduce(config, calc, fuel=1)
         assert reduce(trace[-1].config, calc, fuel=0) == []
         # one sigma step from the substitution Beta leaves
-        assert normalize_sigma(trace[0].config, calc, fuel=1) == trace[1].config
+        monkeypatch.setattr(calculus, "default_sigma_fuel", lambda term: 1)
+        assert normalize_sigma(trace[0].config, calc) == trace[1].config
+        monkeypatch.setattr(calculus, "default_sigma_fuel", lambda term: 0)
         with pytest.raises(FuelExhaustedError):
-            normalize_sigma(trace[0].config, calc, fuel=0)
+            normalize_sigma(trace[0].config, calc)
 
 
 def test_suites_report_an_exhausted_trace():

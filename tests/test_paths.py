@@ -277,6 +277,18 @@ def test_weight_member_rejects_absent_word():
     assert not weight_member(net, compose(watom("r"), watom("s")))
 
 
+def test_weight_member_follows_a_path_longer_than_the_recursion_limit():
+    # a search that recursed once per path step raised RecursionError here
+    entry = prepare("twice_twice", parse_lambda(
+        "(\\f.\\x.f (f x)) (\\f.\\x.f (f x)) (\\g.\\y.g (g y))"))
+    net = translate_cbv(entry.initial)
+    longest = max(weight_set(net), key=lambda word: (len(word), word))
+    assert len(longest) == 460
+    assert weight_member(net, longest)
+    base, star, level = longest[-1]
+    assert not weight_member(net, longest[:-1] + ((base, not star, level),))
+
+
 def test_an_error_in_one_pair_fails_criterion_9_without_aborting_it(
         monkeypatch):
     # each entry reads its lcf final label, then its lca one: the lca read
