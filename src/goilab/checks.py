@@ -55,6 +55,14 @@ def _traces(entries: Iterable[CorpusEntry], calculi: Iterable[str], fuel: int,
                 yield entry, calculus, trace
 
 
+def _attempted(fn, *args):
+    """``fn(*args)``, or the exception it raised as ``"<Type>: <message>"``."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # a suite reports every error as a failure
+        return f"{type(exc).__name__}: {exc}"
+
+
 # ---------------------------------------------------------------------------
 # criterion 1: compilation fidelity
 
@@ -291,11 +299,8 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
     checked = 0
 
     def words_of(term):
-        if term not in words_cache:
-            try:
-                words_cache[term] = weight_set(translate(term))
-            except Exception as exc:  # budget or translation trouble is a failure
-                words_cache[term] = f"{type(exc).__name__}: {exc}"
+        if term not in words_cache:  # budget or translation trouble is a failure
+            words_cache[term] = _attempted(lambda: weight_set(translate(term)))
         return words_cache[term]
 
     for entry in entries:
@@ -327,38 +332,38 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: closed cut elimination simulates unlabelled reduction
+# criterion 8: closed cut elimination on weighted nets simulates lca
 
 def check_net_simulation(entries: Iterable[CorpusEntry],
                          fuel: int = 10_000) -> dict:
-    """Closed cut elimination on call-by-name nets simulates every
-    unlabelled ``lca`` step.  An entry whose reduction graph outgrows
-    ``fuel`` configurations is listed under ``fuel_exhausted`` and its
-    steps are not checked; at desk size that is a failure, as in criterion
-    4.  A pair of nets that ``iso_check`` cannot compare is a failure too."""
+    """Closed cut elimination on weighted call-by-name nets simulates every
+    labelled ``lca`` step.  Each term is translated, and its net's eligible
+    cuts stepped, once per call.  An entry whose graph outgrows ``fuel``
+    configurations is listed under ``fuel_exhausted``, unchecked; at desk
+    size that is a failure, as in criterion 4.  A net that cannot be built,
+    or a pair that ``iso_check`` cannot compare, fails the step that reads it."""
     failures = []
     exhausted = []
     checked = 0
-    net_cache = {}
+    net_cache = {}  # term -> its net, or the error its translation raised
+    stepped = {}  # term -> its net stepped at each eligible cut, or the error
 
     def net_of(term):
         if term not in net_cache:
-            net_cache[term] = translate_cbn(term, weighted=False)
+            net_cache[term] = _attempted(translate_cbn, term)
         return net_cache[term]
 
     def same_net(a, b, where) -> Optional[bool]:
-        """``iso_check``, or None once a ``NetError`` is reported under
-        ``where``."""
-        try:
-            return iso_check(a, b)
-        except NetError as exc:
+        """``iso_check``, or None once the error it raised is reported."""
+        if isinstance(same := _attempted(iso_check, a, b), str):
             failures.append({**where, "problem": "nets cannot be compared",
-                             "error": f"{type(exc).__name__}: {exc}"})
+                             "error": same})
             return None
+        return same
 
     for entry in entries:
-        config = Configuration(entry.compiled)
-        graph = reduction_graph(config, LCA, max_configs=fuel)
+        graph = reduction_graph(Configuration(entry.initial), LCA,
+                                max_configs=fuel)
         if not graph.complete:
             exhausted.append(entry.name)
             if _source_size(entry) <= DESK_SIZE:
@@ -369,18 +374,22 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
             checked += 1
             left, right = net_of(src.term), net_of(dst.term)
             where = {"term": entry.name, "rule": site.rule}
+            if error := next((n for n in (left, right) if isinstance(n, str)), None):
+                failures.append({**where, "problem": "net cannot be built",
+                                 "error": error})
+                continue
             if site.rule in IDENTITY_RULES:
                 if same_net(left, right, where) is False:
                     failures.append({**where, "problem": "expected identical nets"})
                 continue
+            if src.term not in stepped:
+                stepped[src.term] = [_attempted(closed_cut_step, left, cut)
+                                     for cut in eligible_cuts(left)]
             hits = 0
-            for cut in eligible_cuts(left):
-                try:
-                    rewritten = closed_cut_step(left, cut)
-                except Exception as exc:  # an eligible cut must step
-                    failures.append({**where,
-                                     "problem": "eligible cut does not step",
-                                     "error": f"{type(exc).__name__}: {exc}"})
+            for rewritten in stepped[src.term]:
+                if isinstance(rewritten, str):  # an eligible cut must step
+                    failures.append({**where, "problem": "eligible cut does not step",
+                                     "error": rewritten})
                     continue
                 if same_net(rewritten, right, where):
                     if validate(rewritten):

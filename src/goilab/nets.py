@@ -36,7 +36,7 @@ from .algebra import (ONE, ZERO, LevelUnderflowError, Weight, compose,
                       entry_level_needed, involute, format_weight, lw, watom)
 from .labels import ArgumentLabelError, Label, Over, split_argument_label
 from .labelled import label_of, with_label
-from .terms import Abs, App, Copy, Erase, Subst, Term, Var, strip_labels
+from .terms import Abs, App, Copy, Erase, Subst, Term, Var
 
 PORTS = {
     "ax": ("a", "b"),
@@ -483,16 +483,10 @@ class _Translator:
         return {**a, **b}
 
 
-def _translate(term: Term, cbn: bool, weighted: bool) -> Net:
-    """The net of ``term``.  An unweighted net is the net of the term with
-    its labels stripped, every weight then set to ``ONE``: its levels are
-    box depths."""
+def _translate(term: Term, cbn: bool) -> Net:
+    """The weighted net of ``term``."""
     net = Net()
-    root, free = _Translator(net, cbn).go(
-        term if weighted else strip_labels(term), 0)
-    if not weighted:
-        for edge in net.edges.values():
-            edge.weight = ONE
+    root, free = _Translator(net, cbn).go(term, 0)
     net.attach(root, 0, ("root",))
     net.root = root
     for name in sorted(free):
@@ -505,12 +499,12 @@ def _translate(term: Term, cbn: bool, weighted: bool) -> Net:
     return net
 
 
-def translate_cbv(term: Term, weighted: bool = True) -> Net:
-    return _translate(term, cbn=False, weighted=weighted)
+def translate_cbv(term: Term) -> Net:
+    return _translate(term, cbn=False)
 
 
-def translate_cbn(term: Term, weighted: bool = True) -> Net:
-    return _translate(term, cbn=True, weighted=weighted)
+def translate_cbn(term: Term) -> Net:
+    return _translate(term, cbn=True)
 
 
 # ---------------------------------------------------------------------------

@@ -631,7 +631,3 @@ def relabel(term: Term, label_for: Callable[[], Optional[Label]]) -> Term:
         case Subst(body, arg, target):
             return Subst(relabel(body, label_for), relabel(arg, label_for), target)
     raise AssertionError
-
-
-def strip_labels(term: Term) -> Term:
-    return relabel(term, lambda: None)

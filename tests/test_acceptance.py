@@ -144,7 +144,7 @@ def test_criterion_08_closed_cut_elimination_simulation():
     start = time.time()
     r = check_net_simulation(entries())
     elapsed = time.time() - start
-    report_line(8, "closed cut elimination simulates unlabelled reduction",
+    report_line(8, "closed cut elimination on weighted nets simulates lca",
                 r["ok"], f"{r['steps_checked']} steps, {elapsed:.1f}s")
     assert r["ok"], r["failures"][:5]
 

@@ -17,7 +17,7 @@ from goilab.labelled import initialize, label_of
 from goilab.labels import LEFT, RIGHT, Marker, atomic, format_label
 from goilab.terms import (Abs, App, Copy, Erase, Subst, Var, check_linear,
                           compile_term, format_term, free_vars, parse_lambda,
-                          strip_labels, subterms, term_size)
+                          relabel, subterms, term_size)
 
 
 def identity_application():
@@ -225,7 +225,7 @@ def _corpus_6_graphs():
     calculi, labelled and label-stripped."""
     for entry in corpus(6):
         for calc in (LCF, LCA):
-            for term in (entry.initial, strip_labels(entry.initial)):
+            for term in (entry.initial, entry.compiled):
                 yield calc, reduction_graph(Configuration(term), calc)
 
 
@@ -425,8 +425,8 @@ def test_linearity_survives_each_step(term):
 
 
 def stripped(config):
-    return Configuration(strip_labels(config.term),
-                         frozenset(strip_labels(t) for t in config.erased))
+    return Configuration(relabel(config.term, lambda: None),
+                         frozenset(relabel(t, lambda: None) for t in config.erased))
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

@@ -5,21 +5,21 @@ import pytest
 from conftest import closed_lambda_terms, port_scan
 from hypothesis import given, settings, strategies as st
 
-from goilab import checks, nets
-from goilab.algebra import ONE, LevelUnderflowError, format_weight, watom
+from goilab import calculus, checks, nets
+from goilab.algebra import ONE, format_weight, watom
 from goilab.calculus import (LCA, LCF, Configuration, find_redexes,
                              reduction_graph, step)
 from goilab.checks import check_net_simulation
 from goilab.corpus import CLASSICS, corpus, prepare
 from goilab.labelled import initialize
-from goilab.labels import RIGHT, atomic, concat, mark
+from goilab.labels import atomic, mark
 from goilab.nets import (Box, Edge, Net, NetError, NotACutError, NotClosedError,
                          TranslationError, _splice,
                          canonical_signature, closed_cut_step, contracted,
                          eligible_cuts, from_json, iso_check, to_dot, to_json,
                          translate_cbn, translate_cbv, validate)
 from goilab.terms import (Abs, App, Subst, Var, compile_term, parse,
-                          parse_lambda, strip_labels)
+                          parse_lambda)
 
 
 def identity_application():
@@ -113,42 +113,6 @@ def test_translation_names_a_non_linear_copy_substitution_or_erasure(
         translate, text):
     with pytest.raises(TranslationError, match="linear"):
         translate(parse(text))
-
-
-def test_unweighted_nets_ignore_labels_and_equal_weighted_ones_made_plain():
-    # an unweighted net reads box depths as levels, as an unlabelled term does
-    def plain(net):
-        for e in net.edges.values():
-            e.weight = ONE
-        return to_json(net)
-
-    compared = 0
-    for entry in corpus(7):
-        for calc in (LCF, LCA):
-            for config in reduction_graph(Configuration(entry.initial), calc).configs:
-                for translate in (translate_cbv, translate_cbn):
-                    net = to_json(translate(config.term, weighted=False))
-                    stripped = strip_labels(config.term)
-                    assert net == to_json(translate(stripped, weighted=False))
-                    # an absent label reads as 1, and splits no argument
-                    assert net == plain(translate(stripped))
-                    try:
-                        weighted = translate(config.term)
-                    except (NetError, LevelUnderflowError):
-                        continue
-                    assert net == plain(weighted), (entry.name, calc)
-                    compared += 1
-    assert compared > 1000
-
-
-def test_an_unweighted_net_reads_no_label_a_weighted_one_cannot():
-    # !> at level 0 underflows; the unweighted net never reads the label
-    term = Abs("x", Var("x", concat(mark(RIGHT, "!"), atomic("a"))), atomic("b"))
-    net = translate_cbn(term, weighted=False)
-    assert len(net.edges) == 4
-    assert all(e.weight == ONE for e in net.edges.values())
-    with pytest.raises(LevelUnderflowError):
-        translate_cbn(term)
 
 
 def test_validate_flags_dangling_port():
@@ -381,21 +345,18 @@ def test_contracted_makes_the_splices_of_the_restart_loop():
     # compared by to_json, so the fused edges' ids must agree too
     compared = 0
     for entry in corpus(6):
-        for weighted, start in ((False, strip_labels(entry.initial)),
-                                (True, entry.initial)):
-            graph = reduction_graph(Configuration(start), LCA)
-            terms = [start]
-            for src, _, dst in graph.steps():
-                terms += [src.term, dst.term]
-            for term in dict.fromkeys(terms):
-                net = translate_cbn(term, weighted=weighted)
-                out = contracted(net)
-                # iso_check signs the contracted net through the map it keeps
-                assert out.ports == port_scan(out), (entry.name, weighted)
-                assert to_json(out) == \
-                    to_json(contracted_by_restarts(net)), (entry.name, weighted)
-                compared += 1
-    assert compared > 300
+        graph = reduction_graph(Configuration(entry.initial), LCA)
+        terms = [entry.initial]
+        for src, _, dst in graph.steps():
+            terms += [src.term, dst.term]
+        for term in dict.fromkeys(terms):
+            net = translate_cbn(term)
+            out = contracted(net)
+            # iso_check signs the contracted net through the map it keeps
+            assert out.ports == port_scan(out), entry.name
+            assert to_json(out) == to_json(contracted_by_restarts(net)), entry.name
+            compared += 1
+    assert compared > 150
 
 
 def test_splicing_a_self_loop_raises_and_changes_nothing():
@@ -430,40 +391,30 @@ def test_axiom_and_cut_in_a_cycle_contract_to_one_kept_loop():
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(closed_lambda_terms(), st.integers(0, 99))
 def test_cbn_nets_of_random_terms_are_iso_to_renumbered_copies(term, seed):
-    entry = prepare("random", term)
-    for weighted in (False, True):
-        net = translate_cbn(entry.initial, weighted=weighted)
-        assert iso_check(net, renumbered(net, seed))
-        out = contracted(net)
-        for nid, kind in out.nodes.items():
-            if kind in ("ax", "cut"):
-                assert out.ports[(nid, "a")][0] == out.ports[(nid, "b")][0], kind
+    net = translate_cbn(prepare("random", term).initial)
+    assert iso_check(net, renumbered(net, seed))
+    out = contracted(net)
+    for nid, kind in out.nodes.items():
+        if kind in ("ax", "cut"):
+            assert out.ports[(nid, "a")][0] == out.ports[(nid, "b")][0], kind
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(closed_lambda_terms(), st.integers(0, 99))
 def test_cbv_nets_of_random_terms_are_iso_to_renumbered_copies(term, seed):
-    entry = prepare("random", term)
-    for weighted in (False, True):
-        net = translate_cbv(entry.initial, weighted=weighted)
-        assert iso_check(net, renumbered(net, seed))
+    net = translate_cbv(prepare("random", term).initial)
+    assert iso_check(net, renumbered(net, seed))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(closed_lambda_terms(max_size=12))
 def test_nets_of_random_configurations_are_iso_to_renumbered_copies(term):
-    # each calculus translates weighted as criteria 6 and 7 pair them; an
-    # unweighted net ignores labels, so it is signed once per stripped term
+    # each calculus translates as criteria 6 and 7 pair them
     initial = prepare("random", term).initial
-    stripped = set()
     for calc, paired in ((LCF, translate_cbv), (LCA, translate_cbn)):
         graph = reduction_graph(Configuration(initial), calc, max_configs=300)
         for config in graph.configs:
-            paired(config.term)
-            stripped.add(strip_labels(config.term))
-    for bare in stripped:
-        for translate in (translate_cbv, translate_cbn):
-            net = translate(bare, weighted=False)
+            net = paired(config.term)
             assert iso_check(net, renumbered(net))
 
 
@@ -473,7 +424,7 @@ def test_a_door_in_an_erased_arguments_island_is_signed():
     term = parse("(\\x1.eps[x1].\\x2.eps[x2].(eps[x3].x01)[\\x0.x0/x01]"
                  "[\\x3.eps[x3].\\x4.eps[x4].x02/x3])[\\x0.x0/x02]")
     for translate in (translate_cbv, translate_cbn):
-        net = translate(term, weighted=False)
+        net = translate(term)
         for seed in range(5):
             assert iso_check(net, renumbered(net, seed))
 
@@ -505,9 +456,9 @@ def test_criterion_8_signs_each_net_it_compares_once(monkeypatch):
 def test_net_operations_leave_their_input_unchanged():
     operations = 0
     for entry in corpus(5):
-        config = Configuration(strip_labels(entry.initial))
+        config = Configuration(entry.initial)
         for src, _, dst in reduction_graph(config, LCA).steps():
-            left, right = unlabelled_cbn(src.term), unlabelled_cbn(dst.term)
+            left, right = translate_cbn(src.term), translate_cbn(dst.term)
             before = to_json(left)
             for cut in eligible_cuts(left):
                 closed_cut_step(left, cut)
@@ -561,16 +512,57 @@ def test_simulation_reports_nets_it_cannot_compare(monkeypatch):
                    for f in report["failures"])
 
 
+def test_simulation_reports_a_net_it_cannot_build(monkeypatch):
+    entry = prepare("apply", parse_lambda("(\\x.\\y.x y) (\\z.z)"))
+    expected = check_net_simulation([entry])["steps_checked"]
+    real = checks.translate_cbn
+
+    def broken(term):
+        if term == entry.initial:
+            raise TranslationError("no net")
+        return real(term)
+
+    monkeypatch.setattr(checks, "translate_cbn", broken)
+    report = check_net_simulation([entry])
+    assert not report["ok"]
+    assert {"term": "apply", "rule": "Beta", "problem": "net cannot be built",
+            "error": "TranslationError: no net"} in report["failures"]
+    assert report["steps_checked"] == expected > 1
+
+
+def _swap_r_and_s(base, level=0, star=False):
+    return watom({"r": "s", "s": "r"}.get(base, base), level, star)
+
+
+def _no_t(base, level=0, star=False):
+    return () if base == "t" else watom(base, level, star)
+
+
+def _cpy1_swaps_r_and_s(direction, kind):
+    return mark(direction, {"R": "S", "S": "R"}.get(kind, kind))
+
+
+@pytest.mark.parametrize("module, name, mutant", (
+    (nets, "watom", _swap_r_and_s),
+    (nets, "watom", _no_t),
+    (calculus, "mark", _cpy1_swaps_r_and_s)))
+def test_simulation_compares_the_weights_cut_elimination_moves(
+        monkeypatch, module, name, mutant):
+    # each mutant changes weights only, never the shape of a net
+    monkeypatch.setattr(module, name, mutant)
+    assert not check_net_simulation(corpus(6))["ok"]
+
+
 def test_box_holding_an_island_is_iso_and_simulated():
     # the Beta reduct's net has an interface-free island inside a box
     entry = prepare("closed_08_356", parse_lambda("\\x0.x0 ((\\x1.x0) (\\x1.x1))"))
     report = check_net_simulation([entry])
     assert report["ok"], report
     assert report["steps_checked"] == 2
-    graph = reduction_graph(Configuration(strip_labels(entry.initial)), LCA)
+    graph = reduction_graph(Configuration(entry.initial), LCA)
     for src, _, dst in graph.steps():
         for term in (src.term, dst.term):
-            net = unlabelled_cbn(term)
+            net = translate_cbn(term)
             for seed in range(3):
                 assert iso_check(net, renumbered(net, seed))
 
@@ -622,17 +614,13 @@ def test_dot_export_has_box_clusters():
 
 # --- closed cut elimination --------------------------------------------------
 
-def unlabelled_cbn(term):
-    return translate_cbn(term, weighted=False)
-
-
 def test_multiplicative_step_matches_translation():
     entry = prepare("idapp", parse_lambda("(\\x.x) (\\y.y)"))
-    t = strip_labels(entry.initial)
+    t = entry.initial
     config = Configuration(t)
     site = find_redexes(config, LCA)[0]
     reduct = step(config, site, LCA).term
-    left = unlabelled_cbn(t)
+    left = translate_cbn(t)
     before_nodes = len(left.nodes)
     cuts = eligible_cuts(left)
     assert cuts
@@ -640,43 +628,43 @@ def test_multiplicative_step_matches_translation():
     assert validate(out) == []
     # tensor, par and the cut disappear; two fresh cuts appear
     assert len(out.nodes) == before_nodes - 1
-    assert iso_check(out, unlabelled_cbn(reduct))
+    assert iso_check(out, translate_cbn(reduct))
 
 
 def test_dereliction_step_opens_the_box():
     entry = prepare("idapp", parse_lambda("(\\x.x) (\\y.y)"))
-    config = Configuration(strip_labels(entry.initial))
+    config = Configuration(entry.initial)
     site = find_redexes(config, LCA)[0]
     after_beta = step(config, site, LCA)
     var_site = find_redexes(after_beta, LCA)[0]
     assert var_site.rule == "Var"
     reduct = step(after_beta, var_site, LCA).term
-    left = unlabelled_cbn(after_beta.term)
+    left = translate_cbn(after_beta.term)
     assert len(left.boxes) == 1
     hits = [closed_cut_step(left, c) for c in eligible_cuts(left)]
-    matching = [n for n in hits if iso_check(n, unlabelled_cbn(reduct))]
+    matching = [n for n in hits if iso_check(n, translate_cbn(reduct))]
     assert matching
     assert all(len(n.boxes) == 0 for n in matching)
 
 
 def test_weakening_step_deletes_box_contents():
     entry = prepare("k", parse_lambda("(\\x.\\y.y) (\\z.z)"))
-    config = Configuration(strip_labels(entry.initial))
+    config = Configuration(entry.initial)
     site = find_redexes(config, LCA)[0]
     after_beta = step(config, site, LCA)
     ers = [s for s in find_redexes(after_beta, LCA) if s.rule == "Ers1"]
     assert ers
     reduct = step(after_beta, ers[0], LCA).term
-    left = unlabelled_cbn(after_beta.term)
+    left = translate_cbn(after_beta.term)
     results = [closed_cut_step(left, c) for c in eligible_cuts(left)]
-    good = [n for n in results if iso_check(n, unlabelled_cbn(reduct))]
+    good = [n for n in results if iso_check(n, translate_cbn(reduct))]
     assert good
     assert all(len(n.nodes) < len(left.nodes) for n in good)
 
 
 def test_dereliction_against_open_box_is_not_closed():
     t = Subst(Var("x"), App(Var("y"), Var("z")), "x")
-    net = unlabelled_cbn(t)
+    net = translate_cbn(t)
     # the substitution cut faces a box with two auxiliary doors
     cut = None
     for bid, box in net.boxes.items():
@@ -693,7 +681,7 @@ def test_dereliction_against_open_box_is_not_closed():
 
 
 def test_classification_rejects_a_non_cut_and_a_cut_against_the_interface():
-    net = unlabelled_cbn(Var("x"))
+    net = translate_cbn(Var("x"))
     ax = next(nid for nid, kind in net.nodes.items() if kind == "ax")
     with pytest.raises(NotACutError):
         closed_cut_step(net, ax)
@@ -728,9 +716,9 @@ def test_no_net_operation_rescans_a_translated_net(monkeypatch):
     monkeypatch.setattr(Net, "ports", property(counted))
     stepped = 0
     for text in ("(\\x.x x) (\\y.y)", dict(CLASSICS)["church_two_twice"]):
-        config = Configuration(strip_labels(prepare("t", parse_lambda(text)).initial))
+        config = Configuration(prepare("t", parse_lambda(text)).initial)
         for src, _, dst in reduction_graph(config, LCA).steps():
-            left, right = unlabelled_cbn(src.term), unlabelled_cbn(dst.term)
+            left, right = translate_cbn(src.term), translate_cbn(dst.term)
             cuts, maps = maps_built(eligible_cuts, left)
             assert maps == 0
             assert maps_built(iso_check, left, right)[1] == 0
@@ -744,17 +732,17 @@ def test_no_net_operation_rescans_a_translated_net(monkeypatch):
 
 def test_contraction_step_duplicates_box():
     entry = prepare("dup", parse_lambda("(\\x.x x) (\\y.y)"))
-    config = Configuration(strip_labels(entry.initial))
+    config = Configuration(entry.initial)
     site = find_redexes(config, LCA)[0]
     after_beta = step(config, site, LCA)
     cpy = [s for s in find_redexes(after_beta, LCA) if s.rule == "Cpy1"]
     assert cpy
     reduct = step(after_beta, cpy[0], LCA).term
-    left = unlabelled_cbn(after_beta.term)
+    left = translate_cbn(after_beta.term)
     closed_boxes = [b for b in left.boxes.values() if not b.auxiliaries]
     assert len(closed_boxes) == 1
     results = [closed_cut_step(left, c) for c in eligible_cuts(left)]
-    good = [n for n in results if iso_check(n, unlabelled_cbn(reduct))]
+    good = [n for n in results if iso_check(n, translate_cbn(reduct))]
     assert good
     assert all(len(n.boxes) == len(left.boxes) + 1 for n in good)
 
@@ -763,7 +751,7 @@ def test_commutative_step_moves_box_inside():
     # drive App2 on (M N)[P/x] with x free in N: a closed box commutes
     # through an auxiliary door
     entry = prepare("t", parse_lambda("(\\x.\\y.y x) (\\z.z)"))
-    config = Configuration(strip_labels(entry.initial))
+    config = Configuration(entry.initial)
     trace_sites = []
     while True:
         sites = find_redexes(config, LCA)
@@ -773,9 +761,9 @@ def test_commutative_step_moves_box_inside():
         if app2:
             src = config.term
             dst = step(config, app2[0], LCA).term
-            left = unlabelled_cbn(src)
+            left = translate_cbn(src)
             results = [closed_cut_step(left, c) for c in eligible_cuts(left)]
-            assert any(iso_check(n, unlabelled_cbn(dst)) for n in results)
+            assert any(iso_check(n, translate_cbn(dst)) for n in results)
             return
         config = step(config, sites[0], LCA)
         trace_sites.append(sites[0].rule)

@@ -10,8 +10,8 @@ from pathlib import Path
 
 from conftest import port_scan
 
-from goilab import checks, nets
-from goilab.algebra import CONSTANTS, lw, normal_word
+from goilab import checks
+from goilab.algebra import CONSTANTS, normal_word
 from goilab.calculus import LCA, LCF
 from goilab.checks import (_step_edges, check_net_simulation,
                            check_weight_invariance)
@@ -20,7 +20,7 @@ from goilab.nets import (closed_cut_step, contracted, eligible_cuts, from_json,
                          iso_check, to_json, translate_cbn, translate_cbv,
                          validate)
 from goilab.paths import weight_set
-from goilab.terms import parse, parse_lambda, strip_labels, subterms
+from goilab.terms import parse, parse_lambda, subterms
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "goilab"
@@ -128,24 +128,6 @@ def test_traced_counters_count_steps_and_distinct_nets(monkeypatch):
         assert metrics["paths.weight_set.calls"] == len(terms)
 
 
-def test_an_unweighted_translation_takes_the_weighted_path(monkeypatch):
-    # --trace 1 times algebra.lw inside criterion 8 too: an unweighted net
-    # is the stripped term's net, built by the same calls, weights dropped
-    calls = []
-
-    def counted(label, level):
-        calls.append(label)
-        return lw(label, level)
-
-    monkeypatch.setattr(nets, "lw", counted)
-    entry = prepare("apply_to_identity",
-                    parse_lambda(dict(CLASSICS)["apply_to_identity"]))
-    translate_cbn(entry.initial, weighted=False)
-    unweighted = len(calls)
-    calls.clear()
-    translate_cbn(strip_labels(entry.initial))
-    assert len(calls) == unweighted > 0
-
 def test_every_net_comparison_passes_through_iso_check(monkeypatch):
     # bench/run.py wraps nets.iso_check the way tracer.patched does and
     # checks each pair it accepts against its own reference; a comparison
@@ -240,3 +222,9 @@ def test_every_suite_has_one_budget_named_fuel():
         budgets = [p for p in params.values()
                    if p.name not in ("entries", "calculus")]
         assert [(p.name, p.default) for p in budgets] == [("fuel", 10_000)], fn.__name__
+
+
+def test_each_translation_takes_only_a_term():
+    # one net per term: no parameter chooses a second form of it
+    for translate in (translate_cbv, translate_cbn):
+        assert list(inspect.signature(translate).parameters) == ["term"]
