@@ -8,8 +8,10 @@ Each rule is a left-hand side, a side condition and a labelled contractum.
 ``_contractions`` is one match whose cases are the left-hand sides: it
 returns, for one node, the rules that match it with their contracta, and
 None for a rule whose side condition fails.  One lazy generator,
-``_redexes``, reads it at each node in that order; the reduction graph and
-the leftmost-outermost walk of ``reduce`` and ``sigma_walk`` read that.
+``_redexes``, walks the term in preorder and offers it only the ``App`` and
+``Subst`` nodes, the only ones a left-hand side can match; the reduction
+graph and the leftmost-outermost walk of ``reduce`` and ``sigma_walk`` read
+that.
 Only ``step``, which is given a site, raises ``PatternMismatchError`` or
 ``SideConditionViolatedError``.
 """
@@ -162,9 +164,11 @@ def _redexes(config: Configuration, calculus: str, rules: tuple) -> Iterator[Tra
     configuration, position-lexicographic then rule-alphabetical.  Lazy:
     the first item contracts the leftmost-outermost redex only."""
     for pos, node in subterms(config.term):
-        for rule, contracted in _contractions(node, calculus, rules):
-            if contracted is not None:
-                yield TraceStep(RedexSite(pos, rule), _rebuild(config, pos, *contracted))
+        if isinstance(node, (App, Subst)):
+            for rule, contracted in _contractions(node, calculus, rules):
+                if contracted is not None:
+                    yield TraceStep(RedexSite(pos, rule),
+                                    _rebuild(config, pos, *contracted))
 
 
 def find_redexes(config: Configuration, calculus: str) -> list:

@@ -846,9 +846,9 @@ def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
             raise NetError("component boundary crossed")
         r0, r1 = end_repr(e.ends[0]), end_repr(e.ends[1])
         if r0 <= r1:
-            edges.append((r0, r1, format_weight(e.weight)))
+            edges.append((r0, r1, _sortable(e.weight)))
         else:
-            edges.append((r1, r0, format_weight(involute(e.weight))))
+            edges.append((r1, r0, _sortable(involute(e.weight))))
     boxes = []
     for b in net.boxes.values():
         if b.principal in node_ids:
@@ -860,6 +860,12 @@ def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
                           islands.holding(n for n in b.contents if n not in node_ids)
                           if len(inside) < len(b.contents) else ()))
     return (nodes, tuple(sorted(edges)), tuple(sorted(boxes)))
+
+
+def _sortable(w: Weight) -> tuple:
+    """A weight as a signature sorts it: ``(0,)`` for the zero and
+    ``(1, word)`` for a word, so the zero is never compared with a word."""
+    return (0,) if w is None else (1, w)
 
 
 def canonical_signature(net: Net):

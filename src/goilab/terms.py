@@ -122,18 +122,20 @@ def is_lambda_term(term: Term) -> bool:
             return False
 
 
+_CHILDREN = {
+    Var: lambda t: (),
+    Abs: lambda t: (t.body,),
+    App: lambda t: (t.fun, t.arg),
+    Erase: lambda t: (t.body,),
+    Copy: lambda t: (t.body,),
+    Subst: lambda t: (t.body, t.arg),
+}
+
+
 def children(term: Term) -> tuple:
-    """Child subterms in position order (Subst: body then argument)."""
-    match term:
-        case Var():
-            return ()
-        case Abs(_, body) | Erase(_, body) | Copy(_, _, _, body):
-            return (body,)
-        case App(fun, arg):
-            return (fun, arg)
-        case Subst(body, arg, _):
-            return (body, arg)
-    raise AssertionError
+    """Child subterms in position order (Subst: body then argument), found
+    by one lookup on the node's class."""
+    return _CHILDREN[type(term)](term)
 
 
 def replace_child(term: Term, index: int, child: Term) -> Term:
@@ -165,31 +167,59 @@ def replace_at(term: Term, position: tuple, new: Term) -> Term:
 
 
 def subterms(term: Term, position: tuple = ()) -> Iterator[tuple[tuple, Term]]:
-    """Preorder traversal yielding (position, subterm)."""
-    yield position, term
-    for i, c in enumerate(children(term)):
-        yield from subterms(c, position + (i,))
+    """``(position, subterm)`` for each node in preorder: a node, then the
+    subterms of its children in position order.  Lazy, and a loop over an
+    explicit stack, so a deep term cannot overflow the interpreter's."""
+    stack = [(position, term)]
+    while stack:
+        position, term = stack.pop()
+        yield position, term
+        kids = children(term)
+        if len(kids) == 2:
+            stack.append((position + (1,), kids[1]))
+        if kids:
+            stack.append((position + (0,), kids[0]))
 
 
 def term_size(term: Term) -> int:
-    return 1 + sum(term_size(c) for c in children(term))
+    size, stack = 0, [term]
+    while stack:
+        size += 1
+        stack.extend(children(stack.pop()))
+    return size
 
 
 def free_vars(term: Term) -> frozenset:
-    match term:
-        case Var(name):
-            return frozenset((name,))
-        case Abs(binder, body):
-            return free_vars(body) - {binder}
-        case App(fun, arg):
-            return free_vars(fun) | free_vars(arg)
-        case Erase(binder, body):
-            return free_vars(body) | {binder}
-        case Copy(source, left, right, body):
-            return (free_vars(body) - {left, right}) | {source}
-        case Subst(body, arg, target):
-            return (free_vars(body) - {target}) | free_vars(arg)
-    raise AssertionError
+    """The names free in ``term``: a variable, an erased name or a copy
+    source not bound above it by an abstraction, a copy's targets or, in a
+    substitution's body only, its target."""
+    free = set()
+    stack = [(term, frozenset())]
+    while stack:
+        t, bound = stack.pop()
+        cls = type(t)
+        if cls is Var:
+            if t.name not in bound:
+                free.add(t.name)
+        elif cls is App:
+            stack.append((t.fun, bound))
+            stack.append((t.arg, bound))
+        elif cls is Subst:
+            stack.append((t.body, bound | {t.target}))
+            stack.append((t.arg, bound))
+        elif cls is Abs:
+            stack.append((t.body, bound | {t.binder}))
+        elif cls is Copy:
+            if t.source not in bound:
+                free.add(t.source)
+            stack.append((t.body, bound | {t.left, t.right}))
+        elif cls is Erase:
+            if t.binder not in bound:
+                free.add(t.binder)
+            stack.append((t.body, bound))
+        else:
+            raise AssertionError
+    return frozenset(free)
 
 
 def check_linear(term: Term) -> list:

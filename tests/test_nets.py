@@ -6,7 +6,7 @@ from conftest import closed_lambda_terms, port_scan
 from hypothesis import given, settings, strategies as st
 
 from goilab import calculus, checks, nets
-from goilab.algebra import ONE, format_weight, watom
+from goilab.algebra import ONE, ZERO, format_weight, watom
 from goilab.calculus import (LCA, LCF, Configuration, find_redexes,
                              reduction_graph, step)
 from goilab.checks import check_net_simulation
@@ -586,6 +586,43 @@ def test_iso_check_sees_whether_a_box_holds_an_island():
     assert iso_check(boxed, renumbered(boxed))
     assert iso_check(apart, renumbered(apart))
     assert not iso_check(boxed, apart)
+
+
+def test_iso_check_compares_edge_weights():
+    # root -> tensor -> free x and y; only the weight on the edge to x varies
+    def net_with(weight):
+        net = Net()
+        t = net.new_node("tensor")
+        net.root = net.new_edge(("root",), ("node", t, "out"))
+        net.free = {"x": net.new_edge(("node", t, "left"), ("free", "x"), weight),
+                    "y": net.new_edge(("node", t, "right"), ("free", "y"))}
+        return net
+
+    weights = (ZERO, ONE, watom("p"))
+    for a in weights:
+        for b in weights:
+            assert iso_check(net_with(a), net_with(b)) == (a == b), (a, b)
+
+
+def test_an_island_signs_the_zero_apart_from_every_word():
+    # an island of two tensors, left to right and right to left: signed
+    # from the one tensor, the zero sits where the word sits when signed
+    # from the other, and the two signatures are compared
+    def net_with(first, second):
+        net = Net()
+        a, b = net.new_node("tensor"), net.new_node("tensor")
+        net.root = net.new_edge(("root",), ("free", "x"))
+        net.free = {"x": net.root}
+        net.new_edge(("node", a, "out"), ("node", b, "out"))
+        net.new_edge(("node", a, "left"), ("node", b, "right"), first)
+        net.new_edge(("node", a, "right"), ("node", b, "left"), second)
+        return net
+
+    net = net_with(ZERO, watom("d"))
+    assert iso_check(net, renumbered(net))
+    assert iso_check(net, net_with(watom("d", star=True), ZERO))
+    assert not iso_check(net, net_with(ZERO, ONE))
+    assert not iso_check(net, net_with(ONE, watom("d")))
 
 
 def test_json_round_trip_is_iso():

@@ -9,9 +9,9 @@ import pytest
 from conftest import closed_lambda_terms
 from hypothesis import given, settings
 
-from goilab.calculus import LCA, LCF
+from goilab.calculus import LCA, LCF, Configuration, reduction_graph
 from goilab.checks import _trace
-from goilab.corpus import closed_terms, prepare
+from goilab.corpus import closed_terms, corpus, prepare
 from goilab.labels import atomic
 from goilab.terms import (Abs, App, Copy, Erase, FreshSupply, ParseError,
                           Subst, Var, alpha_equal, check_linear, compile_term,
@@ -206,6 +206,74 @@ def test_check_linear_agrees_with_free_vars_at_every_node(term):
                for ts in _trace(entry, calculus, 50) or ()]
     for t in (term, entry.compiled, entry.initial, *configs):
         assert check_linear(t) == _check_linear_by_free_vars(t)
+
+
+# --- the walks: loops, as the recursions they replace ----------------------
+
+def _reference_children(term):
+    match term:
+        case Var():
+            return ()
+        case Abs(_, body) | Erase(_, body) | Copy(_, _, _, body):
+            return (body,)
+        case App(first, second) | Subst(first, second, _):
+            return (first, second)
+
+
+def _reference_subterms(term, position=()):
+    yield position, term
+    for i, c in enumerate(_reference_children(term)):
+        yield from _reference_subterms(c, position + (i,))
+
+
+def _reference_term_size(term):
+    return 1 + sum(_reference_term_size(c) for c in _reference_children(term))
+
+
+def _reference_free_vars(term):
+    match term:
+        case Var(name):
+            return frozenset((name,))
+        case Abs(binder, body):
+            return _reference_free_vars(body) - {binder}
+        case App(fun, arg):
+            return _reference_free_vars(fun) | _reference_free_vars(arg)
+        case Erase(binder, body):
+            return _reference_free_vars(body) | {binder}
+        case Copy(source, left, right, body):
+            return (_reference_free_vars(body) - {left, right}) | {source}
+        case Subst(body, arg, target):
+            return (_reference_free_vars(body) - {target}) | _reference_free_vars(arg)
+
+
+def test_the_walks_agree_with_their_recursive_references():
+    entries = corpus(6)
+    terms = [entry.source for entry in entries]  # plain, and not linear
+    for calculus in (LCF, LCA):
+        for entry in entries:
+            graph = reduction_graph(Configuration(entry.initial), calculus)
+            terms.extend(c.term for c in graph.configs)
+    assert len(terms) > 400
+    for term in terms:
+        walk = list(subterms(term))
+        assert walk == list(_reference_subterms(term))
+        for _, t in walk:
+            assert term_size(t) == _reference_term_size(t)
+            assert free_vars(t) == _reference_free_vars(t)
+            assert type(free_vars(t)) is frozenset
+
+
+def test_a_deep_term_is_walked_without_recursion():
+    term = Var("x0")
+    for i in range(1, 5001):
+        term = App(term, Var(f"x{i}"))
+    count = 0
+    for last in subterms(term):
+        count += 1
+    assert count == 10_001
+    assert last == ((1,), Var("x5000"))
+    assert term_size(term) == 10_001
+    assert free_vars(term) == {f"x{i}" for i in range(5001)}
 
 
 # --- term nodes: hashed once, slotted --------------------------------------
