@@ -70,6 +70,11 @@ class TraceStep:
     config: Configuration
 
 
+# The kinds of node a left-hand side can match: every top-level case of
+# ``_contractions`` is on one of these, and ``_redexes`` offers it no other.
+_REDEX_KINDS = (App, Subst)
+
+
 def _contractions(node: Term, calculus: str, rules: tuple) -> tuple:
     """``((rule, contracted), ...)`` for the rules of ``rules`` whose
     left-hand side matches ``node``, alphabetically; ``()`` when none does.
@@ -164,7 +169,7 @@ def _redexes(config: Configuration, calculus: str, rules: tuple) -> Iterator[Tra
     configuration, position-lexicographic then rule-alphabetical.  Lazy:
     the first item contracts the leftmost-outermost redex only."""
     for pos, node in subterms(config.term):
-        if isinstance(node, (App, Subst)):
+        if isinstance(node, _REDEX_KINDS):
             for rule, contracted in _contractions(node, calculus, rules):
                 if contracted is not None:
                     yield TraceStep(RedexSite(pos, rule),

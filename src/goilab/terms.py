@@ -166,11 +166,11 @@ def replace_at(term: Term, position: tuple, new: Term) -> Term:
     return replace_child(term, i, replace_at(children(term)[i], position[1:], new))
 
 
-def subterms(term: Term, position: tuple = ()) -> Iterator[tuple[tuple, Term]]:
+def subterms(term: Term) -> Iterator[tuple[tuple, Term]]:
     """``(position, subterm)`` for each node in preorder: a node, then the
     subterms of its children in position order.  Lazy, and a loop over an
     explicit stack, so a deep term cannot overflow the interpreter's."""
-    stack = [(position, term)]
+    stack = [((), term)]
     while stack:
         position, term = stack.pop()
         yield position, term

@@ -280,6 +280,16 @@ def test_every_rule_contracts_a_step_of_the_small_corpus():
     assert fired == {calc: set(RULES[calc]) for calc in (LCF, LCA)}
 
 
+def test_only_the_redex_kinds_have_contractions():
+    # the redex search skips every other kind, so a rule matching one
+    # would never fire there
+    for calc, graph in _corpus_6_graphs():
+        for config in graph.edges:
+            for _, node in subterms(config.term):
+                if not isinstance(node, calculus._REDEX_KINDS):
+                    assert calculus._contractions(node, calc, RULES[calc]) == ()
+
+
 def test_closed_substitution_is_never_normal():
     t = Subst(Var("x", atomic("a")), closed_value(), "x")
     assert find_redexes(Configuration(t), LCF)
