@@ -749,16 +749,26 @@ def contracted(net: Net) -> Net:
     out = net.copy()
     ports = out.ports
     for nid, kind in list(out.nodes.items()):
-        if kind in ("ax", "cut") and ports[(nid, "a")][0] != ports[(nid, "b")][0]:
-            _splice(out, nid, "a", "b")
+        if kind in ("ax", "cut"):
+            try:
+                loop = ports[(nid, "a")][0] == ports[(nid, "b")][0]
+            except KeyError as missing:
+                raise _empty_port(out, *missing.args[0]) from None
+            if not loop:
+                _splice(out, nid, "a", "b")
     return out
+
+
+def _empty_port(net: Net, nid: int, port: str) -> NetError:
+    return NetError(f"{net.nodes[nid]} node {nid} has empty port {port}")
 
 
 def _explore(net: Net, seeds, edge_ids: dict, node_ids: dict,
              flipped: Optional[int] = None) -> None:
     """Deterministic breadth-first numbering of edges and nodes from seeds,
     visiting each edge's ends in order; ``flipped`` names an edge whose ends
-    are visited last first."""
+    are visited last first.  No end may dangle: ``canonical_signature``
+    checks that before it explores."""
     ports = net.ports
     queue = deque()
     for eid in seeds:
@@ -769,14 +779,17 @@ def _explore(net: Net, seeds, edge_ids: dict, node_ids: dict,
         eid = queue.popleft()
         ends = net.edges[eid].ends
         for end in reversed(ends) if eid == flipped else ends:
-            if end is None or end[0] != "node":
+            if end[0] != "node":
                 continue
             nid = end[1]
             if nid in node_ids:
                 continue
             node_ids[nid] = len(node_ids)
             for port in PORTS[net.nodes[nid]]:
-                e2, _ = ports[(nid, port)]
+                try:
+                    e2, _ = ports[(nid, port)]
+                except KeyError:
+                    raise _empty_port(net, nid, port) from None
                 if e2 not in edge_ids:
                     edge_ids[e2] = len(edge_ids)
                     queue.append(e2)
@@ -784,7 +797,15 @@ def _explore(net: Net, seeds, edge_ids: dict, node_ids: dict,
 
 class _Islands:
     """The interface-free islands of a net, each signed once, when first
-    asked for."""
+    asked for.
+
+    An island has no interface to number it from, so it is numbered from
+    anchors, each an edge of the island and the end the numbering starts
+    from, and signed by the least result.  Only the edges of least
+    ``_anchor_key`` anchor it, each from both ends: an isomorphism keeps
+    that key, so it maps those edges of one island onto those of the other,
+    and both islands are signed from the same set of numberings.
+    """
 
     def __init__(self, net: Net, leftovers: set):
         self.net = net
@@ -800,11 +821,14 @@ class _Islands:
         self.signatures: dict = {}
 
     def signature(self, k: int):
-        """Canonical signature of island ``k``: the least over its possible
-        anchor edges."""
+        """Canonical signature of island ``k``: the least over its anchors."""
         if k not in self.signatures:
+            keys = {eid: _anchor_key(self.net, eid) for eid in self.extents[k]}
+            least = min(keys.values())
             best = None
-            for eid in self.extents[k]:
+            for eid, key in keys.items():
+                if key != least:
+                    continue
                 for flipped in (None, eid):
                     ce: dict = {}
                     cn: dict = {}
@@ -824,31 +848,41 @@ class _Islands:
         return tuple(sorted(self.signature(k) for k in held))
 
 
+def _anchor_key(net: Net, eid: int) -> tuple:
+    """What every isomorphism keeps of edge ``eid``: the sorted kinds and
+    ports of its ends, and the lesser of its weight read either way."""
+    e = net.edges[eid]
+    ends = tuple(sorted((net.nodes[end[1]], end[2]) if end[0] == "node" else end
+                        for end in e.ends))
+    return ends, min(_sortable(e.weight), _sortable(involute(e.weight)))
+
+
 def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
                     islands: _Islands):
     """Signature of the component numbered by ``edge_ids`` and ``node_ids``;
     box contents outside it, doors included, are described by the islands
-    that hold them."""
-    def end_repr(end) -> str:
+    that hold them.  An edge end is ``(0, node number, port)`` at a node,
+    ``(-2, 0, "")`` at the root and ``(-1, 0, name)`` at a free variable."""
+    def end_key(end) -> tuple:
+        if end[0] == "node":
+            return (0, node_ids[end[1]], end[2])
         if end[0] == "root":
-            return "root"
+            return (-2, 0, "")
         if end[0] == "free":
-            return f"free:{end[1]}"
-        return f"n{node_ids[end[1]]:06d}:{end[2]}"
+            return (-1, 0, end[1])
+        raise NetError(f"edge end {end} is not at a node, the root or a free name")
 
-    nodes = tuple(kind for _, kind in sorted(
-        ((cid, net.nodes[nid]) for nid, cid in node_ids.items())))
+    nodes = [None] * len(node_ids)
+    for nid, cid in node_ids.items():
+        nodes[cid] = net.nodes[nid]
     edges = []
     for eid in edge_ids:
         e = net.edges[eid]
-        if any(end is not None and end[0] == "node" and end[1] not in node_ids
-               for end in e.ends):
-            raise NetError("component boundary crossed")
-        r0, r1 = end_repr(e.ends[0]), end_repr(e.ends[1])
-        if r0 <= r1:
-            edges.append((r0, r1, _sortable(e.weight)))
+        k0, k1 = end_key(e.ends[0]), end_key(e.ends[1])
+        if k0 <= k1:
+            edges.append((k0, k1, _sortable(e.weight)))
         else:
-            edges.append((r1, r0, _sortable(involute(e.weight))))
+            edges.append((k1, k0, _sortable(involute(e.weight))))
     boxes = []
     for b in net.boxes.values():
         if b.principal in node_ids:
@@ -859,7 +893,7 @@ def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
                           tuple(sorted(inside)),
                           islands.holding(n for n in b.contents if n not in node_ids)
                           if len(inside) < len(b.contents) else ()))
-    return (nodes, tuple(sorted(edges)), tuple(sorted(boxes)))
+    return (tuple(nodes), tuple(sorted(edges)), tuple(sorted(boxes)))
 
 
 def _sortable(w: Weight) -> tuple:
@@ -873,9 +907,14 @@ def canonical_signature(net: Net):
 
     The interface-reachable part is numbered from the root and the free
     edges; interface-free islands (erased substitutions produce them) are
-    canonicalised by minimising over their possible anchor edges.  A box
-    that holds an island describes it by the island's signature.
+    numbered from each of their least-key anchors (see ``_Islands``) and
+    described by the least result.  A box that holds an island describes
+    it by the island's signature.  ``NetError`` when an edge has a
+    dangling end or a node an empty port.
     """
+    for eid, e in net.edges.items():
+        if None in e.ends:
+            raise NetError(f"edge {eid} has a dangling end")
     anchors = []
     if net.root is not None:
         anchors.append(net.root)
@@ -884,6 +923,10 @@ def canonical_signature(net: Net):
     node_ids: dict[int, int] = {}
     _explore(net, anchors, edge_ids, node_ids)
     islands = _Islands(net, set(net.edges) - set(edge_ids))
+    if len(node_ids) + len(islands.island_of) < len(net.nodes):
+        bare = next(nid for nid in net.nodes
+                    if nid not in node_ids and nid not in islands.island_of)
+        raise _empty_port(net, bare, PORTS[net.nodes[bare]][0])
     main = _signature_part(net, edge_ids, node_ids, islands)
     return (main, tuple(sorted(islands.signature(k)
                                for k in range(len(islands.extents)))))

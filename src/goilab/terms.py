@@ -111,15 +111,20 @@ class ParseError(Exception):
 
 
 def is_lambda_term(term: Term) -> bool:
-    match term:
-        case Var():
-            return True
-        case Abs(_, body):
-            return is_lambda_term(body)
-        case App(fun, arg):
-            return is_lambda_term(fun) and is_lambda_term(arg)
-        case _:
+    """Whether ``term`` has only variables, abstractions and applications,
+    checked with an explicit stack, so a deep term needs no recursion."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is App:
+            stack.append(node.fun)
+            stack.append(node.arg)
+        elif kind is Abs:
+            stack.append(node.body)
+        elif kind is not Var:
             return False
+    return True
 
 
 _CHILDREN = {

@@ -1,12 +1,13 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from conftest import closed_lambda_terms, port_scan
 from hypothesis import given, settings, strategies as st
 
 from goilab import calculus, checks, nets
-from goilab.algebra import ONE, ZERO, format_weight, watom
+from goilab.algebra import ONE, ZERO, format_weight, involute, watom
 from goilab.calculus import (LCA, LCF, Configuration, find_redexes,
                              reduction_graph, step)
 from goilab.checks import check_net_simulation
@@ -604,25 +605,185 @@ def test_iso_check_compares_edge_weights():
             assert iso_check(net_with(a), net_with(b)) == (a == b), (a, b)
 
 
-def test_an_island_signs_the_zero_apart_from_every_word():
-    # an island of two tensors, left to right and right to left: signed
-    # from the one tensor, the zero sits where the word sits when signed
-    # from the other, and the two signatures are compared
-    def net_with(first, second):
-        net = Net()
-        a, b = net.new_node("tensor"), net.new_node("tensor")
-        net.root = net.new_edge(("root",), ("free", "x"))
-        net.free = {"x": net.root}
-        net.new_edge(("node", a, "out"), ("node", b, "out"))
-        net.new_edge(("node", a, "left"), ("node", b, "right"), first)
-        net.new_edge(("node", a, "right"), ("node", b, "left"), second)
-        return net
+def two_tensors(first, second, out=ONE):
+    """root -> free x, beside an island of two tensors A and B wired out to
+    out, A's left to B's right (``first``) and A's right to B's left
+    (``second``)."""
+    net = Net()
+    a, b = net.new_node("tensor"), net.new_node("tensor")
+    net.root = net.new_edge(("root",), ("free", "x"))
+    net.free = {"x": net.root}
+    net.new_edge(("node", a, "out"), ("node", b, "out"), out)
+    net.new_edge(("node", a, "left"), ("node", b, "right"), first)
+    net.new_edge(("node", a, "right"), ("node", b, "left"), second)
+    return net
 
-    net = net_with(ZERO, watom("d"))
+
+def test_an_island_signs_the_zero_apart_from_every_word():
+    # signed from the one tensor, the zero sits where the word sits when
+    # signed from the other, and the two signatures are compared
+    net = two_tensors(ZERO, watom("d"))
     assert iso_check(net, renumbered(net))
-    assert iso_check(net, net_with(watom("d", star=True), ZERO))
-    assert not iso_check(net, net_with(ZERO, ONE))
-    assert not iso_check(net, net_with(ONE, watom("d")))
+    assert iso_check(net, two_tensors(watom("d", star=True), ZERO))
+    assert not iso_check(net, two_tensors(ZERO, ONE))
+    assert not iso_check(net, two_tensors(ONE, watom("d")))
+
+
+class _EveryAnchor(nets._Islands):
+    """Island signing as it was before the least-key rule, kept as the
+    reference: the least signature over every edge of the island, each
+    explored from both ends."""
+
+    def signature(self, k):
+        if k not in self.signatures:
+            best = None
+            for eid in self.extents[k]:
+                for flipped in (None, eid):
+                    ce, cn = {}, {}
+                    nets._explore(self.net, [eid], ce, cn, flipped)
+                    sig = nets._signature_part(self.net, ce, cn, self)
+                    if best is None or sig < best:
+                        best = sig
+            self.signatures[k] = best
+        return self.signatures[k]
+
+
+def least_key_edges(net, extent):
+    """The edges of an island that an isomorphism must map onto each other:
+    those whose sorted end kinds and ports, with the lesser of their weight
+    read either way, come first."""
+    def key(eid):
+        e = net.edges[eid]
+        ends = sorted((net.nodes[end[1]], end[2]) for end in e.ends)
+        readings = [(0,) if w is None else (1, w)
+                    for w in (e.weight, involute(e.weight))]
+        return ends, min(readings)
+
+    keys = {eid: key(eid) for eid in extent}
+    least = min(keys.values())
+    return {eid for eid, k in keys.items() if k == least}
+
+
+def compared_by_criterion_8(monkeypatch, entries):
+    pairs = []
+    real_iso_check = checks.iso_check
+
+    def recorded(a, b):
+        pairs.append((a, b))
+        return real_iso_check(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(checks, "iso_check", recorded)
+        assert check_net_simulation(entries)["ok"]
+    return pairs
+
+
+def test_least_key_anchors_decide_as_every_anchor_does(monkeypatch):
+    pairs = compared_by_criterion_8(monkeypatch, corpus(6))
+    reference = {}
+
+    def signed(net):
+        if id(net) not in reference:
+            with monkeypatch.context() as m:
+                m.setattr(nets, "_Islands", _EveryAnchor)
+                reference[id(net)] = canonical_signature(contracted(net))
+        return reference[id(net)]
+
+    verdicts = []
+    for seed, (a, b) in enumerate(pairs):
+        verdicts.append(signed(a) == signed(b))
+        assert iso_check(a, b) == verdicts[-1]
+        assert iso_check(renumbered(a, seed), renumbered(b, seed + 1)) == verdicts[-1]
+    assert any(verdicts) and not all(verdicts)
+    assert sum(bool(islands) for _, islands in reference.values()) >= 4
+
+
+def test_an_island_with_an_automorphism_is_signed_from_its_least_key_edges():
+    # swapping the tensors maps each crossing edge onto the other reversed,
+    # so the two share the least key; the out-to-out edge anchors nothing,
+    # and its weight is still signed
+    net = two_tensors(watom("d"), watom("d", star=True))
+    island = set(net.edges) - {net.root}
+    assert len(least_key_edges(net, island)) == 2
+    reversed_edges = from_json(to_json(net))
+    for e in reversed_edges.edges.values():
+        e.ends.reverse()
+        e.weight = involute(e.weight)
+    for seed in range(4):
+        assert iso_check(net, renumbered(net, seed))
+    assert iso_check(net, reversed_edges)
+    twin = two_tensors(watom("d"), watom("d", star=True), out=watom("p"))
+    assert least_key_edges(twin, island) == least_key_edges(net, island)
+    assert not iso_check(net, twin)
+    assert iso_check(twin, renumbered(twin))
+
+
+def test_each_island_is_explored_from_its_least_key_edges_twice(monkeypatch):
+    explored = []  # one list of (seeds, flipped) per island being signed
+    real_explore, real_signature = nets._explore, nets._Islands.signature
+    signed = []
+
+    def explore(net, seeds, edge_ids, node_ids, flipped=None):
+        if explored:
+            explored[-1].append((tuple(seeds), flipped))
+        real_explore(net, seeds, edge_ids, node_ids, flipped)
+
+    def signature(self, k):
+        fresh = k not in self.signatures
+        explored.append([])
+        try:
+            sig = real_signature(self, k)
+        finally:
+            calls = explored.pop()
+        if fresh:
+            least = least_key_edges(self.net, self.extents[k])
+            expected = [((eid,), flipped) for eid in least for flipped in (None, eid)]
+            assert Counter(calls) == Counter(expected)
+            signed.append((len(least), len(self.extents[k])))
+        return sig
+
+    monkeypatch.setattr(nets, "_explore", explore)
+    monkeypatch.setattr(nets._Islands, "signature", signature)
+    compared_by_criterion_8(monkeypatch, corpus(7))
+    # one island with two least-key edges, one where weights leave one
+    for second in (watom("d", star=True), watom("p")):
+        canonical_signature(two_tensors(watom("d"), second))
+    assert [least for least, _ in signed[-2:]] == [2, 1]
+    assert len(signed) > 10
+    assert sum(least for least, _ in signed) < sum(size for _, size in signed)
+
+
+@pytest.mark.parametrize("build, problem", [
+    # root -> derelict, whose premise edge ends nowhere
+    pytest.param(lambda net, d: net.new_edge(("node", d, "in"), None),
+                 r"edge 3 has a dangling end", id="dangling-end"),
+    # an axiom with neither port attached, beside a wired derelict
+    pytest.param(lambda net, d: (net.new_edge(("node", d, "in"), ("free", "x")),
+                                 net.new_node("ax")),
+                 r"ax node 4 has empty port a", id="bare-axiom"),
+    # a tensor reached from the derelict, its right port empty
+    pytest.param(lambda net, d: (net.new_edge(("node", d, "in"), ("node", 4, "out")),
+                                 net.new_node("tensor"),
+                                 net.new_edge(("node", 4, "left"), ("free", "x"))),
+                 r"tensor node 4 has empty port right", id="empty-port"),
+    # a tensor with no edge at all, which no numbering reaches
+    pytest.param(lambda net, d: (net.new_edge(("node", d, "in"), ("free", "x")),
+                                 net.new_node("tensor")),
+                 r"tensor node 4 has empty port left", id="bare-tensor"),
+    # an end that is not at a node, the root or a free name
+    pytest.param(lambda net, d: net.new_edge(("node", d, "in"), ("loose", "x")),
+                 r"edge end \('loose', 'x'\) is not at a node", id="unknown-end"),
+])
+def test_iso_check_names_the_edge_or_port_it_cannot_sign(build, problem):
+    net = Net()
+    d = net.new_node("derelict")
+    net.root = net.new_edge(("root",), ("node", d, "out"))
+    build(net, d)
+    net.free = {end[1]: eid for eid, e in net.edges.items()
+                for end in e.ends if end is not None and end[0] == "free"}
+    plain = translate_cbn(Var("x"))
+    with pytest.raises(NetError, match=problem):
+        iso_check(net, plain)
 
 
 def test_json_round_trip_is_iso():

@@ -15,8 +15,9 @@ from goilab.corpus import closed_terms, corpus, prepare
 from goilab.labels import atomic
 from goilab.terms import (Abs, App, Copy, Erase, FreshSupply, ParseError,
                           Subst, Var, alpha_equal, check_linear, compile_term,
-                          erase_annotations, format_term, free_vars, parse,
-                          parse_lambda, relabel, subterms, term_size)
+                          erase_annotations, format_term, free_vars,
+                          is_lambda_term, parse, parse_lambda, relabel,
+                          subterms, term_size)
 
 
 def test_parse_identity():
@@ -264,9 +265,13 @@ def test_the_walks_agree_with_their_recursive_references():
 
 
 def test_a_deep_term_is_walked_without_recursion():
-    term = Var("x0")
-    for i in range(1, 5001):
-        term = App(term, Var(f"x{i}"))
+    def chain(innermost):
+        term = innermost
+        for i in range(1, 5001):
+            term = App(term, Var(f"x{i}"))
+        return term
+
+    term = chain(Var("x0"))
     count = 0
     for last in subterms(term):
         count += 1
@@ -274,6 +279,8 @@ def test_a_deep_term_is_walked_without_recursion():
     assert last == ((1,), Var("x5000"))
     assert term_size(term) == 10_001
     assert free_vars(term) == {f"x{i}" for i in range(5001)}
+    assert is_lambda_term(term)
+    assert not is_lambda_term(chain(Erase("x0", Var("x0"))))
 
 
 # --- term nodes: hashed once, slotted --------------------------------------
