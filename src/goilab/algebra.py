@@ -38,10 +38,9 @@ involutions before all generators) that straight paths have in the algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .labels import Atomic, Label, Marker, Over, Under
 
@@ -75,8 +74,11 @@ def compose(*ws: Weight) -> Weight:
 
 
 def involute(w: Weight) -> Weight:
-    if w is None:
-        return ZERO
+    if not w:
+        return w  # the zero and the unit are their own involutions
+    if len(w) == 1:
+        (base, star, level), = w
+        return ((base, not star, level),)
     return tuple((base, not star, level) for base, star, level in reversed(w))
 
 
@@ -130,10 +132,13 @@ def normal_word(word: Weight) -> Weight:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LevelledWeight:
+class LevelledWeight(NamedTuple):
     weight: Weight
     out_level: int
+
+
+# the constant of each level-preserving marker
+_KEEP_LEVEL = {"R": "r", "S": "s", "D": "d"}
 
 
 def lw(label: Label, in_level: int) -> LevelledWeight:
@@ -144,52 +149,48 @@ def lw(label: Label, in_level: int) -> LevelledWeight:
     underlines wrap the inner translation in q/p at the opening and closing
     levels respectively.  W markers yield the absorbing zero.
     """
-    level = in_level
-    parts = []
-    zero = False
+    atoms = []
+    level = _thread(label, in_level, atoms)
+    return LevelledWeight(None if None in atoms else tuple(atoms), level)
+
+
+def _thread(label: Label, level: int, atoms: list) -> int:
+    """Append the atoms ``label`` reads from ``level`` to ``atoms``, None
+    for a W marker, and return the level it ends at."""
     for a in label:
-        if isinstance(a, Atomic):
+        kind = type(a)
+        if kind is Atomic:
             continue
-        if isinstance(a, Over) or isinstance(a, Under):
-            base = "q" if isinstance(a, Over) else "p"
-            inner = lw(a.inner, level)
-            parts.append(watom(base, level))
-            parts.append(inner.weight)
-            parts.append(watom(base, inner.out_level, star=True))
-            if inner.weight is None:
-                zero = True
-            level = inner.out_level
-            continue
-        kind, right = a.kind, a.direction == "right"
-        if kind == "W":
-            zero = True
-            continue
-        if kind in ("R", "S", "D"):
-            base = {"R": "r", "S": "s", "D": "d"}[kind]
-            parts.append(watom(base, level, star=not right))
-            continue
-        if kind == "?":
-            if right:
-                if level < 1:
-                    raise LevelUnderflowError("?-marker at level 0")
-                parts.append(watom("t", level - 1, star=True))
-                level -= 1
+        if kind is Marker:
+            right = a.direction == "right"
+            if a.kind == "?":
+                if right:
+                    if level < 1:
+                        raise LevelUnderflowError("?-marker at level 0")
+                    level -= 1
+                    atoms.append(("t", True, level))
+                else:
+                    atoms.append(("t", False, level))
+                    level += 1
+            elif a.kind == "!":
+                if right:
+                    if level < 1:
+                        raise LevelUnderflowError("!-marker at level 0")
+                    level -= 1
+                else:
+                    level += 1
+            elif a.kind == "W":
+                atoms.append(None)
             else:
-                parts.append(watom("t", level))
-                level += 1
-            continue
-        if kind == "!":
-            if right:
-                if level < 1:
-                    raise LevelUnderflowError("!-marker at level 0")
-                level -= 1
-            else:
-                level += 1
-            continue
-        raise AssertionError(kind)
-    if zero:
-        return LevelledWeight(ZERO, level)
-    return LevelledWeight(compose(*parts), level)
+                atoms.append((_KEEP_LEVEL[a.kind], not right, level))
+        elif kind is Over or kind is Under:
+            base = "q" if kind is Over else "p"
+            atoms.append((base, False, level))
+            level = _thread(a.inner, level, atoms)
+            atoms.append((base, True, level))
+        else:
+            raise AssertionError(a)
+    return level
 
 
 def entry_level_needed(label: Label) -> int:

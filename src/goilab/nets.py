@@ -50,6 +50,9 @@ PORTS = {
     "weaken": ("out",),
 }
 
+# the number of ports of each node kind
+_ARITY = {kind: len(ports) for kind, ports in PORTS.items()}
+
 # port pairs a straight path may connect through a node
 TRANSITIONS = {
     "ax": (("a", "b"),),
@@ -80,7 +83,7 @@ class TranslationError(NetError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     ends: list
     weight: Weight = ONE
@@ -192,24 +195,47 @@ class Net:
 # validation
 
 def validate(net: Net, strict_levels: bool = False) -> list:
-    """Structural violations as strings; empty means well-formed."""
+    """Structural violations as strings; empty means well-formed.
+
+    One loop over the edges checks each edge's ends, the boxes it crosses
+    and the levels of its weight.  An edge crosses the boxes that hold one
+    of its ends but not the other, and lies as deep as the number of boxes
+    that hold both; nodes held by the same boxes share one set of them, so
+    an edge inside one region is settled by an ``is`` test.
+    """
     problems = []
-    ports = net.ports
+    nodes, boxes, ports = net.nodes, net.boxes, net.ports
+    outside: frozenset = frozenset()
+    boxes_of: dict = {}  # node -> the boxes that hold it, if any
+    for bid, b in boxes.items():
+        grown = {}  # each set of boxes this box adds to, with it added
+        for nid in b.contents:
+            held = boxes_of.get(nid, outside)
+            if (wider := grown.get(held)) is None:
+                wider = grown[held] = held | {bid}
+            boxes_of[nid] = wider
+    crossings = {bid: [] for bid in boxes}
+    levels = []
+    attached = 0  # ends that hold a port of their node
     for eid, e in net.edges.items():
-        if len(e.ends) != 2:
+        ends = e.ends
+        depth = 0
+        if len(ends) != 2:
             problems.append(f"edge {eid} lacks two endpoints")
-            continue
-        for i, end in enumerate(e.ends):
+            ends = ()
+        for i, end in enumerate(ends):
             if end is None:
                 problems.append(f"edge {eid} has a dangling endpoint")
             elif end[0] == "node":
                 _, nid, port = end
-                if nid not in net.nodes:
+                if nid not in nodes:
                     problems.append(f"edge {eid} references missing node {nid}")
-                elif port not in PORTS[net.nodes[nid]]:
-                    problems.append(f"edge {eid} uses bad port {port} on {net.nodes[nid]}")
+                elif port not in PORTS[nodes[nid]]:
+                    problems.append(f"edge {eid} uses bad port {port} on {nodes[nid]}")
                 elif ports[(nid, port)] != (eid, i):
                     problems.append(f"port {(nid, port)} attached twice")
+                else:
+                    attached += 1
             elif end[0] == "root":
                 if net.root != eid:
                     problems.append(f"edge {eid} claims the root interface")
@@ -218,66 +244,57 @@ def validate(net: Net, strict_levels: bool = False) -> list:
                     problems.append(f"edge {eid} claims free variable {end[1]}")
             else:
                 problems.append(f"edge {eid} has unknown endpoint {end}")
-    for nid, kind in net.nodes.items():
-        for port in PORTS[kind]:
-            if (nid, port) not in ports:
-                problems.append(f"{kind} node {nid} has empty port {port}")
+        if ends and None not in ends:
+            end0, end1 = ends
+            near = boxes_of.get(end0[1], outside) if end0[0] == "node" else outside
+            far = boxes_of.get(end1[1], outside) if end1[0] == "node" else outside
+            if near is far:
+                depth = len(near)
+            else:
+                depth = len(near & far)
+                for bid in near ^ far:
+                    _, nid, port = end0 if bid in near else end1
+                    box = boxes[bid]
+                    if not (nid in (box.principal, *box.auxiliaries) and port == "out"):
+                        crossings[bid].append(
+                            f"edge {eid} crosses box {bid} away from a door")
+        for _, _, level in e.weight or ():
+            if level < 0:
+                levels.append(f"edge {eid} carries a negative level")
+            elif strict_levels and level != depth:
+                levels.append(f"edge {eid} atom level {level} != box depth {depth}")
+    # a port is empty only if fewer ends hold a port than there are ports
+    if attached < sum(map(_ARITY.__getitem__, nodes.values())):
+        for nid, kind in nodes.items():
+            for port in PORTS[kind]:
+                if (nid, port) not in ports:
+                    problems.append(f"{kind} node {nid} has empty port {port}")
     for name, eid in net.free.items():
         if eid not in net.edges:
             problems.append(f"free edge for {name} missing")
     if net.root is not None and net.root not in net.edges:
         problems.append("root edge missing")
-    for bid, b in net.boxes.items():
-        if net.nodes.get(b.principal) != "bang":
+    for bid, b in boxes.items():
+        if nodes.get(b.principal) != "bang":
             problems.append(f"box {bid} principal is not an of-course node")
         for a in b.auxiliaries:
-            if net.nodes.get(a) != "whynot":
+            if nodes.get(a) != "whynot":
                 problems.append(f"box {bid} auxiliary {a} is not a why-not node")
-        doors = {b.principal, *b.auxiliaries}
-        if not doors <= b.contents:
+        if not {b.principal, *b.auxiliaries} <= b.contents:
             problems.append(f"box {bid} doors must belong to the box")
         for nid in b.contents:
-            if nid not in net.nodes:
+            if nid not in nodes:
                 problems.append(f"box {bid} contains missing node {nid}")
-    for b1, box1 in net.boxes.items():
-        for b2, box2 in net.boxes.items():
+    for b1, box1 in boxes.items():
+        for b2, box2 in boxes.items():
             if b1 < b2:
                 inter = box1.contents & box2.contents
                 if inter and not (box1.contents <= box2.contents
                                   or box2.contents <= box1.contents):
                     problems.append(f"boxes {b1},{b2} overlap without nesting")
-    # an edge crosses the boxes that hold one of its ends but not the other,
-    # and lies as deep as the number of boxes that hold both
-    boxes_of: dict = {}
-    for bid, b in net.boxes.items():
-        for nid in b.contents:
-            boxes_of.setdefault(nid, set()).add(bid)
-    outside: frozenset = frozenset()
-    crossings = {bid: [] for bid in net.boxes}
-    depth = {}
-    for eid, e in net.edges.items():
-        if len(e.ends) != 2 or None in e.ends:
-            continue
-        held = [boxes_of.get(end[1], outside) if end[0] == "node" else outside
-                for end in e.ends]
-        if not (held[0] or held[1]):
-            continue
-        depth[eid] = len(held[0] & held[1])
-        for bid in held[0] ^ held[1]:
-            _, nid, port = e.ends[0] if bid in held[0] else e.ends[1]
-            b = net.boxes[bid]
-            if not (nid in (b.principal, *b.auxiliaries) and port == "out"):
-                crossings[bid].append(f"edge {eid} crosses box {bid} away from a door")
     for found in crossings.values():
         problems.extend(found)
-    for eid, e in net.edges.items():
-        for _, _, level in e.weight or ():
-            if level < 0:
-                problems.append(f"edge {eid} carries a negative level")
-            elif strict_levels and level != depth.get(eid, 0):
-                problems.append(
-                    f"edge {eid} atom level {level} != box depth {depth.get(eid, 0)}")
-    return problems
+    return problems + levels
 
 
 # ---------------------------------------------------------------------------

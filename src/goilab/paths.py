@@ -13,7 +13,7 @@ The set is finite on a net whose term normalises: the execution formula is
 nilpotent there, so only finitely many straight paths have a non-null
 weight (Girard, *Geometry of Interaction I*, 1989; Danos & Regnier,
 *Proof-nets and the Hilbert space*, 1995).  A null prefix makes every
-extension null, so a search that drops a path at its first null prefix
+extension null, so a search that drops a path once its word is null
 loses no live word, and it ends.
 
 Both searches read one per-net table of directed edges (``DirectedEdges``),
@@ -24,23 +24,19 @@ tuple of ``(base, star, level)`` triples: a weight is its word.
 from __future__ import annotations
 
 from .algebra import Weight, format_weight, involute, normal_word
-from .nets import PORTS, TRANSITIONS, Net
+from .nets import TRANSITIONS, Net
 
-# successor visits a weight-set search may make: no net of the size-9
-# corpus but Omega's needs more than 555.  Each visit normalises the whole
-# word read so far, so exhausting the budget takes longer as words grow:
-# one search whose words reached 4,709 atoms took 6.7 s
+# successor visits a weight-set search may make, one per step of a run: no
+# net of the size-9 corpus but Omega's needs more than 845 (the cbv net of
+# church_two_twice).  Each run normalises the whole word read so far, so
+# exhausting the budget takes longer as words grow: on the net of a calculus
+# with a rule broken on purpose, one search whose words reached 2,968 atoms
+# took 1.5 s
 MAX_EXPANSIONS = 10_000
 
 
 class SearchBudgetError(Exception):
     pass
-
-
-# per node kind and port, the ports a straight path arriving there leaves by
-LEAVING = {kind: {port: tuple(b if port == a else a for a, b in pairs if port in (a, b))
-                  for port in PORTS[kind]}
-           for kind, pairs in TRANSITIONS.items()}
 
 
 class DirectedEdges:
@@ -56,27 +52,30 @@ class DirectedEdges:
     """
 
     def __init__(self, net: Net):
-        self.edge_ids = tuple(net.edges)
-        self.words = []
-        self.interface = []
-        self.starts = []
-        for k, eid in enumerate(self.edge_ids):
-            edge = net.edges[eid]
-            self.words += [involute(edge.weight), edge.weight]
-            for to_end, end in enumerate(edge.ends):
-                at_interface = end is not None and end[0] in ("root", "free")
-                self.interface.append(at_interface)
-                if at_interface:
-                    self.starts.append(2 * k + 1 - to_end)
-        first = {eid: 2 * k for k, eid in enumerate(self.edge_ids)}
-        ports = net.ports
-        self.succ = [()] * len(self.words)
-        for (nid, port), (eid, i) in ports.items():
-            nexts = self.succ[first[eid] + i] = []
-            for other in LEAVING[net.nodes[nid]][port]:
-                # leaving through a port is arriving there reversed
-                e2, i2 = ports[(nid, other)]
-                nexts.append((first[e2] + i2) ^ 1)
+        self.words = words = []
+        self.interface = interface = []
+        self.starts = starts = []
+        first = {}  # edge -> its state towards ends[0]
+        for eid, edge in net.edges.items():
+            first[eid] = len(words)
+            words.append(involute(edge.weight))
+            words.append(edge.weight)
+            for end in edge.ends:
+                if end is not None and end[0] in ("root", "free"):
+                    # leaving the interface is arriving there reversed
+                    starts.append(len(interface) ^ 1)
+                    interface.append(True)
+                else:
+                    interface.append(False)
+        self.edge_ids = tuple(first)
+        # the state arriving at each port; leaving through it is its reverse
+        arriving = {key: first[eid] + i for key, (eid, i) in net.ports.items()}
+        self.succ = succ = [[] for _ in words]
+        for nid, kind in net.nodes.items():
+            for a, b in TRANSITIONS[kind]:
+                at_a, at_b = arriving[(nid, a)], arriving[(nid, b)]
+                succ[at_a].append(at_b ^ 1)
+                succ[at_b].append(at_a ^ 1)
 
     def state(self, eid: int, to_end: int) -> int:
         return 2 * self.edge_ids.index(eid) + to_end
@@ -90,14 +89,19 @@ def weight_set(net: Net) -> set:
     path carries the normal form of its word, and a step extends it by the
     step's word through ``normal_word``, the one null test; a path whose
     word is null is dropped with every extension of it.  A path stops at
-    the absorbing zero of a weakening too.
+    the absorbing zero of a weakening too.  Where a path has one way on
+    and has not arrived at the interface, it takes the whole run of such
+    steps at once (``_run``), and is extended and null-tested once per run.
 
     ``MAX_EXPANSIONS``, read at each call, bounds the successor visits,
-    starts included; past it ``SearchBudgetError`` is raised.  Only a net
+    starts included.  Every step of a run is one visit, a step past a null
+    prefix too, so a run never costs fewer visits than its steps taken one
+    by one.  Past the bound ``SearchBudgetError`` is raised; only a net
     whose term does not normalise should get there.
     """
     table = DirectedEdges(net)
     words, interface, succ = table.words, table.interface, table.succ
+    runs = [None] * len(words)  # per state, its run, found on first entry
     budget = MAX_EXPANSIONS
     found = set()
     pending = [(table.starts, (), ())]  # (next states, word, its normal form)
@@ -107,17 +111,40 @@ def weight_set(net: Net) -> set:
         if budget < 0:
             raise SearchBudgetError("weight-set search budget exceeded")
         for nxt in nexts:
-            step = words[nxt]
+            run = runs[nxt]
+            if run is None:
+                run = runs[nxt] = _run(nxt, words, interface, succ)
+            end, step, hops = run
+            budget -= hops
+            if budget < 0:
+                raise SearchBudgetError("weight-set search budget exceeded")
             if step is None:
                 continue
             longer = word + step
             longer_nf = normal_word(nf + step) if step else nf
             if longer_nf is None:
                 continue  # a null prefix: every extension is null
-            if interface[nxt]:
+            if interface[end]:
                 found.add(longer)
-            pending.append((succ[nxt], longer, longer_nf))
+            pending.append((succ[end], longer, longer_nf))
     return found
+
+
+def _run(state: int, words: list, interface: list, succ: list) -> tuple:
+    """``(end, word, hops)``: the run of steps from entering ``state`` while
+    the path has exactly one way on and has not arrived at the interface.
+    ``word`` is read along it, None if it enters a weakening's zero, and
+    ``hops`` counts its steps after the first.  A run takes at most as many
+    hops as there are states, so a cycle of such steps does not hold it."""
+    word = words[state]
+    hops = 0
+    while word is not None and not interface[state] and len(succ[state]) == 1 \
+            and hops < len(words):
+        state = succ[state][0]
+        hops += 1
+        step = words[state]
+        word = None if step is None else word + step
+    return state, word, hops
 
 
 def weight_member(net: Net, target: Weight) -> bool:

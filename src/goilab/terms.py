@@ -229,56 +229,75 @@ def free_vars(term: Term) -> frozenset:
 
 def check_linear(term: Term) -> list:
     """Variable-constraint violations as (position, message) in preorder;
-    empty means ok.  Free variables are computed bottom-up in one pass."""
-    violations = []
-
-    def fv(t: Term, pos: tuple) -> frozenset:
-        """Free variables of ``t``; its violations go before those found
-        below it."""
-        mark = len(violations)
-        found = []
-        match t:
-            case Var(name):
-                return frozenset((name,))
-            case Abs(binder, body):
-                inner = fv(body, pos + (0,))
-                if binder not in inner:
-                    found.append(f"abstraction binder {binder} unused in body")
-                free = inner - {binder}
-            case App(fun, arg):
-                left, right = fv(fun, pos + (0,)), fv(arg, pos + (1,))
-                if shared := left & right:
-                    found.append(f"application shares free variables {sorted(shared)}")
-                free = left | right
-            case Erase(binder, body):
-                inner = fv(body, pos + (0,))
-                if binder in inner:
-                    found.append(f"erased variable {binder} occurs in body")
-                free = inner | {binder}
-            case Copy(source, left, right, body):
-                inner = fv(body, pos + (0,))
-                if left == right:
-                    found.append(f"copy targets must differ, got {left} twice")
-                if source in inner:
-                    found.append(f"copy source {source} already free in body")
-                if not {left, right} <= inner:
-                    found.append(f"copy targets {left},{right} must be free in body")
-                free = (inner - {left, right}) | {source}
-            case Subst(body, arg, target):
-                inner, outer = fv(body, pos + (0,)), fv(arg, pos + (1,))
-                if target not in inner:
-                    found.append(f"substitution target {target} not free in body")
-                rest = inner - {target}
-                if shared := rest & outer:
-                    found.append(f"substitution shares free variables {sorted(shared)}")
-                free = rest | outer
-            case _:
-                raise AssertionError
-        violations[mark:mark] = [(pos, message) for message in found]
-        return free
-
-    fv(term, ())
-    return violations
+    empty means ok.  Free variables are computed bottom-up in one pass, a
+    loop over an explicit stack, so a deep term cannot overflow the
+    interpreter's."""
+    found = []  # (preorder number, position, messages) of each node with any
+    frees = []  # the free variables of each finished subterm, the latest last
+    path = []  # the child indices from the root down to the node at hand
+    count = 0
+    stack = [(term, None, None)]  # (node, its child index, its preorder number)
+    while stack:
+        t, index, number = stack.pop()
+        cls = type(t)
+        if cls is Var:
+            frees.append(frozenset((t.name,)))
+            continue
+        if number is None:  # entering t: finish its children first
+            if index is not None:
+                path.append(index)
+            stack.append((t, index, count))
+            count += 1
+            kids = children(t)
+            if len(kids) == 2:
+                stack.append((kids[1], 1, None))
+            stack.append((kids[0], 0, None))
+            continue
+        messages = []
+        if cls is Abs:
+            inner = frees.pop()
+            if t.binder not in inner:
+                messages.append(f"abstraction binder {t.binder} unused in body")
+            free = inner - {t.binder}
+        elif cls is App:
+            right = frees.pop()
+            left = frees.pop()
+            if shared := left & right:
+                messages.append(f"application shares free variables {sorted(shared)}")
+            free = left | right
+        elif cls is Erase:
+            inner = frees.pop()
+            if t.binder in inner:
+                messages.append(f"erased variable {t.binder} occurs in body")
+            free = inner | {t.binder}
+        elif cls is Copy:
+            inner = frees.pop()
+            if t.left == t.right:
+                messages.append(f"copy targets must differ, got {t.left} twice")
+            if t.source in inner:
+                messages.append(f"copy source {t.source} already free in body")
+            if not {t.left, t.right} <= inner:
+                messages.append(f"copy targets {t.left},{t.right} must be free in body")
+            free = (inner - {t.left, t.right}) | {t.source}
+        elif cls is Subst:
+            outer = frees.pop()
+            inner = frees.pop()
+            if t.target not in inner:
+                messages.append(f"substitution target {t.target} not free in body")
+            rest = inner - {t.target}
+            if shared := rest & outer:
+                messages.append(f"substitution shares free variables {sorted(shared)}")
+            free = rest | outer
+        else:
+            raise AssertionError
+        frees.append(free)
+        if messages:
+            found.append((number, tuple(path), messages))
+        if index is not None:
+            path.pop()
+    found.sort()
+    return [(position, message) for _, position, messages in found
+            for message in messages]
 
 
 def all_var_names(term: Term) -> frozenset:
@@ -628,22 +647,6 @@ def rename_free(t: Term, old: str, new: str) -> Term:
         case App(fun, arg, lab):
             return App(rename_free(fun, old, new), rename_free(arg, old, new), lab)
     raise AssertionError
-
-
-def _debruijn(t: Term, env: tuple = ()):
-    match t:
-        case Var(name):
-            return env.index(name) if name in env else ("free", name)
-        case Abs(binder, body):
-            return ("abs", _debruijn(body, (binder,) + env))
-        case App(fun, arg):
-            return ("app", _debruijn(fun, env), _debruijn(arg, env))
-    raise AssertionError
-
-
-def alpha_equal(a: Term, b: Term) -> bool:
-    """Alpha-equivalence of plain lambda terms."""
-    return _debruijn(a) == _debruijn(b)
 
 
 def relabel(term: Term, label_for: Callable[[], Optional[Label]]) -> Term:

@@ -128,6 +128,29 @@ def test_lw_reversal_symmetry_random():
         assert back.out_level == level
 
 
+def test_lw_commutes_with_a_level_shift():
+    # a label read k levels higher reads its weight under k bangs; below
+    # its entry level it underflows, and with a W marker it reads the zero
+    rng = random.Random(24)
+    zeros = underflows = 0
+    for n in range(1000):
+        label = random_label(rng)
+        if n % 4 == 0:
+            at = rng.randint(0, len(label))
+            label = concat(label[:at], mark(rng.choice((LEFT, RIGHT)), "W"), label[at:])
+        entry = entry_level_needed(label)
+        if entry:
+            underflows += 1
+            with pytest.raises(LevelUnderflowError):
+                lw(label, entry - 1)
+        v = entry + rng.randint(0, 2)
+        w, out = lw(label, v)
+        zeros += w is None
+        for k in (1, 2, 3):
+            assert lw(label, v + k) == (bang(w, k), out + k), label
+    assert zeros >= 250 and underflows > 100
+
+
 def test_entry_level_needed():
     assert entry_level_needed(atomic("a")) == 0
     assert entry_level_needed(mark(RIGHT, "!")) == 1

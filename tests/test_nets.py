@@ -252,6 +252,18 @@ BROKEN = [
      ["edge 4 carries a negative level"]),
     (lambda net: setattr(net.edges[3], "weight", watom("q", 1)),
      ["edge 3 atom level 1 != box depth 0"]),
+    # a second box around the first puts P.in-A.a at depth 2
+    (lambda net: (net.boxes.__setitem__(9, Box(1, (5,), {1, 2, 5})),
+                  setattr(net.edges[4], "weight", watom("q", 2) + watom("d", 1))),
+     ["edge 4 atom level 1 != box depth 2"]),
+    # an edge with a dangling end lies at depth 0, wherever its other end is
+    (lambda net: (setattr(net.edges[6], "weight", watom("r", 1)),
+                  end_at(6, 0, None)(net)),
+     ["edge 6 has a dangling endpoint", "ax node 2 has empty port b",
+      "edge 6 atom level 1 != box depth 0"]),
+    (lambda net: (net.boxes[8].contents.add(99), net.boxes[8].contents.discard(5)),
+     ["box 8 doors must belong to the box", "box 8 contains missing node 99",
+      "edge 6 crosses box 8 away from a door"]),
 ]
 
 

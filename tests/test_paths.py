@@ -11,7 +11,7 @@ from goilab.checks import _step_edges, _trace, check_weight_invariance
 from goilab.corpus import CLASSICS, corpus, prepare
 from goilab.labelled import initialize, label_of
 from goilab.labels import atomic
-from goilab.nets import TRANSITIONS, translate_cbn, translate_cbv
+from goilab.nets import TRANSITIONS, Net, translate_cbn, translate_cbv, validate
 from goilab.paths import (DirectedEdges, SearchBudgetError, check_invariance,
                           live_words, weight_member, weight_set)
 from goilab.terms import Abs, App, Var, compile_term, parse_lambda
@@ -164,6 +164,49 @@ def test_weight_set_equals_the_depth_first_enumeration():
     assert compared > 200
 
 
+def chains_net():
+    """root -> tensor T; T.left -> axioms A1, A2 -> free x, reading q then
+    p*, so the path turns null in the middle of the chain; T.right -> fan F;
+    F.left -> axiom A3 -> free y; F.right -> axiom A4 -> a weakening.  With
+    the net, the edges T.left-A1 and F.right-A4 that start the two chains."""
+    net = Net()
+    t, f, a1, a2, a3, a4, w = (net.new_node(k) for k in (
+        "tensor", "fan", "ax", "ax", "ax", "ax", "weaken"))
+
+    def wire(*ends, weight=ONE):
+        return net.new_edge(*(("node", *end) for end in ends), weight=weight)
+
+    net.root = net.new_edge(("root",), ("node", t, "out"), watom("q"))
+    to_x = wire((t, "left"), (a1, "a"))
+    wire((a1, "b"), (a2, "a"), weight=watom("p", star=True))
+    x = net.new_edge(("node", a2, "b"), ("free", "x"))
+    wire((t, "right"), (f, "out"))
+    wire((f, "left"), (a3, "a"), weight=watom("r"))
+    y = net.new_edge(("node", a3, "b"), ("free", "y"))
+    to_weakening = wire((f, "right"), (a4, "a"), weight=watom("s"))
+    wire((a4, "b"), (w, "out"), weight=ZERO)
+    net.free = {"x": x, "y": y}
+    return net, to_x, to_weakening
+
+
+def test_weight_set_takes_whole_chains_as_the_reference_takes_steps():
+    net, to_x, to_weakening = chains_net()
+    assert validate(net) == []
+    table = DirectedEdges(net)
+    tables = (table.words, table.interface, table.succ)
+    # from T.left a path has one way on until it arrives at x, three steps
+    # that read p*; after the root's q the word is null at the second
+    end, word, hops = paths._run(table.state(to_x, 1), *tables)
+    assert (table.interface[end], word, hops) == (True, watom("p", star=True), 2)
+    assert normal_word(watom("q") + word) is None
+    # from F.right the second step enters the weakening's zero
+    end, word, hops = paths._run(table.state(to_weakening, 1), *tables)
+    assert (table.words[end], word, hops) == (None, None, 1)
+    words = weight_set(net)
+    assert words == depth_first_weight_set(net)
+    assert {format_weight(w) for w in words} == {"q.r", "r*.q*"}
+
+
 def test_weight_set_budget_is_a_step_error(monkeypatch):
     entry = prepare("church_two_twice",
                     parse_lambda(dict(CLASSICS)["church_two_twice"]))
@@ -176,6 +219,24 @@ def test_weight_set_budget_is_a_step_error(monkeypatch):
     assert report["failures"]
     assert all(f["error"].startswith("SearchBudgetError")
                for f in report["failures"])
+
+
+def test_taking_whole_runs_never_loosens_the_budget(monkeypatch):
+    # a search that null-tests every step needs 555 visits on the cbv net of
+    # church_two_twice and 516 on its cbn net.  Taking whole runs charges
+    # every step of a run, even past a null prefix, so it needs no fewer
+    entry = prepare("church_two_twice",
+                    parse_lambda(dict(CLASSICS)["church_two_twice"]))
+    for translate, stepwise, runs in ((translate_cbv, 555, 845),
+                                      (translate_cbn, 516, 750)):
+        assert runs >= stepwise
+        net = translate(entry.initial)
+        for budget in (stepwise - 1, runs - 1):
+            monkeypatch.setattr(paths, "MAX_EXPANSIONS", budget)
+            with pytest.raises(SearchBudgetError):
+                weight_set(net)
+        monkeypatch.setattr(paths, "MAX_EXPANSIONS", runs)
+        assert len(weight_set(net)) == 8
 
 
 def test_term_without_normal_form_exhausts_the_budget():

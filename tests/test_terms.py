@@ -14,7 +14,7 @@ from goilab.checks import _trace
 from goilab.corpus import closed_terms, corpus, prepare
 from goilab.labels import atomic
 from goilab.terms import (Abs, App, Copy, Erase, FreshSupply, ParseError,
-                          Subst, Var, alpha_equal, check_linear, compile_term,
+                          Subst, Var, check_linear, compile_term,
                           erase_annotations, format_term, free_vars,
                           is_lambda_term, parse, parse_lambda, relabel,
                           subterms, term_size)
@@ -112,6 +112,22 @@ def test_compile_shared_free_variable():
     got = compile_term(parse_lambda("x x"))
     assert check_linear(got) == []
     assert free_vars(got) == {"x"}
+
+
+def _debruijn(t, env=()):
+    match t:
+        case Var(name):
+            return env.index(name) if name in env else ("free", name)
+        case Abs(binder, body):
+            return ("abs", _debruijn(body, (binder,) + env))
+        case App(fun, arg):
+            return ("app", _debruijn(fun, env), _debruijn(arg, env))
+    raise AssertionError
+
+
+def alpha_equal(a, b):
+    """Alpha-equivalence of plain lambda terms."""
+    return _debruijn(a) == _debruijn(b)
 
 
 def test_compile_deterministic_and_preserves_meaning():
@@ -281,6 +297,18 @@ def test_a_deep_term_is_walked_without_recursion():
     assert free_vars(term) == {f"x{i}" for i in range(5001)}
     assert is_lambda_term(term)
     assert not is_lambda_term(chain(Erase("x0", Var("x0"))))
+
+
+def test_check_linear_walks_a_deep_chain_with_one_shared_variable():
+    # the application taking the 2,500th argument, 2,500 applications below
+    # the root, finds the innermost variable on both sides
+    term = Var("x0")
+    for i in range(1, 5001):
+        term = App(term, Var("x0" if i == 2500 else f"x{i}"))
+    assert check_linear(term) == [
+        ((0,) * 2500, "application shares free variables ['x0']")]
+    assert check_linear(App(term, Var("y"))) == [
+        ((0,) * 2501, "application shares free variables ['x0']")]
 
 
 # --- term nodes: hashed once, slotted --------------------------------------
