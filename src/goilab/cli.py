@@ -7,6 +7,10 @@ flags it reads: ``reduce`` takes ``--calculus`` and ``--fuel``, ``net``
 is every suite's one budget: it bounds the leftmost-outermost traces and the
 reduction graphs the suites explore.  Identical configuration and inputs
 produce byte-identical outputs.
+
+Exit status: 0 on success; 1 when a ``check`` suite fails or a ``reduce``
+trace outruns its fuel; 2 on a usage error, a malformed term among them.
+Each error is reported in one line on stderr.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ from pathlib import Path
 from typing import Optional
 
 from . import checks
-from .calculus import Configuration, LCA, LCF, reduce, trace_records
+from .calculus import (Configuration, FuelExhaustedError, LCA, LCF, reduce,
+                       trace_records)
 from .corpus import corpus, prepare
 from .labelled import initialize
 from .nets import to_dot, to_json, translate_cbn, translate_cbv
-from .terms import compile_term, format_term, parse_lambda
+from .terms import ParseError, compile_term, format_term, parse_lambda
 
 
 def _write(out_dir: Optional[str], name: str, text: str) -> None:
@@ -135,7 +140,11 @@ _COMMANDS = {"compile": cmd_compile, "reduce": cmd_reduce, "net": cmd_net,
 
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ParseError, FuelExhaustedError) as err:
+        print(f"goilab {args.command}: error: {err}", file=sys.stderr)
+        return 2 if isinstance(err, ParseError) else 1
 
 
 if __name__ == "__main__":

@@ -78,8 +78,7 @@ def prepare(name: str, source: Term) -> CorpusEntry:
     return CorpusEntry(name, source, compiled, initial, root_atom, classes)
 
 
-def corpus(max_size: int = 7, classics: bool = True) -> list:
+def corpus(max_size: int = 7) -> list:
+    """Every closed term of at most ``max_size`` nodes, then the classics."""
     entries = [prepare(name, term) for name, term in closed_terms(max_size)]
-    if classics:
-        entries += [prepare(name, parse_lambda(text)) for name, text in CLASSICS]
-    return entries
+    return entries + [prepare(name, parse_lambda(text)) for name, text in CLASSICS]

@@ -317,20 +317,24 @@ def all_var_names(term: Term) -> frozenset:
 
 @dataclass
 class FreshSupply:
-    """Deterministic fresh-name source; never emits a name in ``used``."""
+    """Deterministic fresh-name source; never emits a name in ``used``.
+    ``fresh`` resumes after the number it last gave a base: ``used`` only
+    grows, so the names below it are all still taken."""
 
     used: set = field(default_factory=set)
+    _last: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def reserve(self, names) -> None:
         self.used.update(names)
 
     def fresh(self, base: str) -> str:
-        i = 0
+        i = self._last.get(base, 0)
         while True:
             i += 1
             name = f"{base}{i}"
             if name not in self.used:
                 self.used.add(name)
+                self._last[base] = i
                 return name
 
 
@@ -498,120 +502,75 @@ def format_term(term: Term, labels: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # compilation into the linear calculus
 
-def _occurrences(t: Term, name: str) -> int:
-    """Free occurrences of ``name`` in a (possibly compiled) term."""
-    match t:
-        case Var(n):
-            return 1 if n == name else 0
-        case Abs(binder, body):
-            return 0 if binder == name else _occurrences(body, name)
-        case Erase(binder, body):
-            return 0 if binder == name else _occurrences(body, name)
-        case Copy(source, left, right, body):
-            if name in (left, right):
-                return 1 if source == name else 0
-            return _occurrences(body, name) + (1 if source == name else 0)
-        case App(fun, arg):
-            return _occurrences(fun, name) + _occurrences(arg, name)
-        case Subst(body, arg, target):
-            inner = 0 if target == name else _occurrences(body, name)
-            return inner + _occurrences(arg, name)
-    raise AssertionError
+def _name_uses(name: str, uses: int, supply: FreshSupply) -> tuple[list, list]:
+    """The names of ``name``'s uses, left to right, and the copy sources that
+    split ``name`` into them: fresh, the uses' first, for two uses or more."""
+    if uses < 2:
+        return [name] * uses, []
+    leaves = [supply.fresh(name) for _ in range(uses)]
+    return leaves, [name] + [supply.fresh(name) for _ in range(uses - 2)]
 
 
-def _rename_leftmost(t: Term, name: str, new: str) -> tuple[Term, bool]:
-    """Rename the leftmost free occurrence of ``name`` (Var leaf or Copy source)."""
-    match t:
-        case Var(n, lab):
-            return (Var(new, lab), True) if n == name else (t, False)
-        case Abs(binder, body, lab):
-            if binder == name:
-                return t, False
-            body2, done = _rename_leftmost(body, name, new)
-            return Abs(binder, body2, lab), done
-        case Erase(binder, body):
-            if binder == name:
-                return t, False
-            body2, done = _rename_leftmost(body, name, new)
-            return Erase(binder, body2), done
-        case Copy(source, left, right, body):
-            if source == name:
-                return Copy(new, left, right, body), True
-            if name in (left, right):
-                return t, False
-            body2, done = _rename_leftmost(body, name, new)
-            return Copy(source, left, right, body2), done
-        case App(fun, arg, lab):
-            fun2, done = _rename_leftmost(fun, name, new)
-            if done:
-                return App(fun2, arg, lab), True
-            arg2, done = _rename_leftmost(arg, name, new)
-            return App(fun, arg2, lab), done
-        case Subst(body, arg, target):
-            if target != name:
-                body2, done = _rename_leftmost(body, name, new)
-                if done:
-                    return Subst(body2, arg, target), True
-            arg2, done = _rename_leftmost(arg, name, new)
-            return Subst(body, arg2, target), done
-    raise AssertionError
-
-
-def _share(body: Term, name: str, supply: FreshSupply) -> Term:
-    """Make ``name`` occur exactly once free in ``body`` via eps/copy nodes.
-
-    n occurrences are renamed apart left to right and rebuilt with a
-    left-leaning chain of copy nodes placed directly above the body.
-    """
-    n = _occurrences(body, name)
-    if n == 0:
+def _share(body: Term, name: str, leaves: list, sources: list) -> Term:
+    """``body``, whose uses of ``name`` are named ``leaves``, under an eps
+    when there are none, else under the left-leaning copy chain from ``sources``."""
+    if not leaves:
         return Erase(name, body)
-    if n == 1:
-        return body
-    leaves = [supply.fresh(name) for _ in range(n)]
-    renamed = body
-    for leaf in leaves:
-        renamed, done = _rename_leftmost(renamed, name, leaf)
-        assert done
-    sources = [name] + [supply.fresh(name) for _ in range(n - 2)]
-    pairs = []
-    for i in range(n - 1):
-        src = sources[i]
-        left = leaves[i]
-        right = sources[i + 1] if i + 1 < len(sources) else leaves[i + 1]
-        pairs.append((src, left, right))
-    chain = renamed
-    for src, left, right in reversed(pairs):
-        chain = Copy(src, left, right, chain)
-    return chain
+    for source, left, right in reversed([*zip(sources, leaves, sources[1:] + leaves[-1:])]):
+        body = Copy(source, left, right, body)
+    return body
 
 
 def compile_term(term: Term) -> Term:
     """Compile a plain lambda term into a linear term with copy/erase.
 
-    Bottom-up: at each abstraction, an unused binder is erased, and a binder
-    with n >= 2 occurrences is split left to right through copy nodes placed
-    directly under the lambda.  Duplicated free variables are shared the same
-    way at the top of the term.
+    The first of two walks counts the uses of each binder and free name and
+    names them: each binder when its body is done, then the free names in
+    sorted order.  The second builds the term, handing each use its name left
+    to right; an abstraction's body goes under an eps if its binder is unused
+    or a copy chain if it is used twice or more, and the term under a chain
+    for each free name used twice or more.
     """
     if not is_lambda_term(term):
         raise ValueError("compile expects a plain lambda term")
     supply = FreshSupply()
     supply.reserve(all_var_names(term))
+    named = []  # each abstraction's cell in preorder: [uses], then [leaves, sources]
+    free = {}  # free name -> its cell
 
-    def go(t: Term) -> Term:
-        match t:
-            case Var():
-                return t
-            case Abs(binder, body, lab):
-                return Abs(binder, _share(go(body), binder, supply), lab)
-            case App(fun, arg, lab):
-                return App(go(fun), go(arg), lab)
-        raise AssertionError
+    def count(t: Term, scope: dict) -> None:  # scope: binder -> its cell
+        if type(t) is Var:
+            cell = scope.get(t.name) or free.setdefault(t.name, [0])
+            cell[0] += 1
+        elif type(t) is App:
+            count(t.fun, scope)
+            count(t.arg, scope)
+        else:
+            cell = [0]
+            named.append(cell)
+            outer, scope[t.binder] = scope.get(t.binder), cell
+            count(t.body, scope)
+            scope[t.binder] = outer
+            cell[:] = _name_uses(t.binder, cell[0], supply)
 
-    compiled = go(term)
-    for name in sorted(free_vars(term)):
-        compiled = _share(compiled, name, supply)
+    count(term, {})
+    free = {name: _name_uses(name, free[name][0], supply) for name in sorted(free)}
+    shares = iter(named)
+
+    def build(t: Term, scope: dict) -> Term:  # scope: name -> its uses' names
+        if type(t) is Var:
+            return Var(next(scope[t.name]), t.label)
+        if type(t) is App:
+            return App(build(t.fun, scope), build(t.arg, scope), t.label)
+        leaves, sources = next(shares)
+        outer, scope[t.binder] = scope.get(t.binder), iter(leaves)
+        body = build(t.body, scope)
+        scope[t.binder] = outer
+        return Abs(t.binder, _share(body, t.binder, leaves, sources), t.label)
+
+    compiled = build(term, {name: iter(leaves) for name, (leaves, _) in free.items()})
+    for name, (leaves, sources) in free.items():
+        compiled = _share(compiled, name, leaves, sources)
     return compiled
 
 

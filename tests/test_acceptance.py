@@ -27,7 +27,7 @@ CORPUS = None
 def entries():
     global CORPUS
     if CORPUS is None:
-        CORPUS = corpus(max_size=7, classics=True)
+        CORPUS = corpus(max_size=7)
     return CORPUS
 
 

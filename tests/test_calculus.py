@@ -522,9 +522,8 @@ def test_default_sigma_fuel_quadratic():
 def test_cmp_is_reachable_from_the_corpus():
     # Beta may create open substitutions; composition then unblocks them
     # somewhere in the exhaustive graphs of the small closed terms
-    from goilab.corpus import corpus
     seen = set()
-    for entry in corpus(7, classics=False):
+    for entry in (prepare(name, term) for name, term in closed_terms(7)):
         graph = reduction_graph(Configuration(entry.initial), LCF)
         seen |= {site.rule for _, site, _ in graph.steps()}
         if "Cmp" in seen:

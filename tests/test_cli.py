@@ -113,3 +113,27 @@ def test_commands_reject_flags_they_do_not_read(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "(\\x"],
+    ["reduce", "\\x.", "--calculus", "lca"],
+    ["net", "x)"],
+    ["check", "algebra", "--term", "(\\x"],
+], ids=" ".join)
+def test_a_malformed_term_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"goilab {argv[0]}: error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_trace_that_outruns_its_fuel_fails_in_one_line(tmp_path, capsys):
+    # (\x.x) (\y.y) takes a Beta step and then a Var step
+    argv = ["reduce", "(\\x.x) (\\y.y)", "--fuel", "1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "goilab reduce: error: a redex remains when the fuel runs out\n")
+    assert not (tmp_path / "trace.jsonl").exists()
+    assert main(argv[:3] + ["2"] + argv[4:]) == 0

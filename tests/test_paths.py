@@ -8,7 +8,7 @@ from goilab.algebra import (ONE, ZERO, LevelUnderflowError, compose,
                             parse_weight, watom)
 from goilab.calculus import LCA, LCF, Configuration, reduce, reduction_graph
 from goilab.checks import _step_edges, _trace, check_weight_invariance
-from goilab.corpus import CLASSICS, corpus, prepare
+from goilab.corpus import CLASSICS, closed_terms, corpus, prepare
 from goilab.labelled import initialize, label_of
 from goilab.labels import atomic
 from goilab.nets import TRANSITIONS, Net, translate_cbn, translate_cbv, validate
@@ -72,7 +72,7 @@ def test_root_to_root_path_exists_through_cut():
 def test_reversal_closure_with_involuted_weights():
     # a straight path read backwards is straight, and reads the involution
     # of its word, which is live exactly when the word is
-    for entry in corpus(max_size=5, classics=False):
+    for entry in (prepare(name, term) for name, term in closed_terms(5)):
         for translate in (translate_cbv, translate_cbn):
             words = weight_set(translate(entry.initial))
             assert words
@@ -304,7 +304,8 @@ def test_live_words_have_the_stable_form():
     # the auxiliary door for this to hold
     church = prepare("c", parse_lambda("(\\f.\\x.f (f x)) (\\g.\\y.g (g y))"))
     live_nets = 0
-    for entry in corpus(max_size=5, classics=False) + [church]:
+    closed = [prepare(name, term) for name, term in closed_terms(5)]
+    for entry in closed + [church]:
         for translate in (translate_cbv, translate_cbn):
             net = translate(entry.initial)
             live = live_words(weight_set(net))

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 
 from goilab.calculus import LCA, LCF, Configuration, reduction_graph
 from goilab.checks import _trace
-from goilab.corpus import closed_terms, corpus, prepare
+from goilab import terms
+from goilab.corpus import CLASSICS, closed_terms, corpus, prepare
 from goilab.labels import atomic
 from goilab.terms import (Abs, App, Copy, Erase, FreshSupply, ParseError,
-                          Subst, Var, check_linear, compile_term,
-                          erase_annotations, format_term, free_vars,
-                          is_lambda_term, parse, parse_lambda, relabel,
-                          subterms, term_size)
+                          Subst, Var, all_var_names, check_linear,
+                          compile_term, erase_annotations, format_term,
+                          free_vars, is_lambda_term, parse, parse_lambda,
+                          relabel, subterms, term_size)
 
 
 def test_parse_identity():
@@ -149,10 +150,142 @@ def test_fresh_supply_avoids_used_names():
     supply = FreshSupply()
     supply.reserve({"x1"})
     assert supply.fresh("x") == "x2"
+    supply.reserve({"x4", "y1"})
+    assert [supply.fresh("x"), supply.fresh("x"), supply.fresh("y")] == ["x3", "x5", "y2"]
+    assert supply == FreshSupply({"x1", "x2", "x3", "x4", "x5", "y1", "y2"})
+    assert repr(supply) == repr(FreshSupply(supply.used))
 
 
 def test_term_size():
     assert term_size(parse_lambda("(\\x.x x) (\\x.x z)")) == 9
+
+
+# --- compile_term, two walks -----------------------------------------------
+
+def _reference_compile(term):
+    """compile_term as it was first written: each binder's uses are counted
+    in its compiled body and renamed apart one leftmost use at a time, with
+    fresh names numbered from 1 on every call."""
+    used = set(all_var_names(term))
+
+    def fresh(base):
+        i = 1
+        while f"{base}{i}" in used:
+            i += 1
+        used.add(f"{base}{i}")
+        return f"{base}{i}"
+
+    def occurrences(t, name):
+        match t:
+            case Var(n):
+                return 1 if n == name else 0
+            case Abs(binder, body) | Erase(binder, body):
+                return 0 if binder == name else occurrences(body, name)
+            case Copy(source, left, right, body):
+                if name in (left, right):
+                    return 1 if source == name else 0
+                return occurrences(body, name) + (1 if source == name else 0)
+            case App(fun, arg):
+                return occurrences(fun, name) + occurrences(arg, name)
+
+    def rename_leftmost(t, name, new):
+        match t:
+            case Var(n, lab):
+                return (Var(new, lab), True) if n == name else (t, False)
+            case Abs(binder, body, lab):
+                if binder == name:
+                    return t, False
+                body2, done = rename_leftmost(body, name, new)
+                return Abs(binder, body2, lab), done
+            case Erase(binder, body):
+                if binder == name:
+                    return t, False
+                body2, done = rename_leftmost(body, name, new)
+                return Erase(binder, body2), done
+            case Copy(source, left, right, body):
+                if source == name:
+                    return Copy(new, left, right, body), True
+                if name in (left, right):
+                    return t, False
+                body2, done = rename_leftmost(body, name, new)
+                return Copy(source, left, right, body2), done
+            case App(fun, arg, lab):
+                fun2, done = rename_leftmost(fun, name, new)
+                if done:
+                    return App(fun2, arg, lab), True
+                arg2, done = rename_leftmost(arg, name, new)
+                return App(fun, arg2, lab), done
+
+    def share(body, name):
+        n = occurrences(body, name)
+        if n == 0:
+            return Erase(name, body)
+        if n == 1:
+            return body
+        leaves = [fresh(name) for _ in range(n)]
+        for leaf in leaves:
+            body, done = rename_leftmost(body, name, leaf)
+            assert done
+        sources = [name] + [fresh(name) for _ in range(n - 2)] + leaves[-1:]
+        for i in reversed(range(n - 1)):
+            body = Copy(sources[i], leaves[i], sources[i + 1], body)
+        return body
+
+    def go(t):
+        match t:
+            case Var():
+                return t
+            case Abs(binder, body, lab):
+                return Abs(binder, share(go(body), binder), lab)
+            case App(fun, arg, lab):
+                return App(go(fun), go(arg), lab)
+
+    compiled = go(term)
+    for name in sorted(free_vars(term)):
+        compiled = share(compiled, name)
+    return compiled
+
+
+# open terms, shadowed binders, and binders named like the fresh names
+OPEN_AND_SHADOWED = ["\\x.x (\\x.x x) x", "z z (\\z.z z)", "a b a (\\a.a a b) b",
+                     "\\x1.x x1 (\\x.x x)", "x1 x x (\\x.x x x1)", "(\\x.x) x x",
+                     "\\x.\\x.x x", "\\x2.\\x.x x x (x2 x2)", "y x y x"]
+
+
+def test_compile_agrees_with_the_rename_leftmost_reference():
+    sources = [term for _, term in closed_terms(8)]
+    sources += [parse_lambda(text) for _, text in CLASSICS]
+    sources += [parse_lambda(text) for text in OPEN_AND_SHADOWED]
+    sources.append(relabel(sources[-1], iter(map(atomic, "abcdefghijk")).__next__))
+    assert len(sources) > 700
+    for term in sources:
+        assert compile_term(term) == _reference_compile(term), format_term(term)
+
+
+def _compile_line_events(uses):
+    """Line events in ``goilab.terms`` while compiling ``\\x.x x ... x``."""
+    term = parse_lambda("\\x." + " ".join(["x"] * uses))
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != terms.__file__:
+            return None
+        count += event == "line"
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        compile_term(term)
+    finally:
+        sys.settrace(before)
+    return count
+
+
+def test_compile_work_grows_linearly_in_a_binders_uses():
+    # renaming one leftmost use at a time grew about 4x here
+    assert _compile_line_events(400) <= 2.1 * _compile_line_events(200)
 
 
 # --- check_linear, one pass ------------------------------------------------
