@@ -1,14 +1,14 @@
 """Labelled explicit-substitution calculi, weighted proof-nets, and
 Geometry-of-Interaction path checks."""
 
-from .algebra import (ONE, ZERO, LevelledWeight, Weight, bang, compose,
-                      format_weight, involute, lw, normal_word)
+from .algebra import (ONE, ZERO, LevelledWeight, Weight, compose, format_weight,
+                      involute, lw, normal_word)
 from .calculus import (LCA, LCF, Configuration, RedexSite, find_redexes,
                        normalize_sigma, reduce, reduction_graph, step)
 from .corpus import corpus, prepare
 from .labelled import bullet, initialize, label_of
 from .labels import (Atomic, Label, Marker, Over, Under, concat, format_label,
-                     parse_label, reverse)
+                     reverse)
 from .levy import levy_normalize, levy_step
 from .nets import (Net, closed_cut_step, eligible_cuts, iso_check, to_dot,
                    to_json, translate_cbn, translate_cbv, validate)

@@ -82,12 +82,6 @@ def involute(w: Weight) -> Weight:
     return tuple((base, not star, level) for base, star, level in reversed(w))
 
 
-def bang(w: Weight, k: int = 1) -> Weight:
-    if w is None:
-        return ZERO
-    return tuple((base, star, level + k) for base, star, level in w)
-
-
 # how an exponential changes the level of the atoms it moves past
 _SHIFT = {"d": -1, "t": 1, "r": 0, "s": 0}
 
@@ -230,21 +224,3 @@ def format_weight(w: Weight) -> str:
     if not w:
         return "1"
     return ".".join(format_watom(a) for a in w)
-
-
-def parse_weight(text: str) -> Weight:
-    """Read a weight in the format ``format_weight`` prints."""
-    if text == "0":
-        return ZERO
-    if text == "1":
-        return ONE
-    word = ONE
-    for token in text.split("."):
-        level = 0
-        if token.startswith("!^"):
-            head, _, token = token.partition("(")
-            level, token = int(head[2:]), token[:-1]
-        elif token.startswith("!("):
-            level, token = 1, token[2:-1]
-        word += watom(token.rstrip("*"), level, token.endswith("*"))
-    return word

@@ -245,10 +245,6 @@ class ReductionGraph:
     edges: dict = field(default_factory=dict)  # Configuration -> tuple[(site, Configuration)]
     complete: bool = True
 
-    @property
-    def configs(self):
-        return self.edges.keys()
-
     def sink_terms(self) -> set:
         return {c.term for c, succ in self.edges.items() if not succ}
 

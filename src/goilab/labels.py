@@ -2,8 +2,8 @@
 
 A label is a non-empty tuple of atoms.  Over- and underlined sub-labels nest,
 so labels are trees, but concatenation at the top level is plain tuple
-concatenation.  The printed syntax is dotted: ``a.<b>._(c).D>.<!`` where
-``<...>`` is an overline, ``_(...)`` an underline, ``E>`` / ``<E`` a
+concatenation.  The printed syntax is dotted: ``a.<(b)>._(c).D>.<!`` where
+``<(...)>`` is an overline, ``_(...)`` an underline, ``E>`` / ``<E`` a
 right/left marker.
 """
 
@@ -103,75 +103,6 @@ def format_atom(a: Atom) -> str:
 
 def format_label(label: Label) -> str:
     return ".".join(format_atom(a) for a in label)
-
-
-def parse_label(text: str) -> Label:
-    """Inverse of format_label: ``a.<(b)>._(c).D>.<!`` style.
-
-    Overlines carry inner parentheses (``<(...)>``) so the syntax stays
-    deterministic next to the ``<D`` / ``D>`` marker forms; atomic names
-    start lowercase.
-    """
-    n = len(text)
-    pos = 0
-
-    def error(msg: str):
-        raise ValueError(f"label syntax error at {pos}: {msg}")
-
-    def atom() -> Atom:
-        nonlocal pos
-        if pos >= n:
-            error("unexpected end")
-        c = text[pos]
-        if c.isalpha() and c.islower():
-            end = pos
-            while end < n and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            name = text[pos:end]
-            pos = end
-            return Atomic(name)
-        if c in MARKER_KINDS:
-            if pos + 1 >= n or text[pos + 1] != ">":
-                error("expected '>' after marker kind")
-            pos += 2
-            return Marker(RIGHT, c)
-        if c == "<":
-            if pos + 1 < n and text[pos + 1] == "(":
-                pos += 2
-                inner = seq()
-                if not text.startswith(")>", pos):
-                    error("expected ')>'")
-                pos += 2
-                return Over(inner)
-            if pos + 1 < n and text[pos + 1] in MARKER_KINDS:
-                kind = text[pos + 1]
-                pos += 2
-                return Marker(LEFT, kind)
-            error("expected '(' or marker kind after '<'")
-        if c == "_":
-            if pos + 1 >= n or text[pos + 1] != "(":
-                error("expected '('")
-            pos += 2
-            inner = seq()
-            if pos >= n or text[pos] != ")":
-                error("expected ')'")
-            pos += 1
-            return Under(inner)
-        error(f"unexpected {c!r}")
-        raise AssertionError
-
-    def seq() -> Label:
-        nonlocal pos
-        atoms = [atom()]
-        while pos < n and text[pos] == ".":
-            pos += 1
-            atoms.append(atom())
-        return tuple(atoms)
-
-    label = seq()
-    if pos != n:
-        raise ValueError(f"label syntax error at {pos}: trailing input")
-    return label
 
 
 class ArgumentLabelError(ValueError):

@@ -154,8 +154,9 @@ class Net:
         Built from the edges on first read and kept.  An operation that
         edits the edges afterwards keeps it current (``_splice``) or drops
         it (``_delete_nodes``), so a net whose fields are assigned directly,
-        as ``from_json`` does, reads a map of its own edges.  Of two ends at
-        one port the first holds it, and ``validate`` reports the other.
+        as ``bench/reference.renumbered`` does, reads a map of its own
+        edges.  Of two ends at one port the first holds it, and
+        ``validate`` reports the other.
         """
         if self._ports is None:
             self._ports = {}
@@ -994,24 +995,6 @@ def to_json(net: Net) -> str:
         "free": {name: eid for name, eid in sorted(net.free.items())},
     }
     return json.dumps(data, indent=2, sort_keys=True)
-
-
-def from_json(text: str) -> Net:
-    data = json.loads(text)
-    net = Net()
-    for nd in data["nodes"]:
-        net.nodes[nd["id"]] = nd["kind"]
-    for ed in data["edges"]:
-        weight = ZERO if ed["weight"] is None else compose(
-            *(watom(base, level, star) for base, star, level in ed["weight"]))
-        net.edges[ed["id"]] = Edge([tuple(ed["ends"][0]), tuple(ed["ends"][1])], weight)
-    for bd in data["boxes"]:
-        net.boxes[bd["id"]] = Box(bd["principal"], tuple(bd["auxiliaries"]),
-                                  set(bd["contents"]))
-    net.root = data["root"]
-    net.free = dict(data["free"])
-    net._next = max([0, *net.nodes, *net.edges, *net.boxes]) + 1
-    return net
 
 
 def to_dot(net: Net) -> str:

@@ -574,27 +574,6 @@ def compile_term(term: Term) -> Term:
     return compiled
 
 
-def erase_annotations(term: Term) -> Term:
-    """Forget copy and erase nodes and labels, recovering a lambda term.
-    A substitution raises ``ValueError``: undoing it would substitute
-    under binders, which may capture."""
-    match term:
-        case Var(name, _):
-            return Var(name)
-        case Abs(binder, body, _):
-            return Abs(binder, erase_annotations(body))
-        case App(fun, arg, _):
-            return App(erase_annotations(fun), erase_annotations(arg))
-        case Erase(_, body):
-            return erase_annotations(body)
-        case Copy(source, left, right, body):
-            body2 = erase_annotations(body)
-            return rename_free(rename_free(body2, left, source), right, source)
-        case Subst():
-            raise ValueError("erase_annotations expects a term without substitutions")
-    raise AssertionError
-
-
 def rename_free(t: Term, old: str, new: str) -> Term:
     """The lambda term ``t`` with its free occurrences of ``old`` renamed
     ``new``; labels are kept."""

@@ -1,8 +1,20 @@
 """Shared test helpers."""
 
+import importlib.util
+from pathlib import Path
+
 from hypothesis import strategies as st
 
 from goilab.terms import Abs, App, Var
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# the benchmark's reference module, independent of goilab; its parse_word
+# reads a word in the format format_weight prints, such as q.d.!(q*).!^2(p)
+_spec = importlib.util.spec_from_file_location("reference", BENCH / "reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+parse_word = reference.parse_word
 
 
 @st.composite

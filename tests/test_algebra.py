@@ -1,13 +1,19 @@
 import random
 
 import pytest
+from conftest import parse_word
 
-from goilab.algebra import (ONE, ZERO, LevelUnderflowError, bang, compose,
+from goilab.algebra import (ONE, ZERO, LevelUnderflowError, compose,
                             entry_level_needed, format_weight, involute, lw,
-                            normal_word, parse_weight, watom)
+                            normal_word, watom)
 from goilab.checks import random_label
-from goilab.labels import (LEFT, RIGHT, atomic, concat, mark, over,
-                           parse_label, reverse, under)
+from goilab.labels import (LEFT, RIGHT, atomic, concat, mark, over, reverse,
+                           under)
+
+
+def bang(w, k=1):
+    """``w`` read ``k`` levels higher: each atom's level raised by ``k``."""
+    return None if w is None else tuple((b, star, level + k) for b, star, level in w)
 
 
 def test_compose_unit_and_absorption():
@@ -88,13 +94,11 @@ def test_lw_weakening_is_zero():
 
 
 def test_bracket_markers_cannot_reach_lw():
-    # a label holds only the markers the rules emit: neither the label type
-    # nor its parser builds the P and Q of the paper's bracketing map
+    # a label holds only the markers the rules emit: the label type builds
+    # neither the P nor the Q of the paper's bracketing map
     for kind in ("P", "Q"):
         with pytest.raises(ValueError):
             mark(RIGHT, kind)
-        with pytest.raises(ValueError):
-            parse_label(f"a.{kind}>")
 
 
 def test_lw_underflow():
@@ -184,13 +188,13 @@ def null(weight):
 
 
 def nf(text_or_weight):
-    weight = (parse_weight(text_or_weight) if isinstance(text_or_weight, str)
+    weight = (parse_word(text_or_weight) if isinstance(text_or_weight, str)
               else text_or_weight)
     return format_weight(normal_word(weight))
 
 
 def at(generator, level):
-    return bang(parse_weight(generator), level)
+    return bang(parse_word(generator), level)
 
 
 def random_word(rng, max_length=8, max_level=3):
@@ -199,15 +203,10 @@ def random_word(rng, max_length=8, max_level=3):
                  for _ in range(rng.randint(0, max_length)))
 
 
-def test_parse_weight_reads_the_print_format():
-    for text in ("0", "1", "q.d.!(q*).!(p).d*.p*", "!^3(t*).s"):
-        assert format_weight(parse_weight(text)) == text
-
-
 def test_null_test_vectors():
-    assert null(parse_weight("q.p*.d*.q.q*"))
+    assert null(parse_word("q.p*.d*.q.q*"))
     # commute d past !(q*).!(p), then q.q*, d.d* and p.q* remain
-    assert null(parse_weight("q.d.!(q*).!(p).d*.q*"))
+    assert null(parse_word("q.d.!(q*).!(p).d*.q*"))
     # the lcf identity label of criterion 9 and the lca one stay live
     assert nf("q.d.!(q*).!(p).d*.p*") == "1"
     assert nf("q.q*.d.p.p*") == "d"
@@ -242,7 +241,7 @@ def test_commutation_laws(offset):
 def test_annihilation_across_families_is_what_makes_the_laws_confluent():
     # restricted to {p, q} and {r, s}, moving t* right first leaves
     # !^3(t*).t*.d* and moving d* left first leaves t*.d*.!(t*)
-    assert null(parse_weight("t*.!^2(t*).d*"))
+    assert null(parse_word("t*.!^2(t*).d*"))
 
 
 def test_null_iff_involution_null():

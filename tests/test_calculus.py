@@ -265,7 +265,7 @@ def test_the_redex_search_constructs_no_rule_error(monkeypatch):
     made.clear()
     configs = 0
     for calc, graph in _corpus_6_graphs():
-        for config in graph.configs:
+        for config in graph.edges:
             reduce(config, calc)
             normalize_sigma(config, calc)
             configs += 1
@@ -428,7 +428,7 @@ def test_linearity_survives_each_step(term):
     initial = prepare("random", term).initial
     for calc in (LCF, LCA):
         graph = reduction_graph(Configuration(initial), calc, max_configs=300)
-        for config in graph.configs:
+        for config in graph.edges:
             assert check_linear(config.term) == [], printed(config)
             for erased in config.erased:
                 assert check_linear(erased) == [], printed(config)
@@ -446,7 +446,7 @@ def test_stripping_labels_commutes_with_each_step(term):
     initial = prepare("random", term).initial
     for calc in (LCF, LCA):
         graph = reduction_graph(Configuration(initial), calc, max_configs=300)
-        for config in graph.configs:
+        for config in graph.edges:
             bare = stripped(config)
             sites = find_redexes(config, calc)
             assert find_redexes(bare, calc) == sites, printed(config)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from goilab import checks
+from goilab import checks, cli
 from goilab.cli import main
 
 
@@ -46,6 +46,27 @@ def test_check_algebra_suite(tmp_path):
     assert main(["check", "algebra", "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "check_algebra.json").read_text())
     assert data["ok"] is True
+
+
+def test_check_parses_the_term_first_and_prepares_only_entries_it_reads(
+        tmp_path, monkeypatch):
+    assert main(["check", "algebra", "--out", str(tmp_path / "a")]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus was prepared")
+
+    monkeypatch.setattr(cli, "corpus", refuse)
+    assert main(["check", "algebra", "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "check_algebra.json").read_bytes() == \
+        (tmp_path / "a" / "check_algebra.json").read_bytes()
+    assert main(["check", "invariance", "--term", "(\\x"]) == 2
+
+
+def test_check_compile_suite(tmp_path):
+    assert main(["check", "compile", "--term", "\\x.x x",
+                 "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "check_compile.json").read_text())
+    assert data["ok"] is True and data["report"]["fidelity"]["failures"] == []
 
 
 def test_check_confluence_small_corpus(tmp_path):

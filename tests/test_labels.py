@@ -3,7 +3,7 @@ import random
 import pytest
 
 from goilab.labels import (LEFT, RIGHT, ArgumentLabelError, atomic, concat,
-                           format_label, mark, over, parse_label, reverse,
+                           format_label, mark, over, reverse,
                            split_argument_label, under)
 from goilab.checks import random_label
 
@@ -38,40 +38,38 @@ def test_format_examples():
     assert format_label(lab) == "a.<(b)>._(c).D>.<!"
 
 
-def test_parse_round_trip_random():
-    rng = random.Random(3)
-    for _ in range(500):
-        lab = random_label(rng, depth=3, length=5)
-        assert parse_label(format_label(lab)) == lab
+def right(kind):
+    return mark(RIGHT, kind)
 
 
-def test_parse_rejects_garbage():
-    for text in ("", "a..b", "<a", "_(", "a.<Z>"):
-        try:
-            parse_label(text)
-        except ValueError:
-            continue
-        raise AssertionError(f"{text!r} should not parse")
+def left(kind):
+    return mark(LEFT, kind)
+
+
+A, B = atomic("a"), atomic("b")
 
 
 def test_split_argument_label_after_its_prefix():
-    boxed = parse_label("!>.R>._(a.<D).<!.b")
-    assert split_argument_label(boxed) == (parse_label("!>.R>._(a.<D).<!"),
-                                           parse_label("b"))
-    unboxed = parse_label("D>._(a).b.<!")
+    # !>.R>._(a.<D).<!.b and D>._(a).b.<!
+    prefix = concat(right("!"), right("R"), under(A, left("D")), left("!"))
+    assert split_argument_label(concat(prefix, B)) == (prefix, B)
+    unboxed = concat(right("D"), under(A), B, left("!"))
     assert split_argument_label(unboxed, boxed=False) == (
-        parse_label("D>._(a)"), parse_label("b.<!"))
+        concat(right("D"), under(A)), concat(B, left("!")))
 
 
-@pytest.mark.parametrize("text, boxed, message", [
-    ("D>._(a).<!.b", True, "dereliction marker in the exponential prefix"),
-    ("!>.a._(b)", False, "no underlined block after the exponential prefix"),
-    ("!>", False, "no underlined block after the exponential prefix"),
-    ("!>._(a).b", True, "no box marker after the underlined block"),
-    ("_(a)", True, "no box marker after the underlined block"),
-    ("_(a).<!", True, "nothing after the box marker"),
-])
-def test_split_argument_label_names_what_is_wrong(text, boxed, message):
+@pytest.mark.parametrize("label, boxed, message", [
+    (concat(right("D"), under(A), left("!"), B), True,
+     "dereliction marker in the exponential prefix"),
+    (concat(right("!"), A, under(B)), False,
+     "no underlined block after the exponential prefix"),
+    (right("!"), False, "no underlined block after the exponential prefix"),
+    (concat(right("!"), under(A), B), True,
+     "no box marker after the underlined block"),
+    (under(A), True, "no box marker after the underlined block"),
+    (concat(under(A), left("!")), True, "nothing after the box marker"),
+], ids=lambda value: format_label(value) if isinstance(value, tuple) else None)
+def test_split_argument_label_names_what_is_wrong(label, boxed, message):
     with pytest.raises(ArgumentLabelError) as caught:
-        split_argument_label(parse_label(text), boxed)
+        split_argument_label(label, boxed)
     assert str(caught.value) == message

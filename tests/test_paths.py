@@ -1,11 +1,10 @@
 import pytest
-from conftest import closed_lambda_terms, port_scan
+from conftest import closed_lambda_terms, parse_word, port_scan
 from hypothesis import assume, given, settings
 
 from goilab import checks, paths
 from goilab.algebra import (ONE, ZERO, LevelUnderflowError, compose,
-                            format_weight, involute, lw, normal_word,
-                            parse_weight, watom)
+                            format_weight, involute, lw, normal_word, watom)
 from goilab.calculus import LCA, LCF, Configuration, reduce, reduction_graph
 from goilab.checks import _step_edges, _trace, check_weight_invariance
 from goilab.corpus import CLASSICS, closed_terms, corpus, prepare
@@ -289,7 +288,7 @@ def test_lcf_beta_wanderer_word_is_the_counterexample():
     # so it is no live word of either net
     t = identity_application()
     after = reduce(Configuration(t), LCF)[0].config.term
-    wanderer = parse_weight("q.d.!(q*).!(p).d*.q*")
+    wanderer = parse_word("q.d.!(q*).!(p).d*.q*")
     assert normal_word(wanderer) is None
     assert wanderer not in weight_set(translate_cbv(t))
     assert wanderer not in weight_set(translate_cbv(after))

@@ -16,9 +16,9 @@ from goilab.corpus import CLASSICS, closed_terms, corpus, prepare
 from goilab.labels import atomic
 from goilab.terms import (Abs, App, Copy, Erase, FreshSupply, ParseError,
                           Subst, Var, all_var_names, check_linear,
-                          compile_term, erase_annotations, format_term,
-                          free_vars, is_lambda_term, parse, parse_lambda,
-                          relabel, subterms, term_size)
+                          compile_term, format_term, free_vars, is_lambda_term,
+                          parse, parse_lambda, relabel, rename_free, subterms,
+                          term_size)
 
 
 def test_parse_identity():
@@ -129,6 +129,27 @@ def _debruijn(t, env=()):
 def alpha_equal(a, b):
     """Alpha-equivalence of plain lambda terms."""
     return _debruijn(a) == _debruijn(b)
+
+
+def erase_annotations(term):
+    """Forget copy and erase nodes and labels, recovering a lambda term.
+    A substitution raises ``ValueError``: undoing it would substitute
+    under binders, which may capture."""
+    match term:
+        case Var(name, _):
+            return Var(name)
+        case Abs(binder, body, _):
+            return Abs(binder, erase_annotations(body))
+        case App(fun, arg, _):
+            return App(erase_annotations(fun), erase_annotations(arg))
+        case Erase(_, body):
+            return erase_annotations(body)
+        case Copy(source, left, right, body):
+            body2 = erase_annotations(body)
+            return rename_free(rename_free(body2, left, source), right, source)
+        case Subst():
+            raise ValueError("erase_annotations expects a term without substitutions")
+    raise AssertionError
 
 
 def test_compile_deterministic_and_preserves_meaning():
@@ -402,7 +423,7 @@ def test_the_walks_agree_with_their_recursive_references():
     for calculus in (LCF, LCA):
         for entry in entries:
             graph = reduction_graph(Configuration(entry.initial), calculus)
-            terms.extend(c.term for c in graph.configs)
+            terms.extend(c.term for c in graph.edges)
     assert len(terms) > 400
     for term in terms:
         walk = list(subterms(term))

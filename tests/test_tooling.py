@@ -2,6 +2,7 @@
 every name it uses must resolve, or ``--trace 1`` and its output checks
 break without any other test noticing."""
 
+import ast
 import importlib
 import inspect
 import random
@@ -16,9 +17,8 @@ from goilab.calculus import LCA, LCF
 from goilab.checks import (_step_edges, check_net_simulation,
                            check_weight_invariance)
 from goilab.corpus import CLASSICS, corpus, prepare
-from goilab.nets import (closed_cut_step, contracted, eligible_cuts, from_json,
-                         iso_check, to_json, translate_cbn, translate_cbv,
-                         validate)
+from goilab.nets import (closed_cut_step, contracted, eligible_cuts,
+                         iso_check, translate_cbn, translate_cbv, validate)
 from goilab.paths import weight_set
 from goilab.terms import parse, parse_lambda, subterms
 
@@ -70,13 +70,13 @@ def test_weight_set_returns_the_word_format_the_benchmark_reads():
     assert type(words) is set and words
     assert all(is_word(word) for word in words)
     assert len({level for word in words for _, _, level in word}) > 1
-    # and a weight is its word, on every net however made: translated,
-    # stepped or read back from JSON
+    # and a weight is its word, on every net however made: translated or
+    # stepped
     translated = [translate(entry.initial) for entry in corpus(5)[::9]
                   for translate in (translate_cbv, translate_cbn)]
     stepped = next(closed_cut_step(net, cuts[0]) for net in translated
                    if (cuts := eligible_cuts(net)))
-    nets = translated + [stepped, from_json(to_json(stepped))]
+    nets = translated + [stepped]
     weights = [e.weight for net in nets for e in net.edges.values()]
     assert None in weights and () in weights
     assert all(w is None or is_word(w) for w in weights)
@@ -168,7 +168,7 @@ def test_nets_renumbered_by_the_benchmark_validate_sign_and_search_alike(
         assert iso_check(copy, net)
         assert weight_set(copy) == weight_set(net)
     for net in translated + stepped:
-        for made in (net, contracted(net), from_json(to_json(net))):
+        for made in (net, contracted(net), reference.renumbered(net, rng)):
             assert made.ports == port_scan(made)
 
 
@@ -228,3 +228,71 @@ def test_each_translation_takes_only_a_term():
     # one net per term: no parameter chooses a second form of it
     for translate in (translate_cbv, translate_cbn):
         assert list(inspect.signature(translate).parameters) == ["term"]
+
+
+
+# methods the language calls for their class, so reached with it: the
+# exceptions to reaching a function by its name
+LANGUAGE_HOOKS = {"__init__": "runs when its class is called",
+                  "__post_init__": "runs from a dataclass's __init__"}
+
+
+def _references(nodes) -> set:
+    """The identifiers ``nodes`` read: names and attribute names."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def test_every_function_in_src_is_reached_from_a_command_or_the_benchmark(
+        monkeypatch):
+    # a name-level reference graph over src: a top-level function or class
+    # is reached when reached code reads its name, a method when its class
+    # is reached and reached code reads its name.  The roots are the
+    # module-level statements, imports aside, with cli.main, and the names
+    # the benchmark reads.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    defs = {}  # qualified name -> (name, qualified name of its class, node)
+    roots = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                roots.append(node)
+                continue
+            qualified = f"{path.stem}.{node.name}"
+            defs[qualified] = (node.name, None, node)
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef):
+                    defs[f"{qualified}.{item.name}"] = (item.name, qualified, item)
+    reference_imports = {
+        alias.name for node in ast.walk(ast.parse((BENCH / "reference.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("goilab")
+        for alias in node.names}
+    assert {"Box", "Edge", "Net"} <= reference_imports
+    names = {"main", *_references(roots), *reference_imports,
+             *(part for dotted in (*tracer.LAYER_OF, *RUN_NAMES)
+               for part in dotted.split("."))}
+    reached = set()
+    grown = True
+    while grown:
+        grown = False
+        for qualified, (name, owner, node) in defs.items():
+            if owner is None:
+                reads = name in names
+            else:
+                reads = owner in reached and (name in names or name in LANGUAGE_HOOKS)
+            if qualified in reached or not reads:
+                continue
+            reached.add(qualified)
+            grown = True
+            if isinstance(node, ast.ClassDef):  # its bases, decorators and fields
+                read = [*node.bases, *node.decorator_list,
+                        *(n for n in node.body if not isinstance(n, ast.FunctionDef))]
+            else:
+                read = [node]
+            names |= _references(read)
+    functions = {q for q, (_, _, node) in defs.items() if isinstance(node, ast.FunctionDef)}
+    assert sorted(functions - reached) == []
