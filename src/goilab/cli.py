@@ -3,13 +3,15 @@
 Subcommands: ``compile``, ``reduce``, ``net``, ``check``.  Each takes only the
 flags it reads: ``reduce`` takes ``--calculus`` and ``--fuel``, ``net``
 ``--translation`` and ``--format``, ``check`` ``--fuel``, ``--seed``,
-``--corpus-max-size`` and ``--term``, and all four ``--out``.  ``--fuel``
-is every suite's one budget: it bounds the leftmost-outermost traces and the
-reduction graphs the suites explore.  Identical configuration and inputs
-produce byte-identical outputs.
+``--corpus-max-size`` and ``--term`` (which the ``algebra`` suite, reading
+no entry, refuses), and all four ``--out``.  ``--fuel`` is every suite's one
+budget: it bounds the leftmost-outermost traces and the reduction graphs the
+suites explore.  Identical configuration and inputs produce byte-identical
+outputs.
 
 Exit status: 0 on success; 1 when a ``check`` suite fails or a ``reduce``
-trace outruns its fuel; 2 on a usage error, a malformed term among them.
+trace outruns its fuel; 2 on a usage error, a malformed term or a
+``check algebra --term`` among them.
 Each error is reported in one line on stderr.
 """
 
@@ -69,7 +71,13 @@ def cmd_net(args) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """Flags that parse but do not fit together."""
+
+
 def cmd_check(args) -> int:
+    if args.suite == "algebra" and args.term is not None:
+        raise UsageError("the algebra suite reads no entry, so it takes no --term")
     source = parse_lambda(args.term) if args.term else None
 
     def fuelled(check, *calculus):
@@ -127,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "sigma-termination", "label-lemmas",
                                      "net-simulation", "label-path", "algebra"))
     p.add_argument("--term", default=None,
-                   help="additional lambda term to include in the corpus")
+                   help="additional lambda term to include in the corpus "
+                        "(not taken by algebra)")
     p.add_argument("--corpus-max-size", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
 
@@ -146,9 +155,9 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, FuelExhaustedError) as err:
+    except (ParseError, UsageError, FuelExhaustedError) as err:
         print(f"goilab {args.command}: error: {err}", file=sys.stderr)
-        return 2 if isinstance(err, ParseError) else 1
+        return 1 if isinstance(err, FuelExhaustedError) else 2
 
 
 if __name__ == "__main__":

@@ -62,6 +62,15 @@ def test_check_parses_the_term_first_and_prepares_only_entries_it_reads(
     assert main(["check", "invariance", "--term", "(\\x"]) == 2
 
 
+def test_check_algebra_refuses_a_term(capsys):
+    # the algebra suite reads no entry, so a --term would be ignored
+    assert main(["check", "algebra", "--term", "\\x.x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("goilab check: error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_check_compile_suite(tmp_path):
     assert main(["check", "compile", "--term", "\\x.x x",
                  "--out", str(tmp_path)]) == 0

@@ -10,7 +10,8 @@ from goilab.checks import _step_edges, _trace, check_weight_invariance
 from goilab.corpus import CLASSICS, closed_terms, corpus, prepare
 from goilab.labelled import initialize, label_of
 from goilab.labels import atomic
-from goilab.nets import TRANSITIONS, Net, translate_cbn, translate_cbv, validate
+from goilab.nets import (TRANSITIONS, Net, TranslationError, translate_cbn,
+                         translate_cbv, validate)
 from goilab.paths import (DirectedEdges, SearchBudgetError, check_invariance,
                           live_words, weight_member, weight_set)
 from goilab.terms import Abs, App, Var, compile_term, parse_lambda
@@ -367,6 +368,41 @@ def test_an_error_in_one_pair_fails_criterion_9_without_aborting_it(
     assert not report["ok"]
     assert report["failures"] == ["id/lca: LevelUnderflowError: injected"]
     assert report["checked"] == 1
+
+
+def test_criterion_9_builds_a_net_only_for_a_non_empty_weight(monkeypatch):
+    # 21 of the 205 corpus(7) entries end on a non-empty weight, in both
+    # calculi; the empty path realises every other final weight
+    built = []
+
+    def counted(translate):
+        def count(term):
+            built.append(term)
+            return translate(term)
+        return count
+
+    monkeypatch.setattr(checks, "translate_cbv", counted(translate_cbv))
+    monkeypatch.setattr(checks, "translate_cbn", counted(translate_cbn))
+    report = checks.check_goi_end_to_end(corpus(7))
+    assert report["ok"] and report["checked"] == 410
+    assert len(built) == 42
+
+
+def test_a_net_that_cannot_be_built_for_a_non_empty_weight_fails_criterion_9(
+        monkeypatch):
+    # (\x.x) (\y.y) ends on a non-empty weight in both calculi, \x.x on
+    # the empty one, which reads no net
+    def refuse(term):
+        raise TranslationError("injected")
+
+    monkeypatch.setattr(checks, "translate_cbv", refuse)
+    monkeypatch.setattr(checks, "translate_cbn", refuse)
+    report = checks.check_goi_end_to_end([
+        prepare("id", parse_lambda("\\x.x")),
+        prepare("id_id", parse_lambda("(\\x.x) (\\y.y)"))])
+    assert report["failures"] == ["id_id/lcf: TranslationError: injected",
+                                  "id_id/lca: TranslationError: injected"]
+    assert report["checked"] == 2
 
 
 def test_erased_terms_carry_zero_weight():
