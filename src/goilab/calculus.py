@@ -8,10 +8,13 @@ Each rule is a left-hand side, a side condition and a labelled contractum.
 ``_contractions`` is one match whose cases are the left-hand sides: it
 returns, for one node, the rules that match it with their contracta, and
 None for a rule whose side condition fails.  One lazy generator,
-``_redexes``, walks the term in preorder and offers it only the ``App`` and
-``Subst`` nodes, the only ones a left-hand side can match; the reduction
-graph and the leftmost-outermost walk of ``reduce`` and ``sigma_walk`` read
-that.
+``_redexes``, walks the term in preorder on its own stack, testing each
+node's kind inline, and offers it only the ``App`` and ``Subst`` nodes, the
+only ones a left-hand side can match; variables, which are neither redexes
+nor parents, never enter the stack.  The walk keeps the child indices from
+the root in one list and makes a position tuple only for a redex it reports.
+The reduction graph and the leftmost-outermost walk of ``reduce`` and
+``sigma_walk`` read that generator.
 Only ``step``, which is given a site, raises ``PatternMismatchError`` or
 ``SideConditionViolatedError``.
 """
@@ -24,7 +27,7 @@ from typing import Iterator, Optional
 from .labels import LEFT, RIGHT, concat, format_label, mark, over, reverse, under
 from .labelled import bullet, label_of
 from .terms import (Abs, App, Copy, Erase, Subst, Term, Var, format_term,
-                    free_vars, replace_at, subterm_at, subterms, term_size)
+                    free_vars, replace_at, subterm_at, term_size)
 
 LCF = "lcf"
 LCA = "lca"
@@ -168,12 +171,28 @@ def _redexes(config: Configuration, calculus: str, rules: tuple) -> Iterator[Tra
     """Each redex of ``config`` under ``rules`` with its contracted
     configuration, position-lexicographic then rule-alphabetical.  Lazy:
     the first item contracts the leftmost-outermost redex only."""
-    for pos, node in subterms(config.term):
-        if isinstance(node, _REDEX_KINDS):
+    path = []  # the child indices from the root down to the node at hand
+    # (node, the depth of its parent, its own index as a 1-tuple): a variable
+    # is never on the stack, since it is no redex and has no children
+    stack = [] if type(config.term) is Var else [(config.term, 0, ())]
+    while stack:
+        node, depth, tail = stack.pop()
+        path[depth:] = tail
+        depth = len(path)
+        kind = type(node)
+        if kind in _REDEX_KINDS:
             for rule, contracted in _contractions(node, calculus, rules):
                 if contracted is not None:
-                    yield TraceStep(RedexSite(pos, rule),
-                                    _rebuild(config, pos, *contracted))
+                    position = tuple(path)
+                    yield TraceStep(RedexSite(position, rule),
+                                    _rebuild(config, position, *contracted))
+            if type(node.arg) is not Var:
+                stack.append((node.arg, depth, (1,)))
+            first = node.fun if kind is App else node.body
+        else:  # Abs, Erase, Copy
+            first = node.body
+        if type(first) is not Var:
+            stack.append((first, depth, (0,)))
 
 
 def find_redexes(config: Configuration, calculus: str) -> list:

@@ -84,8 +84,8 @@ def check_compile_fidelity(entries: Iterable[CorpusEntry]) -> dict:
             failures.append(f"{entry.name}: linearity violations {violations}")
         if free_vars(entry.compiled) != free_vars(entry.source):
             failures.append(f"{entry.name}: free variables changed by compilation")
-        again = format_term(compile_term(entry.source))
-        if again != format_term(entry.compiled):
+        # compiled terms carry no labels, so equal terms are equal prints
+        if compile_term(entry.source) != entry.compiled:
             failures.append(f"{entry.name}: compilation not deterministic")
     return {"ok": not failures, "failures": failures}
 
@@ -198,6 +198,24 @@ def _forward_sequences(label):
             yield from _forward_sequences(reverse(atom.inner))
 
 
+def _variable_atom_problems(entry: CorpusEntry, label) -> list:
+    """An ``lcf`` lemma: in each forward sequence of ``label``, what follows
+    a variable's atom reads as an unboxed argument label."""
+    problems = []
+    for seq in _forward_sequences(label):
+        for i, atom in enumerate(seq):
+            if (isinstance(atom, Atomic)
+                    and entry.atom_classes.get(atom.name) == "var"
+                    and i + 1 < len(seq)):
+                suffix = seq[i + 1:]
+                problem = _argument_problem(suffix, boxed=False)
+                if problem:
+                    problems.append(
+                        f"{entry.name}/lcf: variable atom {atom.name} followed "
+                        f"by {format_label(suffix)} ({problem})")
+    return problems
+
+
 def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
                        fuel: int = 10_000) -> dict:
     failures = []
@@ -212,6 +230,7 @@ def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
             if not (isinstance(first, Atomic) and first.name == entry.root_atom):
                 failures.append(f"{where}: first label is {format_label((first,))}"
                                 f", expected {entry.root_atom}")
+            atom_failures = []  # reported after the configuration's others
             for pos, t in subterms(c.term):
                 label = getattr(t, "label", None)
                 if label is not None:
@@ -223,6 +242,8 @@ def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
                         failures.append(
                             f"{where}: last atom {last.name} marks a "
                             f"{entry.atom_classes.get(last.name)}, found {cls}")
+                    if calculus == LCF:
+                        atom_failures += _variable_atom_problems(entry, label)
                 if isinstance(t, Subst):
                     if calculus == LCA and free_vars(t.arg):
                         failures.append(f"{where}: open substitution at {pos}")
@@ -232,23 +253,7 @@ def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
                         failures.append(
                             f"{where}: argument label {format_label(arg_label)}"
                             f" at {pos}: {problem}")
-            if calculus == LCF:
-                for pos, t in subterms(c.term):
-                    label = getattr(t, "label", None)
-                    if label is None:
-                        continue
-                    for seq in _forward_sequences(label):
-                        for i, atom in enumerate(seq):
-                            if (isinstance(atom, Atomic)
-                                    and entry.atom_classes.get(atom.name) == "var"
-                                    and i + 1 < len(seq)):
-                                suffix = seq[i + 1:]
-                                problem = _argument_problem(suffix, boxed=False)
-                                if problem:
-                                    failures.append(
-                                        f"{entry.name}/lcf: variable atom "
-                                        f"{atom.name} followed by "
-                                        f"{format_label(suffix)} ({problem})")
+            failures += atom_failures
     return {"ok": not failures, "failures": failures[:50]}
 
 

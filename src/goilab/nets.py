@@ -533,8 +533,9 @@ def _splice(net: Net, nid: int, port_a: str, port_b: str) -> int:
     oriented edge that reads (edge at port_a towards the node) then (edge at
     port_b away from the node).  The net's port map is kept current: the
     node's ports leave it and the outer ends point at the fused edge, as
-    does the interface an outer end is.  A self-loop raises before anything
-    changes."""
+    does the interface an outer end is.  The node stays in the contents of
+    its boxes, for the caller to drop with ``_unbox`` once its splices are
+    done.  A self-loop raises before anything changes."""
     ports = net.ports
     ea, ia = ports[(nid, port_a)]
     eb, ib = ports[(nid, port_b)]
@@ -557,9 +558,13 @@ def _splice(net: Net, nid: int, port_a: str, port_b: str) -> int:
             net.free[end[1]] = fused
     del net.edges[ea], net.edges[eb]
     net.nodes.pop(nid)
-    for b in net.boxes.values():
-        b.contents.discard(nid)
     return fused
+
+
+def _unbox(net: Net, spliced: set) -> None:
+    """Drop the ``spliced`` nodes from every box's contents."""
+    for b in net.boxes.values():
+        b.contents -= spliced
 
 
 @dataclass(frozen=True)
@@ -645,6 +650,7 @@ def closed_cut_step(net: Net, cut: int) -> Net:
 def _axiom_step(net: Net, redex: _CutRedex) -> None:
     _splice(net, redex.cut, "a", "b")
     _splice(net, redex.nodes[0], "a", "b")
+    _unbox(net, {redex.cut, redex.nodes[0]})
 
 
 def _mult_step(net: Net, redex: _CutRedex) -> None:
@@ -664,6 +670,7 @@ def _derelict_step(net: Net, redex: _CutRedex) -> None:
     _splice(net, redex.nodes[0], "in", "out")
     _splice(net, redex.nodes[1], "in", "out")
     del net.boxes[redex.box]
+    _unbox(net, {redex.cut, *redex.nodes})
 
 
 def _weaken_step(net: Net, redex: _CutRedex) -> None:
@@ -686,6 +693,7 @@ def _commute_step(net: Net, redex: _CutRedex) -> None:
     whynot = redex.nodes[1]
     target = net.boxes[net.box_of_auxiliary(whynot)]
     _splice(net, whynot, "in", "out")
+    _unbox(net, {whynot})
     target.auxiliaries = tuple(a for a in target.auxiliaries if a != whynot)
     target.contents |= net.boxes[redex.box].contents | {redex.cut}
 
@@ -766,6 +774,7 @@ def contracted(net: Net) -> Net:
     """
     out = net.copy()
     ports = out.ports
+    spliced = set()
     for nid, kind in list(out.nodes.items()):
         if kind in ("ax", "cut"):
             try:
@@ -774,6 +783,8 @@ def contracted(net: Net) -> Net:
                 raise _empty_port(out, *missing.args[0]) from None
             if not loop:
                 _splice(out, nid, "a", "b")
+                spliced.add(nid)
+    _unbox(out, spliced)
     return out
 
 

@@ -165,10 +165,15 @@ def subterm_at(term: Term, position: tuple) -> Term:
 
 
 def replace_at(term: Term, position: tuple, new: Term) -> Term:
-    if not position:
-        return new
-    i = position[0]
-    return replace_child(term, i, replace_at(children(term)[i], position[1:], new))
+    """``term`` with its subterm at ``position`` replaced by ``new``: a walk
+    down to it, then a rebuild of each node above it, bottom up, both loops."""
+    above = []
+    for i in position:
+        above.append(term)
+        term = children(term)[i]
+    for parent, i in zip(reversed(above), reversed(position)):
+        new = replace_child(parent, i, new)
+    return new
 
 
 def subterms(term: Term) -> Iterator[tuple[tuple, Term]]:
@@ -179,18 +184,24 @@ def subterms(term: Term) -> Iterator[tuple[tuple, Term]]:
     while stack:
         position, term = stack.pop()
         yield position, term
-        kids = children(term)
-        if len(kids) == 2:
-            stack.append((position + (1,), kids[1]))
-        if kids:
-            stack.append((position + (0,), kids[0]))
+        kind = type(term)
+        if kind is App or kind is Subst:
+            stack.append((position + (1,), term.arg))
+            stack.append((position + (0,), term.fun if kind is App else term.body))
+        elif kind is not Var:  # Abs, Erase, Copy
+            stack.append((position + (0,), term.body))
 
 
 def term_size(term: Term) -> int:
     size, stack = 0, [term]
     while stack:
+        t = stack.pop()
         size += 1
-        stack.extend(children(stack.pop()))
+        kind = type(t)
+        if kind is App or kind is Subst:
+            stack += (t.fun if kind is App else t.body, t.arg)
+        elif kind is not Var:  # Abs, Erase, Copy
+            stack.append(t.body)
     return size
 
 
@@ -248,10 +259,10 @@ def check_linear(term: Term) -> list:
                 path.append(index)
             stack.append((t, index, count))
             count += 1
-            kids = children(t)
-            if len(kids) == 2:
-                stack.append((kids[1], 1, None))
-            stack.append((kids[0], 0, None))
+            if cls is App or cls is Subst:
+                stack += ((t.arg, 1, None), (t.fun if cls is App else t.body, 0, None))
+            else:  # Abs, Erase, Copy
+                stack.append((t.body, 0, None))
             continue
         messages = []
         if cls is Abs:
@@ -524,51 +535,71 @@ def _share(body: Term, name: str, leaves: list, sources: list) -> Term:
 def compile_term(term: Term) -> Term:
     """Compile a plain lambda term into a linear term with copy/erase.
 
-    The first of two walks counts the uses of each binder and free name and
-    names them: each binder when its body is done, then the free names in
-    sorted order.  The second builds the term, handing each use its name left
-    to right; an abstraction's body goes under an eps if its binder is unused
-    or a copy chain if it is used twice or more, and the term under a chain
-    for each free name used twice or more.
+    The first of two walks counts the uses of each binder and free name
+    and rejects any node that is not a variable, an abstraction or an
+    application.  Then each binder is named in the order its body is done,
+    and the free names in sorted order; every name the term holds is a
+    binder or a free name, and the fresh names avoid them all.  The second
+    walk builds the term, handing each use its name left to right; an
+    abstraction's body goes under an eps if its binder is unused or a copy
+    chain if it is used twice or more, and the term under a chain for each
+    free name used twice or more.  Both walks are loops over an explicit
+    stack, so a deep term cannot overflow the interpreter's.
     """
-    if not is_lambda_term(term):
-        raise ValueError("compile expects a plain lambda term")
-    supply = FreshSupply()
-    supply.reserve(all_var_names(term))
     named = []  # each abstraction's cell in preorder: [uses], then [leaves, sources]
+    done = []  # (binder, cell) of each abstraction as its body is done
     free = {}  # free name -> its cell
-
-    def count(t: Term, scope: dict) -> None:  # scope: binder -> its cell
-        if type(t) is Var:
+    scope = {}  # binder -> its cell
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is Var:
             cell = scope.get(t.name) or free.setdefault(t.name, [0])
             cell[0] += 1
-        elif type(t) is App:
-            count(t.fun, scope)
-            count(t.arg, scope)
-        else:
+        elif kind is App:
+            stack += (t.arg, t.fun)
+        elif kind is Abs:
             cell = [0]
             named.append(cell)
-            outer, scope[t.binder] = scope.get(t.binder), cell
-            count(t.body, scope)
-            scope[t.binder] = outer
-            cell[:] = _name_uses(t.binder, cell[0], supply)
-
-    count(term, {})
+            stack += ((t.binder, scope.get(t.binder), cell), t.body)
+            scope[t.binder] = cell
+        elif kind is tuple:  # leaving an abstraction's body
+            binder, outer, cell = t
+            scope[binder] = outer
+            done.append((binder, cell))
+        else:
+            raise ValueError("compile expects a plain lambda term")
+    supply = FreshSupply()
+    supply.reserve([*free, *(binder for binder, _ in done)])
+    for binder, cell in done:
+        cell[:] = _name_uses(binder, cell[0], supply)
     free = {name: _name_uses(name, free[name][0], supply) for name in sorted(free)}
+
     shares = iter(named)
-
-    def build(t: Term, scope: dict) -> Term:  # scope: name -> its uses' names
-        if type(t) is Var:
-            return Var(next(scope[t.name]), t.label)
-        if type(t) is App:
-            return App(build(t.fun, scope), build(t.arg, scope), t.label)
-        leaves, sources = next(shares)
-        outer, scope[t.binder] = scope.get(t.binder), iter(leaves)
-        body = build(t.body, scope)
-        scope[t.binder] = outer
-        return Abs(t.binder, _share(body, t.binder, leaves, sources), t.label)
-
-    compiled = build(term, {name: iter(leaves) for name, (leaves, _) in free.items()})
+    scope = {name: iter(leaves) for name, (leaves, _) in free.items()}
+    built = []  # the terms built for finished subterms, the latest last
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is Var:
+            built.append(Var(next(scope[t.name]), t.label))
+        elif kind is App:
+            stack += ((t,), t.arg, t.fun)
+        elif kind is Abs:
+            leaves, sources = next(shares)
+            stack += ((t, scope.get(t.binder), leaves, sources), t.body)
+            scope[t.binder] = iter(leaves)
+        elif len(t) == 1:  # leaving an application: both sides are built
+            arg = built.pop()
+            built.append(App(built.pop(), arg, t[0].label))
+        else:  # leaving an abstraction
+            node, outer, leaves, sources = t
+            scope[node.binder] = outer
+            body = _share(built.pop(), node.binder, leaves, sources)
+            built.append(Abs(node.binder, body, node.label))
+    compiled = built.pop()
     for name, (leaves, sources) in free.items():
         compiled = _share(compiled, name, leaves, sources)
     return compiled

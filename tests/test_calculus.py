@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from conftest import closed_lambda_terms
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from goilab.labelled import initialize, label_of
 from goilab.labels import LEFT, RIGHT, Marker, atomic, format_label
 from goilab.terms import (Abs, App, Copy, Erase, Subst, Var, check_linear,
                           compile_term, format_term, free_vars, parse_lambda,
-                          relabel, subterms, term_size)
+                          relabel, subterm_at, subterms, term_size)
 
 
 def identity_application():
@@ -290,6 +292,24 @@ def test_only_the_redex_kinds_have_contractions():
                     assert calculus._contractions(node, calc, RULES[calc]) == ()
 
 
+def test_a_deep_chain_of_identities_is_searched_and_stepped_without_recursion():
+    # (\z0.z0) (\z1.z1) ... (\z5000.z5000), left-nested: its one redex is
+    # the innermost application, 4,999 steps below the root.  Such terms are
+    # not hashed or compared here: both still recurse.
+    term = Abs("z0", Var("z0"))
+    for i in range(1, 5001):
+        term = App(term, Abs(f"z{i}", Var(f"z{i}")))
+    site = RedexSite((0,) * 4999, "Beta")
+    for calc in (LCF, LCA):
+        config = Configuration(term)
+        assert find_redexes(config, calc) == [site]
+        out = step(config, site, calc)
+        contractum = subterm_at(out.term, site.position)
+        assert type(contractum) is Subst and contractum.target == "z0"
+        assert out.term.arg is term.arg
+        assert subterm_at(out.term, (0,) * 4998).arg is subterm_at(term, (0,) * 4998).arg
+
+
 def test_closed_substitution_is_never_normal():
     t = Subst(Var("x", atomic("a")), closed_value(), "x")
     assert find_redexes(Configuration(t), LCF)
@@ -342,6 +362,27 @@ def test_fuel_equal_to_the_trace_length_is_enough(monkeypatch):
         monkeypatch.setattr(calculus, "default_sigma_fuel", lambda term: 0)
         with pytest.raises(FuelExhaustedError):
             normalize_sigma(trace[0].config, calc)
+
+
+def test_label_lemmas_report_each_configurations_variable_atoms_last():
+    # every atom misread as a variable's: under lcf each configuration's
+    # label-shape failures come first, then its variable-atom ones
+    entry = prepare("t", parse_lambda("(\\x.x) (\\y.y)"))
+    entry = dataclasses.replace(entry, atom_classes=dict.fromkeys(entry.atom_classes, "var"))
+    no_block = "(no underlined block after the exponential prefix)"
+    assert check_label_lemmas([entry], LCF)["failures"] == [
+        "t/lcf: last atom a marks a var, found app",
+        "t/lcf: last atom b marks a var, found abs",
+        "t/lcf: last atom d marks a var, found abs",
+        "t/lcf: last atom d marks a var, found abs",
+        f"t/lcf: variable atom a followed by <(D>.b.<!)>.c {no_block}",
+        f"t/lcf: variable atom b followed by <! {no_block}",
+        f"t/lcf: variable atom b followed by <! {no_block}",
+        "t/lcf: last atom d marks a var, found abs",
+        f"t/lcf: variable atom a followed by <(D>.b.<!)>.c._(!>.b.<D).d {no_block}",
+        f"t/lcf: variable atom b followed by <! {no_block}",
+        f"t/lcf: variable atom b followed by <! {no_block}",
+    ]
 
 
 def test_suites_report_an_exhausted_trace():

@@ -343,16 +343,21 @@ def renumbered(net, seed=0):
 
 def contracted_by_restarts(net):
     """``contracted`` as a restart loop: scan the ports afresh, splice the
-    first axiom or cut whose two ports sit on different edges, start over."""
+    first axiom or cut whose two ports sit on different edges, start over;
+    at the end, drop the spliced nodes from every box."""
     out = net.copy()
+    spliced = set()
     while True:
         pm = port_scan(out)
         for nid, kind in out.nodes.items():
             if kind in ("ax", "cut") and pm[(nid, "a")][0] != pm[(nid, "b")][0]:
                 break
         else:
+            for b in out.boxes.values():
+                b.contents -= spliced
             return out
         _splice(out, nid, "a", "b")
+        spliced.add(nid)
 
 
 def test_contracted_makes_the_splices_of_the_restart_loop():

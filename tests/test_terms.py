@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from goilab.calculus import LCA, LCF, Configuration, reduction_graph
 from goilab.checks import _trace
-from goilab import terms
+from goilab import checks, terms
 from goilab.corpus import CLASSICS, closed_terms, corpus, prepare
 from goilab.labels import atomic
 from goilab.terms import (Abs, App, Copy, Erase, FreshSupply, ParseError,
@@ -113,6 +113,41 @@ def test_compile_shared_free_variable():
     got = compile_term(parse_lambda("x x"))
     assert check_linear(got) == []
     assert free_vars(got) == {"x"}
+
+
+def test_compile_rejects_a_term_that_is_not_plain_lambda():
+    for text in ("eps[y].x", "\\x.x[y/z]", "\\x.copy[x->a,b].a b"):
+        with pytest.raises(ValueError, match="plain lambda term"):
+            compile_term(parse(text))
+
+
+# --- criterion 1's failures --------------------------------------------------
+
+def test_criterion_1_names_a_fixed_source_that_compiles_wrongly(monkeypatch):
+    source, expected = checks.COMPILE_EXPECTED[0]
+    wrong = parse_lambda(source)  # left uncompiled, so its eps is missing
+
+    def miscompiled(term):
+        return wrong if term == wrong else compile_term(term)
+
+    monkeypatch.setattr(checks, "compile_term", miscompiled)
+    report = checks.check_compile_fidelity([prepare("id", parse_lambda("\\x.x"))])
+    assert report == {"ok": False, "failures": [
+        f"compile({source!r}) printed {format_term(wrong)!r}, wanted {expected!r}"]}
+
+
+def test_criterion_1_names_a_recompilation_that_renames_a_variable(monkeypatch):
+    entry = prepare("dup", parse_lambda("\\x.x x"))
+    assert format_term(entry.compiled) == "\\x.copy[x->x1,x2].x1 x2"
+    renamed = parse("\\x.copy[x->x3,x2].x3 x2")  # as linear, with other names
+
+    def recompiled(term):
+        return renamed if term == entry.source else compile_term(term)
+
+    monkeypatch.setattr(checks, "compile_term", recompiled)
+    assert check_linear(renamed) == []
+    report = checks.check_compile_fidelity([entry])
+    assert report == {"ok": False, "failures": ["dup: compilation not deterministic"]}
 
 
 def _debruijn(t, env=()):
@@ -451,6 +486,16 @@ def test_a_deep_term_is_walked_without_recursion():
     assert free_vars(term) == {f"x{i}" for i in range(5001)}
     assert is_lambda_term(term)
     assert not is_lambda_term(chain(Erase("x0", Var("x0"))))
+
+
+def test_a_binder_used_5000_times_compiles_without_recursion():
+    # a left-nested chain of 5,000 applications under one binder, split by a
+    # chain of 4,999 copies once compiled
+    term = parse_lambda("\\x0." + " ".join(["x0"] * 5000))
+    compiled = compile_term(term)
+    assert check_linear(compiled) == []
+    assert sum(type(t) is Copy for _, t in subterms(compiled)) == 4999
+    assert term_size(compiled) == 1 + 4999 + 9999
 
 
 def test_check_linear_walks_a_deep_chain_with_one_shared_variable():
