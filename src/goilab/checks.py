@@ -9,14 +9,14 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
-from .algebra import (ONE, ZERO, LevelUnderflowError, compose, involute, lw,
-                      watom)
+from .algebra import (ONE, ZERO, LevelUnderflowError, compose,
+                      entry_level_needed, involute, lw, watom)
 from .calculus import (LCA, LCF, Configuration, FuelExhaustedError, TraceStep,
                        default_sigma_fuel, reduce, reduction_graph, sigma_walk)
 from .corpus import CorpusEntry
 from .labelled import label_of
 from .labels import (ArgumentLabelError, Atomic, Marker, Over, RIGHT, Under,
-                     atoms_flat, concat, format_label, mark, reverse,
+                     concat, format_label, mark, reverse,
                      split_argument_label)
 from .nets import (NetError, closed_cut_step, eligible_cuts, iso_check,
                    translate_cbn, translate_cbv, validate)
@@ -468,10 +468,6 @@ def random_label(rng: random.Random, depth: int = 2, length: int = 4):
     return tuple(atoms)
 
 
-def _safe_level(label) -> int:
-    return 2 * sum(1 for _ in atoms_flat(label)) + 2
-
-
 def check_algebra_laws(seed: int = 0) -> dict:
     rng = random.Random(seed)
     failures = []
@@ -498,7 +494,7 @@ def check_algebra_laws(seed: int = 0) -> dict:
             failures.append(f"sample {i}: involution not involutive")
 
         label = random_label(rng)
-        level = _safe_level(label)
+        level = entry_level_needed(label)
         full = lw(label, level)
         cut_at = rng.randint(0, len(label))
         head, tail = label[:cut_at], label[cut_at:]

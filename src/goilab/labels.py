@@ -53,27 +53,21 @@ def atomic(name: str) -> Label:
     return (Atomic(name),)
 
 
-def over(*atoms_or_labels) -> Label:
-    return (Over(concat(*atoms_or_labels)),)
+def over(*labels) -> Label:
+    return (Over(concat(*labels)),)
 
 
-def under(*atoms_or_labels) -> Label:
-    return (Under(concat(*atoms_or_labels)),)
+def under(*labels) -> Label:
+    return (Under(concat(*labels)),)
 
 
 def mark(direction: str, kind: str) -> Label:
     return (Marker(direction, kind),)
 
 
-def concat(*parts) -> Label:
-    """Concatenate labels (or bare atoms) left to right."""
-    out = []
-    for p in parts:
-        if isinstance(p, (Atomic, Over, Under, Marker)):
-            out.append(p)
-        else:
-            out.extend(p)
-    return tuple(out)
+def concat(*labels) -> Label:
+    """Concatenate labels left to right."""
+    return tuple(a for label in labels for a in label)
 
 
 def reverse(label: Label) -> Label:
@@ -132,10 +126,3 @@ def split_argument_label(label: Label, boxed: bool = True) -> tuple[Label, Label
             raise ArgumentLabelError("nothing after the box marker")
     return label[:i], label[i:]
 
-
-def atoms_flat(label: Label):
-    """All atoms, recursing under over/underlines, in reading order."""
-    for a in label:
-        yield a
-        if isinstance(a, (Over, Under)):
-            yield from atoms_flat(a.inner)

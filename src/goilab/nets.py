@@ -53,18 +53,10 @@ PORTS = {
 # the number of ports of each node kind
 _ARITY = {kind: len(ports) for kind, ports in PORTS.items()}
 
-# port pairs a straight path may connect through a node
-TRANSITIONS = {
-    "ax": (("a", "b"),),
-    "cut": (("a", "b"),),
-    "tensor": (("left", "out"), ("right", "out")),
-    "par": (("left", "out"), ("right", "out")),
-    "fan": (("left", "out"), ("right", "out")),
-    "bang": (("in", "out"),),
-    "whynot": (("in", "out"),),
-    "derelict": (("in", "out"),),
-    "weaken": (),
-}
+# port pairs a straight path may connect through a node: each port but the
+# last with the last, so no path crosses from one premise to another
+TRANSITIONS = {kind: tuple((port, ports[-1]) for port in ports[:-1])
+               for kind, ports in PORTS.items()}
 
 
 class NetError(Exception):
@@ -98,12 +90,9 @@ class Edge:
         else:
             self.weight = compose(self.weight, involute(w))
 
-    def compose_outgoing(self, end_index: int, w: Weight) -> None:
-        """Traversals leaving through ``end_index`` read ``w`` last."""
-        if end_index == 1:
-            self.weight = compose(self.weight, w)
-        else:
-            self.weight = compose(involute(w), self.weight)
+    def compose_outgoing(self, w: Weight) -> None:
+        """Traversals leaving through ``ends[1]`` read ``w`` last."""
+        self.weight = compose(self.weight, w)
 
 
 @dataclass
@@ -166,18 +155,6 @@ class Net:
                         if end is not None and end[0] == "node":
                             self._ports.setdefault((end[1], end[2]), (eid, i))
         return self._ports
-
-    def box_of_principal(self, nid: int) -> Optional[int]:
-        for bid, b in self.boxes.items():
-            if b.principal == nid:
-                return bid
-        return None
-
-    def box_of_auxiliary(self, nid: int) -> Optional[int]:
-        for bid, b in self.boxes.items():
-            if nid in b.auxiliaries:
-                return bid
-        return None
 
     def copy(self) -> "Net":
         out = Net()
@@ -359,8 +336,7 @@ class _Translator:
                 net.attach(froot, 0, ("node", cut, "b"))
                 if self.cbn:
                     net.new_edge(("node", tensor, "out"), ("node", cut, "a"), ONE)
-                    aroot, afree = self._arg_box(
-                        arg, o, watom("p", o, star=True), split=False)
+                    aroot, afree = self._arg_box(arg, o + 1, watom("p", o, star=True))
                 else:
                     der = self.node("derelict")
                     net.new_edge(("node", tensor, "out"), ("node", der, "in"), ONE)
@@ -386,9 +362,9 @@ class _Translator:
                 if ly != lz:
                     raise TranslationError(
                         f"copy targets at different levels ({ly} vs {lz})")
-                net.edges[ey].compose_outgoing(1, watom("r", ly))
+                net.edges[ey].compose_outgoing(watom("r", ly))
                 net.attach(ey, 1, ("node", fan, "left"))
-                net.edges[ez].compose_outgoing(1, watom("s", lz))
+                net.edges[ez].compose_outgoing(watom("s", lz))
                 net.attach(ez, 1, ("node", fan, "right"))
                 e_source = net.new_edge(("node", fan, "out"), None, ONE)
                 return root, self._merged(free, {source: (e_source, ly)})
@@ -399,7 +375,7 @@ class _Translator:
                 cut = self.node("cut")
                 net.attach(ex, 1, ("node", cut, "a"))
                 if self.cbn:
-                    aroot, afree = self._arg_box(arg, lx, ONE, split=True)
+                    aroot, afree = self._arg_box(*self._split_argument(arg, lx))
                 else:
                     entry = entry_level_needed(label_of(arg) or ())
                     aroot, afree = self.go(arg, max(lx, entry))
@@ -430,7 +406,7 @@ class _Translator:
         net = self.net
         par = self.node("par")
         e_x, _ = self._taken(free, binder, "binder")
-        net.edges[e_x].compose_outgoing(1, watom("p", inner_level))
+        net.edges[e_x].compose_outgoing(watom("p", inner_level))
         net.attach(e_x, 1, ("node", par, "left"))
         net.edges[root].compose_incoming(0, watom("q", inner_level, star=True))
         net.attach(root, 0, ("node", par, "right"))
@@ -457,30 +433,29 @@ class _Translator:
         net.boxes[net.new_id()] = Box(bang, tuple(auxiliaries), self.box_stack.pop())
         return outside
 
-    def _arg_box(self, arg: Term, entry: int, prefix: Weight, split: bool):
-        """Box the translation of an argument.
+    @staticmethod
+    def _split_argument(arg: Term, entry: int) -> tuple:
+        """A call-by-name substitution argument entering at level ``entry``,
+        as ``_arg_box`` takes it: its label's prefix up to and including the
+        trailing box marker is read on the box's external edge, and the
+        argument goes inside with the rest as its label.  An unlabelled
+        argument is read inside, one level up, behind weight 1."""
+        label = label_of(arg)
+        if label is None:
+            return arg, entry + 1, ONE
+        try:
+            outside, rest = split_argument_label(label)
+        except ArgumentLabelError as exc:
+            raise TranslationError(f"argument label: {exc}") from exc
+        r = lw(outside, max(entry, entry_level_needed(outside)))
+        return with_label(arg, rest), r.out_level, r.weight
 
-        With ``split`` (substitution arguments) the label prefix up to and
-        including its trailing box marker is read on the external edge and
-        the argument is translated inside with the remainder as its label;
-        otherwise (application arguments, and any unlabelled argument) the
-        label is read inside and the door itself raises the level.
-        """
+    def _arg_box(self, arg: Term, interior: int, ext_weight: Weight):
+        """Box the translation of ``arg`` at level ``interior``, behind an
+        external edge of weight ``ext_weight``."""
         net = self.net
-        ext_weight = prefix
-        interior_entry = entry + 1
-        label = label_of(arg) if split else None
-        if label is not None:
-            try:
-                outside, rest = split_argument_label(label)
-            except ArgumentLabelError as exc:
-                raise TranslationError(f"argument label: {exc}") from exc
-            r = lw(outside, max(entry, entry_level_needed(outside)))
-            ext_weight = compose(prefix, r.weight)
-            interior_entry = r.out_level
-            arg = with_label(arg, rest)
         self.box_stack.append(set())
-        root, free = self.go(arg, interior_entry)
+        root, free = self.go(arg, interior)
         bang = self.node("bang")
         net.attach(root, 0, ("node", bang, "in"))
         free = self._close_box(bang, free)
@@ -561,10 +536,24 @@ def _splice(net: Net, nid: int, port_a: str, port_b: str) -> int:
     return fused
 
 
-def _unbox(net: Net, spliced: set) -> None:
-    """Drop the ``spliced`` nodes from every box's contents."""
+def _unbox(net: Net, nodes: set) -> None:
+    """Drop ``nodes`` from every box's contents."""
     for b in net.boxes.values():
-        b.contents -= spliced
+        b.contents -= nodes
+
+
+def _box_beside(net: Net, nodes: set, beside: int) -> None:
+    """Put ``nodes`` in every box that holds node ``beside``."""
+    for b in net.boxes.values():
+        if beside in b.contents:
+            b.contents |= nodes
+
+
+def _box_of_door(net: Net, door: int) -> Optional[int]:
+    """The box that ``door`` is a door of, or None.  A ``bang`` is only
+    ever a principal door, and a ``whynot`` only an auxiliary one."""
+    return next((bid for bid, b in net.boxes.items()
+                 if door == b.principal or door in b.auxiliaries), None)
 
 
 @dataclass(frozen=True)
@@ -574,75 +563,89 @@ class _CutRedex:
     ``nodes`` are the cut's two neighbours, the one the rule is named after
     first: the axiom; tensor, par; dereliction, contraction or weakening,
     then the box's principal door; for commutation the principal door,
-    then the auxiliary door it enters.  ``box`` is the closed box the step
-    opens, erases, copies or moves, and ``crossing`` the weight read across
-    the cut from ``nodes[0]``.
+    then the auxiliary door it enters.  ``box`` is the box the step opens,
+    erases, copies or moves, ``closed`` says that it has no auxiliary
+    doors (or that the rule needs no box), and ``crossing`` is the weight
+    read across the cut from ``nodes[0]``.
     """
 
     cut: int
     rule: str
     nodes: tuple
     box: Optional[int]
+    closed: bool
     crossing: Weight
 
 
-def _classify_cut(net: Net, cut: int) -> _CutRedex:
-    """The closed elimination step at ``cut``, or ``NetError`` when there is
-    none; ``NotClosedError`` when its box has auxiliary doors."""
-    if net.nodes.get(cut) != "cut":
-        raise NotACutError(f"node {cut} is not a cut")
-    fars, edges = [], []
+def _cut_sides(net: Net, cut: int) -> Optional[list]:
+    """``(far end, edge, index of its end at the cut)`` for the edge at
+    each port of ``cut``, or None when one of them faces the interface."""
+    sides = []
     for port in ("a", "b"):
         eid, idx = net.ports[(cut, port)]
-        far = net.edges[eid].ends[1 - idx]
+        edge = net.edges[eid]
+        far = edge.ends[1 - idx]
         if far is None or far[0] != "node":
-            raise NetError("cut against the interface cannot fire")
-        fars.append(far)
-        edges.append((net.edges[eid], idx))
+            return None
+        sides.append((far, edge, idx))
+    return sides
+
+
+def _cut_redex(net: Net, cut: int) -> Optional[_CutRedex]:
+    """The closed elimination step at the cut node ``cut``, or None when the
+    cut faces the interface or no rule matches it."""
+    sides = _cut_sides(net, cut)
+    if sides is None:
+        return None
+    fars = [far for far, _, _ in sides]
     kinds = [net.nodes[far[1]] for far in fars]
     rule = box = None
     if "ax" in kinds:
         rule, first = "ax", kinds.index("ax")
     elif sorted(kinds) == ["par", "tensor"] and fars[0][2] == fars[1][2] == "out":
         rule, first = "mult", kinds.index("tensor")
-    elif "bang" in kinds:
+    elif "bang" in kinds and fars[0][2] == fars[1][2] == "out":
         door = kinds.index("bang")
         other = 1 - door
-        box = net.box_of_principal(fars[door][1])
-        if box is not None and fars[door][2] == fars[other][2] == "out":
-            if kinds[other] in ("derelict", "fan", "weaken"):
-                rule, first = kinds[other], other
-            elif kinds[other] == "whynot" and \
-                    net.box_of_auxiliary(fars[other][1]) is not None:
-                rule, first = "commute", door
+        box = _box_of_door(net, fars[door][1])
+        if box is None:
+            return None
+        if kinds[other] in ("derelict", "fan", "weaken"):
+            rule, first = kinds[other], other
+        elif kinds[other] == "whynot" and _box_of_door(net, fars[other][1]) is not None:
+            rule, first = "commute", door
     if rule is None:
-        raise NetError("cut is not reducible by closed elimination")
-    if box is not None and net.boxes[box].auxiliaries:
-        raise NotClosedError(f"{rule} cut needs a box with no auxiliary doors")
-    (edge_near, i_near), (edge_far, i_far) = edges[first], edges[1 - first]
+        return None
+    (_, edge_near, i_near), (_, edge_far, i_far) = sides[first], sides[1 - first]
     crossing = compose(edge_near.weight_from(1 - i_near), edge_far.weight_from(i_far))
-    return _CutRedex(cut, rule, (fars[first][1], fars[1 - first][1]), box, crossing)
+    closed = box is None or not net.boxes[box].auxiliaries
+    return _CutRedex(cut, rule, (fars[first][1], fars[1 - first][1]), box, closed,
+                     crossing)
 
 
 def eligible_cuts(net: Net) -> list:
     """Cut nodes where a closed elimination step applies, in id order."""
-    out = []
-    for nid in sorted(net.nodes):
-        if net.nodes[nid] == "cut":
-            try:
-                _classify_cut(net, nid)
-            except NetError:
-                continue
-            out.append(nid)
-    return out
+    return [nid for nid in sorted(net.nodes) if net.nodes[nid] == "cut"
+            and (redex := _cut_redex(net, nid)) is not None and redex.closed]
 
 
 def closed_cut_step(net: Net, cut: int) -> Net:
-    """One step of closed cut elimination at the given cut node.  The copy
-    stepped carries the port map of ``net``; a step that splices keeps it
-    current, and one that deletes nodes drops it."""
+    """One step of closed cut elimination at the given cut node, on a copy
+    of ``net``.  ``NotACutError`` when ``cut`` is not a cut, ``NetError``
+    when it faces the interface or no rule matches it, and
+    ``NotClosedError`` when its box has auxiliary doors.  The copy stepped
+    carries the port map of ``net``; a step that splices keeps it current,
+    and one that deletes nodes drops it."""
+    if net.nodes.get(cut) != "cut":
+        raise NotACutError(f"node {cut} is not a cut")
+    redex = _cut_redex(net, cut)
+    if redex is None:
+        if _cut_sides(net, cut) is None:
+            raise NetError("cut against the interface cannot fire")
+        raise NetError("cut is not reducible by closed elimination")
+    if not redex.closed:
+        raise NotClosedError(f"{redex.rule} cut needs a box with no auxiliary doors")
     net = net.copy()
-    redex = _classify_cut(net, cut)
     _STEPS[redex.rule](net, redex)
     return net
 
@@ -691,7 +694,7 @@ def _fan_step(net: Net, redex: _CutRedex) -> None:
 
 def _commute_step(net: Net, redex: _CutRedex) -> None:
     whynot = redex.nodes[1]
-    target = net.boxes[net.box_of_auxiliary(whynot)]
+    target = net.boxes[_box_of_door(net, whynot)]
     _splice(net, whynot, "in", "out")
     _unbox(net, {whynot})
     target.auxiliaries = tuple(a for a in target.auxiliaries if a != whynot)
@@ -705,9 +708,7 @@ _STEPS = {"ax": _axiom_step, "mult": _mult_step, "derelict": _derelict_step,
 def _new_cut(net: Net, beside: int) -> int:
     """A new cut node in every box that holds node ``beside``."""
     c = net.new_node("cut")
-    for b in net.boxes.values():
-        if beside in b.contents:
-            b.contents.add(c)
+    _box_beside(net, {c}, beside)
     return c
 
 
@@ -721,8 +722,7 @@ def _delete_nodes(net: Net, doomed: set) -> None:
             del net.edges[eid]
     for nid in doomed:
         del net.nodes[nid]
-    for b in net.boxes.values():
-        b.contents -= doomed
+    _unbox(net, doomed)
 
 
 def _drop_box(net: Net, bid: int, extra: set) -> None:
@@ -754,10 +754,7 @@ def _copy_closed_box(net: Net, bid: int, beside: int) -> int:
                 mapping[bx.principal],
                 tuple(mapping[a] for a in bx.auxiliaries),
                 {mapping[n] for n in bx.contents})
-    new_nodes = set(mapping.values())
-    for b in net.boxes.values():
-        if beside in b.contents:
-            b.contents |= new_nodes
+    _box_beside(net, set(mapping.values()), beside)
     return mapping[box.principal]
 
 

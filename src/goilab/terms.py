@@ -388,11 +388,6 @@ class _Parser:
         return self.text[start:self.pos]
 
     def term(self) -> Term:
-        if self.peek() == "\\":
-            self.expect("\\")
-            binder = self.ident()
-            self.expect(".")
-            return Abs(binder, self.term())
         return self.application()
 
     def application(self) -> Term:

@@ -391,6 +391,16 @@ def test_splicing_a_self_loop_raises_and_changes_nothing():
     assert net.ports == before_ports
 
 
+@pytest.mark.parametrize("translate", [translate_cbv, translate_cbn])
+def test_contracting_an_open_net_keeps_its_free_edges(translate):
+    net = translate(parse_lambda("x y"))
+    out = contracted(net)
+    assert validate(out) == []
+    assert {name: out.edges[eid].ends[1] for name, eid in out.free.items()} == {
+        "x": ("free", "x"), "y": ("free", "y")}
+    assert iso_check(net, renumbered(net))
+
+
 def test_axiom_and_cut_in_a_cycle_contract_to_one_kept_loop():
     net = Net()
     ax, cut = net.new_node("ax"), net.new_node("cut")
@@ -944,6 +954,17 @@ def test_contraction_step_duplicates_box():
     good = [n for n in results if iso_check(n, translate_cbn(reduct))]
     assert good
     assert all(len(n.boxes) == len(left.boxes) + 1 for n in good)
+
+
+def test_contraction_step_places_the_copies_in_the_enclosing_box():
+    # in call-by-value the copied box sits inside the abstraction's box, so
+    # both copies must join it; the term is in the lcf graph of closed_08_410
+    net = translate_cbv(parse("\\x0.eps[x0].(copy[x1->x11,x12].x11 x12)[\\x1.x1/x1]"))
+    fans = [c for c in eligible_cuts(net) if nets._cut_redex(net, c).rule == "fan"]
+    assert len(fans) == 1 and len(net.boxes) == 2
+    out = closed_cut_step(net, fans[0])
+    assert len(out.boxes) == 3
+    assert validate(out, strict_levels=True) == []
 
 
 def test_commutative_step_moves_box_inside():

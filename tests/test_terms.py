@@ -40,6 +40,13 @@ def test_parse_application_left_associative():
     assert parse_lambda("a b c") == App(App(Var("a"), Var("b")), Var("c"))
 
 
+def test_an_abstraction_in_argument_position_takes_the_rest():
+    # an abstraction met after a function extends as far right as it can
+    assert parse_lambda("f \\x.x") == App(Var("f"), Abs("x", Var("x")))
+    assert parse_lambda("a b \\c.c d") == App(
+        App(Var("a"), Var("b")), Abs("c", App(Var("c"), Var("d"))))
+
+
 def test_parse_extended_constructs():
     t = parse("eps[x].copy[y->u,v].(u v)[w/z]")
     assert t == Erase("x", Copy("y", "u", "v", Subst(App(Var("u"), Var("v")),

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from conftest import port_scan
 
-from goilab import checks
+from goilab import checks, nets
 from goilab.algebra import CONSTANTS, normal_word
 from goilab.calculus import LCA, LCF
 from goilab.checks import (_step_edges, check_net_simulation,
@@ -178,6 +178,26 @@ def test_only_the_suites_catch_every_exception():
     catching = sorted(path.name for path in SRC.glob("*.py")
                       if "except Exception" in path.read_text())
     assert catching == ["checks.py"]
+
+
+def test_only_the_suites_catch_a_net_error():
+    # the cut search asks for a record or None; a try around a NetError
+    # outside the suites would make an exception its control flow again
+    def subclasses(cls):
+        return {cls.__name__}.union(*map(subclasses, cls.__subclasses__()))
+
+    net_errors = subclasses(nets.NetError)
+    catching = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node.type)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if names & net_errors:
+                    catching.add(path.name)
+    assert "NotClosedError" in net_errors
+    assert sorted(catching) == ["checks.py"]
 
 
 def test_normal_word_is_the_only_memo():
