@@ -31,6 +31,7 @@ from .terms import (Abs, App, Copy, Erase, Subst, Term, Var, format_term,
 
 LCF = "lcf"
 LCA = "lca"
+FUEL = 10_000  # the default budget: steps of a trace, configurations of a graph
 
 RULES = {
     LCF: ("App1", "App2", "Beta", "Cmp", "Cpy1", "Cpy2", "Ers1", "Ers2", "Lam", "Var"),
@@ -253,14 +254,13 @@ def normalize_sigma(config: Configuration, calculus: str) -> Configuration:
     return sigma_walk(config, calculus)[0]
 
 
-def reduce(config: Configuration, calculus: str, fuel: int = 10_000) -> list:
+def reduce(config: Configuration, calculus: str, fuel: int = FUEL) -> list:
     """The leftmost-outermost trace to a normal form, as ``TraceStep``s."""
     return list(_leftmost_outermost(config, calculus, RULES[calculus], fuel))
 
 
 @dataclass
 class ReductionGraph:
-    initial: Configuration
     edges: dict = field(default_factory=dict)  # Configuration -> tuple[(site, Configuration)]
     complete: bool = True
 
@@ -274,9 +274,9 @@ class ReductionGraph:
 
 
 def reduction_graph(config: Configuration, calculus: str,
-                    max_configs: int = 10_000) -> ReductionGraph:
+                    max_configs: int = FUEL) -> ReductionGraph:
     """Breadth-first exhaustive exploration, bounded by a configuration budget."""
-    graph = ReductionGraph(config)
+    graph = ReductionGraph()
     frontier = [config]
     seen = {config}
     while frontier:

@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 from .algebra import (ONE, ZERO, LevelUnderflowError, compose,
                       entry_level_needed, involute, lw, watom)
 from .calculus import (LCA, LCF, Configuration, FuelExhaustedError, TraceStep,
-                       default_sigma_fuel, reduce, reduction_graph, sigma_walk)
+                       FUEL, default_sigma_fuel, reduce, reduction_graph, sigma_walk)
 from .corpus import CorpusEntry
 from .labelled import label_of
 from .labels import (ArgumentLabelError, Atomic, Marker, Over, RIGHT, Under,
@@ -133,14 +133,14 @@ def _trace_sigma_nfs(trace: list, calculus: str) -> list:
 
 
 def check_sigma_termination(entries: Iterable[CorpusEntry],
-                            fuel: int = 10_000) -> dict:
+                            fuel: int = FUEL) -> dict:
     failures = []
     checked = sum(1 for _ in _sigma_nfs(entries, fuel, failures))
     return {"ok": not failures, "failures": failures, "configurations": checked}
 
 
 def check_propagation(entries: Iterable[CorpusEntry],
-                      fuel: int = 10_000) -> dict:
+                      fuel: int = FUEL) -> dict:
     failures = []
     for entry, calculus, nf in _sigma_nfs(entries, fuel, failures):
         for pos, t in subterms(nf.term) if nf else ():
@@ -154,7 +154,7 @@ def check_propagation(entries: Iterable[CorpusEntry],
 # criterion 4: confluence by exhaustive search
 
 def check_confluence(entries: Iterable[CorpusEntry], calculus: str,
-                     fuel: int = 10_000) -> dict:
+                     fuel: int = FUEL) -> dict:
     failures = []
     exhausted = []
     for entry in entries:
@@ -217,7 +217,7 @@ def _variable_atom_problems(entry: CorpusEntry, label) -> list:
 
 
 def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
-                       fuel: int = 10_000) -> dict:
+                       fuel: int = FUEL) -> dict:
     failures = []
     for entry, _, trace in _traces(entries, (calculus,), fuel, failures):
         where = f"{entry.name}/{calculus}"
@@ -286,7 +286,7 @@ def _step_edges(entry: CorpusEntry, calculus: str, fuel: int):
 
 
 def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
-                            fuel: int = 10_000) -> dict:
+                            fuel: int = FUEL) -> dict:
     """Per-step equality of the live weight sets.
 
     For every checked step the live words of interface-to-interface
@@ -340,7 +340,7 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
 # criterion 8: closed cut elimination on weighted nets simulates lca
 
 def check_net_simulation(entries: Iterable[CorpusEntry],
-                         fuel: int = 10_000) -> dict:
+                         fuel: int = FUEL) -> dict:
     """Closed cut elimination on weighted call-by-name nets simulates every
     labelled ``lca`` step.  Each term is translated, and its net's eligible
     cuts stepped, once per call.  An entry whose graph outgrows ``fuel``
@@ -412,7 +412,7 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
 # criterion 9: end-to-end label/path agreement
 
 def check_goi_end_to_end(entries: Iterable[CorpusEntry],
-                         fuel: int = 10_000) -> dict:
+                         fuel: int = FUEL) -> dict:
     """Criterion 9: under ``lcf`` (call-by-value net) and ``lca``
     (call-by-name net), the weight of each entry's final external label is
     realised by a straight path from the root of the initial term's net.

@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import checks
-from .calculus import (Configuration, FuelExhaustedError, LCA, LCF, reduce,
-                       trace_records)
+from .calculus import (FUEL, LCA, LCF, Configuration, FuelExhaustedError,
+                       reduce, trace_records)
 from .corpus import corpus, prepare
 from .labelled import initialize
 from .nets import to_dot, to_json, translate_cbn, translate_cbv
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     for name in ("reduce", "check"):
-        sub.choices[name].add_argument("--fuel", type=int, default=10_000)
+        sub.choices[name].add_argument("--fuel", type=int, default=FUEL)
     for p in sub.choices.values():
         p.add_argument("--out", default=None)
     return parser

@@ -10,33 +10,27 @@ from .labels import Atomic
 from .terms import Abs, App, Term, Var, compile_term, parse_lambda, subterms
 
 
-def _debruijn_terms(size: int, depth: int):
+def _terms(size: int, depth: int):
+    """The terms of ``size`` nodes whose free names are among ``x0`` to
+    ``x{depth-1}``, ``x0`` bound outermost: variables, innermost binder first,
+    then abstractions, then applications by the size of their function."""
     if size == 1:
-        for i in range(depth):
-            yield ("var", i)
+        for i in reversed(range(depth)):
+            yield Var(f"x{i}")
         return
-    for body in _debruijn_terms(size - 1, depth + 1):
-        yield ("abs", body)
+    for body in _terms(size - 1, depth + 1):
+        yield Abs(f"x{depth}", body)
     for left_size in range(1, size - 1):
-        for fun in _debruijn_terms(left_size, depth):
-            for arg in _debruijn_terms(size - 1 - left_size, depth):
-                yield ("app", fun, arg)
-
-
-def _to_named(t, depth: int = 0) -> Term:
-    kind = t[0]
-    if kind == "var":
-        return Var(f"x{depth - 1 - t[1]}")
-    if kind == "abs":
-        return Abs(f"x{depth}", _to_named(t[1], depth + 1))
-    return App(_to_named(t[1], depth), _to_named(t[2], depth))
+        for fun in _terms(left_size, depth):
+            for arg in _terms(size - 1 - left_size, depth):
+                yield App(fun, arg)
 
 
 def closed_terms(max_size: int):
     """All closed lambda terms with at most ``max_size`` nodes, by size."""
     for size in range(1, max_size + 1):
-        for i, t in enumerate(_debruijn_terms(size, 0)):
-            yield f"closed_{size:02d}_{i:03d}", _to_named(t)
+        for i, t in enumerate(_terms(size, 0)):
+            yield f"closed_{size:02d}_{i:03d}", t
 
 
 CLASSICS = (

@@ -1006,46 +1006,31 @@ def to_json(net: Net) -> str:
 
 
 def to_dot(net: Net) -> str:
+    """Graphviz text for ``net``: each box a cluster in the cluster of the
+    smallest box that strictly holds it, and the nodes in no box last."""
     lines = ["digraph net {", "  rankdir=TB;", "  node [fontsize=10];"]
-    children: dict[Optional[int], list] = {}
-    order = sorted(net.boxes, key=lambda b: len(net.boxes[b].contents))
-
-    def parent_of(bid):
-        best = None
-        for other in net.boxes:
-            if other == bid:
-                continue
-            if net.boxes[bid].contents < net.boxes[other].contents:
-                if best is None or net.boxes[other].contents < net.boxes[best].contents:
-                    best = other
-        return best
-
-    for bid in order:
-        children.setdefault(parent_of(bid), []).append(bid)
-    placed = set()
-
-    def node_line(nid):
-        placed.add(nid)
-        return f'    n{nid} [label="{net.nodes[nid]}"];'
+    # From the largest box down, the last box seen to hold a node is the
+    # smallest that holds it; a box's parent, the last to hold its principal.
+    inner: dict = {}  # node -> the smallest box seen so far that holds it
+    clusters: dict = {}  # parent box or None -> its boxes, largest first
+    for bid in reversed(sorted(net.boxes, key=lambda b: len(net.boxes[b].contents))):
+        clusters.setdefault(inner.get(net.boxes[bid].principal), []).append(bid)
+        inner.update(dict.fromkeys(net.boxes[bid].contents, bid))
 
     def emit_box(bid, indent):
         pad = " " * indent
         out = [f"{pad}subgraph cluster_{bid} {{", f'{pad}  label="box";']
-        direct = set(net.boxes[bid].contents)
-        for sub in children.get(bid, []):
-            direct -= net.boxes[sub].contents
+        for sub in reversed(clusters.get(bid, [])):
             out.extend(emit_box(sub, indent + 2))
-        for nid in sorted(direct):
-            out.append(" " * (indent + 2) + node_line(nid).strip())
-            placed.add(nid)
+        out.extend(f'{pad}  n{nid} [label="{net.nodes[nid]}"];'
+                   for nid in sorted(net.boxes[bid].contents) if inner[nid] == bid)
         out.append(f"{pad}}}")
         return out
 
-    for bid in sorted(children.get(None, [])):
+    for bid in sorted(clusters.get(None, [])):
         lines.extend(emit_box(bid, 2))
-    for nid in sorted(net.nodes):
-        if nid not in placed:
-            lines.append(node_line(nid))
+    lines.extend(f'    n{nid} [label="{kind}"];'
+                 for nid, kind in sorted(net.nodes.items()) if nid not in inner)
     lines.append('  root [shape=point,label=""];')
     for name in sorted(net.free):
         lines.append(f'  free_{name} [shape=point,label="{name}"];')

@@ -127,20 +127,15 @@ def is_lambda_term(term: Term) -> bool:
     return True
 
 
-_CHILDREN = {
-    Var: lambda t: (),
-    Abs: lambda t: (t.body,),
-    App: lambda t: (t.fun, t.arg),
-    Erase: lambda t: (t.body,),
-    Copy: lambda t: (t.body,),
-    Subst: lambda t: (t.body, t.arg),
-}
-
-
-def children(term: Term) -> tuple:
-    """Child subterms in position order (Subst: body then argument), found
-    by one lookup on the node's class."""
-    return _CHILDREN[type(term)](term)
+def _child(term: Term, index: int) -> Term:
+    """The child of ``term`` at ``index``: 0 is a body or an application's
+    function, 1 the argument of an application or a substitution."""
+    kind = type(term)
+    if index == 1 and (kind is App or kind is Subst):
+        return term.arg
+    if index == 0 and kind is not Var:
+        return term.fun if kind is App else term.body
+    raise IndexError(f"{kind.__name__} has no child {index}")
 
 
 def replace_child(term: Term, index: int, child: Term) -> Term:
@@ -160,7 +155,7 @@ def replace_child(term: Term, index: int, child: Term) -> Term:
 
 def subterm_at(term: Term, position: tuple) -> Term:
     for i in position:
-        term = children(term)[i]
+        term = _child(term, i)
     return term
 
 
@@ -170,7 +165,7 @@ def replace_at(term: Term, position: tuple, new: Term) -> Term:
     above = []
     for i in position:
         above.append(term)
-        term = children(term)[i]
+        term = _child(term, i)
     for parent, i in zip(reversed(above), reversed(position)):
         new = replace_child(parent, i, new)
     return new

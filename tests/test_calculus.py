@@ -11,9 +11,10 @@ from goilab.calculus import (LCA, LCF, RULES, SIGMA_RULES, Configuration,
                              default_sigma_fuel, find_redexes,
                              normalize_sigma, reduce, reduction_graph, step,
                              trace_records)
-from goilab.checks import (_trace, _trace_sigma_nfs, check_goi_end_to_end,
-                           check_label_lemmas, check_propagation,
-                           check_sigma_termination, check_weight_invariance)
+from goilab.checks import (_trace, _trace_sigma_nfs, check_confluence,
+                           check_goi_end_to_end, check_label_lemmas,
+                           check_propagation, check_sigma_termination,
+                           check_weight_invariance)
 from goilab.corpus import closed_terms, corpus, prepare
 from goilab.labelled import initialize, label_of
 from goilab.labels import LEFT, RIGHT, Marker, atomic, format_label
@@ -418,6 +419,20 @@ def test_propagation_reports_sigma_fuel_exhaustion(monkeypatch):
     assert report["failures"] == check_sigma_termination([entry])["failures"]
 
 
+def test_propagation_reports_a_closed_substitution_that_survives(monkeypatch):
+    # each configuration taken as its own normal form: the one after Beta
+    # is a closed substitution at the root
+    entry = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
+
+    def unnormalised(trace, calculus):
+        return [ts.config for ts in trace]
+
+    monkeypatch.setattr(checks, "_trace_sigma_nfs", unnormalised)
+    assert check_propagation([entry])["failures"] == [
+        "id/lcf: closed substitution survives sigma normalisation at ()",
+        "id/lca: closed substitution survives sigma normalisation at ()"]
+
+
 def _from_scratch(config, calc):
     try:
         return normalize_sigma(config, calc)
@@ -519,6 +534,22 @@ def test_exhaustive_graph_single_sink():
         graph = reduction_graph(Configuration(entry.initial), calculus)
         assert graph.complete
         assert len(graph.sink_terms()) == 1
+
+
+def test_confluence_reports_distinct_sinks(monkeypatch):
+    # the graph of \x.x, one configuration, given a second one as a sink
+    entry = prepare("id", parse_lambda("\\x.x"))
+
+    def two_sinks(config, calculus, max_configs):
+        graph = reduction_graph(config, calculus, max_configs=max_configs)
+        graph.edges[Configuration(Var("z"))] = ()
+        return graph
+
+    monkeypatch.setattr(checks, "reduction_graph", two_sinks)
+    for calculus in (LCF, LCA):
+        report = check_confluence([entry], calculus)
+        assert report["failures"] == ["id: 2 distinct sinks"]
+        assert report["fuel_exhausted"] == []
 
 
 def test_trace_record_format():

@@ -62,6 +62,14 @@ def test_check_parses_the_term_first_and_prepares_only_entries_it_reads(
     assert main(["check", "invariance", "--term", "(\\x"]) == 2
 
 
+def test_compile_refuses_a_term_that_is_not_plain_lambda(capsys):
+    assert main(["compile", "eps[x].x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("goilab compile: error: not a plain lambda term "
+                            "(at 0)\n")
+
+
 def test_check_algebra_refuses_a_term(capsys):
     # the algebra suite reads no entry, so a --term would be ignored
     assert main(["check", "algebra", "--term", "\\x.x"]) == 2

@@ -559,6 +559,24 @@ def test_simulation_reports_a_net_it_cannot_build(monkeypatch):
     assert report["steps_checked"] == expected > 1
 
 
+def test_simulation_reports_an_identity_step_that_changes_the_net(monkeypatch):
+    # Beta taken as an identity rule: its two nets differ by a cut
+    monkeypatch.setattr(checks, "IDENTITY_RULES", checks.IDENTITY_RULES + ("Beta",))
+    identity = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
+    assert check_net_simulation([identity])["failures"] == [
+        {"term": "id", "rule": "Beta", "problem": "expected identical nets"}]
+
+
+def test_simulation_reports_a_malformed_rewritten_net(monkeypatch):
+    monkeypatch.setattr(checks, "validate", lambda net: ["injected"])
+    identity = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
+    report = check_net_simulation([identity])
+    assert report["failures"] == [
+        {"term": "id", "rule": rule, "problem": "rewritten net is malformed"}
+        for rule in ("Beta", "Var")]
+    assert report["steps_checked"] == 2
+
+
 def _swap_r_and_s(base, level=0, star=False):
     return watom({"r": "s", "s": "r"}.get(base, base), level, star)
 
@@ -819,6 +837,21 @@ def test_dot_export_has_box_clusters():
     dot = to_dot(net)
     assert dot.count("subgraph cluster_") == 2
     assert "digraph net" in dot
+
+
+@pytest.mark.parametrize("translate", [translate_cbv, translate_cbn])
+def test_dot_export_nests_clusters_and_prints_free_names(translate):
+    net = translate(initialize(compile_term(parse_lambda("\\f.f (\\x.f x) z"))))
+    lines = to_dot(net).splitlines()
+    # a cluster opened inside another is indented one level further
+    openings = [line for line in lines if "subgraph cluster_" in line]
+    assert {len(line) - len(line.lstrip()) for line in openings} >= {2, 4}
+    assert '  free_z [shape=point,label="z"];' in lines
+    assert any(line.endswith(" -> free_z [label=\"t*\"];") for line in lines)
+    # every node is printed once, in a box or outside every box
+    printed = [line.split()[0] for line in lines
+               if " [label=" in line and " -> " not in line]
+    assert sorted(printed) == sorted(f"n{nid}" for nid in net.nodes)
 
 
 # --- closed cut elimination --------------------------------------------------

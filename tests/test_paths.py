@@ -405,6 +405,17 @@ def test_a_net_that_cannot_be_built_for_a_non_empty_weight_fails_criterion_9(
     assert report["checked"] == 2
 
 
+def test_criterion_9_reports_a_final_weight_that_no_path_realises(monkeypatch):
+    monkeypatch.setattr(checks, "weight_member", lambda net, word: False)
+    report = checks.check_goi_end_to_end([
+        prepare("id", parse_lambda("\\x.x")),
+        prepare("id_id", parse_lambda("(\\x.x) (\\y.y)"))])
+    assert report["failures"] == [
+        f"id_id/{calculus}: lw of final label not realised by a straight "
+        f"path from the root" for calculus in (LCF, LCA)]
+    assert report["checked"] == 4
+
+
 def test_erased_terms_carry_zero_weight():
     entry = prepare("k", parse_lambda("(\\x.\\y.y) (\\z.z)"))
     config = Configuration(entry.initial)

@@ -59,6 +59,12 @@ def test_parse_error_position():
     assert "at 3" in str(err.value)
 
 
+def test_parse_lambda_refuses_a_linear_construct():
+    with pytest.raises(ParseError) as err:
+        parse_lambda("eps[x].x")
+    assert str(err.value) == "not a plain lambda term (at 0)"
+
+
 def test_print_parse_round_trip():
     texts = ["\\x.\\y.eps[y].x", "(\\x.copy[x->x1,x2].x1 x2) (\\x.x z)",
              "x[y/z] w", "x (y z)", "(x01 x02)[m/x01]"]

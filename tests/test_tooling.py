@@ -13,7 +13,7 @@ from conftest import port_scan
 
 from goilab import checks, nets
 from goilab.algebra import CONSTANTS, normal_word
-from goilab.calculus import LCA, LCF
+from goilab.calculus import LCA, LCF, Configuration, reduction_graph
 from goilab.checks import (_step_edges, check_net_simulation,
                            check_weight_invariance)
 from goilab.corpus import CLASSICS, corpus, prepare
@@ -147,6 +147,29 @@ def test_every_net_comparison_passes_through_iso_check(monkeypatch):
         report = check_net_simulation([entry])
     assert report["ok"] and report["steps_checked"] > 0
     assert verdicts and any(verdicts)
+
+
+def test_every_net_criterion_8_builds_passes_through_translate_cbn(monkeypatch):
+    # bench/run.py wraps nets.translate_cbn the way tracer.patched does and
+    # checks each net it records against its own reference; a translation
+    # held in a table or a default argument would record none
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    entry = prepare("apply", parse_lambda("(\\x.\\y.x y) (\\z.z)"))
+    built = []
+
+    def recorder(_, fn):
+        def recorded(term):
+            built.append(term)
+            return fn(term)
+        return recorded
+
+    with tracer.patched(["nets.translate_cbn"], recorder):
+        report = check_net_simulation([entry])
+    graph = reduction_graph(Configuration(entry.initial), LCA)
+    terms = {c.term for src, _, dst in graph.steps() for c in (src, dst)}
+    assert report["ok"] and report["steps_checked"] > 0
+    assert len(built) == len(terms) and set(built) == terms
 
 
 def test_nets_renumbered_by_the_benchmark_validate_sign_and_search_alike(
