@@ -204,13 +204,17 @@ def find_redexes(config: Configuration, calculus: str) -> list:
 def step(config: Configuration, site: RedexSite, calculus: str) -> Configuration:
     """``config`` with the redex at ``site`` contracted.
 
-    Raises ValueError for an unknown calculus, PatternMismatchError when
-    the rule's left-hand side does not match there and
-    SideConditionViolatedError when it matches but its condition fails.
+    Raises ValueError for an unknown calculus or a position that names no
+    node, PatternMismatchError when the rule's left-hand side does not match
+    there and SideConditionViolatedError when it matches but its condition
+    fails.
     """
-    node = subterm_at(config.term, site.position)
     if calculus not in RULES:
         raise ValueError(f"unknown calculus {calculus!r}")
+    try:
+        node = subterm_at(config.term, site.position)
+    except IndexError as exc:
+        raise ValueError(f"no node at {site.position}: {exc}") from None
     contractions = dict(_contractions(node, calculus, RULES[calculus]))
     if site.rule not in contractions:
         raise PatternMismatchError(f"{site.rule} of {calculus} does not match "

@@ -22,8 +22,8 @@ from .nets import (NetError, closed_cut_step, eligible_cuts, iso_check,
                    translate_cbn, translate_cbv, validate)
 from .paths import (SearchBudgetError, check_invariance, weight_member,
                     weight_set)
-from .terms import (Subst, check_linear, compile_term, format_term, free_vars,
-                    parse_lambda, subterms, term_size)
+from .terms import (Abs, App, Copy, Erase, Subst, Var, check_linear,
+                    compile_term, format_term, free_vars, subterms, term_size)
 
 IDENTITY_RULES = ("App1", "Lam", "Cpy2", "Ers2")
 # source nodes of the largest terms whose reduction graphs must complete
@@ -66,18 +66,25 @@ def _attempted(fn, *args):
 # ---------------------------------------------------------------------------
 # criterion 1: compilation fidelity
 
+# (source, compiled) golden pairs, built as terms: \x.\y.x compiles to
+# \x.\y.eps[y].x, and (\x.x x) (\x.x z) to (\x.copy[x->x1,x2].x1 x2) (\x.x z)
 COMPILE_EXPECTED = (
-    ("\\x.\\y.x", "\\x.\\y.eps[y].x"),
-    ("(\\x.x x) (\\x.x z)", "(\\x.copy[x->x1,x2].x1 x2) (\\x.x z)"),
+    (Abs("x", Abs("y", Var("x"))),
+     Abs("x", Abs("y", Erase("y", Var("x"))))),
+    (App(Abs("x", App(Var("x"), Var("x"))), Abs("x", App(Var("x"), Var("z")))),
+     App(Abs("x", Copy("x", "x1", "x2", App(Var("x1"), Var("x2")))),
+         Abs("x", App(Var("x"), Var("z"))))),
 )
 
 
 def check_compile_fidelity(entries: Iterable[CorpusEntry]) -> dict:
     failures = []
     for source, expected in COMPILE_EXPECTED:
-        got = format_term(compile_term(parse_lambda(source)))
-        if got != expected:
-            failures.append(f"compile({source!r}) printed {got!r}, wanted {expected!r}")
+        # unlabelled terms: equal terms print alike, so printing only words
+        # a failure
+        if (got := compile_term(source)) != expected:
+            failures.append(f"compile({format_term(source)!r}) printed "
+                            f"{format_term(got)!r}, wanted {format_term(expected)!r}")
     for entry in entries:
         violations = check_linear(entry.compiled)
         if violations:
@@ -106,21 +113,23 @@ def _sigma_nfs(entries: Iterable[CorpusEntry], fuel: int, failures: list):
 
 
 def _trace_sigma_nfs(trace: list, calculus: str) -> list:
-    """The sigma-normal form of each configuration of a leftmost-outermost
-    ``trace``, or None where ``default_sigma_fuel`` runs out, as
-    ``normalize_sigma`` finds them.
+    """The sigma-normal form of each configuration of a complete
+    leftmost-outermost ``trace``, or None where ``default_sigma_fuel`` runs
+    out, as ``normalize_sigma`` finds them.
 
-    The trace is walked backwards.  A step that is not ``Beta`` is also
-    the first step of the sigma walk of the configuration it leaves, so
-    that configuration has the normal form of the next one, one step
+    The trace must be complete: its last configuration has no redex under
+    the calculus's rules, so none under the sigma rules, a subset of them,
+    and it is its own sigma-normal form in 0 steps, whatever the fuel.  The
+    trace is walked backwards from there.  A step that is not ``Beta`` is
+    also the first step of the sigma walk of the configuration it leaves,
+    so that configuration has the normal form of the next one, one step
     further away.  It is reused when that many steps fit the
     configuration's own fuel; otherwise the walk starts afresh."""
-    forms = [None] * len(trace)
-    nf = steps = None
-    for i in reversed(range(len(trace))):
+    nf, steps = trace[-1].config, 0
+    forms = [None] * (len(trace) - 1) + [nf]
+    for i in reversed(range(len(trace) - 1)):
         config = trace[i].config
-        if (nf is not None and i + 1 < len(trace)
-                and trace[i + 1].site.rule != "Beta"
+        if (nf is not None and trace[i + 1].site.rule != "Beta"
                 and steps < default_sigma_fuel(config.term)):
             steps += 1
         else:

@@ -10,8 +10,8 @@ suites explore.  Identical configuration and inputs produce byte-identical
 outputs.
 
 Exit status: 0 on success; 1 when a ``check`` suite fails or a ``reduce``
-trace outruns its fuel; 2 on a usage error, a malformed term or a
-``check algebra --term`` among them.
+trace outruns its fuel; 2 on a usage error, a malformed term, a negative
+``--fuel`` or ``--corpus-max-size`` or a ``check algebra --term`` among them.
 Each error is reported in one line on stderr.
 """
 
@@ -154,6 +154,10 @@ _COMMANDS = {"compile": cmd_compile, "reduce": cmd_reduce, "net": cmd_net,
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, value in vars(args).items():
+            if flag in ("fuel", "corpus_max_size") and value < 0:
+                raise UsageError(f"--{flag.replace('_', '-')} must be 0 or more, "
+                                 f"got {value}")
         return _COMMANDS[args.command](args)
     except (ParseError, UsageError, FuelExhaustedError) as err:
         print(f"goilab {args.command}: error: {err}", file=sys.stderr)

@@ -456,48 +456,52 @@ def parse_lambda(text: str) -> Term:
 # ---------------------------------------------------------------------------
 # printing
 
-def format_term(term: Term, labels: bool = False) -> str:
-    def printed_self_contained(t: Term) -> bool:
-        # labelled Abs/App print with their own surrounding parens
-        return labels and isinstance(t, (Abs, App)) and t.label is not None
+# where a node is read as an application's function, an application's
+# argument or a substitution's body, the kinds that print in parentheses
+_OPEN_ENDED = (Abs, Erase, Copy)  # each reaches as far right as it can
+_COMPOUND = (App, Abs, Erase, Copy)
 
-    def fmt(t: Term) -> str:
-        match t:
-            case Var(name, label):
-                return name + sup(label)
-            case Abs(binder, body, label):
-                core = f"\\{binder}.{fmt(body)}"
-                if labels and label is not None:
-                    return f"({core})" + sup(label)
-                return core
-            case App(fun, arg, label):
-                f = fmt(fun)
-                if isinstance(fun, (Abs, Erase, Copy)) and not printed_self_contained(fun):
-                    f = f"({f})"
-                a = fmt(arg)
-                if isinstance(arg, (App, Abs, Erase, Copy)) and not printed_self_contained(arg):
-                    a = f"({a})"
-                core = f"{f} {a}"
-                if labels and label is not None:
-                    return f"({core})" + sup(label)
-                return core
-            case Erase(binder, body):
-                return f"eps[{binder}].{fmt(body)}"
-            case Copy(source, left, right, body):
-                return f"copy[{source}->{left},{right}].{fmt(body)}"
-            case Subst(body, arg, target):
-                b = fmt(body)
-                if isinstance(body, (App, Abs, Erase, Copy)) and not printed_self_contained(body):
-                    b = f"({b})"
-                return f"{b}[{fmt(arg)}/{target}]"
-        raise AssertionError
+
+def format_term(term: Term, labels: bool = False) -> str:
+    """``term`` in the concrete grammar, with each label as a ``^{...}``
+    superscript when ``labels`` is set; a labelled abstraction or
+    application prints in its own parentheses.  A loop over an explicit
+    stack of pieces still to print, text or terms, so a deep term cannot
+    overflow the interpreter's."""
+    def labelled(t: Term) -> bool:
+        return labels and type(t) in (Abs, App) and t.label is not None
+
+    def grouped(t: Term, kinds: tuple) -> tuple:
+        return ("(", t, ")") if isinstance(t, kinds) and not labelled(t) else (t,)
 
     def sup(label: Optional[Label]) -> str:
-        if not labels or label is None:
-            return ""
-        return "^{" + format_label(label) + "}"
+        return "^{" + format_label(label) + "}" if labels and label is not None else ""
 
-    return fmt(term)
+    out = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is str:
+            out.append(t)
+            continue
+        if kind is Var:
+            out.append(t.name + sup(t.label))
+            continue
+        if kind is Abs:
+            pieces = (f"\\{t.binder}.", t.body)
+        elif kind is App:
+            pieces = (*grouped(t.fun, _OPEN_ENDED), " ", *grouped(t.arg, _COMPOUND))
+        elif kind is Erase:
+            pieces = (f"eps[{t.binder}].", t.body)
+        elif kind is Copy:
+            pieces = (f"copy[{t.source}->{t.left},{t.right}].", t.body)
+        else:  # Subst
+            pieces = (*grouped(t.body, _COMPOUND), "[", t.arg, f"/{t.target}]")
+        if labelled(t):
+            pieces = ("(", *pieces, ")" + sup(t.label))
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from conftest import closed_lambda_terms
@@ -181,8 +182,18 @@ def test_app1_needs_the_target_in_the_function_part():
 
 def test_step_rejects_an_unknown_calculus():
     t = Subst(Var("x", atomic("a")), closed_value(), "x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown calculus 'lcx'"):
         step(Configuration(t), RedexSite((), "Var"), "lcx")
+    # before it looks for the node
+    with pytest.raises(ValueError, match="unknown calculus 'lcx'"):
+        step(Configuration(t), RedexSite((0, 0), "Var"), "lcx")
+
+
+def test_step_rejects_a_position_that_names_no_node():
+    t = Subst(Var("x", atomic("a")), closed_value(), "x")
+    for position in ((2,), (0, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match=f"no node at {re.escape(str(position))}"):
+            step(Configuration(t), RedexSite(position, "Var"), LCF)
 
 
 # --- redex search, strategies ----------------------------------------------
@@ -412,9 +423,12 @@ def test_propagation_reports_sigma_fuel_exhaustion(monkeypatch):
     monkeypatch.setattr(checks, "sigma_walk", exhausted)
     report = check_propagation([entry])
     assert not report["ok"]
-    # one failure per configuration of each two-step trace, worded as in
-    # the sigma-termination suite
-    assert len(report["failures"]) == 6
+    # one failure per calculus: of each two-step trace, the last
+    # configuration is its own normal form and the one before a Var step
+    # shares it, so only the initial one is walked.  Worded as in the
+    # sigma-termination suite
+    assert len(report["failures"]) == 2
+    assert report["failures"][1].startswith("id/lca: sigma fuel exhausted on ")
     assert report["failures"][0].startswith("id/lcf: sigma fuel exhausted on ")
     assert report["failures"] == check_sigma_termination([entry])["failures"]
 

@@ -175,3 +175,24 @@ def test_a_trace_that_outruns_its_fuel_fails_in_one_line(tmp_path, capsys):
         "goilab reduce: error: a redex remains when the fuel runs out\n")
     assert not (tmp_path / "trace.jsonl").exists()
     assert main(argv[:3] + ["2"] + argv[4:]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "x", "--fuel", "-1"],
+    ["check", "compile", "--corpus-max-size", "-3"],
+    ["check", "confluence", "--fuel", "-2"],
+    ["check", "algebra", "--corpus-max-size", "-1"],
+], ids=" ".join)
+def test_a_negative_budget_or_corpus_size_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag, value = argv[-2:]
+    assert captured.err == (f"goilab {argv[0]}: error: {flag} must be 0 or more, "
+                            f"got {value}\n")
+
+
+def test_a_zero_budget_or_corpus_size_is_allowed(tmp_path):
+    assert main(["reduce", "x", "--fuel", "0", "--out", str(tmp_path)]) == 0
+    assert main(["check", "compile", "--corpus-max-size", "0",
+                 "--out", str(tmp_path)]) == 0

@@ -13,7 +13,7 @@ from goilab.calculus import LCA, LCF, Configuration, reduction_graph
 from goilab.checks import _trace
 from goilab import checks, terms
 from goilab.corpus import CLASSICS, closed_terms, corpus, prepare
-from goilab.labels import atomic
+from goilab.labels import atomic, format_label
 from goilab.terms import (Abs, App, Copy, Erase, FreshSupply, ParseError,
                           Subst, Var, all_var_names, check_linear,
                           compile_term, format_term, free_vars, is_lambda_term,
@@ -136,17 +136,31 @@ def test_compile_rejects_a_term_that_is_not_plain_lambda():
 
 # --- criterion 1's failures --------------------------------------------------
 
+# criterion 1's golden pairs as the strings they are written as
+COMPILE_EXPECTED_TEXT = (
+    ("\\x.\\y.x", "\\x.\\y.eps[y].x"),
+    ("(\\x.x x) (\\x.x z)", "(\\x.copy[x->x1,x2].x1 x2) (\\x.x z)"),
+)
+
+
+def test_criterion_1_golden_terms_print_and_parse_as_their_strings():
+    assert len(checks.COMPILE_EXPECTED) == len(COMPILE_EXPECTED_TEXT)
+    for pair, texts in zip(checks.COMPILE_EXPECTED, COMPILE_EXPECTED_TEXT):
+        assert tuple(map(format_term, pair)) == texts
+        assert (parse_lambda(texts[0]), parse(texts[1])) == pair
+
+
 def test_criterion_1_names_a_fixed_source_that_compiles_wrongly(monkeypatch):
-    source, expected = checks.COMPILE_EXPECTED[0]
-    wrong = parse_lambda(source)  # left uncompiled, so its eps is missing
+    wrong, _ = checks.COMPILE_EXPECTED[0]  # left uncompiled, so its eps is missing
 
     def miscompiled(term):
         return wrong if term == wrong else compile_term(term)
 
     monkeypatch.setattr(checks, "compile_term", miscompiled)
     report = checks.check_compile_fidelity([prepare("id", parse_lambda("\\x.x"))])
+    source, expected = COMPILE_EXPECTED_TEXT[0]
     assert report == {"ok": False, "failures": [
-        f"compile({source!r}) printed {format_term(wrong)!r}, wanted {expected!r}"]}
+        f"compile({source!r}) printed {source!r}, wanted {expected!r}"]}
 
 
 def test_criterion_1_names_a_recompilation_that_renames_a_variable(monkeypatch):
@@ -480,6 +494,69 @@ def test_the_walks_agree_with_their_recursive_references():
             assert term_size(t) == _reference_term_size(t)
             assert free_vars(t) == _reference_free_vars(t)
             assert type(free_vars(t)) is frozenset
+
+
+def _reference_format_term(term, labels=False):
+    def printed_self_contained(t):
+        return labels and isinstance(t, (Abs, App)) and t.label is not None
+
+    def sup(label):
+        return "^{" + format_label(label) + "}" if labels and label is not None else ""
+
+    def fmt(t):
+        match t:
+            case Var(name, label):
+                return name + sup(label)
+            case Abs(binder, body, label):
+                core = f"\\{binder}.{fmt(body)}"
+                return f"({core})" + sup(label) if labels and label is not None else core
+            case App(fun, arg, label):
+                f = fmt(fun)
+                if isinstance(fun, (Abs, Erase, Copy)) and not printed_self_contained(fun):
+                    f = f"({f})"
+                a = fmt(arg)
+                if isinstance(arg, (App, Abs, Erase, Copy)) and not printed_self_contained(arg):
+                    a = f"({a})"
+                core = f"{f} {a}"
+                return f"({core})" + sup(label) if labels and label is not None else core
+            case Erase(binder, body):
+                return f"eps[{binder}].{fmt(body)}"
+            case Copy(source, left, right, body):
+                return f"copy[{source}->{left},{right}].{fmt(body)}"
+            case Subst(body, arg, target):
+                b = fmt(body)
+                if isinstance(body, (App, Abs, Erase, Copy)) and not printed_self_contained(body):
+                    b = f"({b})"
+                return f"{b}[{fmt(arg)}/{target}]"
+
+    return fmt(term)
+
+
+def test_format_term_prints_as_its_recursive_reference():
+    configs = [c for entry in corpus(7) for calculus in (LCF, LCA)
+               for c in reduction_graph(Configuration(entry.initial), calculus).edges]
+    assert len(configs) > 700
+    assert {type(t) for c in configs for _, t in subterms(c.term)} == {
+        Var, Abs, App, Erase, Copy, Subst}
+    for config in configs:
+        for labels in (False, True):
+            assert format_term(config.term, labels) == \
+                _reference_format_term(config.term, labels)
+
+
+def test_a_deep_term_prints_without_recursion():
+    # (\z0.z0) (\z1.z1) ... (\z5000.z5000), left-nested, and 5,000 labelled
+    # abstractions nested to the right
+    chain = Abs("z0", Var("z0"))
+    for i in range(1, 5001):
+        chain = App(chain, Abs(f"z{i}", Var(f"z{i}")))
+    assert format_term(chain) == " ".join(f"(\\z{i}.z{i})" for i in range(5001))
+    nested = Var("x", atomic("a"))
+    for _ in range(5000):
+        nested = Abs("x", nested, atomic("b"))
+    assert format_term(nested, labels=True) == \
+        "(\\x." * 5000 + "x^{a}" + ")^{b}" * 5000
+    assert format_term(nested) == "\\x." * 5000 + "x"
 
 
 def test_a_deep_term_is_walked_without_recursion():

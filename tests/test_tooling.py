@@ -13,7 +13,8 @@ from conftest import port_scan
 
 from goilab import checks, nets
 from goilab.algebra import CONSTANTS, normal_word
-from goilab.calculus import LCA, LCF, Configuration, reduction_graph
+from goilab.calculus import (LCA, LCF, Configuration, reduction_graph,
+                             sigma_walk)
 from goilab.checks import (_step_edges, check_net_simulation,
                            check_weight_invariance)
 from goilab.corpus import CLASSICS, corpus, prepare
@@ -221,6 +222,40 @@ def test_only_the_suites_catch_a_net_error():
                     catching.add(path.name)
     assert "NotClosedError" in net_errors
     assert sorted(catching) == ["checks.py"]
+
+
+def test_no_suite_reads_text():
+    # the suites are called once per entry; a term parsed inside one would
+    # be parsed again on every call, so fixed terms are built as terms
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for node in ast.walk(ast.parse((SRC / "checks.py").read_text()))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))}
+    assert "compile_term" in called
+    assert called.isdisjoint({"parse", "parse_lambda"})
+
+
+def test_no_sigma_walk_starts_at_the_end_of_a_trace(monkeypatch):
+    # the last configuration of a complete trace is its own sigma-normal
+    # form, and one left by a sigma step shares the next one's: only a
+    # configuration a Beta step leaves is walked
+    entries = corpus(6)
+    traces = [(calculus, checks._trace(entry, calculus, 10_000))
+              for entry in entries for calculus in (LCF, LCA)]
+    last = {(trace[-1].config, calculus) for calculus, trace in traces}
+    before_beta = sum(ts.site.rule == "Beta" for _, trace in traces for ts in trace[1:])
+    walked = []
+
+    def counted(config, calculus):
+        walked.append((config, calculus))
+        return sigma_walk(config, calculus)
+
+    monkeypatch.setattr(checks, "sigma_walk", counted)
+    for suite in (checks.check_sigma_termination, checks.check_propagation):
+        walked.clear()
+        assert suite(entries)["ok"]
+        assert len(walked) == before_beta > 0
+        assert last.isdisjoint(walked)
 
 
 def test_normal_word_is_the_only_memo():
