@@ -191,20 +191,20 @@ def entry_level_needed(label: Label) -> int:
     """Smallest input level at which ``lw`` does not underflow."""
     level = 0
     lowest = 0
-
-    def scan(lab):
-        nonlocal level, lowest
-        for a in lab:
+    pending = [iter(label)]  # the atoms left at each depth of over/underlines
+    while pending:
+        for a in pending[-1]:
             if isinstance(a, (Over, Under)):
-                scan(a.inner)
-            elif isinstance(a, Marker) and a.kind in ("?", "!"):
+                pending.append(iter(a.inner))
+                break
+            if isinstance(a, Marker) and a.kind in ("?", "!"):
                 if a.direction == "right":
                     level -= 1
                     lowest = min(lowest, level)
                 else:
                     level += 1
-
-    scan(label)
+        else:
+            pending.pop()
     return -lowest
 
 

@@ -9,9 +9,10 @@ Each rule is a left-hand side, a side condition and a labelled contractum.
 returns, for one node, the rules that match it with their contracta, and
 None for a rule whose side condition fails.  One lazy generator,
 ``_redexes``, walks the term in preorder on its own stack, testing each
-node's kind inline, and offers it only the ``App`` and ``Subst`` nodes, the
-only ones a left-hand side can match; variables, which are neither redexes
-nor parents, never enter the stack.  The walk keeps the child indices from
+node's kind inline, and offers it only the nodes a left-hand side can
+match: the substitutions, and the applications of an abstraction when the
+rules include ``Beta``.  Variables, which are neither redexes nor parents,
+never enter the stack.  The walk keeps the child indices from
 the root in one list and makes a position tuple only for a redex it reports.
 The reduction graph and the leftmost-outermost walk of ``reduce`` and
 ``sigma_walk`` read that generator.
@@ -72,11 +73,6 @@ class RedexSite:
 class TraceStep:
     site: RedexSite
     config: Configuration
-
-
-# The kinds of node a left-hand side can match: every top-level case of
-# ``_contractions`` is on one of these, and ``_redexes`` offers it no other.
-_REDEX_KINDS = (App, Subst)
 
 
 def _contractions(node: Term, calculus: str, rules: tuple) -> tuple:
@@ -172,6 +168,7 @@ def _redexes(config: Configuration, calculus: str, rules: tuple) -> Iterator[Tra
     """Each redex of ``config`` under ``rules`` with its contracted
     configuration, position-lexicographic then rule-alphabetical.  Lazy:
     the first item contracts the leftmost-outermost redex only."""
+    beta = "Beta" in rules
     path = []  # the child indices from the root down to the node at hand
     # (node, the depth of its parent, its own index as a 1-tuple): a variable
     # is never on the stack, since it is no redex and has no children
@@ -181,12 +178,14 @@ def _redexes(config: Configuration, calculus: str, rules: tuple) -> Iterator[Tra
         path[depth:] = tail
         depth = len(path)
         kind = type(node)
-        if kind in _REDEX_KINDS:
-            for rule, contracted in _contractions(node, calculus, rules):
-                if contracted is not None:
-                    position = tuple(path)
-                    yield TraceStep(RedexSite(position, rule),
-                                    _rebuild(config, position, *contracted))
+        if kind is App or kind is Subst:
+            # the top-level cases of _contractions: a substitution, or Beta's
+            if kind is Subst or (beta and type(node.fun) is Abs):
+                for rule, contracted in _contractions(node, calculus, rules):
+                    if contracted is not None:
+                        position = tuple(path)
+                        yield TraceStep(RedexSite(position, rule),
+                                        _rebuild(config, position, *contracted))
             if type(node.arg) is not Var:
                 stack.append((node.arg, depth, (1,)))
             first = node.fun if kind is App else node.body

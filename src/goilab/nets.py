@@ -28,7 +28,7 @@ invariance suites rather than assumed):
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,8 +105,11 @@ class Box:
 class Net:
     """A proof-net.  A net is a value once built: every operation here that
     changes one (``closed_cut_step``, ``contracted``) works on a copy, so
-    ``iso_check`` signs each net at most once and keeps the signature on it,
-    and the net builds its port map at most once and keeps it too.
+    ``iso_check`` counts each net's node kinds and signs it at most once and
+    keeps both on it, and the net builds its port map at most once and
+    keeps it too.  A copy shares its ``Edge`` objects with the net it was
+    made from; a step that edits an edge in place first gives the copy an
+    edge of its own (``_reattach``).
     """
 
     def __init__(self):
@@ -117,7 +120,8 @@ class Net:
         self.free: dict[str, int] = {}
         self._next = 0
         self._ports = None  # set by the first read of ports
-        self._signature = None  # set by the first iso_check that compares it
+        self._kinds = None  # set by the first iso_check that compares it
+        self._signature = None  # set by the first iso_check that signs it
 
     def new_id(self) -> int:
         self._next += 1
@@ -157,9 +161,11 @@ class Net:
         return self._ports
 
     def copy(self) -> "Net":
+        """A net equal to this one that shares its ``Edge`` objects, and
+        copies its node, box, free and port maps."""
         out = Net()
         out.nodes = dict(self.nodes)
-        out.edges = {eid: Edge(list(e.ends), e.weight) for eid, e in self.edges.items()}
+        out.edges = dict(self.edges)
         out.boxes = {bid: Box(b.principal, tuple(b.auxiliaries), set(b.contents))
                      for bid, b in self.boxes.items()}
         out.root = self.root
@@ -661,10 +667,9 @@ def _mult_step(net: Net, redex: _CutRedex) -> None:
     ports = net.ports
     for side in ("left", "right"):
         c = _new_cut(net, redex.cut)
-        net.attach(*ports[(tensor, side)], ("node", c, "a"))
+        _reattach(net, *ports[(tensor, side)], ("node", c, "a"))
         pe, pi = ports[(par, side)]
-        net.attach(pe, pi, ("node", c, "b"))
-        net.edges[pe].compose_incoming(pi, redex.crossing)
+        _reattach(net, pe, pi, ("node", c, "b")).compose_incoming(pi, redex.crossing)
     _delete_nodes(net, {tensor, par, redex.cut})
 
 
@@ -685,7 +690,7 @@ def _fan_step(net: Net, redex: _CutRedex) -> None:
     new_bangs = [_copy_closed_box(net, redex.box, redex.cut) for _ in range(2)]
     for side, new_bang in zip(("left", "right"), new_bangs):
         c = _new_cut(net, redex.cut)
-        net.attach(*net.ports[(fan, side)], ("node", c, "a"))
+        _reattach(net, *net.ports[(fan, side)], ("node", c, "a"))
         # traversal premise -> cut -> new box reads the old crossing weight
         net.new_edge(("node", new_bang, "out"), ("node", c, "b"),
                      involute(redex.crossing))
@@ -703,6 +708,15 @@ def _commute_step(net: Net, redex: _CutRedex) -> None:
 
 _STEPS = {"ax": _axiom_step, "mult": _mult_step, "derelict": _derelict_step,
           "weaken": _weaken_step, "fan": _fan_step, "commute": _commute_step}
+
+
+def _reattach(net: Net, eid: int, end_index: int, end) -> Edge:
+    """Give ``net`` its own copy of edge ``eid``, with the end ``end_index``
+    at ``end``, and return it: the nets that share the old edge keep it."""
+    old = net.edges[eid]
+    edge = net.edges[eid] = Edge(list(old.ends), old.weight)
+    edge.ends[end_index] = end
+    return edge
 
 
 def _new_cut(net: Net, beside: int) -> int:
@@ -960,10 +974,48 @@ def canonical_signature(net: Net):
 
 def iso_check(a: Net, b: Net) -> bool:
     """Kind-, port-, box- and weight-preserving isomorphism, after splicing
-    out axiom/cut linking nodes on both sides.  Each net is signed the first
-    time it is compared.  Raises ``NetError`` when a net cannot be signed,
-    for example when a box holds a node outside every component."""
+    out axiom/cut linking nodes on both sides.
+
+    Every isomorphism keeps how many nodes of each kind but ``ax`` and
+    ``cut`` a net holds, and contraction never changes it, so two whole
+    nets (``_whole``) whose counts differ are not iso, and neither is
+    signed.  Any other net is signed the first time it is compared.  Both
+    the count and the signature are kept on the net.  Raises ``NetError``
+    when a net it signs cannot be signed.  A net with an edge or port fault
+    is not whole, so it is always signed; a box that holds a node outside
+    every component is found only in a net that is signed.
+    """
+    if _kinds(a) != _kinds(b) and _whole(a) and _whole(b):
+        return False
     return _signed(a) == _signed(b)
+
+
+def _kinds(net: Net) -> Counter:
+    """How many nodes of each kind but ``ax`` and ``cut`` ``net`` holds,
+    counted once per net."""
+    if net._kinds is None:
+        kinds = Counter(net.nodes.values())
+        del kinds["ax"], kinds["cut"]  # a Counter ignores a missing key
+        net._kinds = kinds
+    return net._kinds
+
+
+def _whole(net: Net) -> bool:
+    """Whether no edge end of ``net`` dangles, each is at a node, the root
+    or a free name, and each port of each node holds exactly one end.  A
+    whole net has no edge or port that ``canonical_signature`` can fault."""
+    at_nodes = 0
+    for e in net.edges.values():
+        for end in e.ends:
+            if end is None:
+                return False
+            if end[0] == "node":
+                at_nodes += 1
+            elif end[0] != "root" and end[0] != "free":
+                return False
+    ports = net.ports  # holds each (node, port) once, the first end there
+    return at_nodes == len(ports) and ports.keys() == {
+        (nid, port) for nid, kind in net.nodes.items() for port in PORTS[kind]}
 
 
 def _signed(net: Net):
@@ -1017,18 +1069,22 @@ def to_dot(net: Net) -> str:
         clusters.setdefault(inner.get(net.boxes[bid].principal), []).append(bid)
         inner.update(dict.fromkeys(net.boxes[bid].contents, bid))
 
-    def emit_box(bid, indent):
+    # a stack of boxes to open, each with its indent, and of lines that
+    # close a box once the boxes inside it are done
+    pending: list = [(bid, 2) for bid in sorted(clusters.get(None, []), reverse=True)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        bid, indent = item
         pad = " " * indent
-        out = [f"{pad}subgraph cluster_{bid} {{", f'{pad}  label="box";']
-        for sub in reversed(clusters.get(bid, [])):
-            out.extend(emit_box(sub, indent + 2))
-        out.extend(f'{pad}  n{nid} [label="{net.nodes[nid]}"];'
-                   for nid in sorted(net.boxes[bid].contents) if inner[nid] == bid)
-        out.append(f"{pad}}}")
-        return out
-
-    for bid in sorted(clusters.get(None, [])):
-        lines.extend(emit_box(bid, 2))
+        lines += [f"{pad}subgraph cluster_{bid} {{", f'{pad}  label="box";']
+        pending.append(f"{pad}}}")
+        pending.extend(f'{pad}  n{nid} [label="{net.nodes[nid]}"];'
+                       for nid in sorted(net.boxes[bid].contents, reverse=True)
+                       if inner[nid] == bid)
+        pending.extend((sub, indent + 2) for sub in clusters.get(bid, []))
     lines.extend(f'    n{nid} [label="{kind}"];'
                  for nid, kind in sorted(net.nodes.items()) if nid not in inner)
     lines.append('  root [shape=point,label=""];')

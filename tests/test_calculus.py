@@ -295,13 +295,43 @@ def test_every_rule_contracts_a_step_of_the_small_corpus():
 
 
 def test_only_the_redex_kinds_have_contractions():
-    # the redex search skips every other kind, so a rule matching one
-    # would never fire there
+    # the redex search offers only substitutions, and applications of an
+    # abstraction when the rules include Beta, so a rule matching any other
+    # node would never fire there
+    def offered(node, rules):
+        return type(node) is Subst or (
+            type(node) is App and type(node.fun) is Abs and "Beta" in rules)
+
     for calc, graph in _corpus_6_graphs():
         for config in graph.edges:
             for _, node in subterms(config.term):
-                if not isinstance(node, calculus._REDEX_KINDS):
-                    assert calculus._contractions(node, calc, RULES[calc]) == ()
+                for rules in (RULES[calc], SIGMA_RULES[calc]):
+                    if not offered(node, rules):
+                        assert calculus._contractions(node, calc, rules) == ()
+
+
+def test_the_redex_search_offers_no_application_that_cannot_match(monkeypatch):
+    # a variable, an application or a substitution in function position, or
+    # any application under the sigma rules, matches no left-hand side
+    returned = []
+    real = calculus._contractions
+
+    def recorded(node, calc, rules):
+        out = real(node, calc, rules)
+        returned.append((type(node), out))
+        return out
+
+    monkeypatch.setattr(calculus, "_contractions", recorded)
+    entries = corpus(6)
+    reports = [checks.check_compile_fidelity(entries),
+               checks.check_sigma_termination(entries),
+               checks.check_propagation(entries),
+               checks.check_goi_end_to_end(entries)]
+    for calc in (LCF, LCA):
+        reports += [check_confluence(entries, calc), check_label_lemmas(entries, calc)]
+    assert all(report["ok"] for report in reports)
+    assert [out for kind, out in returned if kind is App and out == ()] == []
+    assert sum(kind is App for kind, _ in returned) > 100
 
 
 def test_a_deep_chain_of_identities_is_searched_and_stepped_without_recursion():

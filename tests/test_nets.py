@@ -32,6 +32,24 @@ def kinds(net):
     return sorted(net.nodes.values())
 
 
+def shape(net):
+    """What every isomorphism keeps and contraction leaves: how many nodes
+    of each kind but ax and cut, and how many boxes, a net holds."""
+    return (Counter(k for k in net.nodes.values() if k not in ("ax", "cut")),
+            len(net.boxes))
+
+
+def whole(net):
+    """Every edge end is at the root, a free name or a port of a node, and
+    the ends at nodes are the ports of the net's nodes, each once."""
+    ends = [end for e in net.edges.values() for end in e.ends]
+    at_nodes = sorted((end[1], end[2]) for end in ends
+                      if end is not None and end[0] == "node")
+    return (all(end is not None and end[0] in ("node", "root", "free") for end in ends)
+            and at_nodes == sorted((nid, port) for nid, kind in net.nodes.items()
+                                   for port in nets.PORTS[kind]))
+
+
 # --- translation shapes ------------------------------------------------------
 
 def test_cbv_variable_is_an_axiom_wire():
@@ -444,7 +462,9 @@ def test_nets_of_random_configurations_are_iso_to_renumbered_copies(term):
         graph = reduction_graph(Configuration(initial), calc, max_configs=300)
         for config in graph.edges:
             net = paired(config.term)
-            assert iso_check(net, renumbered(net))
+            copy = renumbered(net)
+            assert iso_check(net, copy)
+            assert shape(net) == shape(copy)
 
 
 def test_a_door_in_an_erased_arguments_island_is_signed():
@@ -459,13 +479,16 @@ def test_a_door_in_an_erased_arguments_island_is_signed():
 
 
 def test_criterion_8_signs_each_net_it_compares_once(monkeypatch):
+    # a net is signed only when it meets a partner with the same node-kind
+    # counts, or when one of the pair is not whole; then it is signed once
     compared, signed = [], []
     real_iso_check = checks.iso_check
     real_signature = nets.canonical_signature
 
     def recorded(a, b):
-        compared.extend((a, b))
-        return real_iso_check(a, b)
+        same = real_iso_check(a, b)
+        compared.append((a, b, same))
+        return same
 
     def counted(net):
         signed.append(net)
@@ -474,28 +497,85 @@ def test_criterion_8_signs_each_net_it_compares_once(monkeypatch):
     monkeypatch.setattr(checks, "iso_check", recorded)
     monkeypatch.setattr(nets, "canonical_signature", counted)
     assert check_net_simulation(corpus(7))["ok"]
-    distinct = {id(net): net for net in compared}
-    assert len(signed) == len(distinct) < len(compared)
     monkeypatch.undo()
-    for net in distinct.values():
+    distinct = {id(net): net for a, b, _ in compared for net in (a, b)}
+    needed = {id(net): net for a, b, _ in compared
+              if shape(a)[0] == shape(b)[0] or not (whole(a) and whole(b))
+              for net in (a, b)}
+    # canonical_signature signs a contracted copy, so count: one signature
+    # per needed net, each needed net keeps one, and no other net has one
+    assert len(signed) == len(needed) < len(distinct)
+    assert all(net._signature is None for key, net in distinct.items()
+               if key not in needed)
+    for net in needed.values():
         again = contracted(net.copy())
         assert net._signature == canonical_signature(again)
+    accepted = [(a, b) for a, b, same in compared if same]
+    assert accepted and all(shape(a) == shape(b) for a, b in accepted)
+
+
+def test_whole_nets_of_different_node_kinds_compare_false_unsigned(monkeypatch):
+    signed = []
+    real_signature = nets.canonical_signature
+
+    def counted(net):
+        signed.append(net)
+        return real_signature(net)
+
+    monkeypatch.setattr(nets, "canonical_signature", counted)
+    a = translate_cbn(parse_lambda("\\x.x"))
+    b = translate_cbn(parse_lambda("(\\x.x) (\\y.y)"))
+    assert whole(a) and whole(b) and shape(a)[0] != shape(b)[0]
+    assert not iso_check(a, b)
+    assert signed == [] and a._signature is b._signature is None
+    # equal counts, so both are signed, each once
+    assert iso_check(a, renumbered(a)) and iso_check(a, a)
+    assert len(signed) == 2
+    # a net that is not whole is signed whatever its counts, and raises
+    broken = translate_cbn(parse_lambda("(\\x.x) (\\y.y)"))
+    eid = next(eid for eid, e in broken.edges.items() if e.ends[0][0] == "node")
+    broken.edges[eid].ends[0] = None
+    with pytest.raises(NetError, match="has a dangling end"):
+        iso_check(a, broken)
+
+
+def snapshot(net):
+    """The nodes, edges, boxes and interface of ``net`` as plain values."""
+    return (dict(net.nodes),
+            {eid: (tuple(e.ends), e.weight) for eid, e in net.edges.items()},
+            {bid: (b.principal, b.auxiliaries, frozenset(b.contents))
+             for bid, b in net.boxes.items()},
+            net.root, dict(net.free))
 
 
 def test_net_operations_leave_their_input_unchanged():
-    operations = 0
-    for entry in corpus(5):
-        config = Configuration(entry.initial)
-        for src, _, dst in reduction_graph(config, LCA).steps():
-            left, right = translate_cbn(src.term), translate_cbn(dst.term)
-            before = to_json(left)
-            for cut in eligible_cuts(left):
-                closed_cut_step(left, cut)
-                operations += 1
-            iso_check(left, right)
-            validate(left)
-            assert to_json(left) == before, entry.name
-    assert operations > 100
+    # a step shares the edges it does not edit with its input and with the
+    # other steps of that input, so each must still read as it was made
+    rules = Counter()
+    for entry in corpus(6):
+        for calc, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
+            graph = reduction_graph(Configuration(entry.initial), calc)
+            for config, succ in graph.edges.items():
+                left = translate(config.term)
+                before = snapshot(left)
+                made = []
+                for cut in eligible_cuts(left):
+                    rules[nets._cut_redex(left, cut).rule] += 1
+                    out = closed_cut_step(left, cut)
+                    made.append((out, snapshot(out)))
+                for _, dst in succ:
+                    right = translate(dst.term)
+                    for net in (left, *(out for out, _ in made)):
+                        iso_check(net, right)
+                validate(left)
+                for out, _ in made:
+                    for cut in eligible_cuts(out):
+                        closed_cut_step(out, cut)
+                assert snapshot(left) == before, entry.name
+                assert [snapshot(out) for out, _ in made] == [
+                    taken for _, taken in made], entry.name
+    assert set(rules) == {"ax", "mult", "derelict", "weaken", "fan", "commute"}
+    assert sum(rules.values()) > 500
 
 
 def test_simulation_stops_on_a_term_without_normal_form():

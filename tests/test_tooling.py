@@ -3,6 +3,7 @@ every name it uses must resolve, or ``--trace 1`` and its output checks
 break without any other test noticing."""
 
 import ast
+import gc
 import importlib
 import inspect
 import random
@@ -256,6 +257,39 @@ def test_no_sigma_walk_starts_at_the_end_of_a_trace(monkeypatch):
         assert suite(entries)["ok"]
         assert len(walked) == before_beta > 0
         assert last.isdisjoint(walked)
+
+
+def test_no_nested_function_calls_itself():
+    # a nested function that calls itself holds its own cell, so every call
+    # of the function defining it leaves a cycle for the cyclic collector
+    calling_itself = []
+    for path in sorted(SRC.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(
+                        inner, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == inner.name for node in ast.walk(inner)):
+                    calling_itself.append(f"{path.name}: {outer.name}.{inner.name}")
+    assert calling_itself == []
+
+
+def test_the_net_suites_leave_no_cycle_for_the_collector():
+    # criteria 6, 7 and 8 run once per entry in the benchmark; garbage only
+    # the cyclic collector frees would pile up between its runs
+    entries = corpus(5)
+    gc.collect()
+    gc.disable()
+    try:
+        for report in (check_weight_invariance(entries, LCF),
+                       check_weight_invariance(entries, LCA),
+                       check_net_simulation(entries)):
+            assert report["ok"]
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_normal_word_is_the_only_memo():
