@@ -142,15 +142,21 @@ def lw(label: Label, in_level: int) -> LevelledWeight:
     auxiliary-door and principal-door markers shift the level, and over- and
     underlines wrap the inner translation in q/p at the opening and closing
     levels respectively.  W markers yield the absorbing zero.
+    ``LevelUnderflowError`` when the level falls below 0 on the way.
     """
     atoms = []
-    level = _thread(label, in_level, atoms)
+    level, lowest = _thread(label, in_level, atoms)
+    if lowest < 0:
+        raise LevelUnderflowError(
+            f"label read from level {in_level} falls to level {lowest}")
     return LevelledWeight(None if None in atoms else tuple(atoms), level)
 
 
-def _thread(label: Label, level: int, atoms: list) -> int:
+def _thread(label: Label, level: int, atoms: list) -> tuple[int, int]:
     """Append the atoms ``label`` reads from ``level`` to ``atoms``, None
-    for a W marker, and return the level it ends at."""
+    for a W marker, and return the level it ends at and the lowest level
+    it reaches, ``level`` included."""
+    lowest = level
     for a in label:
         kind = type(a)
         if kind is Atomic:
@@ -159,53 +165,32 @@ def _thread(label: Label, level: int, atoms: list) -> int:
             right = a.direction == "right"
             if a.kind == "?":
                 if right:
-                    if level < 1:
-                        raise LevelUnderflowError("?-marker at level 0")
                     level -= 1
                     atoms.append(("t", True, level))
                 else:
                     atoms.append(("t", False, level))
                     level += 1
             elif a.kind == "!":
-                if right:
-                    if level < 1:
-                        raise LevelUnderflowError("!-marker at level 0")
-                    level -= 1
-                else:
-                    level += 1
+                level += -1 if right else 1
             elif a.kind == "W":
                 atoms.append(None)
             else:
                 atoms.append((_KEEP_LEVEL[a.kind], not right, level))
+            lowest = min(lowest, level)
         elif kind is Over or kind is Under:
             base = "q" if kind is Over else "p"
             atoms.append((base, False, level))
-            level = _thread(a.inner, level, atoms)
+            level, inner = _thread(a.inner, level, atoms)
+            lowest = min(lowest, inner)
             atoms.append((base, True, level))
         else:
             raise AssertionError(a)
-    return level
+    return level, lowest
 
 
 def entry_level_needed(label: Label) -> int:
     """Smallest input level at which ``lw`` does not underflow."""
-    level = 0
-    lowest = 0
-    pending = [iter(label)]  # the atoms left at each depth of over/underlines
-    while pending:
-        for a in pending[-1]:
-            if isinstance(a, (Over, Under)):
-                pending.append(iter(a.inner))
-                break
-            if isinstance(a, Marker) and a.kind in ("?", "!"):
-                if a.direction == "right":
-                    level -= 1
-                    lowest = min(lowest, level)
-                else:
-                    level += 1
-        else:
-            pending.pop()
-    return -lowest
+    return -_thread(label, 0, [])[1]
 
 
 def format_watom(atom: tuple) -> str:

@@ -9,8 +9,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
-from .algebra import (ONE, ZERO, LevelUnderflowError, compose,
-                      entry_level_needed, involute, lw, watom)
+from .algebra import (ONE, ZERO, compose, entry_level_needed, involute,
+                      lw, watom)
 from .calculus import (LCA, LCF, Configuration, FuelExhaustedError, TraceStep,
                        FUEL, default_sigma_fuel, reduce, reduction_graph, sigma_walk)
 from .corpus import CorpusEntry
@@ -18,11 +18,10 @@ from .labelled import label_of
 from .labels import (ArgumentLabelError, Atomic, Marker, Over, RIGHT, Under,
                      concat, format_label, mark, reverse,
                      split_argument_label)
-from .nets import (NetError, closed_cut_step, eligible_cuts, iso_check,
-                   translate_cbn, translate_cbv, validate)
-from .paths import (SearchBudgetError, check_invariance, weight_member,
-                    weight_set)
-from .terms import (Abs, App, Copy, Erase, Subst, Var, check_linear,
+from .nets import (closed_cut_step, eligible_cuts, iso_check, translate_cbn,
+                   translate_cbv, validate)
+from .paths import check_invariance, weight_member, weight_set
+from .terms import (Abs, App, Copy, Erase, Subst, Term, Var, check_linear,
                     compile_term, format_term, free_vars, subterms, term_size)
 
 IDENTITY_RULES = ("App1", "Lam", "Cpy2", "Ers2")
@@ -426,35 +425,40 @@ def check_goi_end_to_end(entries: Iterable[CorpusEntry],
     (call-by-name net), the weight of each entry's final external label is
     realised by a straight path from the root of the initial term's net.
 
-    An empty weight is decided at once, by the empty path, so the net is
-    built only for a non-empty word.  Besides a word no path realises,
-    these are failures: a trace out of ``fuel``, a zero weight, a level
-    underflow, a net that cannot be built (``NetError``) and an exhausted
-    search budget.  ``checked`` counts the (entry, calculus) pairs whose
-    word was decided, realised or not.
+    Besides a word no path realises, these are failures: a trace out of
+    ``fuel``, a zero weight, and any exception, such as a level underflow,
+    a net that cannot be built or an exhausted search budget.  ``checked``
+    counts the (entry, calculus) pairs whose word was decided, realised or
+    not.
     """
     failures = []
     checked = 0
     for entry, calculus, trace in _traces(entries, (LCF, LCA), fuel, failures):
         translate = translate_cbv if calculus == LCF else translate_cbn
-        try:
-            levelled = lw(label_of(trace[-1].config.term), 0)
-            if levelled.weight is None:
-                failures.append(
-                    f"{entry.name}/{calculus}: final label has zero weight")
-                continue
-            if not levelled.weight:
-                checked += 1  # the empty path has weight 1
-                continue
-            net = translate(entry.initial)
+        realised = _attempted(_label_realised, trace[-1].config.term,
+                              entry.initial, translate)
+        where = f"{entry.name}/{calculus}"
+        if isinstance(realised, str):
+            failures.append(f"{where}: {realised}")
+        elif realised is None:
+            failures.append(f"{where}: final label has zero weight")
+        else:
             checked += 1
-            if not weight_member(net, levelled.weight):
-                failures.append(
-                    f"{entry.name}/{calculus}: lw of final label "
-                    f"not realised by a straight path from the root")
-        except (LevelUnderflowError, NetError, SearchBudgetError) as exc:
-            failures.append(f"{entry.name}/{calculus}: {type(exc).__name__}: {exc}")
+            if not realised:
+                failures.append(f"{where}: lw of final label "
+                                f"not realised by a straight path from the root")
     return {"ok": not failures, "failures": failures[:40], "checked": checked}
+
+
+def _label_realised(final: Term, initial: Term, translate) -> Optional[bool]:
+    """Whether a straight path from the root of ``translate(initial)``
+    realises the weight of ``final``'s label, or None when that weight is
+    zero.  An empty weight is realised by the empty path, so the net is
+    built only for a non-empty word."""
+    weight = lw(label_of(final), 0).weight
+    if weight is None:
+        return None
+    return not weight or weight_member(translate(initial), weight)
 
 
 # ---------------------------------------------------------------------------

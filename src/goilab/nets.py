@@ -778,37 +778,28 @@ def _copy_closed_box(net: Net, bid: int, beside: int) -> int:
 def contracted(net: Net) -> Net:
     """Copy with axiom and cut nodes spliced out (they only carry linking).
 
-    One pass in node order: splicing never turns a self-loop back into two
-    edges, so restarting after each splice would make the same splices.
-    A node whose two ports share one edge closes a loop and is kept.
-    The splices keep the copy's port map current.
+    ``net`` must be whole (``_whole``).  One pass in node order: splicing
+    never turns a self-loop back into two edges, so restarting after each
+    splice would make the same splices.  A node whose two ports share one
+    edge closes a loop and is kept.  The splices keep the copy's port map
+    current.
     """
     out = net.copy()
     ports = out.ports
     spliced = set()
     for nid, kind in list(out.nodes.items()):
-        if kind in ("ax", "cut"):
-            try:
-                loop = ports[(nid, "a")][0] == ports[(nid, "b")][0]
-            except KeyError as missing:
-                raise _empty_port(out, *missing.args[0]) from None
-            if not loop:
-                _splice(out, nid, "a", "b")
-                spliced.add(nid)
+        if kind in ("ax", "cut") and ports[(nid, "a")][0] != ports[(nid, "b")][0]:
+            _splice(out, nid, "a", "b")
+            spliced.add(nid)
     _unbox(out, spliced)
     return out
 
 
-def _empty_port(net: Net, nid: int, port: str) -> NetError:
-    return NetError(f"{net.nodes[nid]} node {nid} has empty port {port}")
-
-
 def _explore(net: Net, seeds, edge_ids: dict, node_ids: dict,
              flipped: Optional[int] = None) -> None:
-    """Deterministic breadth-first numbering of edges and nodes from seeds,
-    visiting each edge's ends in order; ``flipped`` names an edge whose ends
-    are visited last first.  No end may dangle: ``canonical_signature``
-    checks that before it explores."""
+    """Deterministic breadth-first numbering of edges and nodes of a whole
+    net from seeds, visiting each edge's ends in order; ``flipped`` names
+    an edge whose ends are visited last first."""
     ports = net.ports
     queue = deque()
     for eid in seeds:
@@ -826,10 +817,7 @@ def _explore(net: Net, seeds, edge_ids: dict, node_ids: dict,
                 continue
             node_ids[nid] = len(node_ids)
             for port in PORTS[net.nodes[nid]]:
-                try:
-                    e2, _ = ports[(nid, port)]
-                except KeyError:
-                    raise _empty_port(net, nid, port) from None
+                e2 = ports[(nid, port)][0]
                 if e2 not in edge_ids:
                     edge_ids[e2] = len(edge_ids)
                     queue.append(e2)
@@ -881,10 +869,7 @@ class _Islands:
 
     def holding(self, nodes) -> tuple:
         """Sorted signatures of the islands that hold ``nodes``."""
-        try:
-            held = {self.island_of[nid] for nid in nodes}
-        except KeyError:
-            raise NetError("box contents outside every component") from None
+        held = {self.island_of[nid] for nid in nodes}
         return tuple(sorted(self.signature(k) for k in held))
 
 
@@ -908,9 +893,7 @@ def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
             return (0, node_ids[end[1]], end[2])
         if end[0] == "root":
             return (-2, 0, "")
-        if end[0] == "free":
-            return (-1, 0, end[1])
-        raise NetError(f"edge end {end} is not at a node, the root or a free name")
+        return (-1, 0, end[1])
 
     nodes = [None] * len(node_ids)
     for nid, cid in node_ids.items():
@@ -943,18 +926,15 @@ def _sortable(w: Weight) -> tuple:
 
 
 def canonical_signature(net: Net):
-    """Order-independent description of the net.
+    """Order-independent description of a whole net (``_whole``).
 
     The interface-reachable part is numbered from the root and the free
     edges; interface-free islands (erased substitutions produce them) are
     numbered from each of their least-key anchors (see ``_Islands``) and
-    described by the least result.  A box that holds an island describes
-    it by the island's signature.  ``NetError`` when an edge has a
-    dangling end or a node an empty port.
+    described by the least result.  Each node has an edge at every port,
+    so one numbering or the other reaches it.  A box that holds an island
+    describes it by the island's signature.
     """
-    for eid, e in net.edges.items():
-        if None in e.ends:
-            raise NetError(f"edge {eid} has a dangling end")
     anchors = []
     if net.root is not None:
         anchors.append(net.root)
@@ -963,10 +943,6 @@ def canonical_signature(net: Net):
     node_ids: dict[int, int] = {}
     _explore(net, anchors, edge_ids, node_ids)
     islands = _Islands(net, set(net.edges) - set(edge_ids))
-    if len(node_ids) + len(islands.island_of) < len(net.nodes):
-        bare = next(nid for nid in net.nodes
-                    if nid not in node_ids and nid not in islands.island_of)
-        raise _empty_port(net, bare, PORTS[net.nodes[bare]][0])
     main = _signature_part(net, edge_ids, node_ids, islands)
     return (main, tuple(sorted(islands.signature(k)
                                for k in range(len(islands.extents)))))
@@ -977,23 +953,21 @@ def iso_check(a: Net, b: Net) -> bool:
     out axiom/cut linking nodes on both sides.
 
     Every isomorphism keeps how many nodes of each kind but ``ax`` and
-    ``cut`` a net holds, and contraction never changes it, so two whole
-    nets (``_whole``) whose counts differ are not iso, and neither is
-    signed.  Any other net is signed the first time it is compared.  Both
-    the count and the signature are kept on the net.  Raises ``NetError``
-    when a net it signs cannot be signed.  A net with an edge or port fault
-    is not whole, so it is always signed; a box that holds a node outside
-    every component is found only in a net that is signed.
+    ``cut`` a net holds, and contraction never changes it, so nets whose
+    counts differ are not iso, and neither is signed.  Both nets pass
+    ``_kinds``'s wholeness gate before either is signed, so a malformed net
+    raises ``NetError`` with ``validate``'s problems.
     """
-    if _kinds(a) != _kinds(b) and _whole(a) and _whole(b):
-        return False
-    return _signed(a) == _signed(b)
+    return _kinds(a) == _kinds(b) and _signed(a) == _signed(b)
 
 
 def _kinds(net: Net) -> Counter:
     """How many nodes of each kind but ``ax`` and ``cut`` ``net`` holds,
-    counted once per net."""
+    counted once per net, the first time ``_whole`` finds it whole.
+    ``NetError`` listing ``validate``'s problems for a net that is not."""
     if net._kinds is None:
+        if not _whole(net):
+            raise NetError("; ".join(validate(net)))
         kinds = Counter(net.nodes.values())
         del kinds["ax"], kinds["cut"]  # a Counter ignores a missing key
         net._kinds = kinds
@@ -1001,21 +975,30 @@ def _kinds(net: Net) -> Counter:
 
 
 def _whole(net: Net) -> bool:
-    """Whether no edge end of ``net`` dangles, each is at a node, the root
-    or a free name, and each port of each node holds exactly one end.  A
-    whole net has no edge or port that ``canonical_signature`` can fault."""
+    """Whether ``net`` is whole: each edge has two ends, each at a port of
+    a node, the root or a free name; no two ends share a port and no port
+    is empty; the root and free edges are edges of the net; and each box
+    holds only nodes of the net.  ``contracted`` and ``canonical_signature``
+    take a whole net, and ``validate`` finds a problem in any other."""
+    edges, nodes = net.edges, net.nodes
     at_nodes = 0
-    for e in net.edges.values():
+    for e in edges.values():
+        if len(e.ends) != 2:
+            return False
         for end in e.ends:
             if end is None:
                 return False
             if end[0] == "node":
+                kind = nodes.get(end[1])
+                if kind is None or end[2] not in PORTS[kind]:
+                    return False
                 at_nodes += 1
             elif end[0] != "root" and end[0] != "free":
                 return False
-    ports = net.ports  # holds each (node, port) once, the first end there
-    return at_nodes == len(ports) and ports.keys() == {
-        (nid, port) for nid, kind in net.nodes.items() for port in PORTS[kind]}
+    # the port map holds each (node, port) once, the first end there
+    return (at_nodes == len(net.ports) == sum(map(_ARITY.__getitem__, nodes.values()))
+            and {net.root, *net.free.values()} - {None} <= edges.keys()
+            and all(b.contents <= nodes.keys() for b in net.boxes.values()))
 
 
 def _signed(net: Net):

@@ -7,8 +7,8 @@ from goilab.algebra import (ONE, ZERO, LevelUnderflowError, compose,
                             entry_level_needed, format_weight, involute, lw,
                             normal_word, watom)
 from goilab.checks import random_label
-from goilab.labels import (LEFT, RIGHT, atomic, concat, mark, over, reverse,
-                           under)
+from goilab.labels import (LEFT, RIGHT, Marker, Over, Under, atomic, concat,
+                           mark, over, reverse, under)
 
 
 def bang(w, k=1):
@@ -132,6 +132,28 @@ def test_lw_reversal_symmetry_random():
         assert back.out_level == level
 
 
+def entry_level_by_loop(label):
+    """The least entry level ``label`` needs, by a walk of its own: the
+    lowest level its door markers reach from level 0, negated."""
+    level = 0
+    lowest = 0
+    pending = [iter(label)]  # the atoms left at each depth of over/underlines
+    while pending:
+        for a in pending[-1]:
+            if isinstance(a, (Over, Under)):
+                pending.append(iter(a.inner))
+                break
+            if isinstance(a, Marker) and a.kind in ("?", "!"):
+                if a.direction == "right":
+                    level -= 1
+                    lowest = min(lowest, level)
+                else:
+                    level += 1
+        else:
+            pending.pop()
+    return -lowest
+
+
 def test_lw_commutes_with_a_level_shift():
     # a label read k levels higher reads its weight under k bangs; below
     # its entry level it underflows, and with a W marker it reads the zero
@@ -143,6 +165,7 @@ def test_lw_commutes_with_a_level_shift():
             at = rng.randint(0, len(label))
             label = concat(label[:at], mark(rng.choice((LEFT, RIGHT)), "W"), label[at:])
         entry = entry_level_needed(label)
+        assert entry == entry_level_by_loop(label), label
         if entry:
             underflows += 1
             with pytest.raises(LevelUnderflowError):

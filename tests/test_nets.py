@@ -480,7 +480,7 @@ def test_a_door_in_an_erased_arguments_island_is_signed():
 
 def test_criterion_8_signs_each_net_it_compares_once(monkeypatch):
     # a net is signed only when it meets a partner with the same node-kind
-    # counts, or when one of the pair is not whole; then it is signed once
+    # counts; then it is signed once
     compared, signed = [], []
     real_iso_check = checks.iso_check
     real_signature = nets.canonical_signature
@@ -499,8 +499,7 @@ def test_criterion_8_signs_each_net_it_compares_once(monkeypatch):
     assert check_net_simulation(corpus(7))["ok"]
     monkeypatch.undo()
     distinct = {id(net): net for a, b, _ in compared for net in (a, b)}
-    needed = {id(net): net for a, b, _ in compared
-              if shape(a)[0] == shape(b)[0] or not (whole(a) and whole(b))
+    needed = {id(net): net for a, b, _ in compared if shape(a)[0] == shape(b)[0]
               for net in (a, b)}
     # canonical_signature signs a contracted copy, so count: one signature
     # per needed net, each needed net keeps one, and no other net has one
@@ -531,12 +530,13 @@ def test_whole_nets_of_different_node_kinds_compare_false_unsigned(monkeypatch):
     # equal counts, so both are signed, each once
     assert iso_check(a, renumbered(a)) and iso_check(a, a)
     assert len(signed) == 2
-    # a net that is not whole is signed whatever its counts, and raises
+    # a net that is not whole raises unsigned, whatever its counts
     broken = translate_cbn(parse_lambda("(\\x.x) (\\y.y)"))
     eid = next(eid for eid, e in broken.edges.items() if e.ends[0][0] == "node")
     broken.edges[eid].ends[0] = None
     with pytest.raises(NetError, match="has a dangling end"):
         iso_check(a, broken)
+    assert len(signed) == 2 and broken._signature is None
 
 
 def snapshot(net):
@@ -804,6 +804,23 @@ def compared_by_criterion_8(monkeypatch, entries):
     return pairs
 
 
+def test_criterion_8_walks_each_net_it_compares_once(monkeypatch):
+    # the wholeness gate walks every net criterion 8 compares, and no net
+    # twice, however many pairs it is in
+    walked = []
+    real_whole = nets._whole
+
+    def counted(net):
+        walked.append(net)
+        return real_whole(net)
+
+    monkeypatch.setattr(nets, "_whole", counted)
+    pairs = compared_by_criterion_8(monkeypatch, corpus(7))
+    compared = Counter(id(net) for pair in pairs for net in pair)
+    assert max(compared.values()) > 1
+    assert len(walked) == len({id(net) for net in walked}) == len(compared)
+
+
 def test_least_key_anchors_decide_as_every_anchor_does(monkeypatch):
     pairs = compared_by_criterion_8(monkeypatch, corpus(6))
     reference = {}
@@ -898,9 +915,29 @@ def test_each_island_is_explored_from_its_least_key_edges_twice(monkeypatch):
                  r"tensor node 4 has empty port left", id="bare-tensor"),
     # an end that is not at a node, the root or a free name
     pytest.param(lambda net, d: net.new_edge(("node", d, "in"), ("loose", "x")),
-                 r"edge end \('loose', 'x'\) is not at a node", id="unknown-end"),
+                 r"edge 3 has unknown endpoint \('loose', 'x'\)", id="unknown-end"),
+    # two ends at the derelict's premise port
+    pytest.param(lambda net, d: (net.new_edge(("node", d, "in"), ("free", "x")),
+                                 net.new_edge(("node", d, "in"), ("free", "y"))),
+                 r"port \(1, 'in'\) attached twice", id="shared-port"),
+    # a box around a wired bang that also holds a node the net lacks
+    pytest.param(lambda net, d: (net.new_node("bang"),
+                                 net.new_edge(("node", d, "in"), ("node", 3, "out")),
+                                 net.new_edge(("node", 3, "in"), ("free", "x")),
+                                 net.boxes.update({6: Box(3, (), {3, 99})})),
+                 r"box 6 contains missing node 99", id="box-of-a-missing-node"),
+    # a free edge with one end, which a signature would read two ends of
+    pytest.param(lambda net, d: (net.new_edge(("node", d, "in"), ("free", "x")),
+                                 net.edges.update({9: Edge([("free", "y")])})),
+                 r"edge 9 lacks two endpoints", id="one-ended-edge"),
+    # a root that names no edge of the net
+    pytest.param(lambda net, d: (net.new_edge(("node", d, "in"), ("free", "x")),
+                                 setattr(net, "root", 99)),
+                 r"root edge missing", id="missing-root-edge"),
 ])
 def test_iso_check_names_the_edge_or_port_it_cannot_sign(build, problem):
+    # the wholeness gate refuses each net before it is signed, in
+    # validate's words
     net = Net()
     d = net.new_node("derelict")
     net.root = net.new_edge(("root",), ("node", d, "out"))

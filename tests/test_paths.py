@@ -405,6 +405,20 @@ def test_a_net_that_cannot_be_built_for_a_non_empty_weight_fails_criterion_9(
     assert report["checked"] == 2
 
 
+def test_an_unexpected_exception_fails_criterion_9_without_aborting_it(
+        monkeypatch):
+    # a fault of any type in the call-by-value translator fails its pair,
+    # and the lca pair of the same entry is still checked
+    def faulty(term):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(checks, "translate_cbv", faulty)
+    report = checks.check_goi_end_to_end(
+        [prepare("id_id", parse_lambda("(\\x.x) (\\y.y)"))])
+    assert report["failures"] == ["id_id/lcf: TypeError: injected"]
+    assert report["checked"] == 1
+
+
 def test_criterion_9_reports_a_final_weight_that_no_path_realises(monkeypatch):
     monkeypatch.setattr(checks, "weight_member", lambda net, word: False)
     report = checks.check_goi_end_to_end([
