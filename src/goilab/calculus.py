@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .labels import LEFT, RIGHT, concat, format_label, mark, over, reverse, under
+from .labels import (LEFT, RIGHT, concat, format_label, mark, over, reverse,
+                     slot_init, under)
 from .labelled import bullet, label_of
 from .terms import (Abs, App, Copy, Erase, Subst, Term, Var, format_term,
                     free_vars, replace_at, subterm_at, term_size)
@@ -57,19 +58,22 @@ class FuelExhaustedError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Configuration:
     term: Term
     erased: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class RedexSite:
     position: tuple
     rule: str
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     site: RedexSite
     config: Configuration

@@ -15,7 +15,7 @@ from .calculus import (LCA, LCF, Configuration, FuelExhaustedError, TraceStep,
                        FUEL, default_sigma_fuel, reduce, reduction_graph, sigma_walk)
 from .corpus import CorpusEntry
 from .labelled import label_of
-from .labels import (ArgumentLabelError, Atomic, Marker, Over, RIGHT, Under,
+from .labels import (ArgumentLabelError, Atomic, Over, RIGHT, Under,
                      concat, format_label, mark, reverse,
                      split_argument_label)
 from .nets import (closed_cut_step, eligible_cuts, iso_check, translate_cbn,
@@ -477,7 +477,7 @@ def random_label(rng: random.Random, depth: int = 2, length: int = 4):
         else:
             direction = rng.choice(("right", "left"))
             kind = rng.choice(("D", "!", "?", "R", "S"))
-            atoms.append(Marker(direction, kind))
+            atoms += mark(direction, kind)
     return tuple(atoms)
 
 

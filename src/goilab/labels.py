@@ -9,7 +9,7 @@ right/left marker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Union
 
 MARKER_KINDS = ("D", "!", "?", "R", "S", "W")
@@ -18,22 +18,48 @@ RIGHT = "right"
 LEFT = "left"
 
 
-@dataclass(frozen=True)
+def slot_init(cls):
+    """Give a frozen, slotted dataclass an ``__init__`` that sets each field
+    through its slot's member descriptor, then calls ``__post_init__`` if
+    the class has one.  The generated ``__init__`` goes through
+    ``object.__setattr__``, which costs about twice as much per value;
+    assignment after construction still raises ``FrozenInstanceError``.
+    Fields take a plain default or none."""
+    init = [f for f in fields(cls) if f.init]
+    namespace = {f"_set_{f.name}": cls.__dict__[f.name].__set__ for f in init}
+    namespace.update((f"_default_{f.name}", f.default)
+                     for f in init if f.default is not MISSING)
+    params = "".join(f", {f.name}" if f.default is MISSING
+                     else f", {f.name}=_default_{f.name}" for f in init)
+    body = "".join(f"\n    _set_{f.name}(self, {f.name})" for f in init)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    exec(f"def __init__(self{params}):{body}", namespace)
+    namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = namespace["__init__"]
+    return cls
+
+
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Atomic:
     name: str
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Over:
     inner: "Label"
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Under:
     inner: "Label"
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class Marker:
     direction: str  # RIGHT or LEFT
     kind: str
@@ -61,13 +87,21 @@ def under(*labels) -> Label:
     return (Under(concat(*labels)),)
 
 
+# the one-atom label of each of the twelve markers, built once: every step
+# of a rule marks a label, and a marker has no other state
+MARKS = {(direction, kind): (Marker(direction, kind),)
+         for direction in (RIGHT, LEFT) for kind in MARKER_KINDS}
+
+
 def mark(direction: str, kind: str) -> Label:
-    return (Marker(direction, kind),)
+    """The shared label of one marker; an unknown direction or kind raises
+    ``ValueError`` as ``Marker`` does."""
+    return MARKS.get((direction, kind)) or (Marker(direction, kind),)
 
 
 def concat(*labels) -> Label:
     """Concatenate labels left to right."""
-    return tuple(a for label in labels for a in label)
+    return sum(labels, ())
 
 
 def reverse(label: Label) -> Label:
@@ -81,7 +115,7 @@ def reverse(label: Label) -> Label:
         elif isinstance(a, Under):
             out.append(Under(reverse(a.inner)))
         else:
-            out.append(Marker(LEFT if a.direction == RIGHT else RIGHT, a.kind))
+            out += MARKS[LEFT if a.direction == RIGHT else RIGHT, a.kind]
     return tuple(out)
 
 
@@ -119,7 +153,7 @@ def split_argument_label(label: Label, boxed: bool = True) -> tuple[Label, Label
         raise ArgumentLabelError("no underlined block after the exponential prefix")
     i += 1
     if boxed:
-        if i >= len(label) or label[i] != Marker(LEFT, "!"):
+        if i >= len(label) or label[i] != MARKS[LEFT, "!"][0]:
             raise ArgumentLabelError("no box marker after the underlined block")
         i += 1
         if i >= len(label):

@@ -21,7 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from .labels import Label, format_label
+from .labels import Label, format_label, slot_init
+
+# per term class: the dataclass's hash of its compared fields, and the setter
+# of its ``_hash`` slot
+_HASHING: dict = {}
 
 
 def _hash_once(cls):
@@ -30,15 +34,13 @@ def _hash_once(cls):
     changes, and each dict or set lookup then costs one slot read instead of
     a walk of the whole term.  Pickling and copying rebuild a node from its
     fields alone, since a ``str`` hash differs between processes."""
-    field_hash = cls.__hash__  # the dataclass's hash of the compared fields
+    _HASHING[cls] = cls.__hash__, cls.__dict__["_hash"].__set__
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            value = field_hash(self)
-            object.__setattr__(self, "_hash", value)
-            return value
+            return _first_hash(self)
 
     def __reduce__(self):
         return cls, tuple(getattr(self, name) for name in cls.__match_args__)
@@ -48,7 +50,37 @@ def _hash_once(cls):
     return cls
 
 
+def _first_hash(term: Term) -> int:
+    """Store the field hash of ``term`` and of each unhashed node below it,
+    deepest first, so that each field hash reads its children's stored
+    hashes: a loop over an explicit stack, which no depth can overflow.  A
+    node with an unhashed child goes back on the stack under it.  A node
+    shared below two parents may be hashed twice, to the same value, but
+    its children are walked once."""
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is App or kind is Subst:
+            first = node.fun if kind is App else node.body
+            done_first, done_arg = hasattr(first, "_hash"), hasattr(node.arg, "_hash")
+            if not (done_first and done_arg):
+                stack.append(node)
+                if not done_first:
+                    stack.append(first)
+                if not done_arg:
+                    stack.append(node.arg)
+                continue
+        elif kind is not Var and not hasattr(node.body, "_hash"):  # Abs, Erase, Copy
+            stack += (node, node.body)
+            continue
+        field_hash, set_hash = _HASHING[kind]
+        set_hash(node, field_hash(node))
+    return term._hash
+
+
 @_hash_once
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Var:
     name: str
@@ -57,6 +89,7 @@ class Var:
 
 
 @_hash_once
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Abs:
     binder: str
@@ -66,6 +99,7 @@ class Abs:
 
 
 @_hash_once
+@slot_init
 @dataclass(frozen=True, slots=True)
 class App:
     fun: "Term"
@@ -75,6 +109,7 @@ class App:
 
 
 @_hash_once
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Erase:
     binder: str
@@ -83,6 +118,7 @@ class Erase:
 
 
 @_hash_once
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Copy:
     source: str
@@ -93,6 +129,7 @@ class Copy:
 
 
 @_hash_once
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Subst:
     body: "Term"

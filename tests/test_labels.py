@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from goilab.labels import (LEFT, RIGHT, ArgumentLabelError, atomic, concat,
-                           format_label, mark, over, reverse,
-                           split_argument_label, under)
+from goilab.labels import (LEFT, MARKER_KINDS, RIGHT, ArgumentLabelError,
+                           Marker, atomic, concat, format_label, mark, over,
+                           reverse, split_argument_label, under)
 from goilab.checks import random_label
 
 
@@ -73,3 +73,45 @@ def test_split_argument_label_names_what_is_wrong(label, boxed, message):
     with pytest.raises(ArgumentLabelError) as caught:
         split_argument_label(label, boxed)
     assert str(caught.value) == message
+
+
+# --- the twelve markers, built once -----------------------------------------
+
+MARKERS = [(d, k) for d in (RIGHT, LEFT) for k in MARKER_KINDS]
+
+
+def test_each_marker_label_is_built_once():
+    assert len(MARKERS) == 12
+    for d, k in MARKERS:
+        label = mark(d, k)
+        assert mark(d, k) is label
+        assert type(label) is tuple and len(label) == 1
+        fresh = Marker(d, k)
+        assert label[0] == fresh and hash(label[0]) == hash(fresh)
+        assert mark(d, k) == (fresh,)
+
+
+def test_reverse_flips_each_marker_to_the_shared_one():
+    flip = {RIGHT: LEFT, LEFT: RIGHT}
+    for d, k in MARKERS:
+        assert reverse(mark(d, k))[0] is mark(flip[d], k)[0]
+        assert reverse((Marker(d, k),))[0] is mark(flip[d], k)[0]
+        nested = reverse(over(atomic("a"), mark(d, k)))
+        assert nested[0].inner[0] is mark(flip[d], k)[0]
+
+
+@pytest.mark.parametrize("direction, kind", [
+    ("up", "D"), (RIGHT, "P"), (LEFT, "Q"), (RIGHT, "d"), (None, "!")])
+def test_a_marker_with_a_bad_direction_or_kind_is_refused(direction, kind):
+    for build in (mark, Marker):
+        with pytest.raises(ValueError, match="bad marker"):
+            build(direction, kind)
+
+
+def test_random_labels_hold_the_shared_markers():
+    rng = random.Random(11)
+    markers = [a for _ in range(200) for a in random_label(rng, depth=0)
+               if type(a) is Marker]
+    assert markers
+    for a in markers:
+        assert a is mark(a.direction, a.kind)[0]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -635,6 +636,69 @@ def test_copies_and_pickles_compare_equal_without_the_cached_hash():
             assert again == node and repr(again) == repr(node)
             assert not hasattr(again, "_hash")  # rebuilt from its fields
             assert hash(again) == hash(node)
+
+
+TERM_CLASSES = (Var, Abs, App, Erase, Copy, Subst)
+
+
+def _left_chain(depth):
+    """``(\\z0.z0) (\\z1.z1) ... (\\zn.zn)``, built bottom up."""
+    chain = Abs("z0", Var("z0"))
+    for i in range(1, depth):
+        chain = App(chain, Abs(f"z{i}", Var(f"z{i}")))
+    return chain
+
+
+def _right_nested(depth):
+    """``\\x0.\\x1. ... \\xn.y``, built bottom up."""
+    term = Var("y")
+    for i in reversed(range(depth)):
+        term = Abs(f"x{i}", term)
+    return term
+
+
+@pytest.mark.parametrize("build", [_left_chain, _right_nested])
+def test_a_term_5000_deep_hashes_without_recursion(build):
+    # the first hash walks the unhashed nodes on its own stack; the
+    # dataclass hash alone recursed once per level and overflowed at 400
+    a, b = build(5000), build(5000)
+    assert hash(a) == hash(b)
+    node = a
+    for _ in range(4990):
+        node = node.fun if type(node) is App else node.body
+    assert hash(node) == hash(copy.deepcopy(node)) == _field_hash(node)
+
+
+class _Hashed:
+    """Stands for a value whose hash is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _field_hash(term):
+    """The dataclass's hash of a term's compared fields, taken recursively:
+    the hash a term had before the first hash became a loop."""
+    return hash(tuple(_Hashed(_field_hash(v)) if isinstance(v, TERM_CLASSES) else v
+                      for v in (getattr(term, f.name) for f in dataclasses.fields(term)
+                                if f.compare)))
+
+
+def test_graph_configurations_hash_as_their_fields_do():
+    # the loop stores the hash the recursion gave, so dict and set orders,
+    # and every report built from them, are unchanged
+    configs = 0
+    for entry in corpus(8):
+        for calc in (LCF, LCA):
+            for config in reduction_graph(Configuration(entry.initial), calc).edges:
+                erased = frozenset(_Hashed(_field_hash(t)) for t in config.erased)
+                want = hash((_Hashed(_field_hash(config.term)), erased))
+                assert hash(config) == want
+                configs += 1
+    assert configs > 2000
 
 
 def test_a_pickle_hashes_like_a_node_built_in_another_process(tmp_path):

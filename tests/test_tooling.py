@@ -3,26 +3,32 @@ every name it uses must resolve, or ``--trace 1`` and its output checks
 break without any other test noticing."""
 
 import ast
+import copy
 import gc
 import importlib
 import inspect
+import pickle
 import random
 import re
+from dataclasses import MISSING, FrozenInstanceError, fields
 from pathlib import Path
 
+import pytest
 from conftest import port_scan
 
 from goilab import checks, nets
 from goilab.algebra import CONSTANTS, normal_word
-from goilab.calculus import (LCA, LCF, Configuration, reduction_graph,
-                             sigma_walk)
+from goilab.calculus import (LCA, LCF, Configuration, RedexSite, TraceStep,
+                             reduce, reduction_graph, sigma_walk)
 from goilab.checks import (_step_edges, check_net_simulation,
                            check_weight_invariance)
 from goilab.corpus import CLASSICS, corpus, prepare
+from goilab.labels import RIGHT, Atomic, Marker, Over, Under, atomic
 from goilab.nets import (closed_cut_step, contracted, eligible_cuts,
                          iso_check, translate_cbn, translate_cbv, validate)
 from goilab.paths import weight_set
-from goilab.terms import parse, parse_lambda, subterms
+from goilab.terms import (Abs, App, Copy, Erase, Subst, Var, parse,
+                          parse_lambda, subterms)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = Path(__file__).resolve().parents[1] / "src" / "goilab"
@@ -321,13 +327,54 @@ def test_normal_word_is_the_only_memo():
 
 
 def test_no_term_class_has_a_dict():
-    # term nodes are slotted: a fact cached on a node would need a declared
-    # slot, and could not quietly grow every node of a corpus
+    # term nodes, label atoms and calculus records are slotted: a fact
+    # cached on one would need a declared slot, and could not quietly grow
+    # every value of a corpus
     nodes = [t for _, t in subterms(parse("\\a.eps[x].copy[y->u,v].(u v)[w/z]"))]
     assert {type(t).__name__ for t in nodes} == {
         "Abs", "App", "Copy", "Erase", "Subst", "Var"}
-    for t in nodes:
-        assert not hasattr(t, "__dict__"), type(t).__name__
+    initial = prepare("id", parse_lambda("(\\x.x) (\\y.y)")).initial
+    trace = reduce(Configuration(initial), LCF)
+    assert trace
+    atoms = [a for ts in trace for t in ts.config.erased | {ts.config.term}
+             for _, node in subterms(t) for a in getattr(node, "label", None) or ()]
+    atoms += [a.inner[0] for a in atoms if type(a) in (Over, Under)]
+    assert {type(a).__name__ for a in atoms} == {"Atomic", "Marker", "Over", "Under"}
+    records = [r for ts in trace for r in (ts, ts.site, ts.config)]
+    for value in nodes + atoms + records:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+
+
+_LABEL = atomic("b")
+_VAR = Var("x", atomic("a"))
+# each value class with one value for each of its fields, in field order
+VALUES = [
+    (Var, ("x", _LABEL)), (Abs, ("x", _VAR, _LABEL)), (App, (_VAR, _VAR, _LABEL)),
+    (Erase, ("y", _VAR)), (Copy, ("x", "u", "v", _VAR)), (Subst, (_VAR, Var("z"), "x")),
+    (Atomic, ("a",)), (Over, (_LABEL,)), (Under, (_LABEL,)), (Marker, (RIGHT, "D")),
+    (Configuration, (_VAR, frozenset({Var("y")}))), (RedexSite, ((0, 1), "Beta")),
+    (TraceStep, (RedexSite((), "Var"), Configuration(_VAR))),
+]
+
+
+@pytest.mark.parametrize("cls, values", VALUES, ids=[c.__name__ for c, _ in VALUES])
+def test_value_classes_build_from_their_fields_and_stay_frozen(cls, values):
+    # each class sets its fields through its slots, and is still built,
+    # compared, copied and pickled as the dataclass it is
+    init = [f for f in fields(cls) if f.init]
+    assert len(init) == len(values)
+    value = cls(*values)
+    assert tuple(getattr(value, f.name) for f in init) == values
+    assert cls(**{f.name: v for f, v in zip(init, values)}) == value
+    defaults = tuple(f.default for f in init if f.default is not MISSING)
+    required = values[:len(init) - len(defaults)]
+    assert cls(*required) == cls(*required, *defaults)
+    for f in init:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, f.name, values[0])
+    assert tuple(getattr(value, f.name) for f in init) == values
+    for again in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert again == value and hash(again) == hash(value)
 
 
 def test_no_module_reads_the_environment():
