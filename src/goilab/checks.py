@@ -19,7 +19,7 @@ from .labels import (ArgumentLabelError, Atomic, Over, RIGHT, Under,
                      concat, format_label, mark, reverse,
                      split_argument_label)
 from .nets import (closed_cut_step, eligible_cuts, iso_check, translate_cbn,
-                   translate_cbv, validate)
+                   translate_cbv)
 from .paths import check_invariance, weight_member, weight_set
 from .terms import (Abs, App, Copy, Erase, Subst, Term, Var, check_linear,
                     compile_term, format_term, free_vars, subterms, term_size)
@@ -161,26 +161,33 @@ def check_propagation(entries: Iterable[CorpusEntry],
 # ---------------------------------------------------------------------------
 # criterion 4: confluence by exhaustive search
 
+def _graphs(entries: Iterable[CorpusEntry], calculus: str, fuel: int,
+            exhausted: list):
+    """(entry, reduction graph) for each entry in turn.  A graph that
+    outgrows ``fuel`` configurations is incomplete: its entry is appended
+    to ``exhausted``, unchecked, and yielded with None for its graph only
+    at desk size, where that is a failure."""
+    for entry in entries:
+        graph = reduction_graph(Configuration(entry.initial), calculus,
+                                max_configs=fuel)
+        if graph.complete:
+            yield entry, graph
+        else:
+            exhausted.append(entry.name)
+            if term_size(entry.source) <= DESK_SIZE:
+                yield entry, None
+
+
 def check_confluence(entries: Iterable[CorpusEntry], calculus: str,
                      fuel: int = FUEL) -> dict:
     failures = []
     exhausted = []
-    for entry in entries:
-        graph = reduction_graph(Configuration(entry.initial), calculus,
-                                max_configs=fuel)
-        if not graph.complete:
-            exhausted.append(entry.name)
-            if _source_size(entry) <= DESK_SIZE:
-                failures.append(f"{entry.name}: fuel exhausted at desk size")
-            continue
-        sinks = graph.sink_terms()
-        if len(sinks) > 1:
+    for entry, graph in _graphs(entries, calculus, fuel, exhausted):
+        if graph is None:
+            failures.append(f"{entry.name}: fuel exhausted at desk size")
+        elif len(sinks := graph.sink_terms()) > 1:
             failures.append(f"{entry.name}: {len(sinks)} distinct sinks")
     return {"ok": not failures, "failures": failures, "fuel_exhausted": exhausted}
-
-
-def _source_size(entry: CorpusEntry) -> int:
-    return term_size(entry.source)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +360,11 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
     labelled ``lca`` step.  Each term is translated, and its net's eligible
     cuts stepped, once per call.  An entry whose graph outgrows ``fuel``
     configurations is listed under ``fuel_exhausted``, unchecked; at desk
-    size that is a failure, as in criterion 4.  A net that cannot be built,
-    or a pair that ``iso_check`` cannot compare, fails the step that reads it."""
+    size that is a failure, as in criterion 4 (``_graphs``).  A net that
+    cannot be built, or a pair that ``iso_check`` cannot compare, fails the
+    step that reads it.  ``iso_check`` refuses every net ``validate``
+    rejects, so a stepped net that is malformed fails as a pair that cannot
+    be compared, with ``validate``'s problems as its error."""
     failures = []
     exhausted = []
     checked = 0
@@ -374,14 +384,10 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
             return None
         return same
 
-    for entry in entries:
-        graph = reduction_graph(Configuration(entry.initial), LCA,
-                                max_configs=fuel)
-        if not graph.complete:
-            exhausted.append(entry.name)
-            if _source_size(entry) <= DESK_SIZE:
-                failures.append({"term": entry.name,
-                                 "problem": "fuel exhausted at desk size"})
+    for entry, graph in _graphs(entries, LCA, fuel, exhausted):
+        if graph is None:
+            failures.append({"term": entry.name,
+                             "problem": "fuel exhausted at desk size"})
             continue
         for src, site, dst in graph.steps():
             checked += 1
@@ -405,9 +411,6 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
                                      "error": rewritten})
                     continue
                 if same_net(rewritten, right, where):
-                    if validate(rewritten):
-                        failures.append({**where,
-                                         "problem": "rewritten net is malformed"})
                     hits += 1
             if hits == 0:
                 failures.append({**where,

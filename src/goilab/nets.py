@@ -105,11 +105,11 @@ class Box:
 class Net:
     """A proof-net.  A net is a value once built: every operation here that
     changes one (``closed_cut_step``, ``contracted``) works on a copy, so
-    ``iso_check`` counts each net's node kinds and signs it at most once and
-    keeps both on it, and the net builds its port map at most once and
-    keeps it too.  A copy shares its ``Edge`` objects with the net it was
-    made from; a step that edits an edge in place first gives the copy an
-    edge of its own (``_reattach``).
+    ``validate`` judges each net at most once, ``iso_check`` counts its
+    node kinds and signs it at most once, and the net keeps all three on
+    it, as it keeps the port map it builds at most once.  A copy shares its
+    ``Edge`` objects with the net it was made from; a step that edits an
+    edge in place first gives the copy an edge of its own (``_reattach``).
     """
 
     def __init__(self):
@@ -120,6 +120,7 @@ class Net:
         self.free: dict[str, int] = {}
         self._next = 0
         self._ports = None  # set by the first read of ports
+        self._verdict = None  # set by the first validate
         self._kinds = None  # set by the first iso_check that compares it
         self._signature = None  # set by the first iso_check that signs it
 
@@ -162,7 +163,9 @@ class Net:
 
     def copy(self) -> "Net":
         """A net equal to this one that shares its ``Edge`` objects, and
-        copies its node, box, free and port maps."""
+        copies its node, box, free and port maps.  It carries nothing else
+        the net keeps: a step edits the copy, which is judged, counted and
+        signed afresh."""
         out = Net()
         out.nodes = dict(self.nodes)
         out.edges = dict(self.edges)
@@ -178,15 +181,21 @@ class Net:
 # ---------------------------------------------------------------------------
 # validation
 
-def validate(net: Net, strict_levels: bool = False) -> list:
-    """Structural violations as strings; empty means well-formed.
+def validate(net: Net) -> list:
+    """Structural violations as strings; empty means well-formed.  This is
+    the one statement of a well-formed net: a translation and ``iso_check``
+    both refuse a net it finds a problem in.
 
-    One loop over the edges checks each edge's ends, the boxes it crosses
-    and the levels of its weight.  An edge crosses the boxes that hold one
-    of its ends but not the other, and lies as deep as the number of boxes
-    that hold both; nodes held by the same boxes share one set of them, so
-    an edge inside one region is settled by an ``is`` test.
+    The first call on a net keeps its verdict on the net, and later calls
+    read it, so a net is walked at most once; a net edited after it was
+    judged must be built afresh.  One loop over the edges checks each
+    edge's ends, the boxes it crosses and the levels of its weight.  An
+    edge crosses the boxes that hold one of its ends but not the other;
+    nodes held by the same boxes share one set of them, so an edge inside
+    one region is settled by an ``is`` test.
     """
+    if net._verdict is not None:
+        return list(net._verdict)
     problems = []
     nodes, boxes, ports = net.nodes, net.boxes, net.ports
     outside: frozenset = frozenset()
@@ -203,7 +212,6 @@ def validate(net: Net, strict_levels: bool = False) -> list:
     attached = 0  # ends that hold a port of their node
     for eid, e in net.edges.items():
         ends = e.ends
-        depth = 0
         if len(ends) != 2:
             problems.append(f"edge {eid} lacks two endpoints")
             ends = ()
@@ -232,10 +240,7 @@ def validate(net: Net, strict_levels: bool = False) -> list:
             end0, end1 = ends
             near = boxes_of.get(end0[1], outside) if end0[0] == "node" else outside
             far = boxes_of.get(end1[1], outside) if end1[0] == "node" else outside
-            if near is far:
-                depth = len(near)
-            else:
-                depth = len(near & far)
+            if near is not far:
                 for bid in near ^ far:
                     _, nid, port = end0 if bid in near else end1
                     box = boxes[bid]
@@ -245,8 +250,6 @@ def validate(net: Net, strict_levels: bool = False) -> list:
         for _, _, level in e.weight or ():
             if level < 0:
                 levels.append(f"edge {eid} carries a negative level")
-            elif strict_levels and level != depth:
-                levels.append(f"edge {eid} atom level {level} != box depth {depth}")
     # a port is empty only if fewer ends hold a port than there are ports
     if attached < sum(map(_ARITY.__getitem__, nodes.values())):
         for nid, kind in nodes.items():
@@ -278,7 +281,9 @@ def validate(net: Net, strict_levels: bool = False) -> list:
                     problems.append(f"boxes {b1},{b2} overlap without nesting")
     for found in crossings.values():
         problems.extend(found)
-    return problems + levels
+    problems += levels
+    net._verdict = tuple(problems)
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -778,9 +783,9 @@ def _copy_closed_box(net: Net, bid: int, beside: int) -> int:
 def contracted(net: Net) -> Net:
     """Copy with axiom and cut nodes spliced out (they only carry linking).
 
-    ``net`` must be whole (``_whole``).  One pass in node order: splicing
-    never turns a self-loop back into two edges, so restarting after each
-    splice would make the same splices.  A node whose two ports share one
+    ``net`` must be one ``validate`` accepts.  One pass in node order:
+    splicing never turns a self-loop back into two edges, so restarting
+    after each splice would make the same splices.  A node whose two ports share one
     edge closes a loop and is kept.  The splices keep the copy's port map
     current.
     """
@@ -797,9 +802,9 @@ def contracted(net: Net) -> Net:
 
 def _explore(net: Net, seeds, edge_ids: dict, node_ids: dict,
              flipped: Optional[int] = None) -> None:
-    """Deterministic breadth-first numbering of edges and nodes of a whole
-    net from seeds, visiting each edge's ends in order; ``flipped`` names
-    an edge whose ends are visited last first."""
+    """Deterministic breadth-first numbering of edges and nodes of a net
+    ``validate`` accepts, from seeds, visiting each edge's ends in order;
+    ``flipped`` names an edge whose ends are visited last first."""
     ports = net.ports
     queue = deque()
     for eid in seeds:
@@ -926,7 +931,7 @@ def _sortable(w: Weight) -> tuple:
 
 
 def canonical_signature(net: Net):
-    """Order-independent description of a whole net (``_whole``).
+    """Order-independent description of a net ``validate`` accepts.
 
     The interface-reachable part is numbered from the root and the free
     edges; interface-free islands (erased substitutions produce them) are
@@ -955,50 +960,23 @@ def iso_check(a: Net, b: Net) -> bool:
     Every isomorphism keeps how many nodes of each kind but ``ax`` and
     ``cut`` a net holds, and contraction never changes it, so nets whose
     counts differ are not iso, and neither is signed.  Both nets pass
-    ``_kinds``'s wholeness gate before either is signed, so a malformed net
-    raises ``NetError`` with ``validate``'s problems.
+    ``_kinds``'s gate, ``validate``, before either is signed, so a net that
+    ``validate`` rejects raises ``NetError`` with its problems.
     """
     return _kinds(a) == _kinds(b) and _signed(a) == _signed(b)
 
 
 def _kinds(net: Net) -> Counter:
     """How many nodes of each kind but ``ax`` and ``cut`` ``net`` holds,
-    counted once per net, the first time ``_whole`` finds it whole.
-    ``NetError`` listing ``validate``'s problems for a net that is not."""
+    counted once per net, the first time ``validate`` accepts it.
+    ``NetError`` listing ``validate``'s problems for a net it rejects."""
     if net._kinds is None:
-        if not _whole(net):
-            raise NetError("; ".join(validate(net)))
+        if problems := validate(net):
+            raise NetError("; ".join(problems))
         kinds = Counter(net.nodes.values())
         del kinds["ax"], kinds["cut"]  # a Counter ignores a missing key
         net._kinds = kinds
     return net._kinds
-
-
-def _whole(net: Net) -> bool:
-    """Whether ``net`` is whole: each edge has two ends, each at a port of
-    a node, the root or a free name; no two ends share a port and no port
-    is empty; the root and free edges are edges of the net; and each box
-    holds only nodes of the net.  ``contracted`` and ``canonical_signature``
-    take a whole net, and ``validate`` finds a problem in any other."""
-    edges, nodes = net.edges, net.nodes
-    at_nodes = 0
-    for e in edges.values():
-        if len(e.ends) != 2:
-            return False
-        for end in e.ends:
-            if end is None:
-                return False
-            if end[0] == "node":
-                kind = nodes.get(end[1])
-                if kind is None or end[2] not in PORTS[kind]:
-                    return False
-                at_nodes += 1
-            elif end[0] != "root" and end[0] != "free":
-                return False
-    # the port map holds each (node, port) once, the first end there
-    return (at_nodes == len(net.ports) == sum(map(_ARITY.__getitem__, nodes.values()))
-            and {net.root, *net.free.values()} - {None} <= edges.keys()
-            and all(b.contents <= nodes.keys() for b in net.boxes.values()))
 
 
 def _signed(net: Net):

@@ -48,13 +48,15 @@ class DirectedEdges:
     ``ends[1]``, its involution towards ``ends[0]``, None for the zero of a
     weakening), whether the step arrives at the interface, and the states a
     straight path may move to next, read through the net's port map.
-    ``starts`` are the states leaving the interface.
+    ``starts`` are the states leaving the interface, and ``root`` the one
+    leaving the root, or None when no edge end is at the root.
     """
 
     def __init__(self, net: Net):
         self.words = words = []
         self.interface = interface = []
         self.starts = starts = []
+        self.root = None
         first = {}  # edge -> its state towards ends[0]
         for eid, edge in net.edges.items():
             first[eid] = len(words)
@@ -64,10 +66,11 @@ class DirectedEdges:
                 if end is not None and end[0] in ("root", "free"):
                     # leaving the interface is arriving there reversed
                     starts.append(len(interface) ^ 1)
+                    if end[0] == "root":
+                        self.root = starts[-1]
                     interface.append(True)
                 else:
                     interface.append(False)
-        self.edge_ids = tuple(first)
         # the state arriving at each port; leaving through it is its reverse
         arriving = {key: first[eid] + i for key, (eid, i) in net.ports.items()}
         self.succ = succ = [[] for _ in words]
@@ -76,9 +79,6 @@ class DirectedEdges:
                 at_a, at_b = arriving[(nid, a)], arriving[(nid, b)]
                 succ[at_a].append(at_b ^ 1)
                 succ[at_b].append(at_a ^ 1)
-
-    def state(self, eid: int, to_end: int) -> int:
-        return 2 * self.edge_ids.index(eid) + to_end
 
 
 def weight_set(net: Net) -> set:
@@ -159,20 +159,16 @@ def weight_member(net: Net, target: Weight) -> bool:
     """
     if target is None:
         return False
-    root_end = None
-    for i, end in enumerate(net.edges[net.root].ends):
-        if end is not None and end[0] == "root":
-            root_end = (net.root, 1 - i)
-    if root_end is None:
+    table = DirectedEdges(net)
+    if table.root is None:
         return False
     if not target:
         return True  # the empty path has weight 1
-    table = DirectedEdges(net)
     words, succ = table.words, table.succ
     max_steps = 4 * len(target) + 16
     budget = 2_000_000
     # (path length, target atoms matched before the step, step's state)
-    pending = [(1, 0, table.state(*root_end))]
+    pending = [(1, 0, table.root)]
     while pending:
         depth, matched, state = pending.pop()
         if budget <= 0:

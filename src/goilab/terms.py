@@ -32,8 +32,9 @@ def _hash_once(cls):
     """Keep the hash of a term class's fields in its ``_hash`` slot, computed
     on the first ``hash``: terms are immutable, so the fields' hash never
     changes, and each dict or set lookup then costs one slot read instead of
-    a walk of the whole term.  Pickling and copying rebuild a node from its
-    fields alone, since a ``str`` hash differs between processes."""
+    a walk of the whole term.  ``==`` is one loop for every class
+    (``_equal``).  Pickling and copying rebuild a node from its fields
+    alone, since a ``str`` hash differs between processes."""
     _HASHING[cls] = cls.__hash__, cls.__dict__["_hash"].__set__
 
     def __hash__(self):
@@ -45,9 +46,55 @@ def _hash_once(cls):
     def __reduce__(self):
         return cls, tuple(getattr(self, name) for name in cls.__match_args__)
 
+    cls.__eq__ = _equal
     cls.__hash__ = __hash__
     cls.__reduce__ = __reduce__
     return cls
+
+
+def _equal(a: Term, b):
+    """``a == b`` for every term class: equal when each compared field is,
+    as the dataclass's ``==`` has it, and ``NotImplemented`` across
+    classes.  A loop that follows each node pair's first children and keeps
+    the pairs of second children on an explicit stack, so no depth can
+    overflow it.  A pair of one node twice is equal without a look, so
+    shared subterms cost nothing."""
+    if type(b) is not type(a):
+        return NotImplemented
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        while x is not y:
+            kind = type(x)
+            if type(y) is not kind:
+                return False
+            if kind is App:
+                if x.label != y.label:
+                    return False
+                stack.append((x.arg, y.arg))
+                x, y = x.fun, y.fun
+            elif kind is Var:
+                if x.name != y.name or x.label != y.label:
+                    return False
+                break
+            elif kind is Abs:
+                if x.binder != y.binder or x.label != y.label:
+                    return False
+                x, y = x.body, y.body
+            elif kind is Subst:
+                if x.target != y.target:
+                    return False
+                stack.append((x.arg, y.arg))
+                x, y = x.body, y.body
+            elif kind is Erase:
+                if x.binder != y.binder:
+                    return False
+                x, y = x.body, y.body
+            else:  # Copy
+                if (x.source, x.left, x.right) != (y.source, y.left, y.right):
+                    return False
+                x, y = x.body, y.body
+    return True
 
 
 def _first_hash(term: Term) -> int:

@@ -50,6 +50,25 @@ def whole(net):
                                    for port in nets.PORTS[kind]))
 
 
+def box_depth_problems(net):
+    """Each atom level of an edge's weight that is not the edge's box depth,
+    the number of boxes that hold both its ends (0 for an edge with an end
+    that is not at a node).  Levels equal box depths on freshly initialised
+    terms, and ``validate`` leaves the rule to this reference."""
+    def boxes_of(end):
+        if end is None or end[0] != "node":
+            return set()
+        return {bid for bid, b in net.boxes.items() if end[1] in b.contents}
+
+    problems = []
+    for eid, e in net.edges.items():
+        depth = len(boxes_of(e.ends[0]) & boxes_of(e.ends[1])) \
+            if len(e.ends) == 2 else 0
+        problems += [f"edge {eid} atom level {level} != box depth {depth}"
+                     for _, _, level in e.weight or () if 0 <= level != depth]
+    return problems
+
+
 # --- translation shapes ------------------------------------------------------
 
 def test_cbv_variable_is_an_axiom_wire():
@@ -74,7 +93,7 @@ def test_cbv_identity_application_shape():
                           "par", "par", "tensor"]
     assert len(net.edges) == 11
     assert len(net.boxes) == 2
-    assert validate(net, strict_levels=True) == []
+    assert validate(net) == box_depth_problems(net) == []
 
 
 def test_cbn_identity_application_has_one_box_around_the_argument():
@@ -82,7 +101,7 @@ def test_cbn_identity_application_has_one_box_around_the_argument():
     assert len(net.boxes) == 1
     box = next(iter(net.boxes.values()))
     assert box.auxiliaries == ()
-    assert validate(net, strict_levels=True) == []
+    assert validate(net) == box_depth_problems(net) == []
 
 
 def test_cbv_fig1a_counts():
@@ -91,7 +110,7 @@ def test_cbv_fig1a_counts():
     assert sum(1 for k in net.nodes.values() if k == "cut") == 2
     assert sum(1 for k in net.nodes.values() if k == "derelict") == 2
     assert len(net.boxes) == 3
-    assert validate(net, strict_levels=True) == []
+    assert validate(net) == box_depth_problems(net) == []
 
 
 def test_open_abstraction_gets_auxiliary_door_cbv():
@@ -148,8 +167,9 @@ def test_validate_strict_levels_flags_mismatch():
     net.new_edge(("node", ax, "b"), ("free", "x"), ONE)
     net.root = e1
     net.free["x"] = [e for e in net.edges][1]
+    # validate leaves levels apart from box depths to the strict reference
     assert validate(net) == []
-    assert any("box depth" in p for p in validate(net, strict_levels=True))
+    assert any("box depth" in p for p in box_depth_problems(net))
 
 
 def boxed_axiom(door: bool):
@@ -285,11 +305,13 @@ BROKEN = [
 
 
 def test_validate_reports_each_problem_of_a_hand_broken_net():
-    assert validate(boxed_axiom(door=True)[0], strict_levels=True) == []
+    # the level rows are the box-depth reference's, reported after validate's
+    net = boxed_axiom(door=True)[0]
+    assert validate(net) == box_depth_problems(net) == []
     for row, (edit, expected) in enumerate(BROKEN):
         net, _ = boxed_axiom(door=True)
         edit(net)
-        assert validate(net, strict_levels=True) == expected, row
+        assert validate(net) + box_depth_problems(net) == expected, row
 
 
 # --- isomorphism -------------------------------------------------------------
@@ -530,8 +552,9 @@ def test_whole_nets_of_different_node_kinds_compare_false_unsigned(monkeypatch):
     # equal counts, so both are signed, each once
     assert iso_check(a, renumbered(a)) and iso_check(a, a)
     assert len(signed) == 2
-    # a net that is not whole raises unsigned, whatever its counts
-    broken = translate_cbn(parse_lambda("(\\x.x) (\\y.y)"))
+    # a net that is not whole raises unsigned, whatever its counts; it is
+    # built fresh, since a translated net keeps the verdict validate gave it
+    broken = renumbered(translate_cbn(parse_lambda("(\\x.x) (\\y.y)")))
     eid = next(eid for eid, e in broken.edges.items() if e.ends[0][0] == "node")
     broken.edges[eid].ends[0] = None
     with pytest.raises(NetError, match="has a dangling end"):
@@ -648,12 +671,23 @@ def test_simulation_reports_an_identity_step_that_changes_the_net(monkeypatch):
 
 
 def test_simulation_reports_a_malformed_rewritten_net(monkeypatch):
-    monkeypatch.setattr(checks, "validate", lambda net: ["injected"])
+    # iso_check refuses a stepped net that validate rejects, in its words
+    real_step = checks.closed_cut_step
+
+    def malformed(net, cut):
+        out = real_step(net, cut)
+        out.free["ghost"] = 99
+        return out
+
+    monkeypatch.setattr(checks, "closed_cut_step", malformed)
     identity = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
     report = check_net_simulation([identity])
     assert report["failures"] == [
-        {"term": "id", "rule": rule, "problem": "rewritten net is malformed"}
-        for rule in ("Beta", "Var")]
+        failure for rule in ("Beta", "Var") for failure in (
+            {"term": "id", "rule": rule, "problem": "nets cannot be compared",
+             "error": "NetError: free edge for ghost missing"},
+            {"term": "id", "rule": rule,
+             "problem": "no single closed cut step reaches the reduct"})]
     assert report["steps_checked"] == 2
 
 
@@ -695,17 +729,17 @@ def test_box_holding_an_island_is_iso_and_simulated():
 
 
 def test_iso_check_sees_whether_a_box_holds_an_island():
-    # root -> bang P, boxed alone or together with the island W -> Q <- W2
+    # root -> bang P -> weakening W0, boxed alone or together with the
+    # island W -> Q <- W2
     def net_with(island_boxed):
         net = Net()
         principal, q = net.new_node("bang"), net.new_node("bang")
-        w, w2 = net.new_node("weaken"), net.new_node("weaken")
+        w0, w, w2 = (net.new_node("weaken") for _ in range(3))
         net.root = net.new_edge(("root",), ("node", principal, "out"))
-        net.new_edge(("node", principal, "in"), ("free", "x"))
-        net.free = {"x": net.root + 1}
+        net.new_edge(("node", principal, "in"), ("node", w0, "out"))
         net.new_edge(("node", w, "out"), ("node", q, "out"))
         net.new_edge(("node", q, "in"), ("node", w2, "out"))
-        contents = {principal, w, q, w2} if island_boxed else {principal}
+        contents = {principal, w0, w, q, w2} if island_boxed else {principal, w0}
         net.boxes[net.new_id()] = Box(principal, (), contents)
         return net
 
@@ -805,20 +839,38 @@ def compared_by_criterion_8(monkeypatch, entries):
 
 
 def test_criterion_8_walks_each_net_it_compares_once(monkeypatch):
-    # the wholeness gate walks every net criterion 8 compares, and no net
-    # twice, however many pairs it is in
-    walked = []
-    real_whole = nets._whole
+    # validate walks each net a translation builds there, and keeps the
+    # verdict for iso_check's gate, which walks each stepped net when it
+    # first meets it: every net compared is walked, and no net twice,
+    # however many pairs it is in
+    walked, translated, stepped = [], [], []
+    real_validate = nets.validate
+    real_translate, real_step = checks.translate_cbn, checks.closed_cut_step
 
-    def counted(net):
-        walked.append(net)
-        return real_whole(net)
+    def validate(net):
+        if net._verdict is None:  # a net that keeps a verdict is not walked
+            walked.append(net)
+        return real_validate(net)
 
-    monkeypatch.setattr(nets, "_whole", counted)
+    def translate(term):
+        walks = len(walked)
+        translated.append(real_translate(term))
+        assert walked[walks:] == translated[-1:]
+        return translated[-1]
+
+    def step(net, cut):
+        stepped.append(real_step(net, cut))
+        return stepped[-1]
+
+    monkeypatch.setattr(nets, "validate", validate)
+    monkeypatch.setattr(checks, "translate_cbn", translate)
+    monkeypatch.setattr(checks, "closed_cut_step", step)
     pairs = compared_by_criterion_8(monkeypatch, corpus(7))
     compared = Counter(id(net) for pair in pairs for net in pair)
     assert max(compared.values()) > 1
-    assert len(walked) == len({id(net) for net in walked}) == len(compared)
+    walks = Counter(id(net) for net in walked)
+    assert max(walks.values()) == 1
+    assert compared.keys() <= walks.keys() == {id(net) for net in translated + stepped}
 
 
 def test_least_key_anchors_decide_as_every_anchor_does(monkeypatch):
@@ -920,6 +972,16 @@ def test_each_island_is_explored_from_its_least_key_edges_twice(monkeypatch):
     pytest.param(lambda net, d: (net.new_edge(("node", d, "in"), ("free", "x")),
                                  net.new_edge(("node", d, "in"), ("free", "y"))),
                  r"port \(1, 'in'\) attached twice", id="shared-port"),
+    # a whole net whose box is left through the principal door's premise
+    pytest.param(lambda net, d: (net.new_node("bang"),
+                                 net.new_edge(("node", d, "in"), ("node", 3, "out")),
+                                 net.new_edge(("node", 3, "in"), ("free", "x")),
+                                 net.boxes.update({6: Box(3, (), {3})})),
+                 r"^edge 5 crosses box 6 away from a door$", id="box-crossed"),
+    # a whole net with an atom below level 0
+    pytest.param(lambda net, d: net.new_edge(("node", d, "in"), ("free", "x"),
+                                             negative_level()),
+                 r"^edge 3 carries a negative level$", id="negative-level"),
     # a box around a wired bang that also holds a node the net lacks
     pytest.param(lambda net, d: (net.new_node("bang"),
                                  net.new_edge(("node", d, "in"), ("node", 3, "out")),
@@ -936,8 +998,8 @@ def test_each_island_is_explored_from_its_least_key_edges_twice(monkeypatch):
                  r"root edge missing", id="missing-root-edge"),
 ])
 def test_iso_check_names_the_edge_or_port_it_cannot_sign(build, problem):
-    # the wholeness gate refuses each net before it is signed, in
-    # validate's words
+    # iso_check's gate refuses each net validate rejects before it is
+    # signed, in validate's words
     net = Net()
     d = net.new_node("derelict")
     net.root = net.new_edge(("root",), ("node", d, "out"))
@@ -1114,7 +1176,7 @@ def test_contraction_step_places_the_copies_in_the_enclosing_box():
     assert len(fans) == 1 and len(net.boxes) == 2
     out = closed_cut_step(net, fans[0])
     assert len(out.boxes) == 3
-    assert validate(out, strict_levels=True) == []
+    assert validate(out) == box_depth_problems(out) == []
 
 
 def test_commutative_step_moves_box_inside():
@@ -1148,4 +1210,4 @@ def test_initialized_translations_have_strict_levels_corpus():
     for entry in corpus(7):
         for translate in (translate_cbv, translate_cbn):
             net = translate(entry.initial)
-            assert validate(net, strict_levels=True) == [], entry.name
+            assert validate(net) == box_depth_problems(net) == [], entry.name

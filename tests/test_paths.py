@@ -23,6 +23,12 @@ def identity_application():
                atomic("c"))
 
 
+def state(net, eid, to_end):
+    """The state of ``DirectedEdges(net)`` that traverses edge ``eid``
+    towards ``ends[to_end]``: the table numbers edges in the net's order."""
+    return 2 * list(net.edges).index(eid) + to_end
+
+
 def test_wire_paths_both_orientations():
     net = translate_cbv(Var("x", atomic("a")))
     table = DirectedEdges(net)
@@ -31,6 +37,17 @@ def test_wire_paths_both_orientations():
     assert len(paths) == 2
     assert tuple(state ^ 1 for state in reversed(paths[0])) == paths[1]
     assert all(table.interface[path[-1]] for path in paths)
+
+
+def test_the_table_keeps_the_state_leaving_the_root():
+    for entry in corpus(5)[::3]:
+        for translate in (translate_cbv, translate_cbn):
+            net = translate(entry.initial)
+            table = DirectedEdges(net)
+            at = net.edges[net.root].ends.index(("root",))
+            assert table.root == state(net, net.root, 1 - at)
+            assert table.root in table.starts
+    assert DirectedEdges(Net()).root is None
 
 
 def test_empty_path_weight_is_one():
@@ -46,10 +63,10 @@ def test_no_twisting_between_premises():
     table = DirectedEdges(net)
     tensor = next(n for n, k in net.nodes.items() if k == "tensor")
     eid, idx = net.ports[(tensor, "left")]
-    conts = table.succ[table.state(eid, idx)]
+    conts = table.succ[state(net, eid, idx)]
     # from the left premise the only way on is through the conclusion
     assert len(conts) == 1
-    edge, to_end = table.edge_ids[conts[0] >> 1], conts[0] & 1
+    edge, to_end = list(net.edges)[conts[0] >> 1], conts[0] & 1
     assert net.ports[(tensor, "out")] == (edge, 1 - to_end)
 
 
@@ -83,7 +100,7 @@ def test_weakening_kills_path_weight():
     entry = prepare("k", parse_lambda("\\x.\\y.x"))
     net = translate_cbv(entry.initial)
     table = DirectedEdges(net)
-    weakened = [k for k, eid in enumerate(table.edge_ids)
+    weakened = [k for k, eid in enumerate(net.edges)
                 if net.edges[eid].weight is None]
     assert weakened
     assert all(table.words[2 * k + end] is None
@@ -93,7 +110,7 @@ def test_weakening_kills_path_weight():
         for translate in (translate_cbv, translate_cbn):
             net = translate(entry.initial)
             table = DirectedEdges(net)
-            for k, eid in enumerate(table.edge_ids):
+            for k, eid in enumerate(net.edges):
                 weight = net.edges[eid].weight
                 assert table.words[2 * k + 1] == weight
                 assert table.words[2 * k] == involute(weight)
@@ -196,11 +213,11 @@ def test_weight_set_takes_whole_chains_as_the_reference_takes_steps():
     tables = (table.words, table.interface, table.succ)
     # from T.left a path has one way on until it arrives at x, three steps
     # that read p*; after the root's q the word is null at the second
-    end, word, hops = paths._run(table.state(to_x, 1), *tables)
+    end, word, hops = paths._run(state(net, to_x, 1), *tables)
     assert (table.interface[end], word, hops) == (True, watom("p", star=True), 2)
     assert normal_word(watom("q") + word) is None
     # from F.right the second step enters the weakening's zero
-    end, word, hops = paths._run(table.state(to_weakening, 1), *tables)
+    end, word, hops = paths._run(state(net, to_weakening, 1), *tables)
     assert (table.words[end], word, hops) == (None, None, 1)
     words = weight_set(net)
     assert words == depth_first_weight_set(net)

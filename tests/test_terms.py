@@ -701,6 +701,65 @@ def test_graph_configurations_hash_as_their_fields_do():
     assert configs > 2000
 
 
+def _deepest_leaf_replaced(term, leaf):
+    """``term`` with the variable at the end of its first-child spine
+    replaced by ``leaf``."""
+    position = []
+    node = term
+    while type(node) is not Var:
+        node = node.fun if type(node) is App else node.body
+        position.append(0)
+    return terms.replace_at(term, tuple(position), leaf)
+
+
+@pytest.mark.parametrize("build", [_left_chain, _right_nested])
+def test_terms_5000_deep_compare_without_recursion(build):
+    # == walks node pairs on its own stack; the dataclass's == recursed once
+    # per level and overflowed at 400
+    a, b = build(5000), build(5000)
+    assert a == b and not a != b
+    other = _deepest_leaf_replaced(b, Var("w"))
+    assert a != other and not a == other
+    assert _deepest_leaf_replaced(b, Var("w")) == other
+
+
+def test_terms_of_different_classes_leave_the_comparison_to_the_other_side():
+    var, app = Var("x"), App(Var("x"), Var("y"))
+    assert var.__eq__(app) is NotImplemented and app.__eq__(1) is NotImplemented
+    assert app != Subst(Var("x"), Var("y"), "z") and var != "x"
+
+
+def _field_equal(a, b):
+    """The dataclass's == of two terms' compared fields, taken recursively:
+    the comparison terms had before == became a loop."""
+    return type(a) is type(b) and all(
+        _field_equal(x, y) if isinstance(x, TERM_CLASSES) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name))
+                     for f in dataclasses.fields(a) if f.compare))
+
+
+def test_graph_configurations_compare_as_their_fields_do():
+    # every pair of one graph's terms, as built, sharing subterms, and
+    # against copies that share none
+    pairs = equal = total = 0
+    for entry in corpus(8):
+        for calc in (LCF, LCA):
+            configs = list(reduction_graph(Configuration(entry.initial), calc).edges)
+            total += len(configs)
+            built = [config.term for config in configs]
+            copied = [copy.deepcopy(term) for term in built]
+            for a in built:
+                for b in built + copied:
+                    assert (a == b) == _field_equal(a, b)
+                    pairs += 1
+                    equal += a == b
+            for c1 in configs:
+                for c2 in configs:
+                    assert (c1 == c2) == (_field_equal(c1.term, c2.term)
+                                          and c1.erased == c2.erased)
+    assert pairs > 35_000 and equal >= 2 * total
+
+
 def test_a_pickle_hashes_like_a_node_built_in_another_process(tmp_path):
     # str hashes differ between processes, so a pickled node must not bring
     # along the hash it was given where it was made

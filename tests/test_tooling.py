@@ -203,6 +203,30 @@ def test_nets_renumbered_by_the_benchmark_validate_sign_and_search_alike(
             assert made.ports == port_scan(made)
 
 
+def test_no_new_or_copied_net_starts_with_a_stale_fact():
+    # a net keeps what was read of it once (its port map, validate's
+    # verdict, iso_check's kind count and signature), and each starts unset;
+    # a copy carries the port map alone, so the nets a step or a contraction
+    # makes from a copy are judged, counted and signed afresh
+    kept = {"_ports", "_verdict", "_kinds", "_signature"}
+    fresh = vars(nets.Net())
+    assert {name for name in fresh if name.startswith("_")} - {"_next"} == kept
+    assert all(fresh[name] is None for name in kept)
+    made = 0
+    for entry in corpus(6)[::4]:
+        net = translate_cbn(entry.initial)
+        assert validate(net) == [] and iso_check(net, net)
+        assert all(getattr(net, name) is not None for name in kept)
+        copy = net.copy()
+        assert copy._ports == net._ports
+        assert copy._verdict is copy._kinds is copy._signature is None
+        for out in [closed_cut_step(net, cut) for cut in eligible_cuts(net)] + [
+                contracted(net)]:
+            assert out._verdict is out._kinds is out._signature is None
+            made += 1
+    assert made > 20
+
+
 def test_only_the_suites_catch_every_exception():
     # a suite turns any exception into a reported failure; anywhere else a
     # bare except Exception would hide a fault
@@ -212,8 +236,8 @@ def test_only_the_suites_catch_every_exception():
 
 
 def test_only_the_suites_catch_a_net_error():
-    # the cut search asks for a record or None, and iso_check's wholeness
-    # gate refuses a net before it is signed; a try around a NetError in
+    # the cut search asks for a record or None, and iso_check's gate,
+    # validate, refuses a net before it is signed; a try around a NetError in
     # any module but checks.py would make an exception its control flow
     def subclasses(cls):
         return {cls.__name__}.union(*map(subclasses, cls.__subclasses__()))
@@ -233,8 +257,9 @@ def test_only_the_suites_catch_a_net_error():
 
 
 def test_the_signing_code_neither_raises_nor_catches():
-    # iso_check's wholeness gate (nets._kinds) is the one place a net is
-    # checked before it is signed; the code that signs takes a whole net
+    # iso_check's gate (nets._kinds, through validate) is the one place a net
+    # is checked before it is signed; the code that signs takes a net
+    # validate accepts
     signing = {"contracted", "_explore", "_Islands", "_anchor_key",
                "_signature_part", "canonical_signature"}
     found = {node.name: node for node in ast.parse((SRC / "nets.py").read_text()).body
