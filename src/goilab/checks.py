@@ -1,7 +1,10 @@
 """Machine-checkable property suites over the desk-scale corpus.
 
-Each check returns a report dict with an ``ok`` flag plus enough detail to
-diagnose a failure; the CLI and the acceptance tests share these.
+Every suite returns ``_report``'s dict: ``ok``, the first ``FAILURES_LISTED``
+failure records, ``failures_total`` and the suite's counts.  Every failure
+is one ``_failure`` record with the same keys: entry, calculus, rule,
+position, a problem kind from ``PROBLEMS``, the type name of the exception
+behind it, and a detail.  The CLI and the acceptance tests share these.
 """
 
 from __future__ import annotations
@@ -9,17 +12,14 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
-from .algebra import (ONE, ZERO, compose, entry_level_needed, involute,
-                      lw, watom)
+from .algebra import ONE, ZERO, compose, entry_level_needed, involute, lw, watom
 from .calculus import (LCA, LCF, Configuration, FuelExhaustedError, TraceStep,
                        FUEL, default_sigma_fuel, reduce, reduction_graph, sigma_walk)
 from .corpus import CorpusEntry
 from .labelled import label_of
-from .labels import (ArgumentLabelError, Atomic, Over, RIGHT, Under,
-                     concat, format_label, mark, reverse,
+from .labels import (Atomic, Over, RIGHT, Under, concat, format_label, mark, reverse,
                      split_argument_label)
-from .nets import (closed_cut_step, eligible_cuts, iso_check, translate_cbn,
-                   translate_cbv)
+from .nets import closed_cut_step, eligible_cuts, iso_check, translate_cbn, translate_cbv
 from .paths import check_invariance, weight_member, weight_set
 from .terms import (Abs, App, Copy, Erase, Subst, Term, Var, check_linear,
                     compile_term, format_term, free_vars, subterms, term_size)
@@ -29,6 +29,40 @@ IDENTITY_RULES = ("App1", "Lam", "Cpy2", "Ers2")
 DESK_SIZE = 7
 # random samples of the algebra laws, criterion 10
 ALGEBRA_SAMPLES = 1000
+# failure records a report lists; ``failures_total`` counts them all
+FAILURES_LISTED = 40
+# every failure's problem kind, in the order of the criteria that report it
+PROBLEMS = frozenset({
+    "miscompiled", "not linear", "free variables changed", "not deterministic",
+    "trace fuel exhausted", "sigma fuel exhausted", "closed substitution survives",
+    "fuel exhausted at desk size", "distinct sinks", "first atom changed",
+    "label ends in a marker", "last atom names another kind", "open substitution",
+    "malformed argument label", "variable atom before a malformed argument label",
+    "weight set not found", "live words lost", "live words gained",
+    "net cannot be built", "nets cannot be compared", "expected identical nets",
+    "eligible cut does not step", "no cut step reaches the reduct",
+    "final weight not decided", "zero final weight", "final weight not realised",
+    "composition not associative", "unit law broken", "absorption broken",
+    "involution not an anti-homomorphism", "involution not involutive",
+    "composite row incoherent", "reversal symmetry broken", "W marker did not absorb",
+})
+
+
+def _failure(problem: str, entry=None, calculus=None, rule=None, position=None,
+             error: Optional[Exception] = None, detail=None) -> dict:
+    """One failure record.  ``entry`` names the corpus entry, or criterion
+    1's golden source; ``position`` is a term position, or criterion 10's
+    sample number; ``detail`` defaults to ``error``'s message."""
+    return {"entry": entry, "calculus": calculus, "rule": rule,
+            "position": position, "problem": problem,
+            "error": None if error is None else type(error).__name__,
+            "detail": str(error) if detail is None and error else detail}
+
+
+def _report(failures: list, **counts) -> dict:
+    """A suite's report on its failure records and counts."""
+    return {"ok": not failures, "failures": failures[:FAILURES_LISTED],
+            "failures_total": len(failures), **counts}
 
 
 def _trace(entry: CorpusEntry, calculus: str, fuel: int) -> Optional[list]:
@@ -49,17 +83,17 @@ def _traces(entries: Iterable[CorpusEntry], calculi: Iterable[str], fuel: int,
     for entry in entries:
         for calculus in calculi:
             if (trace := _trace(entry, calculus, fuel)) is None:
-                failures.append(f"{entry.name}/{calculus}: trace fuel exhausted")
+                failures.append(_failure("trace fuel exhausted", entry.name, calculus))
             else:
                 yield entry, calculus, trace
 
 
-def _attempted(fn, *args):
-    """``fn(*args)``, or the exception it raised as ``"<Type>: <message>"``."""
+def _attempted(fn, *args) -> tuple:
+    """``(fn(*args), None)``, or ``(None, the exception it raised)``."""
     try:
-        return fn(*args)
+        return fn(*args), None
     except Exception as exc:  # a suite reports every error as a failure
-        return f"{type(exc).__name__}: {exc}"
+        return None, exc
 
 
 # ---------------------------------------------------------------------------
@@ -79,21 +113,19 @@ COMPILE_EXPECTED = (
 def check_compile_fidelity(entries: Iterable[CorpusEntry]) -> dict:
     failures = []
     for source, expected in COMPILE_EXPECTED:
-        # unlabelled terms: equal terms print alike, so printing only words
-        # a failure
+        # unlabelled terms print alike when equal, so only a failure prints
         if (got := compile_term(source)) != expected:
-            failures.append(f"compile({format_term(source)!r}) printed "
-                            f"{format_term(got)!r}, wanted {format_term(expected)!r}")
+            failures.append(_failure("miscompiled", format_term(source), detail=[
+                format_term(got), format_term(expected)]))
     for entry in entries:
-        violations = check_linear(entry.compiled)
-        if violations:
-            failures.append(f"{entry.name}: linearity violations {violations}")
+        if violations := check_linear(entry.compiled):
+            failures.append(_failure("not linear", entry.name, detail=violations))
         if free_vars(entry.compiled) != free_vars(entry.source):
-            failures.append(f"{entry.name}: free variables changed by compilation")
+            failures.append(_failure("free variables changed", entry.name))
         # compiled terms carry no labels, so equal terms are equal prints
         if compile_term(entry.source) != entry.compiled:
-            failures.append(f"{entry.name}: compilation not deterministic")
-    return {"ok": not failures, "failures": failures}
+            failures.append(_failure("not deterministic", entry.name))
+    return _report(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +138,8 @@ def _sigma_nfs(entries: Iterable[CorpusEntry], fuel: int, failures: list):
     for entry, calculus, trace in _traces(entries, (LCF, LCA), fuel, failures):
         for ts, nf in zip(trace, _trace_sigma_nfs(trace, calculus)):
             if nf is None:
-                failures.append(f"{entry.name}/{calculus}: sigma fuel exhausted "
-                                f"on {format_term(ts.config.term, labels=True)}")
+                failures.append(_failure("sigma fuel exhausted", entry.name, calculus,
+                                         detail=format_term(ts.config.term, labels=True)))
             yield entry, calculus, nf
 
 
@@ -144,7 +176,7 @@ def check_sigma_termination(entries: Iterable[CorpusEntry],
                             fuel: int = FUEL) -> dict:
     failures = []
     checked = sum(1 for _ in _sigma_nfs(entries, fuel, failures))
-    return {"ok": not failures, "failures": failures, "configurations": checked}
+    return _report(failures, configurations=checked)
 
 
 def check_propagation(entries: Iterable[CorpusEntry],
@@ -153,9 +185,9 @@ def check_propagation(entries: Iterable[CorpusEntry],
     for entry, calculus, nf in _sigma_nfs(entries, fuel, failures):
         for pos, t in subterms(nf.term) if nf else ():
             if isinstance(t, Subst) and not free_vars(t.arg):
-                failures.append(f"{entry.name}/{calculus}: closed substitution "
-                                f"survives sigma normalisation at {pos}")
-    return {"ok": not failures, "failures": failures}
+                failures.append(_failure("closed substitution survives", entry.name,
+                                         calculus, position=pos))
+    return _report(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +200,7 @@ def _graphs(entries: Iterable[CorpusEntry], calculus: str, fuel: int,
     to ``exhausted``, unchecked, and yielded with None for its graph only
     at desk size, where that is a failure."""
     for entry in entries:
-        graph = reduction_graph(Configuration(entry.initial), calculus,
-                                max_configs=fuel)
+        graph = reduction_graph(Configuration(entry.initial), calculus, max_configs=fuel)
         if graph.complete:
             yield entry, graph
         else:
@@ -180,26 +211,19 @@ def _graphs(entries: Iterable[CorpusEntry], calculus: str, fuel: int,
 
 def check_confluence(entries: Iterable[CorpusEntry], calculus: str,
                      fuel: int = FUEL) -> dict:
-    failures = []
-    exhausted = []
+    failures, exhausted = [], []
     for entry, graph in _graphs(entries, calculus, fuel, exhausted):
         if graph is None:
-            failures.append(f"{entry.name}: fuel exhausted at desk size")
+            failures.append(_failure("fuel exhausted at desk size", entry.name, calculus))
         elif len(sinks := graph.sink_terms()) > 1:
-            failures.append(f"{entry.name}: {len(sinks)} distinct sinks")
-    return {"ok": not failures, "failures": failures, "fuel_exhausted": exhausted}
+            failures.append(_failure("distinct sinks", entry.name, calculus,
+                                     detail=sorted(format_term(t, labels=True)
+                                                   for t in sinks)))
+    return _report(failures, fuel_exhausted=exhausted)
 
 
 # ---------------------------------------------------------------------------
 # criterion 5: label-shape lemmas
-
-def _argument_problem(label, boxed: bool) -> Optional[str]:
-    try:
-        split_argument_label(label, boxed)
-    except ArgumentLabelError as exc:
-        return str(exc)
-    return None
-
 
 def _forward_sequences(label):
     """Atom sequences in reading order; underline blocks hold reversed
@@ -213,63 +237,61 @@ def _forward_sequences(label):
             yield from _forward_sequences(reverse(atom.inner))
 
 
-def _variable_atom_problems(entry: CorpusEntry, label) -> list:
+def _variable_atom_failures(entry: CorpusEntry, label, position):
     """An ``lcf`` lemma: in each forward sequence of ``label``, what follows
-    a variable's atom reads as an unboxed argument label."""
-    problems = []
+    a variable's atom reads as an unboxed argument label.  Yields a failure
+    where it does not."""
     for seq in _forward_sequences(label):
-        for i, atom in enumerate(seq):
-            if (isinstance(atom, Atomic)
-                    and entry.atom_classes.get(atom.name) == "var"
-                    and i + 1 < len(seq)):
+        for i, atom in enumerate(seq[:-1]):
+            if isinstance(atom, Atomic) and entry.atom_classes.get(atom.name) == "var":
                 suffix = seq[i + 1:]
-                problem = _argument_problem(suffix, boxed=False)
-                if problem:
-                    problems.append(
-                        f"{entry.name}/lcf: variable atom {atom.name} followed "
-                        f"by {format_label(suffix)} ({problem})")
-    return problems
+                if error := _attempted(split_argument_label, suffix, False)[1]:
+                    yield _failure("variable atom before a malformed argument label",
+                                   entry.name, LCF, position=position, error=error,
+                                   detail=[atom.name, format_label(suffix), str(error)])
+
+
+def _label_failures(entry: CorpusEntry, calculus: str, term: Term) -> list:
+    """The failures of one configuration's ``term``, the variable-atom
+    ones last."""
+    where = entry.name, calculus
+    failures, atom_failures = [], []
+    if violations := check_linear(term):
+        failures.append(_failure("not linear", *where, detail=violations))
+    first = label_of(term)[0]
+    if not (isinstance(first, Atomic) and first.name == entry.root_atom):
+        failures.append(_failure("first atom changed", *where,
+                                 detail=[format_label((first,)), entry.root_atom]))
+    for pos, t in subterms(term):
+        label = getattr(t, "label", None)
+        if label is not None:
+            last = label[-1]
+            cls = type(t).__name__.lower()
+            if not isinstance(last, Atomic):
+                failures.append(_failure("label ends in a marker", *where, position=pos))
+            elif (marked := entry.atom_classes.get(last.name)) != cls:
+                failures.append(_failure("last atom names another kind", *where,
+                                         position=pos, detail=[last.name, marked, cls]))
+            if calculus == LCF:
+                atom_failures += _variable_atom_failures(entry, label, pos)
+        if isinstance(t, Subst):
+            if calculus == LCA and free_vars(t.arg):
+                failures.append(_failure("open substitution", *where, position=pos))
+            arg_label = label_of(t.arg)
+            if error := _attempted(split_argument_label, arg_label, calculus == LCA)[1]:
+                failures.append(_failure("malformed argument label", *where, position=pos,
+                                         error=error,
+                                         detail=[format_label(arg_label), str(error)]))
+    return failures + atom_failures
 
 
 def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
                        fuel: int = FUEL) -> dict:
     failures = []
     for entry, _, trace in _traces(entries, (calculus,), fuel, failures):
-        where = f"{entry.name}/{calculus}"
         for ts in trace:
-            c = ts.config
-            if check_linear(c.term):
-                failures.append(f"{where}: linearity broken")
-            root = label_of(c.term)
-            first = root[0]
-            if not (isinstance(first, Atomic) and first.name == entry.root_atom):
-                failures.append(f"{where}: first label is {format_label((first,))}"
-                                f", expected {entry.root_atom}")
-            atom_failures = []  # reported after the configuration's others
-            for pos, t in subterms(c.term):
-                label = getattr(t, "label", None)
-                if label is not None:
-                    last = label[-1]
-                    cls = type(t).__name__.lower()
-                    if not isinstance(last, Atomic):
-                        failures.append(f"{where}: label at {pos} ends in a marker")
-                    elif entry.atom_classes.get(last.name) != cls:
-                        failures.append(
-                            f"{where}: last atom {last.name} marks a "
-                            f"{entry.atom_classes.get(last.name)}, found {cls}")
-                    if calculus == LCF:
-                        atom_failures += _variable_atom_problems(entry, label)
-                if isinstance(t, Subst):
-                    if calculus == LCA and free_vars(t.arg):
-                        failures.append(f"{where}: open substitution at {pos}")
-                    arg_label = label_of(t.arg)
-                    problem = _argument_problem(arg_label, boxed=(calculus == LCA))
-                    if problem:
-                        failures.append(
-                            f"{where}: argument label {format_label(arg_label)}"
-                            f" at {pos}: {problem}")
-            failures += atom_failures
-    return {"ok": not failures, "failures": failures[:50]}
+            failures += _label_failures(entry, calculus, ts.config.term)
+    return _report(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +304,7 @@ def _step_edges(entry: CorpusEntry, calculus: str, fuel: int):
     of the trace already.  When the trace runs out of fuel as well,
     ``FuelExhaustedError`` follows the graph's steps."""
     seen = set()
-    graph = reduction_graph(Configuration(entry.initial), calculus,
-                            max_configs=fuel)
+    graph = reduction_graph(Configuration(entry.initial), calculus, max_configs=fuel)
     for src, site, dst in graph.steps():
         key = (src.term, site, dst.term)
         if key not in seen:
@@ -307,15 +328,14 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
     For every checked step the live words of interface-to-interface
     straight paths, those not null in the dynamic algebra, are found on
     both nets and must be equal.  Each term's net is translated and
-    searched once per call, however many steps touch it.  A failure names
-    the term, rule and position of the step and the live words found on
-    one side only, or the error that stopped the step: a search that runs
-    out of ``paths.MAX_EXPANSIONS`` is one, and so is a trace that runs out
-    of ``fuel`` when ``fuel`` configurations cut the graph short.
-    """
+    searched once per call, however many steps touch it.  A step fails on
+    the live words found on one side only, or on the error that stopped a
+    translation or search (``paths.MAX_EXPANSIONS`` running out is one).  A
+    trace that runs out of ``fuel``, read when ``fuel`` configurations cut
+    the graph short, fails its entry."""
     translate = translate_cbv if calculus == LCF else translate_cbn
     failures = []
-    words_cache = {}  # term -> weight set of its net, or the error it raised
+    words_cache = {}  # term -> (weight set of its net, None), or (None, its error)
     checked = 0
 
     def words_of(term):
@@ -324,31 +344,26 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
         return words_cache[term]
 
     for entry in entries:
-        steps = _step_edges(entry, calculus, fuel)
         try:
-            for src, site, dst in steps:
+            for src, site, dst in _step_edges(entry, calculus, fuel):
                 checked += 1
-                where = {"term": entry.name, "rule": site.rule,
-                         "position": list(site.position)}
-                left, right = words_of(src), words_of(dst)
-                if isinstance(left, str) or isinstance(right, str):
-                    failures.append({**where, "error": left
-                                     if isinstance(left, str) else right})
+                where = entry.name, calculus, site.rule, site.position
+                (left, left_error), (right, right_error) = words_of(src), words_of(dst)
+                if error := left_error or right_error:
+                    failures.append(_failure("weight set not found", *where, error=error))
                     continue
                 report = check_invariance(left, right)
                 if not report["live_equal"]:
-                    failures.append({
-                        **where,
-                        "left_only": report["live_left_only"][:4],
-                        "right_only": report["live_right_only"][:4],
-                    })
-        except FuelExhaustedError as exc:
-            failures.append({"term": entry.name, "error": str(exc)})
+                    gained = report["live_right_only"]
+                    failures.append(_failure(
+                        "live words gained" if gained else "live words lost", *where,
+                        detail={"lost": report["live_left_only"], "gained": gained}))
+        except FuelExhaustedError:
+            failures.append(_failure("trace fuel exhausted", entry.name, calculus))
     # reduction may lose live weights but never invents them
-    containment = all(not f.get("right_only") for f in failures)
-    return {"ok": not failures, "failures": failures[:40], "steps_checked": checked,
-            "containment_ok": containment,
-            "failing_rules": sorted({f["rule"] for f in failures if "rule" in f})}
+    return _report(failures, steps_checked=checked, containment_ok=all(
+        f["problem"] != "live words gained" for f in failures),
+        failing_rules=sorted({f["rule"] for f in failures if f["rule"]}))
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +376,11 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
     cuts stepped, once per call.  An entry whose graph outgrows ``fuel``
     configurations is listed under ``fuel_exhausted``, unchecked; at desk
     size that is a failure, as in criterion 4 (``_graphs``).  A net that
-    cannot be built, or a pair that ``iso_check`` cannot compare, fails the
-    step that reads it.  ``iso_check`` refuses every net ``validate``
-    rejects, so a stepped net that is malformed fails as a pair that cannot
-    be compared, with ``validate``'s problems as its error."""
-    failures = []
-    exhausted = []
-    checked = 0
-    net_cache = {}  # term -> its net, or the error its translation raised
-    stepped = {}  # term -> its net stepped at each eligible cut, or the error
+    cannot be built, or a pair that ``iso_check`` cannot compare, a stepped
+    net ``validate`` rejects among them, fails the step that reads it."""
+    failures, exhausted, checked = [], [], 0
+    net_cache = {}  # term -> (its net, None), or (None, its translation's error)
+    stepped = {}  # term -> (net, error) of its net stepped at each eligible cut
 
     def net_of(term):
         if term not in net_cache:
@@ -378,45 +389,39 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
 
     def same_net(a, b, where) -> Optional[bool]:
         """``iso_check``, or None once the error it raised is reported."""
-        if isinstance(same := _attempted(iso_check, a, b), str):
-            failures.append({**where, "problem": "nets cannot be compared",
-                             "error": same})
-            return None
+        same, error = _attempted(iso_check, a, b)
+        if error:
+            failures.append(_failure("nets cannot be compared", *where, error=error))
         return same
 
     for entry, graph in _graphs(entries, LCA, fuel, exhausted):
         if graph is None:
-            failures.append({"term": entry.name,
-                             "problem": "fuel exhausted at desk size"})
+            failures.append(_failure("fuel exhausted at desk size", entry.name, LCA))
             continue
         for src, site, dst in graph.steps():
             checked += 1
-            left, right = net_of(src.term), net_of(dst.term)
-            where = {"term": entry.name, "rule": site.rule}
-            if error := next((n for n in (left, right) if isinstance(n, str)), None):
-                failures.append({**where, "problem": "net cannot be built",
-                                 "error": error})
+            (left, left_error), (right, right_error) = net_of(src.term), net_of(dst.term)
+            where = entry.name, LCA, site.rule, site.position
+            if error := left_error or right_error:
+                failures.append(_failure("net cannot be built", *where, error=error))
                 continue
             if site.rule in IDENTITY_RULES:
                 if same_net(left, right, where) is False:
-                    failures.append({**where, "problem": "expected identical nets"})
+                    failures.append(_failure("expected identical nets", *where))
                 continue
             if src.term not in stepped:
                 stepped[src.term] = [_attempted(closed_cut_step, left, cut)
                                      for cut in eligible_cuts(left)]
             hits = 0
-            for rewritten in stepped[src.term]:
-                if isinstance(rewritten, str):  # an eligible cut must step
-                    failures.append({**where, "problem": "eligible cut does not step",
-                                     "error": rewritten})
-                    continue
-                if same_net(rewritten, right, where):
+            for rewritten, error in stepped[src.term]:
+                if error:  # an eligible cut must step
+                    failures.append(_failure("eligible cut does not step", *where,
+                                             error=error))
+                elif same_net(rewritten, right, where):
                     hits += 1
             if hits == 0:
-                failures.append({**where,
-                                 "problem": "no single closed cut step reaches the reduct"})
-    return {"ok": not failures, "failures": failures[:40], "steps_checked": checked,
-            "fuel_exhausted": exhausted}
+                failures.append(_failure("no cut step reaches the reduct", *where))
+    return _report(failures, steps_checked=checked, fuel_exhausted=exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -427,30 +432,26 @@ def check_goi_end_to_end(entries: Iterable[CorpusEntry],
     """Criterion 9: under ``lcf`` (call-by-value net) and ``lca``
     (call-by-name net), the weight of each entry's final external label is
     realised by a straight path from the root of the initial term's net.
-
-    Besides a word no path realises, these are failures: a trace out of
-    ``fuel``, a zero weight, and any exception, such as a level underflow,
-    a net that cannot be built or an exhausted search budget.  ``checked``
-    counts the (entry, calculus) pairs whose word was decided, realised or
-    not.
-    """
+    A trace out of ``fuel``, a zero weight and any exception, such as a
+    level underflow or an exhausted search budget, fail a pair too.
+    ``checked`` counts the pairs whose word was decided, realised or not."""
     failures = []
     checked = 0
     for entry, calculus, trace in _traces(entries, (LCF, LCA), fuel, failures):
         translate = translate_cbv if calculus == LCF else translate_cbn
-        realised = _attempted(_label_realised, trace[-1].config.term,
-                              entry.initial, translate)
-        where = f"{entry.name}/{calculus}"
-        if isinstance(realised, str):
-            failures.append(f"{where}: {realised}")
+        realised, error = _attempted(_label_realised, trace[-1].config.term,
+                                     entry.initial, translate)
+        if error:
+            failures.append(_failure("final weight not decided", entry.name, calculus,
+                                     error=error))
         elif realised is None:
-            failures.append(f"{where}: final label has zero weight")
+            failures.append(_failure("zero final weight", entry.name, calculus))
         else:
             checked += 1
             if not realised:
-                failures.append(f"{where}: lw of final label "
-                                f"not realised by a straight path from the root")
-    return {"ok": not failures, "failures": failures[:40], "checked": checked}
+                failures.append(_failure("final weight not realised", entry.name,
+                                         calculus))
+    return _report(failures, checked=checked)
 
 
 def _label_realised(final: Term, initial: Term, translate) -> Optional[bool]:
@@ -499,15 +500,15 @@ def check_algebra_laws(seed: int = 0) -> dict:
     for i in range(ALGEBRA_SAMPLES):
         a, b, c = random_weight(), random_weight(), random_weight()
         if compose(compose(a, b), c) != compose(a, compose(b, c)):
-            failures.append(f"sample {i}: composition not associative")
+            failures.append(_failure("composition not associative", position=i))
         if compose(ONE, a) != a or compose(a, ONE) != a:
-            failures.append(f"sample {i}: unit law broken")
+            failures.append(_failure("unit law broken", position=i))
         if not (compose(ZERO, a) is None and compose(a, ZERO) is None):
-            failures.append(f"sample {i}: absorption broken")
+            failures.append(_failure("absorption broken", position=i))
         if involute(compose(a, b)) != compose(involute(b), involute(a)):
-            failures.append(f"sample {i}: involution not an anti-homomorphism")
+            failures.append(_failure("involution not an anti-homomorphism", position=i))
         if involute(involute(a)) != a:
-            failures.append(f"sample {i}: involution not involutive")
+            failures.append(_failure("involution not involutive", position=i))
 
         label = random_label(rng)
         level = entry_level_needed(label)
@@ -519,12 +520,10 @@ def check_algebra_laws(seed: int = 0) -> dict:
             right = lw(tail, left.out_level)
             if full.weight != compose(left.weight, right.weight) \
                     or right.out_level != full.out_level:
-                failures.append(f"sample {i}: composite row incoherent")
+                failures.append(_failure("composite row incoherent", position=i))
         rev = lw(reverse(label), full.out_level)
-        if rev.weight != involute(full.weight) \
-                or rev.out_level != level:
-            failures.append(f"sample {i}: reversal symmetry broken")
+        if (rev.weight, rev.out_level) != (involute(full.weight), level):
+            failures.append(_failure("reversal symmetry broken", position=i))
         if lw(concat(mark(RIGHT, "W"), label), level).weight is not None:
-            failures.append(f"sample {i}: W marker did not absorb")
-    return {"ok": not failures, "failures": failures[:20],
-            "samples": ALGEBRA_SAMPLES}
+            failures.append(_failure("W marker did not absorb", position=i))
+    return _report(failures, samples=ALGEBRA_SAMPLES)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .labelled import initialize, label_of
 from .labels import Atomic
-from .terms import Abs, App, Term, Var, compile_term, parse_lambda, subterms
+from .terms import Abs, App, Subst, Term, Var, compile_term, parse_lambda
 
 
 def _terms(size: int, depth: int):
@@ -53,14 +53,22 @@ class CorpusEntry:
 
 
 def _classes(term: Term) -> dict:
+    """Initialisation atom -> the kind of node it labels, in preorder: a loop
+    over an explicit stack that makes no positions, so a deep term costs no
+    more than its size."""
     classes = {}
-    for _, t in subterms(term):
-        label = getattr(t, "label", None)
-        if label is None:
-            continue
-        atom = label[0]
-        assert isinstance(atom, Atomic) and len(label) == 1
-        classes[atom.name] = type(t).__name__.lower()
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is App or kind is Subst:
+            stack += (t.arg, t.fun if kind is App else t.body)
+        elif kind is not Var:
+            stack.append(t.body)
+        if kind is Var or kind is Abs or kind is App:
+            atom = t.label[0]
+            assert isinstance(atom, Atomic) and len(t.label) == 1
+            classes[atom.name] = kind.__name__.lower()
     return classes
 
 

@@ -7,9 +7,11 @@ from itertools import count
 from typing import Optional
 
 from .labels import Label, atomic, concat
-from .terms import Abs, App, Copy, Erase, Subst, Term, Var, relabel
+from .terms import Abs, App, Copy, Erase, Subst, Term, Var, relabel, replace_child
 
 LABEL_NAMES = "abcdefghijklmnopqrstuvwxyz"
+# the nodes a label lookup passes through to the nearest construct
+_PASSED = (Erase, Copy, Subst)
 
 
 def _label_name(index: int) -> str:
@@ -36,29 +38,27 @@ def bullet(prefix: Label, term: Term) -> Term:
 
 def with_label(term: Term, label: Optional[Label]) -> Term:
     """``term`` with the label of its nearest construct set to ``label``,
-    passing through copy, erase and substitution nodes."""
+    passing through copy, erase and substitution nodes: a walk down to it,
+    then a rebuild of each node above it, both loops."""
+    above = []
+    while type(term) in _PASSED:
+        above.append(term)
+        term = term.body
     match term:
         case Var(name, _):
-            return Var(name, label)
+            term = Var(name, label)
         case Abs(binder, body, _):
-            return Abs(binder, body, label)
+            term = Abs(binder, body, label)
         case App(fun, arg, _):
-            return App(fun, arg, label)
-        case Erase(binder, body):
-            return Erase(binder, with_label(body, label))
-        case Copy(source, left, right, body):
-            return Copy(source, left, right, with_label(body, label))
-        case Subst(body, arg, target):
-            return Subst(with_label(body, label), arg, target)
-    raise AssertionError
+            term = App(fun, arg, label)
+    for node in reversed(above):
+        term = replace_child(node, 0, term)
+    return term
 
 
 def label_of(term: Term) -> Optional[Label]:
     """External label: the label of the construct reached by passing through
     copy, erase and substitution nodes, or None when it is unlabelled."""
-    match term:
-        case Var(_, label) | Abs(_, _, label) | App(_, _, label):
-            return label
-        case Erase(_, body) | Copy(_, _, _, body) | Subst(body, _, _):
-            return label_of(body)
-    raise AssertionError
+    while type(term) in _PASSED:
+        term = term.body
+    return term.label

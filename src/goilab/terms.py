@@ -699,20 +699,31 @@ def rename_free(t: Term, old: str, new: str) -> Term:
 def relabel(term: Term, label_for: Callable[[], Optional[Label]]) -> Term:
     """``term`` with each variable, abstraction and application labelled
     ``label_for()``, called once per node in preorder.  Copy, erase and
-    substitution nodes carry no label."""
-    match term:
-        case Var(name, _):
-            return Var(name, label_for())
-        case Abs(binder, body, _):
-            label = label_for()
-            return Abs(binder, relabel(body, label_for), label)
-        case App(fun, arg, _):
-            label = label_for()
-            return App(relabel(fun, label_for), relabel(arg, label_for), label)
-        case Erase(binder, body):
-            return Erase(binder, relabel(body, label_for))
-        case Copy(source, left, right, body):
-            return Copy(source, left, right, relabel(body, label_for))
-        case Subst(body, arg, target):
-            return Subst(relabel(body, label_for), relabel(arg, label_for), target)
-    raise AssertionError
+    substitution nodes carry no label.  A loop over an explicit stack, as
+    ``compile_term``'s second walk, so a deep term cannot overflow the
+    interpreter's: a node is labelled as it is reached, and rebuilt from its
+    built children as it is left."""
+    built = []  # the terms built for finished subterms, the latest last
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        kind = type(t)
+        if kind is Var:
+            built.append(Var(t.name, label_for()))
+        elif kind is App or kind is Subst:
+            label = label_for() if kind is App else None
+            stack += ((t, label), t.arg, t.fun if kind is App else t.body)
+        elif kind is not tuple:  # Abs, Erase, Copy
+            stack += ((t, label_for() if kind is Abs else None), t.body)
+        else:  # leaving a node: its children are built
+            node, label = t
+            kind, child = type(node), built.pop()
+            if kind is App:
+                built.append(App(built.pop(), child, label))
+            elif kind is Subst:
+                built.append(Subst(built.pop(), child, node.target))
+            elif kind is Abs:
+                built.append(Abs(node.binder, child, label))
+            else:
+                built.append(replace_child(node, 0, child))
+    return built.pop()

@@ -39,3 +39,12 @@ def port_scan(net):
     return {(end[1], end[2]): (eid, i) for eid, e in net.edges.items()
             for i, end in enumerate(e.ends)
             if end is not None and end[0] == "node"}
+
+
+def failure(problem, entry=None, calculus=None, rule=None, position=None,
+            error=None, detail=None) -> dict:
+    """A failure record as every suite in ``goilab.checks`` reports one,
+    spelt out key by key; ``error`` is the exception's type name."""
+    return {"entry": entry, "calculus": calculus, "rule": rule,
+            "position": position, "problem": problem, "error": error,
+            "detail": detail}

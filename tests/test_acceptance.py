@@ -82,17 +82,15 @@ def test_criterion_05_label_shape_lemmas():
 
 
 def _failing_steps(r):
-    """Term, rule, position and one differing live word of each failing step."""
+    """Entry, rule, position and problem of each failure listed, with one
+    differing live word on each side or the error."""
     lines = []
     for f in r["failures"]:
-        if f.get("left_only"):
-            what = f"lost {f['left_only'][0]}"
-        elif f.get("right_only"):
-            what = f"gained {f['right_only'][0]}"
-        else:
-            what = f["error"]
-        step = f" {f['rule']} at {f['position']}" if "rule" in f else ""
-        lines.append(f"{f['term']}{step}: {what}")
+        step = f" {f['rule']} at {f['position']}" if f["rule"] else ""
+        words = f["detail"] if isinstance(f["detail"], dict) else {}
+        what = [f"{f['error']}: {f['detail']}"] if f["error"] else [
+            f"{side} {found[0]}" for side, found in words.items() if found]
+        lines.append(f"{f['entry']}{step}: {', '.join([f['problem'], *what])}")
     return "; ".join(lines)
 
 
@@ -109,7 +107,7 @@ def test_criterion_06_weight_invariance_lcf_cbv():
                 _invariance_detail(r, elapsed))
     assert elapsed <= 600.0
     assert r["ok"], (
-        f"live weight sets differ on {len(r['failures'])} steps "
+        f"live weight sets differ on {r['failures_total']} steps "
         f"(rules {r['failing_rules']}): {_failing_steps(r)}")
 
 
@@ -121,7 +119,7 @@ def test_criterion_07_weight_invariance_lca_cbn():
                 _invariance_detail(r, elapsed))
     assert elapsed <= 600.0
     assert r["ok"], (
-        f"live weight sets differ on {len(r['failures'])} steps "
+        f"live weight sets differ on {r['failures_total']} steps "
         f"(rules {r['failing_rules']}): {_failing_steps(r)}")
 
 
@@ -136,7 +134,7 @@ def test_criteria_06_07_weight_invariance_on_the_size_8_corpus():
         report_line(number, f"step invariance on corpus(8) ({name})", r["ok"],
                     _invariance_detail(r, elapsed))
         assert r["ok"], (
-            f"live weight sets differ on {len(r['failures'])} steps "
+            f"live weight sets differ on {r['failures_total']} steps "
             f"(rules {r['failing_rules']}): {_failing_steps(r)}")
 
 

@@ -2,7 +2,7 @@ import dataclasses
 import re
 
 import pytest
-from conftest import closed_lambda_terms
+from conftest import closed_lambda_terms, failure
 from hypothesis import given, settings
 
 from goilab import calculus, checks
@@ -411,34 +411,44 @@ def test_label_lemmas_report_each_configurations_variable_atoms_last():
     # label-shape failures come first, then its variable-atom ones
     entry = prepare("t", parse_lambda("(\\x.x) (\\y.y)"))
     entry = dataclasses.replace(entry, atom_classes=dict.fromkeys(entry.atom_classes, "var"))
-    no_block = "(no underlined block after the exponential prefix)"
-    assert check_label_lemmas([entry], LCF)["failures"] == [
-        "t/lcf: last atom a marks a var, found app",
-        "t/lcf: last atom b marks a var, found abs",
-        "t/lcf: last atom d marks a var, found abs",
-        "t/lcf: last atom d marks a var, found abs",
-        f"t/lcf: variable atom a followed by <(D>.b.<!)>.c {no_block}",
-        f"t/lcf: variable atom b followed by <! {no_block}",
-        f"t/lcf: variable atom b followed by <! {no_block}",
-        "t/lcf: last atom d marks a var, found abs",
-        f"t/lcf: variable atom a followed by <(D>.b.<!)>.c._(!>.b.<D).d {no_block}",
-        f"t/lcf: variable atom b followed by <! {no_block}",
-        f"t/lcf: variable atom b followed by <! {no_block}",
+    def misread(atom, found, position):
+        return failure("last atom names another kind", "t", LCF, position=position,
+                       detail=[atom, "var", found])
+
+    def followed(atom, suffix, position):
+        return failure("variable atom before a malformed argument label", "t", LCF,
+                       position=position, error="ArgumentLabelError", detail=[
+                           atom, suffix, "no underlined block after the exponential prefix"])
+
+    report = check_label_lemmas([entry], LCF)
+    assert report["failures"] == [
+        misread("a", "app", ()),
+        misread("b", "abs", (0,)),
+        misread("d", "abs", (1,)),
+        misread("d", "abs", (1,)),
+        followed("a", "<(D>.b.<!)>.c", (0,)),
+        followed("b", "<!", (0,)),
+        followed("b", "<!", (1,)),
+        misread("d", "abs", ()),
+        followed("a", "<(D>.b.<!)>.c._(!>.b.<D).d", ()),
+        followed("b", "<!", ()),
+        followed("b", "<!", ()),
     ]
+    assert report["failures_total"] == 11
 
 
 def test_suites_report_an_exhausted_trace():
     entry = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
-    expected = ["id/lcf: trace fuel exhausted", "id/lca: trace fuel exhausted"]
+    expected = [failure("trace fuel exhausted", "id", calc) for calc in (LCF, LCA)]
     assert check_sigma_termination([entry], fuel=1)["failures"] == expected
     assert check_propagation([entry], fuel=1)["failures"] == expected
     assert check_goi_end_to_end([entry], fuel=1)["failures"] == expected
-    for calc, line in zip((LCF, LCA), expected):
-        assert check_label_lemmas([entry], calc, fuel=1)["failures"] == [line]
+    for calc, record in zip((LCF, LCA), expected):
+        assert check_label_lemmas([entry], calc, fuel=1)["failures"] == [record]
         assert check_label_lemmas([entry], calc, fuel=2)["ok"]
-        # criteria 6 and 7 read the trace when the fuel cuts the graph short
-        assert check_weight_invariance([entry], calc, fuel=1)["failures"] == [
-            {"term": "id", "error": "trace fuel exhausted"}]
+        # criteria 6 and 7 read the trace when the fuel cuts the graph
+        # short, and report its end in the same record
+        assert check_weight_invariance([entry], calc, fuel=1)["failures"] == [record]
         assert check_weight_invariance([entry], calc, fuel=2)["ok"]
     assert check_propagation([entry], fuel=2)["ok"]
     assert check_goi_end_to_end([entry], fuel=2)["ok"]
@@ -457,9 +467,9 @@ def test_propagation_reports_sigma_fuel_exhaustion(monkeypatch):
     # configuration is its own normal form and the one before a Var step
     # shares it, so only the initial one is walked.  Worded as in the
     # sigma-termination suite
-    assert len(report["failures"]) == 2
-    assert report["failures"][1].startswith("id/lca: sigma fuel exhausted on ")
-    assert report["failures"][0].startswith("id/lcf: sigma fuel exhausted on ")
+    initial = format_term(entry.initial, labels=True)
+    assert report["failures"] == [
+        failure("sigma fuel exhausted", "id", calc, detail=initial) for calc in (LCF, LCA)]
     assert report["failures"] == check_sigma_termination([entry])["failures"]
 
 
@@ -473,8 +483,8 @@ def test_propagation_reports_a_closed_substitution_that_survives(monkeypatch):
 
     monkeypatch.setattr(checks, "_trace_sigma_nfs", unnormalised)
     assert check_propagation([entry])["failures"] == [
-        "id/lcf: closed substitution survives sigma normalisation at ()",
-        "id/lca: closed substitution survives sigma normalisation at ()"]
+        failure("closed substitution survives", "id", calc, position=())
+        for calc in (LCF, LCA)]
 
 
 def _from_scratch(config, calc):
@@ -592,7 +602,8 @@ def test_confluence_reports_distinct_sinks(monkeypatch):
     monkeypatch.setattr(checks, "reduction_graph", two_sinks)
     for calculus in (LCF, LCA):
         report = check_confluence([entry], calculus)
-        assert report["failures"] == ["id: 2 distinct sinks"]
+        assert report["failures"] == [failure("distinct sinks", "id", calculus, detail=sorted(
+            [format_term(entry.initial, labels=True), "z"]))]
         assert report["fuel_exhausted"] == []
 
 

@@ -1,5 +1,7 @@
 
-from goilab.corpus import closed_terms, corpus
+import sys
+
+from goilab.corpus import closed_terms, corpus, prepare
 from goilab.labelled import bullet, initialize, label_of, with_label
 from goilab.labels import Atomic, atomic, concat, format_label
 from goilab.terms import (Abs, App, Copy, Erase, Subst, Var, compile_term,
@@ -61,6 +63,39 @@ def test_bullet_passes_through_bookkeeping_nodes():
     out = bullet(beta, t)
     assert out.body.label == concat(beta, atomic("a"))
     assert out.arg.label == atomic("c")
+
+
+def test_deep_terms_are_prepared_and_prefixed_without_recursion():
+    # 5,000 deep, past the default recursion limit: a left-nested chain of
+    # identities, a right-nested abstraction, and a free name used 5,000
+    # times, which compiles to 4,999 copies over a chain of applications.
+    # Relabelling, label lookup and prefixing are loops, so each goes
+    # through; they have no memo and leave the recursion limit alone
+    n = 5000
+    assert sys.getrecursionlimit() < n
+    chain = Abs("z0", Var("z0"))
+    for i in range(1, n):
+        chain = App(chain, Abs(f"z{i}", Var(f"z{i}")))
+    nested = Var("x0")
+    for i in reversed(range(n)):
+        nested = Abs(f"x{i}", nested)
+    shared = Var("x")
+    for _ in range(n - 1):
+        shared = App(shared, Var("x"))
+    prefix = atomic("p")
+    for name, source, constructs in (("chain", chain, 3 * n - 1),
+                                     ("nested", nested, n + 1),
+                                     ("shared", shared, 2 * n - 1)):
+        entry = prepare(name, source)
+        assert entry.root_atom == "a" and len(entry.atom_classes) == constructs
+        assert relabel(entry.initial, lambda: None) == entry.compiled
+        marked = bullet(prefix, entry.initial)
+        assert label_of(marked) == concat(prefix, atomic("a"))
+        assert with_label(marked, atomic("a")) == entry.initial
+    copies = 0
+    while isinstance(marked, Copy):
+        marked, copies = marked.body, copies + 1
+    assert copies == n - 1 and marked.label == concat(prefix, atomic("a"))
 
 
 def test_bullet_composition():

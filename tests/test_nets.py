@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import closed_lambda_terms, port_scan
+from conftest import closed_lambda_terms, failure, port_scan
 from hypothesis import given, settings, strategies as st
 
 from goilab import calculus, checks, nets
@@ -610,8 +610,7 @@ def test_simulation_stops_on_a_term_without_normal_form():
     identity = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
     report = check_net_simulation([identity], fuel=1)
     assert report["fuel_exhausted"] == ["id"]
-    assert report["failures"] == [{"term": "id",
-                                   "problem": "fuel exhausted at desk size"}]
+    assert report["failures"] == [failure("fuel exhausted at desk size", "id", LCA)]
 
 
 def test_simulation_reports_an_eligible_cut_that_does_not_step(monkeypatch):
@@ -622,9 +621,8 @@ def test_simulation_reports_an_eligible_cut_that_does_not_step(monkeypatch):
     identity = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
     report = check_net_simulation([identity])
     assert not report["ok"]
-    assert {"term": "id", "rule": "Beta",
-            "problem": "eligible cut does not step",
-            "error": "NetError: no rewrite"} in report["failures"]
+    assert failure("eligible cut does not step", "id", LCA, "Beta", (),
+                   error="NetError", detail="no rewrite") in report["failures"]
 
 
 def test_simulation_reports_nets_it_cannot_compare(monkeypatch):
@@ -638,8 +636,8 @@ def test_simulation_reports_nets_it_cannot_compare(monkeypatch):
     rules = {f["rule"] for f in report["failures"]
              if f["problem"] == "nets cannot be compared"}
     assert {"Beta", "Lam"} <= rules
-    assert all(f["error"] == "NetError: no signature" for f in report["failures"]
-               if f["problem"] == "nets cannot be compared")
+    assert all((f["error"], f["detail"]) == ("NetError", "no signature")
+               for f in report["failures"] if f["problem"] == "nets cannot be compared")
     assert not any(f["problem"] == "expected identical nets"
                    for f in report["failures"])
 
@@ -657,8 +655,8 @@ def test_simulation_reports_a_net_it_cannot_build(monkeypatch):
     monkeypatch.setattr(checks, "translate_cbn", broken)
     report = check_net_simulation([entry])
     assert not report["ok"]
-    assert {"term": "apply", "rule": "Beta", "problem": "net cannot be built",
-            "error": "TranslationError: no net"} in report["failures"]
+    assert failure("net cannot be built", "apply", LCA, "Beta", (),
+                   error="TranslationError", detail="no net") in report["failures"]
     assert report["steps_checked"] == expected > 1
 
 
@@ -667,7 +665,7 @@ def test_simulation_reports_an_identity_step_that_changes_the_net(monkeypatch):
     monkeypatch.setattr(checks, "IDENTITY_RULES", checks.IDENTITY_RULES + ("Beta",))
     identity = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
     assert check_net_simulation([identity])["failures"] == [
-        {"term": "id", "rule": "Beta", "problem": "expected identical nets"}]
+        failure("expected identical nets", "id", LCA, "Beta", ())]
 
 
 def test_simulation_reports_a_malformed_rewritten_net(monkeypatch):
@@ -683,11 +681,10 @@ def test_simulation_reports_a_malformed_rewritten_net(monkeypatch):
     identity = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
     report = check_net_simulation([identity])
     assert report["failures"] == [
-        failure for rule in ("Beta", "Var") for failure in (
-            {"term": "id", "rule": rule, "problem": "nets cannot be compared",
-             "error": "NetError: free edge for ghost missing"},
-            {"term": "id", "rule": rule,
-             "problem": "no single closed cut step reaches the reduct"})]
+        record for rule in ("Beta", "Var") for record in (
+            failure("nets cannot be compared", "id", LCA, rule, (),
+                    error="NetError", detail="free edge for ghost missing"),
+            failure("no cut step reaches the reduct", "id", LCA, rule, ()))]
     assert report["steps_checked"] == 2
 
 

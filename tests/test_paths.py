@@ -1,5 +1,7 @@
+from collections import Counter
+
 import pytest
-from conftest import closed_lambda_terms, parse_word, port_scan
+from conftest import closed_lambda_terms, failure, parse_word, port_scan
 from hypothesis import assume, given, settings
 
 from goilab import checks, paths
@@ -234,7 +236,7 @@ def test_weight_set_budget_is_a_step_error(monkeypatch):
     report = check_weight_invariance([entry], LCF)
     assert not report["ok"]
     assert report["failures"]
-    assert all(f["error"].startswith("SearchBudgetError")
+    assert all((f["problem"], f["error"]) == ("weight set not found", "SearchBudgetError")
                for f in report["failures"])
 
 
@@ -268,8 +270,10 @@ def test_term_without_normal_form_exhausts_the_budget():
         assert not report["ok"]
         *steps, last = report["failures"]
         assert report["steps_checked"] == len(steps) > 0
-        assert all(f["error"].startswith("SearchBudgetError") for f in steps)
-        assert last == {"term": "omega", "error": "trace fuel exhausted"}
+        assert report["failures_total"] == len(steps) + 1
+        assert all((f["problem"], f["error"]) == ("weight set not found", "SearchBudgetError")
+                   for f in steps)
+        assert last == failure("trace fuel exhausted", "omega", calculus)
 
 
 def test_invariance_sigma_step_exact():
@@ -383,7 +387,8 @@ def test_an_error_in_one_pair_fails_criterion_9_without_aborting_it(
     monkeypatch.setattr(checks, "lw", lw_raising_for_lca)
     report = checks.check_goi_end_to_end([prepare("id", parse_lambda("\\x.x"))])
     assert not report["ok"]
-    assert report["failures"] == ["id/lca: LevelUnderflowError: injected"]
+    assert report["failures"] == [failure("final weight not decided", "id", LCA,
+                                          error="LevelUnderflowError", detail="injected")]
     assert report["checked"] == 1
 
 
@@ -417,8 +422,9 @@ def test_a_net_that_cannot_be_built_for_a_non_empty_weight_fails_criterion_9(
     report = checks.check_goi_end_to_end([
         prepare("id", parse_lambda("\\x.x")),
         prepare("id_id", parse_lambda("(\\x.x) (\\y.y)"))])
-    assert report["failures"] == ["id_id/lcf: TranslationError: injected",
-                                  "id_id/lca: TranslationError: injected"]
+    assert report["failures"] == [
+        failure("final weight not decided", "id_id", calculus,
+                error="TranslationError", detail="injected") for calculus in (LCF, LCA)]
     assert report["checked"] == 2
 
 
@@ -432,7 +438,8 @@ def test_an_unexpected_exception_fails_criterion_9_without_aborting_it(
     monkeypatch.setattr(checks, "translate_cbv", faulty)
     report = checks.check_goi_end_to_end(
         [prepare("id_id", parse_lambda("(\\x.x) (\\y.y)"))])
-    assert report["failures"] == ["id_id/lcf: TypeError: injected"]
+    assert report["failures"] == [failure("final weight not decided", "id_id", LCF,
+                                          error="TypeError", detail="injected")]
     assert report["checked"] == 1
 
 
@@ -442,9 +449,53 @@ def test_criterion_9_reports_a_final_weight_that_no_path_realises(monkeypatch):
         prepare("id", parse_lambda("\\x.x")),
         prepare("id_id", parse_lambda("(\\x.x) (\\y.y)"))])
     assert report["failures"] == [
-        f"id_id/{calculus}: lw of final label not realised by a straight "
-        f"path from the root" for calculus in (LCF, LCA)]
+        failure("final weight not realised", "id_id", calculus) for calculus in (LCF, LCA)]
     assert report["checked"] == 4
+
+
+def test_swapped_translations_fail_and_every_failure_is_counted(monkeypatch):
+    # the control of a mutation matrix: each calculus checked against the
+    # other's translation.  Criteria 6, 7 and 9 fail, and each whole-corpus
+    # report counts every failure its entries make one at a time, however
+    # few it lists.  Some swapped nets have more live paths than the
+    # default budget of 10,000 visits lets a search follow, and those
+    # searches take about 20 s here; a budget of 1,000 stops each of them in
+    # well under a second, and a search it stops is a failure either way
+    monkeypatch.setattr(checks, "translate_cbv", translate_cbn)
+    monkeypatch.setattr(checks, "translate_cbn", translate_cbv)
+    monkeypatch.setattr(paths, "MAX_EXPANSIONS", 1000)
+    entries = corpus(5)
+    suites = {6: lambda e: check_weight_invariance(e, LCF),
+              7: lambda e: check_weight_invariance(e, LCA),
+              9: checks.check_goi_end_to_end}
+    records, gaining = {}, {}
+    for number, suite in suites.items():
+        whole = suite(entries)
+        with monkeypatch.context() as patch:  # every record listed
+            patch.setattr(checks, "FAILURES_LISTED", 10_000)
+            alone = [suite([entry]) for entry in entries]
+        records[number] = [f for report in alone for f in report["failures"]]
+        assert whole["failures_total"] == len(records[number]) == sum(
+            report["failures_total"] for report in alone)
+        assert whole["failures"] == records[number][:checks.FAILURES_LISTED]
+        if number == 9:
+            continue
+        assert whole["failing_rules"] == sorted({f["rule"] for f in records[number]})
+        # containment fails exactly where a record holds a gained live word
+        for report, own in [(r, r["failures"]) for r in alone] + [(whole, records[number])]:
+            gains = [f for f in own if isinstance(f["detail"], dict) and f["detail"]["gained"]]
+            assert report["containment_ok"] == (not gains)
+            assert all(f["problem"] == "live words gained" for f in gains)
+        gaining[number] = {f["entry"] for f in records[number]
+                           if f["problem"] == "live words gained"}
+    assert [len(records[number]) for number in suites] == [142, 175, 10]
+    # read from the records' error field, not from any text
+    assert Counter(f["error"] for f in records[6]) == {
+        "TranslationError": 124, "LevelUnderflowError": 18}
+    assert Counter(f["error"] for f in records[7]) == {
+        "SearchBudgetError": 124, "LevelUnderflowError": 33, None: 18}
+    assert gaining == {6: set(), 7: {"closed_05_012", "triple_identity",
+                                     "apply_to_identity", "copy_under_binder"}}
 
 
 def test_erased_terms_carry_zero_weight():
@@ -471,21 +522,22 @@ def rechecked(entry, calculus, search):
     failures = []
     steps = list(_step_edges(entry, calculus, 10_000))
     for src, site, dst in steps:
-        where = {"term": entry.name, "rule": site.rule,
-                 "position": list(site.position)}
+        where = entry.name, calculus, site.rule, site.position
         try:
             report = check_invariance(search(translate(src)),
                                       search(translate(dst)))
         except SearchBudgetError as exc:
-            failures.append({**where, "error": f"SearchBudgetError: {exc}"})
+            failures.append(failure("weight set not found", *where,
+                                    error="SearchBudgetError", detail=str(exc)))
             continue
+        lost, gained = report["live_left_only"], report["live_right_only"]
         if not report["live_equal"]:
-            failures.append({**where,
-                             "left_only": report["live_left_only"][:4],
-                             "right_only": report["live_right_only"][:4]})
-    return {"ok": not failures, "failures": failures,
-            "steps_checked": len(steps),
-            "containment_ok": all(not f.get("right_only") for f in failures),
+            failures.append(failure("live words gained" if gained else "live words lost",
+                                    *where, detail={"lost": lost, "gained": gained}))
+    return {"ok": not failures, "failures": failures[:checks.FAILURES_LISTED],
+            "failures_total": len(failures), "steps_checked": len(steps),
+            "containment_ok": not any(f["detail"].get("gained") for f in failures
+                                      if f["error"] is None),
             "failing_rules": sorted({f["rule"] for f in failures})}
 
 

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import closed_lambda_terms
+from conftest import closed_lambda_terms, failure
 from hypothesis import given, settings
 
 from goilab.calculus import LCA, LCF, Configuration, reduction_graph
@@ -160,8 +160,8 @@ def test_criterion_1_names_a_fixed_source_that_compiles_wrongly(monkeypatch):
     monkeypatch.setattr(checks, "compile_term", miscompiled)
     report = checks.check_compile_fidelity([prepare("id", parse_lambda("\\x.x"))])
     source, expected = COMPILE_EXPECTED_TEXT[0]
-    assert report == {"ok": False, "failures": [
-        f"compile({source!r}) printed {source!r}, wanted {expected!r}"]}
+    assert report == {"ok": False, "failures_total": 1, "failures": [
+        failure("miscompiled", source, detail=[source, expected])]}
 
 
 def test_criterion_1_names_a_recompilation_that_renames_a_variable(monkeypatch):
@@ -175,7 +175,8 @@ def test_criterion_1_names_a_recompilation_that_renames_a_variable(monkeypatch):
     monkeypatch.setattr(checks, "compile_term", recompiled)
     assert check_linear(renamed) == []
     report = checks.check_compile_fidelity([entry])
-    assert report == {"ok": False, "failures": ["dup: compilation not deterministic"]}
+    assert report == {"ok": False, "failures_total": 1,
+                      "failures": [failure("not deterministic", "dup")]}
 
 
 def _debruijn(t, env=()):
@@ -480,6 +481,32 @@ def _reference_free_vars(term):
             return (_reference_free_vars(body) - {target}) | _reference_free_vars(arg)
 
 
+def _reference_relabel(term, label_for):
+    match term:
+        case Var(name):
+            return Var(name, label_for())
+        case Abs(binder, body):
+            label = label_for()
+            return Abs(binder, _reference_relabel(body, label_for), label)
+        case App(fun, arg):
+            label = label_for()
+            return App(_reference_relabel(fun, label_for),
+                       _reference_relabel(arg, label_for), label)
+        case Erase(binder, body):
+            return Erase(binder, _reference_relabel(body, label_for))
+        case Copy(source, left, right, body):
+            return Copy(source, left, right, _reference_relabel(body, label_for))
+        case Subst(body, arg, target):
+            return Subst(_reference_relabel(body, label_for),
+                         _reference_relabel(arg, label_for), target)
+
+
+def _numbering():
+    """A labeller that numbers the constructs it is called for."""
+    numbers = iter(range(1 << 30))
+    return lambda: atomic(str(next(numbers)))
+
+
 def test_the_walks_agree_with_their_recursive_references():
     entries = corpus(6)
     terms = [entry.source for entry in entries]  # plain, and not linear
@@ -495,6 +522,7 @@ def test_the_walks_agree_with_their_recursive_references():
             assert term_size(t) == _reference_term_size(t)
             assert free_vars(t) == _reference_free_vars(t)
             assert type(free_vars(t)) is frozenset
+        assert relabel(term, _numbering()) == _reference_relabel(term, _numbering())
 
 
 def _reference_format_term(term, labels=False):

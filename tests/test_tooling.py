@@ -283,6 +283,68 @@ def test_no_suite_reads_text():
     assert called.isdisjoint({"parse", "parse_lambda"})
 
 
+def test_every_report_and_failure_is_made_in_one_place():
+    # every suite returns _report's dict and every failure is a _failure
+    # record, so a report is read by its keys and never by parsing text:
+    # checks.py holds no f-string, and a dict literal only in those two
+    # functions or as a record's detail (an empty one starts a cache)
+    tree = ast.parse((SRC / "checks.py").read_text())
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def calls(node, name):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name)
+
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)]
+    def own_returns(fn):  # the returns of ``fn``, not of a function within it
+        stack = list(ast.iter_child_nodes(fn))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Return):
+                yield node
+            elif not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                stack += ast.iter_child_nodes(node)
+
+    suites = [fn for name, fn in functions.items() if name.startswith("check_")]
+    returns = [node for fn in suites for node in own_returns(fn)]
+    assert len(suites) == 9 and len(returns) >= 9
+    assert all(calls(node.value, "_report") for node in returns)
+    appended = [node.args[0] for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute) and node.func.attr == "append"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id.endswith("failures")]
+    yielded = [node.value for name, fn in functions.items() if name.endswith("_failures")
+               for node in ast.walk(fn) if isinstance(node, ast.Yield)]
+    assert len(appended) > 30 and yielded
+    assert [ast.unparse(node) for node in appended + yielded
+            if not calls(node, "_failure")] == []
+    makers = {id(node) for name in ("_failure", "_report")
+                for node in ast.walk(functions[name]) if isinstance(node, ast.Dict)}
+    details = {id(keyword.value) for node in ast.walk(tree) if calls(node, "_failure")
+               for keyword in node.keywords if keyword.arg == "detail"}
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            and node.keys and id(node) not in makers | details] == []
+
+
+def test_every_problem_kind_is_one_of_the_closed_set():
+    # each _failure call names its problem kind as a literal of
+    # checks.PROBLEMS (or picks one of two), and each kind is reported
+    # somewhere, so the set is the whole vocabulary of a report
+    tree = ast.parse((SRC / "checks.py").read_text())
+    named = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_failure"):
+            problem = node.args[0]
+            choices = ((problem.body, problem.orelse)
+                       if isinstance(problem, ast.IfExp) else (problem,))
+            assert all(isinstance(c, ast.Constant) for c in choices), ast.unparse(problem)
+            named += [c.value for c in choices]
+    assert set(named) <= checks.PROBLEMS
+    assert checks.PROBLEMS <= set(named)
+
+
 def test_no_sigma_walk_starts_at_the_end_of_a_trace(monkeypatch):
     # the last configuration of a complete trace is its own sigma-normal
     # form, and one left by a sigma step shares the next one's: only a
