@@ -29,11 +29,11 @@ from .labels import (LEFT, RIGHT, concat, format_label, mark, over, reverse,
                      slot_init, under)
 from .labelled import bullet, label_of
 from .terms import (Abs, App, Copy, Erase, Subst, Term, Var, format_term,
-                    free_vars, replace_at, subterm_at, term_size)
+                    free_vars, replace_at, subterm_at)
 
 LCF = "lcf"
 LCA = "lca"
-FUEL = 10_000  # the default budget: steps of a trace, configurations of a graph
+FUEL = 10_000  # the default budget of every search: steps, configurations or visits
 
 RULES = {
     LCF: ("App1", "App2", "Beta", "Cmp", "Cpy1", "Cpy2", "Ers1", "Ers2", "Lam", "Var"),
@@ -229,10 +229,6 @@ def step(config: Configuration, site: RedexSite, calculus: str) -> Configuration
     return _rebuild(config, site.position, *contracted)
 
 
-def default_sigma_fuel(term: Term) -> int:
-    return 10 * term_size(term) ** 2
-
-
 def _leftmost_outermost(config: Configuration, calculus: str, rules: tuple,
                         fuel: int) -> Iterator[TraceStep]:
     """The leftmost-outermost steps under ``rules`` to a normal form.
@@ -245,10 +241,10 @@ def _leftmost_outermost(config: Configuration, calculus: str, rules: tuple,
         config = ts.config
 
 
-def sigma_walk(config: Configuration, calculus: str) -> tuple[Configuration, int]:
+def sigma_walk(config: Configuration, calculus: str,
+               fuel: int = FUEL) -> tuple[Configuration, int]:
     """The sigma-normal form of ``config`` and the number of leftmost-outermost
-    sigma steps to it, within ``default_sigma_fuel`` steps."""
-    fuel = default_sigma_fuel(config.term)
+    sigma steps to it, within ``fuel`` steps."""
     steps = 0
     for ts in _leftmost_outermost(config, calculus, SIGMA_RULES[calculus], fuel):
         config = ts.config
@@ -256,9 +252,10 @@ def sigma_walk(config: Configuration, calculus: str) -> tuple[Configuration, int
     return config, steps
 
 
-def normalize_sigma(config: Configuration, calculus: str) -> Configuration:
+def normalize_sigma(config: Configuration, calculus: str,
+                    fuel: int = FUEL) -> Configuration:
     """Apply sigma rules leftmost-outermost to a sigma-normal form."""
-    return sigma_walk(config, calculus)[0]
+    return sigma_walk(config, calculus, fuel)[0]
 
 
 def reduce(config: Configuration, calculus: str, fuel: int = FUEL) -> list:
@@ -281,8 +278,9 @@ class ReductionGraph:
 
 
 def reduction_graph(config: Configuration, calculus: str,
-                    max_configs: int = FUEL) -> ReductionGraph:
-    """Breadth-first exhaustive exploration, bounded by a configuration budget."""
+                    fuel: int = FUEL) -> ReductionGraph:
+    """Breadth-first exhaustive exploration of at most ``fuel``
+    configurations; past them the graph is incomplete."""
     graph = ReductionGraph()
     frontier = [config]
     seen = {config}
@@ -293,7 +291,7 @@ def reduction_graph(config: Configuration, calculus: str,
                          for ts in _redexes(c, calculus, RULES[calculus]))
             for _, d in succ:
                 if d not in seen:
-                    if len(seen) >= max_configs:
+                    if len(seen) >= fuel:
                         graph.complete = False
                         continue
                     seen.add(d)

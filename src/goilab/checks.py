@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 from .algebra import ONE, ZERO, compose, entry_level_needed, involute, lw, watom
 from .calculus import (LCA, LCF, Configuration, FuelExhaustedError, TraceStep,
-                       FUEL, default_sigma_fuel, reduce, reduction_graph, sigma_walk)
+                       FUEL, reduce, reduction_graph, sigma_walk)
 from .corpus import CorpusEntry
 from .labelled import label_of
 from .labels import (Atomic, Over, RIGHT, Under, concat, format_label, mark, reverse,
@@ -136,17 +136,17 @@ def _sigma_nfs(entries: Iterable[CorpusEntry], fuel: int, failures: list):
     trace.  A trace that runs out of fuel yields nothing and a normalisation
     that does yields None; both are reported in ``failures``."""
     for entry, calculus, trace in _traces(entries, (LCF, LCA), fuel, failures):
-        for ts, nf in zip(trace, _trace_sigma_nfs(trace, calculus)):
+        for ts, nf in zip(trace, _trace_sigma_nfs(trace, calculus, fuel)):
             if nf is None:
                 failures.append(_failure("sigma fuel exhausted", entry.name, calculus,
                                          detail=format_term(ts.config.term, labels=True)))
             yield entry, calculus, nf
 
 
-def _trace_sigma_nfs(trace: list, calculus: str) -> list:
+def _trace_sigma_nfs(trace: list, calculus: str, fuel: int) -> list:
     """The sigma-normal form of each configuration of a complete
-    leftmost-outermost ``trace``, or None where ``default_sigma_fuel`` runs
-    out, as ``normalize_sigma`` finds them.
+    leftmost-outermost ``trace``, or None where a walk of ``fuel`` steps
+    does not reach it, as ``normalize_sigma`` finds them.
 
     The trace must be complete: its last configuration has no redex under
     the calculus's rules, so none under the sigma rules, a subset of them,
@@ -154,18 +154,17 @@ def _trace_sigma_nfs(trace: list, calculus: str) -> list:
     trace is walked backwards from there.  A step that is not ``Beta`` is
     also the first step of the sigma walk of the configuration it leaves,
     so that configuration has the normal form of the next one, one step
-    further away.  It is reused when that many steps fit the
-    configuration's own fuel; otherwise the walk starts afresh."""
+    further away.  It is reused when that many steps fit ``fuel``;
+    otherwise the walk starts afresh."""
     nf, steps = trace[-1].config, 0
     forms = [None] * (len(trace) - 1) + [nf]
     for i in reversed(range(len(trace) - 1)):
         config = trace[i].config
-        if (nf is not None and trace[i + 1].site.rule != "Beta"
-                and steps < default_sigma_fuel(config.term)):
+        if nf is not None and trace[i + 1].site.rule != "Beta" and steps < fuel:
             steps += 1
         else:
             try:
-                nf, steps = sigma_walk(config, calculus)
+                nf, steps = sigma_walk(config, calculus, fuel)
             except FuelExhaustedError:
                 nf = steps = None
         forms[i] = nf
@@ -200,7 +199,7 @@ def _graphs(entries: Iterable[CorpusEntry], calculus: str, fuel: int,
     to ``exhausted``, unchecked, and yielded with None for its graph only
     at desk size, where that is a failure."""
     for entry in entries:
-        graph = reduction_graph(Configuration(entry.initial), calculus, max_configs=fuel)
+        graph = reduction_graph(Configuration(entry.initial), calculus, fuel=fuel)
         if graph.complete:
             yield entry, graph
         else:
@@ -304,7 +303,7 @@ def _step_edges(entry: CorpusEntry, calculus: str, fuel: int):
     of the trace already.  When the trace runs out of fuel as well,
     ``FuelExhaustedError`` follows the graph's steps."""
     seen = set()
-    graph = reduction_graph(Configuration(entry.initial), calculus, max_configs=fuel)
+    graph = reduction_graph(Configuration(entry.initial), calculus, fuel=fuel)
     for src, site, dst in graph.steps():
         key = (src.term, site, dst.term)
         if key not in seen:
@@ -330,17 +329,17 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
     both nets and must be equal.  Each term's net is translated and
     searched once per call, however many steps touch it.  A step fails on
     the live words found on one side only, or on the error that stopped a
-    translation or search (``paths.MAX_EXPANSIONS`` running out is one).  A
-    trace that runs out of ``fuel``, read when ``fuel`` configurations cut
-    the graph short, fails its entry."""
+    translation or search, a search of more than ``fuel`` visits among
+    them.  A trace that runs out of ``fuel``, read when ``fuel``
+    configurations cut the graph short, fails its entry."""
     translate = translate_cbv if calculus == LCF else translate_cbn
     failures = []
     words_cache = {}  # term -> (weight set of its net, None), or (None, its error)
     checked = 0
 
     def words_of(term):
-        if term not in words_cache:  # budget or translation trouble is a failure
-            words_cache[term] = _attempted(lambda: weight_set(translate(term)))
+        if term not in words_cache:  # fuel or translation trouble is a failure
+            words_cache[term] = _attempted(lambda: weight_set(translate(term), fuel))
         return words_cache[term]
 
     for entry in entries:
@@ -433,14 +432,15 @@ def check_goi_end_to_end(entries: Iterable[CorpusEntry],
     (call-by-name net), the weight of each entry's final external label is
     realised by a straight path from the root of the initial term's net.
     A trace out of ``fuel``, a zero weight and any exception, such as a
-    level underflow or an exhausted search budget, fail a pair too.
+    level underflow or a search of more than ``fuel`` visits, fail a pair
+    too.
     ``checked`` counts the pairs whose word was decided, realised or not."""
     failures = []
     checked = 0
     for entry, calculus, trace in _traces(entries, (LCF, LCA), fuel, failures):
         translate = translate_cbv if calculus == LCF else translate_cbn
         realised, error = _attempted(_label_realised, trace[-1].config.term,
-                                     entry.initial, translate)
+                                     entry.initial, translate, fuel)
         if error:
             failures.append(_failure("final weight not decided", entry.name, calculus,
                                      error=error))
@@ -454,15 +454,16 @@ def check_goi_end_to_end(entries: Iterable[CorpusEntry],
     return _report(failures, checked=checked)
 
 
-def _label_realised(final: Term, initial: Term, translate) -> Optional[bool]:
+def _label_realised(final: Term, initial: Term, translate,
+                    fuel: int) -> Optional[bool]:
     """Whether a straight path from the root of ``translate(initial)``
-    realises the weight of ``final``'s label, or None when that weight is
-    zero.  An empty weight is realised by the empty path, so the net is
-    built only for a non-empty word."""
+    realises the weight of ``final``'s label, found within ``fuel`` visits,
+    or None when that weight is zero.  An empty weight is realised by the
+    empty path, so the net is built only for a non-empty word."""
     weight = lw(label_of(final), 0).weight
     if weight is None:
         return None
-    return not weight or weight_member(translate(initial), weight)
+    return not weight or weight_member(translate(initial), weight, fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ flags it reads: ``reduce`` takes ``--calculus`` and ``--fuel``, ``net``
 ``--translation`` and ``--format``, ``check`` ``--fuel``, ``--seed``,
 ``--corpus-max-size`` and ``--term`` (which the ``algebra`` suite, reading
 no entry, refuses), and all four ``--out``.  ``--fuel`` is every suite's one
-budget: it bounds the leftmost-outermost traces and the reduction graphs the
-suites explore.  Identical configuration and inputs produce byte-identical
-outputs.
+budget: it bounds the steps of each leftmost-outermost trace and sigma walk,
+the configurations of each reduction graph and the visits of each weight-set
+and membership search.  Identical configuration and inputs produce
+byte-identical outputs.
 
 Exit status: 0 on success; 1 when a ``check`` suite fails or a ``reduce``
 trace outruns its fuel; 2 on a usage error, a malformed term, a negative

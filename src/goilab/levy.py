@@ -6,6 +6,7 @@ redex history through over/underlined copies of the function label.
 
 from __future__ import annotations
 
+from .calculus import FUEL, FuelExhaustedError
 from .labels import concat, over, under
 from .labelled import bullet
 from .terms import (Abs, App, FreshSupply, Term, Var, all_var_names,
@@ -62,11 +63,12 @@ def levy_step(term: Term, position: tuple = ()) -> Term:
     return replace_at(term, position, result)
 
 
-def levy_normalize(term: Term, fuel: int = 1000) -> Term:
-    while fuel > 0:
-        redexes = levy_redexes(term)
-        if not redexes:
-            return term
-        term = levy_step(term, redexes[0])
+def levy_normalize(term: Term, fuel: int = FUEL) -> Term:
+    """The normal form of ``term`` by leftmost-outermost Levy steps.
+    Raises FuelExhaustedError when a redex remains after ``fuel`` steps."""
+    while redexes := levy_redexes(term):
+        if fuel <= 0:
+            raise FuelExhaustedError("a redex remains when the fuel runs out")
         fuel -= 1
-    raise RuntimeError("fuel exhausted")
+        term = levy_step(term, redexes[0])
+    return term

@@ -24,19 +24,8 @@ tuple of ``(base, star, level)`` triples: a weight is its word.
 from __future__ import annotations
 
 from .algebra import Weight, format_weight, involute, normal_word
+from .calculus import FUEL, FuelExhaustedError
 from .nets import TRANSITIONS, Net
-
-# successor visits a weight-set search may make, one per step of a run: no
-# net of the size-9 corpus but Omega's needs more than 845 (the cbv net of
-# church_two_twice).  Each run normalises the whole word read so far, so
-# exhausting the budget takes longer as words grow: on the net of a calculus
-# with a rule broken on purpose, one search whose words reached 2,968 atoms
-# took 1.5 s
-MAX_EXPANSIONS = 10_000
-
-
-class SearchBudgetError(Exception):
-    pass
 
 
 class DirectedEdges:
@@ -81,7 +70,7 @@ class DirectedEdges:
                 succ[at_b].append(at_a ^ 1)
 
 
-def weight_set(net: Net) -> set:
+def weight_set(net: Net, fuel: int = FUEL) -> set:
     """The live words of the net's interface-to-interface straight paths,
     as tuples of ``(base, star, level)``.
 
@@ -93,31 +82,33 @@ def weight_set(net: Net) -> set:
     and has not arrived at the interface, it takes the whole run of such
     steps at once (``_run``), and is extended and null-tested once per run.
 
-    ``MAX_EXPANSIONS``, read at each call, bounds the successor visits,
-    starts included.  Every step of a run is one visit, a step past a null
-    prefix too, so a run never costs fewer visits than its steps taken one
-    by one.  Past the bound ``SearchBudgetError`` is raised; only a net
-    whose term does not normalise should get there.
+    ``fuel`` bounds the successor visits, starts included.  Every step of
+    a run is one visit, a step past a null prefix too, so a run never costs
+    fewer visits than its steps taken one by one.  Past the bound
+    ``FuelExhaustedError`` is raised; at the default fuel only a net whose
+    term does not normalise gets there (no net of ``corpus(8)`` needs more
+    than 845 visits: the cbv net of church_two_twice).  Each run
+    normalises the whole word read so far, so running out takes longer as
+    words grow.
     """
     table = DirectedEdges(net)
     words, interface, succ = table.words, table.interface, table.succ
     runs = [None] * len(words)  # per state, its run, found on first entry
-    budget = MAX_EXPANSIONS
     found = set()
     pending = [(table.starts, (), ())]  # (next states, word, its normal form)
     while pending:
         nexts, word, nf = pending.pop()
-        budget -= len(nexts)
-        if budget < 0:
-            raise SearchBudgetError("weight-set search budget exceeded")
+        fuel -= len(nexts)
+        if fuel < 0:
+            raise FuelExhaustedError("weight-set search ran out of fuel")
         for nxt in nexts:
             run = runs[nxt]
             if run is None:
                 run = runs[nxt] = _run(nxt, words, interface, succ)
             end, step, hops = run
-            budget -= hops
-            if budget < 0:
-                raise SearchBudgetError("weight-set search budget exceeded")
+            fuel -= hops
+            if fuel < 0:
+                raise FuelExhaustedError("weight-set search ran out of fuel")
             if step is None:
                 continue
             longer = word + step
@@ -147,15 +138,17 @@ def _run(state: int, words: list, interface: list, succ: list) -> tuple:
     return state, word, hops
 
 
-def weight_member(net: Net, target: Weight) -> bool:
+def weight_member(net: Net, target: Weight, fuel: int = FUEL) -> bool:
     """Is ``target`` the weight of some straight path from the root?
 
     The path may end anywhere in the net (the label of a normal form leads
     from the root to the subnet of the result, not to an interface).  The
     search is depth-first on an explicit stack, as ``weight_set``'s is, so a
     long target cannot exhaust Python's recursion limit.  It is pruned by
-    prefix matching against the target word, and bounded by a path length
-    and by 2,000,000 visits.
+    prefix matching against the target word.  It follows no path longer
+    than ``4 * len(target) + 16`` steps, and answers False when no shorter
+    one realises the target.  ``fuel`` bounds the visits; past it
+    ``FuelExhaustedError`` is raised.
     """
     if target is None:
         return False
@@ -166,14 +159,13 @@ def weight_member(net: Net, target: Weight) -> bool:
         return True  # the empty path has weight 1
     words, succ = table.words, table.succ
     max_steps = 4 * len(target) + 16
-    budget = 2_000_000
     # (path length, target atoms matched before the step, step's state)
     pending = [(1, 0, table.root)]
     while pending:
         depth, matched, state = pending.pop()
-        if budget <= 0:
-            raise SearchBudgetError("membership search budget exceeded")
-        budget -= 1
+        if fuel <= 0:
+            raise FuelExhaustedError("membership search ran out of fuel")
+        fuel -= 1
         word = words[state]
         if word is None or target[matched:matched + len(word)] != word:
             continue

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from goilab import calculus, checks
 from goilab.calculus import (LCA, LCF, RULES, SIGMA_RULES, Configuration,
                              FuelExhaustedError, PatternMismatchError,
-                             RedexSite, SideConditionViolatedError, TraceStep,
-                             default_sigma_fuel, find_redexes,
-                             normalize_sigma, reduce, reduction_graph, step,
-                             trace_records)
+                             FUEL, RedexSite, SideConditionViolatedError,
+                             TraceStep, find_redexes, normalize_sigma, reduce,
+                             reduction_graph, sigma_walk, step, trace_records)
 from goilab.checks import (_trace, _trace_sigma_nfs, check_confluence,
                            check_goi_end_to_end, check_label_lemmas,
                            check_propagation, check_sigma_termination,
@@ -389,7 +388,7 @@ def test_reduce_fuel_exhaustion_reported():
         reduce(Configuration(omega), LCF, fuel=25)
 
 
-def test_fuel_equal_to_the_trace_length_is_enough(monkeypatch):
+def test_fuel_equal_to_the_trace_length_is_enough():
     config = Configuration(initialize(compile_term(parse_lambda("(\\x.x) (\\y.y)"))))
     for calc in (LCF, LCA):
         trace = reduce(config, calc)
@@ -399,11 +398,9 @@ def test_fuel_equal_to_the_trace_length_is_enough(monkeypatch):
             reduce(config, calc, fuel=1)
         assert reduce(trace[-1].config, calc, fuel=0) == []
         # one sigma step from the substitution Beta leaves
-        monkeypatch.setattr(calculus, "default_sigma_fuel", lambda term: 1)
-        assert normalize_sigma(trace[0].config, calc) == trace[1].config
-        monkeypatch.setattr(calculus, "default_sigma_fuel", lambda term: 0)
+        assert normalize_sigma(trace[0].config, calc, fuel=1) == trace[1].config
         with pytest.raises(FuelExhaustedError):
-            normalize_sigma(trace[0].config, calc)
+            normalize_sigma(trace[0].config, calc, fuel=0)
 
 
 def test_label_lemmas_report_each_configurations_variable_atoms_last():
@@ -447,17 +444,30 @@ def test_suites_report_an_exhausted_trace():
         assert check_label_lemmas([entry], calc, fuel=1)["failures"] == [record]
         assert check_label_lemmas([entry], calc, fuel=2)["ok"]
         # criteria 6 and 7 read the trace when the fuel cuts the graph
-        # short, and report its end in the same record
-        assert check_weight_invariance([entry], calc, fuel=1)["failures"] == [record]
-        assert check_weight_invariance([entry], calc, fuel=2)["ok"]
+        # short, and report its end in the same record.  The fuel bounds
+        # each weight-set search too, and no search of these nets fits in 2
+        # visits: a search out of fuel is a record of its step, not the
+        # trace's
+        searches = [failure("weight set not found", "id", calc, rule, (),
+                            error="FuelExhaustedError",
+                            detail="weight-set search ran out of fuel")
+                    for rule in ("Beta", "Var")]
+        assert check_weight_invariance([entry], calc, fuel=1)["failures"] == [
+            searches[0], record]
+        assert check_weight_invariance([entry], calc, fuel=2)["failures"] == searches
     assert check_propagation([entry], fuel=2)["ok"]
-    assert check_goi_end_to_end([entry], fuel=2)["ok"]
+    # criterion 9's membership searches need 13 visits (lcf) and 10 (lca):
+    # at a fuel of 2 the traces end and the searches do not
+    assert check_goi_end_to_end([entry], fuel=2)["failures"] == [
+        failure("final weight not decided", "id", calc, error="FuelExhaustedError",
+                detail="membership search ran out of fuel") for calc in (LCF, LCA)]
+    assert check_goi_end_to_end([entry], fuel=13)["ok"]
 
 
 def test_propagation_reports_sigma_fuel_exhaustion(monkeypatch):
     entry = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
 
-    def exhausted(config, calculus):
+    def exhausted(config, calculus, fuel):
         raise FuelExhaustedError("sigma normalisation exceeded fuel")
 
     monkeypatch.setattr(checks, "sigma_walk", exhausted)
@@ -478,7 +488,7 @@ def test_propagation_reports_a_closed_substitution_that_survives(monkeypatch):
     # is a closed substitution at the root
     entry = prepare("id", parse_lambda("(\\x.x) (\\y.y)"))
 
-    def unnormalised(trace, calculus):
+    def unnormalised(trace, calculus, fuel):
         return [ts.config for ts in trace]
 
     monkeypatch.setattr(checks, "_trace_sigma_nfs", unnormalised)
@@ -487,25 +497,25 @@ def test_propagation_reports_a_closed_substitution_that_survives(monkeypatch):
         for calc in (LCF, LCA)]
 
 
-def _from_scratch(config, calc):
+def _from_scratch(config, calc, fuel):
     try:
-        return normalize_sigma(config, calc)
+        return normalize_sigma(config, calc, fuel)
     except FuelExhaustedError:
         return None
 
 
-def _shared_and_scratch_forms():
+def _shared_and_scratch_forms(fuel=FUEL):
     """(shared, from-scratch) sigma-normal forms of every trace
-    configuration of ``corpus(7)`` under both calculi, and for each
-    configuration one sigma step before a normalised one, whether its own
-    fuel ran out."""
+    configuration of ``corpus(7)`` under both calculi, each walk within
+    ``fuel`` steps, and for each configuration one sigma step before a
+    normalised one, whether its walk ran out of fuel."""
     shared, scratch, boundary = [], [], []
     for entry in corpus(7):
         for calc in (LCF, LCA):
-            trace = _trace(entry, calc, 10_000)
-            forms = _trace_sigma_nfs(trace, calc)
+            trace = _trace(entry, calc, FUEL)
+            forms = _trace_sigma_nfs(trace, calc, fuel)
             shared += forms
-            scratch += [_from_scratch(ts.config, calc) for ts in trace]
+            scratch += [_from_scratch(ts.config, calc, fuel) for ts in trace]
             boundary += [forms[i] is None for i in range(len(trace) - 1)
                          if trace[i + 1].site.rule != "Beta"
                          and forms[i + 1] is not None]
@@ -518,16 +528,10 @@ def test_shared_sigma_normal_forms_equal_from_scratch_ones():
     assert None not in shared and boundary and not any(boundary)
 
 
-def test_shared_sigma_normal_forms_run_out_of_fuel_where_scratch_ones_do(
-        monkeypatch):
+def test_shared_sigma_normal_forms_run_out_of_fuel_where_scratch_ones_do():
     # a fuel small enough that some walks run out, some of them one step
-    # before a configuration whose walk does not
-    def small(term):
-        return term_size(term) % 7
-
-    monkeypatch.setattr(calculus, "default_sigma_fuel", small)
-    monkeypatch.setattr(checks, "default_sigma_fuel", small)
-    shared, scratch, boundary = _shared_and_scratch_forms()
+    # before a configuration whose walk does not (any fuel from 1 to 7 is)
+    shared, scratch, boundary = _shared_and_scratch_forms(fuel=3)
     assert shared == scratch
     assert None in scratch and True in boundary and False in boundary
 
@@ -537,7 +541,7 @@ def test_shared_sigma_normal_forms_run_out_of_fuel_where_scratch_ones_do(
 def test_linearity_survives_each_step(term):
     initial = prepare("random", term).initial
     for calc in (LCF, LCA):
-        graph = reduction_graph(Configuration(initial), calc, max_configs=300)
+        graph = reduction_graph(Configuration(initial), calc, fuel=300)
         for config in graph.edges:
             assert check_linear(config.term) == [], printed(config)
             for erased in config.erased:
@@ -555,7 +559,7 @@ def test_stripping_labels_commutes_with_each_step(term):
     # unlabelled reduction is labelled reduction with the labels erased
     initial = prepare("random", term).initial
     for calc in (LCF, LCA):
-        graph = reduction_graph(Configuration(initial), calc, max_configs=300)
+        graph = reduction_graph(Configuration(initial), calc, fuel=300)
         for config in graph.edges:
             bare = stripped(config)
             sites = find_redexes(config, calc)
@@ -594,8 +598,8 @@ def test_confluence_reports_distinct_sinks(monkeypatch):
     # the graph of \x.x, one configuration, given a second one as a sink
     entry = prepare("id", parse_lambda("\\x.x"))
 
-    def two_sinks(config, calculus, max_configs):
-        graph = reduction_graph(config, calculus, max_configs=max_configs)
+    def two_sinks(config, calculus, fuel):
+        graph = reduction_graph(config, calculus, fuel=fuel)
         graph.edges[Configuration(Var("z"))] = ()
         return graph
 
@@ -641,9 +645,17 @@ def test_trace_record_does_not_hide_other_faults(monkeypatch):
         trace_records(trace, LCF)
 
 
-def test_default_sigma_fuel_quadratic():
-    t = initialize(compile_term(parse_lambda("\\x.x")))
-    assert default_sigma_fuel(t) == 10 * 2 * 2
+def test_every_sigma_walk_of_the_corpus_is_within_a_quadratic_bound():
+    # criterion 2 bounds each walk by the fuel; the walks of the corpus
+    # also end within 10 * size^2 steps of the configuration they start at
+    walks = 0
+    for entry in corpus(7):
+        for calc in (LCF, LCA):
+            for ts in _trace(entry, calc, FUEL):
+                _, steps = sigma_walk(ts.config, calc)
+                assert steps <= 10 * term_size(ts.config.term) ** 2, printed(ts.config)
+                walks += 1
+    assert walks == 662
 
 
 def test_cmp_is_reachable_from_the_corpus():

@@ -132,6 +132,24 @@ def test_an_exhausted_budget_fails_the_suite(suite, tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("suite, fuel, ok", [
+    ("invariance", 844, False), ("invariance", 845, True),
+    ("label-path", 98, False), ("label-path", 99, True)])
+def test_fuel_reaches_the_searches(suite, fuel, ok, tmp_path):
+    # on the classics, the cbv net of church_two_twice needs the most
+    # weight-set visits, 845, and copy_under_binder's lcf final weight the
+    # most membership visits, 99.  A search out of fuel is a search's
+    # failure, not an exhausted trace
+    assert main(["check", suite, "--corpus-max-size", "0", "--fuel", str(fuel),
+                 "--out", str(tmp_path)]) == (0 if ok else 1)
+    report = json.loads((tmp_path / f"check_{suite}.json").read_text())["report"]
+    failures = [(f["entry"], f["calculus"], f["problem"], f["error"])
+                for r in report.values() for f in r["failures"]]
+    expected = {"invariance": ("church_two_twice", "lcf", "weight set not found"),
+                "label-path": ("copy_under_binder", "lcf", "final weight not decided")}
+    assert failures == ([] if ok else [(*expected[suite], "FuelExhaustedError")])
+
+
 @pytest.mark.parametrize("argv", [
     ["compile", "x", "--calculus", "lca"],
     ["compile", "x", "--translation", "cbn"],

@@ -1,3 +1,4 @@
+from goilab.calculus import FuelExhaustedError
 from goilab.labelled import initialize, label_of
 from goilab.labels import atomic, format_label
 from goilab.levy import (NoRedexAtPositionError, levy_normalize, levy_redexes,
@@ -51,6 +52,17 @@ def test_levy_triple_identity_first_atom_survives():
     nf = levy_normalize(t)
     assert levy_redexes(nf) == []
     assert label_of(nf)[0] == root
+
+
+def test_fuel_equal_to_the_step_count_is_enough():
+    # two Beta steps normalise the triple identity, and a normal form needs
+    # no fuel, as under ``reduce``
+    t = initialize(parse_lambda("(\\x.x) (\\y.y) (\\z.z)"))
+    nf = levy_normalize(t, fuel=2)
+    assert levy_redexes(nf) == []
+    assert levy_normalize(nf, fuel=0) == nf
+    with pytest.raises(FuelExhaustedError):
+        levy_normalize(t, fuel=1)
 
 
 def test_levy_confluence_small_corpus():

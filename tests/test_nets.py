@@ -481,7 +481,7 @@ def test_nets_of_random_configurations_are_iso_to_renumbered_copies(term):
     # each calculus translates as criteria 6 and 7 pair them
     initial = prepare("random", term).initial
     for calc, paired in ((LCF, translate_cbv), (LCA, translate_cbn)):
-        graph = reduction_graph(Configuration(initial), calc, max_configs=300)
+        graph = reduction_graph(Configuration(initial), calc, fuel=300)
         for config in graph.edges:
             net = paired(config.term)
             copy = renumbered(net)

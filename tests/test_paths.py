@@ -4,18 +4,19 @@ import pytest
 from conftest import closed_lambda_terms, failure, parse_word, port_scan
 from hypothesis import assume, given, settings
 
-from goilab import checks, paths
+from goilab import calculus, checks, paths
 from goilab.algebra import (ONE, ZERO, LevelUnderflowError, compose,
                             format_weight, involute, lw, normal_word, watom)
-from goilab.calculus import LCA, LCF, Configuration, reduce, reduction_graph
+from goilab.calculus import (FUEL, LCA, LCF, Configuration, FuelExhaustedError,
+                             reduce, reduction_graph)
 from goilab.checks import _step_edges, _trace, check_weight_invariance
 from goilab.corpus import CLASSICS, closed_terms, corpus, prepare
-from goilab.labelled import initialize, label_of
+from goilab.labelled import bullet, initialize, label_of
 from goilab.labels import atomic
 from goilab.nets import (TRANSITIONS, Net, TranslationError, translate_cbn,
                          translate_cbv, validate)
-from goilab.paths import (DirectedEdges, SearchBudgetError, check_invariance,
-                          live_words, weight_member, weight_set)
+from goilab.paths import (DirectedEdges, check_invariance, live_words,
+                          weight_member, weight_set)
 from goilab.terms import Abs, App, Var, compile_term, parse_lambda
 
 
@@ -226,21 +227,22 @@ def test_weight_set_takes_whole_chains_as_the_reference_takes_steps():
     assert {format_weight(w) for w in words} == {"q.r", "r*.q*"}
 
 
-def test_weight_set_budget_is_a_step_error(monkeypatch):
+def test_weight_set_budget_is_a_step_error():
+    # a fuel of 50 holds church_two_twice's 23 lcf configurations and its
+    # trace of 11 steps, but no search of its nets
     entry = prepare("church_two_twice",
                     parse_lambda(dict(CLASSICS)["church_two_twice"]))
     net = translate_cbv(entry.initial)
-    monkeypatch.setattr(paths, "MAX_EXPANSIONS", 50)
-    with pytest.raises(SearchBudgetError):
-        weight_set(net)
-    report = check_weight_invariance([entry], LCF)
+    with pytest.raises(FuelExhaustedError):
+        weight_set(net, fuel=50)
+    report = check_weight_invariance([entry], LCF, fuel=50)
     assert not report["ok"]
     assert report["failures"]
-    assert all((f["problem"], f["error"]) == ("weight set not found", "SearchBudgetError")
+    assert all((f["problem"], f["error"]) == ("weight set not found", "FuelExhaustedError")
                for f in report["failures"])
 
 
-def test_taking_whole_runs_never_loosens_the_budget(monkeypatch):
+def test_taking_whole_runs_never_loosens_the_budget():
     # a search that null-tests every step needs 555 visits on the cbv net of
     # church_two_twice and 516 on its cbn net.  Taking whole runs charges
     # every step of a run, even past a null prefix, so it needs no fewer
@@ -250,28 +252,27 @@ def test_taking_whole_runs_never_loosens_the_budget(monkeypatch):
                                       (translate_cbn, 516, 750)):
         assert runs >= stepwise
         net = translate(entry.initial)
-        for budget in (stepwise - 1, runs - 1):
-            monkeypatch.setattr(paths, "MAX_EXPANSIONS", budget)
-            with pytest.raises(SearchBudgetError):
-                weight_set(net)
-        monkeypatch.setattr(paths, "MAX_EXPANSIONS", runs)
-        assert len(weight_set(net)) == 8
+        for fuel in (stepwise - 1, runs - 1):
+            with pytest.raises(FuelExhaustedError):
+                weight_set(net, fuel)
+        assert len(weight_set(net, runs)) == 8
 
 
 def test_term_without_normal_form_exhausts_the_budget():
     # the live words of a net whose term does not normalise never run out;
-    # the default budget stops each search, and each step is an error.  Its
-    # trace runs out of fuel too, and that is one more failure
+    # the fuel stops each search, the default one too, and each step is an
+    # error.  Its trace runs out of fuel as well, and that is one more
+    # failure, of another kind: a search out of fuel stays a search's
     omega = prepare("omega", parse_lambda("(\\x.x x) (\\x.x x)"))
     for calculus, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
-        with pytest.raises(SearchBudgetError):
+        with pytest.raises(FuelExhaustedError):
             weight_set(translate(omega.initial))
         report = check_weight_invariance([omega], calculus, fuel=3)
         assert not report["ok"]
         *steps, last = report["failures"]
         assert report["steps_checked"] == len(steps) > 0
         assert report["failures_total"] == len(steps) + 1
-        assert all((f["problem"], f["error"]) == ("weight set not found", "SearchBudgetError")
+        assert all((f["problem"], f["error"]) == ("weight set not found", "FuelExhaustedError")
                    for f in steps)
         assert last == failure("trace fuel exhausted", "omega", calculus)
 
@@ -444,7 +445,7 @@ def test_an_unexpected_exception_fails_criterion_9_without_aborting_it(
 
 
 def test_criterion_9_reports_a_final_weight_that_no_path_realises(monkeypatch):
-    monkeypatch.setattr(checks, "weight_member", lambda net, word: False)
+    monkeypatch.setattr(checks, "weight_member", lambda net, word, fuel: False)
     report = checks.check_goi_end_to_end([
         prepare("id", parse_lambda("\\x.x")),
         prepare("id_id", parse_lambda("(\\x.x) (\\y.y)"))])
@@ -458,16 +459,16 @@ def test_swapped_translations_fail_and_every_failure_is_counted(monkeypatch):
     # other's translation.  Criteria 6, 7 and 9 fail, and each whole-corpus
     # report counts every failure its entries make one at a time, however
     # few it lists.  Some swapped nets have more live paths than the
-    # default budget of 10,000 visits lets a search follow, and those
-    # searches take about 20 s here; a budget of 1,000 stops each of them in
-    # well under a second, and a search it stops is a failure either way
+    # default fuel of 10,000 visits lets a search follow, and those
+    # searches take about 20 s here; a fuel of 1,000 stops each of them in
+    # well under a second, and a search it stops is a failure either way.
+    # No graph or trace of corpus(5) needs that much
     monkeypatch.setattr(checks, "translate_cbv", translate_cbn)
     monkeypatch.setattr(checks, "translate_cbn", translate_cbv)
-    monkeypatch.setattr(paths, "MAX_EXPANSIONS", 1000)
     entries = corpus(5)
-    suites = {6: lambda e: check_weight_invariance(e, LCF),
-              7: lambda e: check_weight_invariance(e, LCA),
-              9: checks.check_goi_end_to_end}
+    suites = {6: lambda e: check_weight_invariance(e, LCF, fuel=1000),
+              7: lambda e: check_weight_invariance(e, LCA, fuel=1000),
+              9: lambda e: checks.check_goi_end_to_end(e, fuel=1000)}
     records, gaining = {}, {}
     for number, suite in suites.items():
         whole = suite(entries)
@@ -493,9 +494,47 @@ def test_swapped_translations_fail_and_every_failure_is_counted(monkeypatch):
     assert Counter(f["error"] for f in records[6]) == {
         "TranslationError": 124, "LevelUnderflowError": 18}
     assert Counter(f["error"] for f in records[7]) == {
-        "SearchBudgetError": 124, "LevelUnderflowError": 33, None: 18}
+        "FuelExhaustedError": 124, "LevelUnderflowError": 33, None: 18}
     assert gaining == {6: set(), 7: {"closed_05_012", "triple_identity",
                                      "apply_to_identity", "copy_under_binder"}}
+
+
+def test_lca_var_without_its_marker_is_caught_by_criteria_7_8_and_9(monkeypatch):
+    # a mutant of the mutation matrix: lca's Var rule drops the D> it puts
+    # after a variable's label, written as a wrapper of the rules' match.
+    # Its words grow without end, and at the default fuel of 10,000 visits
+    # its searches take minutes; at a fuel of 1,000 the whole run takes
+    # under a second.  No graph, trace or search of corpus(5) needs that
+    # much unmutated (criterion 7 passes at it), so only the mutant runs out
+    entries = corpus(5)
+    assert check_weight_invariance(entries, LCA, fuel=1000)["ok"]
+    contractions = calculus._contractions
+
+    def without_d(node, calc, rules):
+        out = contractions(node, calc, rules)
+        if calc == LCA and out and out[0][0] == "Var" and node.body.label is not None:
+            return (("Var", (bullet(node.body.label, node.arg), None)),)
+        return out
+
+    monkeypatch.setattr(calculus, "_contractions", without_d)
+    monkeypatch.setattr(checks, "FAILURES_LISTED", 10_000)  # every record listed
+    reports = {4: checks.check_confluence(entries, LCA, fuel=1000),
+               5: checks.check_label_lemmas(entries, LCA, fuel=1000),
+               7: check_weight_invariance(entries, LCA, fuel=1000),
+               8: checks.check_net_simulation(entries, fuel=1000),
+               9: checks.check_goi_end_to_end(entries, fuel=1000)}
+    kinds = {number: Counter((f["calculus"], f["problem"], f["error"])
+                             for f in report["failures"])
+             for number, report in reports.items()}
+    assert kinds == {
+        4: {}, 5: {},
+        7: {(LCA, "weight set not found", "FuelExhaustedError"): 96,
+            (LCA, "live words gained", None): 15},
+        8: {(LCA, "no cut step reaches the reduct", None): 72},
+        9: {(LCA, "final weight not realised", None): 3}}
+    assert [reports[n]["steps_checked"] for n in (7, 8)] == [178, 178]
+    assert not reports[7]["containment_ok"]
+    assert all(r["failures_total"] == len(r["failures"]) for r in reports.values())
 
 
 def test_erased_terms_carry_zero_weight():
@@ -515,20 +554,20 @@ def classic(name):
     return prepare(name, parse_lambda(dict(CLASSICS)[name]))
 
 
-def rechecked(entry, calculus, search):
-    """``check_weight_invariance``'s report on one entry, made by translating
-    and searching both nets of every step afresh."""
+def rechecked(entry, calculus, fuel):
+    """``check_weight_invariance``'s report on one entry at ``fuel``, made
+    by translating and searching both nets of every step afresh."""
     translate = translate_cbv if calculus == LCF else translate_cbn
     failures = []
-    steps = list(_step_edges(entry, calculus, 10_000))
+    steps = list(_step_edges(entry, calculus, fuel))
     for src, site, dst in steps:
         where = entry.name, calculus, site.rule, site.position
         try:
-            report = check_invariance(search(translate(src)),
-                                      search(translate(dst)))
-        except SearchBudgetError as exc:
+            report = check_invariance(weight_set(translate(src), fuel),
+                                      weight_set(translate(dst), fuel))
+        except FuelExhaustedError as exc:
             failures.append(failure("weight set not found", *where,
-                                    error="SearchBudgetError", detail=str(exc)))
+                                    error="FuelExhaustedError", detail=str(exc)))
             continue
         lost, gained = report["live_left_only"], report["live_right_only"]
         if not report["live_equal"]:
@@ -543,16 +582,16 @@ def rechecked(entry, calculus, search):
 
 def test_each_term_is_translated_and_searched_once_per_call(monkeypatch):
     # many steps share a source or a reduct; its live words are found once.
-    # A search budget of 300 expansions stops the search of 14 of
-    # church_two_twice's 23 lcf nets, some shared by two steps, so failing
-    # reports are compared too, and a search that raises is made once
-    monkeypatch.setattr(paths, "MAX_EXPANSIONS", 300)
+    # A fuel of 300 visits stops the search of 14 of church_two_twice's 23
+    # lcf nets, some shared by two steps, so failing reports are compared
+    # too, and a search that raises is made once.  It holds every graph
+    # here whole
     entries = (classic("church_two_twice"), classic("apply_to_identity"))
     reports, repeats = [], 0
     for calculus, name, translate in ((LCF, "translate_cbv", translate_cbv),
                                       (LCA, "translate_cbn", translate_cbn)):
         for entry in entries:
-            steps = list(_step_edges(entry, calculus, 10_000))
+            steps = list(_step_edges(entry, calculus, 300))
             terms = {term for src, _, dst in steps for term in (src, dst)}
             translated, built, searched = [], [], []
 
@@ -561,18 +600,18 @@ def test_each_term_is_translated_and_searched_once_per_call(monkeypatch):
                 built.append(translate(term))
                 return built[-1]
 
-            def counted_search(net):
+            def counted_search(net, fuel):
                 searched.append(net)
-                return weight_set(net)
+                return weight_set(net, fuel)
 
             with monkeypatch.context() as patch:
                 patch.setattr(checks, name, counted_translate)
                 patch.setattr(checks, "weight_set", counted_search)
-                report = check_weight_invariance([entry], calculus)
+                report = check_weight_invariance([entry], calculus, fuel=300)
             assert len(translated) == len(set(translated)) == len(terms)
             assert set(translated) == terms
             assert searched == built
-            assert report == rechecked(entry, calculus, weight_set)
+            assert report == rechecked(entry, calculus, 300)
             reports.append(report)
             repeats += 2 * len(steps) - len(terms)
     assert repeats > 0  # a search per step side would repeat some
@@ -597,17 +636,21 @@ def test_a_complete_graph_holds_every_trace_step():
 
 
 def test_an_incomplete_graph_still_checks_the_trace():
-    # church_two_twice has 23 (lcf) and 15 (lca) configurations but traces
-    # of 11 and 9 steps: a fuel of 12 cuts each graph short, not the trace
-    entry = classic("church_two_twice")
+    # six identities applied in turn to \y.y: each calculus has 729
+    # configurations but a trace of 12 steps, and no search of a net met
+    # here needs more than 396 visits.  A fuel of 400 cuts each graph
+    # short, not the trace, nor any search
+    source = "\\y.y"
+    for i in range(6):
+        source = f"(\\x{i}.x{i}) ({source})"
+    entry = prepare("identities", parse_lambda(source))
     for calculus in (LCF, LCA):
-        assert _trace(entry, calculus, 12) is not None
-        graph = reduction_graph(Configuration(entry.initial), calculus,
-                                max_configs=12)
+        assert len(_trace(entry, calculus, FUEL)) == 13
+        graph = reduction_graph(Configuration(entry.initial), calculus, fuel=400)
         assert not graph.complete
         graph_steps = {(src.term, site, dst.term)
                        for src, site, dst in graph.steps()}
-        report = check_weight_invariance([entry], calculus, fuel=12)
+        report = check_weight_invariance([entry], calculus, fuel=400)
         assert report["ok"]
         assert report["steps_checked"] > len(graph_steps)
 
@@ -617,9 +660,9 @@ def test_an_incomplete_graph_still_checks_the_trace():
 def test_lca_steps_of_random_terms_keep_the_live_words(term):
     # every lca step preserves the live words
     entry = prepare("random", term)
-    graph = reduction_graph(Configuration(entry.initial), LCA, max_configs=300)
+    graph = reduction_graph(Configuration(entry.initial), LCA, fuel=300)
     assume(graph.complete)
-    assert check_weight_invariance([entry], LCA, fuel=300)["ok"]
+    assert check_weight_invariance([entry], LCA)["ok"]
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -627,9 +670,9 @@ def test_lca_steps_of_random_terms_keep_the_live_words(term):
 def test_lcf_steps_of_random_terms_keep_the_live_words(term):
     # every lcf step preserves the live words
     entry = prepare("random", term)
-    graph = reduction_graph(Configuration(entry.initial), LCF, max_configs=300)
+    graph = reduction_graph(Configuration(entry.initial), LCF, fuel=300)
     assume(graph.complete)
-    assert check_weight_invariance([entry], LCF, fuel=300)["ok"]
+    assert check_weight_invariance([entry], LCF)["ok"]
 
 
 # lcf Beta steps that substitute an open argument.  With the erased binder

@@ -18,15 +18,17 @@ from conftest import port_scan
 
 from goilab import checks, nets
 from goilab.algebra import CONSTANTS, normal_word
-from goilab.calculus import (LCA, LCF, Configuration, RedexSite, TraceStep,
-                             reduce, reduction_graph, sigma_walk)
+from goilab.calculus import (FUEL, LCA, LCF, Configuration, RedexSite,
+                             TraceStep, normalize_sigma, reduce,
+                             reduction_graph, sigma_walk)
 from goilab.checks import (_step_edges, check_net_simulation,
                            check_weight_invariance)
 from goilab.corpus import CLASSICS, corpus, prepare
 from goilab.labels import RIGHT, Atomic, Marker, Over, Under, atomic
 from goilab.nets import (closed_cut_step, contracted, eligible_cuts,
                          iso_check, translate_cbn, translate_cbv, validate)
-from goilab.paths import weight_set
+from goilab.levy import levy_normalize
+from goilab.paths import weight_member, weight_set
 from goilab.terms import (Abs, App, Copy, Erase, Subst, Var, parse,
                           parse_lambda, subterms)
 
@@ -356,9 +358,9 @@ def test_no_sigma_walk_starts_at_the_end_of_a_trace(monkeypatch):
     before_beta = sum(ts.site.rule == "Beta" for _, trace in traces for ts in trace[1:])
     walked = []
 
-    def counted(config, calculus):
+    def counted(config, calculus, fuel):
         walked.append((config, calculus))
-        return sigma_walk(config, calculus)
+        return sigma_walk(config, calculus, fuel)
 
     monkeypatch.setattr(checks, "sigma_walk", counted)
     for suite in (checks.check_sigma_termination, checks.check_propagation):
@@ -472,18 +474,23 @@ def test_no_module_reads_the_environment():
 
 
 def test_every_suite_has_one_budget_named_fuel():
-    # --fuel reaches every suite as one parameter; a second budget would
-    # need a second flag or a value the command line cannot set
+    # --fuel reaches every suite as one parameter, and every search a suite
+    # makes takes the same one; a second budget would need a second flag or
+    # a value the command line cannot set
     suites = [fn for name, fn in vars(checks).items()
               if name.startswith("check_") and fn.__module__ == checks.__name__]
     assert len(suites) == 9
-    for fn in suites:
+    searches = [reduce, sigma_walk, normalize_sigma, reduction_graph,
+                weight_set, weight_member, levy_normalize]
+    assert FUEL == 10_000
+    for fn in suites + searches:
         if fn.__name__ in ("check_compile_fidelity", "check_algebra_laws"):
             continue
         params = inspect.signature(fn).parameters
         budgets = [p for p in params.values()
-                   if p.name not in ("entries", "calculus")]
-        assert [(p.name, p.default) for p in budgets] == [("fuel", 10_000)], fn.__name__
+                   if p.name not in ("entries", "calculus", "config", "net",
+                                     "target", "term")]
+        assert [(p.name, p.default) for p in budgets] == [("fuel", FUEL)], fn.__name__
 
 
 def test_each_translation_takes_only_a_term():
