@@ -193,11 +193,11 @@ def check_propagation(entries: Iterable[CorpusEntry],
 # criterion 4: confluence by exhaustive search
 
 def _graphs(entries: Iterable[CorpusEntry], calculus: str, fuel: int,
-            exhausted: list):
-    """(entry, reduction graph) for each entry in turn.  A graph that
-    outgrows ``fuel`` configurations is incomplete: its entry is appended
-    to ``exhausted``, unchecked, and yielded with None for its graph only
-    at desk size, where that is a failure."""
+            failures: list, exhausted: list):
+    """(entry, reduction graph) for each entry whose graph completes within
+    ``fuel`` configurations.  An incomplete graph's entry is appended to
+    ``exhausted``, unchecked, and at desk size, where that is a failure, to
+    ``failures`` too."""
     for entry in entries:
         graph = reduction_graph(Configuration(entry.initial), calculus, fuel=fuel)
         if graph.complete:
@@ -205,16 +205,15 @@ def _graphs(entries: Iterable[CorpusEntry], calculus: str, fuel: int,
         else:
             exhausted.append(entry.name)
             if term_size(entry.source) <= DESK_SIZE:
-                yield entry, None
+                failures.append(_failure("fuel exhausted at desk size", entry.name,
+                                         calculus))
 
 
 def check_confluence(entries: Iterable[CorpusEntry], calculus: str,
                      fuel: int = FUEL) -> dict:
     failures, exhausted = [], []
-    for entry, graph in _graphs(entries, calculus, fuel, exhausted):
-        if graph is None:
-            failures.append(_failure("fuel exhausted at desk size", entry.name, calculus))
-        elif len(sinks := graph.sink_terms()) > 1:
+    for entry, graph in _graphs(entries, calculus, fuel, failures, exhausted):
+        if len(sinks := graph.sink_terms()) > 1:
             failures.append(_failure("distinct sinks", entry.name, calculus,
                                      detail=sorted(format_term(t, labels=True)
                                                    for t in sinks)))
@@ -296,12 +295,12 @@ def check_label_lemmas(entries: Iterable[CorpusEntry], calculus: str,
 # ---------------------------------------------------------------------------
 # criteria 6 and 7: weight-set invariance per reduction step
 
-def _step_edges(entry: CorpusEntry, calculus: str, fuel: int):
+def _step_edges(entry: CorpusEntry, calculus: str, fuel: int, failures: list):
     """Reduction steps to check: the exhaustive graph up to ``fuel``
     configurations, and when that cuts it short, the leftmost-outermost
     trace of up to ``fuel`` steps too.  A complete graph holds every step
-    of the trace already.  When the trace runs out of fuel as well,
-    ``FuelExhaustedError`` follows the graph's steps."""
+    of the trace already.  When the trace runs out of fuel as well, that
+    failure is appended to ``failures`` after the graph's steps."""
     seen = set()
     graph = reduction_graph(Configuration(entry.initial), calculus, fuel=fuel)
     for src, site, dst in graph.steps():
@@ -312,7 +311,8 @@ def _step_edges(entry: CorpusEntry, calculus: str, fuel: int):
     if graph.complete:
         return
     if (trace := _trace(entry, calculus, fuel)) is None:
-        raise FuelExhaustedError("trace fuel exhausted")
+        failures.append(_failure("trace fuel exhausted", entry.name, calculus))
+        return
     for before, ts in zip(trace, trace[1:]):
         key = (before.config.term, ts.site, ts.config.term)
         if key not in seen:
@@ -343,22 +343,19 @@ def check_weight_invariance(entries: Iterable[CorpusEntry], calculus: str,
         return words_cache[term]
 
     for entry in entries:
-        try:
-            for src, site, dst in _step_edges(entry, calculus, fuel):
-                checked += 1
-                where = entry.name, calculus, site.rule, site.position
-                (left, left_error), (right, right_error) = words_of(src), words_of(dst)
-                if error := left_error or right_error:
-                    failures.append(_failure("weight set not found", *where, error=error))
-                    continue
-                report = check_invariance(left, right)
-                if not report["live_equal"]:
-                    gained = report["live_right_only"]
-                    failures.append(_failure(
-                        "live words gained" if gained else "live words lost", *where,
-                        detail={"lost": report["live_left_only"], "gained": gained}))
-        except FuelExhaustedError:
-            failures.append(_failure("trace fuel exhausted", entry.name, calculus))
+        for src, site, dst in _step_edges(entry, calculus, fuel, failures):
+            checked += 1
+            where = entry.name, calculus, site.rule, site.position
+            (left, left_error), (right, right_error) = words_of(src), words_of(dst)
+            if error := left_error or right_error:
+                failures.append(_failure("weight set not found", *where, error=error))
+                continue
+            report = check_invariance(left, right)
+            if not report["live_equal"]:
+                gained = report["live_right_only"]
+                failures.append(_failure(
+                    "live words gained" if gained else "live words lost", *where,
+                    detail={"lost": report["live_left_only"], "gained": gained}))
     # reduction may lose live weights but never invents them
     return _report(failures, steps_checked=checked, containment_ok=all(
         f["problem"] != "live words gained" for f in failures),
@@ -393,10 +390,7 @@ def check_net_simulation(entries: Iterable[CorpusEntry],
             failures.append(_failure("nets cannot be compared", *where, error=error))
         return same
 
-    for entry, graph in _graphs(entries, LCA, fuel, exhausted):
-        if graph is None:
-            failures.append(_failure("fuel exhausted at desk size", entry.name, LCA))
-            continue
+    for entry, graph in _graphs(entries, LCA, fuel, failures, exhausted):
         for src, site, dst in graph.steps():
             checked += 1
             (left, left_error), (right, right_error) = net_of(src.term), net_of(dst.term)

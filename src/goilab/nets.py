@@ -200,13 +200,19 @@ def validate(net: Net) -> list:
     nodes, boxes, ports = net.nodes, net.boxes, net.ports
     outside: frozenset = frozenset()
     boxes_of: dict = {}  # node -> the boxes that hold it, if any
-    for bid, b in boxes.items():
+    overlaps = set()  # (lesser, greater) ids of each pair of boxes that overlap
+    # largest first: a box then holds no earlier box but its equal, so it
+    # overlaps each earlier box that holds some of its nodes but not all
+    for bid, b in sorted(boxes.items(), key=lambda item: -len(item[1].contents)):
         grown = {}  # each set of boxes this box adds to, with it added
         for nid in b.contents:
             held = boxes_of.get(nid, outside)
             if (wider := grown.get(held)) is None:
                 wider = grown[held] = held | {bid}
             boxes_of[nid] = wider
+        if len(grown) > 1:  # those are in some but not all of its nodes' sets
+            overlaps.update((min(bid, other), max(bid, other)) for other in
+                            frozenset.union(*grown) - frozenset.intersection(*grown))
     crossings = {bid: [] for bid in boxes}
     levels = []
     attached = 0  # ends that hold a port of their node
@@ -272,13 +278,8 @@ def validate(net: Net) -> list:
         for nid in b.contents:
             if nid not in nodes:
                 problems.append(f"box {bid} contains missing node {nid}")
-    for b1, box1 in boxes.items():
-        for b2, box2 in boxes.items():
-            if b1 < b2:
-                inter = box1.contents & box2.contents
-                if inter and not (box1.contents <= box2.contents
-                                  or box2.contents <= box1.contents):
-                    problems.append(f"boxes {b1},{b2} overlap without nesting")
+    problems += [f"boxes {b1},{b2} overlap without nesting"
+                 for b1, b2 in sorted(overlaps)]
     for found in crossings.values():
         problems.extend(found)
     problems += levels

@@ -145,9 +145,10 @@ def weight_member(net: Net, target: Weight, fuel: int = FUEL) -> bool:
     from the root to the subnet of the result, not to an interface).  The
     search is depth-first on an explicit stack, as ``weight_set``'s is, so a
     long target cannot exhaust Python's recursion limit.  It is pruned by
-    prefix matching against the target word.  It follows no path longer
-    than ``4 * len(target) + 16`` steps, and answers False when no shorter
-    one realises the target.  ``fuel`` bounds the visits; past it
+    prefix matching against the target word.  A straight path's next steps
+    depend only on the directed edge it is on, so each pair of a state and
+    the target atoms matched before it is pushed at most once: the search
+    ends, and its answer is exact.  ``fuel`` bounds the visits; past it
     ``FuelExhaustedError`` is raised.
     """
     if target is None:
@@ -158,11 +159,11 @@ def weight_member(net: Net, target: Weight, fuel: int = FUEL) -> bool:
     if not target:
         return True  # the empty path has weight 1
     words, succ = table.words, table.succ
-    max_steps = 4 * len(target) + 16
-    # (path length, target atoms matched before the step, step's state)
-    pending = [(1, 0, table.root)]
+    # (target atoms matched before the step, step's state)
+    pending = [(0, table.root)]
+    seen = set(pending)
     while pending:
-        depth, matched, state = pending.pop()
+        matched, state = pending.pop()
         if fuel <= 0:
             raise FuelExhaustedError("membership search ran out of fuel")
         fuel -= 1
@@ -172,9 +173,11 @@ def weight_member(net: Net, target: Weight, fuel: int = FUEL) -> bool:
         matched += len(word)
         if matched == len(target):
             return True
-        if depth < max_steps:
-            # reversed, so that the first successor is searched first
-            pending += [(depth + 1, matched, nxt) for nxt in reversed(succ[state])]
+        # reversed, so that the first successor is searched first
+        for nxt in reversed(succ[state]):
+            if (matched, nxt) not in seen:
+                seen.add((matched, nxt))
+                pending.append((matched, nxt))
     return False
 
 

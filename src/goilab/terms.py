@@ -18,7 +18,9 @@ Labelled nodes print with a ``^{...}`` superscript and surrounding parens.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .labels import Label, format_label, slot_init
@@ -431,103 +433,85 @@ class FreshSupply:
 # ---------------------------------------------------------------------------
 # parsing
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789'")
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\n\r":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, s: str):
-        self.skip_ws()
-        if not self.text.startswith(s, self.pos):
-            self.error(f"expected {s!r}")
-        self.pos += len(s)
-
-    def ident(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] not in _IDENT_START:
-            self.error("expected identifier")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CONT:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def term(self) -> Term:
-        return self.application()
-
-    def application(self) -> Term:
-        t = self.item()
-        while True:
-            c = self.peek()
-            if c and (c in _IDENT_START or c in "(\\"):
-                t = App(t, self.item())
-                continue
-            return t
-
-    def item(self) -> Term:
-        if self.peek() == "\\":
-            self.expect("\\")
-            binder = self.ident()
-            self.expect(".")
-            return Abs(binder, self.term())
-        t = self.atom()
-        while self.peek() == "[":
-            self.expect("[")
-            arg = self.term()
-            self.expect("/")
-            target = self.ident()
-            self.expect("]")
-            t = Subst(t, arg, target)
-        return t
-
-    def atom(self) -> Term:
-        c = self.peek()
-        if c == "(":
-            self.expect("(")
-            t = self.term()
-            self.expect(")")
-            return t
-        name = self.ident()
-        if name == "eps" and self.peek() == "[":
-            self.expect("[")
-            binder = self.ident()
-            self.expect("]")
-            self.expect(".")
-            return Erase(binder, self.term())
-        if name == "copy" and self.peek() == "[":
-            self.expect("[")
-            source = self.ident()
-            self.expect("->")
-            left = self.ident()
-            self.expect(",")
-            right = self.ident()
-            self.expect("]")
-            self.expect(".")
-            return Copy(source, left, right, self.term())
-        return Var(name)
+# white space, then a token: a name, a symbol, a stray character or, at the
+# end of the text, nothing
+_TOKEN = re.compile(r"[ \t\n\r]*(([A-Za-z_][A-Za-z0-9_']*)|->|.?)")
+# each token that opens a binder, or ends a substitution's argument: the
+# constructor it calls, and the tokens it reads next, None for each name
+_HEADERS = {"\\": (Abs, (None, ".")),
+            "eps": (Erase, ("[", None, "]", ".")),
+            "copy": (Copy, ("[", None, "->", None, ",", None, "]", ".")),
+            "/": (Subst, (None, "]"))}
 
 
 def parse(text: str) -> Term:
-    parser = _Parser(text)
-    term = parser.term()
-    parser.skip_ws()
-    if parser.pos != len(parser.text):
-        parser.error("trailing input")
-    return term
+    """The term ``text`` spells in the concrete grammar, or a ``ParseError``
+    at the first token it cannot take.  One loop over the tokens, with each
+    open group on an explicit stack, so no depth can overflow the
+    interpreter's.  A group is the whole text, a parenthesis, or a
+    substitution's argument up to its ``/``.  The group at hand is the token
+    that closes it, the application of its items so far, and its binders: a
+    binder's body runs to the group's end, so each is kept as the
+    constructor that takes the body last, behind the items before it."""
+    tokens = ((m[1], m[2], m.start(1)) for m in _TOKEN.finditer(text))
+    token, name, at = next(tokens)
+    stack = []  # each enclosing group, with the item its '[' extends
+    closer, items, binders = "", None, []
+    item = None  # the item last read, which a '[' may still extend
+    while True:
+        if item is None:  # an item starts here
+            if name is None and token != "(" and token != "\\":
+                raise ParseError("expected identifier", at)
+            opener = token
+            token, name, at = next(tokens)
+            if opener == "(":
+                stack.append((closer, items, binders, None))
+                closer, items, binders = ")", None, []
+                continue
+            if opener != "\\" and (token != "[" or opener not in _HEADERS):
+                item = Var(opener)
+                continue
+        elif token == "[":
+            token, name, at = next(tokens)
+            stack.append((closer, items, binders, item))
+            closer, items, binders, item = "/", None, [], None
+            continue
+        else:
+            items = item if items is None else App(items, item)
+            item = None
+            if name is not None or token == "(" or token == "\\":
+                continue
+            if token != closer:
+                raise ParseError(f"expected {closer!r}" if closer else "trailing input",
+                                 at)
+            for binder in reversed(binders):
+                items = binder(items)
+            if not stack:
+                return items
+            opener, arg = closer, items
+            closer, items, binders, item = stack.pop()
+            token, name, at = next(tokens)
+            if opener == ")":
+                item = arg
+                continue
+        # a binder's header, or the target after a substitution's '/'
+        kind, shape = _HEADERS[opener]
+        names = []
+        for want in shape:
+            if want is None:
+                if name is None:
+                    raise ParseError("expected identifier", at)
+                names.append(name)
+            elif token != want:
+                raise ParseError(f"expected {want!r}", at)
+            token, name, at = next(tokens)
+        if kind is Subst:
+            item = Subst(item, arg, *names)
+        else:
+            if items is not None:
+                binders.append(partial(App, items))
+            binders.append(partial(kind, *names))
+            items = None
 
 
 def parse_lambda(text: str) -> Term:

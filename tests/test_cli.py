@@ -1,9 +1,11 @@
 import json
+import sys
 
 import pytest
 
 from goilab import checks, cli
 from goilab.cli import main
+from goilab.terms import Abs, App, Var, compile_term, format_term
 
 
 def test_compile_to_stdout(capsys):
@@ -213,4 +215,36 @@ def test_a_negative_budget_or_corpus_size_is_a_usage_error(argv, capsys):
 def test_a_zero_budget_or_corpus_size_is_allowed(tmp_path):
     assert main(["reduce", "x", "--fuel", "0", "--out", str(tmp_path)]) == 0
     assert main(["check", "compile", "--corpus-max-size", "0",
+                 "--out", str(tmp_path)]) == 0
+
+
+def deep(n):
+    """Three n-deep terms, each as text and as built from constructors: a
+    right-nested abstraction, n parentheses around \\x.x, and
+    x0 (x1 (... (x{n-1} y)))."""
+    abstraction, application = Var("x0"), Var("y")
+    for i in reversed(range(n)):
+        abstraction = Abs(f"x{i}", abstraction)
+        application = App(Var(f"x{i}"), application)
+    return [("".join(f"\\x{i}." for i in range(n)) + "x0", abstraction),
+            ("(" * n + "\\x.x" + ")" * n, Abs("x", Var("x"))),
+            (" (".join(f"x{i}" for i in range(n)) + " y" + ")" * (n - 1), application)]
+
+
+@pytest.mark.parametrize("shape", range(3), ids=("abstraction", "parentheses",
+                                                 "application"))
+def test_a_term_5000_deep_compiles(shape, capsys):
+    # the parser is a loop; a recursive one overflowed on each shape by 400
+    # levels, at the default recursion limit
+    assert sys.getrecursionlimit() < 5_000
+    text, term = deep(5_000)[shape]
+    assert main(["compile", text]) == 0
+    assert capsys.readouterr().out == format_term(compile_term(term)) + "\n"
+
+
+def test_a_term_400_deep_is_translated_and_checked(tmp_path):
+    text, _ = deep(400)[0]
+    assert main(["net", text, "--translation", "cbn", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "net.json").read_text())
+    assert main(["check", "invariance", "--corpus-max-size", "0", "--term", text,
                  "--out", str(tmp_path)]) == 0

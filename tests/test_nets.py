@@ -283,6 +283,16 @@ BROKEN = [
     (lambda net: net.boxes.__setitem__(9, Box(1, (), {1, net.new_node("weaken")})),
      ["weaken node 9 has empty port out", "boxes 8,9 overlap without nesting",
       "edge 4 crosses box 9 away from a door"]),
+    # box 12 straddles the disjoint boxes 10 and 11, so it overlaps both;
+    # box 8 holds all three, and overlaps none
+    (lambda net: (net.boxes[8].contents.add(net.new_node("weaken")),
+                  net.boxes.update({10: Box(1, (), {1, 2}), 11: Box(5, (), {5, 9}),
+                                    12: Box(2, (), {2, 5})})),
+     ["weaken node 9 has empty port out", "box 11 principal is not an of-course node",
+      "box 12 principal is not an of-course node", "boxes 10,12 overlap without nesting",
+      "boxes 11,12 overlap without nesting", "edge 6 crosses box 10 away from a door",
+      "edge 6 crosses box 11 away from a door", "edge 4 crosses box 12 away from a door",
+      "edge 7 crosses box 12 away from a door"]),
     (lambda net: setattr(net.boxes[8], "auxiliaries", ()),
      ["edge 7 crosses box 8 away from a door"]),
     (lambda net: setattr(net.edges[4], "weight", negative_level()),

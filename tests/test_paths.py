@@ -173,7 +173,7 @@ def test_weight_set_equals_the_depth_first_enumeration():
     for calculus, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
         terms = {}
         for entry in corpus(6):
-            for src, _, dst in _step_edges(entry, calculus, 10_000):
+            for src, _, dst in _step_edges(entry, calculus, 10_000, []):
                 terms[src] = terms[dst] = None
         for term in terms:
             net = translate(term)
@@ -558,8 +558,9 @@ def rechecked(entry, calculus, fuel):
     """``check_weight_invariance``'s report on one entry at ``fuel``, made
     by translating and searching both nets of every step afresh."""
     translate = translate_cbv if calculus == LCF else translate_cbn
-    failures = []
-    steps = list(_step_edges(entry, calculus, fuel))
+    failures, exhausted = [], []
+    steps = list(_step_edges(entry, calculus, fuel, exhausted))
+    assert exhausted == []  # no trace here runs out of fuel
     for src, site, dst in steps:
         where = entry.name, calculus, site.rule, site.position
         try:
@@ -591,7 +592,7 @@ def test_each_term_is_translated_and_searched_once_per_call(monkeypatch):
     for calculus, name, translate in ((LCF, "translate_cbv", translate_cbv),
                                       (LCA, "translate_cbn", translate_cbn)):
         for entry in entries:
-            steps = list(_step_edges(entry, calculus, 300))
+            steps = list(_step_edges(entry, calculus, 300, []))
             terms = {term for src, _, dst in steps for term in (src, dst)}
             translated, built, searched = [], [], []
 

@@ -126,7 +126,7 @@ def test_traced_counters_count_steps_and_distinct_nets(monkeypatch):
     entry = prepare("apply_to_identity",
                     parse_lambda(dict(CLASSICS)["apply_to_identity"]))
     for calculus in (LCF, LCA):
-        terms = {term for src, _, dst in _step_edges(entry, calculus, 10_000)
+        terms = {term for src, _, dst in _step_edges(entry, calculus, 10_000, [])
                  for term in (src, dst)}
         tr = tracer.Tracer()
         tr.new_window()
@@ -385,6 +385,56 @@ def test_no_nested_function_calls_itself():
                         and node.func.id == inner.name for node in ast.walk(inner)):
                     calling_itself.append(f"{path.name}: {outer.name}.{inner.name}")
     assert calling_itself == []
+
+
+def test_the_recursion_left_is_a_stated_list():
+    # one call graph per module: its module-level functions and class
+    # methods, joined by calls by bare name to a module function and by
+    # ``self.<method>`` calls within a class.  Each cycle is a recursion
+    # that a deep enough input can overflow; the parser's is gone
+    cycles = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        defs = {}  # qualified name -> (its class or None, its node)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[node.name] = (None, node)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs[f"{node.name}.{item.name}"] = (node.name, item)
+        calls = {}
+        for name, (owner, node) in defs.items():
+            calls[name] = set()
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                fn = call.func
+                if isinstance(fn, ast.Name) and fn.id in defs:  # a module function
+                    calls[name].add(fn.id)
+                elif (owner and isinstance(fn, ast.Attribute)
+                      and isinstance(fn.value, ast.Name) and fn.value.id == "self"
+                      and f"{owner}.{fn.attr}" in defs):
+                    calls[name].add(f"{owner}.{fn.attr}")
+        reach = {}  # name -> the names its calls reach, in one call or more
+        for name in calls:
+            reached, stack = set(), list(calls[name])
+            while stack:
+                if (callee := stack.pop()) not in reached:
+                    reached.add(callee)
+                    stack += calls[callee]
+            reach[name] = reached
+        cycles |= {frozenset(f"{module}.{other}" for other in reach[name]
+                             if name in reach[other])
+                   for name in calls if name in reach[name]}
+    assert cycles == {frozenset(names) for names in (
+        {"algebra._thread"},
+        {"checks._forward_sequences"}, {"checks.random_label"},
+        {"corpus._terms"},
+        {"labels.reverse"}, {"labels.format_atom", "labels.format_label"},
+        {"levy.meta_substitute"},
+        {"nets._Translator.go", "nets._Translator._arg_box"},
+        {"terms.rename_free"})}
 
 
 def test_the_net_suites_leave_no_cycle_for_the_collector():
