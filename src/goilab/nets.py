@@ -291,84 +291,77 @@ def validate(net: Net) -> list:
 # translation
 
 class _Translator:
-    """Builds one net.  ``go`` returns a term's root edge and a map from
-    each free variable to its dangling edge and the box level it sits at.
-    Every construct reads its label through ``lw``, an absent label as the
-    empty one, so an unlabelled term's levels are box depths."""
+    """Builds one net.  ``var`` and the generator ``go``, sent the same for
+    each subterm it yields, give a term's root edge and a map from each free
+    variable to its dangling edge and box level.  Labels are read through
+    ``lw``, an absent one as empty, so unlabelled levels are box depths."""
 
     def __init__(self, net: Net, cbn: bool):
         self.net = net
         self.cbn = cbn
-        self.box_stack: list[set] = []
 
-    def node(self, kind: str) -> int:
-        nid = self.net.new_node(kind)
-        for contents in self.box_stack:
-            contents.add(nid)
-        return nid
+    def var(self, term: Var, level: int) -> tuple[int, dict]:
+        net = self.net
+        r = lw(term.label or (), level)
+        ax = net.new_node("ax")
+        e_body = net.new_edge(None, ("node", ax, "a"), r.weight)
+        e_var = net.new_edge(("node", ax, "b"), None, ONE)
+        if self.cbn:
+            d = net.new_node("derelict")
+            net.attach(e_var, 1, ("node", d, "in"))
+            e_var = net.new_edge(("node", d, "out"), None, watom("d", r.out_level))
+        return e_body, {term.name: (e_var, r.out_level)}
 
-    def go(self, term: Term, level: int) -> tuple[int, dict]:
+    def go(self, term: Term, level: int):
         net = self.net
         match term:
-            case Var(name, label):
-                r = lw(label or (), level)
-                ax = self.node("ax")
-                e_body = net.new_edge(None, ("node", ax, "a"), r.weight)
-                e_var = net.new_edge(("node", ax, "b"), None, ONE)
-                if self.cbn:
-                    d = self.node("derelict")
-                    net.attach(e_var, 1, ("node", d, "in"))
-                    e_var = net.new_edge(("node", d, "out"), None,
-                                         watom("d", r.out_level))
-                return e_body, {name: (e_var, r.out_level)}
-
             case Abs(binder, body, label):
                 r = lw(label or (), level)
                 o = r.out_level
                 if self.cbn:
-                    root, free = self.go(body, o)
+                    root, free = yield body, o
                     par = self._bind(root, free, binder, o)
                     return net.new_edge(None, ("node", par, "out"), r.weight), free
-                self.box_stack.append(set())
-                root, free = self.go(body, o + 1)
+                mark = net._next
+                root, free = yield body, o + 1
                 par = self._bind(root, free, binder, o + 1)
-                bang = self.node("bang")
+                bang = net.new_node("bang")
                 net.new_edge(("node", par, "out"), ("node", bang, "in"), ONE)
-                free = self._close_box(bang, free)
-                return net.new_edge(None, ("node", bang, "out"), r.weight), free
+                return self._close_box(bang, free, mark, r.weight)
 
             case App(fun, arg, label):
                 r = lw(label or (), level)
                 o = r.out_level
-                froot, ffree = self.go(fun, o)
-                tensor = self.node("tensor")
-                cut = self.node("cut")
+                froot, ffree = yield fun, o
+                tensor = net.new_node("tensor")
+                cut = net.new_node("cut")
                 e_root = net.new_edge(None, ("node", tensor, "right"),
                                       compose(r.weight, watom("q", o)))
                 net.attach(froot, 0, ("node", cut, "b"))
                 if self.cbn:
                     net.new_edge(("node", tensor, "out"), ("node", cut, "a"), ONE)
-                    aroot, afree = self._arg_box(arg, o + 1, watom("p", o, star=True))
+                    aroot, afree = yield from self._arg_box(
+                        arg, o + 1, watom("p", o, star=True))
                 else:
-                    der = self.node("derelict")
+                    der = net.new_node("derelict")
                     net.new_edge(("node", tensor, "out"), ("node", der, "in"), ONE)
                     net.new_edge(("node", der, "out"), ("node", cut, "a"),
                                  watom("d", o))
-                    aroot, afree = self.go(arg, o)
+                    aroot, afree = yield arg, o
                     net.edges[aroot].compose_incoming(0, watom("p", o, star=True))
                 net.attach(aroot, 0, ("node", tensor, "left"))
                 return e_root, self._merged(ffree, afree)
 
             case Erase(binder, body):
-                root, free = self.go(body, level)
-                weaken = self.node("weaken")
+                root, free = yield body, level
+                weaken = net.new_node("weaken")
                 e_x = net.new_edge(("node", weaken, "out"), None, ZERO)
                 erased = {binder: (e_x, self._erased_level(label_of(body), level))}
                 return root, self._merged(free, erased)
 
             case Copy(source, left, right, body):
-                root, free = self.go(body, level)
-                fan = self.node("fan")
+                root, free = yield body, level
+                fan = net.new_node("fan")
                 ey, ly = self._taken(free, left, "copy target")
                 ez, lz = self._taken(free, right, "copy target")
                 if ly != lz:
@@ -382,15 +375,15 @@ class _Translator:
                 return root, self._merged(free, {source: (e_source, ly)})
 
             case Subst(body, arg, target):
-                root, free = self.go(body, level)
+                root, free = yield body, level
                 ex, lx = self._taken(free, target, "substitution target")
-                cut = self.node("cut")
+                cut = net.new_node("cut")
                 net.attach(ex, 1, ("node", cut, "a"))
                 if self.cbn:
-                    aroot, afree = self._arg_box(*self._split_argument(arg, lx))
+                    aroot, afree = yield from self._arg_box(*self._split_argument(arg, lx))
                 else:
                     entry = entry_level_needed(label_of(arg) or ())
-                    aroot, afree = self.go(arg, max(lx, entry))
+                    aroot, afree = yield arg, max(lx, entry)
                 net.attach(aroot, 0, ("node", cut, "b"))
                 return root, self._merged(free, afree)
 
@@ -416,7 +409,7 @@ class _Translator:
         """The par node that binds ``binder`` (taken out of ``free``) on its
         left and the body ``root`` on its right."""
         net = self.net
-        par = self.node("par")
+        par = net.new_node("par")
         e_x, _ = self._taken(free, binder, "binder")
         net.edges[e_x].compose_outgoing(watom("p", inner_level))
         net.attach(e_x, 1, ("node", par, "left"))
@@ -424,9 +417,10 @@ class _Translator:
         net.attach(root, 0, ("node", par, "right"))
         return par
 
-    def _close_box(self, bang: int, free: dict) -> dict:
-        """Close the innermost open box behind ``bang`` with one auxiliary
-        door per free variable, and return the free map outside it."""
+    def _close_box(self, bang: int, free: dict, mark: int, weight: Weight) -> tuple:
+        """Close the box opened at id ``mark``, which holds every node made
+        since (ids only grow), behind ``bang`` with an auxiliary door per free
+        variable; return its external edge, of ``weight``, and the free map outside."""
         # free edges dangle at ends[1]; leaving through the door reads t*,
         # so entering the box reads t at the outer level
         net = self.net
@@ -434,7 +428,7 @@ class _Translator:
         outside = {}
         for name in sorted(free):
             edge, ly = free[name]
-            why = self.node("whynot")
+            why = net.new_node("whynot")
             net.attach(edge, 1, ("node", why, "in"))
             if ly < 1:
                 raise LevelUnderflowError(f"auxiliary door for {name} at level 0")
@@ -442,8 +436,9 @@ class _Translator:
                                  watom("t", ly - 1, star=True))
             auxiliaries.append(why)
             outside[name] = (e_aux, ly - 1)
-        net.boxes[net.new_id()] = Box(bang, tuple(auxiliaries), self.box_stack.pop())
-        return outside
+        contents = {i for i in range(mark + 1, net._next + 1) if i in net.nodes}
+        net.boxes[net.new_id()] = Box(bang, tuple(auxiliaries), contents)
+        return net.new_edge(None, ("node", bang, "out"), weight), outside
 
     @staticmethod
     def _split_argument(arg: Term, entry: int) -> tuple:
@@ -465,13 +460,11 @@ class _Translator:
     def _arg_box(self, arg: Term, interior: int, ext_weight: Weight):
         """Box the translation of ``arg`` at level ``interior``, behind an
         external edge of weight ``ext_weight``."""
-        net = self.net
-        self.box_stack.append(set())
-        root, free = self.go(arg, interior)
-        bang = self.node("bang")
-        net.attach(root, 0, ("node", bang, "in"))
-        free = self._close_box(bang, free)
-        return net.new_edge(None, ("node", bang, "out"), ext_weight), free
+        mark = self.net._next
+        root, free = yield arg, interior
+        bang = self.net.new_node("bang")
+        self.net.attach(root, 0, ("node", bang, "in"))
+        return self._close_box(bang, free, mark, ext_weight)
 
     @staticmethod
     def _taken(free: dict, name: str, role: str) -> tuple:
@@ -489,9 +482,26 @@ class _Translator:
 
 
 def _translate(term: Term, cbn: bool) -> Net:
-    """The weighted net of ``term``."""
+    """The weighted net of ``term``, built in one loop."""
     net = Net()
-    root, free = _Translator(net, cbn).go(term, 0)
+    translator = _Translator(net, cbn)
+    waiting = []  # generators, each waiting for the subterm it yielded
+    t, level = term, 0
+    while True:
+        while type(t) is not Var:  # down to the next variable
+            waiting.append(translator.go(t, level))
+            t, level = next(waiting[-1])
+        given = translator.var(t, level)
+        while waiting:  # back up to a generator that asks for another subterm
+            try:
+                t, level = waiting[-1].send(given)
+                break
+            except StopIteration as done:
+                waiting.pop()
+                given = done.value
+        if not waiting:
+            break
+    root, free = given
     net.attach(root, 0, ("root",))
     net.root = root
     for name in sorted(free):

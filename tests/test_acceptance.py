@@ -19,7 +19,7 @@ from goilab.checks import (check_algebra_laws, check_compile_fidelity,
                            check_label_lemmas, check_net_simulation,
                            check_propagation, check_sigma_termination,
                            check_weight_invariance)
-from goilab.corpus import corpus
+from goilab.corpus import _terms, corpus, prepare
 
 CORPUS = None
 
@@ -154,6 +154,38 @@ def test_criterion_09_label_describes_a_path():
     report_line(9, "final labels name straight paths of the initial net",
                 r["ok"], f"{r['checked']} normal forms, {elapsed:.1f}s")
     assert r["ok"], r["failures"][:5]
+
+
+# ROADMAP item 20: the (calculus, entry number) pairs of the open terms whose
+# final weight criterion 9 finds no straight path for, by how many free
+# names the terms may have
+OPEN_FAILURES = {
+    1: {(LCF, i) for i in (159, 176, 554, 555, 557, 595, 624, 625, 632)}
+    | {(LCA, i) for i in (596, 598, 600)},
+    2: {(LCF, i) for i in (354, 355, 356, 357, 408, 409)},
+}
+
+
+@pytest.mark.parametrize("free_names, max_size", [(1, 7), (2, 6)])
+def test_criteria_on_open_terms(free_names, max_size):
+    # the terms of up to max_size nodes whose free names are among x0 to
+    # x{free_names - 1}, numbered over all sizes in enumeration order:
+    # criteria 1-8 pass, and criterion 9 fails on exactly the stated pairs
+    terms = (t for size in range(1, max_size + 1) for t in _terms(size, free_names))
+    entries = [prepare(f"open{free_names}_{i:03d}", t) for i, t in enumerate(terms)]
+    reports = [check_compile_fidelity(entries), check_sigma_termination(entries),
+               check_propagation(entries), check_net_simulation(entries),
+               *(check(entries, calculus) for calculus in (LCF, LCA) for check in
+                 (check_confluence, check_label_lemmas, check_weight_invariance))]
+    assert [r["failures"] for r in reports] == [[]] * len(reports)
+    r = check_goi_end_to_end(entries)
+    report_line(9, f"final labels on terms with {free_names} free names", r["ok"],
+                f"{r['failures_total']} of {r['checked']} pairs not realised")
+    assert r["checked"] == 2 * len(entries)
+    assert r["failures_total"] == len(OPEN_FAILURES[free_names])
+    assert {(f["calculus"], int(f["entry"].split("_")[1]), f["problem"])
+            for f in r["failures"]} == {(calculus, i, "final weight not realised")
+                                        for calculus, i in OPEN_FAILURES[free_names]}
 
 
 def test_criterion_10_algebra_unit_laws():

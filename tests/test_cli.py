@@ -1,11 +1,15 @@
 import json
+import random
 import sys
 
 import pytest
+from conftest import reference
 
 from goilab import checks, cli
 from goilab.cli import main
-from goilab.terms import Abs, App, Var, compile_term, format_term
+from goilab.labelled import initialize
+from goilab.nets import iso_check, translate_cbn, translate_cbv, validate
+from goilab.terms import Abs, App, Var, compile_term, format_term, parse_lambda
 
 
 def test_compile_to_stdout(capsys):
@@ -242,9 +246,34 @@ def test_a_term_5000_deep_compiles(shape, capsys):
     assert capsys.readouterr().out == format_term(compile_term(term)) + "\n"
 
 
-def test_a_term_400_deep_is_translated_and_checked(tmp_path):
-    text, _ = deep(400)[0]
-    assert main(["net", text, "--translation", "cbn", "--out", str(tmp_path)]) == 0
-    assert json.loads((tmp_path / "net.json").read_text())
-    assert main(["check", "invariance", "--corpus-max-size", "0", "--term", text,
-                 "--out", str(tmp_path)]) == 0
+def left_nested(n):
+    """(\\z.z) (y x0 ... x{n-1}): an argument n applications deep."""
+    return "(\\z.z) (y " + " ".join(f"x{i}" for i in range(n)) + ")"
+
+
+@pytest.mark.parametrize("text, translation", [
+    (deep(1_000)[0][0], "cbn"), (deep(1_000)[2][0], "cbv"), (left_nested(1_000), "cbv")],
+    ids=("abstraction-cbn", "application-cbv", "left-nested-cbv"))
+def test_a_term_1000_deep_is_translated(text, translation, tmp_path):
+    # the translator is a loop; a recursive one overflowed on each of these
+    # by 1,000 levels, at the default recursion limit.  The cbv net of a
+    # deep abstraction and the cbn net of a deep application grow faster
+    # than linearly (README, Nets), so they are not built here
+    assert sys.getrecursionlimit() <= 1_000
+    assert main(["net", text, "--translation", translation, "--out", str(tmp_path)]) == 0
+    term = initialize(compile_term(parse_lambda(text)))
+    net = (translate_cbn if translation == "cbn" else translate_cbv)(term)
+    copy = reference.renumbered(net, random.Random(0))
+    assert validate(net) == validate(copy) == []
+    assert iso_check(net, copy)
+
+
+def test_a_left_nested_term_1000_deep_is_checked(tmp_path):
+    # every step checked translates its source and target; the one failure
+    # allowed is a weight-set search that runs out of fuel, not an overflow
+    main(["check", "invariance", "--corpus-max-size", "0", "--term", left_nested(1_000),
+          "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "check_invariance.json").read_text())["report"]
+    assert all(r["steps_checked"] > 0 for r in report.values())
+    assert {(f["error"], f["problem"]) for r in report.values() for f in r["failures"]} \
+        <= {("FuelExhaustedError", "weight set not found")}

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -6,7 +7,8 @@ from conftest import closed_lambda_terms, failure, port_scan
 from hypothesis import given, settings, strategies as st
 
 from goilab import calculus, checks, nets
-from goilab.algebra import ONE, ZERO, format_weight, involute, watom
+from goilab.algebra import (ONE, ZERO, LevelUnderflowError, format_weight, involute,
+                            watom)
 from goilab.calculus import (LCA, LCF, Configuration, find_redexes,
                              reduction_graph, step)
 from goilab.checks import check_net_simulation
@@ -150,6 +152,28 @@ def test_translation_names_a_non_linear_copy_substitution_or_erasure(
         translate, text):
     with pytest.raises(TranslationError, match="linear"):
         translate(parse(text))
+
+
+def test_the_nets_of_the_size_6_graphs_are_pinned():
+    # node and edge ids, weights and box contents of every translation of
+    # every configuration the lcf and lca graphs of corpus(6) reach, in
+    # order; a translation that raises is its error's type name
+    digest = hashlib.sha256()
+    translations = raised = 0
+    for entry in corpus(6):
+        for calc in (LCF, LCA):
+            for config in reduction_graph(Configuration(entry.initial), calc).edges:
+                for translate in (translate_cbv, translate_cbn):
+                    translations += 1
+                    try:
+                        text = to_json(translate(config.term))
+                    except (NetError, LevelUnderflowError) as exc:
+                        text = type(exc).__name__
+                        raised += 1
+                    digest.update(text.encode() + b"\n")
+    assert (translations, raised) == (708, 112)
+    assert digest.hexdigest() == (
+        "23ca3103215bda651cf55a32b459dae836b96a204cfc97ac10c445810e83b8b8")
 
 
 def test_validate_flags_dangling_port():
