@@ -2,18 +2,19 @@
 
 Subcommands: ``compile``, ``reduce``, ``net``, ``check``.  Each takes only the
 flags it reads: ``reduce`` takes ``--calculus`` and ``--fuel``, ``net``
-``--translation`` and ``--format``, ``check`` ``--fuel``, ``--seed``,
-``--corpus-max-size`` and ``--term`` (which the ``algebra`` suite, reading
-no entry, refuses), and all four ``--out``.  ``--fuel`` is every suite's one
-budget: it bounds the steps of each leftmost-outermost trace and sigma walk,
-the configurations of each reduction graph and the visits of each weight-set
-and membership search.  Identical configuration and inputs produce
-byte-identical outputs.
+``--translation`` and ``--format``, ``check`` those of ``--fuel``,
+``--seed``, ``--corpus-max-size`` and ``--term`` its suite reads
+(``_SUITE_FLAGS``: ``algebra`` reads ``--seed`` alone, ``compile`` the last
+two, the others all but ``--seed``), and all four ``--out``.  ``--fuel`` is
+every suite's one budget: it bounds the steps of each leftmost-outermost
+trace and sigma walk, the configurations of each reduction graph and the
+visits of each weight-set and membership search.  Identical configuration
+and inputs produce byte-identical outputs.
 
 Exit status: 0 on success; 1 when a ``check`` suite fails or a ``reduce``
 trace outruns its fuel; 2 on a usage error, a malformed term, a negative
-``--fuel`` or ``--corpus-max-size`` or a ``check algebra --term`` among them.
-Each error is reported in one line on stderr.
+``--fuel`` or ``--corpus-max-size`` or a flag the suite does not read among
+them.  Each error is reported in one line on stderr.
 """
 
 from __future__ import annotations
@@ -76,9 +77,25 @@ class UsageError(Exception):
     """Flags that parse but do not fit together."""
 
 
+# the flags of check each suite reads; it refuses the others
+_ENTRIES = frozenset({"term", "corpus_max_size"})
+_FUELLED = _ENTRIES | {"fuel"}
+_SUITE_FLAGS = {"compile": _ENTRIES, "invariance": _FUELLED, "confluence": _FUELLED,
+                "sigma-termination": _FUELLED, "label-lemmas": _FUELLED,
+                "net-simulation": _FUELLED, "label-path": _FUELLED,
+                "algebra": frozenset({"seed"})}
+# the value of each flag of check it is not given
+_CHECK_DEFAULTS = {"term": None, "corpus_max_size": 7, "fuel": FUEL, "seed": 0}
+
+
 def cmd_check(args) -> int:
-    if args.suite == "algebra" and args.term is not None:
-        raise UsageError("the algebra suite reads no entry, so it takes no --term")
+    given = vars(args).keys() & _CHECK_DEFAULTS.keys()
+    unread = sorted(given - _SUITE_FLAGS[args.suite])
+    if unread:
+        raise UsageError(f"the {args.suite} suite does not read "
+                         + ", ".join(f"--{flag.replace('_', '-')}" for flag in unread))
+    for flag, value in _CHECK_DEFAULTS.items():
+        vars(args).setdefault(flag, value)
     source = parse_lambda(args.term) if args.term else None
 
     def fuelled(check, *calculus):
@@ -125,24 +142,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="trace a labelled reduction to normal form")
     p.add_argument("term")
     p.add_argument("--calculus", choices=(LCF, LCA), default=LCF)
+    p.add_argument("--fuel", type=int, default=FUEL)
 
     p = sub.add_parser("net", help="translate a term into a weighted proof-net")
     p.add_argument("term")
     p.add_argument("--format", choices=("dot", "json"), default="json")
     p.add_argument("--translation", choices=("cbv", "cbn"), default="cbv")
 
-    p = sub.add_parser("check", help="run a verification suite over the corpus")
-    p.add_argument("suite", choices=("compile", "invariance", "confluence",
-                                     "sigma-termination", "label-lemmas",
-                                     "net-simulation", "label-path", "algebra"))
-    p.add_argument("--term", default=None,
-                   help="additional lambda term to include in the corpus "
-                        "(not taken by algebra)")
-    p.add_argument("--corpus-max-size", type=int, default=7)
-    p.add_argument("--seed", type=int, default=0)
+    # a flag of check not given is left unset, so the suite can refuse
+    # one it does not read
+    p = sub.add_parser("check", help="run a verification suite over the corpus",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("suite", choices=tuple(_SUITE_FLAGS))
+    p.add_argument("--term", help="additional lambda term to include in the corpus")
+    for flag in ("--corpus-max-size", "--seed", "--fuel"):
+        p.add_argument(flag, type=int)
 
-    for name in ("reduce", "check"):
-        sub.choices[name].add_argument("--fuel", type=int, default=FUEL)
     for p in sub.choices.values():
         p.add_argument("--out", default=None)
     return parser

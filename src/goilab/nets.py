@@ -97,6 +97,9 @@ class Edge:
 
 @dataclass
 class Box:
+    """A box: its doors, and the ids of the nodes and boxes that lie
+    directly in it.  Boxes nest or are disjoint, so a net's boxes form a
+    forest, and each node or box is listed by at most one box."""
     principal: int
     auxiliaries: tuple
     contents: set
@@ -188,31 +191,43 @@ def validate(net: Net) -> list:
 
     The first call on a net keeps its verdict on the net, and later calls
     read it, so a net is walked at most once; a net edited after it was
-    judged must be built afresh.  One loop over the edges checks each
-    edge's ends, the boxes it crosses and the levels of its weight.  An
-    edge crosses the boxes that hold one of its ends but not the other;
-    nodes held by the same boxes share one set of them, so an edge inside
-    one region is settled by an ``is`` test.
+    judged must be built afresh.  The boxes must form a forest: each lists
+    nodes and boxes, no id is listed by two boxes, and going up from any
+    box ends at a box no box lists.  One loop over the edges then checks
+    each edge's ends, the boxes it crosses and the levels of its weight.
+    An edge crosses the boxes that hold one of its ends but not the other;
+    the members of one box share one set of the boxes that hold them, so
+    an edge inside one box is settled by an ``is`` test.
     """
     if net._verdict is not None:
         return list(net._verdict)
     problems = []
     nodes, boxes, ports = net.nodes, net.boxes, net.ports
+    forest = []
+    parent: dict = {}  # node or box -> the box that lists it
+    for bid, b in boxes.items():
+        for member in b.contents:
+            if member not in nodes and member not in boxes:
+                forest.append(f"box {bid} lists {member}, neither a node nor a box")
+            elif member in parent:
+                forest.append(f"boxes {parent[member]} and {bid} both list {member}")
+            else:
+                parent[member] = bid
     outside: frozenset = frozenset()
-    boxes_of: dict = {}  # node -> the boxes that hold it, if any
-    overlaps = set()  # (lesser, greater) ids of each pair of boxes that overlap
-    # largest first: a box then holds no earlier box but its equal, so it
-    # overlaps each earlier box that holds some of its nodes but not all
-    for bid, b in sorted(boxes.items(), key=lambda item: -len(item[1].contents)):
-        grown = {}  # each set of boxes this box adds to, with it added
-        for nid in b.contents:
-            held = boxes_of.get(nid, outside)
-            if (wider := grown.get(held)) is None:
-                wider = grown[held] = held | {bid}
-            boxes_of[nid] = wider
-        if len(grown) > 1:  # those are in some but not all of its nodes' sets
-            overlaps.update((min(bid, other), max(bid, other)) for other in
-                            frozenset.union(*grown) - frozenset.intersection(*grown))
+    # node or box -> the boxes that hold it, from the root boxes down
+    boxes_of = {bid: outside for bid in boxes if bid not in parent}
+    below = list(boxes_of)
+    while below:
+        bid = below.pop()
+        inside = boxes_of[bid] | {bid}
+        for member in boxes[bid].contents:
+            if parent.get(member) == bid:
+                boxes_of[member] = inside
+                if member in boxes:
+                    below.append(member)
+    # going up from a box no root reaches comes round a cycle of boxes
+    forest += [f"box {bid} lies inside a cycle of boxes"
+               for bid in sorted(boxes.keys() - boxes_of.keys())]
     crossings = {bid: [] for bid in boxes}
     levels = []
     attached = 0  # ends that hold a port of their node
@@ -275,11 +290,7 @@ def validate(net: Net) -> list:
                 problems.append(f"box {bid} auxiliary {a} is not a why-not node")
         if not {b.principal, *b.auxiliaries} <= b.contents:
             problems.append(f"box {bid} doors must belong to the box")
-        for nid in b.contents:
-            if nid not in nodes:
-                problems.append(f"box {bid} contains missing node {nid}")
-    problems += [f"boxes {b1},{b2} overlap without nesting"
-                 for b1, b2 in sorted(overlaps)]
+    problems += forest
     for found in crossings.values():
         problems.extend(found)
     problems += levels
@@ -294,20 +305,30 @@ class _Translator:
     """Builds one net.  ``var`` and the generator ``go``, sent the same for
     each subterm it yields, give a term's root edge and a map from each free
     variable to its dangling edge and box level.  Labels are read through
-    ``lw``, an absent one as empty, so unlabelled levels are box depths."""
+    ``lw``, an absent one as empty, so unlabelled levels are box depths.
+
+    ``open`` holds the members of each box being built, innermost last,
+    below those of no box: each node made, and each box closed, joins the
+    innermost."""
 
     def __init__(self, net: Net, cbn: bool):
         self.net = net
         self.cbn = cbn
+        self.open = [set()]
+
+    def node(self, kind: str) -> int:
+        nid = self.net.new_node(kind)
+        self.open[-1].add(nid)
+        return nid
 
     def var(self, term: Var, level: int) -> tuple[int, dict]:
         net = self.net
         r = lw(term.label or (), level)
-        ax = net.new_node("ax")
+        ax = self.node("ax")
         e_body = net.new_edge(None, ("node", ax, "a"), r.weight)
         e_var = net.new_edge(("node", ax, "b"), None, ONE)
         if self.cbn:
-            d = net.new_node("derelict")
+            d = self.node("derelict")
             net.attach(e_var, 1, ("node", d, "in"))
             e_var = net.new_edge(("node", d, "out"), None, watom("d", r.out_level))
         return e_body, {term.name: (e_var, r.out_level)}
@@ -322,19 +343,19 @@ class _Translator:
                     root, free = yield body, o
                     par = self._bind(root, free, binder, o)
                     return net.new_edge(None, ("node", par, "out"), r.weight), free
-                mark = net._next
+                self.open.append(set())
                 root, free = yield body, o + 1
                 par = self._bind(root, free, binder, o + 1)
-                bang = net.new_node("bang")
+                bang = self.node("bang")
                 net.new_edge(("node", par, "out"), ("node", bang, "in"), ONE)
-                return self._close_box(bang, free, mark, r.weight)
+                return self._close_box(bang, free, r.weight)
 
             case App(fun, arg, label):
                 r = lw(label or (), level)
                 o = r.out_level
                 froot, ffree = yield fun, o
-                tensor = net.new_node("tensor")
-                cut = net.new_node("cut")
+                tensor = self.node("tensor")
+                cut = self.node("cut")
                 e_root = net.new_edge(None, ("node", tensor, "right"),
                                       compose(r.weight, watom("q", o)))
                 net.attach(froot, 0, ("node", cut, "b"))
@@ -343,7 +364,7 @@ class _Translator:
                     aroot, afree = yield from self._arg_box(
                         arg, o + 1, watom("p", o, star=True))
                 else:
-                    der = net.new_node("derelict")
+                    der = self.node("derelict")
                     net.new_edge(("node", tensor, "out"), ("node", der, "in"), ONE)
                     net.new_edge(("node", der, "out"), ("node", cut, "a"),
                                  watom("d", o))
@@ -354,14 +375,14 @@ class _Translator:
 
             case Erase(binder, body):
                 root, free = yield body, level
-                weaken = net.new_node("weaken")
+                weaken = self.node("weaken")
                 e_x = net.new_edge(("node", weaken, "out"), None, ZERO)
                 erased = {binder: (e_x, self._erased_level(label_of(body), level))}
                 return root, self._merged(free, erased)
 
             case Copy(source, left, right, body):
                 root, free = yield body, level
-                fan = net.new_node("fan")
+                fan = self.node("fan")
                 ey, ly = self._taken(free, left, "copy target")
                 ez, lz = self._taken(free, right, "copy target")
                 if ly != lz:
@@ -377,7 +398,7 @@ class _Translator:
             case Subst(body, arg, target):
                 root, free = yield body, level
                 ex, lx = self._taken(free, target, "substitution target")
-                cut = net.new_node("cut")
+                cut = self.node("cut")
                 net.attach(ex, 1, ("node", cut, "a"))
                 if self.cbn:
                     aroot, afree = yield from self._arg_box(*self._split_argument(arg, lx))
@@ -409,7 +430,7 @@ class _Translator:
         """The par node that binds ``binder`` (taken out of ``free``) on its
         left and the body ``root`` on its right."""
         net = self.net
-        par = net.new_node("par")
+        par = self.node("par")
         e_x, _ = self._taken(free, binder, "binder")
         net.edges[e_x].compose_outgoing(watom("p", inner_level))
         net.attach(e_x, 1, ("node", par, "left"))
@@ -417,10 +438,10 @@ class _Translator:
         net.attach(root, 0, ("node", par, "right"))
         return par
 
-    def _close_box(self, bang: int, free: dict, mark: int, weight: Weight) -> tuple:
-        """Close the box opened at id ``mark``, which holds every node made
-        since (ids only grow), behind ``bang`` with an auxiliary door per free
-        variable; return its external edge, of ``weight``, and the free map outside."""
+    def _close_box(self, bang: int, free: dict, weight: Weight) -> tuple:
+        """Close the innermost open box behind ``bang`` with an auxiliary
+        door per free variable, and put it in the box around it; return its
+        external edge, of ``weight``, and the free map outside."""
         # free edges dangle at ends[1]; leaving through the door reads t*,
         # so entering the box reads t at the outer level
         net = self.net
@@ -428,7 +449,7 @@ class _Translator:
         outside = {}
         for name in sorted(free):
             edge, ly = free[name]
-            why = net.new_node("whynot")
+            why = self.node("whynot")
             net.attach(edge, 1, ("node", why, "in"))
             if ly < 1:
                 raise LevelUnderflowError(f"auxiliary door for {name} at level 0")
@@ -436,8 +457,9 @@ class _Translator:
                                  watom("t", ly - 1, star=True))
             auxiliaries.append(why)
             outside[name] = (e_aux, ly - 1)
-        contents = {i for i in range(mark + 1, net._next + 1) if i in net.nodes}
-        net.boxes[net.new_id()] = Box(bang, tuple(auxiliaries), contents)
+        bid = net.new_id()
+        net.boxes[bid] = Box(bang, tuple(auxiliaries), self.open.pop())
+        self.open[-1].add(bid)
         return net.new_edge(None, ("node", bang, "out"), weight), outside
 
     @staticmethod
@@ -460,11 +482,11 @@ class _Translator:
     def _arg_box(self, arg: Term, interior: int, ext_weight: Weight):
         """Box the translation of ``arg`` at level ``interior``, behind an
         external edge of weight ``ext_weight``."""
-        mark = self.net._next
+        self.open.append(set())
         root, free = yield arg, interior
-        bang = self.net.new_node("bang")
+        bang = self.node("bang")
         self.net.attach(root, 0, ("node", bang, "in"))
-        return self._close_box(bang, free, mark, ext_weight)
+        return self._close_box(bang, free, ext_weight)
 
     @staticmethod
     def _taken(free: dict, name: str, role: str) -> tuple:
@@ -531,7 +553,7 @@ def _splice(net: Net, nid: int, port_a: str, port_b: str) -> int:
     port_b away from the node).  The net's port map is kept current: the
     node's ports leave it and the outer ends point at the fused edge, as
     does the interface an outer end is.  The node stays in the contents of
-    its boxes, for the caller to drop with ``_unbox`` once its splices are
+    its box, for the caller to drop with ``_unbox`` once its splices are
     done.  A self-loop raises before anything changes."""
     ports = net.ports
     ea, ia = ports[(nid, port_a)]
@@ -558,17 +580,19 @@ def _splice(net: Net, nid: int, port_a: str, port_b: str) -> int:
     return fused
 
 
-def _unbox(net: Net, nodes: set) -> None:
-    """Drop ``nodes`` from every box's contents."""
+def _unbox(net: Net, ids: set) -> None:
+    """Drop the nodes and boxes ``ids`` from the boxes that list them."""
     for b in net.boxes.values():
-        b.contents -= nodes
+        b.contents -= ids
 
 
-def _box_beside(net: Net, nodes: set, beside: int) -> None:
-    """Put ``nodes`` in every box that holds node ``beside``."""
+def _box_beside(net: Net, ids: set, beside: int) -> None:
+    """Put the nodes and boxes ``ids`` in the box that lists the node or
+    box ``beside``, if one does."""
     for b in net.boxes.values():
         if beside in b.contents:
-            b.contents |= nodes
+            b.contents |= ids
+            return
 
 
 def _box_of_door(net: Net, door: int) -> Optional[int]:
@@ -693,8 +717,8 @@ def _derelict_step(net: Net, redex: _CutRedex) -> None:
     _splice(net, redex.cut, "a", "b")
     _splice(net, redex.nodes[0], "in", "out")
     _splice(net, redex.nodes[1], "in", "out")
-    del net.boxes[redex.box]
-    _unbox(net, {redex.cut, *redex.nodes})
+    _box_beside(net, net.boxes.pop(redex.box).contents, redex.box)
+    _unbox(net, {redex.cut, *redex.nodes, redex.box})
 
 
 def _weaken_step(net: Net, redex: _CutRedex) -> None:
@@ -717,9 +741,9 @@ def _commute_step(net: Net, redex: _CutRedex) -> None:
     whynot = redex.nodes[1]
     target = net.boxes[_box_of_door(net, whynot)]
     _splice(net, whynot, "in", "out")
-    _unbox(net, {whynot})
+    _unbox(net, {whynot, redex.box, redex.cut})
     target.auxiliaries = tuple(a for a in target.auxiliaries if a != whynot)
-    target.contents |= net.boxes[redex.box].contents | {redex.cut}
+    target.contents |= {redex.box, redex.cut}
 
 
 _STEPS = {"ax": _axiom_step, "mult": _mult_step, "derelict": _derelict_step,
@@ -736,7 +760,7 @@ def _reattach(net: Net, eid: int, end_index: int, end) -> Edge:
 
 
 def _new_cut(net: Net, beside: int) -> int:
-    """A new cut node in every box that holds node ``beside``."""
+    """A new cut node in the box that lists node ``beside``."""
     c = net.new_node("cut")
     _box_beside(net, {c}, beside)
     return c
@@ -755,21 +779,37 @@ def _delete_nodes(net: Net, doomed: set) -> None:
     _unbox(net, doomed)
 
 
+def _inside(net: Net, bid: int) -> tuple[list, list]:
+    """The boxes of the subtree of box ``bid``, ``bid`` first, and the
+    nodes nested in it at any depth.  A box is visited once, so boxes that
+    list each other, which ``validate`` reports, end the walk too."""
+    boxes, nodes, seen = [bid], [], {bid}
+    for b in boxes:  # grows as the boxes inside are found
+        for member in net.boxes[b].contents:
+            if member not in net.boxes:
+                nodes.append(member)
+            elif member not in seen:
+                seen.add(member)
+                boxes.append(member)
+    return boxes, nodes
+
+
 def _drop_box(net: Net, bid: int, extra: set) -> None:
     """Delete box ``bid`` with the boxes inside it and their contents, and
     the nodes ``extra``, together with every edge at a deleted node."""
-    contents = net.boxes[bid].contents
-    for inner in [b2 for b2, bx in net.boxes.items() if bx.contents <= contents]:
+    boxes, nodes = _inside(net, bid)
+    for inner in boxes:
         del net.boxes[inner]
-    _delete_nodes(net, contents | extra)
+    _delete_nodes(net, {*nodes, *extra})
+    _unbox(net, {bid})
 
 
 def _copy_closed_box(net: Net, bid: int, beside: int) -> int:
-    """Duplicate a closed box into every box that holds node ``beside``;
+    """Duplicate a closed box into the box that lists node ``beside``;
     returns the new principal node."""
-    box = net.boxes[bid]
+    boxes, nodes = _inside(net, bid)
     mapping = {}
-    for nid in sorted(box.contents):
+    for nid in sorted(nodes):
         mapping[nid] = net.new_node(net.nodes[nid])
     for eid, e in sorted(net.edges.items()):
         ins = [end is not None and end[0] == "node" and end[1] in mapping
@@ -778,14 +818,15 @@ def _copy_closed_box(net: Net, bid: int, beside: int) -> int:
             net.new_edge(("node", mapping[e.ends[0][1]], e.ends[0][2]),
                          ("node", mapping[e.ends[1][1]], e.ends[1][2]),
                          e.weight)
-    for b2, bx in sorted(net.boxes.items()):
-        if bx.contents <= box.contents:
-            net.boxes[net.new_id()] = Box(
-                mapping[bx.principal],
-                tuple(mapping[a] for a in bx.auxiliaries),
-                {mapping[n] for n in bx.contents})
-    _box_beside(net, set(mapping.values()), beside)
-    return mapping[box.principal]
+    boxes.sort()
+    mapping.update((b2, net.new_id()) for b2 in boxes)
+    for b2 in boxes:
+        bx = net.boxes[b2]
+        net.boxes[mapping[b2]] = Box(mapping[bx.principal],
+                                     tuple(mapping[a] for a in bx.auxiliaries),
+                                     {mapping[m] for m in bx.contents})
+    _box_beside(net, {mapping[bid]}, beside)
+    return mapping[net.boxes[bid].principal]
 
 
 # ---------------------------------------------------------------------------
@@ -901,9 +942,10 @@ def _anchor_key(net: Net, eid: int) -> tuple:
 def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
                     islands: _Islands):
     """Signature of the component numbered by ``edge_ids`` and ``node_ids``;
-    box contents outside it, doors included, are described by the islands
-    that hold them.  An edge end is ``(0, node number, port)`` at a node,
-    ``(-2, 0, "")`` at the root and ``(-1, 0, name)`` at a free variable."""
+    the nodes nested in a box but outside it, doors included, are described
+    by the islands that hold them.  An edge end is ``(0, node number,
+    port)`` at a node, ``(-2, 0, "")`` at the root and ``(-1, 0, name)`` at
+    a free variable."""
     def end_key(end) -> tuple:
         if end[0] == "node":
             return (0, node_ids[end[1]], end[2])
@@ -923,15 +965,16 @@ def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
         else:
             edges.append((k1, k0, _sortable(involute(e.weight))))
     boxes = []
-    for b in net.boxes.values():
+    for bid, b in net.boxes.items():
         if b.principal in node_ids:
-            inside = [node_ids[n] for n in b.contents if n in node_ids]
+            nested = _inside(net, bid)[1]
+            inside = [node_ids[n] for n in nested if n in node_ids]
             boxes.append((node_ids[b.principal],
                           tuple(sorted(node_ids[a] for a in b.auxiliaries
                                        if a in node_ids)),
                           tuple(sorted(inside)),
-                          islands.holding(n for n in b.contents if n not in node_ids)
-                          if len(inside) < len(b.contents) else ()))
+                          islands.holding(n for n in nested if n not in node_ids)
+                          if len(inside) < len(nested) else ()))
     return (tuple(nodes), tuple(sorted(edges)), tuple(sorted(boxes)))
 
 
@@ -1001,6 +1044,8 @@ def _signed(net: Net):
 # export
 
 def to_json(net: Net) -> str:
+    """JSON text for ``net``.  A box's ``contents`` lists every node nested
+    in it, those of the boxes inside it included."""
     def end_json(end):
         return list(end)
 
@@ -1019,7 +1064,7 @@ def to_json(net: Net) -> str:
                 "id": bid,
                 "principal": b.principal,
                 "auxiliaries": list(b.auxiliaries),
-                "contents": sorted(b.contents),
+                "contents": sorted(_inside(net, bid)[1]),
             }
             for bid, b in sorted(net.boxes.items())
         ],
@@ -1031,19 +1076,17 @@ def to_json(net: Net) -> str:
 
 def to_dot(net: Net) -> str:
     """Graphviz text for ``net``: each box a cluster in the cluster of the
-    smallest box that strictly holds it, and the nodes in no box last."""
+    box that lists it (the first, if two do), the boxes in it first and
+    then its nodes, each in id order, and the nodes in no box last."""
     lines = ["digraph net {", "  rankdir=TB;", "  node [fontsize=10];"]
-    # From the largest box down, the last box seen to hold a node is the
-    # smallest that holds it; a box's parent, the last to hold its principal.
-    inner: dict = {}  # node -> the smallest box seen so far that holds it
-    clusters: dict = {}  # parent box or None -> its boxes, largest first
-    for bid in reversed(sorted(net.boxes, key=lambda b: len(net.boxes[b].contents))):
-        clusters.setdefault(inner.get(net.boxes[bid].principal), []).append(bid)
-        inner.update(dict.fromkeys(net.boxes[bid].contents, bid))
-
+    parent: dict = {}  # node or box -> the box that lists it
+    for bid, b in net.boxes.items():
+        for member in b.contents:
+            parent.setdefault(member, bid)
     # a stack of boxes to open, each with its indent, and of lines that
     # close a box once the boxes inside it are done
-    pending: list = [(bid, 2) for bid in sorted(clusters.get(None, []), reverse=True)]
+    pending: list = [(bid, 2) for bid in sorted(net.boxes, reverse=True)
+                     if bid not in parent]
     while pending:
         item = pending.pop()
         if isinstance(item, str):
@@ -1053,12 +1096,13 @@ def to_dot(net: Net) -> str:
         pad = " " * indent
         lines += [f"{pad}subgraph cluster_{bid} {{", f'{pad}  label="box";']
         pending.append(f"{pad}}}")
+        members = sorted(m for m in net.boxes[bid].contents if parent[m] == bid)
         pending.extend(f'{pad}  n{nid} [label="{net.nodes[nid]}"];'
-                       for nid in sorted(net.boxes[bid].contents, reverse=True)
-                       if inner[nid] == bid)
-        pending.extend((sub, indent + 2) for sub in clusters.get(bid, []))
+                       for nid in reversed(members) if nid in net.nodes)
+        pending.extend((sub, indent + 2) for sub in reversed(members)
+                       if sub in net.boxes)
     lines.extend(f'    n{nid} [label="{kind}"];'
-                 for nid, kind in sorted(net.nodes.items()) if nid not in inner)
+                 for nid, kind in sorted(net.nodes.items()) if nid not in parent)
     lines.append('  root [shape=point,label=""];')
     for name in sorted(net.free):
         lines.append(f'  free_{name} [shape=point,label="{name}"];')

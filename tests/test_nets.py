@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 
@@ -55,12 +56,21 @@ def whole(net):
 def box_depth_problems(net):
     """Each atom level of an edge's weight that is not the edge's box depth,
     the number of boxes that hold both its ends (0 for an edge with an end
-    that is not at a node).  Levels equal box depths on freshly initialised
-    terms, and ``validate`` leaves the rule to this reference."""
+    that is not at a node).  A node's boxes are the box that lists it, the
+    box that lists that one, and so on up.  Levels equal box depths on
+    freshly initialised terms, and ``validate`` leaves the rule to this
+    reference."""
+    parent = {member: bid for bid, b in net.boxes.items() for member in b.contents}
+
     def boxes_of(end):
+        held = set()
         if end is None or end[0] != "node":
-            return set()
-        return {bid for bid, b in net.boxes.items() if end[1] in b.contents}
+            return held
+        bid = parent.get(end[1])
+        while bid is not None and bid not in held:  # a cycle of boxes ends it
+            held.add(bid)
+            bid = parent.get(bid)
+        return held
 
     problems = []
     for eid, e in net.edges.items():
@@ -157,23 +167,31 @@ def test_translation_names_a_non_linear_copy_substitution_or_erasure(
 def test_the_nets_of_the_size_6_graphs_are_pinned():
     # node and edge ids, weights and box contents of every translation of
     # every configuration the lcf and lca graphs of corpus(6) reach, in
-    # order; a translation that raises is its error's type name
-    digest = hashlib.sha256()
-    translations = raised = 0
+    # order; a translation that raises is its error's type name.  The second
+    # digest pins the net of every closed cut step of each net, in cut order
+    digest, stepped = hashlib.sha256(), hashlib.sha256()
+    translations = raised = steps = 0
     for entry in corpus(6):
         for calc in (LCF, LCA):
             for config in reduction_graph(Configuration(entry.initial), calc).edges:
                 for translate in (translate_cbv, translate_cbn):
                     translations += 1
                     try:
-                        text = to_json(translate(config.term))
+                        net = translate(config.term)
                     except (NetError, LevelUnderflowError) as exc:
-                        text = type(exc).__name__
+                        digest.update(type(exc).__name__.encode() + b"\n")
                         raised += 1
-                    digest.update(text.encode() + b"\n")
-    assert (translations, raised) == (708, 112)
+                        continue
+                    digest.update(to_json(net).encode() + b"\n")
+                    for cut in eligible_cuts(net):
+                        step = closed_cut_step(net, cut)
+                        stepped.update(to_json(step).encode() + b"\n")
+                        steps += 1
+    assert (translations, raised, steps) == (708, 112, 1185)
     assert digest.hexdigest() == (
         "23ca3103215bda651cf55a32b459dae836b96a204cfc97ac10c445810e83b8b8")
+    assert stepped.hexdigest() == (
+        "acec154a11ede9e5b59313ddcc444c707d4032f99387a68d2079c93cffcbc65d")
 
 
 def test_validate_flags_dangling_port():
@@ -235,27 +253,28 @@ def test_validate_accepts_nested_boxes():
     net.root = net.new_edge(("root",), ("node", p1, "out"))
     net.new_edge(("node", p1, "in"), ("node", p2, "out"))
     net.new_edge(("node", p2, "in"), ("node", w, "out"))
-    net.boxes[net.new_id()] = Box(p2, (), {p2, w})
-    net.boxes[net.new_id()] = Box(p1, (), {p1, p2, w})
-    assert validate(net) == []
+    inner = net.new_id()
+    net.boxes[inner] = Box(p2, (), {p2, w})
+    net.boxes[net.new_id()] = Box(p1, (), {p1, inner})
+    assert validate(net) == box_depth_problems(net) == []
 
 
 def test_validate_flags_overlapping_boxes_by_box_then_by_edge():
     # root -> tensor T; T.left -> P1; T.right -> P2; P1.in and P2.in meet at
-    # axiom A, which both boxes hold
+    # axiom A, which both boxes list; A lies in the box that lists it first
     net = Net()
     t, p1, p2, ax = (net.new_node(k) for k in ("tensor", "bang", "bang", "ax"))
     net.root = net.new_edge(("root",), ("node", t, "out"))
     net.new_edge(("node", t, "left"), ("node", p1, "out"))
     net.new_edge(("node", t, "right"), ("node", p2, "out"))
     e1 = net.new_edge(("node", p1, "in"), ("node", ax, "a"))
-    e2 = net.new_edge(("node", ax, "b"), ("node", p2, "in"))
+    net.new_edge(("node", ax, "b"), ("node", p2, "in"))
     b1, b2 = net.new_id(), net.new_id()
     net.boxes[b2] = Box(p2, (), {p2, ax})
     net.boxes[b1] = Box(p1, (), {p1, ax})
-    assert validate(net) == [f"boxes {b1},{b2} overlap without nesting",
+    assert validate(net) == [f"boxes {b2} and {b1} both list {ax}",
                              f"edge {e1} crosses box {b2} away from a door",
-                             f"edge {e2} crosses box {b1} away from a door"]
+                             f"edge {e1} crosses box {b1} away from a door"]
 
 
 def negative_level():
@@ -269,7 +288,8 @@ def end_at(eid, i, end):
 
 # one edit of boxed_axiom(door=True) per problem validate reports, with the
 # exact list it reports; the net numbers the bang P 1, the axiom A 2, the
-# root edge 3, P.in-A.a 4, the why-not Q 5, A.b-Q.in 6, Q.out-x 7, its box 8
+# root edge 3, P.in-A.a 4, the why-not Q 5, A.b-Q.in 6, Q.out-x 7, its box 8,
+# which lists 1, 2 and 5
 BROKEN = [
     (lambda net: net.edges[4].ends.append(None),
      ["edge 4 lacks two endpoints", "bang node 1 has empty port in",
@@ -303,37 +323,61 @@ BROKEN = [
      ["box 8 doors must belong to the box",
       "edge 6 crosses box 8 away from a door"]),
     (lambda net: net.boxes[8].contents.add(99),
-     ["box 8 contains missing node 99"]),
-    (lambda net: net.boxes.__setitem__(9, Box(1, (), {1, net.new_node("weaken")})),
-     ["weaken node 9 has empty port out", "boxes 8,9 overlap without nesting",
-      "edge 4 crosses box 9 away from a door"]),
-    # box 12 straddles the disjoint boxes 10 and 11, so it overlaps both;
-    # box 8 holds all three, and overlaps none
-    (lambda net: (net.boxes[8].contents.add(net.new_node("weaken")),
+     ["box 8 lists 99, neither a node nor a box"]),
+    # an edge is not a member either
+    (lambda net: net.boxes[8].contents.add(4),
+     ["box 8 lists 4, neither a node nor a box"]),
+    # a second box 10 lists P and a new weakening 9; P stays in box 8
+    (lambda net: net.boxes.__setitem__(10, Box(1, (), {1, net.new_node("weaken")})),
+     ["weaken node 9 has empty port out", "boxes 8 and 10 both list 1"]),
+    # a second box lists every node box 8 lists, beside it rather than around it
+    (lambda net: net.boxes.__setitem__(9, Box(1, (5,), {1, 2, 5})),
+     ["boxes 8 and 9 both list 1", "boxes 8 and 9 both list 2",
+      "boxes 8 and 9 both list 5"]),
+    # box 12 lists a member of each of the disjoint boxes 10 and 11, which
+    # keep them; box 8 lists all three boxes, so its doors lie deeper
+    (lambda net: (net.new_node("weaken"), net.boxes[8].contents.clear(),
+                  net.boxes[8].contents.update({10, 11, 12}),
                   net.boxes.update({10: Box(1, (), {1, 2}), 11: Box(5, (), {5, 9}),
                                     12: Box(2, (), {2, 5})})),
-     ["weaken node 9 has empty port out", "box 11 principal is not an of-course node",
-      "box 12 principal is not an of-course node", "boxes 10,12 overlap without nesting",
-      "boxes 11,12 overlap without nesting", "edge 6 crosses box 10 away from a door",
-      "edge 6 crosses box 11 away from a door", "edge 4 crosses box 12 away from a door",
-      "edge 7 crosses box 12 away from a door"]),
+     ["weaken node 9 has empty port out", "box 8 doors must belong to the box",
+      "box 11 principal is not an of-course node",
+      "box 12 principal is not an of-course node", "boxes 10 and 12 both list 2",
+      "boxes 11 and 12 both list 5", "edge 6 crosses box 10 away from a door",
+      "edge 6 crosses box 11 away from a door"]),
+    # a box that lists itself, and two boxes that list each other; their
+    # nodes count as in no box
+    (lambda net: net.boxes[8].contents.add(8), ["box 8 lies inside a cycle of boxes"]),
+    (lambda net: (net.boxes.__setitem__(9, Box(1, (5,), {8})),
+                  net.boxes[8].contents.add(9)),
+     ["box 9 doors must belong to the box", "box 8 lies inside a cycle of boxes",
+      "box 9 lies inside a cycle of boxes"]),
+    # box 10 lies in the cycle of box 8 and box 9 without being part of it
+    (lambda net: (net.boxes.__setitem__(9, Box(1, (5,), {1, 5, 8})),
+                  net.boxes[8].contents.difference_update({1, 5}),
+                  net.boxes[8].contents.update({9, 10}),
+                  net.boxes.__setitem__(10, Box(1, (), {1}))),
+     ["box 8 doors must belong to the box", "boxes 9 and 10 both list 1",
+      "box 8 lies inside a cycle of boxes", "box 9 lies inside a cycle of boxes",
+      "box 10 lies inside a cycle of boxes"]),
     (lambda net: setattr(net.boxes[8], "auxiliaries", ()),
      ["edge 7 crosses box 8 away from a door"]),
     (lambda net: setattr(net.edges[4], "weight", negative_level()),
      ["edge 4 carries a negative level"]),
     (lambda net: setattr(net.edges[3], "weight", watom("q", 1)),
      ["edge 3 atom level 1 != box depth 0"]),
-    # a second box around the first puts P.in-A.a at depth 2
-    (lambda net: (net.boxes.__setitem__(9, Box(1, (5,), {1, 2, 5})),
+    # a second box around the first, with the same doors, puts P.in-A.a at
+    # depth 2; it lists box 8 alone, so its doors are not its own members
+    (lambda net: (net.boxes.__setitem__(9, Box(1, (5,), {8})),
                   setattr(net.edges[4], "weight", watom("q", 2) + watom("d", 1))),
-     ["edge 4 atom level 1 != box depth 2"]),
+     ["box 9 doors must belong to the box", "edge 4 atom level 1 != box depth 2"]),
     # an edge with a dangling end lies at depth 0, wherever its other end is
     (lambda net: (setattr(net.edges[6], "weight", watom("r", 1)),
                   end_at(6, 0, None)(net)),
      ["edge 6 has a dangling endpoint", "ax node 2 has empty port b",
       "edge 6 atom level 1 != box depth 0"]),
     (lambda net: (net.boxes[8].contents.add(99), net.boxes[8].contents.discard(5)),
-     ["box 8 doors must belong to the box", "box 8 contains missing node 99",
+     ["box 8 doors must belong to the box", "box 8 lists 99, neither a node nor a box",
       "edge 6 crosses box 8 away from a door"]),
 ]
 
@@ -346,6 +390,19 @@ def test_validate_reports_each_problem_of_a_hand_broken_net():
         net, _ = boxed_axiom(door=True)
         edit(net)
         assert validate(net) + box_depth_problems(net) == expected, row
+
+
+def test_export_ends_on_boxes_that_list_each_other():
+    # boxes 8 and 9 list each other, and box 10 lists box 9 too: validate
+    # reports them, and the exports, which walk down from each box, end
+    net, _ = boxed_axiom(door=True)
+    net.boxes[8].contents.add(9)
+    net.boxes.update({9: Box(1, (5,), {8}), 10: Box(1, (5,), {9})})
+    assert validate(net)[-2:] == ["box 8 lies inside a cycle of boxes",
+                                  "box 9 lies inside a cycle of boxes"]
+    assert {b["id"]: b["contents"] for b in json.loads(to_json(net))["boxes"]} == {
+        8: [1, 2, 5], 9: [1, 2, 5], 10: [1, 2, 5]}
+    assert to_dot(net).count("subgraph cluster_") == 1
 
 
 # --- isomorphism -------------------------------------------------------------
@@ -1018,7 +1075,8 @@ def test_each_island_is_explored_from_its_least_key_edges_twice(monkeypatch):
                                  net.new_edge(("node", d, "in"), ("node", 3, "out")),
                                  net.new_edge(("node", 3, "in"), ("free", "x")),
                                  net.boxes.update({6: Box(3, (), {3, 99})})),
-                 r"box 6 contains missing node 99", id="box-of-a-missing-node"),
+                 r"box 6 lists 99, neither a node nor a box",
+                 id="box-of-a-missing-node"),
     # a free edge with one end, which a signature would read two ends of
     pytest.param(lambda net, d: (net.new_edge(("node", d, "in"), ("free", "x")),
                                  net.edges.update({9: Edge([("free", "y")])})),

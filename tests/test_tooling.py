@@ -192,16 +192,29 @@ def test_nets_renumbered_by_the_benchmark_validate_sign_and_search_alike(
     rng = random.Random(0)
     translated = [translate(entry.initial) for entry in corpus(5)[::7]
                   for translate in (translate_cbv, translate_cbn)]
+    # three boxes, nested
+    nested = translate_cbv(prepare("nested", parse_lambda("\\x.\\y.\\z.x y z")).initial)
+    assert sum(member in nested.boxes for b in nested.boxes.values()
+               for member in b.contents) == 2 == len(nested.boxes) - 1
+    translated.append(nested)
     stepped = [closed_cut_step(net, cut) for net in translated
                for cut in eligible_cuts(net)]
     assert stepped
-    for net in translated + stepped[:1]:
+    # the first step of each rule that edits boxes in the lca graphs of corpus(6)
+    by_rule = {}
+    for entry in corpus(6):
+        for config in reduction_graph(Configuration(entry.initial), LCA).edges:
+            net = translate_cbn(config.term)
+            for cut in eligible_cuts(net):
+                if (rule := nets._cut_redex(net, cut).rule) not in by_rule:
+                    by_rule[rule] = closed_cut_step(net, cut)
+    stepped += [by_rule[rule] for rule in ("derelict", "weaken", "fan", "commute")]
+    for net in translated + stepped:
         copy = reference.renumbered(net, rng)
         assert validate(copy) == []
         assert iso_check(copy, net)
         assert weight_set(copy) == weight_set(net)
-    for net in translated + stepped:
-        for made in (net, contracted(net), reference.renumbered(net, rng)):
+        for made in (net, contracted(net), copy):
             assert made.ports == port_scan(made)
 
 
