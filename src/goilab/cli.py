@@ -3,9 +3,9 @@
 Subcommands: ``compile``, ``reduce``, ``net``, ``check``.  Each takes only the
 flags it reads: ``reduce`` takes ``--calculus`` and ``--fuel``, ``net``
 ``--translation`` and ``--format``, ``check`` those of ``--fuel``,
-``--seed``, ``--corpus-max-size`` and ``--term`` its suite reads
-(``_SUITE_FLAGS``: ``algebra`` reads ``--seed`` alone, ``compile`` the last
-two, the others all but ``--seed``), and all four ``--out``.  ``--fuel`` is
+``--corpus-max-size`` and ``--term`` its suite reads (``_suites``:
+``algebra`` reads none, ``compile`` the last two, the others all three),
+and all four ``--out``.  ``--fuel`` is
 every suite's one budget: it bounds the steps of each leftmost-outermost
 trace and sigma walk, the configurations of each reduction graph and the
 visits of each weight-set and membership search.  Identical configuration
@@ -77,52 +77,56 @@ class UsageError(Exception):
     """Flags that parse but do not fit together."""
 
 
-# the flags of check each suite reads; it refuses the others
+# the flags of check that a suite of the corpus reads, without and with --fuel
 _ENTRIES = frozenset({"term", "corpus_max_size"})
 _FUELLED = _ENTRIES | {"fuel"}
-_SUITE_FLAGS = {"compile": _ENTRIES, "invariance": _FUELLED, "confluence": _FUELLED,
-                "sigma-termination": _FUELLED, "label-lemmas": _FUELLED,
-                "net-simulation": _FUELLED, "label-path": _FUELLED,
-                "algebra": frozenset({"seed"})}
+
+
+def _suites() -> dict:
+    """Each suite of check: the flags of check it reads, so that it refuses
+    the others, and report key -> the check that makes that report, with
+    the calculus it is given.  A suite that reads --corpus-max-size runs on
+    the corpus, and one that reads --fuel is given it.  Built when called,
+    so a patched check is the one run."""
+    return {
+        "compile": (_ENTRIES, {"fidelity": (checks.check_compile_fidelity,)}),
+        "invariance": (_FUELLED, {"lcf_cbv": (checks.check_weight_invariance, LCF),
+                                  "lca_cbn": (checks.check_weight_invariance, LCA)}),
+        "confluence": (_FUELLED, {c: (checks.check_confluence, c) for c in (LCF, LCA)}),
+        "sigma-termination": (_FUELLED, {
+            "termination": (checks.check_sigma_termination,),
+            "propagation": (checks.check_propagation,)}),
+        "label-lemmas": (_FUELLED, {c: (checks.check_label_lemmas, c)
+                                    for c in (LCF, LCA)}),
+        "net-simulation": (_FUELLED, {"lca_cbn": (checks.check_net_simulation,)}),
+        "label-path": (_FUELLED, {"end_to_end": (checks.check_goi_end_to_end,)}),
+        "algebra": (frozenset(), {"laws": (checks.check_algebra_laws,)}),
+    }
+
+
 # the value of each flag of check it is not given
-_CHECK_DEFAULTS = {"term": None, "corpus_max_size": 7, "fuel": FUEL, "seed": 0}
+_CHECK_DEFAULTS = {"term": None, "corpus_max_size": 7, "fuel": FUEL}
 
 
 def cmd_check(args) -> int:
+    flags, calls = _suites()[args.suite]
     given = vars(args).keys() & _CHECK_DEFAULTS.keys()
-    unread = sorted(given - _SUITE_FLAGS[args.suite])
+    unread = sorted(given - flags)
     if unread:
         raise UsageError(f"the {args.suite} suite does not read "
                          + ", ".join(f"--{flag.replace('_', '-')}" for flag in unread))
     for flag, value in _CHECK_DEFAULTS.items():
         vars(args).setdefault(flag, value)
-    source = parse_lambda(args.term) if args.term else None
-
-    def fuelled(check, *calculus):
-        return lambda entries: check(entries, *calculus, fuel=args.fuel)
-
-    # suite -> report key -> call on the entries; built here, so a patched
-    # check is the one run
-    suites = {
-        "compile": {"fidelity": checks.check_compile_fidelity},
-        "invariance": {"lcf_cbv": fuelled(checks.check_weight_invariance, LCF),
-                       "lca_cbn": fuelled(checks.check_weight_invariance, LCA)},
-        "confluence": {c: fuelled(checks.check_confluence, c) for c in (LCF, LCA)},
-        "sigma-termination": {
-            "termination": fuelled(checks.check_sigma_termination),
-            "propagation": fuelled(checks.check_propagation)},
-        "label-lemmas": {c: fuelled(checks.check_label_lemmas, c)
-                         for c in (LCF, LCA)},
-        "net-simulation": {"lca_cbn": fuelled(checks.check_net_simulation)},
-        "label-path": {"end_to_end": fuelled(checks.check_goi_end_to_end)},
-    }
-    if args.suite == "algebra":  # the one suite that reads no entry
-        report = {"laws": checks.check_algebra_laws(seed=args.seed)}
-    else:
+    inputs = []  # the corpus entries, for a suite that reads them
+    if "corpus_max_size" in flags:
+        source = parse_lambda(args.term) if args.term else None
         entries = corpus(args.corpus_max_size)
         if source is not None:
             entries.append(prepare("user", source))
-        report = {key: call(entries) for key, call in suites[args.suite].items()}
+        inputs.append(entries)
+    budget = {"fuel": args.fuel} if "fuel" in flags else {}
+    report = {key: check(*inputs, *calculus, **budget)
+              for key, (check, *calculus) in calls.items()}
     ok = all(r["ok"] for r in report.values())
     text = json.dumps({"suite": args.suite, "ok": ok, "report": report},
                       indent=2, sort_keys=True)
@@ -153,9 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     # one it does not read
     p = sub.add_parser("check", help="run a verification suite over the corpus",
                        argument_default=argparse.SUPPRESS)
-    p.add_argument("suite", choices=tuple(_SUITE_FLAGS))
+    p.add_argument("suite", choices=tuple(_suites()))
     p.add_argument("--term", help="additional lambda term to include in the corpus")
-    for flag in ("--corpus-max-size", "--seed", "--fuel"):
+    for flag in ("--corpus-max-size", "--fuel"):
         p.add_argument(flag, type=int)
 
     for p in sub.choices.values():

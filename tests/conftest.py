@@ -1,10 +1,12 @@
 """Shared test helpers."""
 
 import importlib.util
+import random
 from pathlib import Path
 
 from hypothesis import strategies as st
 
+from goilab.labels import Atomic, Over, Under, mark
 from goilab.terms import Abs, App, Var
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -31,6 +33,23 @@ def closed_lambda_terms(draw, max_size=10):
             return App(build(left, depth), build(size - 1 - left, depth))
         return Abs(f"x{depth}", build(size - 1, depth + 1))
     return build(draw(st.integers(2, max_size)), 0)
+
+
+def random_label(rng: random.Random, depth: int = 2, length: int = 4):
+    atoms = []
+    for _ in range(rng.randint(1, length)):
+        roll = rng.random()
+        if roll < 0.45:
+            atoms.append(Atomic(rng.choice("abcdefgh")))
+        elif roll < 0.65 and depth > 0:
+            atoms.append(Over(random_label(rng, depth - 1, length)))
+        elif roll < 0.85 and depth > 0:
+            atoms.append(Under(random_label(rng, depth - 1, length)))
+        else:
+            direction = rng.choice(("right", "left"))
+            kind = rng.choice(("D", "!", "?", "R", "S"))
+            atoms += mark(direction, kind)
+    return tuple(atoms)
 
 
 def port_scan(net):

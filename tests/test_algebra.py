@@ -1,14 +1,15 @@
 import random
+from itertools import product
 
 import pytest
-from conftest import parse_word
+from conftest import parse_word, random_label, reference
 
-from goilab.algebra import (ONE, ZERO, LevelUnderflowError, compose,
+from goilab import checks
+from goilab.algebra import (CONSTANTS, ONE, ZERO, LevelUnderflowError, compose,
                             entry_level_needed, format_weight, involute, lw,
                             normal_word, watom)
-from goilab.checks import random_label
 from goilab.labels import (LEFT, RIGHT, Marker, Over, Under, atomic, concat,
-                           mark, over, reverse, under)
+                           format_label, mark, over, reverse, under)
 
 
 def bang(w, k=1):
@@ -22,6 +23,25 @@ def test_compose_unit_and_absorption():
     assert compose(w, ONE) == w
     assert compose(ZERO, w) is None
     assert compose(w, ZERO) is None
+
+
+# the 36 one-atom words at levels 0-2
+ONE_ATOM_WORDS = [watom(base, level, star) for base in CONSTANTS
+                  for star in (False, True) for level in range(3)]
+
+
+def test_compose_and_involute_laws_on_every_triple_of_short_words():
+    # associativity, unit, absorption and the two involution laws, on every
+    # triple drawn from the zero, the unit and the one-atom words
+    words = [ZERO, ONE, *ONE_ATOM_WORDS]
+    for a, b, c in product(words, repeat=3):
+        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+    for a, b in product(words, repeat=2):
+        assert involute(compose(a, b)) == compose(involute(b), involute(a))
+    for a in words:
+        assert compose(ONE, a) == a == compose(a, ONE)
+        assert compose(ZERO, a) is None and compose(a, ZERO) is None
+        assert involute(involute(a)) == a
 
 
 def test_compose_is_concatenation():
@@ -130,6 +150,30 @@ def test_lw_reversal_symmetry_random():
         back = lw(reverse(label), fwd.out_level)
         assert back.weight == involute(fwd.weight)
         assert back.out_level == level
+
+
+def test_criterion_10_names_a_smallest_label_it_fails_on(monkeypatch):
+    # a left ? read one level high: <! <? !> stands for each <?, so the
+    # map still respects concatenation but no longer reversal, and the
+    # labels come smallest first
+    def read_high(label):
+        out = ()
+        for a in label:
+            if a == mark(LEFT, "?")[0]:
+                out += concat(mark(LEFT, "!"), (a,), mark(RIGHT, "!"))
+            elif type(a) in (Over, Under):
+                out += (type(a)(read_high(a.inner)),)
+            else:
+                out += (a,)
+        return out
+
+    monkeypatch.setattr(checks, "lw", lambda label, level: lw(read_high(label), level))
+    report = checks.check_algebra_laws()
+    assert not report["ok"]
+    first = report["failures"][0]
+    assert first["problem"] == "reversal symmetry broken"
+    assert first["detail"] == [format_label(mark(RIGHT, "?")),
+                               "lw(reverse(u)) = involute(lw(u))"]
 
 
 def entry_level_by_loop(label):
@@ -342,3 +386,23 @@ def test_normal_form_does_not_depend_on_the_rewrite_order():
                     seen.add(nxt)
                     todo.append(nxt)
         assert normal == {normal_word(word)}
+
+
+def test_every_law_keeps_the_normal_form_of_every_word_of_three_atoms():
+    # the 47,989 words of at most three atoms at levels 0-2, shortest
+    # first: each one-step rewrite by the laws, as the benchmark's reference
+    # states them, keeps normal_word's result, and none applies to a normal
+    # form.  The memo is cleared after, so no later test reads these words
+    atoms = [atom for (atom,) in ONE_ATOM_WORDS]
+    words = [word for n in range(4) for word in product(atoms, repeat=n)]
+    assert len(words) == 47_989
+    try:
+        for word in words:
+            normal = normal_word(word)
+            for i, replacement in reference._rewrites(word):
+                rewritten = (None if replacement is None
+                             else word[:i] + replacement + word[i + 2:])
+                assert normal_word(rewritten) == normal, (word, i)
+            assert normal is None or reference._rewrites(normal) == [], word
+    finally:
+        normal_word.cache_clear()

@@ -174,6 +174,7 @@ def test_fuel_reaches_the_searches(suite, fuel, ok, tmp_path):
     ["check", "algebra", "--corpus-max-size", "3"],
     ["check", "algebra", "--fuel", "3"],
     ["check", "algebra", "--term", "x"],
+    ["check", "algebra", "--seed", "0"],
 ], ids=" ".join)
 def test_commands_reject_flags_they_do_not_read(argv, capsys):
     # check runs both calculi and both translations, whatever it is told,
@@ -182,8 +183,7 @@ def test_commands_reject_flags_they_do_not_read(argv, capsys):
         sys.exit(main(argv))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    if argv[0] == "check" and argv[2] in ("--fuel", "--seed", "--term",
-                                          "--corpus-max-size"):
+    if argv[0] == "check" and argv[2] in ("--fuel", "--term", "--corpus-max-size"):
         assert err == (f"goilab check: error: the {argv[1]} suite does not read "
                        f"{argv[2]}\n")
     else:

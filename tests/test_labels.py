@@ -1,11 +1,11 @@
 import random
 
 import pytest
+from conftest import random_label
 
 from goilab.labels import (LEFT, MARKER_KINDS, RIGHT, ArgumentLabelError,
                            Marker, atomic, concat, format_label, mark, over,
                            reverse, split_argument_label, under)
-from goilab.checks import random_label
 
 
 def test_reverse_atomic():
