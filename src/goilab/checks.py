@@ -42,6 +42,7 @@ PROBLEMS = frozenset({
     "eligible cut does not step", "no cut step reaches the reduct",
     "final weight not decided", "zero final weight", "final weight not realised",
     "composite row incoherent", "reversal symmetry broken", "W marker did not absorb",
+    "label cannot be read",
 })
 
 
@@ -482,23 +483,36 @@ def check_algebra_laws() -> dict:
     0.  A failure's ``detail`` is the printed label and the law it breaks,
     then, for a composite row, the number of atoms before the cut.  The
     smaller labels come first, so the first failure names a smallest
-    label."""
+    label.  A label whose reading raises is one failure, its detail the
+    printed label and the error's message, and the next label is read."""
     failures = []
     labels = _short_labels(LAW_LABEL_SIZE)
     for label in labels:
         printed = format_label(label)
-        level = entry_level_needed(label)
-        full = lw(label, level)
-        for cut in range(1, len(label)):
-            left = lw(label[:cut], level)
-            right = lw(label[cut:], left.out_level)
-            if (compose(left.weight, right.weight), right.out_level) != full:
-                failures.append(_failure("composite row incoherent", detail=[
-                    printed, "lw(u.v) = lw(u).lw(v)", cut]))
-        if lw(reverse(label), full.out_level) != (involute(full.weight), level):
-            failures.append(_failure("reversal symmetry broken", detail=[
-                printed, "lw(reverse(u)) = involute(lw(u))"]))
-        if lw(concat(mark(RIGHT, "W"), label), level).weight is not None:
-            failures.append(_failure("W marker did not absorb", detail=[
-                printed, "lw(W>.u) = 0"]))
+        found, error = _attempted(_law_failures, label, printed)
+        if error:
+            failures.append(_failure("label cannot be read", error=error,
+                                     detail=[printed, str(error)]))
+        else:
+            failures += found
     return _report(failures, labels=len(labels))
+
+
+def _law_failures(label: tuple, printed: str) -> list:
+    """Criterion 10's failures on one label, printed as ``printed``."""
+    failures = []
+    level = entry_level_needed(label)
+    full = lw(label, level)
+    for cut in range(1, len(label)):
+        left = lw(label[:cut], level)
+        right = lw(label[cut:], left.out_level)
+        if (compose(left.weight, right.weight), right.out_level) != full:
+            failures.append(_failure("composite row incoherent", detail=[
+                printed, "lw(u.v) = lw(u).lw(v)", cut]))
+    if lw(reverse(label), full.out_level) != (involute(full.weight), level):
+        failures.append(_failure("reversal symmetry broken", detail=[
+            printed, "lw(reverse(u)) = involute(lw(u))"]))
+    if lw(concat(mark(RIGHT, "W"), label), level).weight is not None:
+        failures.append(_failure("W marker did not absorb", detail=[
+            printed, "lw(W>.u) = 0"]))
+    return failures

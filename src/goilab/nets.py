@@ -941,11 +941,11 @@ def _anchor_key(net: Net, eid: int) -> tuple:
 
 def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
                     islands: _Islands):
-    """Signature of the component numbered by ``edge_ids`` and ``node_ids``;
-    the nodes nested in a box but outside it, doors included, are described
-    by the islands that hold them.  An edge end is ``(0, node number,
-    port)`` at a node, ``(-2, 0, "")`` at the root and ``(-1, 0, name)`` at
-    a free variable."""
+    """Signature of the component numbered by ``edge_ids`` and ``node_ids``.
+    A box is described by what it lists directly, a box among them by its
+    principal door, and the members outside the component by the islands
+    that hold them.  An edge end is ``(0, node number, port)`` at a node,
+    ``(-2, 0, "")`` at the root and ``(-1, 0, name)`` at a free variable."""
     def end_key(end) -> tuple:
         if end[0] == "node":
             return (0, node_ids[end[1]], end[2])
@@ -967,14 +967,15 @@ def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
     boxes = []
     for bid, b in net.boxes.items():
         if b.principal in node_ids:
-            nested = _inside(net, bid)[1]
-            inside = [node_ids[n] for n in nested if n in node_ids]
+            members = [net.boxes[m].principal if m in net.boxes else m
+                       for m in b.contents]
+            inside = [node_ids[n] for n in members if n in node_ids]
             boxes.append((node_ids[b.principal],
                           tuple(sorted(node_ids[a] for a in b.auxiliaries
                                        if a in node_ids)),
                           tuple(sorted(inside)),
-                          islands.holding(n for n in nested if n not in node_ids)
-                          if len(inside) < len(nested) else ()))
+                          islands.holding(n for n in members if n not in node_ids)
+                          if len(inside) < len(members) else ()))
     return (tuple(nodes), tuple(sorted(edges)), tuple(sorted(boxes)))
 
 
@@ -1044,17 +1045,14 @@ def _signed(net: Net):
 # export
 
 def to_json(net: Net) -> str:
-    """JSON text for ``net``.  A box's ``contents`` lists every node nested
-    in it, those of the boxes inside it included."""
-    def end_json(end):
-        return list(end)
-
+    """JSON text for ``net``.  A box's ``contents`` are its ``Box.contents``:
+    the ids of the nodes and boxes that lie directly in it."""
     data = {
         "nodes": [{"id": nid, "kind": kind} for nid, kind in sorted(net.nodes.items())],
         "edges": [
             {
                 "id": eid,
-                "ends": [end_json(e.ends[0]), end_json(e.ends[1])],
+                "ends": [list(e.ends[0]), list(e.ends[1])],
                 "weight": e.weight,
             }
             for eid, e in sorted(net.edges.items())
@@ -1064,7 +1062,7 @@ def to_json(net: Net) -> str:
                 "id": bid,
                 "principal": b.principal,
                 "auxiliaries": list(b.auxiliaries),
-                "contents": sorted(_inside(net, bid)[1]),
+                "contents": sorted(b.contents),
             }
             for bid, b in sorted(net.boxes.items())
         ],

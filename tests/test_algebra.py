@@ -176,6 +176,30 @@ def test_criterion_10_names_a_smallest_label_it_fails_on(monkeypatch):
                                "lw(reverse(u)) = involute(lw(u))"]
 
 
+def test_criterion_10_reports_a_label_it_cannot_read_and_reads_on(monkeypatch):
+    # each <? read as <?.!> leaves level 0 below 0 on <? itself: that label
+    # is one failure naming the error, and the labels after it are checked
+    def read_low(label):
+        out = ()
+        for a in label:
+            if a == mark(LEFT, "?")[0]:
+                out += (a, *mark(RIGHT, "!"))
+            elif type(a) in (Over, Under):
+                out += (type(a)(read_low(a.inner)),)
+            else:
+                out += (a,)
+        return out
+
+    monkeypatch.setattr(checks, "lw", lambda label, level: lw(read_low(label), level))
+    report = checks.check_algebra_laws()
+    assert (report["ok"], report["labels"]) == (False, 2255)
+    unread = [f for f in report["failures"] if f["problem"] == "label cannot be read"]
+    assert unread[0]["error"] == "LevelUnderflowError"
+    assert unread[0]["detail"] == [format_label(mark(LEFT, "?")),
+                                   "label read from level 0 falls to level -1"]
+    assert len(unread) < len(report["failures"]) < report["failures_total"]
+
+
 def entry_level_by_loop(label):
     """The least entry level ``label`` needs, by a walk of its own: the
     lowest level its door markers reach from level 0, negated."""

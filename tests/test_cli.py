@@ -293,6 +293,16 @@ def test_the_cbn_net_of_a_deep_application_lists_each_node_in_one_box():
     assert iso_check(net, reference.renumbered(net, random.Random(0)))
 
 
+def test_the_json_of_a_deep_cbn_net_lists_each_id_once(tmp_path):
+    # the export writes what each box lists directly; listing every node
+    # nested in each box made this JSON grow cubically with depth
+    assert main(["net", deep(100)[2][0], "--translation", "cbn",
+                 "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "net.json").read_text())
+    assert sum(len(b["contents"]) for b in data["boxes"]) \
+        <= len(data["nodes"]) + len(data["boxes"])
+
+
 def test_a_left_nested_term_1000_deep_is_checked(tmp_path):
     # every step checked translates its source and target; the one failure
     # allowed is a weight-set search that runs out of fuel, not an overflow

@@ -164,34 +164,81 @@ def test_translation_names_a_non_linear_copy_substitution_or_erasure(
         translate(parse(text))
 
 
-def test_the_nets_of_the_size_6_graphs_are_pinned():
-    # node and edge ids, weights and box contents of every translation of
-    # every configuration the lcf and lca graphs of corpus(6) reach, in
-    # order; a translation that raises is its error's type name.  The second
-    # digest pins the net of every closed cut step of each net, in cut order
-    digest, stepped = hashlib.sha256(), hashlib.sha256()
-    translations = raised = steps = 0
-    for entry in corpus(6):
+def nested_view(text):
+    """The JSON text ``to_json`` wrote with each box's ``contents`` replaced
+    by the sorted nodes of its subtree, each box visited once: the export as
+    it was when a box's contents listed every node nested in it."""
+    data = json.loads(text)
+    listed = {b["id"]: b["contents"] for b in data["boxes"]}
+    for b in data["boxes"]:
+        boxes, nodes = [b["id"]], []
+        for bid in boxes:  # grows as the boxes inside are found
+            nodes += [m for m in listed[bid] if m not in listed]
+            boxes += [m for m in listed[bid] if m in listed and m not in boxes]
+        b["contents"] = sorted(nodes)
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+def corpus_nets(size):
+    """(net, its closed cut steps) for every translation of every
+    configuration the lcf and lca graphs of corpus(size) reach, in order,
+    or (the type name of the error, ()) for a translation that raises."""
+    for entry in corpus(size):
         for calc in (LCF, LCA):
             for config in reduction_graph(Configuration(entry.initial), calc).edges:
                 for translate in (translate_cbv, translate_cbn):
-                    translations += 1
                     try:
                         net = translate(config.term)
                     except (NetError, LevelUnderflowError) as exc:
-                        digest.update(type(exc).__name__.encode() + b"\n")
-                        raised += 1
+                        yield type(exc).__name__, ()
                         continue
-                    digest.update(to_json(net).encode() + b"\n")
-                    for cut in eligible_cuts(net):
-                        step = closed_cut_step(net, cut)
-                        stepped.update(to_json(step).encode() + b"\n")
-                        steps += 1
+                    yield net, [closed_cut_step(net, cut) for cut in eligible_cuts(net)]
+
+
+def test_the_nets_of_the_size_6_graphs_are_pinned():
+    # node and edge ids, weights and box contents of every translation of
+    # every configuration the lcf and lca graphs of corpus(6) reach, in
+    # order; a translation that raises is its error's type name.  The
+    # second digest of each pair pins the net of every closed cut step of
+    # each net, in cut order.  The nested pair, of each export's nested
+    # view, is the export's pair from when a box listed every node nested
+    # in it
+    export = [hashlib.sha256(), hashlib.sha256()]
+    nested = [hashlib.sha256(), hashlib.sha256()]
+    translations = raised = steps = 0
+    for net, stepped in corpus_nets(6):
+        translations += 1
+        if isinstance(net, str):
+            export[0].update(net.encode() + b"\n")
+            nested[0].update(net.encode() + b"\n")
+            raised += 1
+            continue
+        steps += len(stepped)
+        for which, n in [(0, net), *((1, step) for step in stepped)]:
+            text = to_json(n)
+            export[which].update(text.encode() + b"\n")
+            nested[which].update(nested_view(text).encode() + b"\n")
     assert (translations, raised, steps) == (708, 112, 1185)
-    assert digest.hexdigest() == (
-        "23ca3103215bda651cf55a32b459dae836b96a204cfc97ac10c445810e83b8b8")
-    assert stepped.hexdigest() == (
-        "acec154a11ede9e5b59313ddcc444c707d4032f99387a68d2079c93cffcbc65d")
+    assert [d.hexdigest() for d in export] == [
+        "1956fc3f585c1af40ade69bff50c96a521fda7258f83210b572c440fdb37e830",
+        "df69c3e194ecc165778c67ca6b15815133b65305fe42a8f84e8f67e8fb63b51d"]
+    assert [d.hexdigest() for d in nested] == [
+        "23ca3103215bda651cf55a32b459dae836b96a204cfc97ac10c445810e83b8b8",
+        "acec154a11ede9e5b59313ddcc444c707d4032f99387a68d2079c93cffcbc65d"]
+
+
+def test_the_export_lists_what_each_box_stores():
+    # a box's JSON contents are the ids that lie directly in it, boxes
+    # included, for every net and closed cut step of the corpus(5) graphs
+    nets_read = boxes_in_boxes = 0
+    for net, stepped in corpus_nets(5):
+        for n in () if isinstance(net, str) else (net, *stepped):
+            exported = {b["id"]: b["contents"] for b in json.loads(to_json(n))["boxes"]}
+            assert exported == {bid: sorted(b.contents) for bid, b in n.boxes.items()}
+            nets_read += 1
+            boxes_in_boxes += sum(m in n.boxes for b in n.boxes.values()
+                                  for m in b.contents)
+    assert (nets_read, boxes_in_boxes) == (1392, 1926)
 
 
 def test_validate_flags_dangling_port():
@@ -394,14 +441,15 @@ def test_validate_reports_each_problem_of_a_hand_broken_net():
 
 def test_export_ends_on_boxes_that_list_each_other():
     # boxes 8 and 9 list each other, and box 10 lists box 9 too: validate
-    # reports them, and the exports, which walk down from each box, end
+    # reports them, the JSON lists what each box stores, and the dot
+    # export, which walks down from the boxes no box lists, ends
     net, _ = boxed_axiom(door=True)
     net.boxes[8].contents.add(9)
     net.boxes.update({9: Box(1, (5,), {8}), 10: Box(1, (5,), {9})})
     assert validate(net)[-2:] == ["box 8 lies inside a cycle of boxes",
                                   "box 9 lies inside a cycle of boxes"]
     assert {b["id"]: b["contents"] for b in json.loads(to_json(net))["boxes"]} == {
-        8: [1, 2, 5], 9: [1, 2, 5], 10: [1, 2, 5]}
+        8: [1, 2, 5, 9], 9: [8], 10: [9]}
     assert to_dot(net).count("subgraph cluster_") == 1
 
 

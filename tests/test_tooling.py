@@ -287,6 +287,17 @@ def test_the_signing_code_neither_raises_nor_catches():
     assert faults == []
 
 
+def test_only_the_steps_that_take_a_whole_box_walk_its_subtree():
+    # a box lists what lies directly in it, and every other reader (the
+    # export, the signature) reads that as stored; nested contents are
+    # derived only where a step drops or copies a box with all it holds
+    callers = sorted(node.name for node in ast.parse((SRC / "nets.py").read_text()).body
+                     if isinstance(node, ast.FunctionDef) and any(
+                         isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                         and call.func.id == "_inside" for call in ast.walk(node)))
+    assert callers == ["_copy_closed_box", "_drop_box"]
+
+
 def test_no_suite_reads_text():
     # the suites are called once per entry; a term parsed inside one would
     # be parsed again on every call, so fixed terms are built as terms
