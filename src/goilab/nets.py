@@ -110,9 +110,10 @@ class Net:
     changes one (``closed_cut_step``, ``contracted``) works on a copy, so
     ``validate`` judges each net at most once, ``iso_check`` counts its
     node kinds and signs it at most once, and the net keeps all three on
-    it, as it keeps the port map it builds at most once.  A copy shares its
-    ``Edge`` objects with the net it was made from; a step that edits an
-    edge in place first gives the copy an edge of its own (``_reattach``).
+    it.  Its port map is built once, on first read, and every edit after
+    that keeps it current.  A copy shares its ``Edge`` objects with the net
+    it was made from; a step that edits an edge in place first gives the
+    copy an edge of its own (``_reattach``).
     """
 
     def __init__(self):
@@ -138,22 +139,27 @@ class Net:
 
     def new_edge(self, end0=None, end1=None, weight: Weight = ONE) -> int:
         eid = self.new_id()
-        self.edges[eid] = Edge([end0, end1], weight)
+        self.edges[eid] = Edge([None, None], weight)
+        self.attach(eid, 0, end0)
+        self.attach(eid, 1, end1)
         return eid
 
     def attach(self, eid: int, end_index: int, end) -> None:
+        """Put end ``end_index`` of edge ``eid`` at ``end``, and give a node
+        end its port in the map, once the map is built."""
         self.edges[eid].ends[end_index] = end
+        if self._ports is not None and end is not None and end[0] == "node":
+            self._ports[(end[1], end[2])] = (eid, end_index)
 
     @property
     def ports(self) -> dict:
         """``(node, port) -> (edge, end index)`` for every edge end at a node.
 
-        Built from the edges on first read and kept.  An operation that
-        edits the edges afterwards keeps it current (``_splice``) or drops
-        it (``_delete_nodes``), so a net whose fields are assigned directly,
-        as ``bench/reference.renumbered`` does, reads a map of its own
-        edges.  Of two ends at one port the first holds it, and
-        ``validate`` reports the other.
+        Built from the edges on first read, so a net whose fields are
+        assigned directly, as ``bench/reference.renumbered`` does, reads a
+        map of its own edges, and kept current by every edit after that.
+        Of two ends at one port, the first edge's holds a built map and the
+        one attached last an edited map; ``validate`` reports the other.
         """
         if self._ports is None:
             self._ports = {}
@@ -280,8 +286,12 @@ def validate(net: Net) -> list:
     for name, eid in net.free.items():
         if eid not in net.edges:
             problems.append(f"free edge for {name} missing")
+        elif ("free", name) not in net.edges[eid].ends:
+            problems.append(f"free edge {eid} for {name} does not end at {name}")
     if net.root is not None and net.root not in net.edges:
         problems.append("root edge missing")
+    elif net.root is not None and ("root",) not in net.edges[net.root].ends:
+        problems.append(f"root edge {net.root} does not end at the root")
     for bid, b in boxes.items():
         if nodes.get(b.principal) != "bang":
             problems.append(f"box {bid} principal is not an of-course node")
@@ -550,11 +560,10 @@ def translate_cbn(term: Term) -> Net:
 def _splice(net: Net, nid: int, port_a: str, port_b: str) -> int:
     """Delete a two-port node of ``net`` in place, fusing its edges into one
     oriented edge that reads (edge at port_a towards the node) then (edge at
-    port_b away from the node).  The net's port map is kept current: the
-    node's ports leave it and the outer ends point at the fused edge, as
-    does the interface an outer end is.  The node stays in the contents of
-    its box, for the caller to drop with ``_unbox`` once its splices are
-    done.  A self-loop raises before anything changes."""
+    port_b away from the node).  The node's ports leave the port map, and
+    the interface an outer end is names the fused edge.  The node stays in
+    the contents of its box, for the caller to drop with ``_unbox`` once
+    its splices are done.  A self-loop raises before anything changes."""
     ports = net.ports
     ea, ia = ports[(nid, port_a)]
     eb, ib = ports[(nid, port_b)]
@@ -566,14 +575,10 @@ def _splice(net: Net, nid: int, port_a: str, port_b: str) -> int:
     weight = compose(edge_a.weight_from(1 - ia), edge_b.weight_from(ib))
     fused = net.new_edge(outer_a, outer_b, weight)
     del ports[(nid, port_a)], ports[(nid, port_b)]
-    for i, end in enumerate((outer_a, outer_b)):
-        if end is None:
-            continue
-        if end[0] == "node":
-            ports[(end[1], end[2])] = (fused, i)
-        elif end[0] == "root":
+    for end in (outer_a, outer_b):
+        if end[0] == "root":
             net.root = fused
-        else:
+        elif end[0] == "free":
             net.free[end[1]] = fused
     del net.edges[ea], net.edges[eb]
     net.nodes.pop(nid)
@@ -679,9 +684,8 @@ def closed_cut_step(net: Net, cut: int) -> Net:
     """One step of closed cut elimination at the given cut node, on a copy
     of ``net``.  ``NotACutError`` when ``cut`` is not a cut, ``NetError``
     when it faces the interface or no rule matches it, and
-    ``NotClosedError`` when its box has auxiliary doors.  The copy stepped
-    carries the port map of ``net``; a step that splices keeps it current,
-    and one that deletes nodes drops it."""
+    ``NotClosedError`` when its box has auxiliary doors.  ``net`` must be
+    one ``validate`` accepts; the copy stepped carries its port map."""
     if net.nodes.get(cut) != "cut":
         raise NotACutError(f"node {cut} is not a cut")
     redex = _cut_redex(net, cut)
@@ -751,11 +755,12 @@ _STEPS = {"ax": _axiom_step, "mult": _mult_step, "derelict": _derelict_step,
 
 
 def _reattach(net: Net, eid: int, end_index: int, end) -> Edge:
-    """Give ``net`` its own copy of edge ``eid``, with the end ``end_index``
-    at ``end``, and return it: the nets that share the old edge keep it."""
+    """Give ``net`` its own copy of edge ``eid``, its end ``end_index`` moved
+    from its port to ``end``, and return it: nets sharing the old edge keep it."""
     old = net.edges[eid]
     edge = net.edges[eid] = Edge(list(old.ends), old.weight)
-    edge.ends[end_index] = end
+    del net.ports[old.ends[end_index][1:]]
+    net.attach(eid, end_index, end)
     return edge
 
 
@@ -767,15 +772,15 @@ def _new_cut(net: Net, beside: int) -> int:
 
 
 def _delete_nodes(net: Net, doomed: set) -> None:
-    """Delete the ``doomed`` nodes and every edge at one of them, and drop
-    the port map, which neither this nor the step calling it keeps."""
-    net._ports = None
-    for eid, e in list(net.edges.items()):
-        if any(end is not None and end[0] == "node" and end[1] in doomed
-               for end in e.ends):
-            del net.edges[eid]
+    """Delete the ``doomed`` nodes and every edge at one of them, found
+    through their ports, with both ends of each such edge from the map."""
+    ports = net.ports
     for nid in doomed:
-        del net.nodes[nid]
+        for port in PORTS[net.nodes.pop(nid)]:
+            if (nid, port) in ports:  # not when an edge here is gone already
+                for end in net.edges.pop(ports[(nid, port)][0]).ends:
+                    if end[0] == "node":
+                        del ports[end[1:]]
     _unbox(net, doomed)
 
 
@@ -811,10 +816,10 @@ def _copy_closed_box(net: Net, bid: int, beside: int) -> int:
     mapping = {}
     for nid in sorted(nodes):
         mapping[nid] = net.new_node(net.nodes[nid])
-    for eid, e in sorted(net.edges.items()):
-        ins = [end is not None and end[0] == "node" and end[1] in mapping
-               for end in e.ends]
-        if all(ins):
+    for eid in sorted({net.ports[(nid, port)][0] for nid in nodes
+                       for port in PORTS[net.nodes[nid]]}):
+        e = net.edges[eid]
+        if all(end[0] == "node" and end[1] in mapping for end in e.ends):
             net.new_edge(("node", mapping[e.ends[0][1]], e.ends[0][2]),
                          ("node", mapping[e.ends[1][1]], e.ends[1][2]),
                          e.weight)
@@ -838,8 +843,7 @@ def contracted(net: Net) -> Net:
     ``net`` must be one ``validate`` accepts.  One pass in node order:
     splicing never turns a self-loop back into two edges, so restarting
     after each splice would make the same splices.  A node whose two ports share one
-    edge closes a loop and is kept.  The splices keep the copy's port map
-    current.
+    edge closes a loop and is kept.
     """
     out = net.copy()
     ports = out.ports

@@ -353,14 +353,23 @@ BROKEN = [
      ["edge 4 has a dangling endpoint", "port (2, 'b') attached twice",
       "bang node 1 has empty port out", "ax node 2 has empty port a",
       "edge 3 crosses box 8 away from a door"]),
-    (end_at(7, 1, ("root",)), ["edge 7 claims the root interface"]),
-    (end_at(7, 1, ("free", "y")), ["edge 7 claims free variable y"]),
+    # the free map still names edge 7 for x, which no longer ends there
+    (end_at(7, 1, ("root",)),
+     ["edge 7 claims the root interface", "free edge 7 for x does not end at x"]),
+    (end_at(7, 1, ("free", "y")),
+     ["edge 7 claims free variable y", "free edge 7 for x does not end at x"]),
     (end_at(7, 1, ("elsewhere",)),
-     ["edge 7 has unknown endpoint ('elsewhere',)"]),
+     ["edge 7 has unknown endpoint ('elsewhere',)",
+      "free edge 7 for x does not end at x"]),
     (lambda net: net.new_node("weaken"), ["weaken node 9 has empty port out"]),
     (lambda net: net.free.__setitem__("y", 99), ["free edge for y missing"]),
     (lambda net: setattr(net, "root", 99),
      ["edge 3 claims the root interface", "root edge missing"]),
+    # the interface maps name edges that exist but do not end there
+    (lambda net: net.free.__setitem__("ghost", 3),
+     ["free edge 3 for ghost does not end at ghost"]),
+    (lambda net: setattr(net, "root", 7),
+     ["edge 3 claims the root interface", "root edge 7 does not end at the root"]),
     (lambda net: setattr(net.boxes[8], "principal", 2),
      ["box 8 principal is not an of-course node",
       "edge 3 crosses box 8 away from a door"]),
@@ -437,6 +446,22 @@ def test_validate_reports_each_problem_of_a_hand_broken_net():
         net, _ = boxed_axiom(door=True)
         edit(net)
         assert validate(net) + box_depth_problems(net) == expected, row
+
+
+def test_validate_checks_the_interface_maps_against_the_edges():
+    # validate reads the root and free maps both ways: an edge's interface
+    # end must be in the maps, and an edge the maps name must have the end,
+    # so iso_check refuses such a net rather than sign it
+    a = translate_cbn(identity_application())
+    b = a.copy()
+    b.free["ghost"] = a.root
+    assert validate(b) == [f"free edge {a.root} for ghost does not end at ghost"]
+    with pytest.raises(NetError, match="ghost"):
+        iso_check(a, b)
+    net = Net()
+    e = net.new_edge(("free", "x"), ("free", "y"))
+    net.root, net.free = e, {"x": e, "y": e}
+    assert validate(net) == [f"root edge {e} does not end at the root"]
 
 
 def test_export_ends_on_boxes_that_list_each_other():
@@ -1257,7 +1282,8 @@ def test_classification_rejects_a_non_cut_and_a_cut_against_the_interface():
 
 def test_no_net_operation_rescans_a_translated_net(monkeypatch):
     # translation builds the port map once, to validate the net, and keeps
-    # it; a step carries it over, and only a step that deletes nodes drops it
+    # it; a step carries it over to its copy and keeps it current, so no
+    # map is built for a stepped net, not even to compare it
     built = []
     ports = Net.ports
 
@@ -1283,9 +1309,30 @@ def test_no_net_operation_rescans_a_translated_net(monkeypatch):
             for cut in cuts:
                 out, maps = maps_built(closed_cut_step, left, cut)
                 assert maps == 0
-                assert maps_built(iso_check, out, right)[1] <= 1
+                assert maps_built(iso_check, out, right)[1] == 0
                 stepped += 1
     assert stepped > 50
+
+
+def test_each_cut_step_keeps_the_port_map_current():
+    # every rule edits the port map its copy carries as it edits the edges,
+    # so a stepped net holds the map its edges give without building one
+    rules = Counter()
+    for entry in corpus(6):
+        for config in reduction_graph(Configuration(entry.initial), LCA).edges:
+            for translate in (translate_cbv, translate_cbn):
+                try:
+                    net = translate(config.term)
+                except (NetError, LevelUnderflowError):
+                    continue
+                for cut in eligible_cuts(net):
+                    out = closed_cut_step(net, cut)
+                    rule = nets._cut_redex(net, cut).rule
+                    assert out._ports is not None, rule
+                    assert out.ports == port_scan(out), rule
+                    rules[rule] += 1
+    assert rules == {"ax": 441, "mult": 76, "derelict": 156, "weaken": 4, "fan": 13,
+                     "commute": 68}
 
 
 def test_contraction_step_duplicates_box():

@@ -298,6 +298,54 @@ def test_only_the_steps_that_take_a_whole_box_walk_its_subtree():
     assert callers == ["_copy_closed_box", "_drop_box"]
 
 
+def _scans_edges(node) -> bool:
+    """Whether ``node`` iterates over a net's edges: in a ``for``, a
+    comprehension, or ``sorted``, ``list``, ``set`` or ``tuple``."""
+    iterated = [sub.iter for sub in ast.walk(node)
+                if isinstance(sub, (ast.For, ast.comprehension))]
+    iterated += [sub.args[0] for sub in ast.walk(node)
+                 if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                 and sub.func.id in ("sorted", "list", "set", "tuple") and sub.args]
+    for expr in iterated:
+        if (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)
+                and expr.func.attr in ("items", "keys", "values")):
+            expr = expr.func.value
+        if isinstance(expr, ast.Attribute) and expr.attr == "edges":
+            return True
+    return False
+
+
+def test_no_cut_step_scans_every_edge():
+    # a step finds the edges it edits through the port map and keeps the
+    # map current, so it walks what it touches, not the whole net.  Of the
+    # code closed_cut_step reaches by name (the module's functions and
+    # assignments, and Net's methods), only Net.ports reads every edge, to
+    # build the map of a net that has none; a step's copy carries one
+    defs = {}  # what closed_cut_step may reach -> (the name it is read by, node)
+    for node in ast.parse((SRC / "nets.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = (node.name, node)
+        elif isinstance(node, ast.Assign):
+            defs.update((t.id, (t.id, node)) for t in node.targets
+                        if isinstance(t, ast.Name))
+        elif isinstance(node, ast.ClassDef) and node.name == "Net":
+            defs.update((f"Net.{item.name}", (item.name, item)) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+    names, reached, grown = {"closed_cut_step"}, set(), True
+    while grown:
+        grown = False
+        for label, (name, node) in defs.items():
+            if label not in reached and name in names:
+                reached.add(label)
+                names |= _references([node])
+                grown = True
+    scanning = {label for label, (_, node) in defs.items() if _scans_edges(node)}
+    assert {"validate", "to_json", "Net.ports"} <= scanning
+    assert {"_STEPS", "_mult_step", "_delete_nodes", "_copy_closed_box",
+            "Net.copy", "Net.attach"} <= reached
+    assert sorted(reached & scanning) == ["Net.ports"]
+
+
 def test_no_suite_reads_text():
     # the suites are called once per entry; a term parsed inside one would
     # be parsed again on every call, so fixed terms are built as terms
