@@ -106,14 +106,13 @@ class Box:
 
 
 class Net:
-    """A proof-net.  A net is a value once built: every operation here that
-    changes one (``closed_cut_step``, ``contracted``) works on a copy, so
-    ``validate`` judges each net at most once, ``iso_check`` counts its
-    node kinds and signs it at most once, and the net keeps all three on
-    it.  Its port map is built once, on first read, and every edit after
-    that keeps it current.  A copy shares its ``Edge`` objects with the net
-    it was made from; a step that edits an edge in place first gives the
-    copy an edge of its own (``_reattach``).
+    """A proof-net.  A net is a value once built: ``closed_cut_step``
+    works on a copy, so ``validate`` judges each net at most once,
+    ``iso_check`` counts its node kinds and signs it at most once, and the
+    net keeps all three on it.  Its port map is built once, on first read,
+    and every edit after that keeps it current.  A copy shares its ``Edge``
+    and ``Box`` objects with the net it was made from; a step that edits
+    one puts a new one in the copy's map (``_reattach`` for an edge).
     """
 
     def __init__(self):
@@ -171,15 +170,14 @@ class Net:
         return self._ports
 
     def copy(self) -> "Net":
-        """A net equal to this one that shares its ``Edge`` objects, and
-        copies its node, box, free and port maps.  It carries nothing else
-        the net keeps: a step edits the copy, which is judged, counted and
-        signed afresh."""
+        """A net equal to this one that shares its ``Edge`` and ``Box``
+        objects, and copies its maps.  It carries nothing else the net
+        keeps: a step edits the copy, which is judged, counted and signed
+        afresh."""
         out = Net()
         out.nodes = dict(self.nodes)
         out.edges = dict(self.edges)
-        out.boxes = {bid: Box(b.principal, tuple(b.auxiliaries), set(b.contents))
-                     for bid, b in self.boxes.items()}
+        out.boxes = dict(self.boxes)
         out.root = self.root
         out.free = dict(self.free)
         out._next = self._next
@@ -587,16 +585,17 @@ def _splice(net: Net, nid: int, port_a: str, port_b: str) -> int:
 
 def _unbox(net: Net, ids: set) -> None:
     """Drop the nodes and boxes ``ids`` from the boxes that list them."""
-    for b in net.boxes.values():
-        b.contents -= ids
+    for bid, b in net.boxes.items():
+        if not b.contents.isdisjoint(ids):
+            net.boxes[bid] = Box(b.principal, b.auxiliaries, b.contents - ids)
 
 
 def _box_beside(net: Net, ids: set, beside: int) -> None:
     """Put the nodes and boxes ``ids`` in the box that lists the node or
     box ``beside``, if one does."""
-    for b in net.boxes.values():
+    for bid, b in net.boxes.items():
         if beside in b.contents:
-            b.contents |= ids
+            net.boxes[bid] = Box(b.principal, b.auxiliaries, b.contents | ids)
             return
 
 
@@ -743,11 +742,13 @@ def _fan_step(net: Net, redex: _CutRedex) -> None:
 
 def _commute_step(net: Net, redex: _CutRedex) -> None:
     whynot = redex.nodes[1]
-    target = net.boxes[_box_of_door(net, whynot)]
+    bid = _box_of_door(net, whynot)
     _splice(net, whynot, "in", "out")
     _unbox(net, {whynot, redex.box, redex.cut})
-    target.auxiliaries = tuple(a for a in target.auxiliaries if a != whynot)
-    target.contents |= {redex.box, redex.cut}
+    target = net.boxes[bid]  # as _unbox left it
+    net.boxes[bid] = Box(target.principal,
+                         tuple(a for a in target.auxiliaries if a != whynot),
+                         target.contents | {redex.box, redex.cut})
 
 
 _STEPS = {"ax": _axiom_step, "mult": _mult_step, "derelict": _derelict_step,
@@ -837,30 +838,56 @@ def _copy_closed_box(net: Net, bid: int, beside: int) -> int:
 # ---------------------------------------------------------------------------
 # isomorphism
 
-def contracted(net: Net) -> Net:
-    """Copy with axiom and cut nodes spliced out (they only carry linking).
-
-    ``net`` must be one ``validate`` accepts.  One pass in node order:
-    splicing never turns a self-loop back into two edges, so restarting
-    after each splice would make the same splices.  A node whose two ports share one
-    edge closes a loop and is kept.
-    """
-    out = net.copy()
-    ports = out.ports
-    spliced = set()
-    for nid, kind in list(out.nodes.items()):
-        if kind in ("ax", "cut") and ports[(nid, "a")][0] != ports[(nid, "b")][0]:
-            _splice(out, nid, "a", "b")
-            spliced.add(nid)
-    _unbox(out, spliced)
-    return out
+_LINKS = ("ax", "cut")
 
 
-def _explore(net: Net, seeds, edge_ids: dict, node_ids: dict,
+class _Wires:
+    """A net read through its links, uncopied.  A wire is a maximal chain of
+    edges through ax and cut nodes, walked from an outer end, with its
+    outer ends and the weight read along it, under its first edge's id.
+    ``edges``, ``ports``, ``root`` and ``free`` are the net's with each
+    chain replaced by its wire; ``links`` holds the links wires pass.  A
+    cycle made only of links has no outer end, so it stays as it is."""
+
+    def __init__(self, net: Net):
+        nodes, edges, ports = net.nodes, net.edges, net.ports
+        self.nodes, self.boxes, self.root = nodes, net.boxes, net.root
+        self.edges, self.ports, self.free = dict(edges), dict(ports), dict(net.free)
+        self.links = links = set()
+        for nid, kind in nodes.items():
+            if kind not in _LINKS or nid in links:
+                continue
+            for port in ("a", "b"):  # a neighbour no link holds is an outer end
+                first, i = ports[(nid, port)]
+                if (start := edges[first].ends[1 - i])[0] != "node" \
+                        or nodes[start[1]] not in _LINKS:
+                    break
+            else:  # walked from another link of its chain, or a cycle of links
+                continue
+            eid, k, weights = first, 1 - i, []
+            while True:
+                del self.edges[eid]
+                weights.append(edges[eid].weight_from(k))
+                end = edges[eid].ends[1 - k]
+                if end[0] != "node" or nodes[end[1]] not in _LINKS:
+                    break
+                links.add(end[1])
+                eid, k = ports[(end[1], "b" if end[2] == "a" else "a")]
+            self.edges[first] = Edge([start, end], compose(*weights))
+            for i, outer in enumerate((start, end)):
+                if outer[0] == "node":
+                    self.ports[outer[1:]] = (first, i)
+                elif outer[0] == "root":
+                    self.root = first
+                else:
+                    self.free[outer[1]] = first
+
+
+def _explore(net: _Wires, seeds, edge_ids: dict, node_ids: dict,
              flipped: Optional[int] = None) -> None:
-    """Deterministic breadth-first numbering of edges and nodes of a net
-    ``validate`` accepts, from seeds, visiting each edge's ends in order;
-    ``flipped`` names an edge whose ends are visited last first."""
+    """Deterministic breadth-first numbering of the wires and nodes of a
+    net, from seeds, visiting each wire's ends in order; ``flipped`` names
+    a wire whose ends are visited last first."""
     ports = net.ports
     queue = deque()
     for eid in seeds:
@@ -889,16 +916,16 @@ class _Islands:
     asked for.
 
     An island has no interface to number it from, so it is numbered from
-    anchors, each an edge of the island and the end the numbering starts
-    from, and signed by the least result.  Only the edges of least
+    anchors, each a wire of the island and the end the numbering starts
+    from, and signed by the least result.  Only the wires of least
     ``_anchor_key`` anchor it, each from both ends: an isomorphism keeps
-    that key, so it maps those edges of one island onto those of the other,
+    that key, so it maps those wires of one island onto those of the other,
     and both islands are signed from the same set of numberings.
     """
 
-    def __init__(self, net: Net, leftovers: set):
+    def __init__(self, net: _Wires, leftovers: set):
         self.net = net
-        self.extents = []  # the edges of each island
+        self.extents = []  # the wires of each island
         self.island_of = {}  # node -> its island
         while leftovers:
             probe_e: dict = {}
@@ -934,8 +961,8 @@ class _Islands:
         return tuple(sorted(self.signature(k) for k in held))
 
 
-def _anchor_key(net: Net, eid: int) -> tuple:
-    """What every isomorphism keeps of edge ``eid``: the sorted kinds and
+def _anchor_key(net: _Wires, eid: int) -> tuple:
+    """What every isomorphism keeps of wire ``eid``: the sorted kinds and
     ports of its ends, and the lesser of its weight read either way."""
     e = net.edges[eid]
     ends = tuple(sorted((net.nodes[end[1]], end[2]) if end[0] == "node" else end
@@ -943,13 +970,14 @@ def _anchor_key(net: Net, eid: int) -> tuple:
     return ends, min(_sortable(e.weight), _sortable(involute(e.weight)))
 
 
-def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
+def _signature_part(net: _Wires, edge_ids: dict, node_ids: dict,
                     islands: _Islands):
     """Signature of the component numbered by ``edge_ids`` and ``node_ids``.
-    A box is described by what it lists directly, a box among them by its
-    principal door, and the members outside the component by the islands
-    that hold them.  An edge end is ``(0, node number, port)`` at a node,
-    ``(-2, 0, "")`` at the root and ``(-1, 0, name)`` at a free variable."""
+    A box is described by what it lists directly but the links wires pass,
+    a box among them by its principal door, and the members outside the
+    component by the islands that hold them.  A wire end is ``(0, node
+    number, port)`` at a node, ``(-2, 0, "")`` at the root and ``(-1, 0,
+    name)`` at a free variable."""
     def end_key(end) -> tuple:
         if end[0] == "node":
             return (0, node_ids[end[1]], end[2])
@@ -972,7 +1000,7 @@ def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
     for bid, b in net.boxes.items():
         if b.principal in node_ids:
             members = [net.boxes[m].principal if m in net.boxes else m
-                       for m in b.contents]
+                       for m in b.contents if m not in net.links]
             inside = [node_ids[n] for n in members if n in node_ids]
             boxes.append((node_ids[b.principal],
                           tuple(sorted(node_ids[a] for a in b.auxiliaries
@@ -990,35 +1018,37 @@ def _sortable(w: Weight) -> tuple:
 
 
 def canonical_signature(net: Net):
-    """Order-independent description of a net ``validate`` accepts.
+    """Order-independent description of a net ``validate`` accepts, read
+    through its links (``_Wires``).
 
     The interface-reachable part is numbered from the root and the free
-    edges; interface-free islands (erased substitutions produce them) are
+    wires; interface-free islands (erased substitutions produce them) are
     numbered from each of their least-key anchors (see ``_Islands``) and
-    described by the least result.  Each node has an edge at every port,
+    described by the least result.  Each node has a wire at every port,
     so one numbering or the other reaches it.  A box that holds an island
     describes it by the island's signature.
     """
+    wires = _Wires(net)
     anchors = []
-    if net.root is not None:
-        anchors.append(net.root)
-    anchors.extend(net.free[name] for name in sorted(net.free))
+    if wires.root is not None:
+        anchors.append(wires.root)
+    anchors.extend(wires.free[name] for name in sorted(wires.free))
     edge_ids: dict[int, int] = {}
     node_ids: dict[int, int] = {}
-    _explore(net, anchors, edge_ids, node_ids)
-    islands = _Islands(net, set(net.edges) - set(edge_ids))
-    main = _signature_part(net, edge_ids, node_ids, islands)
+    _explore(wires, anchors, edge_ids, node_ids)
+    islands = _Islands(wires, wires.edges.keys() - edge_ids.keys())
+    main = _signature_part(wires, edge_ids, node_ids, islands)
     return (main, tuple(sorted(islands.signature(k)
                                for k in range(len(islands.extents)))))
 
 
 def iso_check(a: Net, b: Net) -> bool:
-    """Kind-, port-, box- and weight-preserving isomorphism, after splicing
-    out axiom/cut linking nodes on both sides.
+    """Kind-, port-, box- and weight-preserving isomorphism up to chains of
+    axiom and cut links.
 
     Every isomorphism keeps how many nodes of each kind but ``ax`` and
-    ``cut`` a net holds, and contraction never changes it, so nets whose
-    counts differ are not iso, and neither is signed.  Both nets pass
+    ``cut`` a net holds, so nets whose counts differ are not iso, and
+    neither is signed.  Both nets pass
     ``_kinds``'s gate, ``validate``, before either is signed, so a net that
     ``validate`` rejects raises ``NetError`` with its problems.
     """
@@ -1039,9 +1069,9 @@ def _kinds(net: Net) -> Counter:
 
 
 def _signed(net: Net):
-    """The signature of ``net`` contracted, computed once per net."""
+    """The signature of ``net``, computed once per net."""
     if net._signature is None:
-        net._signature = canonical_signature(contracted(net))
+        net._signature = canonical_signature(net)
     return net._signature
 
 

@@ -18,7 +18,7 @@ from goilab.labelled import initialize
 from goilab.labels import atomic, mark
 from goilab.nets import (Box, Edge, Net, NetError, NotACutError, NotClosedError,
                          TranslationError, _splice,
-                         canonical_signature, closed_cut_step, contracted,
+                         canonical_signature, closed_cut_step,
                          eligible_cuts, iso_check, to_dot, to_json,
                          translate_cbn, translate_cbv, validate)
 from goilab.terms import (Abs, App, Subst, Var, compile_term, parse,
@@ -546,9 +546,10 @@ def renumbered(net, seed=0):
 # --- splicing linking nodes --------------------------------------------------
 
 def contracted_by_restarts(net):
-    """``contracted`` as a restart loop: scan the ports afresh, splice the
-    first axiom or cut whose two ports sit on different edges, start over;
-    at the end, drop the spliced nodes from every box."""
+    """The net signed through its links, as a restart loop over a copy:
+    scan the ports afresh, splice the first axiom or cut whose two ports sit
+    on different edges, start over; at the end, put in place of each box
+    one without the spliced nodes, since a copy shares its boxes."""
     out = net.copy()
     spliced = set()
     while True:
@@ -557,29 +558,32 @@ def contracted_by_restarts(net):
             if kind in ("ax", "cut") and pm[(nid, "a")][0] != pm[(nid, "b")][0]:
                 break
         else:
-            for b in out.boxes.values():
-                b.contents -= spliced
+            out.boxes = {bid: Box(b.principal, b.auxiliaries, b.contents - spliced)
+                         for bid, b in out.boxes.items()}
             return out
         _splice(out, nid, "a", "b")
         spliced.add(nid)
 
 
-def test_contracted_makes_the_splices_of_the_restart_loop():
-    # compared by to_json, so the fused edges' ids must agree too
+def test_signing_through_links_agrees_with_the_restart_contraction():
+    # every translated and stepped net of the lcf and lca graphs, in which
+    # no cycle is made of links alone
     compared = 0
-    for entry in corpus(6):
-        graph = reduction_graph(Configuration(entry.initial), LCA)
-        terms = [entry.initial]
-        for src, _, dst in graph.steps():
-            terms += [src.term, dst.term]
-        for term in dict.fromkeys(terms):
-            net = translate_cbn(term)
-            out = contracted(net)
-            # iso_check signs the contracted net through the map it keeps
-            assert out.ports == port_scan(out), entry.name
-            assert to_json(out) == to_json(contracted_by_restarts(net)), entry.name
-            compared += 1
-    assert compared > 150
+    for entry in corpus(7):
+        for calc, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
+            graph = reduction_graph(Configuration(entry.initial), calc)
+            for config in graph.edges:
+                net = translate(config.term)
+                before = to_json(net)
+                for made in [net] + [closed_cut_step(net, cut)
+                                     for cut in eligible_cuts(net)]:
+                    out = contracted_by_restarts(made)
+                    assert out.ports == port_scan(out), entry.name
+                    assert canonical_signature(made) == canonical_signature(out), \
+                        entry.name
+                    compared += 1
+                assert to_json(net) == before, entry.name
+    assert compared > 1900
 
 
 def test_splicing_a_self_loop_raises_and_changes_nothing():
@@ -597,28 +601,50 @@ def test_splicing_a_self_loop_raises_and_changes_nothing():
 
 @pytest.mark.parametrize("translate", [translate_cbv, translate_cbn])
 def test_contracting_an_open_net_keeps_its_free_edges(translate):
+    # the signature reads the net through its links, and each free name
+    # anchors the wire that ends at it
     net = translate(parse_lambda("x y"))
-    out = contracted(net)
-    assert validate(out) == []
-    assert {name: out.edges[eid].ends[1] for name, eid in out.free.items()} == {
-        "x": ("free", "x"), "y": ("free", "y")}
+    wires = nets._Wires(net)
+    assert sorted(wires.free) == ["x", "y"]
+    assert all(("free", name) in wires.edges[eid].ends
+               for name, eid in wires.free.items())
+    assert wires.links and set(wires.edges) < set(net.edges)
     assert iso_check(net, renumbered(net))
 
 
-def test_axiom_and_cut_in_a_cycle_contract_to_one_kept_loop():
+def links_cycle(order, weight=watom("d")):
+    """A dereliction from the root to the free ``x``, and an island of an
+    axiom and a cut joined port to port (ax.a-cut.a, of ``weight``, and
+    cut.b-ax.b), the two links made in ``order``."""
     net = Net()
-    ax, cut = net.new_node("ax"), net.new_node("cut")
-    net.new_edge(("node", ax, "a"), ("node", cut, "a"))
-    net.new_edge(("node", cut, "b"), ("node", ax, "b"))
-    spliced = net.copy()
+    made = {kind: net.new_node(kind) for kind in order}
+    der = net.new_node("derelict")
+    net.root = net.new_edge(("root",), ("node", der, "out"))
+    net.free = {"x": net.new_edge(("node", der, "in"), ("free", "x"))}
+    net.new_edge(("node", made["ax"], "a"), ("node", made["cut"], "a"), weight)
+    net.new_edge(("node", made["cut"], "b"), ("node", made["ax"], "b"))
+    return net, made["ax"], made["cut"]
+
+
+def test_a_cycle_of_links_is_signed_as_it_stands():
+    # a cycle made only of links has no outer end, so it is signed with its
+    # nodes and edges as they are, whichever link was made first (splicing
+    # in node order kept the link it reached last, a cut or an axiom)
+    (a, ax, cut), (b, _, _) = links_cycle(("ax", "cut")), links_cycle(("cut", "ax"))
+    before = to_json(a)
+    assert validate(a) == validate(b) == []
+    assert iso_check(a, b)
+    assert iso_check(a, renumbered(a)) and iso_check(b, renumbered(b, 1))
+    assert not iso_check(a, links_cycle(("ax", "cut"), watom("d", star=True))[0])
+    _, (island,) = canonical_signature(a)
+    assert sorted(island[0]) == ["ax", "cut"] and len(island[1]) == 2
+    assert to_json(a) == before
+    # splicing one link of the cycle keeps the port map current
+    spliced = a.copy()
     fused = _splice(spliced, ax, "a", "b")
-    assert spliced.ports == port_scan(spliced) == {(cut, "a"): (fused, 0),
-                                                   (cut, "b"): (fused, 1)}
-    out = contracted(net)
-    assert to_json(out) == to_json(spliced)
-    assert out.nodes == {cut: "cut"}
-    assert net.nodes == {ax: "ax", cut: "cut"}
-    assert iso_check(net, renumbered(net))
+    assert spliced.ports == port_scan(spliced) == {
+        **{key: value for key, value in a.ports.items() if key[0] not in (ax, cut)},
+        (cut, "a"): (fused, 0), (cut, "b"): (fused, 1)}
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -626,10 +652,10 @@ def test_axiom_and_cut_in_a_cycle_contract_to_one_kept_loop():
 def test_cbn_nets_of_random_terms_are_iso_to_renumbered_copies(term, seed):
     net = translate_cbn(prepare("random", term).initial)
     assert iso_check(net, renumbered(net, seed))
-    out = contracted(net)
-    for nid, kind in out.nodes.items():
-        if kind in ("ax", "cut"):
-            assert out.ports[(nid, "a")][0] == out.ports[(nid, "b")][0], kind
+    # a translation makes no cycle of links, so every wire ends off a link
+    wires = nets._Wires(net)
+    assert all(end[0] != "node" or net.nodes[end[1]] not in ("ax", "cut")
+               for wire in wires.edges.values() for end in wire.ends)
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -687,14 +713,13 @@ def test_criterion_8_signs_each_net_it_compares_once(monkeypatch):
     distinct = {id(net): net for a, b, _ in compared for net in (a, b)}
     needed = {id(net): net for a, b, _ in compared if shape(a)[0] == shape(b)[0]
               for net in (a, b)}
-    # canonical_signature signs a contracted copy, so count: one signature
-    # per needed net, each needed net keeps one, and no other net has one
-    assert len(signed) == len(needed) < len(distinct)
+    # canonical_signature signs the net it is given: each needed net is
+    # signed once and keeps its signature, and no other net has one
+    assert sorted(map(id, signed)) == sorted(needed) and len(needed) < len(distinct)
     assert all(net._signature is None for key, net in distinct.items()
                if key not in needed)
     for net in needed.values():
-        again = contracted(net.copy())
-        assert net._signature == canonical_signature(again)
+        assert net._signature == canonical_signature(net)
     accepted = [(a, b) for a, b, same in compared if same]
     assert accepted and all(shape(a) == shape(b) for a, b in accepted)
 
@@ -727,17 +752,14 @@ def test_whole_nets_of_different_node_kinds_compare_false_unsigned(monkeypatch):
 
 
 def snapshot(net):
-    """The nodes, edges, boxes and interface of ``net`` as plain values."""
-    return (dict(net.nodes),
-            {eid: (tuple(e.ends), e.weight) for eid, e in net.edges.items()},
-            {bid: (b.principal, b.auxiliaries, frozenset(b.contents))
-             for bid, b in net.boxes.items()},
-            net.root, dict(net.free))
+    """The export of ``net`` and its port map, as plain values."""
+    return to_json(net), dict(net.ports)
 
 
 def test_net_operations_leave_their_input_unchanged():
-    # a step shares the edges it does not edit with its input and with the
-    # other steps of that input, so each must still read as it was made
+    # a step shares the edges and boxes it does not edit with its input and
+    # with the other steps of that input, so each must still read as it was
+    # made, and a fresh walk of it must give the verdict it keeps
     rules = Counter()
     for entry in corpus(6):
         for calc, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
@@ -761,6 +783,8 @@ def test_net_operations_leave_their_input_unchanged():
                 assert snapshot(left) == before, entry.name
                 assert [snapshot(out) for out, _ in made] == [
                     taken for _, taken in made], entry.name
+                for net in (left, *(out for out, _ in made)):
+                    assert validate(net.copy()) == validate(net) == [], entry.name
     assert set(rules) == {"ax", "mult", "derelict", "weaken", "fan", "commute"}
     assert sum(rules.values()) > 500
 
@@ -1042,7 +1066,7 @@ def test_least_key_anchors_decide_as_every_anchor_does(monkeypatch):
         if id(net) not in reference:
             with monkeypatch.context() as m:
                 m.setattr(nets, "_Islands", _EveryAnchor)
-                reference[id(net)] = canonical_signature(contracted(net))
+                reference[id(net)] = canonical_signature(net)
         return reference[id(net)]
 
     verdicts = []
