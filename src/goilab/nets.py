@@ -9,20 +9,25 @@ Conventions fixed by the label/weight correspondence (certified by the
 invariance suites rather than assumed):
 
 * application: tensor whose right premise is the result edge, carrying the
-  node label composed with q at the label's output level; the conclusion is
-  cut against the function, through a dereliction (call-by-value) or
+  node label composed with q at the label's output level; the function's
+  wire attaches to the conclusion, through a dereliction (call-by-value) or
   directly (call-by-name); the argument enters the left premise behind p*.
 * abstraction: par of (variable edge behind p, body behind q*), boxed with
   auxiliary doors for free variables in call-by-value, unboxed in
   call-by-name.
 * copy is a fan whose premises carry r (left target) and s (right target);
   erase is a weakening with an absorbing weight.
-* substitution is a cut; in call-by-name the argument sits in a box behind
-  a dereliction on the variable side, and the argument label up to its
+* substitution joins the target's wire and the argument's root wire into
+  one edge; in call-by-name the argument sits in a box behind a
+  dereliction on the variable side, and the argument label up to its
   trailing box marker is read on the box's external edge.
-* every variable is an axiom link (two half-wires through an axiom node);
-  in call-by-name each variable additionally ends in a dereliction, the
-  physical counterpart of the D marker emitted by the Var rule.
+* every variable is one edge, an axiom link; in call-by-name it runs into
+  a dereliction, the physical counterpart of the D marker emitted by the
+  Var rule.
+
+Axioms and cuts are edges, not nodes.  The last port of every kind, its
+``out``, is its principal port, and a cut is an edge between two
+principal ports (Lafont, *Interaction nets*, POPL 1990).
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ from .labelled import label_of, with_label
 from .terms import Abs, App, Copy, Erase, Subst, Term, Var
 
 PORTS = {
-    "ax": ("a", "b"),
-    "cut": ("a", "b"),
     "tensor": ("left", "right", "out"),
     "par": ("left", "right", "out"),
     "fan": ("left", "right", "out"),
@@ -111,8 +114,9 @@ class Net:
     ``iso_check`` counts its node kinds and signs it at most once, and the
     net keeps all three on it.  Its port map is built once, on first read,
     and every edit after that keeps it current.  A copy shares its ``Edge``
-    and ``Box`` objects with the net it was made from; a step that edits
-    one puts a new one in the copy's map (``_reattach`` for an edge).
+    and ``Box`` objects with the net it was made from, and no step edits
+    one in place: a step adds and drops edges (``_fuse``), and puts a new
+    box in the copy's map.
     """
 
     def __init__(self):
@@ -311,9 +315,11 @@ def validate(net: Net) -> list:
 
 class _Translator:
     """Builds one net.  ``var`` and the generator ``go``, sent the same for
-    each subterm it yields, give a term's root edge and a map from each free
-    variable to its dangling edge and box level.  Labels are read through
-    ``lw``, an absent one as empty, so unlabelled levels are box depths.
+    each subterm it yields, give a term's root edge, dangling at end 0, and
+    a map from each free variable to its edge, dangling at end 1, and box
+    level.  In call-by-value a variable's root edge is its free edge too.
+    Labels are read through ``lw``, an absent one as empty, so unlabelled
+    levels are box depths.
 
     ``open`` holds the members of each box being built, innermost last,
     below those of no box: each node made, and each box closed, joins the
@@ -330,15 +336,16 @@ class _Translator:
         return nid
 
     def var(self, term: Var, level: int) -> tuple[int, dict]:
+        """One edge, the variable's root and its free wire at once, or in
+        call-by-name the edge into its dereliction and the one out of it."""
         net = self.net
         r = lw(term.label or (), level)
-        ax = self.node("ax")
-        e_body = net.new_edge(None, ("node", ax, "a"), r.weight)
-        e_var = net.new_edge(("node", ax, "b"), None, ONE)
-        if self.cbn:
-            d = self.node("derelict")
-            net.attach(e_var, 1, ("node", d, "in"))
-            e_var = net.new_edge(("node", d, "out"), None, watom("d", r.out_level))
+        if not self.cbn:
+            e = net.new_edge(None, None, r.weight)
+            return e, {term.name: (e, r.out_level)}
+        d = self.node("derelict")
+        e_body = net.new_edge(None, ("node", d, "in"), r.weight)
+        e_var = net.new_edge(("node", d, "out"), None, watom("d", r.out_level))
         return e_body, {term.name: (e_var, r.out_level)}
 
     def go(self, term: Term, level: int):
@@ -363,19 +370,17 @@ class _Translator:
                 o = r.out_level
                 froot, ffree = yield fun, o
                 tensor = self.node("tensor")
-                cut = self.node("cut")
                 e_root = net.new_edge(None, ("node", tensor, "right"),
                                       compose(r.weight, watom("q", o)))
-                net.attach(froot, 0, ("node", cut, "b"))
                 if self.cbn:
-                    net.new_edge(("node", tensor, "out"), ("node", cut, "a"), ONE)
+                    net.attach(froot, 0, ("node", tensor, "out"))
                     aroot, afree = yield from self._arg_box(
                         arg, o + 1, watom("p", o, star=True))
                 else:
                     der = self.node("derelict")
                     net.new_edge(("node", tensor, "out"), ("node", der, "in"), ONE)
-                    net.new_edge(("node", der, "out"), ("node", cut, "a"),
-                                 watom("d", o))
+                    net.edges[froot].compose_incoming(0, watom("d", o))
+                    net.attach(froot, 0, ("node", der, "out"))
                     aroot, afree = yield arg, o
                     net.edges[aroot].compose_incoming(0, watom("p", o, star=True))
                 net.attach(aroot, 0, ("node", tensor, "left"))
@@ -406,15 +411,17 @@ class _Translator:
             case Subst(body, arg, target):
                 root, free = yield body, level
                 ex, lx = self._taken(free, target, "substitution target")
-                cut = self.node("cut")
-                net.attach(ex, 1, ("node", cut, "a"))
                 if self.cbn:
                     aroot, afree = yield from self._arg_box(*self._split_argument(arg, lx))
                 else:
                     entry = entry_level_needed(label_of(arg) or ())
                     aroot, afree = yield arg, max(lx, entry)
-                net.attach(aroot, 0, ("node", cut, "b"))
-                return root, self._merged(free, afree)
+                # the target's free end meets the argument's root end
+                joined = _fuse(net, (ex, 1), (aroot, 0))
+                renamed = {ex: joined, aroot: joined}
+                return renamed.get(root, root), {
+                    name: (renamed.get(e, e), lz)
+                    for name, (e, lz) in self._merged(free, afree).items()}
 
         raise AssertionError
 
@@ -555,31 +562,29 @@ def translate_cbn(term: Term) -> Net:
 # ---------------------------------------------------------------------------
 # closed cut elimination
 
-def _splice(net: Net, nid: int, port_a: str, port_b: str) -> int:
-    """Delete a two-port node of ``net`` in place, fusing its edges into one
-    oriented edge that reads (edge at port_a towards the node) then (edge at
-    port_b away from the node).  The node's ports leave the port map, and
-    the interface an outer end is names the fused edge.  The node stays in
-    the contents of its box, for the caller to drop with ``_unbox`` once
-    its splices are done.  A self-loop raises before anything changes."""
-    ports = net.ports
-    ea, ia = ports[(nid, port_a)]
-    eb, ib = ports[(nid, port_b)]
+def _fuse(net: Net, a: tuple, b: tuple, middle: Weight = ONE) -> int:
+    """Join two edge ends into one edge, in place.  ``a`` and ``b`` are
+    ``(edge, end index)``; the new edge runs from the far end of ``a``'s
+    edge to the far end of ``b``'s, and reads ``a``'s edge towards the end
+    joined, then ``middle``, then ``b``'s edge away from its end.  The
+    joined ends leave the port map, and an interface at a far end names the
+    new edge.  Joining an edge to itself would close a loop with no end: it
+    raises before anything changes."""
+    (ea, ia), (eb, ib) = a, b
     if ea == eb:
-        raise NetError("cannot fuse a self-loop")
-    edge_a, edge_b = net.edges[ea], net.edges[eb]
-    outer_a = edge_a.ends[1 - ia]
-    outer_b = edge_b.ends[1 - ib]
-    weight = compose(edge_a.weight_from(1 - ia), edge_b.weight_from(ib))
-    fused = net.new_edge(outer_a, outer_b, weight)
-    del ports[(nid, port_a)], ports[(nid, port_b)]
+        raise NetError(f"joining edge {ea} to itself closes a loop with no end")
+    edge_a, edge_b = net.edges.pop(ea), net.edges.pop(eb)
+    for end in (edge_a.ends[ia], edge_b.ends[ib]):
+        if end is not None and end[0] == "node":
+            del net.ports[end[1:]]
+    outer_a, outer_b = edge_a.ends[1 - ia], edge_b.ends[1 - ib]
+    fused = net.new_edge(outer_a, outer_b, compose(
+        edge_a.weight_from(1 - ia), middle, edge_b.weight_from(ib)))
     for end in (outer_a, outer_b):
-        if end[0] == "root":
+        if end == ("root",):
             net.root = fused
-        elif end[0] == "free":
+        elif end is not None and end[0] == "free":
             net.free[end[1]] = fused
-    del net.edges[ea], net.edges[eb]
-    net.nodes.pop(nid)
     return fused
 
 
@@ -610,13 +615,14 @@ def _box_of_door(net: Net, door: int) -> Optional[int]:
 class _CutRedex:
     """A cut classified for closed elimination.
 
-    ``nodes`` are the cut's two neighbours, the one the rule is named after
-    first: the axiom; tensor, par; dereliction, contraction or weakening,
-    then the box's principal door; for commutation the principal door,
-    then the auxiliary door it enters.  ``box`` is the box the step opens,
-    erases, copies or moves, ``closed`` says that it has no auxiliary
-    doors (or that the rule needs no box), and ``crossing`` is the weight
-    read across the cut from ``nodes[0]``.
+    ``nodes`` are the cut's two ends, the one the rule is named after
+    first: tensor, par; dereliction, contraction or weakening, then the
+    box's principal door; for commutation the principal door, then the
+    auxiliary door it enters.  ``box`` is the box the step opens, erases,
+    copies or moves, ``closed`` says that it has no auxiliary doors (or
+    that the rule needs no box), and ``crossing`` is the weight read
+    across the cut from ``nodes[0]``.  ``joins`` are the pairs of ports
+    whose edges the step joins (``_fuse``), in the order it joins them.
     """
 
     cut: int
@@ -625,151 +631,146 @@ class _CutRedex:
     box: Optional[int]
     closed: bool
     crossing: Weight
+    joins: tuple
 
 
-def _cut_sides(net: Net, cut: int) -> Optional[list]:
-    """``(far end, edge, index of its end at the cut)`` for the edge at
-    each port of ``cut``, or None when one of them faces the interface."""
-    sides = []
-    for port in ("a", "b"):
-        eid, idx = net.ports[(cut, port)]
-        edge = net.edges[eid]
-        far = edge.ends[1 - idx]
-        if far is None or far[0] != "node":
-            return None
-        sides.append((far, edge, idx))
-    return sides
+def _is_cut(net: Net, eid: int) -> bool:
+    """Whether ``eid`` is an edge between two principal ports."""
+    edge = net.edges.get(eid)
+    if edge is None:
+        return False
+    a, b = edge.ends
+    return a is not None and b is not None and a[0] == b[0] == "node" \
+        and a[2] == b[2] == "out"
 
 
 def _cut_redex(net: Net, cut: int) -> Optional[_CutRedex]:
-    """The closed elimination step at the cut node ``cut``, or None when the
-    cut faces the interface or no rule matches it."""
-    sides = _cut_sides(net, cut)
-    if sides is None:
-        return None
-    fars = [far for far, _, _ in sides]
-    kinds = [net.nodes[far[1]] for far in fars]
+    """The closed elimination step at the cut ``cut``, or None when no rule
+    matches it."""
+    ends = net.edges[cut].ends
+    kinds = [net.nodes[end[1]] for end in ends]
     rule = box = None
-    if "ax" in kinds:
-        rule, first = "ax", kinds.index("ax")
-    elif sorted(kinds) == ["par", "tensor"] and fars[0][2] == fars[1][2] == "out":
+    if sorted(kinds) == ["par", "tensor"]:
         rule, first = "mult", kinds.index("tensor")
-    elif "bang" in kinds and fars[0][2] == fars[1][2] == "out":
+    elif "bang" in kinds:
         door = kinds.index("bang")
         other = 1 - door
-        box = _box_of_door(net, fars[door][1])
+        box = _box_of_door(net, ends[door][1])
         if box is None:
             return None
         if kinds[other] in ("derelict", "fan", "weaken"):
             rule, first = kinds[other], other
-        elif kinds[other] == "whynot" and _box_of_door(net, fars[other][1]) is not None:
+        elif kinds[other] == "whynot" and _box_of_door(net, ends[other][1]) is not None:
             rule, first = "commute", door
     if rule is None:
         return None
-    (_, edge_near, i_near), (_, edge_far, i_far) = sides[first], sides[1 - first]
-    crossing = compose(edge_near.weight_from(1 - i_near), edge_far.weight_from(i_far))
+    near, far = ends[first][1], ends[1 - first][1]
+    if rule == "mult":
+        joins = (((near, "left"), (far, "left")), ((near, "right"), (far, "right")))
+    elif rule == "derelict":
+        joins = (((near, "in"), (near, "out")), ((far, "in"), (far, "out")))
+    elif rule == "commute":
+        joins = (((far, "in"), (far, "out")),)
+    else:
+        joins = ()
     closed = box is None or not net.boxes[box].auxiliaries
-    return _CutRedex(cut, rule, (fars[first][1], fars[1 - first][1]), box, closed,
-                     crossing)
+    return _CutRedex(cut, rule, (near, far), box, closed,
+                     net.edges[cut].weight_from(first), joins)
+
+
+def _closes_loop(net: Net, joins: tuple) -> bool:
+    """Whether joining the port pairs ``joins`` would join some edge to
+    itself: whether a chain of edges and joined ports comes back to the
+    port it left."""
+    partner = {}
+    for a, b in joins:
+        partner[a], partner[b] = b, a
+    for start in partner:
+        port = start
+        while True:
+            eid, i = net.ports[port]
+            far = net.edges[eid].ends[1 - i]
+            if far[0] != "node" or far[1:] not in partner:
+                break
+            port = partner[far[1:]]
+            if port == start:
+                return True
+    return False
 
 
 def eligible_cuts(net: Net) -> list:
-    """Cut nodes where a closed elimination step applies, in id order."""
-    return [nid for nid in sorted(net.nodes) if net.nodes[nid] == "cut"
-            and (redex := _cut_redex(net, nid)) is not None and redex.closed]
+    """Cuts where a closed elimination step applies, in id order."""
+    return [eid for eid in sorted(net.edges) if _is_cut(net, eid)
+            and (redex := _cut_redex(net, eid)) is not None and redex.closed]
 
 
 def closed_cut_step(net: Net, cut: int) -> Net:
-    """One step of closed cut elimination at the given cut node, on a copy
-    of ``net``.  ``NotACutError`` when ``cut`` is not a cut, ``NetError``
-    when it faces the interface or no rule matches it, and
-    ``NotClosedError`` when its box has auxiliary doors.  ``net`` must be
+    """One step of closed cut elimination at the given cut edge, on a copy
+    of ``net``.  ``NotACutError`` when ``cut`` is not an edge between two
+    principal ports, ``NetError`` when no rule matches it or when the step
+    would close a loop with no end, and ``NotClosedError`` when its box
+    has auxiliary doors; each before anything is copied.  ``net`` must be
     one ``validate`` accepts; the copy stepped carries its port map."""
-    if net.nodes.get(cut) != "cut":
-        raise NotACutError(f"node {cut} is not a cut")
+    if not _is_cut(net, cut):
+        raise NotACutError(f"edge {cut} is not a cut")
     redex = _cut_redex(net, cut)
     if redex is None:
-        if _cut_sides(net, cut) is None:
-            raise NetError("cut against the interface cannot fire")
         raise NetError("cut is not reducible by closed elimination")
     if not redex.closed:
         raise NotClosedError(f"{redex.rule} cut needs a box with no auxiliary doors")
+    if _closes_loop(net, redex.joins):
+        raise NetError(f"{redex.rule} step would close a loop with no end")
     net = net.copy()
     _STEPS[redex.rule](net, redex)
     return net
 
 
-def _axiom_step(net: Net, redex: _CutRedex) -> None:
-    _splice(net, redex.cut, "a", "b")
-    _splice(net, redex.nodes[0], "a", "b")
-    _unbox(net, {redex.cut, redex.nodes[0]})
+def _join(net: Net, redex: _CutRedex, middle: Weight = ONE) -> None:
+    for a, b in redex.joins:
+        _fuse(net, net.ports[a], net.ports[b], middle)
 
 
 def _mult_step(net: Net, redex: _CutRedex) -> None:
-    tensor, par = redex.nodes
-    ports = net.ports
-    for side in ("left", "right"):
-        c = _new_cut(net, redex.cut)
-        _reattach(net, *ports[(tensor, side)], ("node", c, "a"))
-        pe, pi = ports[(par, side)]
-        _reattach(net, pe, pi, ("node", c, "b")).compose_incoming(pi, redex.crossing)
-    _delete_nodes(net, {tensor, par, redex.cut})
+    _join(net, redex, redex.crossing)
+    _delete_nodes(net, set(redex.nodes))
 
 
 def _derelict_step(net: Net, redex: _CutRedex) -> None:
-    _splice(net, redex.cut, "a", "b")
-    _splice(net, redex.nodes[0], "in", "out")
-    _splice(net, redex.nodes[1], "in", "out")
+    _join(net, redex)
+    for nid in redex.nodes:
+        del net.nodes[nid]
     _box_beside(net, net.boxes.pop(redex.box).contents, redex.box)
-    _unbox(net, {redex.cut, *redex.nodes, redex.box})
+    _unbox(net, {*redex.nodes, redex.box})
 
 
 def _weaken_step(net: Net, redex: _CutRedex) -> None:
-    _drop_box(net, redex.box, {redex.cut, redex.nodes[0]})
+    _drop_box(net, redex.box, {redex.nodes[0]})
 
 
 def _fan_step(net: Net, redex: _CutRedex) -> None:
     fan = redex.nodes[0]
-    new_bangs = [_copy_closed_box(net, redex.box, redex.cut) for _ in range(2)]
+    new_bangs = [_copy_closed_box(net, redex.box, fan) for _ in range(2)]
     for side, new_bang in zip(("left", "right"), new_bangs):
-        c = _new_cut(net, redex.cut)
-        _reattach(net, *net.ports[(fan, side)], ("node", c, "a"))
-        # traversal premise -> cut -> new box reads the old crossing weight
-        net.new_edge(("node", new_bang, "out"), ("node", c, "b"),
-                     involute(redex.crossing))
-    _drop_box(net, redex.box, {redex.cut, fan})
+        # each copy's cut reads the old crossing from the premise it joins
+        cut = net.new_edge(("node", new_bang, "out"), None, involute(redex.crossing))
+        _fuse(net, net.ports[(fan, side)], (cut, 1))
+    _drop_box(net, redex.box, {fan})
 
 
 def _commute_step(net: Net, redex: _CutRedex) -> None:
     whynot = redex.nodes[1]
     bid = _box_of_door(net, whynot)
-    _splice(net, whynot, "in", "out")
-    _unbox(net, {whynot, redex.box, redex.cut})
+    _join(net, redex)
+    del net.nodes[whynot]
+    _unbox(net, {whynot, redex.box})
     target = net.boxes[bid]  # as _unbox left it
     net.boxes[bid] = Box(target.principal,
                          tuple(a for a in target.auxiliaries if a != whynot),
-                         target.contents | {redex.box, redex.cut})
+                         target.contents | {redex.box})
 
 
-_STEPS = {"ax": _axiom_step, "mult": _mult_step, "derelict": _derelict_step,
-          "weaken": _weaken_step, "fan": _fan_step, "commute": _commute_step}
-
-
-def _reattach(net: Net, eid: int, end_index: int, end) -> Edge:
-    """Give ``net`` its own copy of edge ``eid``, its end ``end_index`` moved
-    from its port to ``end``, and return it: nets sharing the old edge keep it."""
-    old = net.edges[eid]
-    edge = net.edges[eid] = Edge(list(old.ends), old.weight)
-    del net.ports[old.ends[end_index][1:]]
-    net.attach(eid, end_index, end)
-    return edge
-
-
-def _new_cut(net: Net, beside: int) -> int:
-    """A new cut node in the box that lists node ``beside``."""
-    c = net.new_node("cut")
-    _box_beside(net, {c}, beside)
-    return c
+_STEPS = {"mult": _mult_step, "derelict": _derelict_step, "weaken": _weaken_step,
+          "fan": _fan_step, "commute": _commute_step}
 
 
 def _delete_nodes(net: Net, doomed: set) -> None:
@@ -838,56 +839,11 @@ def _copy_closed_box(net: Net, bid: int, beside: int) -> int:
 # ---------------------------------------------------------------------------
 # isomorphism
 
-_LINKS = ("ax", "cut")
-
-
-class _Wires:
-    """A net read through its links, uncopied.  A wire is a maximal chain of
-    edges through ax and cut nodes, walked from an outer end, with its
-    outer ends and the weight read along it, under its first edge's id.
-    ``edges``, ``ports``, ``root`` and ``free`` are the net's with each
-    chain replaced by its wire; ``links`` holds the links wires pass.  A
-    cycle made only of links has no outer end, so it stays as it is."""
-
-    def __init__(self, net: Net):
-        nodes, edges, ports = net.nodes, net.edges, net.ports
-        self.nodes, self.boxes, self.root = nodes, net.boxes, net.root
-        self.edges, self.ports, self.free = dict(edges), dict(ports), dict(net.free)
-        self.links = links = set()
-        for nid, kind in nodes.items():
-            if kind not in _LINKS or nid in links:
-                continue
-            for port in ("a", "b"):  # a neighbour no link holds is an outer end
-                first, i = ports[(nid, port)]
-                if (start := edges[first].ends[1 - i])[0] != "node" \
-                        or nodes[start[1]] not in _LINKS:
-                    break
-            else:  # walked from another link of its chain, or a cycle of links
-                continue
-            eid, k, weights = first, 1 - i, []
-            while True:
-                del self.edges[eid]
-                weights.append(edges[eid].weight_from(k))
-                end = edges[eid].ends[1 - k]
-                if end[0] != "node" or nodes[end[1]] not in _LINKS:
-                    break
-                links.add(end[1])
-                eid, k = ports[(end[1], "b" if end[2] == "a" else "a")]
-            self.edges[first] = Edge([start, end], compose(*weights))
-            for i, outer in enumerate((start, end)):
-                if outer[0] == "node":
-                    self.ports[outer[1:]] = (first, i)
-                elif outer[0] == "root":
-                    self.root = first
-                else:
-                    self.free[outer[1]] = first
-
-
-def _explore(net: _Wires, seeds, edge_ids: dict, node_ids: dict,
+def _explore(net: Net, seeds, edge_ids: dict, node_ids: dict,
              flipped: Optional[int] = None) -> None:
-    """Deterministic breadth-first numbering of the wires and nodes of a
-    net, from seeds, visiting each wire's ends in order; ``flipped`` names
-    a wire whose ends are visited last first."""
+    """Deterministic breadth-first numbering of the edges and nodes of a
+    net, from seeds, visiting each edge's ends in order; ``flipped`` names
+    an edge whose ends are visited last first."""
     ports = net.ports
     queue = deque()
     for eid in seeds:
@@ -916,16 +872,16 @@ class _Islands:
     asked for.
 
     An island has no interface to number it from, so it is numbered from
-    anchors, each a wire of the island and the end the numbering starts
-    from, and signed by the least result.  Only the wires of least
+    anchors, each an edge of the island and the end the numbering starts
+    from, and signed by the least result.  Only the edges of least
     ``_anchor_key`` anchor it, each from both ends: an isomorphism keeps
-    that key, so it maps those wires of one island onto those of the other,
+    that key, so it maps those edges of one island onto those of the other,
     and both islands are signed from the same set of numberings.
     """
 
-    def __init__(self, net: _Wires, leftovers: set):
+    def __init__(self, net: Net, leftovers: set):
         self.net = net
-        self.extents = []  # the wires of each island
+        self.extents = []  # the edges of each island
         self.island_of = {}  # node -> its island
         while leftovers:
             probe_e: dict = {}
@@ -961,8 +917,8 @@ class _Islands:
         return tuple(sorted(self.signature(k) for k in held))
 
 
-def _anchor_key(net: _Wires, eid: int) -> tuple:
-    """What every isomorphism keeps of wire ``eid``: the sorted kinds and
+def _anchor_key(net: Net, eid: int) -> tuple:
+    """What every isomorphism keeps of edge ``eid``: the sorted kinds and
     ports of its ends, and the lesser of its weight read either way."""
     e = net.edges[eid]
     ends = tuple(sorted((net.nodes[end[1]], end[2]) if end[0] == "node" else end
@@ -970,12 +926,12 @@ def _anchor_key(net: _Wires, eid: int) -> tuple:
     return ends, min(_sortable(e.weight), _sortable(involute(e.weight)))
 
 
-def _signature_part(net: _Wires, edge_ids: dict, node_ids: dict,
+def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
                     islands: _Islands):
     """Signature of the component numbered by ``edge_ids`` and ``node_ids``.
-    A box is described by what it lists directly but the links wires pass,
-    a box among them by its principal door, and the members outside the
-    component by the islands that hold them.  A wire end is ``(0, node
+    A box is described by what it lists directly, a box among them by its
+    principal door, and the members outside the component by the islands
+    that hold them.  An edge end is ``(0, node
     number, port)`` at a node, ``(-2, 0, "")`` at the root and ``(-1, 0,
     name)`` at a free variable."""
     def end_key(end) -> tuple:
@@ -1000,7 +956,7 @@ def _signature_part(net: _Wires, edge_ids: dict, node_ids: dict,
     for bid, b in net.boxes.items():
         if b.principal in node_ids:
             members = [net.boxes[m].principal if m in net.boxes else m
-                       for m in b.contents if m not in net.links]
+                       for m in b.contents]
             inside = [node_ids[n] for n in members if n in node_ids]
             boxes.append((node_ids[b.principal],
                           tuple(sorted(node_ids[a] for a in b.auxiliaries
@@ -1018,37 +974,35 @@ def _sortable(w: Weight) -> tuple:
 
 
 def canonical_signature(net: Net):
-    """Order-independent description of a net ``validate`` accepts, read
-    through its links (``_Wires``).
+    """Order-independent description of a net ``validate`` accepts.
 
     The interface-reachable part is numbered from the root and the free
-    wires; interface-free islands (erased substitutions produce them) are
+    edges; interface-free islands (erased substitutions produce them) are
     numbered from each of their least-key anchors (see ``_Islands``) and
-    described by the least result.  Each node has a wire at every port,
+    described by the least result.  Each node has an edge at every port,
     so one numbering or the other reaches it.  A box that holds an island
     describes it by the island's signature.
     """
-    wires = _Wires(net)
     anchors = []
-    if wires.root is not None:
-        anchors.append(wires.root)
-    anchors.extend(wires.free[name] for name in sorted(wires.free))
+    if net.root is not None:
+        anchors.append(net.root)
+    anchors.extend(net.free[name] for name in sorted(net.free))
     edge_ids: dict[int, int] = {}
     node_ids: dict[int, int] = {}
-    _explore(wires, anchors, edge_ids, node_ids)
-    islands = _Islands(wires, wires.edges.keys() - edge_ids.keys())
-    main = _signature_part(wires, edge_ids, node_ids, islands)
+    _explore(net, anchors, edge_ids, node_ids)
+    islands = _Islands(net, net.edges.keys() - edge_ids.keys())
+    main = _signature_part(net, edge_ids, node_ids, islands)
     return (main, tuple(sorted(islands.signature(k)
                                for k in range(len(islands.extents)))))
 
 
 def iso_check(a: Net, b: Net) -> bool:
-    """Kind-, port-, box- and weight-preserving isomorphism up to chains of
-    axiom and cut links.
+    """Kind-, port-, box- and weight-preserving isomorphism.  Axioms and
+    cuts are edges, so an isomorphism maps them as it maps every edge.
 
-    Every isomorphism keeps how many nodes of each kind but ``ax`` and
-    ``cut`` a net holds, so nets whose counts differ are not iso, and
-    neither is signed.  Both nets pass
+    Every isomorphism keeps how many nodes of each kind a net holds, so
+    nets whose counts differ are not iso, and neither is signed.  Both
+    nets pass
     ``_kinds``'s gate, ``validate``, before either is signed, so a net that
     ``validate`` rejects raises ``NetError`` with its problems.
     """
@@ -1056,15 +1010,13 @@ def iso_check(a: Net, b: Net) -> bool:
 
 
 def _kinds(net: Net) -> Counter:
-    """How many nodes of each kind but ``ax`` and ``cut`` ``net`` holds,
-    counted once per net, the first time ``validate`` accepts it.
-    ``NetError`` listing ``validate``'s problems for a net it rejects."""
+    """How many nodes of each kind ``net`` holds, counted once per net,
+    the first time ``validate`` accepts it.  ``NetError`` listing
+    ``validate``'s problems for a net it rejects."""
     if net._kinds is None:
         if problems := validate(net):
             raise NetError("; ".join(problems))
-        kinds = Counter(net.nodes.values())
-        del kinds["ax"], kinds["cut"]  # a Counter ignores a missing key
-        net._kinds = kinds
+        net._kinds = Counter(net.nodes.values())
     return net._kinds
 
 

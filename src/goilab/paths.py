@@ -2,12 +2,14 @@
 weight-invariance check for single reduction steps.
 
 A step traverses one edge towards one of its endpoints.  Straightness is
-encoded entirely by the per-node transition table: premise/conclusion
-transitions preserve direction, axiom and cut links flip it, and no node
-admits a premise-to-premise crossing.  Paths start at interface edges; the
-weight set of a net holds the static words of the paths that also end at
-the interface and are live, not null in the dynamic algebra.  Only those
-are observed, and only those must survive a reduction step.
+encoded entirely by the per-node transition table: a path crosses a node
+between a premise and its conclusion, and no node admits a
+premise-to-premise crossing.  Axioms and cuts are edges, not nodes, so a
+path passes an axiom or a cut by traversing one edge, as it passes any
+other.  Paths start at interface edges; the weight set of a net holds
+the static words of the paths that also end at the interface and are
+live, not null in the dynamic algebra.  Only those are observed, and only
+those must survive a reduction step.
 
 The set is finite on a net whose term normalises: the execution formula is
 nilpotent there, so only finitely many straight paths have a non-null
@@ -87,7 +89,7 @@ def weight_set(net: Net, fuel: int = FUEL) -> set:
     fewer visits than its steps taken one by one.  Past the bound
     ``FuelExhaustedError`` is raised; at the default fuel only a net whose
     term does not normalise gets there (no net of ``corpus(8)`` needs more
-    than 845 visits: the cbv net of church_two_twice).  Each run
+    than 643 visits: the cbv net of church_two_twice).  Each run
     normalises the whole word read so far, so running out takes longer as
     words grow.
     """
@@ -141,8 +143,10 @@ def _run(state: int, words: list, interface: list, succ: list) -> tuple:
 def weight_member(net: Net, target: Weight, fuel: int = FUEL) -> bool:
     """Is ``target`` the weight of some straight path from the root?
 
-    The path may end anywhere in the net (the label of a normal form leads
-    from the root to the subnet of the result, not to an interface).  The
+    The path may end after any whole edge, at a node (the label of a
+    normal form leads from the root to the subnet of the result, not to an
+    interface); it cannot stop partway along an axiom or a cut, since each
+    is one edge.  The
     search is depth-first on an explicit stack, as ``weight_set``'s is, so a
     long target cannot exhaust Python's recursion limit.  It is pruned by
     prefix matching against the target word.  A straight path's next steps

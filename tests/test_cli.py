@@ -139,12 +139,14 @@ def test_an_exhausted_budget_fails_the_suite(suite, tmp_path):
 
 
 @pytest.mark.parametrize("suite, fuel, ok", [
-    ("invariance", 844, False), ("invariance", 845, True),
-    ("label-path", 98, False), ("label-path", 99, True)])
+    pytest.param("invariance", 642, False, id="invariance-one-short"),
+    pytest.param("invariance", 643, True, id="invariance-enough"),
+    pytest.param("label-path", 73, False, id="label-path-one-short"),
+    pytest.param("label-path", 74, True, id="label-path-enough")])
 def test_fuel_reaches_the_searches(suite, fuel, ok, tmp_path):
     # on the classics, the cbv net of church_two_twice needs the most
-    # weight-set visits, 845, and copy_under_binder's lcf final weight the
-    # most membership visits, 99.  A search out of fuel is a search's
+    # weight-set visits, 643, and copy_under_binder's lcf final weight the
+    # most membership visits, 74.  A search out of fuel is a search's
     # failure, not an exhausted trace
     assert main(["check", suite, "--corpus-max-size", "0", "--fuel", str(fuel),
                  "--out", str(tmp_path)]) == (0 if ok else 1)

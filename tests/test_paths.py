@@ -185,26 +185,27 @@ def test_weight_set_equals_the_depth_first_enumeration():
 
 
 def chains_net():
-    """root -> tensor T; T.left -> axioms A1, A2 -> free x, reading q then
-    p*, so the path turns null in the middle of the chain; T.right -> fan F;
-    F.left -> axiom A3 -> free y; F.right -> axiom A4 -> a weakening.  With
-    the net, the edges T.left-A1 and F.right-A4 that start the two chains."""
+    """root -> tensor T; T.left -> derelictions D1, D2 -> free x, reading q
+    then p*, so the path turns null in the middle of the chain; T.right ->
+    fan F; F.left -> dereliction D3 -> free y; F.right -> dereliction D4 ->
+    a weakening.  Each dereliction is entered at its premise.  With the
+    net, the edges T.left-D1 and F.right-D4 that start the two chains."""
     net = Net()
-    t, f, a1, a2, a3, a4, w = (net.new_node(k) for k in (
-        "tensor", "fan", "ax", "ax", "ax", "ax", "weaken"))
+    t, f, d1, d2, d3, d4, w = (net.new_node(k) for k in (
+        "tensor", "fan", "derelict", "derelict", "derelict", "derelict", "weaken"))
 
     def wire(*ends, weight=ONE):
         return net.new_edge(*(("node", *end) for end in ends), weight=weight)
 
     net.root = net.new_edge(("root",), ("node", t, "out"), watom("q"))
-    to_x = wire((t, "left"), (a1, "a"))
-    wire((a1, "b"), (a2, "a"), weight=watom("p", star=True))
-    x = net.new_edge(("node", a2, "b"), ("free", "x"))
+    to_x = wire((t, "left"), (d1, "in"))
+    wire((d1, "out"), (d2, "in"), weight=watom("p", star=True))
+    x = net.new_edge(("node", d2, "out"), ("free", "x"))
     wire((t, "right"), (f, "out"))
-    wire((f, "left"), (a3, "a"), weight=watom("r"))
-    y = net.new_edge(("node", a3, "b"), ("free", "y"))
-    to_weakening = wire((f, "right"), (a4, "a"), weight=watom("s"))
-    wire((a4, "b"), (w, "out"), weight=ZERO)
+    wire((f, "left"), (d3, "in"), weight=watom("r"))
+    y = net.new_edge(("node", d3, "out"), ("free", "y"))
+    to_weakening = wire((f, "right"), (d4, "in"), weight=watom("s"))
+    wire((d4, "out"), (w, "out"), weight=ZERO)
     net.free = {"x": x, "y": y}
     return net, to_x, to_weakening
 
@@ -243,13 +244,13 @@ def test_weight_set_budget_is_a_step_error():
 
 
 def test_taking_whole_runs_never_loosens_the_budget():
-    # a search that null-tests every step needs 555 visits on the cbv net of
-    # church_two_twice and 516 on its cbn net.  Taking whole runs charges
+    # a search that null-tests every step needs 436 visits on the cbv net of
+    # church_two_twice and 397 on its cbn net.  Taking whole runs charges
     # every step of a run, even past a null prefix, so it needs no fewer
     entry = prepare("church_two_twice",
                     parse_lambda(dict(CLASSICS)["church_two_twice"]))
-    for translate, stepwise, runs in ((translate_cbv, 555, 845),
-                                      (translate_cbn, 516, 750)):
+    for translate, stepwise, runs in ((translate_cbv, 436, 643),
+                                      (translate_cbn, 397, 548)):
         assert runs >= stepwise
         net = translate(entry.initial)
         for fuel in (stepwise - 1, runs - 1):
@@ -494,9 +495,10 @@ def test_swapped_translations_fail_and_every_failure_is_counted(monkeypatch):
     assert Counter(f["error"] for f in records[6]) == {
         "TranslationError": 124, "LevelUnderflowError": 18}
     assert Counter(f["error"] for f in records[7]) == {
-        "FuelExhaustedError": 124, "LevelUnderflowError": 33, None: 18}
+        "FuelExhaustedError": 123, "LevelUnderflowError": 33, None: 19}
     assert gaining == {6: set(), 7: {"closed_05_012", "triple_identity",
-                                     "apply_to_identity", "copy_under_binder"}}
+                                     "apply_to_identity", "copy_under_binder",
+                                     "church_two_twice"}}
 
 
 def test_lca_var_without_its_marker_is_caught_by_criteria_7_8_and_9(monkeypatch):

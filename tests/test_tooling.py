@@ -228,7 +228,7 @@ def test_no_new_or_copied_net_starts_with_a_stale_fact():
     assert {name for name in fresh if name.startswith("_")} - {"_next"} == kept
     assert all(fresh[name] is None for name in kept)
     made = 0
-    for entry in corpus(6)[::4]:
+    for entry in corpus(6)[::2]:
         net = translate_cbn(entry.initial)
         assert validate(net) == [] and iso_check(net, net)
         assert all(getattr(net, name) is not None for name in kept)
@@ -274,7 +274,7 @@ def test_the_signing_code_neither_raises_nor_catches():
     # iso_check's gate (nets._kinds, through validate) is the one place a net
     # is checked before it is signed; the code that signs takes a net
     # validate accepts
-    signing = {"_Wires", "_explore", "_Islands", "_anchor_key",
+    signing = {"_explore", "_Islands", "_anchor_key",
                "_signature_part", "canonical_signature"}
     found = {node.name: node for node in ast.parse((SRC / "nets.py").read_text()).body
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
