@@ -89,7 +89,9 @@ def _contractions(node: Term, calculus: str, rules: tuple) -> tuple:
     body, so that a node's kind is tested once (a class pattern that fails
     costs an ``isinstance`` check, and a flat match would make one per
     substitution rule at every node).  The rules that share a left-hand
-    side exclude each other, so at most one contractum is built.
+    side exclude each other, so at most one contractum is built.  An
+    absent label reads as the empty one, and ``bullet`` leaves an
+    unlabelled construct as it is, so unlabelled terms step as plain ones.
     """
     match node:
         case Subst(body=body, arg=arg, target=x):
@@ -131,9 +133,7 @@ def _contractions(node: Term, calculus: str, rules: tuple) -> tuple:
                     return (("Ers2", (Erase(body.binder, Subst(body.body, arg, x)),
                                       None)),)
                 case Var() if body.name == x:
-                    if body.label is None:
-                        return (("Var", (arg, None)),)
-                    prefix = body.label
+                    prefix = body.label or ()
                     if calculus == LCA:
                         prefix = concat(prefix, mark(RIGHT, "D"))
                     return (("Var", (bullet(prefix, arg), None)),)
@@ -143,11 +143,9 @@ def _contractions(node: Term, calculus: str, rules: tuple) -> tuple:
                     return (("Cmp", (Subst(body.body, Subst(body.arg, arg, x),
                                            body.target), None)),)
         case App(fun=Abs() as fun) if "Beta" in rules:
-            arg, beta, alpha = node.arg, node.label, fun.label
+            arg, beta, alpha = node.arg, node.label or (), fun.label or ()
             if free_vars(fun if calculus == LCF else arg):
                 return (("Beta", None),)
-            if alpha is None or beta is None:
-                return (("Beta", (Subst(fun.body, arg, fun.binder), None)),)
             if calculus == LCF:
                 block = concat(mark(RIGHT, "D"), alpha, mark(LEFT, "!"))
                 outer = concat(beta, over(block))

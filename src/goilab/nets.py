@@ -86,23 +86,14 @@ class Edge:
     def weight_from(self, end_index: int) -> Weight:
         return self.weight if end_index == 0 else involute(self.weight)
 
-    def compose_incoming(self, end_index: int, w: Weight) -> None:
-        """Traversals entering at ``end_index`` read ``w`` first."""
-        if end_index == 0:
-            self.weight = compose(w, self.weight)
-        else:
-            self.weight = compose(self.weight, involute(w))
-
-    def compose_outgoing(self, w: Weight) -> None:
-        """Traversals leaving through ``ends[1]`` read ``w`` last."""
-        self.weight = compose(self.weight, w)
-
 
 @dataclass
 class Box:
     """A box: its doors, and the ids of the nodes and boxes that lie
     directly in it.  Boxes nest or are disjoint, so a net's boxes form a
-    forest, and each node or box is listed by at most one box."""
+    forest, and each node or box is listed by at most one box.  Every
+    ``bang`` is one box's principal door and every ``whynot`` one box's
+    auxiliary, and a box lists its doors."""
     principal: int
     auxiliaries: tuple
     contents: set
@@ -147,10 +138,15 @@ class Net:
         self.attach(eid, 1, end1)
         return eid
 
-    def attach(self, eid: int, end_index: int, end) -> None:
-        """Put end ``end_index`` of edge ``eid`` at ``end``, and give a node
-        end its port in the map, once the map is built."""
-        self.edges[eid].ends[end_index] = end
+    def attach(self, eid: int, end_index: int, end, weight: Weight = ONE) -> None:
+        """Put end ``end_index`` of edge ``eid`` at ``end``, with ``weight``
+        composed on that side, and a node end in the map once it is built.
+        The one code that edits an ``Edge``, one being made or translated."""
+        e = self.edges[eid]
+        e.ends[end_index] = end
+        if weight != ONE:
+            e.weight = (compose(weight, e.weight) if end_index == 0
+                        else compose(e.weight, weight))
         if self._ports is not None and end is not None and end[0] == "node":
             self._ports[(end[1], end[2])] = (eid, end_index)
 
@@ -201,11 +197,13 @@ def validate(net: Net) -> list:
     read it, so a net is walked at most once; a net edited after it was
     judged must be built afresh.  The boxes must form a forest: each lists
     nodes and boxes, no id is listed by two boxes, and going up from any
-    box ends at a box no box lists.  One loop over the edges then checks
-    each edge's ends, the boxes it crosses and the levels of its weight.
-    An edge crosses the boxes that hold one of its ends but not the other;
-    the members of one box share one set of the boxes that hold them, so
-    an edge inside one box is settled by an ``is`` test.
+    box ends at a box no box lists.  Each box lists its doors, and each
+    ``bang`` and ``whynot`` is a door of the right kind of some box.  One
+    loop over the edges then checks each edge's ends, the boxes it crosses
+    and the levels of its weight.  An edge crosses the boxes that hold one
+    of its ends but not the other; the members of one box share one set of
+    the boxes that hold them, so an edge inside one box is settled by an
+    ``is`` test.
     """
     if net._verdict is not None:
         return list(net._verdict)
@@ -279,8 +277,9 @@ def validate(net: Net) -> list:
         for _, _, level in e.weight or ():
             if level < 0:
                 levels.append(f"edge {eid} carries a negative level")
+    kinds = list(nodes.values())
     # a port is empty only if fewer ends hold a port than there are ports
-    if attached < sum(map(_ARITY.__getitem__, nodes.values())):
+    if attached < sum(map(_ARITY.__getitem__, kinds)):
         for nid, kind in nodes.items():
             for port in PORTS[kind]:
                 if (nid, port) not in ports:
@@ -294,14 +293,23 @@ def validate(net: Net) -> list:
         problems.append("root edge missing")
     elif net.root is not None and ("root",) not in net.edges[net.root].ends:
         problems.append(f"root edge {net.root} does not end at the root")
+    doors = set()  # each bang that is a box's principal, each whynot an auxiliary
     for bid, b in boxes.items():
         if nodes.get(b.principal) != "bang":
             problems.append(f"box {bid} principal is not an of-course node")
+        else:
+            doors.add(b.principal)
         for a in b.auxiliaries:
             if nodes.get(a) != "whynot":
                 problems.append(f"box {bid} auxiliary {a} is not a why-not node")
+            else:
+                doors.add(a)
         if not {b.principal, *b.auxiliaries} <= b.contents:
             problems.append(f"box {bid} doors must belong to the box")
+    # a bang or whynot is no box's door only if there are fewer doors than them
+    if len(doors) < kinds.count("bang") + kinds.count("whynot"):
+        problems += [f"{kind} node {nid} is no box's door" for nid, kind in nodes.items()
+                     if kind in ("bang", "whynot") and nid not in doors]
     problems += forest
     for found in crossings.values():
         problems.extend(found)
@@ -376,14 +384,14 @@ class _Translator:
                     net.attach(froot, 0, ("node", tensor, "out"))
                     aroot, afree = yield from self._arg_box(
                         arg, o + 1, watom("p", o, star=True))
+                    net.attach(aroot, 0, ("node", tensor, "left"))
                 else:
                     der = self.node("derelict")
                     net.new_edge(("node", tensor, "out"), ("node", der, "in"), ONE)
-                    net.edges[froot].compose_incoming(0, watom("d", o))
-                    net.attach(froot, 0, ("node", der, "out"))
+                    net.attach(froot, 0, ("node", der, "out"), watom("d", o))
                     aroot, afree = yield arg, o
-                    net.edges[aroot].compose_incoming(0, watom("p", o, star=True))
-                net.attach(aroot, 0, ("node", tensor, "left"))
+                    net.attach(aroot, 0, ("node", tensor, "left"),
+                               watom("p", o, star=True))
                 return e_root, self._merged(ffree, afree)
 
             case Erase(binder, body):
@@ -401,10 +409,8 @@ class _Translator:
                 if ly != lz:
                     raise TranslationError(
                         f"copy targets at different levels ({ly} vs {lz})")
-                net.edges[ey].compose_outgoing(watom("r", ly))
-                net.attach(ey, 1, ("node", fan, "left"))
-                net.edges[ez].compose_outgoing(watom("s", lz))
-                net.attach(ez, 1, ("node", fan, "right"))
+                net.attach(ey, 1, ("node", fan, "left"), watom("r", ly))
+                net.attach(ez, 1, ("node", fan, "right"), watom("s", lz))
                 e_source = net.new_edge(("node", fan, "out"), None, ONE)
                 return root, self._merged(free, {source: (e_source, ly)})
 
@@ -447,10 +453,8 @@ class _Translator:
         net = self.net
         par = self.node("par")
         e_x, _ = self._taken(free, binder, "binder")
-        net.edges[e_x].compose_outgoing(watom("p", inner_level))
-        net.attach(e_x, 1, ("node", par, "left"))
-        net.edges[root].compose_incoming(0, watom("q", inner_level, star=True))
-        net.attach(root, 0, ("node", par, "right"))
+        net.attach(e_x, 1, ("node", par, "left"), watom("p", inner_level))
+        net.attach(root, 0, ("node", par, "right"), watom("q", inner_level, star=True))
         return par
 
     def _close_box(self, bang: int, free: dict, weight: Weight) -> tuple:
@@ -595,20 +599,19 @@ def _unbox(net: Net, ids: set) -> None:
             net.boxes[bid] = Box(b.principal, b.auxiliaries, b.contents - ids)
 
 
+def _box_listing(net: Net, member: int) -> Optional[int]:
+    """The box that lists the node or box ``member``, or None.  In a net
+    ``validate`` accepts, a door's box lists it, so this is the box of a
+    ``bang`` or a ``whynot`` too."""
+    return next((bid for bid, b in net.boxes.items() if member in b.contents), None)
+
+
 def _box_beside(net: Net, ids: set, beside: int) -> None:
     """Put the nodes and boxes ``ids`` in the box that lists the node or
     box ``beside``, if one does."""
-    for bid, b in net.boxes.items():
-        if beside in b.contents:
-            net.boxes[bid] = Box(b.principal, b.auxiliaries, b.contents | ids)
-            return
-
-
-def _box_of_door(net: Net, door: int) -> Optional[int]:
-    """The box that ``door`` is a door of, or None.  A ``bang`` is only
-    ever a principal door, and a ``whynot`` only an auxiliary one."""
-    return next((bid for bid, b in net.boxes.items()
-                 if door == b.principal or door in b.auxiliaries), None)
+    if (bid := _box_listing(net, beside)) is not None:
+        b = net.boxes[bid]
+        net.boxes[bid] = Box(b.principal, b.auxiliaries, b.contents | ids)
 
 
 @dataclass(frozen=True)
@@ -645,8 +648,8 @@ def _is_cut(net: Net, eid: int) -> bool:
 
 
 def _cut_redex(net: Net, cut: int) -> Optional[_CutRedex]:
-    """The closed elimination step at the cut ``cut``, or None when no rule
-    matches it."""
+    """The closed elimination step at the cut ``cut`` of a net ``validate``
+    accepts, or None when no rule matches the kinds of the cut's ends."""
     ends = net.edges[cut].ends
     kinds = [net.nodes[end[1]] for end in ends]
     rule = box = None
@@ -655,13 +658,11 @@ def _cut_redex(net: Net, cut: int) -> Optional[_CutRedex]:
     elif "bang" in kinds:
         door = kinds.index("bang")
         other = 1 - door
-        box = _box_of_door(net, ends[door][1])
-        if box is None:
-            return None
         if kinds[other] in ("derelict", "fan", "weaken"):
             rule, first = kinds[other], other
-        elif kinds[other] == "whynot" and _box_of_door(net, ends[other][1]) is not None:
+        elif kinds[other] == "whynot":
             rule, first = "commute", door
+        box = _box_listing(net, ends[door][1])
     if rule is None:
         return None
     near, far = ends[first][1], ends[1 - first][1]
@@ -699,7 +700,8 @@ def _closes_loop(net: Net, joins: tuple) -> bool:
 
 
 def eligible_cuts(net: Net) -> list:
-    """Cuts where a closed elimination step applies, in id order."""
+    """Cuts where a closed elimination step applies, in id order, in a net
+    ``validate`` accepts."""
     return [eid for eid in sorted(net.edges) if _is_cut(net, eid)
             and (redex := _cut_redex(net, eid)) is not None and redex.closed]
 
@@ -710,7 +712,8 @@ def closed_cut_step(net: Net, cut: int) -> Net:
     principal ports, ``NetError`` when no rule matches it or when the step
     would close a loop with no end, and ``NotClosedError`` when its box
     has auxiliary doors; each before anything is copied.  ``net`` must be
-    one ``validate`` accepts; the copy stepped carries its port map."""
+    one ``validate`` accepts, which this does not check: a door's box is
+    the box that lists it.  The copy stepped carries its port map."""
     if not _is_cut(net, cut):
         raise NotACutError(f"edge {cut} is not a cut")
     redex = _cut_redex(net, cut)
@@ -759,7 +762,7 @@ def _fan_step(net: Net, redex: _CutRedex) -> None:
 
 def _commute_step(net: Net, redex: _CutRedex) -> None:
     whynot = redex.nodes[1]
-    bid = _box_of_door(net, whynot)
+    bid = _box_listing(net, whynot)
     _join(net, redex)
     del net.nodes[whynot]
     _unbox(net, {whynot, redex.box})
@@ -788,16 +791,12 @@ def _delete_nodes(net: Net, doomed: set) -> None:
 
 def _inside(net: Net, bid: int) -> tuple[list, list]:
     """The boxes of the subtree of box ``bid``, ``bid`` first, and the
-    nodes nested in it at any depth.  A box is visited once, so boxes that
-    list each other, which ``validate`` reports, end the walk too."""
-    boxes, nodes, seen = [bid], [], {bid}
+    nodes nested in it at any depth, in a net ``validate`` accepts: its
+    boxes form a forest, so the walk meets each box once and ends."""
+    boxes, nodes = [bid], []
     for b in boxes:  # grows as the boxes inside are found
         for member in net.boxes[b].contents:
-            if member not in net.boxes:
-                nodes.append(member)
-            elif member not in seen:
-                seen.add(member)
-                boxes.append(member)
+            (boxes if member in net.boxes else nodes).append(member)
     return boxes, nodes
 
 

@@ -22,6 +22,7 @@ from goilab.nets import (Box, Edge, Net, NetError, NotACutError, NotClosedError,
                          canonical_signature, closed_cut_step,
                          eligible_cuts, iso_check, to_dot, to_json,
                          translate_cbn, translate_cbv, validate)
+from goilab.paths import weight_set
 from goilab.terms import (Abs, App, Subst, Var, compile_term, parse,
                           parse_lambda)
 
@@ -413,8 +414,9 @@ BROKEN = [
      ["free edge 3 for ghost does not end at ghost"]),
     (lambda net: setattr(net, "root", 7),
      ["edge 3 claims the root interface", "root edge 7 does not end at the root"]),
+    # the bang P opens no box then
     (lambda net: setattr(net.boxes[8], "principal", 2),
-     ["box 8 principal is not an of-course node",
+     ["box 8 principal is not an of-course node", "bang node 1 is no box's door",
       "edge 3 crosses box 8 away from a door"]),
     (lambda net: setattr(net.boxes[8], "auxiliaries", (5, 2)),
      ["box 8 auxiliary 2 is not a why-not node"]),
@@ -459,8 +461,12 @@ BROKEN = [
      ["box 8 doors must belong to the box", "boxes 9 and 10 both list 1",
       "box 8 lies inside a cycle of boxes", "box 9 lies inside a cycle of boxes",
       "box 10 lies inside a cycle of boxes"]),
+    # the why-not Q lies in box 8 but is none of its auxiliaries
     (lambda net: setattr(net.boxes[8], "auxiliaries", ()),
-     ["edge 7 crosses box 8 away from a door"]),
+     ["whynot node 5 is no box's door", "edge 7 crosses box 8 away from a door"]),
+    # with no box, P and Q lie outside every box
+    (lambda net: net.boxes.clear(),
+     ["bang node 1 is no box's door", "whynot node 5 is no box's door"]),
     (lambda net: setattr(net.edges[4], "weight", negative_level()),
      ["edge 4 carries a negative level"]),
     (lambda net: setattr(net.edges[3], "weight", watom("q", 1)),
@@ -489,6 +495,21 @@ def test_validate_reports_each_problem_of_a_hand_broken_net():
         net, _ = boxed_dereliction(door=True)
         edit(net)
         assert validate(net) + box_depth_problems(net) == expected, row
+
+
+def test_validate_names_each_door_outside_every_box():
+    # a bang cut against a weakening, root -> P.in and P.out - W.out, and a
+    # lone why-not, root -> Q.out and Q.in -> free x, each in no box
+    net = Net()
+    bang, weaken = net.new_node("bang"), net.new_node("weaken")
+    net.root = net.new_edge(("root",), ("node", bang, "in"))
+    net.new_edge(("node", bang, "out"), ("node", weaken, "out"))
+    assert validate(net) == [f"bang node {bang} is no box's door"]
+    net = Net()
+    why = net.new_node("whynot")
+    net.root = net.new_edge(("root",), ("node", why, "out"))
+    net.free = {"x": net.new_edge(("node", why, "in"), ("free", "x"))}
+    assert validate(net) == [f"whynot node {why} is no box's door"]
 
 
 def test_validate_checks_the_interface_maps_against_the_edges():
@@ -917,7 +938,7 @@ def test_box_holding_an_island_is_iso_and_simulated():
 
 def test_iso_check_sees_whether_a_box_holds_an_island():
     # root -> bang P -> weakening W0, boxed alone or together with the
-    # island W -> Q <- W2
+    # island W -> Q <- W2, where the bang Q opens a box of its own around W2
     def net_with(island_boxed):
         net = Net()
         principal, q = net.new_node("bang"), net.new_node("bang")
@@ -926,7 +947,9 @@ def test_iso_check_sees_whether_a_box_holds_an_island():
         net.new_edge(("node", principal, "in"), ("node", w0, "out"))
         net.new_edge(("node", w, "out"), ("node", q, "out"))
         net.new_edge(("node", q, "in"), ("node", w2, "out"))
-        contents = {principal, w0, w, q, w2} if island_boxed else {principal, w0}
+        inner = net.new_id()
+        net.boxes[inner] = Box(q, (), {q, w2})
+        contents = {principal, w0, w, inner} if island_boxed else {principal, w0}
         net.boxes[net.new_id()] = Box(principal, (), contents)
         return net
 
@@ -1407,6 +1430,29 @@ def test_each_cut_step_keeps_the_port_map_current():
                     assert out.ports == port_scan(out), rule
                     rules[rule] += 1
     assert rules == {"mult": 76, "derelict": 202, "weaken": 4, "fan": 13, "commute": 68}
+
+
+def test_a_step_of_an_open_net_renames_the_free_edge_it_joins():
+    # the call-by-value mult step of the first three terms joins the edge
+    # out to the free y, so the free map names the joined edge; each net is
+    # stepped to cut normal form at its first eligible cut
+    renamed = 0
+    for text in ("(\\x.x) y", "(\\x.x x) y", "(\\x.\\z.x z) y", "(\\x.x) (y z)"):
+        term = initialize(compile_term(parse_lambda(text)))
+        for translate, expected in ((translate_cbv, ["derelict", "mult"]),
+                                    (translate_cbn, ["mult"])):
+            net = translate(term)
+            words, taken = weight_set(net), []
+            while cut_at := eligible_cuts(net):
+                taken.append(nets._cut_redex(net, cut_at[0]).rule)
+                before, net = net.free, closed_cut_step(net, cut_at[0])
+                renamed += net.free != before
+                assert validate(net) == [], (text, taken)
+                assert all(("free", name) in net.edges[eid].ends
+                           for name, eid in net.free.items()), (text, taken)
+                assert weight_set(net) == words, (text, taken)
+            assert taken == expected, text
+    assert renamed == 3
 
 
 def test_contraction_step_duplicates_box():

@@ -364,6 +364,35 @@ def test_no_code_edits_a_box_in_place():
     assert edits == []
 
 
+def test_no_code_edits_an_edge_outside_attach():
+    # a net copy shares its Edge objects too, so in nets.py only Net.attach,
+    # which places an end of an edge being made or translated, assigns an
+    # Edge field or changes an ends list in place
+    fields = {"ends", "weight"}
+    mutators = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
+                "reverse", "__setitem__", "__delitem__"}
+    tree = ast.parse((SRC / "nets.py").read_text())
+    net = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Net")
+    attach = next(item for item in net.body
+                  if isinstance(item, ast.FunctionDef) and item.name == "attach")
+
+    def ends_list(expr) -> bool:
+        return isinstance(expr, ast.Attribute) and expr.attr == "ends"
+
+    def edits(root) -> set:
+        return {node.lineno for node in ast.walk(root)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and node.attr in fields
+                or isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del)) and ends_list(node.value)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in mutators and ends_list(node.func.value)}
+
+    assert edits(attach)  # the search sees attach's own edits
+    assert sorted(edits(tree) - edits(attach)) == []
+
+
 def test_no_suite_reads_text():
     # the suites are called once per entry; a term parsed inside one would
     # be parsed again on every call, so fixed terms are built as terms
