@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -182,6 +183,30 @@ def test_weight_set_equals_the_depth_first_enumeration():
             assert words
             compared += 1
     assert compared > 200
+
+
+def test_the_live_words_of_the_size_6_graphs_are_pinned():
+    # the sorted weight-set words of every translation of every
+    # configuration the corpus(6) graphs reach, lcf with cbv and lca with
+    # cbn, in order; a translation or a search that raises is its error's
+    # type name.  The criterion 6/7 reports compare only live words, so an
+    # empty weight set on both sides of a step would leave them unchanged
+    digest, searched, words = hashlib.sha256(), 0, 0
+    for calc, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
+        for entry in corpus(6):
+            for config in reduction_graph(Configuration(entry.initial), calc).edges:
+                try:
+                    found = sorted(weight_set(translate(config.term)))
+                except (TranslationError, LevelUnderflowError,
+                        FuelExhaustedError) as exc:
+                    digest.update(type(exc).__name__.encode() + b"\n")
+                    continue
+                searched += 1
+                words += len(found)
+                digest.update(repr(found).encode() + b"\n")
+    assert (searched, words) == (354, 1052)
+    assert digest.hexdigest() == (
+        "5b387af4192c795146c72fc808c77fbb13664ba14228b5be6199d695a2d6c334")
 
 
 def chains_net():
