@@ -70,7 +70,7 @@ def watom(base: str, level: int = 0, star: bool = False) -> Weight:
 def compose(*ws: Weight) -> Weight:
     if None in ws:
         return ZERO
-    return tuple(chain.from_iterable(ws))
+    return ws[0] + ws[1] if len(ws) == 2 else tuple(chain.from_iterable(ws))
 
 
 def involute(w: Weight) -> Weight:

@@ -103,11 +103,11 @@ class Net:
     """A proof-net.  A net is a value once built: ``closed_cut_step``
     works on a copy, so ``validate`` judges each net at most once,
     ``iso_check`` counts its node kinds and signs it at most once, and the
-    net keeps all three on it.  Its port map is built once, on first read,
-    and every edit after that keeps it current.  A copy shares its ``Edge``
-    and ``Box`` objects with the net it was made from, and no step edits
-    one in place: a step adds and drops edges (``_fuse``), and puts a new
-    box in the copy's map.
+    net keeps all three on it.  A translated net keeps its port map from
+    its first edge, any other builds it on first read, and every edit
+    keeps it current.  A copy shares its ``Edge`` and ``Box`` objects with
+    the net it was made from, and no step edits one in place: a step adds
+    and drops edges (``_fuse``), and puts a new box in the copy's map.
     """
 
     def __init__(self):
@@ -117,7 +117,7 @@ class Net:
         self.root: Optional[int] = None
         self.free: dict[str, int] = {}
         self._next = 0
-        self._ports = None  # set by the first read of ports
+        self._ports = None  # set by the translator, else by the first read of ports
         self._verdict = None  # set by the first validate
         self._kinds = None  # set by the first iso_check that compares it
         self._signature = None  # set by the first iso_check that signs it
@@ -127,39 +127,41 @@ class Net:
         return self._next
 
     def new_node(self, kind: str) -> int:
-        nid = self.new_id()
+        self._next = nid = self._next + 1
         self.nodes[nid] = kind
         return nid
 
     def new_edge(self, end0=None, end1=None, weight: Weight = ONE) -> int:
-        eid = self.new_id()
-        self.edges[eid] = Edge([None, None], weight)
-        self.attach(eid, 0, end0)
-        self.attach(eid, 1, end1)
+        """A new edge with both its ends in place, and its node ends in a kept port map."""
+        self._next = eid = self._next + 1
+        self.edges[eid] = Edge([end0, end1], weight)
+        if (ports := self._ports) is not None:
+            if end0 and end0[0] == "node":
+                ports[end0[1], end0[2]] = (eid, 0)
+            if end1 and end1[0] == "node":
+                ports[end1[1], end1[2]] = (eid, 1)
         return eid
 
     def attach(self, eid: int, end_index: int, end, weight: Weight = ONE) -> None:
-        """Put end ``end_index`` of edge ``eid`` at ``end``, with ``weight``
-        composed on that side, and a node end in the map once it is built.
-        The one code that edits an ``Edge``, one being made or translated."""
+        """Put the dangling end ``end_index`` of edge ``eid`` at ``end``, with
+        ``weight`` composed on that side, and a node end in the port map: the
+        one code that edits an ``Edge``, one the translator is building."""
         e = self.edges[eid]
         e.ends[end_index] = end
         if weight != ONE:
             e.weight = (compose(weight, e.weight) if end_index == 0
                         else compose(e.weight, weight))
-        if self._ports is not None and end is not None and end[0] == "node":
-            self._ports[(end[1], end[2])] = (eid, end_index)
+        if end[0] == "node":
+            self._ports[end[1], end[2]] = (eid, end_index)
 
     @property
     def ports(self) -> dict:
-        """``(node, port) -> (edge, end index)`` for every edge end at a node.
-
-        Built from the edges on first read, so a net whose fields are
-        assigned directly, as ``bench/reference.renumbered`` does, reads a
-        map of its own edges, and kept current by every edit after that.
-        Of two ends at one port, the first edge's holds a built map and the
-        one attached last an edited map; ``validate`` reports the other.
-        """
+        """``(node, port) -> (edge, end index)`` for every edge end at a node:
+        kept from a translated net's first edge, built from the edges on the
+        first read of a net assembled field by field (as
+        ``bench/reference.renumbered`` does), and kept current by every edit
+        after that.  Of two ends at one port, a built map holds the first
+        edge's, a kept map the one placed last, and ``validate`` the other."""
         if self._ports is None:
             self._ports = {}
             for eid, e in self.edges.items():
@@ -197,13 +199,13 @@ def validate(net: Net) -> list:
     read it, so a net is walked at most once; a net edited after it was
     judged must be built afresh.  The boxes must form a forest: each lists
     nodes and boxes, no id is listed by two boxes, and going up from any
-    box ends at a box no box lists.  Each box lists its doors, and each
-    ``bang`` and ``whynot`` is a door of the right kind of some box.  One
-    loop over the edges then checks each edge's ends, the boxes it crosses
-    and the levels of its weight.  An edge crosses the boxes that hold one
-    of its ends but not the other; the members of one box share one set of
-    the boxes that hold them, so an edge inside one box is settled by an
-    ``is`` test.
+    box ends at a box no box lists.  Each box lists its doors and names
+    each once, and each ``bang`` and ``whynot`` is a door of the right kind
+    of some box.  One loop over the edges then checks each edge's ends, the
+    boxes it crosses and the levels of its weight.  An edge crosses the
+    boxes that hold one of its ends but not the other; the members of one
+    box share one set of the boxes that hold them, so an edge inside one
+    box is settled by an ``is`` test.
     """
     if net._verdict is not None:
         return list(net._verdict)
@@ -304,8 +306,11 @@ def validate(net: Net) -> list:
                 problems.append(f"box {bid} auxiliary {a} is not a why-not node")
             else:
                 doors.add(a)
-        if not {b.principal, *b.auxiliaries} <= b.contents:
+        if not (named := {b.principal, *b.auxiliaries}) <= b.contents:
             problems.append(f"box {bid} doors must belong to the box")
+        if len(named) <= len(b.auxiliaries):  # a door named twice
+            problems += [f"box {bid} names auxiliary {a} twice" for a in
+                         dict.fromkeys(b.auxiliaries) if b.auxiliaries.count(a) > 1]
     # a bang or whynot is no box's door only if there are fewer doors than them
     if len(doors) < kinds.count("bang") + kinds.count("whynot"):
         problems += [f"{kind} node {nid} is no box's door" for nid, kind in nodes.items()
@@ -516,15 +521,15 @@ class _Translator:
 
     @staticmethod
     def _merged(a: dict, b: dict) -> dict:
-        shared = a.keys() & b.keys()
-        if shared:
+        if a and b and (shared := a.keys() & b.keys()):
             raise TranslationError(f"free variables not linear: {sorted(shared)}")
-        return {**a, **b}
+        return {**a, **b} if a and b else a or b  # either map itself if one is empty
 
 
 def _translate(term: Term, cbn: bool) -> Net:
-    """The weighted net of ``term``, built in one loop."""
+    """The weighted net of ``term``, built in one loop, its port map kept from the start."""
     net = Net()
+    net._ports = {}  # each end is recorded as it is placed, so validate builds no map
     translator = _Translator(net, cbn)
     waiting = []  # generators, each waiting for the subterm it yielded
     t, level = term, 0
@@ -930,9 +935,8 @@ def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
     """Signature of the component numbered by ``edge_ids`` and ``node_ids``.
     A box is described by what it lists directly, a box among them by its
     principal door, and the members outside the component by the islands
-    that hold them.  An edge end is ``(0, node
-    number, port)`` at a node, ``(-2, 0, "")`` at the root and ``(-1, 0,
-    name)`` at a free variable."""
+    that hold them.  An edge end is ``(0, node number, port)`` at a node,
+    ``(-2, 0, "")`` at the root and ``(-1, 0, name)`` at a free variable."""
     def end_key(end) -> tuple:
         if end[0] == "node":
             return (0, node_ids[end[1]], end[2])
@@ -1001,9 +1005,8 @@ def iso_check(a: Net, b: Net) -> bool:
 
     Every isomorphism keeps how many nodes of each kind a net holds, so
     nets whose counts differ are not iso, and neither is signed.  Both
-    nets pass
-    ``_kinds``'s gate, ``validate``, before either is signed, so a net that
-    ``validate`` rejects raises ``NetError`` with its problems.
+    nets pass ``_kinds``'s gate, ``validate``, before either is signed, so
+    a net that ``validate`` rejects raises ``NetError`` with its problems.
     """
     return _kinds(a) == _kinds(b) and _signed(a) == _signed(b)
 

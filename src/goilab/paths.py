@@ -38,7 +38,7 @@ class DirectedEdges:
     keeps the word read along the step (the edge's weight towards
     ``ends[1]``, its involution towards ``ends[0]``, None for the zero of a
     weakening), whether the step arrives at the interface, and the states a
-    straight path may move to next, read through the net's port map.
+    straight path may move to next, read straight off the net's port map.
     ``starts`` are the states leaving the interface, and ``root`` the one
     leaving the root, or None when no edge end is at the root.
     """
@@ -51,23 +51,21 @@ class DirectedEdges:
         first = {}  # edge -> its state towards ends[0]
         for eid, edge in net.edges.items():
             first[eid] = len(words)
-            words.append(involute(edge.weight))
-            words.append(edge.weight)
+            words += (involute(edge.weight), edge.weight)
             for end in edge.ends:
-                if end is not None and end[0] in ("root", "free"):
+                on_interface = end is not None and end[0] in ("root", "free")
+                if on_interface:
                     # leaving the interface is arriving there reversed
                     starts.append(len(interface) ^ 1)
                     if end[0] == "root":
                         self.root = starts[-1]
-                    interface.append(True)
-                else:
-                    interface.append(False)
-        # the state arriving at each port; leaving through it is its reverse
-        arriving = {key: first[eid] + i for key, (eid, i) in net.ports.items()}
+                interface.append(on_interface)
         self.succ = succ = [[] for _ in words]
+        ports = net.ports  # arriving at end i of edge e is state first[e] + i
         for nid, kind in net.nodes.items():
             for a, b in TRANSITIONS[kind]:
-                at_a, at_b = arriving[(nid, a)], arriving[(nid, b)]
+                (ea, ia), (eb, ib) = ports[nid, a], ports[nid, b]
+                at_a, at_b = first[ea] + ia, first[eb] + ib
                 succ[at_a].append(at_b ^ 1)
                 succ[at_b].append(at_a ^ 1)
 
@@ -146,14 +144,13 @@ def weight_member(net: Net, target: Weight, fuel: int = FUEL) -> bool:
     The path may end after any whole edge, at a node (the label of a
     normal form leads from the root to the subnet of the result, not to an
     interface); it cannot stop partway along an axiom or a cut, since each
-    is one edge.  The
-    search is depth-first on an explicit stack, as ``weight_set``'s is, so a
-    long target cannot exhaust Python's recursion limit.  It is pruned by
-    prefix matching against the target word.  A straight path's next steps
-    depend only on the directed edge it is on, so each pair of a state and
-    the target atoms matched before it is pushed at most once: the search
-    ends, and its answer is exact.  ``fuel`` bounds the visits; past it
-    ``FuelExhaustedError`` is raised.
+    is one edge.  The search is depth-first on an explicit stack, as
+    ``weight_set``'s is, so a long target cannot exhaust Python's recursion
+    limit.  It is pruned by prefix matching against the target word.  A
+    straight path's next steps depend only on the directed edge it is on,
+    so each pair of a state and the target atoms matched before it is
+    pushed at most once: the search ends, and its answer is exact.
+    ``fuel`` bounds the visits; past it ``FuelExhaustedError`` is raised.
     """
     if target is None:
         return False

@@ -420,6 +420,8 @@ BROKEN = [
       "edge 3 crosses box 8 away from a door"]),
     (lambda net: setattr(net.boxes[8], "auxiliaries", (5, 2)),
      ["box 8 auxiliary 2 is not a why-not node"]),
+    (lambda net: net.boxes.__setitem__(8, Box(1, (5, 5), {1, 2, 5})),
+     ["box 8 names auxiliary 5 twice"]),
     (lambda net: net.boxes[8].contents.discard(5),
      ["box 8 doors must belong to the box",
       "edge 6 crosses box 8 away from a door"]),
@@ -1379,9 +1381,10 @@ def test_classification_rejects_a_non_cut_and_a_cut_against_the_interface():
 
 
 def test_no_net_operation_rescans_a_translated_net(monkeypatch):
-    # translation builds the port map once, to validate the net, and keeps
-    # it; a step carries it over to its copy and keeps it current, so no
-    # map is built for a stepped net, not even to compare it
+    # translation keeps the port map from the net's first edge, recording
+    # each end as it is placed, so validate reads it and builds none; a
+    # step carries it over to its copy and keeps it current, so no map is
+    # built for a stepped net, not even to compare it
     built = []
     ports = Net.ports
 
@@ -1399,20 +1402,24 @@ def test_no_net_operation_rescans_a_translated_net(monkeypatch):
     stepped = 0
     for text in ("(\\x.x x) (\\y.y)", dict(CLASSICS)["church_two_twice"]):
         config = Configuration(prepare("t", parse_lambda(text)).initial)
-        for src, _, dst in reduction_graph(config, LCA).steps():
-            left, right = translate_cbn(src.term), translate_cbn(dst.term)
-            cuts, maps = maps_built(eligible_cuts, left)
-            assert maps == 0
-            assert maps_built(iso_check, left, right)[1] == 0
-            for cut in cuts:
-                out, maps = maps_built(closed_cut_step, left, cut)
+        for calc, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
+            for src, _, dst in reduction_graph(config, calc).steps():
+                (left, maps), (right, more) = (maps_built(translate, t)
+                                               for t in (src.term, dst.term))
+                assert maps == more == 0
+                cuts, maps = maps_built(eligible_cuts, left)
                 assert maps == 0
-                assert maps_built(iso_check, out, right)[1] == 0
-                stepped += 1
+                assert maps_built(iso_check, left, right)[1] == 0
+                for cut in cuts:
+                    out, maps = maps_built(closed_cut_step, left, cut)
+                    assert maps == 0
+                    assert maps_built(iso_check, out, right)[1] == 0
+                    stepped += 1
     assert stepped > 50
 
 
 def test_each_cut_step_keeps_the_port_map_current():
+    # a translated net keeps the map its edges give from its first edge, and
     # every rule edits the port map its copy carries as it edits the edges,
     # so a stepped net holds the map its edges give without building one
     rules = Counter()
@@ -1423,6 +1430,7 @@ def test_each_cut_step_keeps_the_port_map_current():
                     net = translate(config.term)
                 except (NetError, LevelUnderflowError):
                     continue
+                assert net.ports == port_scan(net)
                 for cut in eligible_cuts(net):
                     out = closed_cut_step(net, cut)
                     rule = nets._cut_redex(net, cut).rule

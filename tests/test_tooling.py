@@ -341,7 +341,7 @@ def test_no_cut_step_scans_every_edge():
     scanning = {label for label, (_, node) in defs.items() if _scans_edges(node)}
     assert {"validate", "to_json", "Net.ports"} <= scanning
     assert {"_STEPS", "_mult_step", "_delete_nodes", "_copy_closed_box",
-            "Net.copy", "Net.attach"} <= reached
+            "Net.copy", "Net.new_edge"} <= reached
     assert sorted(reached & scanning) == ["Net.ports"]
 
 
@@ -366,7 +366,7 @@ def test_no_code_edits_a_box_in_place():
 
 def test_no_code_edits_an_edge_outside_attach():
     # a net copy shares its Edge objects too, so in nets.py only Net.attach,
-    # which places an end of an edge being made or translated, assigns an
+    # which places a dangling end of an edge being translated, assigns an
     # Edge field or changes an ends list in place
     fields = {"ends", "weight"}
     mutators = {"append", "extend", "insert", "pop", "remove", "clear", "sort",
