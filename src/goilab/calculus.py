@@ -10,10 +10,11 @@ returns, for one node, the rules that match it with their contracta, and
 None for a rule whose side condition fails.  One lazy generator,
 ``_redexes``, walks the term in preorder on its own stack, testing each
 node's kind inline, and offers it only the nodes a left-hand side can
-match: the substitutions, and the applications of an abstraction when the
-rules include ``Beta``.  Variables, which are neither redexes nor parents,
-never enter the stack.  The walk keeps the child indices from
-the root in one list and makes a position tuple only for a redex it reports.
+match: the substitutions, and the applications of an abstraction when it
+is told that ``Beta`` fires (the sigma walks say it does not).  Variables,
+which are neither redexes nor parents, never enter the stack.  The walk
+keeps the child indices from the root in one list and makes a position
+tuple only for a redex it reports.
 The reduction graph and the leftmost-outermost walk of ``reduce`` and
 ``sigma_walk`` read that generator.
 Only ``step``, which is given a site, raises ``PatternMismatchError`` or
@@ -39,12 +40,6 @@ RULES = {
     LCF: ("App1", "App2", "Beta", "Cmp", "Cpy1", "Cpy2", "Ers1", "Ers2", "Lam", "Var"),
     LCA: ("App1", "App2", "Beta", "Cpy1", "Cpy2", "Ers1", "Ers2", "Lam", "Var"),
 }
-
-SIGMA_RULES = {
-    LCF: tuple(r for r in RULES[LCF] if r != "Beta"),
-    LCA: tuple(r for r in RULES[LCA] if r != "Beta"),
-}
-
 
 class PatternMismatchError(Exception):
     pass
@@ -79,9 +74,10 @@ class TraceStep:
     config: Configuration
 
 
-def _contractions(node: Term, calculus: str, rules: tuple) -> tuple:
-    """``((rule, contracted), ...)`` for the rules of ``rules`` whose
-    left-hand side matches ``node``, alphabetically; ``()`` when none does.
+def _contractions(node: Term, calculus: str, beta: bool) -> tuple:
+    """``((rule, contracted), ...)`` for the rules of ``calculus`` whose
+    left-hand side matches ``node``, alphabetically, ``Beta`` only when
+    ``beta``; ``()`` when none does.
     ``contracted`` is ``(new node, erased term or None)``, or None when the
     rule's side condition fails.
 
@@ -137,21 +133,21 @@ def _contractions(node: Term, calculus: str, rules: tuple) -> tuple:
                     if calculus == LCA:
                         prefix = concat(prefix, mark(RIGHT, "D"))
                     return (("Var", (bullet(prefix, arg), None)),)
-                case Subst() if "Cmp" in rules:
+                case Subst() if calculus == LCF:
                     if x not in free_vars(body.arg):
                         return (("Cmp", None),)
                     return (("Cmp", (Subst(body.body, Subst(body.arg, arg, x),
                                            body.target), None)),)
-        case App(fun=Abs() as fun) if "Beta" in rules:
-            arg, beta, alpha = node.arg, node.label or (), fun.label or ()
+        case App(fun=Abs() as fun) if beta:
+            arg, label, alpha = node.arg, node.label or (), fun.label or ()
             if free_vars(fun if calculus == LCF else arg):
                 return (("Beta", None),)
             if calculus == LCF:
                 block = concat(mark(RIGHT, "D"), alpha, mark(LEFT, "!"))
-                outer = concat(beta, over(block))
+                outer = concat(label, over(block))
                 inner = under(reverse(block))
             else:
-                outer = concat(beta, over(alpha))
+                outer = concat(label, over(alpha))
                 inner = concat(under(reverse(alpha)), mark(LEFT, "!"))
             contractum = Subst(fun.body, bullet(inner, arg), fun.binder)
             return (("Beta", (bullet(outer, contractum), None)),)
@@ -166,11 +162,13 @@ def _rebuild(config: Configuration, position: tuple, new_node: Term,
     return Configuration(term, bag)
 
 
-def _redexes(config: Configuration, calculus: str, rules: tuple) -> Iterator[TraceStep]:
-    """Each redex of ``config`` under ``rules`` with its contracted
-    configuration, position-lexicographic then rule-alphabetical.  Lazy:
-    the first item contracts the leftmost-outermost redex only."""
-    beta = "Beta" in rules
+def _redexes(config: Configuration, calculus: str, beta: bool) -> Iterator[TraceStep]:
+    """Each redex of ``config`` with its contracted configuration, ``Beta``'s
+    only when ``beta``, position-lexicographic then rule-alphabetical.  Lazy:
+    the first item contracts the leftmost-outermost redex only.  Raises
+    ValueError for an unknown calculus, which would match a mix of rules."""
+    if calculus not in RULES:
+        raise ValueError(f"unknown calculus {calculus!r}")
     path = []  # the child indices from the root down to the node at hand
     # (node, the depth of its parent, its own index as a 1-tuple): a variable
     # is never on the stack, since it is no redex and has no children
@@ -183,7 +181,7 @@ def _redexes(config: Configuration, calculus: str, rules: tuple) -> Iterator[Tra
         if kind is App or kind is Subst:
             # the top-level cases of _contractions: a substitution, or Beta's
             if kind is Subst or (beta and type(node.fun) is Abs):
-                for rule, contracted in _contractions(node, calculus, rules):
+                for rule, contracted in _contractions(node, calculus, beta):
                     if contracted is not None:
                         position = tuple(path)
                         yield TraceStep(RedexSite(position, rule),
@@ -199,7 +197,7 @@ def _redexes(config: Configuration, calculus: str, rules: tuple) -> Iterator[Tra
 
 def find_redexes(config: Configuration, calculus: str) -> list:
     """All redex sites, position-lexicographic then rule-alphabetical."""
-    return [ts.site for ts in _redexes(config, calculus, RULES[calculus])]
+    return [ts.site for ts in _redexes(config, calculus, True)]
 
 
 def step(config: Configuration, site: RedexSite, calculus: str) -> Configuration:
@@ -216,7 +214,7 @@ def step(config: Configuration, site: RedexSite, calculus: str) -> Configuration
         node = subterm_at(config.term, site.position)
     except IndexError as exc:
         raise ValueError(f"no node at {site.position}: {exc}") from None
-    contractions = dict(_contractions(node, calculus, RULES[calculus]))
+    contractions = dict(_contractions(node, calculus, True))
     if site.rule not in contractions:
         raise PatternMismatchError(f"{site.rule} of {calculus} does not match "
                                    f"at {site.position}")
@@ -227,11 +225,12 @@ def step(config: Configuration, site: RedexSite, calculus: str) -> Configuration
     return _rebuild(config, site.position, *contracted)
 
 
-def _leftmost_outermost(config: Configuration, calculus: str, rules: tuple,
+def _leftmost_outermost(config: Configuration, calculus: str, beta: bool,
                         fuel: int) -> Iterator[TraceStep]:
-    """The leftmost-outermost steps under ``rules`` to a normal form.
-    Raises FuelExhaustedError when a redex remains after ``fuel`` steps."""
-    while (ts := next(_redexes(config, calculus, rules), None)) is not None:
+    """The leftmost-outermost steps to a normal form, ``Beta``'s only when
+    ``beta``.  Raises FuelExhaustedError when a redex remains after ``fuel``
+    steps."""
+    while (ts := next(_redexes(config, calculus, beta), None)) is not None:
         if fuel <= 0:
             raise FuelExhaustedError("a redex remains when the fuel runs out")
         fuel -= 1
@@ -244,7 +243,7 @@ def sigma_walk(config: Configuration, calculus: str,
     """The sigma-normal form of ``config`` and the number of leftmost-outermost
     sigma steps to it, within ``fuel`` steps."""
     steps = 0
-    for ts in _leftmost_outermost(config, calculus, SIGMA_RULES[calculus], fuel):
+    for ts in _leftmost_outermost(config, calculus, False, fuel):
         config = ts.config
         steps += 1
     return config, steps
@@ -258,7 +257,7 @@ def normalize_sigma(config: Configuration, calculus: str,
 
 def reduce(config: Configuration, calculus: str, fuel: int = FUEL) -> list:
     """The leftmost-outermost trace to a normal form, as ``TraceStep``s."""
-    return list(_leftmost_outermost(config, calculus, RULES[calculus], fuel))
+    return list(_leftmost_outermost(config, calculus, True, fuel))
 
 
 @dataclass
@@ -286,7 +285,7 @@ def reduction_graph(config: Configuration, calculus: str,
         nxt = []
         for c in frontier:
             succ = tuple((ts.site, ts.config)
-                         for ts in _redexes(c, calculus, RULES[calculus]))
+                         for ts in _redexes(c, calculus, True))
             for _, d in succ:
                 if d not in seen:
                     if len(seen) >= fuel:

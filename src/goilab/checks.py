@@ -222,15 +222,16 @@ def check_confluence(entries: Iterable[CorpusEntry], calculus: str,
 # criterion 5: label-shape lemmas
 
 def _forward_sequences(label):
-    """Atom sequences in reading order; underline blocks hold reversed
-    copies (the Beta rules put history there backwards), so they are
-    mirrored before inspection."""
-    yield label
-    for atom in label:
-        if isinstance(atom, Over):
-            yield from _forward_sequences(atom.inner)
-        elif isinstance(atom, Under):
-            yield from _forward_sequences(reverse(atom.inner))
+    """Atom sequences in reading order, each followed by those nested in
+    it; underline blocks hold reversed copies (the Beta rules put history
+    there backwards), so they are mirrored before inspection.  A loop over
+    an explicit stack, so a deeply nested label takes no recursion."""
+    stack = [label]
+    while stack:
+        seq = stack.pop()
+        yield seq
+        stack += [atom.inner if isinstance(atom, Over) else reverse(atom.inner)
+                  for atom in reversed(seq) if isinstance(atom, (Over, Under))]
 
 
 def _variable_atom_failures(entry: CorpusEntry, label, position):

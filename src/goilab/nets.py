@@ -597,26 +597,11 @@ def _fuse(net: Net, a: tuple, b: tuple, middle: Weight = ONE) -> int:
     return fused
 
 
-def _unbox(net: Net, ids: set) -> None:
-    """Drop the nodes and boxes ``ids`` from the boxes that list them."""
-    for bid, b in net.boxes.items():
-        if not b.contents.isdisjoint(ids):
-            net.boxes[bid] = Box(b.principal, b.auxiliaries, b.contents - ids)
-
-
 def _box_listing(net: Net, member: int) -> Optional[int]:
     """The box that lists the node or box ``member``, or None.  In a net
     ``validate`` accepts, a door's box lists it, so this is the box of a
     ``bang`` or a ``whynot`` too."""
     return next((bid for bid, b in net.boxes.items() if member in b.contents), None)
-
-
-def _box_beside(net: Net, ids: set, beside: int) -> None:
-    """Put the nodes and boxes ``ids`` in the box that lists the node or
-    box ``beside``, if one does."""
-    if (bid := _box_listing(net, beside)) is not None:
-        b = net.boxes[bid]
-        net.boxes[bid] = Box(b.principal, b.auxiliaries, b.contents | ids)
 
 
 @dataclass(frozen=True)
@@ -631,6 +616,10 @@ class _CutRedex:
     that the rule needs no box), and ``crossing`` is the weight read
     across the cut from ``nodes[0]``.  ``joins`` are the pairs of ports
     whose edges the step joins (``_fuse``), in the order it joins them.
+    An edge crosses a box's border only at a door's ``out``, so both ends
+    of the cut lie in the box that lists the tensor or ``box``, and so does
+    every id the step takes out of a box or puts in one, but in commutation,
+    where the auxiliary door's box loses the door and gains ``box``.
     """
 
     cut: int
@@ -718,7 +707,9 @@ def closed_cut_step(net: Net, cut: int) -> Net:
     would close a loop with no end, and ``NotClosedError`` when its box
     has auxiliary doors; each before anything is copied.  ``net`` must be
     one ``validate`` accepts, which this does not check: a door's box is
-    the box that lists it.  The copy stepped carries its port map."""
+    the box that lists it.  The step joins the ports of ``joins``, the rule
+    says what the cut's box loses and gains, and one new ``Box`` for it
+    goes in the copy's map.  The copy stepped carries its port map."""
     if not _is_cut(net, cut):
         raise NotACutError(f"edge {cut} is not a cut")
     redex = _cut_redex(net, cut)
@@ -728,62 +719,65 @@ def closed_cut_step(net: Net, cut: int) -> Net:
         raise NotClosedError(f"{redex.rule} cut needs a box with no auxiliary doors")
     if _closes_loop(net, redex.joins):
         raise NetError(f"{redex.rule} step would close a loop with no end")
+    outer = _box_listing(net, redex.nodes[0] if redex.rule == "mult" else redex.box)
     net = net.copy()
-    _STEPS[redex.rule](net, redex)
+    middle = redex.crossing if redex.rule == "mult" else ONE
+    for a, b in redex.joins:
+        _fuse(net, net.ports[a], net.ports[b], middle)
+    lost, gained = _STEPS[redex.rule](net, redex)
+    if outer is not None:
+        box = net.boxes[outer]
+        net.boxes[outer] = Box(box.principal, box.auxiliaries, box.contents - lost | gained)
     return net
 
 
-def _join(net: Net, redex: _CutRedex, middle: Weight = ONE) -> None:
-    for a, b in redex.joins:
-        _fuse(net, net.ports[a], net.ports[b], middle)
-
-
-def _mult_step(net: Net, redex: _CutRedex) -> None:
-    _join(net, redex, redex.crossing)
+def _mult_step(net: Net, redex: _CutRedex) -> tuple[set, set]:
     _delete_nodes(net, set(redex.nodes))
+    return set(redex.nodes), set()
 
 
-def _derelict_step(net: Net, redex: _CutRedex) -> None:
-    _join(net, redex)
-    for nid in redex.nodes:
-        del net.nodes[nid]
-    _box_beside(net, net.boxes.pop(redex.box).contents, redex.box)
-    _unbox(net, {*redex.nodes, redex.box})
+def _derelict_step(net: Net, redex: _CutRedex) -> tuple[set, set]:
+    dereliction, bang = redex.nodes
+    _delete_nodes(net, {dereliction, bang})
+    return {dereliction, redex.box}, net.boxes.pop(redex.box).contents - {bang}
 
 
-def _weaken_step(net: Net, redex: _CutRedex) -> None:
+def _weaken_step(net: Net, redex: _CutRedex) -> tuple[set, set]:
     _drop_box(net, redex.box, {redex.nodes[0]})
+    return {redex.nodes[0], redex.box}, set()
 
 
-def _fan_step(net: Net, redex: _CutRedex) -> None:
+def _fan_step(net: Net, redex: _CutRedex) -> tuple[set, set]:
     fan = redex.nodes[0]
-    new_bangs = [_copy_closed_box(net, redex.box, fan) for _ in range(2)]
-    for side, new_bang in zip(("left", "right"), new_bangs):
+    copies = [_copy_closed_box(net, redex.box) for _ in range(2)]
+    for side, (_, new_bang) in zip(("left", "right"), copies):
         # each copy's cut reads the old crossing from the premise it joins
         cut = net.new_edge(("node", new_bang, "out"), None, involute(redex.crossing))
         _fuse(net, net.ports[(fan, side)], (cut, 1))
     _drop_box(net, redex.box, {fan})
+    return {fan, redex.box}, {new_box for new_box, _ in copies}
 
 
-def _commute_step(net: Net, redex: _CutRedex) -> None:
+def _commute_step(net: Net, redex: _CutRedex) -> tuple[set, set]:
     whynot = redex.nodes[1]
     bid = _box_listing(net, whynot)
-    _join(net, redex)
-    del net.nodes[whynot]
-    _unbox(net, {whynot, redex.box})
-    target = net.boxes[bid]  # as _unbox left it
+    _delete_nodes(net, {whynot})
+    target = net.boxes[bid]
     net.boxes[bid] = Box(target.principal,
                          tuple(a for a in target.auxiliaries if a != whynot),
-                         target.contents | {redex.box})
+                         target.contents - {whynot} | {redex.box})
+    return {redex.box}, set()
 
 
+# each rule's step after its joins: it gives the ids the cut's box loses and gains
 _STEPS = {"mult": _mult_step, "derelict": _derelict_step, "weaken": _weaken_step,
           "fan": _fan_step, "commute": _commute_step}
 
 
 def _delete_nodes(net: Net, doomed: set) -> None:
     """Delete the ``doomed`` nodes and every edge at one of them, found
-    through their ports, with both ends of each such edge from the map."""
+    through their ports, with both ends of each such edge from the map.
+    The box that lists a doomed node is left as it is."""
     ports = net.ports
     for nid in doomed:
         for port in PORTS[net.nodes.pop(nid)]:
@@ -791,7 +785,6 @@ def _delete_nodes(net: Net, doomed: set) -> None:
                 for end in net.edges.pop(ports[(nid, port)][0]).ends:
                     if end[0] == "node":
                         del ports[end[1:]]
-    _unbox(net, doomed)
 
 
 def _inside(net: Net, bid: int) -> tuple[list, list]:
@@ -807,17 +800,17 @@ def _inside(net: Net, bid: int) -> tuple[list, list]:
 
 def _drop_box(net: Net, bid: int, extra: set) -> None:
     """Delete box ``bid`` with the boxes inside it and their contents, and
-    the nodes ``extra``, together with every edge at a deleted node."""
+    the nodes ``extra``, together with every edge at a deleted node.  The
+    box that lists ``bid`` is left as it is."""
     boxes, nodes = _inside(net, bid)
     for inner in boxes:
         del net.boxes[inner]
     _delete_nodes(net, {*nodes, *extra})
-    _unbox(net, {bid})
 
 
-def _copy_closed_box(net: Net, bid: int, beside: int) -> int:
-    """Duplicate a closed box into the box that lists node ``beside``;
-    returns the new principal node."""
+def _copy_closed_box(net: Net, bid: int) -> tuple[int, int]:
+    """Duplicate a closed box, with no box listing the copy; returns the
+    copy's box id and its principal node."""
     boxes, nodes = _inside(net, bid)
     mapping = {}
     for nid in sorted(nodes):
@@ -836,8 +829,7 @@ def _copy_closed_box(net: Net, bid: int, beside: int) -> int:
         net.boxes[mapping[b2]] = Box(mapping[bx.principal],
                                      tuple(mapping[a] for a in bx.auxiliaries),
                                      {mapping[m] for m in bx.contents})
-    _box_beside(net, {mapping[bid]}, beside)
-    return mapping[net.boxes[bid].principal]
+    return mapping[bid], mapping[net.boxes[bid].principal]
 
 
 # ---------------------------------------------------------------------------

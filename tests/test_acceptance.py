@@ -13,13 +13,16 @@ import time
 
 import pytest
 
-from goilab.calculus import LCA, LCF
+from goilab.algebra import LevelUnderflowError
+from goilab.calculus import LCA, LCF, Configuration, reduction_graph
 from goilab.checks import (check_algebra_laws, check_compile_fidelity,
                            check_confluence, check_goi_end_to_end,
                            check_label_lemmas, check_net_simulation,
                            check_propagation, check_sigma_termination,
                            check_weight_invariance)
 from goilab.corpus import _terms, corpus, prepare
+from goilab.nets import NetError, translate_cbn
+from goilab.terms import parse_lambda
 
 CORPUS = None
 
@@ -186,6 +189,46 @@ def test_criteria_on_open_terms(free_names, max_size):
     assert {(f["calculus"], int(f["entry"].split("_")[1]), f["problem"])
             for f in r["failures"]} == {(calculus, i, "final weight not realised")
                                         for calculus, i in OPEN_FAILURES[free_names]}
+
+
+TWO, THREE = "(\\f.\\x.f (f x))", "(\\g.\\y.g (g (g y)))"
+CHURCH = {"succ_two": f"(\\n.\\f.\\x.f (n f x)) {TWO}",
+          "plus_two_two": f"(\\m.\\n.\\f.\\x.m f (n f x)) {TWO} {TWO}",
+          "mult_two_three": f"(\\m.\\n.\\f.m (n f)) {TWO} {THREE}",
+          "two_three": f"{TWO} {THREE}",
+          "three_two": f"{THREE} {TWO}"}
+
+
+def _top_cbn_level(entry):
+    """The highest level of an atom in the weights of the cbn nets of the
+    ``lca`` graph of ``entry``."""
+    levels = [0]
+    for config in reduction_graph(Configuration(entry.initial), LCA).edges:
+        try:
+            net = translate_cbn(config.term)
+        except (NetError, LevelUnderflowError):
+            continue
+        levels += [level for e in net.edges.values() if e.weight
+                   for _, _, level in e.weight]
+    return max(levels)
+
+
+def test_criteria_on_church_arithmetic():
+    # Church numerals under successor, addition, multiplication and
+    # exponentiation, none of them in the corpus: criteria 1-9 pass within
+    # the default fuel.  Exponentiation and multiplication nest boxes one
+    # level deeper than any corpus(8) graph reaches
+    entries = [prepare(name, parse_lambda(text)) for name, text in CHURCH.items()]
+    reports = [check_compile_fidelity(entries), check_sigma_termination(entries),
+               check_propagation(entries), check_net_simulation(entries),
+               check_goi_end_to_end(entries),
+               *(check(entries, calculus) for calculus in (LCF, LCA) for check in
+                 (check_confluence, check_label_lemmas, check_weight_invariance))]
+    assert [r["failures"] for r in reports] == [[]] * len(reports)
+    assert all(r["ok"] and not r.get("fuel_exhausted") for r in reports)
+    tops = {entry.name: _top_cbn_level(entry) for entry in entries}
+    assert tops["two_three"] == tops["mult_two_three"] == 4
+    assert max(_top_cbn_level(entry) for entry in corpus(max_size=8)) <= 3
 
 
 def test_criterion_10_algebra_unit_laws():

@@ -6,7 +6,7 @@ from conftest import closed_lambda_terms, failure
 from hypothesis import given, settings
 
 from goilab import calculus, checks
-from goilab.calculus import (LCA, LCF, RULES, SIGMA_RULES, Configuration,
+from goilab.calculus import (LCA, LCF, RULES, Configuration,
                              FuelExhaustedError, PatternMismatchError,
                              FUEL, RedexSite, SideConditionViolatedError,
                              TraceStep, find_redexes, normalize_sigma, reduce,
@@ -186,6 +186,11 @@ def test_step_rejects_an_unknown_calculus():
     # before it looks for the node
     with pytest.raises(ValueError, match="unknown calculus 'lcx'"):
         step(Configuration(t), RedexSite((0, 0), "Var"), "lcx")
+    # and so does every walk of the redex search, on a variable too
+    for config in (Configuration(t), Configuration(Var("y"))):
+        for walk in (find_redexes, reduce, normalize_sigma, reduction_graph):
+            with pytest.raises(ValueError, match="unknown calculus 'lcx'"):
+                walk(config, "lcx")
 
 
 def test_step_rejects_a_position_that_names_no_node():
@@ -249,8 +254,7 @@ def test_find_redexes_agrees_with_trying_every_rule():
         for config, succ in graph.edges.items():
             expected = _every_matching_site(config, calc)
             assert find_redexes(config, calc) == expected
-            assert [ts.site for ts in calculus._redexes(
-                config, calc, SIGMA_RULES[calc])] == \
+            assert [ts.site for ts in calculus._redexes(config, calc, False)] == \
                 [site for site in expected if site.rule != "Beta"]
             assert list(succ) == [(site, step(config, site, calc))
                                   for site in expected]
@@ -295,18 +299,18 @@ def test_every_rule_contracts_a_step_of_the_small_corpus():
 
 def test_only_the_redex_kinds_have_contractions():
     # the redex search offers only substitutions, and applications of an
-    # abstraction when the rules include Beta, so a rule matching any other
-    # node would never fire there
-    def offered(node, rules):
+    # abstraction when Beta fires, so a rule matching any other node would
+    # never fire there
+    def offered(node, beta):
         return type(node) is Subst or (
-            type(node) is App and type(node.fun) is Abs and "Beta" in rules)
+            type(node) is App and type(node.fun) is Abs and beta)
 
     for calc, graph in _corpus_6_graphs():
         for config in graph.edges:
             for _, node in subterms(config.term):
-                for rules in (RULES[calc], SIGMA_RULES[calc]):
-                    if not offered(node, rules):
-                        assert calculus._contractions(node, calc, rules) == ()
+                for beta in (True, False):
+                    if not offered(node, beta):
+                        assert calculus._contractions(node, calc, beta) == ()
 
 
 def test_the_redex_search_offers_no_application_that_cannot_match(monkeypatch):
@@ -315,8 +319,8 @@ def test_the_redex_search_offers_no_application_that_cannot_match(monkeypatch):
     returned = []
     real = calculus._contractions
 
-    def recorded(node, calc, rules):
-        out = real(node, calc, rules)
+    def recorded(node, calc, beta):
+        out = real(node, calc, beta)
         returned.append((type(node), out))
         return out
 

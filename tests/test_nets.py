@@ -1421,7 +1421,10 @@ def test_no_net_operation_rescans_a_translated_net(monkeypatch):
 def test_each_cut_step_keeps_the_port_map_current():
     # a translated net keeps the map its edges give from its first edge, and
     # every rule edits the port map its copy carries as it edits the edges,
-    # so a stepped net holds the map its edges give without building one
+    # so a stepped net holds the map its edges give without building one.
+    # A step's copy shares the boxes it leaves alone: it edits the box that
+    # holds both ends of the cut and, in commutation, the box the auxiliary
+    # door leaves; only contraction makes new boxes
     rules = Counter()
     for entry in corpus(6):
         for config in reduction_graph(Configuration(entry.initial), LCA).edges:
@@ -1433,9 +1436,18 @@ def test_each_cut_step_keeps_the_port_map_current():
                 assert net.ports == port_scan(net)
                 for cut in eligible_cuts(net):
                     out = closed_cut_step(net, cut)
-                    rule = nets._cut_redex(net, cut).rule
+                    redex = nets._cut_redex(net, cut)
+                    rule = redex.rule
                     assert out._ports is not None, rule
                     assert out.ports == port_scan(out), rule
+                    edited = {nets._box_listing(net, redex.nodes[0] if rule == "mult"
+                                                else redex.box)}
+                    if rule == "commute":
+                        edited.add(nets._box_listing(net, redex.nodes[1]))
+                    replaced = {bid for bid in net.boxes.keys() & out.boxes.keys()
+                                if out.boxes[bid] is not net.boxes[bid]}
+                    assert replaced == edited - {None}, rule
+                    assert rule == "fan" or out.boxes.keys() <= net.boxes.keys(), rule
                     rules[rule] += 1
     assert rules == {"mult": 76, "derelict": 202, "weaken": 4, "fan": 13, "commute": 68}
 

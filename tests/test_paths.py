@@ -537,8 +537,8 @@ def test_lca_var_without_its_marker_is_caught_by_criteria_7_8_and_9(monkeypatch)
     assert check_weight_invariance(entries, LCA, fuel=1000)["ok"]
     contractions = calculus._contractions
 
-    def without_d(node, calc, rules):
-        out = contractions(node, calc, rules)
+    def without_d(node, calc, beta):
+        out = contractions(node, calc, beta)
         if calc == LCA and out and out[0][0] == "Var" and node.body.label is not None:
             return (("Var", (bullet(node.body.label, node.arg), None)),)
         return out

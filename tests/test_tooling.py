@@ -297,9 +297,10 @@ def test_only_the_steps_that_take_a_whole_box_walk_its_subtree():
     assert callers == ["_copy_closed_box", "_drop_box"]
 
 
-def _scans_edges(node) -> bool:
-    """Whether ``node`` iterates over a net's edges: in a ``for``, a
-    comprehension, or ``sorted``, ``list``, ``set`` or ``tuple``."""
+def _scans(node, attr: str) -> bool:
+    """Whether ``node`` iterates over a net's ``attr`` (its edges or its
+    boxes): in a ``for``, a comprehension, or ``sorted``, ``list``, ``set``
+    or ``tuple``."""
     iterated = [sub.iter for sub in ast.walk(node)
                 if isinstance(sub, (ast.For, ast.comprehension))]
     iterated += [sub.args[0] for sub in ast.walk(node)
@@ -309,18 +310,17 @@ def _scans_edges(node) -> bool:
         if (isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute)
                 and expr.func.attr in ("items", "keys", "values")):
             expr = expr.func.value
-        if isinstance(expr, ast.Attribute) and expr.attr == "edges":
+        if isinstance(expr, ast.Attribute) and expr.attr == attr:
             return True
     return False
 
 
-def test_no_cut_step_scans_every_edge():
-    # a step finds the edges it edits through the port map and keeps the
-    # map current, so it walks what it touches, not the whole net.  Of the
-    # code closed_cut_step reaches by name (the module's functions and
-    # assignments, and Net's methods), only Net.ports reads every edge, to
-    # build the map of a net that has none; a step's copy carries one
-    defs = {}  # what closed_cut_step may reach -> (the name it is read by, node)
+def _cut_step_reach() -> tuple[dict, set]:
+    """The code of nets.py by label (the module's functions and
+    assignments, and Net's methods as ``Net.<name>``), each with the name
+    it is read by and its node, and the labels of what closed_cut_step
+    reaches by name."""
+    defs = {}
     for node in ast.parse((SRC / "nets.py").read_text()).body:
         if isinstance(node, ast.FunctionDef):
             defs[node.name] = (node.name, node)
@@ -338,11 +338,33 @@ def test_no_cut_step_scans_every_edge():
                 reached.add(label)
                 names |= _references([node])
                 grown = True
-    scanning = {label for label, (_, node) in defs.items() if _scans_edges(node)}
+    return defs, reached
+
+
+def test_no_cut_step_scans_every_edge():
+    # a step finds the edges it edits through the port map and keeps the
+    # map current, so it walks what it touches, not the whole net.  Of the
+    # code closed_cut_step reaches by name, only Net.ports reads every
+    # edge, to build the map of a net that has none; a step's copy carries one
+    defs, reached = _cut_step_reach()
+    scanning = {label for label, (_, node) in defs.items() if _scans(node, "edges")}
     assert {"validate", "to_json", "Net.ports"} <= scanning
     assert {"_STEPS", "_mult_step", "_delete_nodes", "_copy_closed_box",
             "Net.copy", "Net.new_edge"} <= reached
     assert sorted(reached & scanning) == ["Net.ports"]
+
+
+def test_no_cut_step_scans_every_box():
+    # both ends of a cut lie in one box, which closed_cut_step edits once,
+    # so of the code it reaches only the one box lookup, _box_listing, reads
+    # every box: for the cut search, for the cut's box and for the box a
+    # commuted door leaves.  (validate reads the boxes through a local
+    # name, which this search does not see.)
+    defs, reached = _cut_step_reach()
+    scanning = {label for label, (_, node) in defs.items() if _scans(node, "boxes")}
+    assert {"to_json", "to_dot", "_signature_part"} <= scanning
+    assert {"_commute_step", "_drop_box", "_inside", "_copy_closed_box"} <= reached
+    assert sorted(reached & scanning) == ["_box_listing"]
 
 
 def test_no_code_edits_a_box_in_place():
@@ -549,7 +571,6 @@ def test_the_recursion_left_is_a_stated_list():
                    for name in calls if name in reach[name]}
     assert cycles == {frozenset(names) for names in (
         {"algebra._thread"},
-        {"checks._forward_sequences"},
         {"corpus._terms"},
         {"labels.reverse"}, {"labels.format_atom", "labels.format_label"},
         {"levy.meta_substitute"},
