@@ -6,9 +6,13 @@ step by step, the complete sets of live words of the two nets: the static
 words of interface-to-interface straight paths that are not null in the
 dynamic algebra.  A reduction step removes paths whose weight is null (they
 bounce off a removed multiplicative pair or box), and only the non-null
-words are observed (README, Weight invariance).
+words are observed (README, Weight invariance).  Each test pins the
+digest of every report it computes, so a change to any report field fails
+here.
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -34,6 +38,17 @@ def entries():
     return CORPUS
 
 
+def digests(*reports):
+    """The first 16 hex digits of the SHA-256 of each report's sorted JSON:
+    a report that changes in any field changes its digest."""
+    return [hashlib.sha256(json.dumps(r, sort_keys=True).encode()).hexdigest()[:16]
+            for r in reports]
+
+
+# the digest of a report that passes with no counts
+CLEAN = "bd390f77257dfb02"
+
+
 def report_line(number, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {number:02d} {name}: {status}{' — ' + detail if detail else ''}")
@@ -46,6 +61,7 @@ def test_criterion_01_compile_fidelity():
     report_line(1, "compilation fidelity", r["ok"], f"{elapsed:.2f}s")
     assert r["ok"], r["failures"][:5]
     assert elapsed <= 1.0, f"criterion 1 must finish within 1s, took {elapsed:.2f}s"
+    assert digests(r) == [CLEAN]
 
 
 def test_criterion_02_sigma_termination():
@@ -56,12 +72,14 @@ def test_criterion_02_sigma_termination():
                 f"{r['configurations']} configurations, {elapsed:.1f}s")
     assert r["ok"], r["failures"][:5]
     assert elapsed <= 30.0
+    assert digests(r) == ["f7063fd2a9451374"]
 
 
 def test_criterion_03_propagation():
     r = check_propagation(entries())
     report_line(3, "closed substitutions propagate", r["ok"])
     assert r["ok"], r["failures"][:5]
+    assert digests(r) == [CLEAN]
 
 
 def test_criterion_04_confluence():
@@ -74,6 +92,7 @@ def test_criterion_04_confluence():
                 f"exhausted={ra['fuel_exhausted'] + rb['fuel_exhausted']}, {elapsed:.1f}s")
     assert ok, (ra["failures"] + rb["failures"])[:5]
     assert elapsed <= 300.0
+    assert digests(ra, rb) == ["945a4941b733f749", "945a4941b733f749"]
 
 
 def test_criterion_05_label_shape_lemmas():
@@ -82,6 +101,7 @@ def test_criterion_05_label_shape_lemmas():
     ok = ra["ok"] and rb["ok"]
     report_line(5, "label-shape lemmas", ok)
     assert ok, (ra["failures"] + rb["failures"])[:5]
+    assert digests(ra, rb) == [CLEAN, CLEAN]
 
 
 def _failing_steps(r):
@@ -112,6 +132,7 @@ def test_criterion_06_weight_invariance_lcf_cbv():
     assert r["ok"], (
         f"live weight sets differ on {r['failures_total']} steps "
         f"(rules {r['failing_rules']}): {_failing_steps(r)}")
+    assert digests(r) == ["f3a618a3c8093eb7"]
 
 
 def test_criterion_07_weight_invariance_lca_cbn():
@@ -124,21 +145,25 @@ def test_criterion_07_weight_invariance_lca_cbn():
     assert r["ok"], (
         f"live weight sets differ on {r['failures_total']} steps "
         f"(rules {r['failing_rules']}): {_failing_steps(r)}")
+    assert digests(r) == ["955a0ac78d47e2d6"]
 
 
 def test_criteria_06_07_weight_invariance_on_the_size_8_corpus():
     # beyond the desk corpus: no step of either calculus loses or invents a
     # live weight (README, Weight invariance)
     size_8 = corpus(max_size=8)
+    reports = []
     for number, calculus, name in ((6, LCF, "lcf/cbv"), (7, LCA, "lca/cbn")):
         start = time.time()
         r = check_weight_invariance(size_8, calculus)
         elapsed = time.time() - start
+        reports.append(r)
         report_line(number, f"step invariance on corpus(8) ({name})", r["ok"],
                     _invariance_detail(r, elapsed))
         assert r["ok"], (
             f"live weight sets differ on {r['failures_total']} steps "
             f"(rules {r['failing_rules']}): {_failing_steps(r)}")
+    assert digests(*reports) == ["fddbfde884055921", "9b13665f7ae586ac"]
 
 
 def test_criterion_08_closed_cut_elimination_simulation():
@@ -148,6 +173,7 @@ def test_criterion_08_closed_cut_elimination_simulation():
     report_line(8, "closed cut elimination on weighted nets simulates lca",
                 r["ok"], f"{r['steps_checked']} steps, {elapsed:.1f}s")
     assert r["ok"], r["failures"][:5]
+    assert digests(r) == ["92ccba83b58b04fa"]
 
 
 def test_criterion_09_label_describes_a_path():
@@ -157,6 +183,7 @@ def test_criterion_09_label_describes_a_path():
     report_line(9, "final labels name straight paths of the initial net",
                 r["ok"], f"{r['checked']} normal forms, {elapsed:.1f}s")
     assert r["ok"], r["failures"][:5]
+    assert digests(r) == ["05dfb4b91def04bd"]
 
 
 # ROADMAP item 20: the (calculus, entry number) pairs of the open terms whose
@@ -167,6 +194,16 @@ OPEN_FAILURES = {
     | {(LCA, i) for i in (596, 598, 600)},
     2: {(LCF, i) for i in (354, 355, 356, 357, 408, 409)},
 }
+
+
+# the report digests of each run, criterion 9's last
+OPEN_DIGESTS = {
+    1: [CLEAN, "cf2018d8e83e1817", CLEAN, "ba7dae18c0ab8f80", "945a4941b733f749", CLEAN,
+        "1b1a90a7495451dd", "945a4941b733f749", CLEAN, "297c44060e6561b3",
+        "62e42daee9e987af"],
+    2: [CLEAN, "1d917e8942377158", CLEAN, "64e2b7a38f8023c1", "945a4941b733f749", CLEAN,
+        "8b2acd6afaf53106", "945a4941b733f749", CLEAN, "abacba86383b378a",
+        "22cde3da300cea68"]}
 
 
 @pytest.mark.parametrize("free_names, max_size", [(1, 7), (2, 6)])
@@ -189,6 +226,7 @@ def test_criteria_on_open_terms(free_names, max_size):
     assert {(f["calculus"], int(f["entry"].split("_")[1]), f["problem"])
             for f in r["failures"]} == {(calculus, i, "final weight not realised")
                                         for calculus, i in OPEN_FAILURES[free_names]}
+    assert digests(*reports, r) == OPEN_DIGESTS[free_names]
 
 
 TWO, THREE = "(\\f.\\x.f (f x))", "(\\g.\\y.g (g (g y)))"
@@ -229,6 +267,10 @@ def test_criteria_on_church_arithmetic():
     tops = {entry.name: _top_cbn_level(entry) for entry in entries}
     assert tops["two_three"] == tops["mult_two_three"] == 4
     assert max(_top_cbn_level(entry) for entry in corpus(max_size=8)) <= 3
+    assert digests(*reports) == [
+        CLEAN, "d7903edf41fb6a43", CLEAN, "5eb50b395d033f8e", "61f896b4c09006a5",
+        "945a4941b733f749", CLEAN, "5166a0dca333a6bd", "945a4941b733f749", CLEAN,
+        "dfb3458dd57b75f6"]
 
 
 def test_criterion_10_algebra_unit_laws():
@@ -237,3 +279,4 @@ def test_criterion_10_algebra_unit_laws():
                 r["ok"])
     assert r["ok"], r["failures"][:5]
     assert r["labels"] == 2_255
+    assert digests(r) == ["15135be82f7512d3"]
