@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .labelled import initialize, label_of
 from .labels import Atomic
-from .terms import Abs, App, Subst, Term, Var, compile_term, parse_lambda
+from .terms import Abs, App, Term, Var, compile_term, nodes, parse_lambda
 
 
 def _terms(size: int, depth: int):
@@ -53,18 +53,10 @@ class CorpusEntry:
 
 
 def _classes(term: Term) -> dict:
-    """Initialisation atom -> the kind of node it labels, in preorder: a loop
-    over an explicit stack that makes no positions, so a deep term costs no
-    more than its size."""
+    """Initialisation atom -> the kind of node it labels, in preorder."""
     classes = {}
-    stack = [term]
-    while stack:
-        t = stack.pop()
+    for t in nodes(term):
         kind = type(t)
-        if kind is App or kind is Subst:
-            stack += (t.arg, t.fun if kind is App else t.body)
-        elif kind is not Var:
-            stack.append(t.body)
         if kind is Var or kind is Abs or kind is App:
             atom = t.label[0]
             assert isinstance(atom, Atomic) and len(t.label) == 1

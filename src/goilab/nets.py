@@ -33,7 +33,7 @@ principal ports (Lafont, *Interaction nets*, POPL 1990).
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,12 +102,12 @@ class Box:
 class Net:
     """A proof-net.  A net is a value once built: ``closed_cut_step``
     works on a copy, so ``validate`` judges each net at most once,
-    ``iso_check`` counts its node kinds and signs it at most once, and the
-    net keeps all three on it.  A translated net keeps its port map from
-    its first edge, any other builds it on first read, and every edit
-    keeps it current.  A copy shares its ``Edge`` and ``Box`` objects with
-    the net it was made from, and no step edits one in place: a step adds
-    and drops edges (``_fuse``), and puts a new box in the copy's map.
+    ``iso_check`` signs it at most once, and the net keeps both on it.  A
+    translated net keeps its port map from its first edge, any other
+    builds it on first read, and every edit keeps it current.  A copy
+    shares its ``Edge`` and ``Box`` objects with the net it was made from,
+    and no step edits one in place: a step adds and drops edges
+    (``_fuse``), and puts a new box in the copy's map.
     """
 
     def __init__(self):
@@ -119,7 +119,6 @@ class Net:
         self._next = 0
         self._ports = None  # set by the translator, else by the first read of ports
         self._verdict = None  # set by the first validate
-        self._kinds = None  # set by the first iso_check that compares it
         self._signature = None  # set by the first iso_check that signs it
 
     def new_id(self) -> int:
@@ -174,8 +173,7 @@ class Net:
     def copy(self) -> "Net":
         """A net equal to this one that shares its ``Edge`` and ``Box``
         objects, and copies its maps.  It carries nothing else the net
-        keeps: a step edits the copy, which is judged, counted and signed
-        afresh."""
+        keeps: a step edits the copy, which is judged and signed afresh."""
         out = Net()
         out.nodes = dict(self.nodes)
         out.edges = dict(self.edges)
@@ -995,23 +993,13 @@ def iso_check(a: Net, b: Net) -> bool:
     """Kind-, port-, box- and weight-preserving isomorphism.  Axioms and
     cuts are edges, so an isomorphism maps them as it maps every edge.
 
-    Every isomorphism keeps how many nodes of each kind a net holds, so
-    nets whose counts differ are not iso, and neither is signed.  Both
-    nets pass ``_kinds``'s gate, ``validate``, before either is signed, so
-    a net that ``validate`` rejects raises ``NetError`` with its problems.
+    Both nets pass the gate, ``validate``, before either is signed, so a
+    net that ``validate`` rejects raises ``NetError`` with its problems.
     """
-    return _kinds(a) == _kinds(b) and _signed(a) == _signed(b)
-
-
-def _kinds(net: Net) -> Counter:
-    """How many nodes of each kind ``net`` holds, counted once per net,
-    the first time ``validate`` accepts it.  ``NetError`` listing
-    ``validate``'s problems for a net it rejects."""
-    if net._kinds is None:
+    for net in (a, b):
         if problems := validate(net):
             raise NetError("; ".join(problems))
-        net._kinds = Counter(net.nodes.values())
-    return net._kinds
+    return _signed(a) == _signed(b)
 
 
 def _signed(net: Net):

@@ -197,20 +197,8 @@ class ParseError(Exception):
 
 
 def is_lambda_term(term: Term) -> bool:
-    """Whether ``term`` has only variables, abstractions and applications,
-    checked with an explicit stack, so a deep term needs no recursion."""
-    stack = [term]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is App:
-            stack.append(node.fun)
-            stack.append(node.arg)
-        elif kind is Abs:
-            stack.append(node.body)
-        elif kind is not Var:
-            return False
-    return True
+    """Whether ``term`` has only variables, abstractions and applications."""
+    return all(type(t) in (Var, Abs, App) for t in nodes(term))
 
 
 def _child(term: Term, index: int) -> Term:
@@ -273,17 +261,23 @@ def subterms(term: Term) -> Iterator[tuple[tuple, Term]]:
             stack.append((position + (0,), term.body))
 
 
-def term_size(term: Term) -> int:
-    size, stack = 0, [term]
+def nodes(term: Term) -> Iterator[Term]:
+    """Each node of ``term`` in preorder, in the child order of
+    ``subterms`` but without positions.  Lazy, and a loop over an explicit
+    stack, so a deep term cannot overflow the interpreter's."""
+    stack = [term]
     while stack:
         t = stack.pop()
-        size += 1
+        yield t
         kind = type(t)
         if kind is App or kind is Subst:
-            stack += (t.fun if kind is App else t.body, t.arg)
+            stack += (t.arg, t.fun if kind is App else t.body)
         elif kind is not Var:  # Abs, Erase, Copy
             stack.append(t.body)
-    return size
+
+
+def term_size(term: Term) -> int:
+    return sum(1 for _ in nodes(term))
 
 
 def free_vars(term: Term) -> frozenset:
@@ -394,7 +388,7 @@ def check_linear(term: Term) -> list:
 
 def all_var_names(term: Term) -> frozenset:
     names = set()
-    for _, t in subterms(term):
+    for t in nodes(term):
         match t:
             case Var(name):
                 names.add(name)

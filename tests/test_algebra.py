@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from conftest import parse_word, random_label, reference
+from conftest import failure, parse_word, random_label, reference
 
 from goilab import checks
 from goilab.algebra import (CONSTANTS, ONE, ZERO, LevelUnderflowError, compose,
@@ -42,6 +42,13 @@ def test_compose_and_involute_laws_on_every_triple_of_short_words():
         assert compose(ONE, a) == a == compose(a, ONE)
         assert compose(ZERO, a) is None and compose(a, ZERO) is None
         assert involute(involute(a)) == a
+
+
+def test_watom_refuses_an_unknown_constant_and_a_negative_level():
+    with pytest.raises(ValueError, match="unknown constant 'u'"):
+        watom("u")
+    with pytest.raises(ValueError, match="negative level"):
+        watom("q", -1)
 
 
 def test_compose_is_concatenation():
@@ -174,6 +181,26 @@ def test_criterion_10_names_a_smallest_label_it_fails_on(monkeypatch):
     assert first["problem"] == "reversal symmetry broken"
     assert first["detail"] == [format_label(mark(RIGHT, "?")),
                                "lw(reverse(u)) = involute(lw(u))"]
+
+
+def test_criterion_10_names_a_composite_row_that_loses_its_right_part(monkeypatch):
+    # compose keeps only its left factor: a.D> reads d whole, but 1 from
+    # its left part, and no other law reads compose
+    monkeypatch.setattr(checks, "compose", lambda left, right: left)
+    report = checks.check_algebra_laws()
+    assert report["failures"][0] == failure("composite row incoherent", detail=[
+        "a.D>", "lw(u.v) = lw(u).lw(v)", 1])
+    assert {f["problem"] for f in report["failures"]} == {"composite row incoherent"}
+
+
+def test_criterion_10_names_a_w_marker_that_does_not_absorb(monkeypatch):
+    # the W marker dropped before it is read: every label reads a word
+    monkeypatch.setattr(checks, "concat", lambda prefix, label: label)
+    report = checks.check_algebra_laws()
+    assert report["failures"][0] == failure("W marker did not absorb", detail=[
+        "a", "lw(W>.u) = 0"])
+    assert report["failures_total"] == report["labels"]
+    assert {f["problem"] for f in report["failures"]} == {"W marker did not absorb"}
 
 
 def test_criterion_10_reports_a_label_it_cannot_read_and_reads_on(monkeypatch):

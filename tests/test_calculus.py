@@ -16,11 +16,11 @@ from goilab.checks import (_trace, _trace_sigma_nfs, check_confluence,
                            check_propagation, check_sigma_termination,
                            check_weight_invariance)
 from goilab.corpus import closed_terms, corpus, prepare
-from goilab.labelled import initialize, label_of
-from goilab.labels import LEFT, RIGHT, Marker, atomic, format_label
+from goilab.labelled import initialize, label_of, with_label
+from goilab.labels import LEFT, RIGHT, Marker, atomic, format_label, mark
 from goilab.terms import (Abs, App, Copy, Erase, Subst, Var, check_linear,
-                          compile_term, format_term, free_vars, parse_lambda,
-                          relabel, subterm_at, subterms, term_size)
+                          compile_term, format_term, free_vars, parse,
+                          parse_lambda, relabel, subterm_at, subterms, term_size)
 
 
 def identity_application():
@@ -436,6 +436,49 @@ def test_label_lemmas_report_each_configurations_variable_atoms_last():
         followed("b", "<!", ()),
     ]
     assert report["failures_total"] == 11
+
+
+def test_label_lemmas_name_a_term_that_is_not_linear_or_lost_its_first_atom():
+    # \x.x x initialised as it is, uncompiled, shares x; \x.x read as if
+    # its root atom were z has lost its first atom.  Both are normal forms
+    dup = prepare("dup", parse_lambda("\\x.x x"))
+    shared = dataclasses.replace(dup, initial=initialize(dup.source))
+    moved = dataclasses.replace(prepare("id", parse_lambda("\\x.x")), root_atom="z")
+    for calc in (LCF, LCA):
+        assert check_label_lemmas([shared, moved], calc)["failures"] == [
+            failure("not linear", "dup", calc,
+                    detail=[((0,), "application shares free variables ['x']")]),
+            failure("first atom changed", "id", calc, detail=["a", "z"])]
+
+
+def test_label_lemmas_name_a_label_that_ends_in_a_marker():
+    entry = prepare("id", parse_lambda("\\x.x"))
+    marked = with_label(entry.initial, (*label_of(entry.initial), *mark(RIGHT, "D")))
+    assert format_term(marked, labels=True) == "(\\x.x^{b})^{a.D>}"
+    for calc in (LCF, LCA):
+        report = check_label_lemmas([dataclasses.replace(entry, initial=marked)], calc)
+        assert report["failures"] == [
+            failure("label ends in a marker", "id", calc, position=())]
+
+
+def test_label_lemmas_name_an_open_substitution_and_a_malformed_argument_label():
+    # z[y/z] substitutes an open argument whose label b has no box
+    # markers; under lcf its Var step leaves y^{a.b}, where the variable's
+    # atom a comes before that label
+    entry = prepare("id", parse_lambda("\\x.x"))
+    initial = initialize(parse("z[y/z]"))
+    entry = dataclasses.replace(entry, initial=initial,
+                                atom_classes={"a": "var", "b": "var"})
+    malformed = ["b", "no underlined block after the exponential prefix"]
+    assert check_label_lemmas([entry], LCA)["failures"] == [
+        failure("open substitution", "id", LCA, position=()),
+        failure("malformed argument label", "id", LCA, position=(),
+                error="ArgumentLabelError", detail=malformed)]
+    assert check_label_lemmas([entry], LCF)["failures"] == [
+        failure("malformed argument label", "id", LCF, position=(),
+                error="ArgumentLabelError", detail=malformed),
+        failure("variable atom before a malformed argument label", "id", LCF,
+                position=(), error="ArgumentLabelError", detail=["a", *malformed])]
 
 
 def test_suites_report_an_exhausted_trace():

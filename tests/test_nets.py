@@ -16,14 +16,14 @@ from goilab.calculus import (LCA, LCF, Configuration, find_redexes,
 from goilab.checks import check_net_simulation
 from goilab.corpus import CLASSICS, corpus, prepare
 from goilab.labelled import initialize
-from goilab.labels import atomic, mark
+from goilab.labels import LEFT, RIGHT, atomic, mark
 from goilab.nets import (Box, Edge, Net, NetError, NotACutError, NotClosedError,
                          TranslationError, _fuse,
                          canonical_signature, closed_cut_step,
                          eligible_cuts, iso_check, to_dot, to_json,
                          translate_cbn, translate_cbv, validate)
 from goilab.paths import weight_set
-from goilab.terms import (Abs, App, Subst, Var, compile_term, parse,
+from goilab.terms import (Abs, App, Copy, Subst, Var, compile_term, parse,
                           parse_lambda)
 
 
@@ -175,6 +175,27 @@ def test_translation_names_a_non_linear_copy_substitution_or_erasure(
         translate, text):
     with pytest.raises(TranslationError, match="linear"):
         translate(parse(text))
+
+
+@pytest.mark.parametrize("translate", (translate_cbv, translate_cbn))
+@pytest.mark.parametrize("term, error, message", [
+    # y enters a box its sibling z does not: a copy joins them at two levels
+    (Copy("x", "y", "z", App(Var("y", mark(LEFT, "!")), Var("z"))),
+     TranslationError, r"^copy targets at different levels \(1 vs 0\)$"),
+    # x leaves a box at the outermost level
+    (Abs("w", App(Var("w"), Var("x", mark(RIGHT, "?")))),
+     LevelUnderflowError, r"^auxiliary door for x at level 0$")])
+def test_translation_names_a_level_its_doors_cannot_reach(translate, term, error,
+                                                          message):
+    with pytest.raises(error, match=message):
+        translate(term)
+
+
+def test_translation_refuses_a_net_validate_finds_a_problem_in(monkeypatch):
+    monkeypatch.setattr(nets, "validate", lambda net: ["injected", "twice"])
+    for translate in (translate_cbv, translate_cbn):
+        with pytest.raises(TranslationError, match="^injected; twice$"):
+            translate(parse_lambda("\\x.x"))
 
 
 def nested_view(text):
@@ -717,8 +738,8 @@ def test_a_door_in_an_erased_arguments_island_is_signed():
 
 
 def test_criterion_8_signs_each_net_it_compares_once(monkeypatch):
-    # a net is signed only when it meets a partner with the same node-kind
-    # counts; then it is signed once
+    # every net criterion 8 compares is signed once, however many partners
+    # it meets, and keeps its signature
     compared, signed = [], []
     real_iso_check = checks.iso_check
     real_signature = nets.canonical_signature
@@ -737,20 +758,15 @@ def test_criterion_8_signs_each_net_it_compares_once(monkeypatch):
     assert check_net_simulation(corpus(7))["ok"]
     monkeypatch.undo()
     distinct = {id(net): net for a, b, _ in compared for net in (a, b)}
-    needed = {id(net): net for a, b, _ in compared if shape(a)[0] == shape(b)[0]
-              for net in (a, b)}
-    # canonical_signature signs the net it is given: each needed net is
-    # signed once and keeps its signature, and no other net has one
-    assert sorted(map(id, signed)) == sorted(needed) and len(needed) < len(distinct)
-    assert all(net._signature is None for key, net in distinct.items()
-               if key not in needed)
-    for net in needed.values():
+    # canonical_signature signs the net it is given
+    assert sorted(map(id, signed)) == sorted(distinct)
+    for net in distinct.values():
         assert net._signature == canonical_signature(net)
     accepted = [(a, b) for a, b, same in compared if same]
     assert accepted and all(shape(a) == shape(b) for a, b in accepted)
 
 
-def test_whole_nets_of_different_node_kinds_compare_false_unsigned(monkeypatch):
+def test_whole_nets_of_different_node_kinds_compare_false(monkeypatch):
     signed = []
     real_signature = nets.canonical_signature
 
@@ -763,10 +779,9 @@ def test_whole_nets_of_different_node_kinds_compare_false_unsigned(monkeypatch):
     b = translate_cbn(parse_lambda("(\\x.x) (\\y.y)"))
     assert whole(a) and whole(b) and shape(a)[0] != shape(b)[0]
     assert not iso_check(a, b)
-    assert signed == [] and a._signature is b._signature is None
-    # equal counts, so both are signed, each once
-    assert iso_check(a, renumbered(a)) and iso_check(a, a)
-    assert len(signed) == 2
+    # each net is signed once, however often it is compared
+    assert iso_check(a, renumbered(a)) and iso_check(a, a) and not iso_check(b, a)
+    assert len(signed) == len(set(map(id, signed))) == 3
     # a net that is not whole raises unsigned, whatever its counts; it is
     # built fresh, since a translated net keeps the verdict validate gave it
     broken = renumbered(translate_cbn(parse_lambda("(\\x.x) (\\y.y)")))
@@ -774,7 +789,12 @@ def test_whole_nets_of_different_node_kinds_compare_false_unsigned(monkeypatch):
     broken.edges[eid].ends[0] = None
     with pytest.raises(NetError, match="has a dangling end"):
         iso_check(a, broken)
-    assert len(signed) == 2 and broken._signature is None
+    # the gate judges both nets before it signs either, so a fresh partner
+    # stays unsigned too
+    partner = renumbered(b)
+    with pytest.raises(NetError, match="has a dangling end"):
+        iso_check(partner, broken)
+    assert len(signed) == 3 and broken._signature is partner._signature is None
 
 
 def snapshot(net):

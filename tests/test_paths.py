@@ -6,8 +6,9 @@ from conftest import closed_lambda_terms, failure, parse_word, port_scan
 from hypothesis import assume, given, settings
 
 from goilab import calculus, checks, paths
-from goilab.algebra import (ONE, ZERO, LevelUnderflowError, compose,
-                            format_weight, involute, lw, normal_word, watom)
+from goilab.algebra import (ONE, ZERO, LevelledWeight, LevelUnderflowError,
+                            compose, format_weight, involute, lw, normal_word,
+                            watom)
 from goilab.calculus import (FUEL, LCA, LCF, Configuration, FuelExhaustedError,
                              reduce, reduction_graph)
 from goilab.checks import _step_edges, _trace, check_weight_invariance
@@ -52,6 +53,8 @@ def test_the_table_keeps_the_state_leaving_the_root():
             assert table.root == state(net, net.root, 1 - at)
             assert table.root in table.starts
     assert DirectedEdges(Net()).root is None
+    # no path leaves a net with no root edge, not even the empty one
+    assert weight_member(Net(), ONE) is weight_member(Net(), watom("q")) is False
 
 
 def test_empty_path_weight_is_one():
@@ -478,6 +481,15 @@ def test_criterion_9_reports_a_final_weight_that_no_path_realises(monkeypatch):
     assert report["failures"] == [
         failure("final weight not realised", "id_id", calculus) for calculus in (LCF, LCA)]
     assert report["checked"] == 4
+
+
+def test_criterion_9_reports_a_zero_final_weight(monkeypatch):
+    # every label read as the zero: no pair is decided on a word
+    monkeypatch.setattr(checks, "lw", lambda label, level: LevelledWeight(ZERO, level))
+    report = checks.check_goi_end_to_end([prepare("id", parse_lambda("\\x.x"))])
+    assert report["failures"] == [
+        failure("zero final weight", "id", calculus) for calculus in (LCF, LCA)]
+    assert report["checked"] == 0
 
 
 def test_swapped_translations_fail_and_every_failure_is_counted(monkeypatch):

@@ -18,8 +18,8 @@ from goilab.labels import atomic, format_label
 from goilab.terms import (Abs, App, Copy, Erase, FreshSupply, ParseError,
                           Subst, Var, all_var_names, check_linear,
                           compile_term, format_term, free_vars, is_lambda_term,
-                          parse, parse_lambda, relabel, rename_free, subterms,
-                          term_size)
+                          nodes, parse, parse_lambda, relabel, rename_free,
+                          subterms, term_size)
 
 
 def test_parse_identity():
@@ -177,6 +177,22 @@ def test_criterion_1_names_a_recompilation_that_renames_a_variable(monkeypatch):
     report = checks.check_compile_fidelity([entry])
     assert report == {"ok": False, "failures_total": 1,
                       "failures": [failure("not deterministic", "dup")]}
+
+
+def test_criterion_1_names_a_compiled_term_that_is_not_linear_or_moves_a_name():
+    # \x.x x left uncompiled shares x, and \x.eps[x].y frees y; neither is
+    # what the compiler makes, so both are not deterministic too
+    dup = prepare("dup", parse_lambda("\\x.x x"))
+    open_id = prepare("id", parse_lambda("\\x.x"))
+    report = checks.check_compile_fidelity([
+        dataclasses.replace(dup, compiled=dup.source),
+        dataclasses.replace(open_id, compiled=parse("\\x.eps[x].y"))])
+    assert report["failures"] == [
+        failure("not linear", "dup",
+                detail=[((0,), "application shares free variables ['x']")]),
+        failure("not deterministic", "dup"),
+        failure("free variables changed", "id"),
+        failure("not deterministic", "id")]
 
 
 def _debruijn(t, env=()):
@@ -518,6 +534,7 @@ def test_the_walks_agree_with_their_recursive_references():
     for term in terms:
         walk = list(subterms(term))
         assert walk == list(_reference_subterms(term))
+        assert list(map(id, nodes(term))) == [id(t) for _, t in walk]
         for _, t in walk:
             assert term_size(t) == _reference_term_size(t)
             assert free_vars(t) == _reference_free_vars(t)

@@ -220,10 +220,10 @@ def test_nets_renumbered_by_the_benchmark_validate_sign_and_search_alike(
 
 def test_no_new_or_copied_net_starts_with_a_stale_fact():
     # a net keeps what was read of it once (its port map, validate's
-    # verdict, iso_check's kind count and signature), and each starts unset;
-    # a copy carries the port map alone, so the nets a step makes from a
-    # copy are judged, counted and signed afresh
-    kept = {"_ports", "_verdict", "_kinds", "_signature"}
+    # verdict and iso_check's signature), and each starts unset; a copy
+    # carries the port map alone, so the nets a step makes from a copy are
+    # judged and signed afresh
+    kept = {"_ports", "_verdict", "_signature"}
     fresh = vars(nets.Net())
     assert {name for name in fresh if name.startswith("_")} - {"_next"} == kept
     assert all(fresh[name] is None for name in kept)
@@ -234,9 +234,9 @@ def test_no_new_or_copied_net_starts_with_a_stale_fact():
         assert all(getattr(net, name) is not None for name in kept)
         copy = net.copy()
         assert copy._ports == net._ports
-        assert copy._verdict is copy._kinds is copy._signature is None
+        assert copy._verdict is copy._signature is None
         for out in [closed_cut_step(net, cut) for cut in eligible_cuts(net)]:
-            assert out._verdict is out._kinds is out._signature is None
+            assert out._verdict is out._signature is None
             made += 1
     assert made > 10
 
@@ -271,9 +271,8 @@ def test_only_the_suites_catch_a_net_error():
 
 
 def test_the_signing_code_neither_raises_nor_catches():
-    # iso_check's gate (nets._kinds, through validate) is the one place a net
-    # is checked before it is signed; the code that signs takes a net
-    # validate accepts
+    # iso_check's gate, validate, is the one place a net is checked before
+    # it is signed; the code that signs takes a net validate accepts
     signing = {"_explore", "_Islands", "_anchor_key",
                "_signature_part", "canonical_signature"}
     found = {node.name: node for node in ast.parse((SRC / "nets.py").read_text()).body
@@ -486,6 +485,15 @@ def test_every_problem_kind_is_one_of_the_closed_set():
             named += [c.value for c in choices]
     assert set(named) <= checks.PROBLEMS
     assert checks.PROBLEMS <= set(named)
+
+
+def test_every_problem_kind_is_named_by_a_test():
+    # a kind no test names is a failure no test shows its suite can report
+    named = {node.value for path in Path(__file__).parent.glob("test_*.py")
+             if path.name != "test_tooling.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(checks.PROBLEMS - named) == []
 
 
 def test_no_sigma_walk_starts_at_the_end_of_a_trace(monkeypatch):
