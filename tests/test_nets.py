@@ -1137,6 +1137,17 @@ def test_a_vf2_oracle_decides_every_criterion_8_comparison_as_iso_check_does(
     assert (len(pairs), sum(verdicts)) == (370, 192)
 
 
+def test_the_criterion_8_verdicts_on_corpus_7_are_pinned(monkeypatch):
+    # the iso_check verdict of every comparison criterion 8 makes on
+    # corpus(7), in order, as a string of 0s and 1s: a change to the
+    # signature's form must leave every verdict as it was
+    pairs = compared_by_criterion_8(monkeypatch, corpus(7))
+    verdicts = "".join("01"[iso_check(a, b)] for a, b in pairs)
+    assert (len(verdicts), verdicts.count("1"),
+            hashlib.sha256(verdicts.encode()).hexdigest()[:16]) == (
+                447, 260, "78f1b98663755583")
+
+
 def test_an_island_with_an_automorphism_is_signed_from_its_least_key_edges():
     # swapping the tensors maps each crossing edge onto the other reversed,
     # so the two share the least key; the out-to-out edge anchors nothing,
