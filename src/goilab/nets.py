@@ -834,31 +834,46 @@ def _copy_closed_box(net: Net, bid: int) -> tuple[int, int]:
 # isomorphism
 
 def _explore(net: Net, seeds, edge_ids: dict, node_ids: dict,
-             flipped: Optional[int] = None) -> None:
+             flipped: Optional[int] = None) -> list:
     """Deterministic breadth-first numbering of the edges and nodes of a
     net, from seeds, visiting each edge's ends in order; ``flipped`` names
-    an edge whose ends are visited last first."""
+    an edge whose ends are visited last first.  Returns the key of each
+    edge, keyed as the walk leaves it, when both its ends are numbered, so
+    in numbering order: its lesser end key, its greater one and its weight
+    read from the lesser.  An end key is ``(0, node number, port)`` at a
+    node, ``(-2, 0, "")`` at the root and ``(-1, 0, name)`` at a free
+    variable."""
+    def end_key(end) -> tuple:
+        if end[0] == "node":
+            return (0, node_ids[end[1]], end[2])
+        if end[0] == "root":
+            return (-2, 0, "")
+        return (-1, 0, end[1])
+
     ports = net.ports
     queue = deque()
     for eid in seeds:
         if eid not in edge_ids:
             edge_ids[eid] = len(edge_ids)
             queue.append(eid)
+    keys = []
     while queue:
         eid = queue.popleft()
-        ends = net.edges[eid].ends
-        for end in reversed(ends) if eid == flipped else ends:
-            if end[0] != "node":
+        e = net.edges[eid]
+        for end in reversed(e.ends) if eid == flipped else e.ends:
+            if end[0] != "node" or end[1] in node_ids:
                 continue
             nid = end[1]
-            if nid in node_ids:
-                continue
             node_ids[nid] = len(node_ids)
             for port in PORTS[net.nodes[nid]]:
                 e2 = ports[(nid, port)][0]
                 if e2 not in edge_ids:
                     edge_ids[e2] = len(edge_ids)
                     queue.append(e2)
+        k0, k1 = end_key(e.ends[0]), end_key(e.ends[1])
+        keys.append((k0, k1, _sortable(e.weight)) if k0 <= k1
+                    else (k1, k0, _sortable(involute(e.weight))))
+    return keys
 
 
 class _Islands:
@@ -898,8 +913,8 @@ class _Islands:
                 for flipped in (None, eid):
                     ce: dict = {}
                     cn: dict = {}
-                    _explore(self.net, [eid], ce, cn, flipped)
-                    sig = _signature_part(self.net, ce, cn, self)
+                    edges = _explore(self.net, [eid], ce, cn, flipped)
+                    sig = _signature_part(self.net, edges, cn, self)
                     if best is None or sig < best:
                         best = sig
             self.signatures[k] = best
@@ -920,31 +935,12 @@ def _anchor_key(net: Net, eid: int) -> tuple:
     return ends, min(_sortable(e.weight), _sortable(involute(e.weight)))
 
 
-def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
-                    islands: _Islands):
-    """Signature of the component numbered by ``edge_ids`` and ``node_ids``.
-    A box is described by what it lists directly, a box among them by its
-    principal door, and the members outside the component by the islands
-    that hold them.  An edge end is ``(0, node number, port)`` at a node,
-    ``(-2, 0, "")`` at the root and ``(-1, 0, name)`` at a free variable."""
-    def end_key(end) -> tuple:
-        if end[0] == "node":
-            return (0, node_ids[end[1]], end[2])
-        if end[0] == "root":
-            return (-2, 0, "")
-        return (-1, 0, end[1])
-
-    nodes = [None] * len(node_ids)
-    for nid, cid in node_ids.items():
-        nodes[cid] = net.nodes[nid]
-    edges = []
-    for eid in edge_ids:
-        e = net.edges[eid]
-        k0, k1 = end_key(e.ends[0]), end_key(e.ends[1])
-        if k0 <= k1:
-            edges.append((k0, k1, _sortable(e.weight)))
-        else:
-            edges.append((k1, k0, _sortable(involute(e.weight))))
+def _signature_part(net: Net, edges: list, node_ids: dict,
+                    islands: Optional[_Islands]):
+    """Signature of the component numbered by ``node_ids``, whose edge
+    keys ``_explore`` gave as ``edges``.  A box is described by what it
+    lists directly, a box among them by its principal door, and the members
+    outside the component by the islands that hold them."""
     boxes = []
     for bid, b in net.boxes.items():
         if b.principal in node_ids:
@@ -957,7 +953,8 @@ def _signature_part(net: Net, edge_ids: dict, node_ids: dict,
                           tuple(sorted(inside)),
                           islands.holding(n for n in members if n not in node_ids)
                           if len(inside) < len(members) else ()))
-    return (tuple(nodes), tuple(sorted(edges)), tuple(sorted(boxes)))
+    return (tuple(net.nodes[nid] for nid in node_ids), tuple(edges),
+            tuple(sorted(boxes)))
 
 
 def _sortable(w: Weight) -> tuple:
@@ -982,9 +979,11 @@ def canonical_signature(net: Net):
     anchors.extend(net.free[name] for name in sorted(net.free))
     edge_ids: dict[int, int] = {}
     node_ids: dict[int, int] = {}
-    _explore(net, anchors, edge_ids, node_ids)
+    edges = _explore(net, anchors, edge_ids, node_ids)
+    if len(edge_ids) == len(net.edges):
+        return _signature_part(net, edges, node_ids, None), ()
     islands = _Islands(net, net.edges.keys() - edge_ids.keys())
-    main = _signature_part(net, edge_ids, node_ids, islands)
+    main = _signature_part(net, edges, node_ids, islands)
     return (main, tuple(sorted(islands.signature(k)
                                for k in range(len(islands.extents)))))
 

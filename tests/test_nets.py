@@ -290,8 +290,8 @@ def test_the_signatures_of_the_size_7_graphs_and_their_cut_steps_are_pinned():
                 digest.update(repr(sorted(signatures)).encode() + b"\n")
         digests[calc] = signed, digest.hexdigest()
     assert digests == {
-        LCF: (395, "13ac474adc65e8a55f0cc66a05bc3b1a19aa526ab8052ef88062cc98dcae7eb2"),
-        LCA: (384, "cc3c808646a6bd543f56602739ff5ec32e150481572bc654105ea89f55aec65c")}
+        LCF: (395, "611a3ef298bb38abdbb7b7957aad6b78e1b20a0790c08fb94eebdd54a1e5f7f2"),
+        LCA: (384, "12e741c0d7b74ce449fb5ea578f3fab51193ddc7b8f5bd7f9f7ac3cb1220ff71")}
 
 
 def test_the_export_lists_what_each_box_stores():
@@ -1032,8 +1032,8 @@ class _EveryAnchor(nets._Islands):
             for eid in self.extents[k]:
                 for flipped in (None, eid):
                     ce, cn = {}, {}
-                    nets._explore(self.net, [eid], ce, cn, flipped)
-                    sig = nets._signature_part(self.net, ce, cn, self)
+                    edges = nets._explore(self.net, [eid], ce, cn, flipped)
+                    sig = nets._signature_part(self.net, edges, cn, self)
                     if best is None or sig < best:
                         best = sig
             self.signatures[k] = best
@@ -1148,6 +1148,73 @@ def test_the_criterion_8_verdicts_on_corpus_7_are_pinned(monkeypatch):
                 447, 260, "78f1b98663755583")
 
 
+def reversed_edge(net, eid):
+    """A copy of ``net`` whose edge ``eid`` runs the other way, its weight
+    involuted: the same net, read from its other end."""
+    out, e = net.copy(), net.edges[eid]
+    out.edges[eid] = Edge(e.ends[::-1], involute(e.weight))
+    for i, end in enumerate(out.edges[eid].ends):
+        if end[0] == "node":
+            out.ports[end[1], end[2]] = (eid, i)
+    return out
+
+
+def involuted_weight(net, eid):
+    """A copy of ``net`` whose edge ``eid`` carries its weight's involution
+    and keeps its ends."""
+    out, e = net.copy(), net.edges[eid]
+    out.edges[eid] = Edge(list(e.ends), involute(e.weight))
+    return out
+
+
+def swapped_premises(net, nid):
+    """A copy of ``net`` whose node ``nid`` has the edges at its left and
+    right ports exchanged."""
+    out = net.copy()
+    (left, i), (right, j) = out.ports[nid, "left"], out.ports[nid, "right"]
+    fresh = {eid: Edge(list(net.edges[eid].ends), net.edges[eid].weight)
+             for eid in (left, right)}
+    fresh[left].ends[i] = ("node", nid, "right")
+    fresh[right].ends[j] = ("node", nid, "left")
+    out.edges.update(fresh)
+    out.ports[nid, "right"], out.ports[nid, "left"] = (left, i), (right, j)
+    return out
+
+
+def test_near_misses_of_criterion_8_nets_are_decided_as_the_oracle_decides(
+        monkeypatch):
+    # one-edge edits of a seeded sample of the nets criterion 8 compares on
+    # corpus(6), each on a fresh copy with new Edge objects: a reversed
+    # edge is the same net, so always iso; a weight unlike its involution,
+    # involuted, or swapped premises is iso only where an automorphism
+    # undoes it.  The kept edits are those validate accepts, and the
+    # oracle decides each
+    pairs = compared_by_criterion_8(monkeypatch, corpus(6))
+    distinct = list({id(net): net for pair in pairs for net in pair}.values())
+    rng = random.Random(21)
+    edits = []
+    for net in rng.sample(distinct, 100):
+        edits.append(("reverse", net, reversed_edge(net, rng.choice(sorted(net.edges)))))
+        lopsided = sorted(eid for eid, e in net.edges.items()
+                          if involute(e.weight) != e.weight)
+        if lopsided:
+            edits.append(("involute", net, involuted_weight(net, rng.choice(lopsided))))
+        premised = sorted(nid for nid, kind in net.nodes.items()
+                          if kind in ("tensor", "par"))
+        if premised:
+            edits.append(("swap", net, swapped_premises(net, rng.choice(premised))))
+    kept = [(kind, net, edited) for kind, net, edited in edits if not validate(edited)]
+    verdicts = Counter()
+    for kind, net, edited in kept:
+        iso = iso_check(net, edited)
+        assert vf2_iso(labelled_graph(net), labelled_graph(edited)) == iso, kind
+        assert iso or kind != "reverse"
+        verdicts[kind, iso] += 1
+    assert verdicts == {("reverse", True): 100, ("involute", False): 100,
+                        ("swap", False): 100}
+    assert (len(distinct), len(edits), len(kept)) == (306, 300, 300)
+
+
 def test_an_island_with_an_automorphism_is_signed_from_its_least_key_edges():
     # swapping the tensors maps each crossing edge onto the other reversed,
     # so the two share the least key; the out-to-out edge anchors nothing,
@@ -1176,7 +1243,7 @@ def test_each_island_is_explored_from_its_least_key_edges_twice(monkeypatch):
     def explore(net, seeds, edge_ids, node_ids, flipped=None):
         if explored:
             explored[-1].append((tuple(seeds), flipped))
-        real_explore(net, seeds, edge_ids, node_ids, flipped)
+        return real_explore(net, seeds, edge_ids, node_ids, flipped)
 
     def signature(self, k):
         fresh = k not in self.signatures

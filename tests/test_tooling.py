@@ -10,6 +10,7 @@ import inspect
 import pickle
 import random
 import re
+from collections import Counter
 from dataclasses import MISSING, FrozenInstanceError, fields
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from conftest import port_scan
 
 from goilab import checks, nets
-from goilab.algebra import CONSTANTS, normal_word
+from goilab.algebra import CONSTANTS, LevelUnderflowError, normal_word
 from goilab.calculus import (FUEL, LCA, LCF, Configuration, RedexSite,
                              TraceStep, normalize_sigma, reduce,
                              reduction_graph, sigma_walk)
@@ -351,6 +352,51 @@ def test_no_cut_step_scans_every_edge():
     assert {"_STEPS", "_mult_step", "_delete_nodes", "_copy_closed_box",
             "Net.copy", "Net.new_edge"} <= reached
     assert sorted(reached & scanning) == ["Net.ports"]
+
+
+class _CountedEdges(dict):
+    """An edge map that counts the reads of each entry, whether by key or
+    through its values or items."""
+
+    def __init__(self, edges):
+        super().__init__(edges)
+        self.reads = Counter()
+
+    def __getitem__(self, eid):
+        self.reads[eid] += 1
+        return super().__getitem__(eid)
+
+    def get(self, eid, default=None):
+        return self[eid] if eid in self else default
+
+    def values(self):
+        return [self[eid] for eid in self]
+
+    def items(self):
+        return [(eid, self[eid]) for eid in self]
+
+
+def test_a_net_without_islands_is_signed_in_one_walk():
+    # the walk that numbers a net keys each edge as it leaves it, in
+    # numbering order, so signing a net with no interface-free island
+    # reads each edge once: no second pass keys or sorts the edges
+    signed = 0
+    for entry in corpus(6):
+        for calc, translate in ((LCF, translate_cbv), (LCA, translate_cbn)):
+            for config in reduction_graph(Configuration(entry.initial), calc).edges:
+                try:
+                    net = translate(config.term)
+                except (nets.NetError, LevelUnderflowError):
+                    continue
+                for n in [net, *(closed_cut_step(net, cut) for cut in eligible_cuts(net))]:
+                    signature = nets.canonical_signature(n)
+                    if signature[1]:  # an island is signed from each of its anchors
+                        continue
+                    n.edges = counted = _CountedEdges(n.edges)
+                    assert nets.canonical_signature(n) == signature
+                    assert counted.reads == Counter(counted.keys())
+                    signed += 1
+    assert signed == 696
 
 
 def test_no_cut_step_scans_every_box():
